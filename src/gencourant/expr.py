@@ -11,12 +11,26 @@ Expressions are immutable and freely share subtrees, so large tensor
 formulas are DAGs in memory.  Evaluation and differentiation are memoized
 per node, which makes their cost proportional to the number of distinct
 nodes rather than the size of the unfolded tree.
+
+Evaluation has two walks.  The scalar walk (``evaluate``,
+``evaluate_many``) computes one IEEE double per node at one point, sums
+with ``math.fsum`` and raises DomainError at the first singular
+subexpression; it is the reference.  The point-vector walk
+(``evaluate_points``, used by ``max_abs_on_points``) visits each distinct
+node once for all points, holding a numpy vector per node (constants stay
+floats) and summing in term order.  It is used only with two or more
+points; when a domain condition, an overflow or a non-finite root value
+turns up at any point, it drops its result and the scalar walk is replayed
+point by point, so errors and non-finite values are exactly the scalar
+walk's.  Both memos live for one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ChartMismatch, DomainError, ExprSyntaxError, UnknownSymbol
 
@@ -547,23 +561,27 @@ def evaluate_many(exprs, point) -> list[float]:
     return [_eval_into(e, pt, memo) for e in exprs]
 
 
-def _eval_into(root: Expr, point: tuple, memo: dict[int, float]) -> float:
-    # explicit stack: tensor formulas can nest deeper than Python's default
-    # recursion limit
-    stack = [root]
+def _fill(roots, memo: dict, value) -> None:
+    """Store ``value(node)`` in ``memo`` under ``id(node)`` for every node
+    under ``roots`` not yet in it, children first.  An explicit stack:
+    tensor formulas can nest deeper than Python's default recursion limit."""
+    stack = list(roots)
     while stack:
         e = stack[-1]
         key = id(e)
         if key in memo:
             stack.pop()
             continue
-        kids = e.children()
-        pending = [k for k in kids if id(k) not in memo]
+        pending = [k for k in e.children() if id(k) not in memo]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        memo[key] = _eval_node(e, point, memo)
+        memo[key] = value(e)
+
+
+def _eval_into(root: Expr, point: tuple, memo: dict[int, float]) -> float:
+    _fill((root,), memo, lambda e: _eval_node(e, point, memo))
     return memo[id(root)]
 
 
@@ -577,7 +595,10 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
     if isinstance(e, Neg):
         return -memo[id(e.arg)]
     if isinstance(e, Add):
-        return math.fsum(memo[id(t)] for t in e.terms)
+        try:
+            return math.fsum(memo[id(t)] for t in e.terms)
+        except OverflowError:
+            raise DomainError("overflow", e) from None
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -592,13 +613,19 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
         b = memo[id(e.base)]
         if b == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
-        return b**e.exponent
+        try:
+            return b**e.exponent
+        except OverflowError:
+            raise DomainError("overflow", e) from None
     if isinstance(e, Sin):
         return math.sin(memo[id(e.arg)])
     if isinstance(e, Cos):
         return math.cos(memo[id(e.arg)])
     if isinstance(e, Exp):
-        return math.exp(memo[id(e.arg)])
+        try:
+            return math.exp(memo[id(e.arg)])
+        except OverflowError:
+            raise DomainError("overflow", e) from None
     if isinstance(e, Ln):
         a = memo[id(e.arg)]
         if a <= 0.0:
@@ -612,6 +639,104 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
+def evaluate_points(exprs, points) -> np.ndarray:
+    """Values of ``exprs`` at each of ``points``, as a float64 array of shape
+    (len(exprs), len(points)).
+
+    With two or more points of one length, a single walk over the distinct
+    nodes evaluates each node as a vector over all points.  That pass gives
+    up if a domain condition or an overflow holds at any point, which shows
+    as a non-finite value (see ``_vec_node``), or if any root value is not
+    finite.  The per-point walk is then replayed point by point, so a
+    DomainError names the same subexpression at the same first point, and
+    non-finite values come out as that walk gives them.  Fewer than two
+    points go straight to the per-point walk.
+    """
+    exprs = list(exprs)
+    if len(points) >= 2:
+        try:
+            cols = np.array(points, dtype=float).T.copy()
+        except (TypeError, ValueError):  # points of unequal length
+            cols = None
+        if cols is not None and cols.ndim == 2:
+            out = _vector_pass(exprs, cols)
+            if out is not None:
+                return out
+    rows = [evaluate_many(exprs, pt) for pt in points]
+    return np.array(rows, dtype=float).reshape(len(points), len(exprs)).T
+
+
+class _Replay(Exception):
+    """The vector pass cannot decide; the per-point walk must."""
+
+
+def _vector_pass(roots: list, cols: np.ndarray):
+    """Root values as rows over the points (``cols`` holds one row per
+    coordinate), or None when the per-point walk has to be replayed."""
+    memo: dict[int, object] = {}
+    with np.errstate(all="ignore"):
+        try:
+            _fill(roots, memo, lambda e: _vec_node(e, cols, memo))
+        except _Replay:
+            return None
+    out = np.empty((len(roots), cols.shape[1]))
+    for i, root in enumerate(roots):
+        out[i] = memo[id(root)]
+    return out if np.isfinite(out).all() else None
+
+
+def _vec_node(e: Expr, cols: np.ndarray, memo):
+    """One node over all points: a float for constant subtrees, else a
+    vector.  A domain violation makes a NaN or an infinity, which either
+    reaches a root or is hidden by one of the three operations that can map
+    it to a finite value (x/inf, inf^-k or inf^0, exp(-inf)); those give up
+    here, since the scalar walk may have raised on the way."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Coord):
+        if e.index >= len(cols):
+            raise _Replay
+        return cols[e.index]
+    if isinstance(e, Neg):
+        return -memo[id(e.arg)]
+    if isinstance(e, Add):
+        terms = iter(e.terms)
+        out = memo[id(next(terms))]
+        for t in terms:
+            out = out + memo[id(t)]
+        return out
+    if isinstance(e, Mul):
+        factors = iter(e.factors)
+        out = memo[id(next(factors))]
+        for f in factors:
+            out = out * memo[id(f)]
+        return out
+    if isinstance(e, Div):
+        d = memo[id(e.den)]
+        if not np.isfinite(d).all():
+            raise _Replay
+        return np.divide(memo[id(e.num)], d)
+    if isinstance(e, Pow):
+        b = memo[id(e.base)]
+        if e.exponent <= 0 and not np.isfinite(b).all():
+            raise _Replay
+        return np.float64(b) ** e.exponent if isinstance(b, float) else b**e.exponent
+    if isinstance(e, Sin):
+        return np.sin(memo[id(e.arg)])
+    if isinstance(e, Cos):
+        return np.cos(memo[id(e.arg)])
+    if isinstance(e, Exp):
+        a = memo[id(e.arg)]
+        if not np.isfinite(a).all():
+            raise _Replay
+        return np.exp(a)
+    if isinstance(e, Ln):
+        return np.log(memo[id(e.arg)])
+    if isinstance(e, Sqrt):
+        return np.sqrt(memo[id(e.arg)])
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # simplification: rebuild through the smart constructors
 # ---------------------------------------------------------------------------
@@ -621,21 +746,9 @@ def simplify(e: Expr) -> Expr:
     """Constant folding, 0/1 identities and sum/product flattening.  The
     result evaluates identically to the input at every in-domain point."""
     memo: dict[int, Expr] = {}
-    stack = [_coerce(e)]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        kids = node.children()
-        pending = [k for k in kids if id(k) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[key] = _rebuild(node, memo)
-    return memo[id(e)]
+    root = _coerce(e)
+    _fill((root,), memo, lambda node: _rebuild(node, memo))
+    return memo[id(root)]
 
 
 def _rebuild(e: Expr, memo) -> Expr:
@@ -926,21 +1039,30 @@ def random_polynomial(chart_: Chart, gen: SplitMix64, degree: int = 2, scale: fl
     return add(*terms)
 
 
-def max_abs_on_points(exprs, points):
-    """Max absolute value over expressions x points; returns (value, point).
-    Accepts a single Expr, an iterable, or a numpy object array."""
-    import numpy as np
+def worst_of(pairs):
+    """The (value, point) pair with the largest value, the last one on a
+    tie.  The first pair whose value is not finite is returned at once, so
+    a NaN residual never reads as a small one.  (0.0, None) when empty."""
+    worst, at = 0.0, None
+    for value, pt in pairs:
+        if not math.isfinite(value):
+            return value, pt
+        if value >= worst:
+            worst, at = value, pt
+    return worst, at
 
+
+def max_abs_on_points(exprs, points):
+    """Max absolute value over expressions x points; returns (value, point)
+    as ``worst_of`` picks it over the per-point maxima.  Accepts a single
+    Expr, an iterable, or a numpy object array."""
     if isinstance(exprs, Expr):
         flat = [exprs]
     elif isinstance(exprs, np.ndarray):
         flat = list(exprs.reshape(-1))
     else:
         flat = list(exprs)
-    worst, worst_pt = 0.0, tuple(points[0]) if points else ()
-    for pt in points:
-        vals = evaluate_many(flat, pt)
-        m = max((abs(v) for v in vals), default=0.0)
-        if m >= worst:
-            worst, worst_pt = m, tuple(pt)
-    return worst, worst_pt
+    if not points:
+        return 0.0, ()
+    per_point = np.abs(evaluate_points(flat, points)).max(axis=0, initial=0.0)
+    return worst_of(zip(per_point.tolist(), map(tuple, points)))

@@ -186,8 +186,8 @@ def jacobiator(psi, phi, chi, H: TensorField, check_closedness=False) -> GenSect
 
 
 def _check_positive_definite(g: TensorField):
-    for p in g.chart.sample_points():
-        m = g.evaluate(p)
+    pts = g.chart.sample_points()
+    for p, m in zip(pts, g.evaluate_points(pts)):
         if np.max(np.abs(m - m.T)) > 1e-10:
             raise NotPositiveDefinite(f"metric not symmetric at {p}")
         try:
@@ -398,8 +398,9 @@ def b_twist(psi: GenSection, B: TensorField) -> GenSection:
 
 
 def twisted_bracket_check(B: TensorField, H: TensorField, sections=None, points=None):
-    """Max residual of e^B([psi,phi]^{H+dB}) - [e^B psi, e^B phi]^H over
-    section pairs; zero means e^B intertwines the two brackets."""
+    """(max residual, worst point) of e^B([psi,phi]^{H+dB}) - [e^B psi,
+    e^B phi]^H over section pairs, as ``ex.worst_of`` picks it; a zero
+    residual means e^B intertwines the two brackets."""
     chart = B.chart
     _check_antisymmetric_matrix(B)
     check_closed(H)
@@ -408,12 +409,13 @@ def twisted_bracket_check(B: TensorField, H: TensorField, sections=None, points=
         gen = chart.rng(101)
         sections = [(random_section(chart, gen), random_section(chart, gen)) for _ in range(3)]
     pts = points or chart.sample_points()
-    worst = 0.0
-    for psi, phi in sections:
+
+    def residual(psi, phi):
         lhs = b_twist(dorfman(psi, phi, HdB, check_closedness=False), B)
         rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H, check_closedness=False)
-        worst = max(worst, (lhs - rhs).max_abs(pts)[0])
-    return worst
+        return (lhs - rhs).max_abs(pts)
+
+    return ex.worst_of(residual(psi, phi) for psi, phi in sections)
 
 
 def theta_matrix_from_b(B: TensorField) -> TensorField:
@@ -424,8 +426,9 @@ def theta_matrix_from_b(B: TensorField) -> TensorField:
     _check_antisymmetric_matrix(B)
     if n % 2 == 1:
         raise SingularB("an antisymmetric 2-form on an odd-dimensional chart is singular")
-    for p in chart.sample_points():
-        if abs(np.linalg.det(B.evaluate(p))) < tn.DET_TOL:
+    pts = chart.sample_points()
+    for p, m in zip(pts, B.evaluate_points(pts)):
+        if abs(np.linalg.det(m)) < tn.DET_TOL:
             raise SingularB(f"B degenerate at sample point {p}")
     inv = tn.matrix_inverse(B.comps)
     # matrix inverse of B_{mn} gives theta with theta^{m a} B_{a n} = delta

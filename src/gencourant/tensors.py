@@ -17,7 +17,8 @@ import itertools
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartMismatch, NonTensorial, NotAntisymmetric, SingularMetric, SlotError
+from .errors import (ChartMismatch, DomainError, NonTensorial, NotAntisymmetric, SingularMetric,
+                     SlotError)
 from .expr import Chart, Expr, add, esum, evaluate_many, mul, neg
 
 UP = "up"
@@ -69,6 +70,18 @@ class TensorField:
     def evaluate(self, point) -> np.ndarray:
         vals = evaluate_many(list(self.comps.reshape(-1)), point)
         return np.array(vals, dtype=float).reshape(self.comps.shape)
+
+    def evaluate_points(self, points):
+        """The component array at each point, in order.  When evaluation
+        fails at some point, the arrays of the points before it still come
+        first, so a caller that checks each in turn stops at the same first
+        point as a loop over ``evaluate``."""
+        try:
+            vals = ex.evaluate_points(self.comps.reshape(-1), points)
+        except DomainError:
+            yield from map(self.evaluate, points)
+            return
+        yield from vals.T.reshape((len(points),) + self.comps.shape)
 
     def max_abs(self, points=None):
         pts = points if points is not None else self.chart.sample_points()
@@ -202,8 +215,7 @@ def _check_metric(metric: TensorField, expect: str):
         raise SlotError("metric must be a rank-2 tensor of uniform variance")
     n = metric.chart.dim
     pts = metric.chart.sample_points()
-    for p in pts:
-        m = metric.evaluate(p)
+    for p, m in zip(pts, metric.evaluate_points(pts)):
         if np.max(np.abs(m - m.T)) > 1e-10:
             raise SlotError("metric is not symmetric")
         if abs(np.linalg.det(m)) < DET_TOL:

@@ -229,6 +229,26 @@ def test_main_seed_override_changes_points(tmp_path):
     assert d1["seed"] == 1 and d2["seed"] == 2
 
 
+def test_main_overflow_is_an_input_error(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["background"]["phi"] = "exp(800*x+800)"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["central", str(path)]) == 2
+    assert "overflow in subexpression 'exp(800*x + 800)'" in capsys.readouterr().err
+
+
+def test_fd_check_reports_the_worst_point():
+    # the central-difference error of d(x^4)/dx is 4 h^2 |x|: largest at max |x|
+    doc = minimal_doc()
+    doc["background"]["phi"] = "x^4"
+    scene = scene_from_dict(doc)
+    checks = {c.name: c for c in run_command("axioms", scene).checks}
+    fd = checks["axioms.derivative-fd-consistency"]
+    assert fd.worst_point == max(scene.chart.sample_points()[:4], key=lambda p: abs(p[0]))
+    assert checks["axioms.shear-intertwines-brackets"].worst_point in scene.chart.sample_points()
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "gencourant.cli", "beta", str(SCENES / "flat2d.json")],

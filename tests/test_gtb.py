@@ -9,7 +9,7 @@ import pytest
 from gencourant import gtb
 from gencourant import tensors as tn
 from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
-from gencourant.expr import chart, evaluate, parse_expr
+from gencourant.expr import chart, evaluate, parse_expr, worst_of
 from gencourant.gtb import GenSection, d_map, dorfman, gen_metric, pairing, random_section
 from gencourant.tensors import DOWN, UP
 
@@ -322,7 +322,18 @@ def test_b_twist_preserves_pairing():
 def test_b_twist_intertwines_brackets():
     H = closed_three_form(C3, seed=11)
     B = bumpy_B(C3, seed=77)
-    assert gtb.twisted_bracket_check(B, H) < 1e-9
+    assert gtb.twisted_bracket_check(B, H)[0] < 1e-9
+
+
+def test_twisted_bracket_check_reports_the_worst_point():
+    H = closed_three_form(C3, seed=11)
+    B = bumpy_B(C3, seed=77)
+    gen = C3.rng(5)
+    pairs = [(random_section(C3, gen), random_section(C3, gen)) for _ in range(2)]
+    worst, at = gtb.twisted_bracket_check(B, H, sections=pairs)
+    each = [gtb.twisted_bracket_check(B, H, sections=[pair]) for pair in pairs]
+    assert (worst, at) == worst_of(each)
+    assert at in C3.sample_points()
 
 
 def test_theta_twist_inverse_and_pairing():

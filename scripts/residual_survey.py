@@ -5,6 +5,7 @@ identity on random polynomial backgrounds, and print one row per seed.
 
     python3 scripts/residual_survey.py --dim 2 --seeds 8
 
+Seed s surveys the scene that ``make_scene.py --dim D --seed s`` writes.
 The identity columns should sit at float-roundoff level for every seed;
 the residual-magnitude columns show how far off-shell the random
 backgrounds are (order one).
@@ -16,10 +17,10 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import random_background
 from gencourant import streff
+from gencourant.scene import scene_from_dict
+from make_scene import build
 
 
 def main():
@@ -38,7 +39,8 @@ def main():
     print("  ".join(f"{c:>20}" for c in cols))
     for seed in range(args.seeds):
         t0 = time.perf_counter()
-        bg = random_background(args.dim, salt=1000 + seed, invertible_b=args.invertible_b)
+        doc = build(args.dim, seed, args.invertible_b, scale=0.25, points=12)
+        bg = scene_from_dict(doc, name=f"seed {seed}").background
         pts = bg.chart.sample_points()
         res = streff.central_residuals(bg)
         beta_max = res.betas.max_abs(pts)[0]

@@ -2,8 +2,7 @@
 report.
 
     gencourant <command> <scene.json> [--seed N] [--points N]
-               [--tol-sym X] [--tol-fd X] [--policy reject|project]
-               [--out report.json]
+               [--tol-sym X] [--tol-fd X] [--out report.json]
 
 Commands: axioms, torsion, curvature, beta, central, symplectic,
 equivalence, all.  Exit codes: 0 every enabled check passed, 1 a check
@@ -328,16 +327,9 @@ def checks_symplectic(scene: Scene, pkg=None) -> list:
                       _flat([res_sch]), pts, tol))
     alg = pkg.cotangent.algebroid
     n = chart.dim
-    torsion = []
-    compat = []
-    for a, b, c in itertools.product(range(n), repeat=3):
-        torsion.append(pkg.gamma[c, a, b] - pkg.gamma[c, b, a] - alg.structure[c, a, b])
-        lhs = alg.frame_derivative(a, pkg.g_A[b, c])
-        rhs = ex.esum(
-            [ex.mul(pkg.gamma[d, a, b], pkg.g_A[d, c]) for d in range(n)]
-            + [ex.mul(pkg.gamma[d, a, c], pkg.g_A[b, d]) for d in range(n)]
-        )
-        compat.append(lhs - rhs)
+    torsion = [pkg.gamma[c, a, b] - pkg.gamma[c, b, a] - alg.structure[c, a, b]
+               for a, b, c in itertools.product(range(n), repeat=3)]
+    compat = _flat([alg.covariant_derivative_form(pkg.gamma, a, pkg.g_A, 2) for a in range(n)])
     out.append(_check("symplectic.algebroid-torsion-free",
                       "coframe connection is torsion-free", torsion, pts, tol))
     out.append(_check("symplectic.algebroid-compatibility",
@@ -446,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--points", type=int, default=None, help="override the sample count")
     parser.add_argument("--tol-sym", type=float, default=None, help="symbolic identity tolerance")
     parser.add_argument("--tol-fd", type=float, default=None, help="finite-difference tolerance")
-    parser.add_argument("--policy", choices=("reject", "project"), default=None)
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     return parser
 
@@ -459,8 +450,6 @@ def main(argv=None) -> int:
             scene.tolerances["sym"] = args.tol_sym
         if args.tol_fd is not None:
             scene.tolerances["fd"] = args.tol_fd
-        if args.policy is not None:
-            scene.policy = args.policy
         report = run_command(args.command, scene)
     except (SceneError, CommandError) as err:
         print(f"error: {err}", file=sys.stderr)

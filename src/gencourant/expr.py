@@ -437,23 +437,23 @@ def powi(base, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
-        return Const(base.value**exponent)
+        return Const(_checked(Pow(base, exponent), pow, base.value, exponent))
     return Pow(base, exponent)
 
 
 def sin(e) -> Expr:
     e = _coerce(e)
-    return Const(math.sin(e.value)) if isinstance(e, Const) else Sin(e)
+    return Const(_checked(Sin(e), math.sin, e.value)) if isinstance(e, Const) else Sin(e)
 
 
 def cos(e) -> Expr:
     e = _coerce(e)
-    return Const(math.cos(e.value)) if isinstance(e, Const) else Cos(e)
+    return Const(_checked(Cos(e), math.cos, e.value)) if isinstance(e, Const) else Cos(e)
 
 
 def exp(e) -> Expr:
     e = _coerce(e)
-    return Const(math.exp(e.value)) if isinstance(e, Const) else Exp(e)
+    return Const(_checked(Exp(e), math.exp, e.value)) if isinstance(e, Const) else Exp(e)
 
 
 def ln(e) -> Expr:
@@ -585,6 +585,18 @@ def _eval_into(root: Expr, point: tuple, memo: dict[int, float]) -> float:
     return memo[id(root)]
 
 
+def _checked(node: Expr, fn, *args) -> float:
+    """fn(*args) as the value of ``node``; an overflow, or the ValueError
+    that ``math`` raises on an infinite argument (sin, cos, fsum of
+    opposite infinities), becomes a DomainError naming the node."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise DomainError("overflow", node) from None
+    except ValueError:
+        raise DomainError("infinite value", node) from None
+
+
 def _eval_node(e: Expr, point: tuple, memo) -> float:
     if isinstance(e, Const):
         return e.value
@@ -595,10 +607,7 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
     if isinstance(e, Neg):
         return -memo[id(e.arg)]
     if isinstance(e, Add):
-        try:
-            return math.fsum(memo[id(t)] for t in e.terms)
-        except OverflowError:
-            raise DomainError("overflow", e) from None
+        return _checked(e, math.fsum, [memo[id(t)] for t in e.terms])
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -613,19 +622,13 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
         b = memo[id(e.base)]
         if b == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
-        try:
-            return b**e.exponent
-        except OverflowError:
-            raise DomainError("overflow", e) from None
+        return _checked(e, pow, b, e.exponent)
     if isinstance(e, Sin):
-        return math.sin(memo[id(e.arg)])
+        return _checked(e, math.sin, memo[id(e.arg)])
     if isinstance(e, Cos):
-        return math.cos(memo[id(e.arg)])
+        return _checked(e, math.cos, memo[id(e.arg)])
     if isinstance(e, Exp):
-        try:
-            return math.exp(memo[id(e.arg)])
-        except OverflowError:
-            raise DomainError("overflow", e) from None
+        return _checked(e, math.exp, memo[id(e.arg)])
     if isinstance(e, Ln):
         a = memo[id(e.arg)]
         if a <= 0.0:
@@ -777,7 +780,7 @@ _PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _const_str(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 

@@ -3,12 +3,16 @@ curvature tensors, over the 2n-element generalized coordinate frame
 e_A in {(d_mu, 0)} u {(0, dx^mu)}.
 
 A connection is a coefficient array Gamma[C, A, B] with
-nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``FrameAlgebroid`` that
-records the anchor, the constant pairing Gram matrix and the frame
-brackets of the ambient bracket.  Everything downstream (torsion 3-form,
-curvature tensor, traces, characteristic vector field) is computed from
-those two ingredients, so the same code serves the standard twisted
-bracket, its shear by e^B, and the bivector-sheared bracket.
+nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``CourantFrame``: the
+anchored frame of ``gtb.AnchoredFrame`` (anchor and frame brackets of the
+ambient bracket) plus the constant pairing Gram matrix.  The frame calculus
+(frame derivatives, connection action, covariant derivative of frame forms,
+the curvature R0 below) is that of ``gtb.AnchoredFrame``; this module adds
+what is specific to Courant algebroids: the pairing, the left-Leibniz term
+of the bracket, the Gualtieri torsion, the symmetrised curvature R and its
+pairing-dual traces.  Everything downstream is computed from those two
+ingredients, so the same code serves the standard twisted bracket, its
+shear by e^B, and the bivector-sheared bracket.
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -55,41 +59,26 @@ def _zeros(shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class FrameAlgebroid:
-    """Anchor, pairing Gram and frame brackets of a Courant structure on the
-    generalized coordinate frame.  The Gram matrix is the constant block
-    swap in every picture used here (all our isomorphisms are orthogonal)."""
+class CourantFrame(gtb.AnchoredFrame):
+    """The generalized coordinate frame of a Courant structure: an anchored
+    frame of rank 2n (anchor [A, mu], frame brackets [e_A, e_B] =
+    structure^C_{AB} e_C) with the pairing.  The Gram matrix of the pairing
+    is the constant block swap in every picture used here (all our
+    isomorphisms are orthogonal)."""
 
-    def __init__(self, chart: Chart, anchor: np.ndarray, brackets: np.ndarray):
-        self.chart = chart
-        self.dim2 = 2 * chart.dim
-        self.anchor = anchor  # [A, mu]: Expr components of rho(e_A)
-        self.brackets = brackets  # [C, A, B]: [e_A, e_B] = brackets^C_{AB} e_C
+    @property
+    def dim2(self) -> int:
+        return self.rank
 
     def swap(self, a: int) -> int:
         n = self.chart.dim
         return a + n if a < n else a - n
 
-    def frame_deriv(self, a: int, f: Expr) -> Expr:
-        coords = self.chart.coords()
-        return esum(
-            mul(self.anchor[a, m], ex.differentiate(f, coords[m]))
-            for m in range(self.chart.dim)
-        )
-
-    def anchor_of(self, comps) -> np.ndarray:
-        """Vector-field components of rho(psi) for frame components comps."""
-        n = self.chart.dim
-        return np.array(
-            [esum(mul(comps[a], self.anchor[a, m]) for a in range(self.dim2)) for m in range(n)],
-            dtype=object,
-        )
-
     def d_map_components(self, f: Expr) -> np.ndarray:
         """Frame components of the bracket differential: <Df, e_A> = rho(e_A).f,
         so (Df)^C = rho(e_{swap(C)}).f."""
         return np.array(
-            [self.frame_deriv(self.swap(c), f) for c in range(self.dim2)], dtype=object
+            [self.frame_derivative(self.swap(c), f) for c in range(self.dim2)], dtype=object
         )
 
     def rho_star_components(self, mu: int) -> np.ndarray:
@@ -99,7 +88,7 @@ class FrameAlgebroid:
         )
 
 
-def standard_algebroid(chart: Chart, H: TensorField) -> FrameAlgebroid:
+def standard_algebroid(chart: Chart, H: TensorField) -> CourantFrame:
     """The twisted Dorfman bracket on the coordinate frame: anchor projects
     to the vector part; the only nonzero frame brackets are
     [(d_mu,0),(d_nu,0)] = (0, -H(d_mu, d_nu, .))."""
@@ -110,11 +99,11 @@ def standard_algebroid(chart: Chart, H: TensorField) -> FrameAlgebroid:
     brackets = _zeros((2 * n, 2 * n, 2 * n))
     for m, v, l in itertools.product(range(n), repeat=3):
         brackets[n + l, m, v] = neg(H.comps[m, v, l])
-    return FrameAlgebroid(chart, anchor, brackets)
+    return CourantFrame(chart, anchor, brackets)
 
 
 def conjugated_algebroid(chart: Chart, F: np.ndarray, Finv: np.ndarray,
-                         source: FrameAlgebroid) -> FrameAlgebroid:
+                         source: CourantFrame) -> CourantFrame:
     """Pull the bracket of ``source`` back through the frame isomorphism F:
     [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
     n = chart.dim
@@ -132,37 +121,25 @@ def conjugated_algebroid(chart: Chart, F: np.ndarray, Finv: np.ndarray,
             br = _bracket_components(source, sections[a].components(), sections[b].components())
             for c in range(dim2):
                 brackets[c, a, b] = esum(mul(Finv[c, d], br[d]) for d in range(dim2))
-    return FrameAlgebroid(chart, anchor, brackets)
+    return CourantFrame(chart, anchor, brackets)
 
 
-def _bracket_components(alg: FrameAlgebroid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[psi, phi] of general sections from the frame brackets plus the
-    anchored Leibniz/left-Leibniz corrections of the ambient bracket:
-    [u^A e_A, v^B e_B] = u^A v^B [e_A,e_B] + (rho(u).v^C) e_C
-                         - (rho(v).u^C) e_C + <u, v-gradient term>.
-
-    The last piece is D<u, e_B> contributions from the left slot:
-    [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df."""
+def _bracket_components(alg: CourantFrame, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """[psi, phi] of general sections: the anchored-frame bracket
+    u^A v^B [e_A,e_B] + (rho(u).v^C) e_C - (rho(v).u^C) e_C plus the
+    left-Leibniz term of the Courant bracket, the D<u, e_B> contributions
+    from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df."""
     dim2 = alg.dim2
     coords = alg.chart.coords()
     n = alg.chart.dim
-    out = _zeros((dim2,))
-    rho_u = alg.anchor_of(u)
-    rho_v = alg.anchor_of(v)
+    out = alg.bracket(u, v)
     eta = gtb.pairing_gram(alg.chart)
     for c in range(dim2):
-        terms = [
-            mul(u[a], v[b], alg.brackets[c, a, b])
-            for a in range(dim2)
-            for b in range(dim2)
-            if not ex.is_zero(alg.brackets[c, a, b])
-        ]
-        terms.append(esum(mul(rho_u[m], ex.differentiate(v[c], coords[m])) for m in range(n)))
-        terms.append(neg(esum(mul(rho_v[m], ex.differentiate(u[c], coords[m])) for m in range(n))))
         # left-Leibniz correction <e_A, v> D(u^A), projected on e_c:
         # (Df)^c = rho(e_swap(c)).f
         sc = alg.swap(c)
-        terms.append(
+        out[c] = add(
+            out[c],
             esum(
                 mul(
                     esum(mul(v[b], eta[a, b]) for b in range(dim2)),
@@ -170,9 +147,8 @@ def _bracket_components(alg: FrameAlgebroid, u: np.ndarray, v: np.ndarray) -> np
                 )
                 for a in range(dim2)
                 for m in range(n)
-            )
+            ),
         )
-        out[c] = esum(terms)
     return out
 
 
@@ -186,7 +162,7 @@ class GenConnection:
     """Connection coefficients over the generalized frame, together with the
     bracket data and the generalized metric of its picture."""
 
-    algebroid: FrameAlgebroid
+    algebroid: CourantFrame
     gamma: np.ndarray  # [C, A, B]
     metric: GeneralizedMetric
     provenance: str = "custom"
@@ -201,28 +177,6 @@ class GenConnection:
         """<nab_{e_a} e_b, e_c> for the constant swap Gram."""
         return self.gamma[self.algebroid.swap(c), a, b]
 
-    def nabla(self, psi: GenSection, phi: GenSection) -> GenSection:
-        comps = nabla_components(self, psi.components(), phi.components())
-        return GenSection.from_components(self.chart, comps)
-
-
-def nabla_components(conn: GenConnection, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    dim2 = conn.algebroid.dim2
-    n = conn.chart.dim
-    coords = conn.chart.coords()
-    rho_u = conn.algebroid.anchor_of(u)
-    out = _zeros((dim2,))
-    for c in range(dim2):
-        terms = [
-            mul(u[a], v[b], conn.gamma[c, a, b])
-            for a in range(dim2)
-            for b in range(dim2)
-            if not ex.is_zero(conn.gamma[c, a, b])
-        ]
-        terms.append(esum(mul(rho_u[m], ex.differentiate(v[c], coords[m])) for m in range(n)))
-        out[c] = esum(terms)
-    return out
-
 
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
     """rho(e_A).<e_B, e_C> - <nab_A e_B, e_C> - <e_B, nab_A e_C>; the first
@@ -235,17 +189,12 @@ def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
 
 
 def metric_compat_residual(conn: GenConnection) -> np.ndarray:
-    """rho(e_A).G(e_B,e_C) - G(nab_A e_B, e_C) - G(e_B, nab_A e_C)."""
-    dim2 = conn.algebroid.dim2
+    """(nab_A G)(e_B, e_C) = rho(e_A).G(e_B,e_C) - G(nab_A e_B, e_C) - G(e_B, nab_A e_C)."""
+    alg = conn.algebroid
     gram = conn.metric.gram()
-    out = _zeros((dim2,) * 3)
-    for a, b, c in itertools.product(range(dim2), repeat=3):
-        terms = [conn.algebroid.frame_deriv(a, gram[b, c])]
-        for f in range(dim2):
-            terms.append(neg(mul(conn.gamma[f, a, b], gram[f, c])))
-            terms.append(neg(mul(conn.gamma[f, a, c], gram[b, f])))
-        out[a, b, c] = esum(terms)
-    return out
+    return np.array(
+        [alg.covariant_derivative_form(conn.gamma, a, gram, 2) for a in range(alg.dim2)]
+    )
 
 
 def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
@@ -260,7 +209,7 @@ def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
             [
                 conn.gamma[sc, a, b],
                 neg(conn.gamma[sc, b, a]),
-                neg(alg.brackets[sc, a, b]),
+                neg(alg.structure[sc, a, b]),
                 conn.gamma[alg.swap(b), c, a],
             ]
         )
@@ -274,21 +223,9 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
         return conn._riemann
     alg = conn.algebroid
     dim2 = alg.dim2
-    gamma = conn.gamma
-    # R0up[F, A, B, C]: e_F component of R0(e_A, e_B) e_C
-    r0up = np.empty((dim2,) * 4, dtype=object)
-    for f, a, b, c in itertools.product(range(dim2), repeat=4):
-        terms = [
-            alg.frame_deriv(a, gamma[f, b, c]),
-            neg(alg.frame_deriv(b, gamma[f, a, c])),
-        ]
-        for d in range(dim2):
-            terms.append(mul(gamma[d, b, c], gamma[f, a, d]))
-            terms.append(neg(mul(gamma[d, a, c], gamma[f, b, d])))
-            if not ex.is_zero(alg.brackets[d, a, b]):
-                terms.append(neg(mul(alg.brackets[d, a, b], gamma[f, d, c])))
-        r0up[f, a, b, c] = esum(terms)
-    # lowered: R0[D,C,A,B] = <R0(e_A,e_B)e_C, e_D> = r0up[swap(D),A,B,C]
+    # r0[F, C, A, B]: e_F component of R0(e_A, e_B) e_C; lowered,
+    # R0[D,C,A,B] = <R0(e_A,e_B)e_C, e_D> = r0[swap(D),C,A,B]
+    r0, _ = alg.curvature(conn.gamma)
     out = np.empty((dim2,) * 4, dtype=object)
     for d, c, a, b in itertools.product(range(dim2), repeat=4):
         third = esum(
@@ -297,7 +234,7 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
         )
         out[d, c, a, b] = mul(
             0.5,
-            add(r0up[alg.swap(d), a, b, c], r0up[alg.swap(b), c, d, a], third),
+            add(r0[alg.swap(d), c, a, b], r0[alg.swap(b), a, c, d], third),
         )
     conn._riemann = out
     return out
@@ -344,7 +281,7 @@ def divergence_section(conn: GenConnection, comps: np.ndarray) -> Expr:
         terms.append(
             esum(mul(conn.gamma[lam, lam, b], comps[b]) for b in range(dim2))
         )
-        terms.append(alg.frame_deriv(lam, comps[lam]))
+        terms.append(alg.frame_derivative(lam, comps[lam]))
     return esum(terms)
 
 
@@ -372,7 +309,7 @@ def v_tensor(conn: GenConnection) -> TensorField:
     eta = gtb.pairing_gram(chart)
     out = np.empty((n, n, n), dtype=object)
     for i, j in itertools.product(range(n), repeat=2):
-        nab = nabla_components(conn, rs[i], rs[j])
+        nab = alg.connection_apply(conn.gamma, rs[i], rs[j])
         for k in range(n):
             out[i, j, k] = esum(
                 mul(nab[a], eta[a, b], rs[k][b])
@@ -425,21 +362,6 @@ def _coord_field(chart: Chart, i: int) -> TensorField:
     return tn.from_function(chart, (UP,), lambda m: ex.ONE if m == i else ex.ZERO)
 
 
-def covariant_derivative_torsion(conn: GenConnection, T: np.ndarray) -> np.ndarray:
-    """(nab_{e_A} T)(e_B, e_C, e_D) for a covariant frame 3-tensor."""
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    out = np.empty((dim2,) * 4, dtype=object)
-    for a, b, c, d in itertools.product(range(dim2), repeat=4):
-        terms = [alg.frame_deriv(a, T[b, c, d])]
-        for f in range(dim2):
-            terms.append(neg(mul(conn.gamma[f, a, b], T[f, c, d])))
-            terms.append(neg(mul(conn.gamma[f, a, c], T[b, f, d])))
-            terms.append(neg(mul(conn.gamma[f, a, d], T[b, c, f])))
-        out[a, b, c, d] = esum(terms)
-    return out
-
-
 def bianchi_residual(conn: GenConnection) -> np.ndarray:
     """Residual of the algebraic Bianchi identity with torsion terms:
     <R(e_A,e_B)e_C + cyc, e_D>
@@ -449,13 +371,13 @@ def bianchi_residual(conn: GenConnection) -> np.ndarray:
     dim2 = alg.dim2
     r = gen_riemann(conn)
     T = gualtieri_torsion(conn)
-    nabT = covariant_derivative_torsion(conn, T)
+    nabT = [alg.covariant_derivative_form(conn.gamma, a, T, 3) for a in range(dim2)]
     out = np.empty((dim2,) * 4, dtype=object)
     for d, a, b, c in itertools.product(range(dim2), repeat=4):
         lhs = add(r[d, c, a, b], r[d, a, b, c], r[d, b, c, a])
         rhs_terms = []
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            rhs_terms.append(nabT[x, y, z, d])
+            rhs_terms.append(nabT[x][y, z, d])
             rhs_terms.append(
                 neg(
                     esum(
@@ -463,7 +385,7 @@ def bianchi_residual(conn: GenConnection) -> np.ndarray:
                     )
                 )
             )
-        rhs_terms.append(neg(nabT[d, a, b, c]))
+        rhs_terms.append(neg(nabT[d][a, b, c]))
         out[d, a, b, c] = add(lhs, neg(mul(0.5, esum(rhs_terms))))
     return out
 
@@ -582,7 +504,7 @@ def validate_params(J: TensorField, W: TensorField, policy: str = "reject",
         swapped = np.swapaxes(t.comps, 1, 2)
         diff = [add(a, b) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
         worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
-        if worst > tol:
+        if not worst <= tol:
             raise NotAntisymmetric(f"{name} not antisymmetric in its last two slots ({worst:.3e})")
     if policy == "project":
         J = J - _alt3(J)
@@ -590,7 +512,7 @@ def validate_params(J: TensorField, W: TensorField, policy: str = "reject",
     else:
         for t, name in ((J, "J"), (W, "W")):
             worst = _cyclic_residual(t)
-            if worst > tol:
+            if not worst <= tol:
                 raise CyclicConstraintViolated(f"cyclic sum of {name} is {worst:.3e}")
     return ConnParams(J, W)
 
@@ -701,7 +623,7 @@ def dilaton_connection_twisted(g: TensorField, H_prime: TensorField, phi) -> Gen
 
 
 def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
-                         algebroid: FrameAlgebroid, metric: GeneralizedMetric,
+                         algebroid: CourantFrame, metric: GeneralizedMetric,
                          provenance: str = "transported") -> GenConnection:
     """Pull a connection back through a frame isomorphism F into a new
     bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') )."""
@@ -723,7 +645,7 @@ def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
         for a in range(dim2):
             for b in range(dim2):
                 tmp2[d, a, b] = esum(
-                    mul(F[c, a], src.frame_deriv(c, F[d, b])) for c in range(dim2)
+                    mul(F[c, a], src.frame_derivative(c, F[d, b])) for c in range(dim2)
                 )
     gamma = np.empty((dim2,) * 3, dtype=object)
     for g_i, a, b in itertools.product(range(dim2), repeat=3):
@@ -753,7 +675,7 @@ def _current_twist(conn: GenConnection) -> TensorField:
     n = chart.dim
     comps = np.empty((n, n, n), dtype=object)
     for m, v, l in itertools.product(range(n), repeat=3):
-        comps[m, v, l] = neg(conn.algebroid.brackets[n + l, m, v])
+        comps[m, v, l] = neg(conn.algebroid.structure[n + l, m, v])
     return TensorField(chart, (DOWN, DOWN, DOWN), comps)
 
 
@@ -773,7 +695,7 @@ def theta_transport(conn: GenConnection, theta: TensorField, B: TensorField,
 # ---------------------------------------------------------------------------
 
 
-def param_trace_oneform(K: np.ndarray, alg: FrameAlgebroid) -> np.ndarray:
+def param_trace_oneform(K: np.ndarray, alg: CourantFrame) -> np.ndarray:
     """K'(psi) = K(e_l, e^l, psi)."""
     dim2 = alg.dim2
     return np.array(
@@ -789,12 +711,12 @@ def divergence_dual(conn: GenConnection, kp: np.ndarray) -> Expr:
     terms = []
     for lam in range(dim2):
         sl = alg.swap(lam)
-        terms.append(alg.frame_deriv(lam, kp[sl]))
+        terms.append(alg.frame_derivative(lam, kp[sl]))
         terms.append(neg(esum(mul(conn.gamma[c, lam, sl], kp[c]) for c in range(dim2))))
     return esum(terms)
 
 
-def pairing_norm2_dual(kp: np.ndarray, alg: FrameAlgebroid) -> Expr:
+def pairing_norm2_dual(kp: np.ndarray, alg: CourantFrame) -> Expr:
     """|K'|^2 with the (split) pairing: K'(e_l) K'(e^l)."""
     return esum(mul(kp[lam], kp[alg.swap(lam)]) for lam in range(alg.dim2))
 
@@ -813,7 +735,7 @@ def restrict_to_graph(conn: GenConnection, sign: int) -> np.ndarray:
     out = np.empty((n, n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            nab = nabla_components(conn, secs[i], secs[j])
+            nab = conn.algebroid.connection_apply(conn.gamma, secs[i], secs[j])
             for k in range(n):
                 out[k, i, j] = nab[k]  # vector part determines the graph section
     return out

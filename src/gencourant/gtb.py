@@ -4,8 +4,11 @@ Sections are (vector field, 1-form) pairs.  This module provides the
 canonical pairing, the twisted Dorfman bracket and its differential, the
 generalized metric package built from a pair (g, B), the shear maps e^B and
 F_theta, the twisted Koszul bracket, a Schouten-bracket residual check, and
-a small Lie-algebroid calculus used for the cotangent algebroid of an
-invertible 2-form.
+the calculus on an anchored frame (``AnchoredFrame``: frame derivative,
+anchored bracket, connections, Cartan differential, Levi-Civita connection
+and curvature).  That calculus serves both the cotangent Lie algebroid of an
+invertible 2-form and, through ``gconn.CourantFrame``, the generalized
+coordinate frame of TM (+) T*M.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -143,7 +146,7 @@ def check_closed(H: TensorField, tol: float = CLOSEDNESS_TOL):
     the chart's sample points."""
     dH = tn.exterior_derivative(H)
     worst, _ = ex.max_abs_on_points(dH.comps, H.chart.sample_points())
-    if worst > tol:
+    if not worst <= tol:
         raise NotClosed(worst)
 
 
@@ -188,8 +191,9 @@ def jacobiator(psi, phi, chi, H: TensorField, check_closedness=False) -> GenSect
 def _check_positive_definite(g: TensorField):
     pts = g.chart.sample_points()
     for p, m in zip(pts, g.evaluate_points(pts)):
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            raise NotPositiveDefinite(f"metric not symmetric at {p}")
+        # written so that a NaN or an infinity fails the test
+        if not np.max(np.abs(m - m.T)) <= 1e-10:
+            raise NotPositiveDefinite(f"metric not finite and symmetric at {p}")
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -201,11 +205,6 @@ def _check_antisymmetric_matrix(B: TensorField):
         tn.check_antisymmetric(B, ANTISYM_TOL)
     except NotAntisymmetric:
         raise NotAntisymmetric("2-form fails antisymmetry at a sample point")
-
-
-def b_matrix(B: TensorField) -> np.ndarray:
-    """Matrix of X |-> B(.,X): entry [m, n] = B_{m n}."""
-    return B.comps
 
 
 class GeneralizedMetric:
@@ -428,7 +427,7 @@ def theta_matrix_from_b(B: TensorField) -> TensorField:
         raise SingularB("an antisymmetric 2-form on an odd-dimensional chart is singular")
     pts = chart.sample_points()
     for p, m in zip(pts, B.evaluate_points(pts)):
-        if abs(np.linalg.det(m)) < tn.DET_TOL:
+        if not abs(np.linalg.det(m)) >= tn.DET_TOL:
             raise SingularB(f"B degenerate at sample point {p}")
     inv = tn.matrix_inverse(B.comps)
     # matrix inverse of B_{mn} gives theta with theta^{m a} B_{a n} = delta
@@ -442,7 +441,7 @@ def _check_theta_inverts_b(theta: TensorField, B: TensorField):
         want = ex.ONE if i == j else ex.ZERO
         prods.append(add(esum(mul(theta.comps[i, a], B.comps[a, j]) for a in range(n)), neg(want)))
     worst, _ = ex.max_abs_on_points(prods, theta.chart.sample_points())
-    if worst > 1e-9:
+    if not worst <= 1e-9:
         raise SingularB(f"theta is not the inverse of B (residual {worst:.3e})")
 
 
@@ -540,7 +539,7 @@ def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
 def validate_twisted_poisson(theta: TensorField, twist: TensorField, tol: float = 1e-9):
     res = schouten_check(theta, twist)
     worst, _ = res.max_abs()
-    if worst > tol:
+    if not worst <= tol:
         raise NotTwistedPoisson(worst)
 
 
@@ -596,15 +595,20 @@ def poisson_bracket(f, g, theta: TensorField) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Lie algebroid calculus on a coordinate frame
+# calculus on an anchored frame
 # ---------------------------------------------------------------------------
 
 
-class LieAlgebroid:
-    """Lie algebroid over a chart whose sections are spanned by a coordinate
-    frame {E_a}: anchor matrix a(E_a)^m and structure functions
-    [E_a, E_b] = C^c_{ab} E_c.  Exterior forms on the algebroid are stored
-    as plain antisymmetric component arrays over the frame indices."""
+class AnchoredFrame:
+    """A bundle over a chart whose sections are spanned by a frame {E_a},
+    with an anchor a(E_a)^m and structure functions [E_a, E_b] = C^c_{ab} E_c.
+
+    This is the calculus shared by the cotangent Lie algebroid of an
+    invertible 2-form (rank n) and the generalized coordinate frame of a
+    Courant algebroid (rank 2n, ``gconn.CourantFrame``): frame derivatives,
+    the anchored bracket, connections and their curvature.  Sections are
+    component arrays over the frame; exterior forms are plain antisymmetric
+    component arrays over the frame indices."""
 
     def __init__(self, chart: Chart, anchor: np.ndarray, structure: np.ndarray):
         self.chart = chart
@@ -612,34 +616,60 @@ class LieAlgebroid:
         self.anchor = anchor  # [a, m]: vector field of E_a
         self.structure = structure  # [c, a, b]
 
-    def anchor_apply(self, sec_comps, f) -> Expr:
-        """(a(phi)).f for a section with frame components sec_comps."""
-        n = self.chart.dim
+    def _along(self, vec, f) -> Expr:
+        """Derivative of f along the vector field with components vec."""
         coords = self.chart.coords()
-        return esum(
-            mul(sec_comps[a], self.anchor[a, m], ex.differentiate(f, coords[m]))
-            for a in range(self.rank) for m in range(n)
-        )
+        return esum(mul(vec[m], ex.differentiate(f, coords[m])) for m in range(self.chart.dim))
 
     def frame_derivative(self, a: int, f) -> Expr:
-        coords = self.chart.coords()
-        return esum(
-            mul(self.anchor[a, m], ex.differentiate(f, coords[m]))
-            for m in range(self.chart.dim)
+        """a(E_a).f"""
+        return self._along(self.anchor[a], f)
+
+    def anchor_of(self, u) -> np.ndarray:
+        """Vector-field components of a(u) for a section u^a E_a."""
+        return np.array(
+            [esum(mul(u[a], self.anchor[a, m]) for a in range(self.rank))
+             for m in range(self.chart.dim)],
+            dtype=object,
         )
 
-    def bracket(self, u, v) -> np.ndarray:
-        """[u, v]^c = u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c."""
+    def connection_apply(self, gamma: np.ndarray, u, v) -> np.ndarray:
+        """nab_u v = (u^a v^b Gamma^c_{ab} + a(u).v^c) E_c for connection
+        coefficients nab_{E_a} E_b = Gamma^c_{ab} E_c."""
         r = self.rank
+        rho_u = self.anchor_of(u)
         out = np.empty((r,), dtype=object)
         for c in range(r):
             terms = [
-                mul(self.structure[c, a, b], u[a], v[b]) for a in range(r) for b in range(r)
+                mul(u[a], v[b], gamma[c, a, b])
+                for a in range(r)
+                for b in range(r)
+                if not ex.is_zero(gamma[c, a, b])
             ]
-            terms.append(self.anchor_apply(u, v[c]))
-            terms.append(neg(self.anchor_apply(v, u[c])))
+            terms.append(self._along(rho_u, v[c]))
             out[c] = esum(terms)
         return out
+
+    def connection_apply_dual(self, gamma: np.ndarray, a: int, x) -> np.ndarray:
+        """nab_{E_a} on dual sections: (nab x)_b = a(E_a).x_b - Gamma^c_{ab} x_c.
+        With gamma = structure this is the Lie derivative L_{E_a}."""
+        r = self.rank
+        out = np.empty((r,), dtype=object)
+        for b in range(r):
+            out[b] = add(
+                self.frame_derivative(a, x[b]),
+                neg(esum(mul(gamma[c, a, b], x[c]) for c in range(r))),
+            )
+        return out
+
+    def bracket(self, u, v) -> np.ndarray:
+        """[u, v]^c = u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c.  A Courant
+        bracket adds a left-Leibniz term to this (see gconn)."""
+        lie = self.connection_apply(self.structure, u, v)
+        rho_v = self.anchor_of(v)
+        return np.array(
+            [add(lie[c], neg(self._along(rho_v, u[c]))) for c in range(self.rank)], dtype=object
+        )
 
     def differential(self, omega: np.ndarray, degree: int) -> np.ndarray:
         """Cartan formula for d on a degree-p form over the frame."""
@@ -665,62 +695,20 @@ class LieAlgebroid:
             out[idx] = esum(terms)
         return out
 
-    def lie_derivative_dual(self, u, x) -> np.ndarray:
-        """L_u on a section x of the dual bundle:
-        (L_u x)(E_b) = a(u).x_b - x([u, E_b])."""
-        r = self.rank
-        out = np.empty((r,), dtype=object)
-        eb = [np.array([ex.ONE if i == b else ex.ZERO for i in range(r)], dtype=object) for b in range(r)]
-        for b in range(r):
-            br = self.bracket(u, eb[b])
-            out[b] = add(
-                self.anchor_apply(u, x[b]),
-                neg(esum(mul(x[c], br[c]) for c in range(r))),
-            )
-        return out
-
     def lc_connection(self, g_A: np.ndarray) -> np.ndarray:
         """Torsion-free metric connection coefficients Gamma^c_{ab} from
         nab_{E_a} E_b =
           (1/2) { [E_a, E_b] + g^{-1}( L_{E_a}(g E_b) + i_{E_b} d(g E_a) ) }."""
         r = self.rank
         g_inv = tn.matrix_inverse(g_A)
-        frame = [np.array([ex.ONE if i == a else ex.ZERO for i in range(r)], dtype=object) for a in range(r)]
         out = np.empty((r, r, r), dtype=object)  # [c, a, b]
         for a in range(r):
             for b in range(r):
-                gb = np.array([g_A[c, b] for c in range(r)], dtype=object)  # g(E_b) in the dual
-                ga = np.array([g_A[c, a] for c in range(r)], dtype=object)
-                lie = self.lie_derivative_dual(frame[a], gb)
-                dga = self.differential(ga, 1)  # [c, d] 2-form
-                igb = np.array([dga[b, d] for d in range(r)], dtype=object)  # i_{E_b} dga
-                br = self.bracket(frame[a], frame[b])
+                lie = self.connection_apply_dual(self.structure, a, g_A[:, b])
+                dga = self.differential(g_A[:, a], 1)  # [c, d] 2-form
                 for c in range(r):
-                    raised = esum(mul(g_inv[c, d], add(lie[d], igb[d])) for d in range(r))
-                    out[c, a, b] = mul(0.5, add(br[c], raised))
-        return out
-
-    def connection_apply(self, gamma: np.ndarray, a: int, sec) -> np.ndarray:
-        """nab_{E_a} of a section given by frame components (Leibniz in the
-        section argument)."""
-        r = self.rank
-        out = np.empty((r,), dtype=object)
-        for c in range(r):
-            out[c] = add(
-                self.frame_derivative(a, sec[c]),
-                esum(mul(gamma[c, a, b], sec[b]) for b in range(r)),
-            )
-        return out
-
-    def connection_apply_dual(self, gamma: np.ndarray, a: int, x) -> np.ndarray:
-        """nab_{E_a} on dual sections: (nab x)_b = a(E_a).x_b - Gamma^c_{ab} x_c."""
-        r = self.rank
-        out = np.empty((r,), dtype=object)
-        for b in range(r):
-            out[b] = add(
-                self.frame_derivative(a, x[b]),
-                neg(esum(mul(gamma[c, a, b], x[c]) for c in range(r))),
-            )
+                    raised = esum(mul(g_inv[c, d], add(lie[d], dga[b, d])) for d in range(r))
+                    out[c, a, b] = mul(0.5, add(self.structure[c, a, b], raised))
         return out
 
     def curvature(self, gamma: np.ndarray):
@@ -728,18 +716,19 @@ class LieAlgebroid:
         R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c
         and Ric_{cb} = R^a_{cab}."""
         r = self.rank
+        C = self.structure
         riem = np.empty((r, r, r, r), dtype=object)
-        for a, b, c in itertools.product(range(r), repeat=3):
-            terms_by_d = [[] for _ in range(r)]
-            for d in range(r):
-                terms_by_d[d].append(self.frame_derivative(a, gamma[d, b, c]))
-                terms_by_d[d].append(neg(self.frame_derivative(b, gamma[d, a, c])))
-                for e in range(r):
-                    terms_by_d[d].append(mul(gamma[e, b, c], gamma[d, a, e]))
-                    terms_by_d[d].append(neg(mul(gamma[e, a, c], gamma[d, b, e])))
-                    terms_by_d[d].append(neg(mul(self.structure[e, a, b], gamma[d, e, c])))
-            for d in range(r):
-                riem[d, c, a, b] = esum(terms_by_d[d])
+        for d, a, b, c in itertools.product(range(r), repeat=4):
+            terms = [
+                self.frame_derivative(a, gamma[d, b, c]),
+                neg(self.frame_derivative(b, gamma[d, a, c])),
+            ]
+            for e in range(r):
+                terms.append(mul(gamma[e, b, c], gamma[d, a, e]))
+                terms.append(neg(mul(gamma[e, a, c], gamma[d, b, e])))
+                if not ex.is_zero(C[e, a, b]):
+                    terms.append(neg(mul(C[e, a, b], gamma[d, e, c])))
+            riem[d, c, a, b] = esum(terms)
         ric = np.empty((r, r), dtype=object)
         for c, b in itertools.product(range(r), repeat=2):
             ric[c, b] = esum(riem[a, c, a, b] for a in range(r))
@@ -767,7 +756,7 @@ class LieAlgebroidCotangent:
     chart: Chart
     theta: TensorField
     twist: TensorField  # 3-form twisting the Koszul bracket (dB in practice)
-    algebroid: LieAlgebroid
+    algebroid: AnchoredFrame
     validated: bool
 
     @staticmethod
@@ -792,11 +781,11 @@ class LieAlgebroidCotangent:
                 for c in range(n):
                     structure[c, a, b] = br.comps[c]
         return LieAlgebroidCotangent(
-            chart, theta, twist, LieAlgebroid(chart, anchor, structure), validate
+            chart, theta, twist, AnchoredFrame(chart, anchor, structure), validate
         )
 
 
-def a_dorfman(phi_pair, psi_pair, algebroid: LieAlgebroid, H_A: np.ndarray):
+def a_dorfman(phi_pair, psi_pair, algebroid: AnchoredFrame, H_A: np.ndarray):
     """Dorfman bracket on A (+) A* for a Lie algebroid A:
     [(u,x),(v,y)] = ([u,v]_A, L^A_u y - i_v d^A x - H_A(u,v,.)), with the
     twist H_A a frame 3-form on A.  Arguments and result are (section,

@@ -49,7 +49,7 @@ class Christoffel:
         ]
         if diffs:
             worst, _ = ex.max_abs_on_points(diffs, self.chart.sample_points())
-            if worst > 1e-10:
+            if not worst <= 1e-10:
                 raise SlotError(f"connection coefficients not symmetric: {worst:.3e}")
 
 
@@ -149,12 +149,6 @@ def form_inner(alpha: TensorField, beta: TensorField, g: TensorField) -> Expr:
             factors.extend(ginv.comps[idx[s], jdx[s]] for s in range(p))
             terms.append(mul(*factors))
     return mul(norm, esum(terms))
-
-
-def inner_product_vectors(u, v, g: TensorField) -> Expr:
-    """g(u, v) for vectors, or g^{-1}(u, v) for 1-forms (pass ginv)."""
-    n = g.chart.dim
-    return esum(mul(g.comps[a, b], u.comps[a], v.comps[b]) for a in range(n) for b in range(n))
 
 
 def codifferential(omega: TensorField, g: TensorField, gamma: Christoffel | None = None) -> TensorField:

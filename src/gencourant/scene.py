@@ -12,7 +12,7 @@ A scene is a JSON document describing a chart and a background:
         "phi": "x*y/2",
         "B0":  {"12": "x^2/8"}          # or "H": {"123": "..."} on dim >= 3
       },
-      "options": {"policy": "reject", "tolerances": {"sym": 1e-9, "fd": 1e-6}}
+      "options": {"tolerances": {"sym": 1e-9, "fd": 1e-6}}
     }
 
 Metric entries are given on the upper triangle (i <= j), 2-forms on the
@@ -20,7 +20,8 @@ strict upper triangle (i < j), 3-forms on strictly increasing triples; the
 symmetry completions are never read from the lower parts.  "domain" is
 either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
-engine, over the declared coordinate names.
+engine, over the declared coordinate names.  Option keys other than
+"tolerances" (such as the "policy" of older scene files) are ignored.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class SceneValidationError(SceneError):
 class Scene:
     chart: Chart
     background: Background
-    policy: str = "reject"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     name: str = "scene"
 
@@ -162,12 +162,9 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(str(err), "background") from err
 
     options = doc.get("options", {})
-    policy = options.get("policy", "reject")
-    if policy not in ("reject", "project"):
-        raise SceneValidationError(f"unknown policy {policy!r}", "options")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(options.get("tolerances", {}))
-    return Scene(chart, background, policy, tolerances, name)
+    return Scene(chart, background, tolerances, name)
 
 
 def load_scene(path, seed=None, points=None) -> Scene:

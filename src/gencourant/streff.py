@@ -61,10 +61,6 @@ class Background:
         gtb.check_closed(self.H)
         self.phi = ex._coerce(self.phi)
 
-    @staticmethod
-    def from_potential(chart: Chart, g, B, phi, B0) -> "Background":
-        return Background(chart, g, B, phi, tn.exterior_derivative(B0))
-
     def h_total(self) -> TensorField:
         """H' = H + dB: the twist seen by the sheared, block-diagonal picture."""
         return self.H + tn.exterior_derivative(self.B)
@@ -408,7 +404,7 @@ def transport_identity_residual(bg: Background, pkg: SymplecticPackage | None = 
     return out, conn, conn_theta, pkg
 
 
-def equivalence_report(bg: Background, tol: float = 1e-9) -> EquivalenceReport:
+def equivalence_report(bg: Background) -> EquivalenceReport:
     points = bg.chart.sample_points()
     betas = beta_all(bg)
     pkg = build_symplectic(bg)

@@ -92,9 +92,6 @@ class TensorField:
         out.reshape(-1)[:] = [fn(c) for c in self.comps.reshape(-1)]
         return TensorField(self.chart, self.variance, out, tensorial=self.tensorial)
 
-    def simplified(self) -> "TensorField":
-        return self.map(ex.simplify)
-
     def __add__(self, other):
         _same_chart(self, other)
         if self.variance != other.variance:
@@ -131,7 +128,7 @@ def _check_slot_symmetry(t: TensorField, slots, sign):
     swapped = np.swapaxes(t.comps, i, j)
     diff = [add(a, mul(-sign, b)) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
     worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
-    if worst > 1e-10:
+    if not worst <= 1e-10:
         word = "antisymmetry" if sign < 0 else "symmetry"
         raise NotAntisymmetric(f"declared {word} fails: residual {worst:.3e}")
 
@@ -216,9 +213,10 @@ def _check_metric(metric: TensorField, expect: str):
     n = metric.chart.dim
     pts = metric.chart.sample_points()
     for p, m in zip(pts, metric.evaluate_points(pts)):
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            raise SlotError("metric is not symmetric")
-        if abs(np.linalg.det(m)) < DET_TOL:
+        # written so that a NaN or an infinity fails the test
+        if not np.max(np.abs(m - m.T)) <= 1e-10:
+            raise SlotError(f"metric is not finite and symmetric at sample point {p}")
+        if not abs(np.linalg.det(m)) >= DET_TOL:
             raise SingularMetric(f"|det| < {DET_TOL} at sample point {p}")
 
 
@@ -373,7 +371,7 @@ def check_antisymmetric(t: TensorField, tol: float = 1e-10):
         swapped = np.swapaxes(t.comps, i, i + 1)
         diff = [add(a, b) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
         worst, _ = ex.max_abs_on_points(diff, pts)
-        if worst > tol:
+        if not worst <= tol:
             raise NotAntisymmetric(f"antisymmetry residual {worst:.3e} in slots ({i},{i + 1})")
 
 

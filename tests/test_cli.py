@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gencourant import gtb
 from gencourant.cli import main, run_command
 from gencourant.errors import CommandError, SceneError
 from gencourant.scene import SceneValidationError, load_scene, scene_from_dict
@@ -229,13 +230,24 @@ def test_main_seed_override_changes_points(tmp_path):
     assert d1["seed"] == 1 and d2["seed"] == 2
 
 
-def test_main_overflow_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("exp(800*x+800)", "overflow in subexpression 'exp(800*x + 800)'"),
+        # constant folding while the scene is parsed
+        ("exp(800)", "overflow in subexpression 'exp(800)'"),
+        # the product folds to inf*x; cos(inf) is the first infinite argument met
+        ("sin(1e200*1e200*x)", "infinite value in subexpression 'cos(inf*x)'"),
+    ],
+    ids=["walk-overflow", "folding-overflow", "infinite-argument"],
+)
+def test_main_overflow_is_an_input_error(tmp_path, capsys, phi, message):
     doc = minimal_doc()
-    doc["background"]["phi"] = "exp(800*x+800)"
+    doc["background"]["phi"] = phi
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     assert main(["central", str(path)]) == 2
-    assert "overflow in subexpression 'exp(800*x + 800)'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_fd_check_reports_the_worst_point():
@@ -258,3 +270,20 @@ def test_console_script_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "beta"
+
+
+def test_classical_oracle_catches_a_fault_in_the_shared_curvature(monkeypatch):
+    # The cotangent-algebroid scalar and the sheared Courant scalar that
+    # symplectic.scalar-two-paths compares both come from
+    # AnchoredFrame.curvature, so only the classical chart geometry of the
+    # closed-form check can see a fault there.
+    exact = gtb.AnchoredFrame.curvature
+
+    def scaled(self, gamma):
+        riem, ric = exact(self, gamma)
+        return riem * 1.001, ric * 1.001
+
+    monkeypatch.setattr(gtb.AnchoredFrame, "curvature", scaled)
+    scene = load_scene(SCENES / "poly2d.json")
+    checks = {c.name: c for c in run_command("curvature", scene).checks}
+    assert not checks["curvature.metric-scalar-closed-form"].passed

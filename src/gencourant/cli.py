@@ -313,13 +313,11 @@ def _require_symplectic(scene: Scene):
         raise CommandError(f"symplectic checks need an invertible B: {err}") from err
 
 
-def checks_symplectic(scene: Scene, pkg=None) -> list:
+def checks_symplectic(scene: Scene, pkg) -> list:
     bg = scene.background
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
-    if pkg is None:
-        pkg = _require_symplectic(scene)
     out = []
     res_sch = gtb.schouten_check(pkg.theta, tn.exterior_derivative(bg.B))
     out.append(_check("symplectic.twisted-jacobi",
@@ -342,13 +340,12 @@ def checks_symplectic(scene: Scene, pkg=None) -> list:
     return out
 
 
-def checks_equivalence(scene: Scene) -> list:
+def checks_equivalence(scene: Scene, pkg) -> list:
     bg = scene.background
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
-    pkg = _require_symplectic(scene)
     residual, _, _, _ = streff.transport_identity_residual(bg, pkg)
-    rep = streff.equivalence_report(bg)
+    rep = streff.equivalence_report(bg, pkg, residual)
     agree = 0.0 if rep.beta_on_shell == rep.symplectic_on_shell else max(rep.beta_max, rep.symplectic_max)
     return [
         _check("equivalence.ricci-transport",
@@ -374,21 +371,27 @@ def run_command(cmd: str, scene: Scene) -> Report:
     checks = []
     summary = {}
     pts = scene.chart.sample_points()
+    # One evaluation scope per suite: the checks of a suite (and its
+    # summary) read shared nodes, each evaluated once at each point.
     if cmd in SUITES:
-        checks = SUITES[cmd](scene)
-        if cmd == "beta":
-            betas = streff.beta_all(scene.background)
-            worst, at = betas.max_abs(pts)
-            summary["beta_max_abs"] = worst
-            summary["beta_on_shell"] = worst < streff.VANISH_TOL
+        with ex.evaluation_scope():
+            checks = SUITES[cmd](scene)
+            if cmd == "beta":
+                betas = streff.beta_all(scene.background)
+                worst, at = betas.max_abs(pts)
+                summary["beta_max_abs"] = worst
+                summary["beta_on_shell"] = worst < streff.VANISH_TOL
     elif cmd == "symplectic":
-        checks = checks_symplectic(scene)
-        res1, res2, res3 = streff.symplectic_residuals(scene.background)
-        worst, _ = ex.max_abs_on_points(_flat([res1, res2, res3]), pts)
+        with ex.evaluation_scope():
+            pkg = _require_symplectic(scene)
+            checks = checks_symplectic(scene, pkg)
+            res1, res2, res3 = streff.symplectic_residuals(scene.background, pkg)
+            worst, _ = ex.max_abs_on_points(_flat([res1, res2, res3]), pts)
         summary["symplectic_max_abs"] = worst
         summary["symplectic_on_shell"] = worst < streff.VANISH_TOL
     elif cmd == "equivalence":
-        checks, rep = checks_equivalence(scene)
+        with ex.evaluation_scope():
+            checks, rep = checks_equivalence(scene, _require_symplectic(scene))
         summary.update(
             beta_max_abs=rep.beta_max,
             symplectic_max_abs=rep.symplectic_max,
@@ -398,17 +401,21 @@ def run_command(cmd: str, scene: Scene) -> Report:
         )
     elif cmd == "all":
         for name in ("axioms", "torsion", "curvature", "beta", "central"):
-            checks.extend(SUITES[name](scene))
-        betas = streff.beta_all(scene.background)
-        summary["beta_max_abs"] = betas.max_abs(pts)[0]
+            with ex.evaluation_scope():
+                checks.extend(SUITES[name](scene))
+        with ex.evaluation_scope():
+            betas = streff.beta_all(scene.background)
+            summary["beta_max_abs"] = betas.max_abs(pts)[0]
         summary["beta_on_shell"] = summary["beta_max_abs"] < streff.VANISH_TOL
         try:
             pkg = _require_symplectic(scene)
         except CommandError as err:
             summary["symplectic_skipped"] = str(err)
         else:
-            checks.extend(checks_symplectic(scene, pkg))
-            eq_checks, rep = checks_equivalence(scene)
+            with ex.evaluation_scope():
+                checks.extend(checks_symplectic(scene, pkg))
+            with ex.evaluation_scope():
+                eq_checks, rep = checks_equivalence(scene, pkg)
             checks.extend(eq_checks)
             summary.update(
                 symplectic_max_abs=rep.symplectic_max,

@@ -22,12 +22,16 @@ floats) and summing in term order.  It is used only with two or more
 points; when a domain condition, an overflow or a non-finite root value
 turns up at any point, it drops its result and the scalar walk is replayed
 point by point, so errors and non-finite values are exactly the scalar
-walk's.  Both memos live for one call.
+walk's.  Both memos live for one call, unless the call is made inside an
+``evaluation_scope``: then the calls on one point set share them until the
+scope ends, so checks that read the same nodes evaluate them once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,6 +353,20 @@ def is_one(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_fold(node_type, operands):
+    """Called when the constants folded by ``add`` (node_type Add) or ``mul``
+    (Mul) came to an infinity or a NaN: if they were all finite, raise
+    DomainError("overflow") naming a node of them."""
+    consts = [
+        u.value
+        for t in map(_coerce, operands)
+        for u in (t.children() if isinstance(t, node_type) else (t,))
+        if isinstance(u, Const)
+    ]
+    if all(map(math.isfinite, consts)):
+        raise DomainError("overflow", node_type(tuple(map(Const, consts)), None))
+
+
 def add(*terms) -> Expr:
     flat: list[Expr] = []
     const = 0.0
@@ -366,6 +384,8 @@ def add(*terms) -> Expr:
                     flat.append(u)
         else:
             flat.append(t)
+    if not math.isfinite(const):
+        _check_fold(Add, terms)
     if const != 0.0 or not flat:
         flat.append(Const(const))
     if len(flat) == 1:
@@ -407,6 +427,8 @@ def mul(*factors) -> Expr:
                     flat.append(u)
         else:
             flat.append(f)
+    if not math.isfinite(const):
+        _check_fold(Mul, factors)
     if const == 0.0:
         return ZERO
     if not flat:
@@ -425,7 +447,10 @@ def div(num, den) -> Expr:
     if is_zero(num):
         return ZERO
     if isinstance(den, Const) and den.value != 0.0:
-        return mul(Const(1.0 / den.value), num)
+        inv = 1.0 / den.value
+        if not math.isfinite(inv) and math.isfinite(den.value):
+            raise DomainError("overflow", Div(ONE, den))
+        return mul(Const(inv), num)
     return Div(num, den)
 
 
@@ -553,12 +578,52 @@ def evaluate(e: Expr, point) -> float:
     return _eval_into(e, tuple(point), memo)
 
 
-def evaluate_many(exprs, point) -> list[float]:
+def evaluate_many(exprs, point, memo: dict | None = None) -> list[float]:
     """Evaluate several expressions at one point with a shared memo, so
-    common subtrees are computed once."""
-    memo: dict[int, float] = {}
+    common subtrees are computed once.  A ``memo`` passed in must only ever
+    have been filled at this point, by nodes that are still alive."""
+    if memo is None:
+        memo = {}
     pt = tuple(point)
     return [_eval_into(e, pt, memo) for e in exprs]
+
+
+class _Scope:
+    """The memos of an ``evaluation_scope``, by point set, and the roots
+    whose nodes they are keyed by (kept alive so that no ``id`` is reused)."""
+
+    def __init__(self):
+        self.roots: list = []
+        self.memos: dict = {}
+
+    def memos_for(self, roots: list, points):
+        """(vector-pass memo, one per-point memo per point) for ``points``."""
+        self.roots.append(roots)
+        key = repr(points)  # exact: tells 0.0 from -0.0, unlike ==
+        hit = self.memos.get(key)
+        if hit is None:
+            hit = self.memos[key] = ({}, [{} for _ in points])
+        return hit
+
+
+_scope: ContextVar[_Scope | None] = ContextVar("evaluation_scope", default=None)
+
+
+@contextmanager
+def evaluation_scope():
+    """Within the block, ``evaluate_points`` calls on one point set share
+    their memos, so a node reached from several calls is evaluated once.
+    The values are those of separate calls, bit for bit, and so are the
+    errors: a node that raised is never stored.  Everything is released
+    when the outermost block ends; a nested block joins the outer one."""
+    if _scope.get() is not None:
+        yield
+        return
+    token = _scope.set(_Scope())
+    try:
+        yield
+    finally:
+        _scope.reset(token)
 
 
 def _fill(roots, memo: dict, value) -> None:
@@ -656,16 +721,21 @@ def evaluate_points(exprs, points) -> np.ndarray:
     points go straight to the per-point walk.
     """
     exprs = list(exprs)
+    scope = _scope.get()
+    if scope is None:
+        vector_memo, point_memos = {}, [None] * len(points)
+    else:
+        vector_memo, point_memos = scope.memos_for(exprs, points)
     if len(points) >= 2:
         try:
             cols = np.array(points, dtype=float).T.copy()
         except (TypeError, ValueError):  # points of unequal length
             cols = None
         if cols is not None and cols.ndim == 2:
-            out = _vector_pass(exprs, cols)
+            out = _vector_pass(exprs, cols, vector_memo)
             if out is not None:
                 return out
-    rows = [evaluate_many(exprs, pt) for pt in points]
+    rows = [evaluate_many(exprs, pt, memo) for pt, memo in zip(points, point_memos)]
     return np.array(rows, dtype=float).reshape(len(points), len(exprs)).T
 
 
@@ -673,10 +743,10 @@ class _Replay(Exception):
     """The vector pass cannot decide; the per-point walk must."""
 
 
-def _vector_pass(roots: list, cols: np.ndarray):
+def _vector_pass(roots: list, cols: np.ndarray, memo: dict):
     """Root values as rows over the points (``cols`` holds one row per
-    coordinate), or None when the per-point walk has to be replayed."""
-    memo: dict[int, object] = {}
+    coordinate), or None when the per-point walk has to be replayed.  Node
+    values are kept in ``memo``; one that gives up is not stored."""
     with np.errstate(all="ignore"):
         try:
             _fill(roots, memo, lambda e: _vec_node(e, cols, memo))

@@ -7,7 +7,8 @@ nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``CourantFrame``: the
 anchored frame of ``gtb.AnchoredFrame`` (anchor and frame brackets of the
 ambient bracket) plus the constant pairing Gram matrix.  The frame calculus
 (frame derivatives, connection action, covariant derivative of frame forms,
-the curvature R0 below) is that of ``gtb.AnchoredFrame``; this module adds
+the curvature R0 below, built entry by entry by ``gtb.CurvatureEntries``) is
+that of ``gtb.AnchoredFrame``; this module adds
 what is specific to Courant algebroids: the pairing, the left-Leibniz term
 of the bracket, the Gualtieri torsion, the symmetrised curvature R and its
 pairing-dual traces.  Everything downstream is computed from those two
@@ -166,8 +167,12 @@ class GenConnection:
     gamma: np.ndarray  # [C, A, B]
     metric: GeneralizedMetric
     provenance: str = "custom"
-    _riemann: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _r0: gtb.CurvatureEntries = field(init=False, repr=False, compare=False)
+    _curvature: dict = field(default_factory=dict, repr=False, compare=False)
     _ricci: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._r0 = gtb.CurvatureEntries(self.algebroid, self.gamma)
 
     @property
     def chart(self) -> Chart:
@@ -176,6 +181,23 @@ class GenConnection:
     def lowered(self, a: int, b: int, c: int) -> Expr:
         """<nab_{e_a} e_b, e_c> for the constant swap Gram."""
         return self.gamma[self.algebroid.swap(c), a, b]
+
+    def riemann_entry(self, d: int, c: int, a: int, b: int) -> Expr:
+        """R[D, C, A, B] (see ``gen_riemann``), built on first read and kept.
+        With R0[D,C,A,B] = <R0(e_A,e_B)e_C, e_D> = r0[swap(D),C,A,B], where
+        r0[F, C, A, B] is the e_F component of R0(e_A, e_B) e_C."""
+        key = (d, c, a, b)
+        hit = self._curvature.get(key)
+        if hit is None:
+            alg = self.algebroid
+            third = esum(
+                mul(self.lowered(lam, a, b), self.lowered(alg.swap(lam), c, d))
+                for lam in range(alg.dim2)
+            )
+            hit = self._curvature[key] = mul(
+                0.5, add(self._r0[alg.swap(d), c, a, b], self._r0[alg.swap(b), a, c, d], third)
+            )
+        return hit
 
 
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
@@ -218,38 +240,24 @@ def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
 
 def gen_riemann(conn: GenConnection) -> np.ndarray:
     """Curvature tensor R[D, C, A, B] = R(e_D, e_C, e_A, e_B) (the argument
-    order of the defining formula: R(phi', phi, psi, psi'))."""
-    if conn._riemann is not None:
-        return conn._riemann
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    # r0[F, C, A, B]: e_F component of R0(e_A, e_B) e_C; lowered,
-    # R0[D,C,A,B] = <R0(e_A,e_B)e_C, e_D> = r0[swap(D),C,A,B]
-    r0, _ = alg.curvature(conn.gamma)
-    out = np.empty((dim2,) * 4, dtype=object)
-    for d, c, a, b in itertools.product(range(dim2), repeat=4):
-        third = esum(
-            mul(conn.lowered(lam, a, b), conn.lowered(alg.swap(lam), c, d))
-            for lam in range(dim2)
-        )
-        out[d, c, a, b] = mul(
-            0.5,
-            add(r0[alg.swap(d), c, a, b], r0[alg.swap(b), a, c, d], third),
-        )
-    conn._riemann = out
+    order of the defining formula: R(phi', phi, psi, psi')), as a full
+    array of the connection's kept entries."""
+    out = np.empty((conn.algebroid.dim2,) * 4, dtype=object)
+    for idx in itertools.product(range(conn.algebroid.dim2), repeat=4):
+        out[idx] = conn.riemann_entry(*idx)
     return out
 
 
 def ricci(conn: GenConnection) -> np.ndarray:
-    """Ric[C, B] = R(e^l, e_C, e_l, e_B), symmetric."""
+    """Ric[C, B] = R(e^l, e_C, e_l, e_B), symmetric; reads (2n)^3 entries
+    of R, and through them at most 2 (2n)^3 of R0."""
     if conn._ricci is not None:
         return conn._ricci
     alg = conn.algebroid
     dim2 = alg.dim2
-    r = gen_riemann(conn)
     out = np.empty((dim2, dim2), dtype=object)
     for c, b in itertools.product(range(dim2), repeat=2):
-        out[c, b] = esum(r[alg.swap(lam), c, lam, b] for lam in range(dim2))
+        out[c, b] = esum(conn.riemann_entry(alg.swap(lam), c, lam, b) for lam in range(dim2))
     conn._ricci = out
     return out
 

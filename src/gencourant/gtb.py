@@ -5,10 +5,10 @@ canonical pairing, the twisted Dorfman bracket and its differential, the
 generalized metric package built from a pair (g, B), the shear maps e^B and
 F_theta, the twisted Koszul bracket, a Schouten-bracket residual check, and
 the calculus on an anchored frame (``AnchoredFrame``: frame derivative,
-anchored bracket, connections, Cartan differential, Levi-Civita connection
-and curvature).  That calculus serves both the cotangent Lie algebroid of an
-invertible 2-form and, through ``gconn.CourantFrame``, the generalized
-coordinate frame of TM (+) T*M.
+anchored bracket, connections, Cartan differential, Levi-Civita connection;
+``CurvatureEntries``: its curvature).  That calculus serves both the
+cotangent Lie algebroid of an invertible 2-form and, through
+``gconn.CourantFrame``, the generalized coordinate frame of TM (+) T*M.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -712,27 +712,13 @@ class AnchoredFrame:
         return out
 
     def curvature(self, gamma: np.ndarray):
-        """(Riemann [d,c,a,b], Ricci [c,b]) of connection coefficients, with
-        R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c
-        and Ric_{cb} = R^a_{cab}."""
-        r = self.rank
-        C = self.structure
-        riem = np.empty((r, r, r, r), dtype=object)
-        for d, a, b, c in itertools.product(range(r), repeat=4):
-            terms = [
-                self.frame_derivative(a, gamma[d, b, c]),
-                neg(self.frame_derivative(b, gamma[d, a, c])),
-            ]
-            for e in range(r):
-                terms.append(mul(gamma[e, b, c], gamma[d, a, e]))
-                terms.append(neg(mul(gamma[e, a, c], gamma[d, b, e])))
-                if not ex.is_zero(C[e, a, b]):
-                    terms.append(neg(mul(C[e, a, b], gamma[d, e, c])))
-            riem[d, c, a, b] = esum(terms)
-        ric = np.empty((r, r), dtype=object)
-        for c, b in itertools.product(range(r), repeat=2):
-            ric[c, b] = esum(riem[a, c, a, b] for a in range(r))
-        return riem, ric
+        """(Riemann [d,c,a,b], Ricci [c,b]) of connection coefficients as
+        full arrays, from ``CurvatureEntries``."""
+        r0 = CurvatureEntries(self, gamma)
+        riem = np.empty((self.rank,) * 4, dtype=object)
+        for idx in itertools.product(range(self.rank), repeat=4):
+            riem[idx] = r0[idx]
+        return riem, r0.ricci()
 
     def covariant_derivative_form(self, gamma: np.ndarray, a: int, omega: np.ndarray, degree: int) -> np.ndarray:
         """nab_{E_a} of a degree-p frame form."""
@@ -746,6 +732,53 @@ class AnchoredFrame:
                     terms.append(neg(mul(gamma[c, a, idx[slot]], omega[src])))
             out[idx] = esum(terms)
         return out
+
+
+class CurvatureEntries:
+    """The curvature R0[d, c, a, b] of connection coefficients gamma on an
+    anchored frame, with
+        R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c,
+    built entry by entry on first read and kept, so a contraction that reads
+    r^3 entries builds only those.  Each frame derivative a(E_a).Gamma^d_{bc}
+    is built once and shared by the two entries that use it."""
+
+    def __init__(self, frame: AnchoredFrame, gamma: np.ndarray):
+        self.frame = frame
+        self.gamma = gamma
+        self._entries: dict = {}
+        self._derivatives: dict = {}
+
+    def __getitem__(self, idx) -> Expr:
+        hit = self._entries.get(idx)
+        if hit is None:
+            hit = self._entries[idx] = self._build(*idx)
+        return hit
+
+    def _derivative(self, a: int, d: int, b: int, c: int) -> Expr:
+        """a(E_a).Gamma^d_{bc}"""
+        key = (a, d, b, c)
+        hit = self._derivatives.get(key)
+        if hit is None:
+            hit = self._derivatives[key] = self.frame.frame_derivative(a, self.gamma[d, b, c])
+        return hit
+
+    def _build(self, d: int, c: int, a: int, b: int) -> Expr:
+        gamma, C = self.gamma, self.frame.structure
+        terms = [self._derivative(a, d, b, c), neg(self._derivative(b, d, a, c))]
+        for e in range(self.frame.rank):
+            terms.append(mul(gamma[e, b, c], gamma[d, a, e]))
+            terms.append(neg(mul(gamma[e, a, c], gamma[d, b, e])))
+            if not ex.is_zero(C[e, a, b]):
+                terms.append(neg(mul(C[e, a, b], gamma[d, e, c])))
+        return esum(terms)
+
+    def ricci(self) -> np.ndarray:
+        """Ric[c, b] = R^a_{cab}, reading r^3 entries."""
+        r = self.frame.rank
+        ric = np.empty((r, r), dtype=object)
+        for c, b in itertools.product(range(r), repeat=2):
+            ric[c, b] = esum(self[a, c, a, b] for a in range(r))
+        return ric
 
 
 @dataclass

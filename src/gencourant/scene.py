@@ -20,8 +20,9 @@ strict upper triangle (i < j), 3-forms on strictly increasing triples; the
 symmetry completions are never read from the lower parts.  "domain" is
 either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
-engine, over the declared coordinate names.  Option keys other than
-"tolerances" (such as the "policy" of older scene files) are ignored.
+engine, over the declared coordinate names.  An unknown key in
+"background", "options" or "options.tolerances" is an error; the "policy"
+option of older scene files is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .tensors import DOWN, TensorField
 SCHEMA_VERSION = 1
 
 DEFAULT_TOLERANCES = {"sym": 1e-9, "fd": 1e-6, "strict": 1e-10}
+BACKGROUND_KEYS = ("g", "B", "phi", "H", "B0")
+# "policy" is carried by older scene files; it is accepted and ignored
+OPTION_KEYS = ("tolerances", "policy")
 
 
 class SceneValidationError(SceneError):
@@ -146,6 +150,7 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(str(err), "chart") from err
 
     bg_spec = doc.get("background", {})
+    _reject_unknown_keys(bg_spec, BACKGROUND_KEYS, "background")
     g = _symmetric_from_triangle(bg_spec.get("g", {}), chart, "background.g")
     B = _two_form_from_triangle(bg_spec.get("B", {}), chart, "background.B")
     phi = _parse_entry(bg_spec.get("phi", "0"), chart, "background.phi")
@@ -162,9 +167,23 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(str(err), "background") from err
 
     options = doc.get("options", {})
+    _reject_unknown_keys(options, OPTION_KEYS, "options")
+    given = options.get("tolerances", {})
+    _reject_unknown_keys(given, DEFAULT_TOLERANCES, "options.tolerances")
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(options.get("tolerances", {}))
+    tolerances.update(given)
     return Scene(chart, background, tolerances, name)
+
+
+def _reject_unknown_keys(spec, known, location: str):
+    """A misspelt key would otherwise leave its default silently in place."""
+    if not isinstance(spec, dict):
+        raise SceneValidationError("expected a JSON object", location)
+    for key in spec:
+        if key not in known:
+            raise SceneValidationError(
+                f"unknown key '{key}' (expected one of {', '.join(sorted(known))})", location
+            )
 
 
 def load_scene(path, seed=None, points=None) -> Scene:

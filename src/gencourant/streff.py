@@ -250,7 +250,7 @@ def build_symplectic(bg: Background, validate: bool = True, tol: float = 1e-9) -
             for i in range(n) for j in range(n) for k in range(n)
         )
     dphi_dual = gtb.d_theta(chart, bg.phi, theta).comps
-    _, ric = cot.algebroid.curvature(gamma)
+    ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
     scalar = esum(
         mul(G.comps[a, b], ric[a, b]) for a in range(n) for b in range(n)
     )
@@ -269,7 +269,7 @@ def lie_algebroid_lc(theta: TensorField, twist: TensorField, G: TensorField,
 
 def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField):
     """(Ricci over the coframe, G-trace scalar) of an algebroid connection."""
-    _, ric = cot.algebroid.curvature(gamma)
+    ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
     n = cot.chart.dim
     scalar = esum(mul(G.comps[a, b], ric[a, b]) for a in range(n) for b in range(n))
     return ric, scalar
@@ -404,15 +404,21 @@ def transport_identity_residual(bg: Background, pkg: SymplecticPackage | None = 
     return out, conn, conn_theta, pkg
 
 
-def equivalence_report(bg: Background) -> EquivalenceReport:
+def equivalence_report(bg: Background, pkg: SymplecticPackage | None = None,
+                       transport: np.ndarray | None = None) -> EquivalenceReport:
+    """Both residual families and the transport identity on the sample
+    points.  ``pkg`` and ``transport`` (the first result of
+    ``transport_identity_residual``) are built here unless given."""
     points = bg.chart.sample_points()
     betas = beta_all(bg)
-    pkg = build_symplectic(bg)
+    if pkg is None:
+        pkg = build_symplectic(bg)
     res1, res2, res3 = symplectic_residuals(bg, pkg)
     beta_max = betas.max_abs(points)[0]
     sym_fields = [res1] + list(res2.comps.reshape(-1)) + list(res3.comps.reshape(-1))
     sym_max = ex.max_abs_on_points(sym_fields, points)[0]
-    transport, _, _, _ = transport_identity_residual(bg, pkg)
+    if transport is None:
+        transport, _, _, _ = transport_identity_residual(bg, pkg)
     transport_max = ex.max_abs_on_points(transport, points)[0]
     beta_on = beta_max < VANISH_TOL
     sym_on = sym_max < VANISH_TOL

@@ -1,5 +1,6 @@
 """Scene loading, command dispatch, reports, exit codes."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gencourant import expr as ex
 from gencourant import gtb
 from gencourant.cli import main, run_command
 from gencourant.errors import CommandError, SceneError
@@ -116,6 +118,24 @@ def test_load_scene_bad_json(tmp_path):
         load_scene(p)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [("background", "Bo"), ("options", "tolerance"), ("options.tolerances", "symm")],
+)
+def test_scene_unknown_key_rejected(section, key):
+    doc = minimal_doc()
+    doc["options"]["tolerances"] = {"sym": 1e-9}
+    target = doc
+    for part in section.split("."):
+        target = target[part]
+    target[key] = {"12": "x"} if section == "background" else 1e-3
+    with pytest.raises(SceneValidationError) as err:
+        scene_from_dict(doc)
+    assert f"'{key}'" in str(err.value) and section in str(err.value)
+    del target[key]
+    assert scene_from_dict(doc).tol("sym") == 1e-9  # legacy "policy" still accepted
+
+
 def test_seed_and_points_overrides():
     scene = scene_from_dict(minimal_doc(), seed=42, points=5)
     assert scene.chart.seed == 42
@@ -174,6 +194,16 @@ def test_all_skips_symplectic_on_odd_dimension():
     report = run_command("all", scene)
     assert report.passed
     assert "symplectic_skipped" in report.summary
+
+
+def test_evaluation_scopes_leave_the_report_unchanged(monkeypatch):
+    scene = load_scene(SCENES / "poly2d.json")
+    scoped = run_command("all", scene).to_dict()
+    monkeypatch.setattr(ex, "evaluation_scope", contextlib.nullcontext)
+    unscoped = run_command("all", load_scene(SCENES / "poly2d.json")).to_dict()
+    scoped.pop("timing_seconds")
+    unscoped.pop("timing_seconds")
+    assert json.dumps(scoped, sort_keys=True) == json.dumps(unscoped, sort_keys=True)
 
 
 def test_report_determinism():
@@ -236,10 +266,12 @@ def test_main_seed_override_changes_points(tmp_path):
         ("exp(800*x+800)", "overflow in subexpression 'exp(800*x + 800)'"),
         # constant folding while the scene is parsed
         ("exp(800)", "overflow in subexpression 'exp(800)'"),
-        # the product folds to inf*x; cos(inf) is the first infinite argument met
-        ("sin(1e200*1e200*x)", "infinite value in subexpression 'cos(inf*x)'"),
+        # the literal reads as inf; cos(inf) is the first infinite argument met
+        ("sin(1e999*x)", "infinite value in subexpression 'cos(inf*x)'"),
+        # finite constants folding to inf (and inf - inf to NaN) while parsing
+        ("1e200*1e200 - 1e200*1e200", "overflow in subexpression '1e+200*1e+200'"),
     ],
-    ids=["walk-overflow", "folding-overflow", "infinite-argument"],
+    ids=["walk-overflow", "folding-overflow", "infinite-argument", "folding-non-finite"],
 )
 def test_main_overflow_is_an_input_error(tmp_path, capsys, phi, message):
     doc = minimal_doc()
@@ -274,16 +306,15 @@ def test_console_script_runs():
 
 def test_classical_oracle_catches_a_fault_in_the_shared_curvature(monkeypatch):
     # The cotangent-algebroid scalar and the sheared Courant scalar that
-    # symplectic.scalar-two-paths compares both come from
-    # AnchoredFrame.curvature, so only the classical chart geometry of the
+    # symplectic.scalar-two-paths compares both come from the R0 entries of
+    # gtb.CurvatureEntries, so only the classical chart geometry of the
     # closed-form check can see a fault there.
-    exact = gtb.AnchoredFrame.curvature
+    exact = gtb.CurvatureEntries._build
 
-    def scaled(self, gamma):
-        riem, ric = exact(self, gamma)
-        return riem * 1.001, ric * 1.001
+    def scaled(self, *idx):
+        return 1.001 * exact(self, *idx)
 
-    monkeypatch.setattr(gtb.AnchoredFrame, "curvature", scaled)
+    monkeypatch.setattr(gtb.CurvatureEntries, "_build", scaled)
     scene = load_scene(SCENES / "poly2d.json")
     checks = {c.name: c for c in run_command("curvature", scene).checks}
     assert not checks["curvature.metric-scalar-closed-form"].passed

@@ -69,10 +69,8 @@ UNSAFE_OPS = {
 }
 
 
-@st.composite
-def dags(draw, unsafe=False):
-    """(roots, points): roots over a pool of shared subtrees, and 1 to 12
-    sample points of a seeded chart."""
+def _pool(draw, unsafe):
+    """A list of subtrees, each built over earlier ones."""
     pool = [X, Y, Const(draw(st.floats(-1, 1)))]
     ops = dict(SAFE_OPS, **UNSAFE_OPS) if unsafe else SAFE_OPS
     names = sorted(ops)
@@ -80,9 +78,34 @@ def dags(draw, unsafe=False):
         arity, build = ops[draw(st.sampled_from(names))]
         args = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(arity)]
         pool.append(build(*args))
-    roots = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))]
-    c = chart("x y", seed=draw(st.integers(0, 2**16)), num_points=draw(st.integers(1, 12)))
-    return roots, c.sample_points()
+    return pool
+
+
+def _roots(draw, pool):
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))]
+
+
+def _points(draw, counts):
+    c = chart("x y", seed=draw(st.integers(0, 2**16)), num_points=draw(counts))
+    return c.sample_points()
+
+
+@st.composite
+def dags(draw, unsafe=False):
+    """(roots, points): roots over a pool of shared subtrees, and 1 to 12
+    sample points of a seeded chart."""
+    return _roots(draw, _pool(draw, unsafe)), _points(draw, st.integers(1, 12))
+
+
+@st.composite
+def call_sequences(draw, unsafe=False):
+    """(roots, points) of 2 to 6 calls: roots over one pool of shared
+    subtrees, points one of two sets of 1 or of 12 sample points."""
+    pool = _pool(draw, unsafe)
+    count = draw(st.sampled_from([1, 12]))
+    point_sets = [_points(draw, st.just(count)) for _ in range(2)]
+    return [(_roots(draw, pool), draw(st.sampled_from(point_sets)))
+            for _ in range(draw(st.integers(2, 6)))]
 
 
 def _scalar_walk(roots, points):
@@ -130,6 +153,58 @@ def test_max_abs_matches_per_point_reference(case):
     assert worst == pytest.approx(max(per_point), rel=1e-12, abs=1e-12)
     assert at in points
     assert per_point[points.index(at)] == pytest.approx(worst, rel=1e-12, abs=1e-12)
+
+
+def _outcome(roots, points):
+    """(values, None), or (message, point) of the DomainError: the point is
+    the last one the per-point walk was called at."""
+    seen = []
+    walk = ex.evaluate_many
+
+    def spy(exprs, point, memo=None):
+        seen.append(tuple(point))
+        return walk(exprs, point, memo)
+
+    ex.evaluate_many = spy
+    try:
+        return evaluate_points(roots, points), None
+    except DomainError as err:
+        return str(err), seen[-1]
+    finally:
+        ex.evaluate_many = walk
+
+
+@settings(max_examples=150, deadline=None)
+@given(call_sequences(unsafe=True))
+def test_scope_matches_separate_calls(case):
+    # bit for bit, and the same DomainError at the same point, also for the
+    # calls after one that raised inside the scope
+    want = [_outcome(roots, points) for roots, points in case]
+    with ex.evaluation_scope():
+        got = [_outcome(roots, points) for roots, points in case]
+    assert ex._scope.get() is None
+    for (w, w_at), (g, g_at) in zip(want, got):
+        assert type(g) is type(w)
+        if isinstance(w, str):
+            assert (g, g_at) == (w, w_at)
+        else:
+            assert g.tobytes() == w.tobytes()
+
+
+def test_scope_evaluates_a_shared_node_once(monkeypatch):
+    shared = parse_expr("sin(x*y) + x", XY)
+    first, second = ex.mul(2, shared), ex.add(shared, Y)
+    visits = []
+    node = ex._eval_node
+    monkeypatch.setattr(ex, "_eval_node", lambda e, *a: visits.append(e) or node(e, *a))
+    with ex.evaluation_scope():
+        evaluate_points([first], PTS_1)
+        evaluate_points([second], PTS_1)
+        with ex.evaluation_scope():  # a nested scope joins the outer one
+            evaluate_points([first, second], PTS_1)
+    assert sum(v is shared for v in visits) == 1
+    evaluate_points([first], PTS_1)
+    assert sum(v is shared for v in visits) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +288,21 @@ def test_scalar_overflow_is_a_domain_error(text):
         evaluate(e, (1.0, 1.0))
     with pytest.raises(DomainError, match="overflow"):
         max_abs_on_points([e], [(1.0, 1.0), (0.9, 0.9)])
+
+
+@pytest.mark.parametrize("text, operands", [("1e200*1e200*x", "1e+200*1e+200"),
+                                            ("1e308 + 1e308 + x", "1e+308 + 1e+308"),
+                                            ("x/1e-320", "1/1e-320")])
+def test_constant_folding_overflow_is_a_domain_error(text, operands):
+    with pytest.raises(DomainError) as err:
+        parse_expr(text, XY)
+    assert str(err.value) == f"overflow in subexpression '{operands}'"
+
+
+def test_constant_folding_keeps_given_infinities():
+    # only finite operands that fold to a non-finite value are an error
+    assert ex.to_string(parse_expr("1e999*x", XY)) == "inf*x"
+    assert math.isnan(ex.add(Const(math.inf), Const(-math.inf)).value)
 
 
 def test_tensor_field_points_in_order():

@@ -215,6 +215,24 @@ def test_ricci_symmetric():
     assert max_abs([ric[a, b] - ric[b, a] for a in range(4) for b in range(4)], C2) < 1e-9
 
 
+@pytest.mark.parametrize("ricci_first", [True, False], ids=["ricci-first", "riemann-first"])
+def test_ricci_is_the_trace_of_the_kept_riemann_entries(ricci_first):
+    g = bumpy_metric(C2, salt=17)
+    conn = gconn.with_params(gconn.minimal_connection(g, closed_h(C2, salt=18)), random_params(C2, g))
+    if ricci_first:
+        ric = gconn.ricci(conn)
+        r = gconn.gen_riemann(conn)
+    else:
+        r = gconn.gen_riemann(conn)
+        ric = gconn.ricci(conn)
+    swap = conn.algebroid.swap
+    for c, b in itertools.product(range(4), repeat=2):
+        summands = [r[swap(lam), c, lam, b] for lam in range(4)]
+        assert all(isinstance(e, tn.ex.Mul) for e in summands)
+        assert len(ric[c, b].terms) == 4
+        assert all(t is e for t, e in zip(ric[c, b].terms, summands))
+
+
 def test_bianchi_torsion_free():
     g = bumpy_metric(C2, salt=19)
     H = closed_h(C2, salt=20)

@@ -582,3 +582,30 @@ def test_lie_algebroid_lc_constant_data():
     assert tn.ex.max_abs_on_points(gamma, C2.sample_points())[0] == 0.0
     _, ric = cot.algebroid.curvature(gamma)
     assert tn.ex.max_abs_on_points(ric, C2.sample_points())[0] == 0.0
+
+
+def test_lazy_ricci_reads_only_its_entries():
+    # a non-constant fiber metric, so every R0 entry has frame derivatives
+    c4, B = invertible_B4()
+    n = 4
+    theta = gtb.theta_matrix_from_b(B)
+    cot = gtb.LieAlgebroidCotangent.build(theta, tn.exterior_derivative(B))
+    g_A = tn.from_function(
+        c4, (UP, UP), lambda i, j: parse_expr("1 + x2^2/8", c4) if i == j else tn.ex.ZERO
+    ).comps
+    gamma = cot.algebroid.lc_connection(g_A)
+    r0 = gtb.CurvatureEntries(cot.algebroid, gamma)
+    ric = r0.ricci()
+    assert sorted(r0._entries) == sorted((a, c, a, b) for a, c, b in itertools.product(range(n), repeat=3))
+    _, full = cot.algebroid.curvature(gamma)
+    pts = c4.sample_points()[:3]
+    np.testing.assert_array_equal(
+        tn.ex.evaluate_points(ric.reshape(-1), pts), tn.ex.evaluate_points(full.reshape(-1), pts)
+    )
+    # the frame derivative a(E_a).Gamma^d_{bc} is built once for R0[d,c,a,b] and R0[d,c,b,a]
+    d, c, a, b = 3, 0, 1, 2
+    r0 = gtb.CurvatureEntries(cot.algebroid, gamma)
+    r0[d, c, a, b], r0[d, c, b, a]
+    assert sorted(r0._derivatives) == [(a, d, b, c), (b, d, a, c)]
+    negated = [t.arg for t in r0[d, c, b, a].terms if isinstance(t, tn.ex.Neg)]
+    assert any(t is r0._derivatives[(a, d, b, c)] for t in negated)

@@ -10,7 +10,17 @@ chart's seeded sample points.
 Expressions are immutable and freely share subtrees, so large tensor
 formulas are DAGs in memory.  Evaluation and differentiation are memoized
 per node, which makes their cost proportional to the number of distinct
-nodes rather than the size of the unfolded tree.
+nodes rather than the size of the unfolded tree.  Nodes are not interned:
+structurally equal subtrees built apart stay distinct objects.
+
+The cost per node is what is left, so the kernels that run once per node
+(the smart constructors, ``_diff`` and the walk ``_fill``) dispatch on
+``type(e)`` and skip the work a node does not need: ``_coerce`` runs only
+for operands that are not nodes, charts are compared by identity before
+equality, and leaves are differentiated without a cache.  Every walk
+(evaluation, simplification) is ``_fill``, a single-visit post-order that
+lists each node's children once; its fixed order decides which of several
+singular subexpressions a DomainError names.
 
 Evaluation has two walks.  The scalar walk (``evaluate``,
 ``evaluate_many``) computes one IEEE double per node at one point, sums
@@ -152,13 +162,11 @@ def chart(names: str | tuple[str, ...], domain=None, seed: int = 0, num_points: 
 
 class Expr:
     """Base node.  ``chart`` is the unique chart of the coordinates appearing
-    below this node (None for constant expressions)."""
+    below this node (None for constant expressions); ``_deriv`` caches the
+    partial derivatives by coordinate index.  Each node class sets both in
+    its own ``__init__``, which is among the hottest code of the package."""
 
     __slots__ = ("chart", "_deriv")
-
-    def __init__(self, chart_):
-        self.chart = chart_
-        self._deriv = None
 
     # operator sugar; scalars coerce to Const
     def __add__(self, other):
@@ -203,7 +211,8 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        super().__init__(None)
+        self.chart = None
+        self._deriv = None
         self.value = float(value)
 
 
@@ -213,7 +222,8 @@ class Coord(Expr):
     def __init__(self, chart_: Chart, index: int):
         if not 0 <= index < chart_.dim:
             raise ValueError("coordinate index out of range")
-        super().__init__(chart_)
+        self.chart = chart_
+        self._deriv = None
         self.index = index
         self.name = chart_.coord_names[index]
 
@@ -228,7 +238,8 @@ class Neg(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        super().__init__(arg.chart)
+        self.chart = arg.chart
+        self._deriv = None
         self.arg = arg
 
     def children(self):
@@ -239,7 +250,8 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[Expr, ...], chart_):
-        super().__init__(chart_)
+        self.chart = chart_
+        self._deriv = None
         self.terms = terms
 
     def children(self):
@@ -250,7 +262,8 @@ class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[Expr, ...], chart_):
-        super().__init__(chart_)
+        self.chart = chart_
+        self._deriv = None
         self.factors = factors
 
     def children(self):
@@ -261,7 +274,8 @@ class Div(Expr):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Expr, den: Expr):
-        super().__init__(_merge_charts(num.chart, den.chart))
+        self.chart = _merge_charts(num.chart, den.chart)
+        self._deriv = None
         self.num = num
         self.den = den
 
@@ -275,7 +289,8 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        super().__init__(base.chart)
+        self.chart = base.chart
+        self._deriv = None
         self.base = base
         self.exponent = int(exponent)
 
@@ -288,7 +303,8 @@ class Func(Expr):
     name = "?"
 
     def __init__(self, arg: Expr):
-        super().__init__(arg.chart)
+        self.chart = arg.chart
+        self._deriv = None
         self.arg = arg
 
     def children(self):
@@ -323,6 +339,11 @@ class Sqrt(Func):
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
+# The node classes.  The hot kernels dispatch on ``type(e)`` against these
+# rather than walking an ``isinstance`` chain; an operand of any other type
+# goes through ``_coerce``.
+_NODE_TYPES = frozenset((Const, Coord, Neg, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt))
+
 
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
@@ -333,7 +354,7 @@ def _coerce(x) -> Expr:
 
 
 def _merge_charts(a, b):
-    if a is None:
+    if a is None or a is b:
         return b
     if b is None or a == b:
         return a
@@ -372,13 +393,18 @@ def add(*terms) -> Expr:
     const = 0.0
     chart_ = None
     for t in terms:
-        t = _coerce(t)
-        chart_ = _merge_charts(chart_, t.chart)
-        if isinstance(t, Const):
+        kind = type(t)
+        if kind not in _NODE_TYPES:
+            t = _coerce(t)
+            kind = type(t)
+        c = t.chart
+        if c is not chart_ and c is not None:
+            chart_ = c if chart_ is None else _merge_charts(chart_, c)
+        if kind is Const:
             const += t.value
-        elif isinstance(t, Add):
+        elif kind is Add:
             for u in t.terms:
-                if isinstance(u, Const):
+                if type(u) is Const:
                     const += u.value
                 else:
                     flat.append(u)
@@ -399,10 +425,13 @@ def esum(terms) -> Expr:
 
 
 def neg(e) -> Expr:
-    e = _coerce(e)
-    if isinstance(e, Const):
+    kind = type(e)
+    if kind not in _NODE_TYPES:
+        e = _coerce(e)
+        kind = type(e)
+    if kind is Const:
         return Const(-e.value)
-    if isinstance(e, Neg):
+    if kind is Neg:
         return e.arg
     return Neg(e)
 
@@ -412,16 +441,21 @@ def mul(*factors) -> Expr:
     const = 1.0
     chart_ = None
     for f in factors:
-        f = _coerce(f)
-        chart_ = _merge_charts(chart_, f.chart)
-        if isinstance(f, Const):
+        kind = type(f)
+        if kind not in _NODE_TYPES:
+            f = _coerce(f)
+            kind = type(f)
+        c = f.chart
+        if c is not chart_ and c is not None:
+            chart_ = c if chart_ is None else _merge_charts(chart_, c)
+        if kind is Const:
             const *= f.value
-        elif isinstance(f, Neg):
+        elif kind is Neg:
             const = -const
             flat.append(f.arg)
-        elif isinstance(f, Mul):
+        elif kind is Mul:
             for u in f.factors:
-                if isinstance(u, Const):
+                if type(u) is Const:
                     const *= u.value
                 else:
                     flat.append(u)
@@ -512,12 +546,19 @@ def differentiate(e: Expr, coord: Coord) -> Expr:
     e = _coerce(e)
     if not isinstance(coord, Coord):
         raise TypeError("coord must be a chart coordinate")
-    if e.chart is not None and e.chart != coord.chart:
+    if e.chart is not None and e.chart is not coord.chart and e.chart != coord.chart:
         raise UnknownSymbol(coord.name)
     return _diff(e, coord)
 
 
 def _diff(e: Expr, coord: Coord) -> Expr:
+    """The derivative of ``e``, from its cache or from ``_diff_rules``.
+    Leaves are answered at once: they would only cache a shared constant."""
+    kind = type(e)
+    if kind is Const:
+        return ZERO
+    if kind is Coord:
+        return ONE if e.index == coord.index else ZERO
     cache = e._deriv
     if cache is None:
         cache = e._deriv = {}
@@ -530,37 +571,36 @@ def _diff(e: Expr, coord: Coord) -> Expr:
 
 
 def _diff_rules(e: Expr, coord: Coord) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.index == coord.index else ZERO
-    if isinstance(e, Neg):
-        return neg(_diff(e.arg, coord))
-    if isinstance(e, Add):
-        return add(*(_diff(t, coord) for t in e.terms))
-    if isinstance(e, Mul):
+    """One rule application; ``_diff`` has answered the leaves."""
+    kind = type(e)
+    if kind is Mul:
+        factors = e.factors
         terms = []
-        for i, f in enumerate(e.factors):
+        for i, f in enumerate(factors):
             df = _diff(f, coord)
-            if not is_zero(df):
-                terms.append(mul(df, *e.factors[:i], *e.factors[i + 1:]))
+            if type(df) is not Const or df.value != 0.0:
+                terms.append(mul(df, *factors[:i], *factors[i + 1:]))
         return add(*terms) if terms else ZERO
-    if isinstance(e, Div):
+    if kind is Add:
+        return add(*[_diff(t, coord) for t in e.terms])
+    if kind is Neg:
+        return neg(_diff(e.arg, coord))
+    if kind is Div:
         du, dv = _diff(e.num, coord), _diff(e.den, coord)
         return div(add(mul(du, e.den), neg(mul(e.num, dv))), mul(e.den, e.den))
-    if isinstance(e, Pow):
+    if kind is Pow:
         return mul(e.exponent, powi(e.base, e.exponent - 1), _diff(e.base, coord))
-    if isinstance(e, Sin):
+    if kind is Sin:
         return mul(cos(e.arg), _diff(e.arg, coord))
-    if isinstance(e, Cos):
+    if kind is Cos:
         return neg(mul(sin(e.arg), _diff(e.arg, coord)))
-    if isinstance(e, Exp):
+    if kind is Exp:
         return mul(e, _diff(e.arg, coord))
-    if isinstance(e, Ln):
+    if kind is Ln:
         return div(_diff(e.arg, coord), e.arg)
-    if isinstance(e, Sqrt):
+    if kind is Sqrt:
         return div(_diff(e.arg, coord), mul(2.0, e))
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+    raise TypeError(f"cannot differentiate {kind.__name__}")
 
 
 def gradient(e: Expr, chart_: Chart) -> list[Expr]:
@@ -629,20 +669,25 @@ def evaluation_scope():
 def _fill(roots, memo: dict, value) -> None:
     """Store ``value(node)`` in ``memo`` under ``id(node)`` for every node
     under ``roots`` not yet in it, children first.  An explicit stack:
-    tensor formulas can nest deeper than Python's default recursion limit."""
-    stack = list(roots)
+    tensor formulas can nest deeper than Python's default recursion limit.
+
+    The walk is a single-visit post-order on ``(node, expanded)`` pairs.  A
+    node not in the memo is expanded once: it goes back on the stack as
+    ``(node, True)``, under those of its children not in the memo, and is
+    valued when it comes off again, by which time they all are.  The last
+    root and the last child are walked first; this order fixes which
+    singular subexpression a DomainError names."""
+    stack = [(e, False) for e in roots]
+    pop, push = stack.pop, stack.append
     while stack:
-        e = stack[-1]
-        key = id(e)
-        if key in memo:
-            stack.pop()
-            continue
-        pending = [k for k in e.children() if id(k) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[key] = value(e)
+        e, expanded = pop()
+        if expanded:
+            memo[id(e)] = value(e)
+        elif id(e) not in memo:
+            push((e, True))
+            for k in e.children():
+                if id(k) not in memo:
+                    push((k, False))
 
 
 def _eval_into(root: Expr, point: tuple, memo: dict[int, float]) -> float:
@@ -663,48 +708,49 @@ def _checked(node: Expr, fn, *args) -> float:
 
 
 def _eval_node(e: Expr, point: tuple, memo) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Coord):
-        if e.index >= len(point):
-            raise DomainError("point has wrong dimension", e)
-        return float(point[e.index])
-    if isinstance(e, Neg):
-        return -memo[id(e.arg)]
-    if isinstance(e, Add):
-        return _checked(e, math.fsum, [memo[id(t)] for t in e.terms])
-    if isinstance(e, Mul):
+    kind = type(e)
+    if kind is Mul:
         out = 1.0
         for f in e.factors:
             out *= memo[id(f)]
         return out
-    if isinstance(e, Div):
+    if kind is Add:
+        return _checked(e, math.fsum, [memo[id(t)] for t in e.terms])
+    if kind is Const:
+        return e.value
+    if kind is Coord:
+        if e.index >= len(point):
+            raise DomainError("point has wrong dimension", e)
+        return float(point[e.index])
+    if kind is Neg:
+        return -memo[id(e.arg)]
+    if kind is Div:
         d = memo[id(e.den)]
         if d == 0.0:
             raise DomainError("division by zero", e)
         return memo[id(e.num)] / d
-    if isinstance(e, Pow):
+    if kind is Pow:
         b = memo[id(e.base)]
         if b == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
         return _checked(e, pow, b, e.exponent)
-    if isinstance(e, Sin):
+    if kind is Sin:
         return _checked(e, math.sin, memo[id(e.arg)])
-    if isinstance(e, Cos):
+    if kind is Cos:
         return _checked(e, math.cos, memo[id(e.arg)])
-    if isinstance(e, Exp):
+    if kind is Exp:
         return _checked(e, math.exp, memo[id(e.arg)])
-    if isinstance(e, Ln):
+    if kind is Ln:
         a = memo[id(e.arg)]
         if a <= 0.0:
             raise DomainError("ln of a non-positive value", e)
         return math.log(a)
-    if isinstance(e, Sqrt):
+    if kind is Sqrt:
         a = memo[id(e.arg)]
         if a < 0.0:
             raise DomainError("sqrt of a negative value", e)
         return math.sqrt(a)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
 def evaluate_points(exprs, points) -> np.ndarray:
@@ -764,50 +810,51 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
     reaches a root or is hidden by one of the three operations that can map
     it to a finite value (x/inf, inf^-k or inf^0, exp(-inf)); those give up
     here, since the scalar walk may have raised on the way."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Coord):
-        if e.index >= len(cols):
-            raise _Replay
-        return cols[e.index]
-    if isinstance(e, Neg):
-        return -memo[id(e.arg)]
-    if isinstance(e, Add):
-        terms = iter(e.terms)
-        out = memo[id(next(terms))]
-        for t in terms:
-            out = out + memo[id(t)]
-        return out
-    if isinstance(e, Mul):
+    kind = type(e)
+    if kind is Mul:
         factors = iter(e.factors)
         out = memo[id(next(factors))]
         for f in factors:
             out = out * memo[id(f)]
         return out
-    if isinstance(e, Div):
+    if kind is Add:
+        terms = iter(e.terms)
+        out = memo[id(next(terms))]
+        for t in terms:
+            out = out + memo[id(t)]
+        return out
+    if kind is Const:
+        return e.value
+    if kind is Coord:
+        if e.index >= len(cols):
+            raise _Replay
+        return cols[e.index]
+    if kind is Neg:
+        return -memo[id(e.arg)]
+    if kind is Div:
         d = memo[id(e.den)]
         if not np.isfinite(d).all():
             raise _Replay
         return np.divide(memo[id(e.num)], d)
-    if isinstance(e, Pow):
+    if kind is Pow:
         b = memo[id(e.base)]
         if e.exponent <= 0 and not np.isfinite(b).all():
             raise _Replay
         return np.float64(b) ** e.exponent if isinstance(b, float) else b**e.exponent
-    if isinstance(e, Sin):
+    if kind is Sin:
         return np.sin(memo[id(e.arg)])
-    if isinstance(e, Cos):
+    if kind is Cos:
         return np.cos(memo[id(e.arg)])
-    if isinstance(e, Exp):
+    if kind is Exp:
         a = memo[id(e.arg)]
         if not np.isfinite(a).all():
             raise _Replay
         return np.exp(a)
-    if isinstance(e, Ln):
+    if kind is Ln:
         return np.log(memo[id(e.arg)])
-    if isinstance(e, Sqrt):
+    if kind is Sqrt:
         return np.sqrt(memo[id(e.arg)])
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------

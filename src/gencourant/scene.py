@@ -20,14 +20,16 @@ strict upper triangle (i < j), 3-forms on strictly increasing triples; the
 symmetry completions are never read from the lower parts.  "domain" is
 either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
-engine, over the declared coordinate names.  An unknown key in
-"background", "options" or "options.tolerances" is an error; the "policy"
-option of older scene files is accepted and ignored.
+engine, over the declared coordinate names.  "points" (or the override
+of it) must be at least 1, and each tolerance a finite positive number.
+An unknown key in "background", "options" or "options.tolerances" is an
+error; the "policy" option of older scene files is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,14 +142,21 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         )
     domain = chart_spec.get("domain") or (-1.0, 1.0)
     try:
+        num_points = int(points if points is not None else chart_spec.get("points", 16))
         chart = ex.chart(
             coords,
             domain=domain,
             seed=int(seed if seed is not None else chart_spec.get("seed", 0)),
-            num_points=int(points if points is not None else chart_spec.get("points", 16)),
+            num_points=num_points,
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise SceneValidationError(str(err), "chart") from err
+    if num_points < 1:
+        # with no points every residual would read 0.0 and pass
+        raise SceneValidationError(
+            f"need at least one sample point, got {num_points}",
+            "points override" if points is not None else "chart.points",
+        )
 
     bg_spec = doc.get("background", {})
     _reject_unknown_keys(bg_spec, BACKGROUND_KEYS, "background")
@@ -170,9 +179,20 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
     _reject_unknown_keys(options, OPTION_KEYS, "options")
     given = options.get("tolerances", {})
     _reject_unknown_keys(given, DEFAULT_TOLERANCES, "options.tolerances")
+    for key, value in given.items():
+        if not _is_positive_real(value):
+            raise SceneValidationError(
+                f"tolerance must be a finite positive number, got {value!r}",
+                f"options.tolerances.{key}",
+            )
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(given)
     return Scene(chart, background, tolerances, name)
+
+
+def _is_positive_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
 
 
 def _reject_unknown_keys(spec, known, location: str):

@@ -366,8 +366,13 @@ VANISH_TOL = 1e-7
 
 @dataclass
 class EquivalenceReport:
+    """Max-abs of each residual family over the sample points, with the
+    point where it is reached, and the transport identity's max-abs."""
+
     beta_max: float
+    beta_point: tuple
     symplectic_max: float
+    symplectic_point: tuple
     transport_max: float
     beta_on_shell: bool
     symplectic_on_shell: bool
@@ -414,9 +419,9 @@ def equivalence_report(bg: Background, pkg: SymplecticPackage | None = None,
     if pkg is None:
         pkg = build_symplectic(bg)
     res1, res2, res3 = symplectic_residuals(bg, pkg)
-    beta_max = betas.max_abs(points)[0]
+    beta_max, beta_point = betas.max_abs(points)
     sym_fields = [res1] + list(res2.comps.reshape(-1)) + list(res3.comps.reshape(-1))
-    sym_max = ex.max_abs_on_points(sym_fields, points)[0]
+    sym_max, sym_point = ex.max_abs_on_points(sym_fields, points)
     if transport is None:
         transport, _, _, _ = transport_identity_residual(bg, pkg)
     transport_max = ex.max_abs_on_points(transport, points)[0]
@@ -428,4 +433,5 @@ def equivalence_report(bg: Background, pkg: SymplecticPackage | None = None,
         verdict = "equivalent: both off-shell"
     else:
         verdict = "inconsistent: one family vanishes without the other"
-    return EquivalenceReport(beta_max, sym_max, transport_max, beta_on, sym_on, verdict)
+    return EquivalenceReport(beta_max, beta_point, sym_max, sym_point, transport_max,
+                             beta_on, sym_on, verdict)

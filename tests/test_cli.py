@@ -2,12 +2,14 @@
 
 import contextlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gencourant import cli, streff
 from gencourant import expr as ex
 from gencourant import gtb
 from gencourant.cli import main, run_command
@@ -318,3 +320,72 @@ def test_classical_oracle_catches_a_fault_in_the_shared_curvature(monkeypatch):
     scene = load_scene(SCENES / "poly2d.json")
     checks = {c.name: c for c in run_command("curvature", scene).checks}
     assert not checks["curvature.metric-scalar-closed-form"].passed
+
+
+@pytest.mark.parametrize("value", ["tight", True, float("nan"), float("inf"), 0, -1e-9, None, [1e-9]])
+def test_main_bad_tolerance_is_an_input_error(tmp_path, capsys, value):
+    doc = minimal_doc()
+    doc["options"] = {"tolerances": {"sym": value}}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path)]) == 2
+    assert "[options.tolerances.sym]" in capsys.readouterr().err
+
+
+def test_good_tolerances_load():
+    doc = minimal_doc()
+    doc["options"] = {"tolerances": {"sym": 1e-8, "fd": 1, "strict": 2.5e-11}}
+    scene = scene_from_dict(doc)
+    assert (scene.tol("sym"), scene.tol("fd"), scene.tol("strict")) == (1e-8, 1.0, 2.5e-11)
+
+
+@pytest.mark.parametrize("document, override", [(0, None), (-3, None), (8, 0), (8, -1)],
+                         ids=["document-zero", "document-negative", "override-zero",
+                              "override-negative"])
+def test_main_no_sample_points_is_an_input_error(tmp_path, capsys, document, override):
+    doc = minimal_doc()
+    doc["chart"]["points"] = document
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc))
+    argv = ["beta", str(path)] + ([] if override is None else ["--points", str(override)])
+    assert main(argv) == 2
+    assert "need at least one sample point" in capsys.readouterr().err
+
+
+def test_points_override_of_one_runs(tmp_path):
+    doc = minimal_doc()
+    doc["chart"]["points"] = 0
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path), "--points", "1", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_simultaneous_vanishing_reports_the_worst_point():
+    # poly2d is off-shell in both families; the symplectic residual is the
+    # larger, and it peaks away from the first sample point
+    scene = load_scene(SCENES / "poly2d.json")
+    pts = scene.chart.sample_points()
+    checks, rep = cli.checks_equivalence(scene, cli._require_symplectic(scene))
+    vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]
+    assert rep.symplectic_max > rep.beta_max
+    assert vanishing.worst_point == rep.symplectic_point != pts[0]
+    res1, res2, res3 = streff.symplectic_residuals(scene.background,
+                                                  cli._require_symplectic(scene))
+    fields = cli._flat([res1, res2, res3])
+    per_point = [max(abs(v) for v in ex.evaluate_many(fields, p)) for p in pts]
+    assert rep.symplectic_max == pytest.approx(max(per_point), rel=1e-12)  # fsum vs numpy
+    assert rep.symplectic_point == pts[per_point.index(max(per_point))]
+    assert rep.beta_point in pts
+
+
+def test_simultaneous_vanishing_fails_on_a_nan_family(monkeypatch):
+    # beta on-shell and a NaN symplectic residual disagree: the check must
+    # fail at the NaN's point, not read the small beta residual
+    scene = load_scene(SCENES / "poly2d.json")
+    pts = scene.chart.sample_points()
+    report = streff.EquivalenceReport(1e-12, pts[2], math.nan, pts[5], 0.0, True, False, "")
+    monkeypatch.setattr(streff, "equivalence_report", lambda *args: report)
+    checks, _ = cli.checks_equivalence(scene, cli._require_symplectic(scene))
+    vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]
+    assert not vanishing.passed
+    assert vanishing.worst_point == pts[5]

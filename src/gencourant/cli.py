@@ -25,7 +25,7 @@ from . import riemann as rm
 from . import streff
 from . import tensors as tn
 from .errors import CommandError, GencourantError, SceneError, SingularB
-from .scene import Check, Report, Scene, load_scene
+from .scene import Check, Report, Scene, checked_tolerance, load_scene
 
 COMMANDS = ("axioms", "torsion", "curvature", "beta", "central", "symplectic", "equivalence", "all")
 
@@ -456,10 +456,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scene = load_scene(args.scene, seed=args.seed, points=args.points)
-        if args.tol_sym is not None:
-            scene.tolerances["sym"] = args.tol_sym
-        if args.tol_fd is not None:
-            scene.tolerances["fd"] = args.tol_fd
+        for kind, value in (("sym", args.tol_sym), ("fd", args.tol_fd)):
+            if value is not None:
+                scene.tolerances[kind] = checked_tolerance(value, f"--tol-{kind}")
         report = run_command(args.command, scene)
     except (SceneError, CommandError) as err:
         print(f"error: {err}", file=sys.stderr)

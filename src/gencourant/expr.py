@@ -2,8 +2,8 @@
 differentiation, numeric evaluation, light simplification and a parser.
 
 The node vocabulary is fixed (constants, coordinates, negation, n-ary sums
-and products, quotients, integer powers, sin/cos/exp/ln/sqrt) and is closed
-under differentiation.  There is no canonical form and no decision procedure
+and products, quotients, integer powers, sin/cos/exp/ln/sqrt, and the lazy
+partial derivative ``Tangent``) and is closed under differentiation.  There is no canonical form and no decision procedure
 for expression equality: fields are compared by evaluating them at the
 chart's seeded sample points.
 
@@ -35,6 +35,13 @@ point by point, so errors and non-finite values are exactly the scalar
 walk's.  Both memos live for one call, unless the call is made inside an
 ``evaluation_scope``: then the calls on one point set share them until the
 scope ends, so checks that read the same nodes evaluate them once.
+
+One node is not a value but a derivative: ``Tangent(f, m)``, the lazy
+∂f/∂x^m.  The walks value it by a forward-mode pass over the DAG of f that
+reads the node values already in the memo and keeps one tangent array (all
+n partials) per node next to them, so the cost is one pass over f for all
+directions, with no derivative DAG built.  ``differentiate`` stays the exact
+symbolic derivative, and is the oracle of the tangent pass.
 """
 
 from __future__ import annotations
@@ -336,13 +343,33 @@ class Sqrt(Func):
     name = "sqrt"
 
 
+class Tangent(Expr):
+    """The partial derivative of ``arg`` along coordinate ``index``, kept
+    lazy: no derivative DAG is built.  The walks value it from one forward
+    (tangent) pass over arg's DAG that gives every partial of every node at
+    once (see ``_tangent``); ``tangent`` is the smart constructor."""
+
+    __slots__ = ("arg", "index")
+
+    def __init__(self, arg: Expr, index: int):
+        if arg.chart is None or not 0 <= index < arg.chart.dim:
+            raise ValueError("a Tangent needs a coordinate of the chart of its argument")
+        self.chart = arg.chart
+        self._deriv = None
+        self.arg = arg
+        self.index = index
+
+    def children(self):
+        return (self.arg,)
+
+
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
 # The node classes.  The hot kernels dispatch on ``type(e)`` against these
 # rather than walking an ``isinstance`` chain; an operand of any other type
 # goes through ``_coerce``.
-_NODE_TYPES = frozenset((Const, Coord, Neg, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt))
+_NODE_TYPES = frozenset((Const, Coord, Neg, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt, Tangent))
 
 
 def _coerce(x) -> Expr:
@@ -529,6 +556,17 @@ def sqrt(e) -> Expr:
     return Sqrt(e)
 
 
+def tangent(e, index: int) -> Expr:
+    """∂e/∂x^index as a lazy ``Tangent`` node.  Constants and coordinates
+    are answered at once, as ``differentiate`` answers them."""
+    e = _coerce(e)
+    if e.chart is None:
+        return ZERO
+    if type(e) is Coord:
+        return ONE if e.index == index else ZERO
+    return Tangent(e, index)
+
+
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
 
 
@@ -600,6 +638,8 @@ def _diff_rules(e: Expr, coord: Coord) -> Expr:
         return div(_diff(e.arg, coord), e.arg)
     if kind is Sqrt:
         return div(_diff(e.arg, coord), mul(2.0, e))
+    if kind is Tangent:  # the symbolic derivative, which keeps the algebra closed
+        return _diff(_diff(e.arg, Coord(e.chart, e.index)), coord)
     raise TypeError(f"cannot differentiate {kind.__name__}")
 
 
@@ -750,6 +790,13 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
         if a < 0.0:
             raise DomainError("sqrt of a negative value", e)
         return math.sqrt(a)
+    if kind is Tangent:
+        t = _tangent(e.arg, memo, lambda: np.eye(len(point)))
+        if t is None:
+            return 0.0
+        if not np.isfinite(t).all():
+            _raise_singular_tangent(e.arg, memo)
+        return float(t[e.index])
     raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
@@ -854,7 +901,133 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
         return np.log(memo[id(e.arg)])
     if kind is Sqrt:
         return np.sqrt(memo[id(e.arg)])
+    if kind is Tangent:
+        # a Tangent's value does not carry its argument's, so a non-finite
+        # value or tangent there gives up
+        f = e.arg
+        if not np.isfinite(memo[id(f)]).all():
+            raise _Replay
+        n, count = cols.shape
+        t = _tangent(f, memo, lambda: np.broadcast_to(np.eye(n)[:, :, None], (n, n, count)))
+        if t is None:
+            return 0.0
+        if not np.isfinite(t).all():
+            raise _Replay
+        return t[e.index]
     raise TypeError(f"cannot evaluate {kind.__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the tangent pass: forward-mode partial derivatives for Tangent nodes
+# ---------------------------------------------------------------------------
+#
+# A tangent is the array of all n partials of one node, coordinate index
+# first: shape (n,) in the per-point walk, (n, P) in the vector pass.  None
+# stands for the zero tangent of a subtree with no coordinate below it.  The
+# rules mirror ``_diff_rules`` and read the node values that the walk has
+# already stored; a tangent that is singular or overflows comes out
+# non-finite, which the walks turn into a DomainError or a replay.
+
+# The key under which a value memo holds its tangent memo (node keys are ids).
+_TANGENTS = "tangents"
+
+
+def _tangent(f: Expr, memo: dict, units):
+    """The tangent of ``f``, from the tangent memo kept in the value memo
+    ``memo``, which holds the value of every node under ``f``.  A pass fills
+    in the nodes of f not yet in the tangent memo; ``units()`` gives the
+    tangents of the coordinates."""
+    tangents = memo.get(_TANGENTS)
+    if tangents is None:
+        tangents = memo[_TANGENTS] = {}
+    if id(f) not in tangents:
+        unit = units()
+        with np.errstate(all="ignore"):
+            _fill((f,), tangents, lambda e: _tangent_node(e, memo, tangents, unit))
+    return tangents[id(f)]
+
+
+def _tangent_node(e: Expr, vals: dict, tans: dict, unit):
+    kind = type(e)
+    if kind is Mul:
+        factors = e.factors
+        out = None
+        for i, f in enumerate(factors):
+            t = tans[id(f)]
+            if t is None:
+                continue
+            c = None
+            for j, g in enumerate(factors):
+                if j != i:
+                    c = vals[id(g)] if c is None else c * vals[id(g)]
+            term = t if c is None else c * t
+            out = term if out is None else out + term
+        return out
+    if kind is Add:
+        out = None
+        for u in e.terms:
+            t = tans[id(u)]
+            if t is not None:
+                out = t if out is None else out + t
+        return out
+    if kind is Const:
+        return None
+    if kind is Coord:
+        return unit[e.index]
+    if kind is Neg:
+        t = tans[id(e.arg)]
+        return None if t is None else -t
+    if kind is Div:
+        tu, tv = tans[id(e.num)], tans[id(e.den)]
+        if tu is None and tv is None:
+            return None
+        u, v = vals[id(e.num)], vals[id(e.den)]
+        if tv is None:
+            top = tu * v
+        elif tu is None:
+            top = -(u * tv)
+        else:
+            top = tu * v - u * tv
+        return top / (v * v)
+    if kind is Pow:
+        t, k = tans[id(e.base)], e.exponent
+        return None if t is None or k == 0 else k * np.power(vals[id(e.base)], k - 1) * t
+    if kind is Tangent:
+        raise TypeError("the tangent pass does not nest: a Tangent below a Tangent")
+    t = tans[id(e.arg)]  # one of the functions sin ... sqrt
+    if t is None:
+        return None
+    if kind is Sin:
+        return np.cos(vals[id(e.arg)]) * t
+    if kind is Cos:
+        return -np.sin(vals[id(e.arg)]) * t
+    if kind is Exp:
+        return vals[id(e)] * t
+    if kind is Ln:
+        return t / vals[id(e.arg)]
+    if kind is Sqrt:
+        return t / (2.0 * vals[id(e)])
+    raise TypeError(f"no tangent rule for {kind.__name__}")
+
+
+def _raise_singular_tangent(f: Expr, memo: dict):
+    """Raise the DomainError of a non-finite tangent of ``f``: it names the
+    first node of f, in walk order, whose tangent is not finite, which is
+    where the derivative was singular or overflowed (its children's are
+    finite)."""
+    tangents = memo[_TANGENTS]
+
+    def check(e):
+        t = tangents[id(e)]
+        if t is not None and not np.isfinite(t).all():
+            kind = type(e)
+            if kind is Sqrt and memo[id(e)] == 0.0:
+                raise DomainError("sqrt at zero has no derivative", e)
+            if kind is Div and memo[id(e.den)] * memo[id(e.den)] == 0.0:
+                raise DomainError("the derivative of a quotient divides by zero", e)
+            raise DomainError("overflow in a derivative", e)
+
+    _fill((f,), {}, check)
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +1059,8 @@ def _rebuild(e: Expr, memo) -> Expr:
         return powi(memo[id(e.base)], e.exponent)
     if isinstance(e, Func):
         return _FUNCTIONS[e.name](memo[id(e.arg)])
+    if isinstance(e, Tangent):
+        return tangent(memo[id(e.arg)], e.index)
     raise TypeError(type(e).__name__)
 
 
@@ -953,6 +1128,8 @@ def _print(e: Expr) -> tuple[str, int]:
         return f"{bs}^{es}", _PREC_POW
     if isinstance(e, Func):
         return f"{e.name}({_print(e.arg)[0]})", _PREC_ATOM
+    if isinstance(e, Tangent):  # printed only: the parser reads no derivatives
+        return f"diff({_print(e.arg)[0]}, {e.chart.coord_names[e.index]})", _PREC_ATOM
     raise TypeError(type(e).__name__)
 
 

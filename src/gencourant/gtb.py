@@ -740,13 +740,17 @@ class CurvatureEntries:
         R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c,
     built entry by entry on first read and kept, so a contraction that reads
     r^3 entries builds only those.  Each frame derivative a(E_a).Gamma^d_{bc}
-    is built once and shared by the two entries that use it."""
+    is built once and shared by the two entries that use it.  It is the sum
+    of anchor[a, m] times the lazy partial ``ex.tangent(Gamma^d_{bc}, m)``,
+    so no derivative DAG of Gamma is built: the evaluator computes all
+    partials of a Gamma entry in one forward pass over its DAG."""
 
     def __init__(self, frame: AnchoredFrame, gamma: np.ndarray):
         self.frame = frame
         self.gamma = gamma
         self._entries: dict = {}
         self._derivatives: dict = {}
+        self._partials: dict = {}
 
     def __getitem__(self, idx) -> Expr:
         hit = self._entries.get(idx)
@@ -759,7 +763,14 @@ class CurvatureEntries:
         key = (a, d, b, c)
         hit = self._derivatives.get(key)
         if hit is None:
-            hit = self._derivatives[key] = self.frame.frame_derivative(a, self.gamma[d, b, c])
+            n = self.frame.chart.dim
+            partials = self._partials.get((d, b, c))
+            if partials is None:
+                partials = self._partials[(d, b, c)] = [
+                    ex.tangent(self.gamma[d, b, c], m) for m in range(n)
+                ]
+            anchor = self.frame.anchor[a]
+            hit = self._derivatives[key] = esum(mul(anchor[m], partials[m]) for m in range(n))
         return hit
 
     def _build(self, d: int, c: int, a: int, b: int) -> Expr:

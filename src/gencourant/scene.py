@@ -20,8 +20,9 @@ strict upper triangle (i < j), 3-forms on strictly increasing triples; the
 symmetry completions are never read from the lower parts.  "domain" is
 either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
-engine, over the declared coordinate names.  "points" (or the override
-of it) must be at least 1, and each tolerance a finite positive number.
+engine, over the declared coordinate names.  "dim", "points" and "seed"
+(and the overrides of the last two) must be integers, "points" at least 1,
+and each tolerance a finite positive number.
 An unknown key in "background", "options" or "options.tolerances" is an
 error; the "policy" option of older scene files is accepted and ignored.
 """
@@ -132,31 +133,27 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(f"unsupported schema_version {version!r}")
     try:
         chart_spec = doc["chart"]
-        dim = int(chart_spec["dim"])
+        dim = chart_spec["dim"]
         coords = tuple(chart_spec["coords"])
     except (KeyError, TypeError, ValueError) as err:
         raise SceneError(f"bad chart spec: {err}", "chart") from err
+    dim = _integer(dim, "chart.dim")
     if len(coords) != dim:
         raise SceneValidationError(
             f"dim = {dim} but {len(coords)} coordinate names given", "chart"
         )
-    domain = chart_spec.get("domain") or (-1.0, 1.0)
-    try:
-        num_points = int(points if points is not None else chart_spec.get("points", 16))
-        chart = ex.chart(
-            coords,
-            domain=domain,
-            seed=int(seed if seed is not None else chart_spec.get("seed", 0)),
-            num_points=num_points,
-        )
-    except (TypeError, ValueError) as err:
-        raise SceneValidationError(str(err), "chart") from err
+    where = "chart.points" if points is None else "points override"
+    num_points = _integer(chart_spec.get("points", 16) if points is None else points, where)
     if num_points < 1:
         # with no points every residual would read 0.0 and pass
-        raise SceneValidationError(
-            f"need at least one sample point, got {num_points}",
-            "points override" if points is not None else "chart.points",
-        )
+        raise SceneValidationError(f"need at least one sample point, got {num_points}", where)
+    where = "chart.seed" if seed is None else "seed override"
+    seed = _integer(chart_spec.get("seed", 0) if seed is None else seed, where)
+    try:
+        chart = ex.chart(coords, domain=chart_spec.get("domain") or (-1.0, 1.0),
+                         seed=seed, num_points=num_points)
+    except (TypeError, ValueError) as err:
+        raise SceneValidationError(str(err), "chart") from err
 
     bg_spec = doc.get("background", {})
     _reject_unknown_keys(bg_spec, BACKGROUND_KEYS, "background")
@@ -179,20 +176,29 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
     _reject_unknown_keys(options, OPTION_KEYS, "options")
     given = options.get("tolerances", {})
     _reject_unknown_keys(given, DEFAULT_TOLERANCES, "options.tolerances")
-    for key, value in given.items():
-        if not _is_positive_real(value):
-            raise SceneValidationError(
-                f"tolerance must be a finite positive number, got {value!r}",
-                f"options.tolerances.{key}",
-            )
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(given)
+    for key, value in given.items():
+        tolerances[key] = checked_tolerance(value, f"options.tolerances.{key}")
     return Scene(chart, background, tolerances, name)
 
 
-def _is_positive_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+def checked_tolerance(value, location: str):
+    """``value``, if it is a finite positive number; a tolerance of inf, NaN
+    or <= 0 would pass or fail every check whatever its residual."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise SceneValidationError(
+            f"tolerance must be a finite positive number, got {value!r}", location
+        )
+    return value
+
+
+def _integer(value, location: str) -> int:
+    """``value``, if it is an integer: ``int()`` would truncate 2.7 to 2 and
+    read true as 1 without a message."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneValidationError(f"expected an integer, got {value!r}", location)
+    return value
 
 
 def _reject_unknown_keys(spec, known, location: str):

@@ -389,3 +389,59 @@ def test_simultaneous_vanishing_fails_on_a_nan_family(monkeypatch):
     vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]
     assert not vanishing.passed
     assert vanishing.worst_point == pts[5]
+
+
+@pytest.mark.parametrize("option", ["--tol-sym", "--tol-fd"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_main_bad_tolerance_override_is_an_input_error(capsys, option, value):
+    # inf would pass every check whatever its residual; nan, 0 and -1 fail them all
+    assert main(["central", str(SCENES / "poly2d.json"), option, value]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance must be a finite positive number" in err and f"[{option}]" in err
+
+
+def test_main_tolerance_overrides_apply(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["axioms", str(SCENES / "flat2d.json"), "--tol-sym", "1e-8", "--tol-fd", "1e-5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    tolerances = {c["name"]: c["tolerance"] for c in json.loads(out.read_text())["checks"]}
+    assert tolerances["axioms.derivative-fd-consistency"] == 1e-5
+    assert tolerances["axioms.shear-intertwines-brackets"] == 1e-8
+
+
+@pytest.mark.parametrize("key, value", [("points", 2.7), ("points", True), ("seed", 1.9),
+                                        ("seed", False), ("dim", 2.5), ("dim", True),
+                                        ("points", "2"), ("seed", None)])
+def test_non_integer_chart_entries_rejected(key, value):
+    # int() would sample 2 points for 2.7 and 1 for true, without a message
+    doc = json.loads((SCENES / "flat2d.json").read_text())
+    doc["chart"][key] = value
+    with pytest.raises(SceneValidationError) as err:
+        scene_from_dict(doc)
+    assert f"[chart.{key}]" in str(err.value) and "expected an integer" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [("points", 2.7), ("points", True), ("seed", 1.9),
+                                        ("seed", True)])
+def test_non_integer_overrides_rejected(key, value):
+    doc = json.loads((SCENES / "flat2d.json").read_text())
+    with pytest.raises(SceneValidationError) as err:
+        scene_from_dict(doc, **{key: value})
+    assert f"[{key} override]" in str(err.value)
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_central_on_a_4d_scene(points):
+    # the frame derivatives of the 4-D dilaton connection, valued by the
+    # tangent pass in the per-point walk (1 point) and the vector pass (3)
+    sys.path.insert(0, str(SCENES.parent / "scripts"))
+    try:
+        import make_scene
+    finally:
+        sys.path.pop(0)
+    doc = make_scene.build(dim=4, seed=1, invertible_b=True, scale=0.25, points=points)
+    report = run_command("central", scene_from_dict(doc))
+    assert report.passed
+    assert {c.name for c in report.checks} == {"central.off-block-identity",
+                                               "central.scalar-identity"}
+    assert all(c.max_abs_residual <= 1e-9 for c in report.checks)

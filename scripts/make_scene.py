@@ -58,7 +58,6 @@ def build(dim, seed, invertible_b, scale, points):
             "points": points,
         },
         "background": {"g": g, "B": B, "phi": poly_text(c, gen, scale), "B0": B0},
-        "options": {"policy": "reject"},
     }
 
 

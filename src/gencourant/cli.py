@@ -68,10 +68,7 @@ def checks_axioms(scene: Scene) -> list:
 
     inv = []
     for a, b, c in triples:
-        lhs = ex.esum(
-            ex.mul(a.vec.comps[m], ex.differentiate(gtb.pairing(b, c), chart.coord(m)))
-            for m in range(chart.dim)
-        )
+        lhs = tn.contract("m,m->", a.vec.comps, ex.gradient(gtb.pairing(b, c), chart))
         rhs = gtb.pairing(gtb.dorfman(a, b, H, False), c) + gtb.pairing(b, gtb.dorfman(a, c, H, False))
         inv.append(lhs - rhs)
     out.append(_check("axioms.pairing-invariance",
@@ -93,9 +90,7 @@ def checks_axioms(scene: Scene) -> list:
                       "differential image is central and isotropic", props, pts, tol))
 
     a, b, _ = triples[1]
-    rhof = ex.esum(
-        ex.mul(b.vec.comps[m], ex.differentiate(f, chart.coord(m))) for m in range(chart.dim)
-    )
+    rhof = tn.contract("m,m->", b.vec.comps, ex.gradient(f, chart))
     left = (
         gtb.dorfman(a.scale(f), b, H, False)
         - gtb.dorfman(a, b, H, False).scale(f)
@@ -114,13 +109,9 @@ def checks_axioms(scene: Scene) -> list:
 
     gm = gtb.gen_metric(bg.g, bg.B)
     tau = gm.tau_matrix()
-    dim2 = 2 * chart.dim
-    tau2 = []
-    for i, j in itertools.product(range(dim2), repeat=2):
-        want = ex.ONE if i == j else ex.ZERO
-        tau2.append(ex.esum(ex.mul(tau[i, k], tau[k, j]) for k in range(dim2)) - want)
+    tau2 = tn.contract("ik,kj->ij", tau, tau) - np.eye(2 * chart.dim)
     out.append(_check("axioms.involution", "squared metric involution is the identity",
-                      tau2, pts, tol))
+                      tau2.reshape(-1), pts, tol))
 
     proj = []
     genv = chart.rng(1013)

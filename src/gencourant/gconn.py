@@ -45,7 +45,7 @@ from .errors import (
     SingularMetric,
 )
 from .expr import Chart, Expr, add, esum, mul, neg
-from .gtb import GeneralizedMetric, GenSection, gen_metric
+from .gtb import GeneralizedMetric, gen_metric
 from .tensors import DOWN, UP, TensorField
 
 
@@ -109,19 +109,12 @@ def conjugated_algebroid(chart: Chart, F: np.ndarray, Finv: np.ndarray,
     [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
     n = chart.dim
     dim2 = 2 * n
-    anchor = _zeros((dim2, n))
-    for a in range(dim2):
-        col = F[:, a]
-        vec = source.anchor_of(col)
-        for m in range(n):
-            anchor[a, m] = vec[m]
+    anchor = np.array([source.anchor_of(F[:, a]) for a in range(dim2)], dtype=object)
     brackets = _zeros((dim2, dim2, dim2))
-    sections = [GenSection.from_components(chart, F[:, a]) for a in range(dim2)]
     for a in range(dim2):
         for b in range(dim2):
-            br = _bracket_components(source, sections[a].components(), sections[b].components())
-            for c in range(dim2):
-                brackets[c, a, b] = esum(mul(Finv[c, d], br[d]) for d in range(dim2))
+            br = _bracket_components(source, F[:, a], F[:, b])
+            brackets[:, a, b] = tn.contract("cd,d->c", Finv, br)
     return CourantFrame(chart, anchor, brackets)
 
 
@@ -272,25 +265,15 @@ def scalar_E(conn: GenConnection) -> Expr:
 def scalar_G(conn: GenConnection, metric: GeneralizedMetric | None = None) -> Expr:
     """Generalized-metric trace of the Ricci tensor."""
     gm = metric if metric is not None else conn.metric
-    graminv = gm.gram_inverse()
-    ric = ricci(conn)
-    dim2 = conn.algebroid.dim2
-    return esum(
-        mul(graminv[lam, m], ric[m, lam]) for lam in range(dim2) for m in range(dim2)
-    )
+    return tn.contract("lm,ml->", gm.gram_inverse(), ricci(conn))
 
 
 def divergence_section(conn: GenConnection, comps: np.ndarray) -> Expr:
     """Div(psi) = <nab_{e_l} psi, e^l>: the e_l component of nab_{e_l} psi."""
     alg = conn.algebroid
-    dim2 = alg.dim2
-    terms = []
-    for lam in range(dim2):
-        terms.append(
-            esum(mul(conn.gamma[lam, lam, b], comps[b]) for b in range(dim2))
-        )
-        terms.append(alg.frame_derivative(lam, comps[lam]))
-    return esum(terms)
+    moved = tn.contract("llb,b->l", conn.gamma, comps)  # Gamma^l_{lb} psi^b
+    return esum(t for lam in range(alg.dim2)
+                for t in (moved[lam], alg.frame_derivative(lam, comps[lam])))
 
 
 def char_vf(conn: GenConnection) -> TensorField:
@@ -318,32 +301,16 @@ def v_tensor(conn: GenConnection) -> TensorField:
     out = np.empty((n, n, n), dtype=object)
     for i, j in itertools.product(range(n), repeat=2):
         nab = alg.connection_apply(conn.gamma, rs[i], rs[j])
-        for k in range(n):
-            out[i, j, k] = esum(
-                mul(nab[a], eta[a, b], rs[k][b])
-                for a in range(alg.dim2)
-                for b in range(alg.dim2)
-                if eta[a, b]
-            )
+        out[i, j] = tn.contract("a,ab,kb->k", nab, eta, rs)
     return TensorField(chart, (UP, UP, UP), out)
 
 
 def v_trace(conn: GenConnection, h: TensorField) -> TensorField:
     """Partial trace of the V tensor against the inverse of the induced
     form h: Z -> V(dx^k, h^{-1}(d_k), h^{-1}(Z))."""
-    chart = conn.chart
-    n = chart.dim
     hinv = tn.matrix_inverse(h.comps)
-    v = v_tensor(conn)
-    out = np.empty((n,), dtype=object)
-    for lam in range(n):
-        out[lam] = esum(
-            mul(v.comps[k, a, b], hinv[a, k], hinv[b, lam])
-            for k in range(n)
-            for a in range(n)
-            for b in range(n)
-        )
-    return TensorField(chart, (DOWN,), out)
+    out = tn.contract("kab,ak,bl->l", v_tensor(conn).comps, hinv, hinv)
+    return TensorField(conn.chart, (DOWN,), out)
 
 
 def ricci_compat_residual(conn: GenConnection, metric: GeneralizedMetric | None = None) -> TensorField:
@@ -351,18 +318,9 @@ def ricci_compat_residual(conn: GenConnection, metric: GeneralizedMetric | None 
     tensor with respect to the eigenbundle splitting of the metric."""
     gm = metric if metric is not None else conn.metric
     chart = conn.chart
-    n = chart.dim
-    ric = ricci(conn)
-    plus = [gm.psi_plus(_coord_field(chart, i)).components() for i in range(n)]
-    minus = [gm.psi_minus(_coord_field(chart, j)).components() for j in range(n)]
-    out = np.empty((n, n), dtype=object)
-    dim2 = 2 * n
-    for i, j in itertools.product(range(n), repeat=2):
-        out[i, j] = esum(
-            mul(ric[a, b], plus[i][a], minus[j][b])
-            for a in range(dim2)
-            for b in range(dim2)
-        )
+    plus = [gm.psi_plus(_coord_field(chart, i)).components() for i in range(chart.dim)]
+    minus = [gm.psi_minus(_coord_field(chart, j)).components() for j in range(chart.dim)]
+    out = tn.contract("ab,ia,jb->ij", ricci(conn), plus, minus)
     return TensorField(chart, (DOWN, DOWN), out)
 
 
@@ -424,41 +382,16 @@ def minimal_connection(g: TensorField, H_prime: TensorField) -> GenConnection:
         # block-diagonal transport by the chart connection
         gamma[k, i, j] = lc.coeffs[k, i, j]
         gamma[n + k, i, n + j] = neg(lc.coeffs[j, i, k])
+    # g^{-1} H'(X, g^{-1} eta, .), g^{-1} H'(g^{-1} xi, Y, .), H'(g^{-1} xi, g^{-1} eta, .)
+    vec_form = tn.contract("la,vb,mba->mvl", ginv, ginv, Hc)
+    form_vec = tn.contract("la,mb,bva->mvl", ginv, ginv, Hc)
+    form_form = tn.contract("ma,vb,abl->mvl", ginv, ginv, Hc)
     for m, v, l in itertools.product(range(n), repeat=3):
         gamma[n + l, m, v] = add(gamma[n + l, m, v], mul(-1.0 / 3.0, Hc[m, v, l]))
-        gamma[l, m, n + v] = add(
-            gamma[l, m, n + v],
-            mul(
-                -1.0 / 3.0,
-                esum(
-                    mul(ginv[l, a2], ginv[v, b2], Hc[m, b2, a2])
-                    for a2 in range(n)
-                    for b2 in range(n)
-                ),
-            ),
-        )
-        gamma[l, n + m, v] = add(
-            gamma[l, n + m, v],
-            mul(
-                1.0 / 6.0,
-                esum(
-                    mul(ginv[l, a2], ginv[m, b2], Hc[b2, v, a2])
-                    for a2 in range(n)
-                    for b2 in range(n)
-                ),
-            ),
-        )
-        gamma[n + l, n + m, n + v] = add(
-            gamma[n + l, n + m, n + v],
-            mul(
-                1.0 / 6.0,
-                esum(
-                    mul(ginv[m, a2], ginv[v, b2], Hc[a2, b2, l])
-                    for a2 in range(n)
-                    for b2 in range(n)
-                ),
-            ),
-        )
+        gamma[l, m, n + v] = add(gamma[l, m, n + v], mul(-1.0 / 3.0, vec_form[m, v, l]))
+        gamma[l, n + m, v] = add(gamma[l, n + m, v], mul(1.0 / 6.0, form_vec[m, v, l]))
+        gamma[n + l, n + m, n + v] = add(gamma[n + l, n + m, n + v],
+                                         mul(1.0 / 6.0, form_form[m, v, l]))
     return GenConnection(standard_algebroid(chart, H_prime), gamma, metric, "minimal")
 
 
@@ -534,42 +467,21 @@ def param_tensor_frame(params: ConnParams, g: TensorField) -> np.ndarray:
 
     with g1 = g^{-1}.  Exactly one term survives for each frame type
     combination."""
-    chart = g.chart
-    n = chart.dim
+    n = g.chart.dim
     ginv = tn.metric_inverse(g).comps
-    gc = g.comps
-    Jc, Wc = params.J.comps, params.W.comps
     K = _zeros((2 * n,) * 3)
-    for A, B, C in itertools.product(range(2 * n), repeat=3):
-        forms = tuple(idx >= n for idx in (A, B, C))
-        i, j, k = (idx % n for idx in (A, B, C))
-        nforms = sum(forms)
-        if nforms in (1, 3):
-            # W survives: inverse metric on the form legs
-            def w_leg(slot, raw, is_form):
-                return (
-                    [(a, ginv[raw, a]) for a in range(n)] if is_form else [(raw, ex.ONE)]
-                )
-
-            terms = []
-            for (a, fa) in w_leg(0, i, forms[0]):
-                for (b, fb) in w_leg(1, j, forms[1]):
-                    for (c, fc) in w_leg(2, k, forms[2]):
-                        terms.append(mul(fa, fb, fc, Wc[a, b, c]))
-            K[A, B, C] = esum(terms)
-        else:
-            # -J survives: metric on the vector legs
-            def j_leg(raw, is_form):
-                return (
-                    [(raw, ex.ONE)] if is_form else [(a, gc[a, raw]) for a in range(n)]
-                )
-
-            terms = []
-            for (a, fa) in j_leg(i, forms[0]):
-                for (b, fb) in j_leg(j, forms[1]):
-                    for (c, fc) in j_leg(k, forms[2]):
-                        terms.append(mul(fa, fb, fc, Jc[a, b, c]))
-            K[A, B, C] = neg(esum(terms))
+    for forms in itertools.product((False, True), repeat=3):
+        # W survives on an odd number of form legs, with g^{-1} on them;
+        # -J on an even number, with g on the vector legs
+        odd = sum(forms) % 2 == 1
+        legs, slots = [], ""
+        for out, s, is_form in zip("ijk", "abc", forms):
+            if is_form == odd:
+                legs.append(f"{out}{s}" if odd else f"{s}{out}")
+            slots += s if is_form == odd else out
+        metric, t = (ginv, params.W.comps) if odd else (g.comps, params.J.comps)
+        block = tn.contract(",".join(legs + [slots]) + "->ijk", *[metric] * len(legs), t)
+        K[np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])] = block if odd else -block
     return K
 
 
@@ -611,9 +523,7 @@ def dilaton_connection(g: TensorField, B: TensorField, H: TensorField, phi) -> G
     background (g, B, phi): built in the block-diagonal picture with twist
     H + dB, then sheared back by e^B so that it lives on the H-twisted
     bracket and is compatible with the metric of the pair (g, B)."""
-    H_prime = H + tn.exterior_derivative(B)
-    hat = with_params(minimal_connection(g, H_prime), dilaton_params(g, phi))
-    conn = untwist(hat, B)
+    conn = untwist(dilaton_connection_twisted(g, H + tn.exterior_derivative(B), phi), B)
     conn.provenance = "dilaton"
     return conn
 
@@ -637,30 +547,13 @@ def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
     bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') )."""
     src = conn.algebroid
     dim2 = src.dim2
-    # tmp1[E, A, B] = F^C_A F^D_B Gamma^E_{CD}
-    tmp1 = np.empty((dim2,) * 3, dtype=object)
-    for e_i in range(dim2):
-        for a in range(dim2):
-            inner = [
-                esum(mul(F[c, a], conn.gamma[e_i, c, d]) for c in range(dim2))
-                for d in range(dim2)
-            ]
-            for b in range(dim2):
-                tmp1[e_i, a, b] = esum(mul(inner[d], F[d, b]) for d in range(dim2))
-    # tmp2[D, A, B] = F^C_A rho_src(e_C).F^D_B
-    tmp2 = np.empty((dim2,) * 3, dtype=object)
-    for d in range(dim2):
-        for a in range(dim2):
-            for b in range(dim2):
-                tmp2[d, a, b] = esum(
-                    mul(F[c, a], src.frame_derivative(c, F[d, b])) for c in range(dim2)
-                )
-    gamma = np.empty((dim2,) * 3, dtype=object)
-    for g_i, a, b in itertools.product(range(dim2), repeat=3):
-        gamma[g_i, a, b] = add(
-            esum(mul(Finv[g_i, e_i], tmp1[e_i, a, b]) for e_i in range(dim2)),
-            esum(mul(Finv[g_i, d], tmp2[d, a, b]) for d in range(dim2)),
-        )
+    # F^C_A F^D_B Gamma^E_{CD}, summed over C first
+    pulled = tn.contract("ead,db->eab", tn.contract("ca,ecd->ead", F, conn.gamma), F)
+    # F^C_A rho_src(e_C).F^D_B
+    along = np.array([[[src.frame_derivative(c, f) for f in row] for row in F]
+                      for c in range(dim2)], dtype=object)
+    derivs = tn.contract("ca,cdb->dab", F, along)
+    gamma = tn.contract("ge,eab->gab", Finv, pulled) + tn.contract("gd,dab->gab", Finv, derivs)
     return GenConnection(algebroid, gamma, metric, provenance)
 
 

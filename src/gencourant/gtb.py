@@ -114,11 +114,8 @@ def pairing(psi: GenSection, phi: GenSection) -> Expr:
     """<(X,xi),(Y,eta)> = eta(X) + xi(Y); split signature (n, n)."""
     if psi.chart != phi.chart:
         raise ChartMismatch("sections on different charts")
-    n = psi.chart.dim
-    return esum(
-        [mul(phi.form.comps[a], psi.vec.comps[a]) for a in range(n)]
-        + [mul(psi.form.comps[a], phi.vec.comps[a]) for a in range(n)]
-    )
+    return add(tn.contract("a,a->", phi.form.comps, psi.vec.comps),
+               tn.contract("a,a->", psi.form.comps, phi.vec.comps))
 
 
 def pairing_gram(chart: Chart) -> np.ndarray:
@@ -166,12 +163,7 @@ def dorfman(psi: GenSection, phi: GenSection, H: TensorField,
     vec = tn.lie_bracket(X, Y)
     lie = tn.lie_derivative_oneform(X, eta)
     iydxi = tn.interior_product(Y, tn.exterior_derivative(xi))
-    n = psi.chart.dim
-    hterm = np.empty((n,), dtype=object)
-    for m in range(n):
-        hterm[m] = esum(
-            mul(H.comps[a, b, m], X.comps[a], Y.comps[b]) for a in range(n) for b in range(n)
-        )
+    hterm = tn.contract("abm,a,b->m", H.comps, X.comps, Y.comps)
     form = lie - iydxi - TensorField(psi.chart, (DOWN,), hterm)
     return GenSection(vec, form)
 
@@ -249,41 +241,17 @@ class GeneralizedMetric:
 
     def gram(self) -> np.ndarray:
         """(2n)x(2n) Gram matrix G_ab = G(e_a, e_b) via the shear product
-        form: G = (e^{-B})^T BlockDiag(g, g^{-1}) (e^{-B})."""
+        form: G = (e^{-B})^T BlockDiag(g, g^{-1}) (e^{-B}); the entries
+        below the diagonal are those above it."""
         if self._gram is None:
             n = self.chart.dim
-            gram = np.empty((2 * n, 2 * n), dtype=object)
-            for a in range(2 * n):
-                for b in range(a, 2 * n):
-                    ea = self._sheared_frame(a)
-                    eb = self._sheared_frame(b)
-                    val = add(
-                        esum(
-                            mul(self.g.comps[i, j], ea[0][i], eb[0][j])
-                            for i in range(n) for j in range(n)
-                        ),
-                        esum(
-                            mul(self.g_inv.comps[i, j], ea[1][i], eb[1][j])
-                            for i in range(n) for j in range(n)
-                        ),
-                    )
-                    gram[a, b] = val
-                    gram[b, a] = val
+            M = self.shear_matrix(-1)
+            gram = (tn.contract("ij,ia,jb->ab", self.g.comps, M[:n], M[:n])
+                    + tn.contract("ij,ia,jb->ab", self.g_inv.comps, M[n:], M[n:]))
+            below = np.tril_indices(2 * n, -1)
+            gram[below] = gram.T[below]
             self._gram = gram
         return self._gram
-
-    def _sheared_frame(self, a: int):
-        """e^{-B} e_a split into (vector comps, form comps)."""
-        n = self.chart.dim
-        vec = [ex.ZERO] * n
-        form = [ex.ZERO] * n
-        if a < n:
-            vec[a] = ex.ONE
-            for m in range(n):
-                form[m] = neg(self.B.comps[m, a])
-        else:
-            form[a - n] = ex.ONE
-        return vec, form
 
     def gram_inverse(self) -> np.ndarray:
         """Inverse Gram through the shear factorization (no symbolic 2n x 2n
@@ -295,28 +263,21 @@ class GeneralizedMetric:
         core.reshape(-1)[:] = [ex.ZERO] * core.size
         core[:n, :n] = self.g_inv.comps
         core[n:, n:] = self.g.comps
-        MT = M.T
-        tmp = _matmul_obj(M, core)
-        return _matmul_obj(tmp, MT)
+        return tn.contract("ik,jk->ij", tn.contract("ik,kj->ij", M, core), M)
 
     def tau_matrix(self) -> np.ndarray:
         """Involution tau = eta^{-1} G on frame components."""
         if self._tau is None:
-            eta = pairing_gram(self.chart)
-            self._tau = _matmul_obj(np.array(eta, dtype=object), self.gram())
+            self._tau = tn.contract("ik,kj->ij", pairing_gram(self.chart), self.gram())
         return self._tau
 
     def apply_tau(self, psi: GenSection) -> GenSection:
-        comps = _matvec_obj(self.tau_matrix(), psi.components())
+        comps = tn.contract("ij,j->i", self.tau_matrix(), psi.components())
         return GenSection.from_components(self.chart, comps)
 
     def value(self, psi: GenSection, phi: GenSection) -> Expr:
         """G(psi, phi) = <psi, tau(phi)>."""
-        a = psi.components()
-        b = phi.components()
-        gram = self.gram()
-        k = len(a)
-        return esum(mul(gram[i, j], a[i], b[j]) for i in range(k) for j in range(k))
+        return tn.contract("ij,i,j->", self.gram(), psi.components(), phi.components())
 
     # -- graphs of (pm g + B) -------------------------------------------
 
@@ -327,13 +288,7 @@ class GeneralizedMetric:
         return self._graph(X, -1)
 
     def _graph(self, X: TensorField, sign: int) -> GenSection:
-        n = self.chart.dim
-        form = np.empty((n,), dtype=object)
-        for m in range(n):
-            form[m] = esum(
-                mul(add(mul(sign, self.g.comps[m, a]), self.B.comps[m, a]), X.comps[a])
-                for a in range(n)
-            )
+        form = tn.contract("ma,a->m", sign * self.g.comps + self.B.comps, X.comps)
         return GenSection(X, TensorField(self.chart, (DOWN,), form))
 
     def projector_matrix(self, sign: int) -> np.ndarray:
@@ -348,7 +303,7 @@ class GeneralizedMetric:
         return out
 
     def project(self, psi: GenSection, sign: int) -> GenSection:
-        comps = _matvec_obj(self.projector_matrix(sign), psi.components())
+        comps = tn.contract("ij,j->i", self.projector_matrix(sign), psi.components())
         return GenSection.from_components(self.chart, comps)
 
     def h_form(self) -> TensorField:
@@ -360,24 +315,6 @@ def gen_metric(g: TensorField, B: TensorField | None = None) -> GeneralizedMetri
     return GeneralizedMetric(g, B)
 
 
-def _matmul_obj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = esum(mul(a[i, q], b[q, j]) for q in range(k))
-    return out
-
-
-def _matvec_obj(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n, k = a.shape
-    out = np.empty((n,), dtype=object)
-    for i in range(n):
-        out[i] = esum(mul(a[i, q], v[q]) for q in range(k))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shears: e^B and F_theta
 # ---------------------------------------------------------------------------
@@ -386,13 +323,7 @@ def _matvec_obj(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def b_twist(psi: GenSection, B: TensorField) -> GenSection:
     """e^B(X, xi) = (X, xi + B(X)); orthogonal for the pairing."""
     _check_antisymmetric_matrix(B)
-    n = psi.chart.dim
-    form = np.empty((n,), dtype=object)
-    for m in range(n):
-        form[m] = add(
-            psi.form.comps[m],
-            esum(mul(B.comps[m, a], psi.vec.comps[a]) for a in range(n)),
-        )
+    form = psi.form.comps + tn.contract("ma,a->m", B.comps, psi.vec.comps)
     return GenSection(psi.vec, TensorField(psi.chart, (DOWN,), form))
 
 
@@ -435,12 +366,8 @@ def theta_matrix_from_b(B: TensorField) -> TensorField:
 
 
 def _check_theta_inverts_b(theta: TensorField, B: TensorField):
-    n = theta.chart.dim
-    prods = []
-    for i, j in itertools.product(range(n), repeat=2):
-        want = ex.ONE if i == j else ex.ZERO
-        prods.append(add(esum(mul(theta.comps[i, a], B.comps[a, j]) for a in range(n)), neg(want)))
-    worst, _ = ex.max_abs_on_points(prods, theta.chart.sample_points())
+    prods = tn.contract("ia,aj->ij", theta.comps, B.comps) - np.eye(theta.chart.dim)
+    worst, _ = ex.max_abs_on_points(prods.reshape(-1), theta.chart.sample_points())
     if not worst <= 1e-9:
         raise SingularB(f"theta is not the inverse of B (residual {worst:.3e})")
 
@@ -451,38 +378,14 @@ def theta_twist(psi: GenSection, theta: TensorField, B: TensorField) -> GenSecti
     if theta.chart.dim % 2 == 1:
         raise SingularB("F_theta needs an even-dimensional chart")
     _check_theta_inverts_b(theta, B)
-    return _theta_twist_raw(psi, theta, B)
-
-
-def _theta_twist_raw(psi: GenSection, theta: TensorField, B: TensorField) -> GenSection:
-    n = psi.chart.dim
-    vec = np.empty((n,), dtype=object)
-    form = np.empty((n,), dtype=object)
-    for m in range(n):
-        vec[m] = esum(mul(theta.comps[m, a], psi.form.comps[a]) for a in range(n))
-        form[m] = add(
-            psi.form.comps[m],
-            neg(esum(mul(B.comps[m, a], psi.vec.comps[a]) for a in range(n))),
-        )
-    return GenSection(
-        TensorField(psi.chart, (UP,), vec), TensorField(psi.chart, (DOWN,), form)
-    )
+    F, _ = theta_twist_matrices(theta, B)
+    return GenSection.from_components(psi.chart, tn.contract("ab,b->a", F, psi.components()))
 
 
 def theta_twist_inverse(psi: GenSection, theta: TensorField, B: TensorField) -> GenSection:
     """F_theta^{-1}(X, xi) = (X - theta(xi), B(X))."""
-    n = psi.chart.dim
-    vec = np.empty((n,), dtype=object)
-    form = np.empty((n,), dtype=object)
-    for m in range(n):
-        vec[m] = add(
-            psi.vec.comps[m],
-            neg(esum(mul(theta.comps[m, a], psi.form.comps[a]) for a in range(n))),
-        )
-        form[m] = esum(mul(B.comps[m, a], psi.vec.comps[a]) for a in range(n))
-    return GenSection(
-        TensorField(psi.chart, (UP,), vec), TensorField(psi.chart, (DOWN,), form)
-    )
+    _, Finv = theta_twist_matrices(theta, B)
+    return GenSection.from_components(psi.chart, tn.contract("ab,b->a", Finv, psi.components()))
 
 
 def theta_twist_matrices(theta: TensorField, B: TensorField):
@@ -519,6 +422,7 @@ def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
     n = chart.dim
     coords = chart.coords()
     th = theta.comps
+    tw = tn.contract("abc,ai,bj,ck->ijk", twist.comps, th, th, th)
     out = np.empty((n, n, n), dtype=object)
     for i, j, k in itertools.product(range(n), repeat=3):
         # (1/2)[theta,theta](dx^i, dx^j, dx^k), from the bracket identity
@@ -528,11 +432,7 @@ def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
             + [neg(mul(th[a, j], ex.differentiate(th[k, i], coords[a]))) for a in range(n)]
             + [neg(mul(th[k, b], ex.differentiate(th[j, i], coords[b]))) for b in range(n)]
         )
-        tw = esum(
-            mul(twist.comps[a, b, c], th[a, i], th[b, j], th[c, k])
-            for a in range(n) for b in range(n) for c in range(n)
-        )
-        out[i, j, k] = add(half, tw)
+        out[i, j, k] = add(half, tw[i, j, k])
     return TensorField(chart, (UP, UP, UP), out)
 
 
@@ -551,37 +451,19 @@ def koszul(xi: TensorField, eta: TensorField, theta: TensorField, H: TensorField
     reading under which theta is a bracket morphism onto vector-field
     commutators (see the test suite)."""
     chart = xi.chart
-    n = chart.dim
-    thxi = _apply_bivector(theta, xi)
-    theta_eta = _apply_bivector(theta, eta)
+    thxi = TensorField(chart, (UP,), tn.contract("ma,a->m", theta.comps, xi.comps))
+    theta_eta = TensorField(chart, (UP,), tn.contract("ma,a->m", theta.comps, eta.comps))
     lie = tn.lie_derivative_oneform(thxi, eta)
     idxi = tn.interior_product(theta_eta, tn.exterior_derivative(xi))
-    hterm = np.empty((n,), dtype=object)
-    for m in range(n):
-        hterm[m] = esum(
-            mul(H.comps[a, b, m], thxi.comps[a], theta_eta.comps[b])
-            for a in range(n) for b in range(n)
-        )
+    hterm = tn.contract("abm,a,b->m", H.comps, thxi.comps, theta_eta.comps)
     return lie - idxi + TensorField(chart, (DOWN,), hterm)
-
-
-def _apply_bivector(theta: TensorField, xi: TensorField) -> TensorField:
-    n = theta.chart.dim
-    out = np.empty((n,), dtype=object)
-    for m in range(n):
-        out[m] = esum(mul(theta.comps[m, a], xi.comps[a]) for a in range(n))
-    return TensorField(theta.chart, (UP,), out)
 
 
 def d_theta(chart: Chart, f, theta: TensorField) -> TensorField:
     """Anchored differential of a function: (d_theta f)(xi) = <df, theta(xi)>,
     a vector field with components theta^{a m} d_a f."""
     df = tn.d_scalar(chart, f)
-    n = chart.dim
-    out = np.empty((n,), dtype=object)
-    for m in range(n):
-        out[m] = esum(mul(theta.comps[a, m], df.comps[a]) for a in range(n))
-    return TensorField(chart, (UP,), out)
+    return TensorField(chart, (UP,), tn.contract("am,a->m", theta.comps, df.comps))
 
 
 def poisson_bracket(f, g, theta: TensorField) -> Expr:
@@ -590,8 +472,7 @@ def poisson_bracket(f, g, theta: TensorField) -> Expr:
     chart = theta.chart
     df = tn.d_scalar(chart, f)
     dg = tn.d_scalar(chart, g)
-    n = chart.dim
-    return esum(mul(theta.comps[m, a], df.comps[a], dg.comps[m]) for m in range(n) for a in range(n))
+    return tn.contract("ma,a,m->", theta.comps, df.comps, dg.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +499,7 @@ class AnchoredFrame:
 
     def _along(self, vec, f) -> Expr:
         """Derivative of f along the vector field with components vec."""
-        coords = self.chart.coords()
-        return esum(mul(vec[m], ex.differentiate(f, coords[m])) for m in range(self.chart.dim))
+        return tn.contract("m,m->", vec, ex.gradient(f, self.chart))
 
     def frame_derivative(self, a: int, f) -> Expr:
         """a(E_a).f"""
@@ -627,40 +507,22 @@ class AnchoredFrame:
 
     def anchor_of(self, u) -> np.ndarray:
         """Vector-field components of a(u) for a section u^a E_a."""
-        return np.array(
-            [esum(mul(u[a], self.anchor[a, m]) for a in range(self.rank))
-             for m in range(self.chart.dim)],
-            dtype=object,
-        )
+        return tn.contract("a,am->m", u, self.anchor)
 
     def connection_apply(self, gamma: np.ndarray, u, v) -> np.ndarray:
         """nab_u v = (u^a v^b Gamma^c_{ab} + a(u).v^c) E_c for connection
         coefficients nab_{E_a} E_b = Gamma^c_{ab} E_c."""
-        r = self.rank
         rho_u = self.anchor_of(u)
-        out = np.empty((r,), dtype=object)
-        for c in range(r):
-            terms = [
-                mul(u[a], v[b], gamma[c, a, b])
-                for a in range(r)
-                for b in range(r)
-                if not ex.is_zero(gamma[c, a, b])
-            ]
-            terms.append(self._along(rho_u, v[c]))
-            out[c] = esum(terms)
+        out = tn.contract("a,b,cab->c", u, v, gamma)
+        for c in range(self.rank):
+            out[c] = add(out[c], self._along(rho_u, v[c]))
         return out
 
     def connection_apply_dual(self, gamma: np.ndarray, a: int, x) -> np.ndarray:
         """nab_{E_a} on dual sections: (nab x)_b = a(E_a).x_b - Gamma^c_{ab} x_c.
         With gamma = structure this is the Lie derivative L_{E_a}."""
-        r = self.rank
-        out = np.empty((r,), dtype=object)
-        for b in range(r):
-            out[b] = add(
-                self.frame_derivative(a, x[b]),
-                neg(esum(mul(gamma[c, a, b], x[c]) for c in range(r))),
-            )
-        return out
+        along = np.array([self.frame_derivative(a, xb) for xb in x], dtype=object)
+        return along - tn.contract("cb,c->b", gamma[:, a, :], x)
 
     def bracket(self, u, v) -> np.ndarray:
         """[u, v]^c = u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c.  A Courant
@@ -706,9 +568,8 @@ class AnchoredFrame:
             for b in range(r):
                 lie = self.connection_apply_dual(self.structure, a, g_A[:, b])
                 dga = self.differential(g_A[:, a], 1)  # [c, d] 2-form
-                for c in range(r):
-                    raised = esum(mul(g_inv[c, d], add(lie[d], dga[b, d])) for d in range(r))
-                    out[c, a, b] = mul(0.5, add(self.structure[c, a, b], raised))
+                raised = tn.contract("cd,d->c", g_inv, lie + dga[b])
+                out[:, a, b] = 0.5 * (self.structure[:, a, b] + raised)
         return out
 
     def curvature(self, gamma: np.ndarray):
@@ -810,10 +671,7 @@ class LieAlgebroidCotangent:
         if validate:
             validate_twisted_poisson(theta, twist, tol)
         n = chart.dim
-        anchor = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for m in range(n):
-                anchor[a, m] = theta.comps[m, a]  # theta(dx^a)^m
+        anchor = theta.comps.T.copy()  # [a, m] = theta(dx^a)^m
         structure = np.empty((n, n, n), dtype=object)
         frame_forms = [
             tn.from_function(chart, (DOWN,), lambda i, a=a: ex.ONE if i == a else ex.ZERO)
@@ -839,15 +697,10 @@ def a_dorfman(phi_pair, psi_pair, algebroid: AnchoredFrame, H_A: np.ndarray):
     r = algebroid.rank
     vec = algebroid.bracket(u, v)
     # L^A_u y = i_u d^A y + d^A i_u y on 1-forms over the frame
-    dy = algebroid.differential(y, 1)
-    iu_dy = np.array([esum(mul(u[a], dy[a, b]) for a in range(r)) for b in range(r)], dtype=object)
-    iuy = np.empty((), dtype=object)
-    iuy[()] = esum(mul(u[a], y[a]) for a in range(r))
-    d_iuy = algebroid.differential(iuy, 0)
-    dx = algebroid.differential(x, 1)
-    iv_dx = np.array([esum(mul(v[a], dx[a, b]) for a in range(r)) for b in range(r)], dtype=object)
-    out = np.empty((r,), dtype=object)
-    for b in range(r):
-        h = esum(mul(H_A[a, c, b], u[a], v[c]) for a in range(r) for c in range(r))
-        out[b] = add(iu_dy[b], d_iuy[b], neg(iv_dx[b]), neg(h))
+    iu_dy = tn.contract("a,ab->b", u, algebroid.differential(y, 1))
+    d_iuy = algebroid.differential(np.array(tn.contract("a,a->", u, y), dtype=object), 0)
+    iv_dx = tn.contract("a,ab->b", v, algebroid.differential(x, 1))
+    h = tn.contract("acb,a,c->b", H_A, u, v)
+    out = np.array([add(iu_dy[b], d_iuy[b], neg(iv_dx[b]), neg(h[b])) for b in range(r)],
+                   dtype=object)
     return vec, out

@@ -22,7 +22,8 @@ either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
 engine, over the declared coordinate names.  "dim", "points" and "seed"
 (and the overrides of the last two) must be integers, "points" at least 1,
-and each tolerance a finite positive number.
+"coords" a list of strings, each numeric entry of "background" a finite
+number (not a boolean), and each tolerance a finite positive number.
 An unknown key in "background", "options" or "options.tolerances" is an
 error; the "policy" option of older scene files is accepted and ignored.
 """
@@ -66,8 +67,20 @@ class Scene:
 
 
 def _parse_entry(text, chart: Chart, location: str) -> Expr:
-    if isinstance(text, (int, float)):
-        return ex.Const(text)
+    """An expression string or a finite number; json reads true as a number
+    and NaN or Infinity as floats, which would load as 1 or poison every
+    residual."""
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
+        try:
+            value = float(text)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return ex.Const(value)
+    if not isinstance(text, str):
+        raise SceneValidationError(
+            f"expected an expression or a finite number, got {text!r}", location
+        )
     try:
         return parse_expr(text, chart)
     except GencourantError as err:
@@ -134,9 +147,15 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
     try:
         chart_spec = doc["chart"]
         dim = chart_spec["dim"]
-        coords = tuple(chart_spec["coords"])
-    except (KeyError, TypeError, ValueError) as err:
+        coords = chart_spec["coords"]
+    except (KeyError, TypeError) as err:
         raise SceneError(f"bad chart spec: {err}", "chart") from err
+    # tuple() would read the string "xy" as the names x, y without a message
+    if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)):
+        raise SceneValidationError(
+            f"expected a list of coordinate names, got {coords!r}", "chart.coords"
+        )
+    coords = tuple(coords)
     dim = _integer(dim, "chart.dim")
     if len(coords) != dim:
         raise SceneValidationError(

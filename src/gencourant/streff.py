@@ -101,6 +101,7 @@ def beta_all(bg: Background) -> BetaResiduals:
 
     bg_comps = np.empty((n, n), dtype=object)
     bB_comps = np.empty((n, n), dtype=object)
+    h_grad = tn.contract("ija,a->ij", Hp.comps, grad.comps)
     coord_fields = [gconn._coord_field(chart, i) for i in range(n)]
     iH = [tn.interior_product(coord_fields[i], Hp) for i in range(n)]
     for i, j in itertools.product(range(n), repeat=2):
@@ -112,16 +113,11 @@ def beta_all(bg: Background) -> BetaResiduals:
                 hess.comps[j, i],
             ]
         )
-        bB_comps[i, j] = add(
-            mul(0.5, deltaH.comps[i, j]),
-            esum(mul(Hp.comps[i, j, a], grad.comps[a]) for a in range(n)),
-        )
+        bB_comps[i, j] = add(mul(0.5, deltaH.comps[i, j]), h_grad[i, j])
     beta_g = TensorField(chart, (DOWN, DOWN), bg_comps)
     beta_B = TensorField(chart, (DOWN, DOWN), bB_comps)
     beta_phi = esum([rscal, mul(-0.5, rm.form_inner(Hp, Hp, g)), mul(4.0, lap), mul(-4.0, norm2)])
-    trace = esum(
-        mul(ginv.comps[i, j], bg_comps[i, j]) for i in range(n) for j in range(n)
-    )
+    trace = tn.contract("ij,ij->", ginv.comps, bg_comps)
     beta_phi_prime = mul(-0.25, add(beta_phi, neg(trace)))
     return BetaResiduals(beta_g, beta_B, beta_phi, beta_phi_prime)
 
@@ -217,43 +213,19 @@ class SymplecticPackage:
 
 def build_symplectic(bg: Background, validate: bool = True, tol: float = 1e-9) -> SymplecticPackage:
     chart = bg.chart
-    n = chart.dim
     theta = gtb.theta_matrix_from_b(bg.B)  # raises SingularB when not invertible
-    ginv = tn.metric_inverse(bg.g)
-    G_comps = np.empty((n, n), dtype=object)
-    for i, j in itertools.product(range(n), repeat=2):
-        G_comps[i, j] = neg(
-            esum(
-                mul(bg.B.comps[i, a], ginv.comps[a, b], bg.B.comps[b, j])
-                for a in range(n) for b in range(n)
-            )
-        )
-    G = TensorField(chart, (DOWN, DOWN), G_comps)
+    B, ginv = bg.B.comps, tn.metric_inverse(bg.g).comps
+    G = TensorField(chart, (DOWN, DOWN), -tn.contract("ia,ab,bj->ij", B, ginv, B))
     gtb._check_positive_definite(G)
     dB = tn.exterior_derivative(bg.B)
     cot = LieAlgebroidCotangent.build(theta, dB, validate=validate, tol=tol)
     # g_A = G^{-1} = -theta g theta (inverse without another adjugate pass)
-    g_A = np.empty((n, n), dtype=object)
-    for a, b in itertools.product(range(n), repeat=2):
-        g_A[a, b] = neg(
-            esum(
-                mul(theta.comps[a, m], bg.g.comps[m, k], theta.comps[k, b])
-                for m in range(n) for k in range(n)
-            )
-        )
+    th = theta.comps
+    g_A = -tn.contract("am,mk,kb->ab", th, bg.g.comps, th)
     gamma = cot.algebroid.lc_connection(g_A)
-    Hp = bg.h_total()
-    H_theta = np.empty((n, n, n), dtype=object)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        H_theta[a, b, c] = esum(
-            mul(Hp.comps[i, j, k], theta.comps[i, a], theta.comps[j, b], theta.comps[k, c])
-            for i in range(n) for j in range(n) for k in range(n)
-        )
+    H_theta = tn.contract("ijk,ia,jb,kc->abc", bg.h_total().comps, th, th, th)
     dphi_dual = gtb.d_theta(chart, bg.phi, theta).comps
-    ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
-    scalar = esum(
-        mul(G.comps[a, b], ric[a, b]) for a in range(n) for b in range(n)
-    )
+    ric, scalar = algebroid_curvature(cot, gamma, G)
     return SymplecticPackage(chart, theta, G, g_A, cot, gamma, H_theta, dphi_dual, ric, scalar)
 
 
@@ -270,34 +242,33 @@ def lie_algebroid_lc(theta: TensorField, twist: TensorField, G: TensorField,
 def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField):
     """(Ricci over the coframe, G-trace scalar) of an algebroid connection."""
     ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
-    n = cot.chart.dim
-    scalar = esum(mul(G.comps[a, b], ric[a, b]) for a in range(n) for b in range(n))
-    return ric, scalar
+    return ric, tn.contract("ab,ab->", G.comps, ric)
 
 
 def algebroid_laplacian(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField, phi) -> Expr:
     """Lap(phi) = (nab_{E_k}(d_A phi))(G(d_k)) over the coframe."""
-    n = cot.chart.dim
     w = gtb.d_theta(cot.chart, phi, cot.theta).comps
-    terms = []
-    for k in range(n):
-        nab = cot.algebroid.connection_apply_dual(gamma, k, w)
-        terms.append(esum(mul(G.comps[a, k], nab[a]) for a in range(n)))
-    return esum(terms)
+    return _laplacian_dual(G, _nabla_dual(cot.algebroid, gamma, w))
+
+
+def _nabla_dual(alg: gtb.AnchoredFrame, gamma: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[k, a] = (nab_{E_k} w)_a for a dual section w."""
+    return np.array([alg.connection_apply_dual(gamma, k, w) for k in range(alg.rank)],
+                    dtype=object)
+
+
+def _laplacian_dual(G: TensorField, nab_w: np.ndarray) -> Expr:
+    """G^{ak} (nab_{E_k} w)_a, summed over k first."""
+    return tn.contract("ka,ka->", G.comps.T, nab_w)
 
 
 def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: TensorField, degree: int) -> Expr:
     """(1/p!) P(E^{i1}..) Q(G E_{i1} ..) for frame p-forms on the cotangent
     algebroid (G lowers the algebroid frame indices)."""
-    n = G.chart.dim
+    i, j = "abc"[:degree], "def"[:degree]
+    spec = ",".join([i, j] + [y + x for x, y in zip(i, j)]) + "->"
     norm = 1.0 / float(np.prod(range(1, degree + 1)))
-    terms = []
-    for idx in itertools.product(range(n), repeat=degree):
-        for jdx in itertools.product(range(n), repeat=degree):
-            factors = [P[idx], Q[jdx]]
-            factors.extend(G.comps[jdx[s], idx[s]] for s in range(degree))
-            terms.append(mul(*factors))
-    return mul(norm, esum(terms))
+    return mul(norm, tn.contract(spec, P, Q, *[G.comps] * degree))
 
 
 def symplectic_residuals(bg: Background, pkg: SymplecticPackage | None = None):
@@ -317,12 +288,9 @@ def symplectic_residuals(bg: Background, pkg: SymplecticPackage | None = None):
     alg = pkg.cotangent.algebroid
     G = pkg.G
     w = pkg.dphi_dual
-    norm2 = esum(mul(G.comps[a, b], w[a], w[b]) for a in range(n) for b in range(n))
-    lap_terms = []
-    nab_w = [alg.connection_apply_dual(pkg.gamma, k, w) for k in range(n)]
-    for k in range(n):
-        lap_terms.append(esum(mul(G.comps[a, k], nab_w[k][a]) for a in range(n)))
-    lap = esum(lap_terms)
+    norm2 = tn.contract("ab,a,b->", G.comps, w, w)
+    nab_w = _nabla_dual(alg, pkg.gamma, w)
+    lap = _laplacian_dual(G, nab_w)
     hh = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 3)
     res1 = esum([pkg.scalar, mul(-0.5, hh), mul(4.0, lap), mul(-4.0, norm2)])
 
@@ -338,17 +306,10 @@ def symplectic_residuals(bg: Background, pkg: SymplecticPackage | None = None):
             ]
         )
 
-    u = np.array(
-        [esum(mul(G.comps[a, m], w[m]) for m in range(n)) for a in range(n)], dtype=object
-    )  # G(d_th phi) as a frame section of the algebroid
+    u = tn.contract("am,m->a", G.comps, w)  # G(d_th phi) as a frame section of the algebroid
     nabH = [alg.covariant_derivative_form(pkg.gamma, k, pkg.H_theta, 3) for k in range(n)]
-    res3 = np.empty((n, n), dtype=object)
-    for a, b in itertools.product(range(n), repeat=2):
-        first = esum(mul(pkg.H_theta[a, b, c], u[c]) for c in range(n))
-        second = esum(
-            mul(G.comps[m, k], nabH[k][m, a, b]) for k in range(n) for m in range(n)
-        )
-        res3[a, b] = add(first, mul(-0.5, second))
+    res3 = (tn.contract("abc,c->ab", pkg.H_theta, u)
+            + -0.5 * tn.contract("km,kmab->ab", G.comps.T, nabH))
     return (
         res1,
         TensorField(chart, (UP, UP), res2),
@@ -392,20 +353,7 @@ def transport_identity_residual(bg: Background, pkg: SymplecticPackage | None = 
     """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame."""
     conn, conn_theta, pkg = theta_transported_connection(bg, pkg)
     F, _ = gtb.theta_twist_matrices(pkg.theta, bg.B)
-    ric = gconn.ricci(conn)
-    ric_theta = gconn.ricci(conn_theta)
-    dim2 = 2 * bg.chart.dim
-    out = np.empty((dim2, dim2), dtype=object)
-    for a, b in itertools.product(range(dim2), repeat=2):
-        out[a, b] = add(
-            ric_theta[a, b],
-            neg(
-                esum(
-                    mul(ric[c, d], F[c, a], F[d, b])
-                    for c in range(dim2) for d in range(dim2)
-                )
-            ),
-        )
+    out = gconn.ricci(conn_theta) - tn.contract("cd,ca,db->ab", gconn.ricci(conn), F, F)
     return out, conn, conn_theta, pkg
 
 

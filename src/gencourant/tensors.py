@@ -6,13 +6,23 @@ slot order.  Variances are recorded per slot ('up' = contravariant,
 connection coefficients) carry ``tensorial=False`` and are rejected by the
 variance-sensitive operations.
 
-Charts stay tiny (n <= 4 in practice), so everything is explicit loops over
-``itertools.product`` rather than anything clever.
+Index contractions are written as einsum specs, in the notation of numpy's
+``einsum``, and built by ``contract``: ``contract("cd,ca,db->ab", ric, F, F)``
+is out[a, b] = sum_c sum_d ric[c, d] F[c, a] F[d, b].  Each output entry is
+one n-ary ``esum`` over the assignments of the summed indices, in C order
+with the summed indices nested in order of first appearance in the spec (the
+first outermost), and each term is one n-ary ``mul`` of the operands'
+entries in operand order.  An index repeated within an operand reads its
+diagonal, so ``contract("aa->", m)`` is the trace; an empty output gives the
+Expr itself.  Charts stay tiny (n <= 4 in practice), so the remaining
+non-contraction formulas are explicit loops over ``itertools.product``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -170,41 +180,62 @@ def euclidean_metric(chart: Chart) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for specs built in code
+
+
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     _same_chart(a, b)
-    n = a.chart.dim
-    variance = a.variance + b.variance
-    out = _object_array((n,) * len(variance))
-    for ia in itertools.product(range(n), repeat=a.rank):
-        ca = a.comps[ia]
-        for ib in itertools.product(range(n), repeat=b.rank):
-            out[ia + ib] = mul(ca, b.comps[ib])
-    return TensorField(a.chart, variance, out, tensorial=a.tensorial and b.tensorial)
+    sa, sb = _LETTERS[:a.rank], _LETTERS[a.rank:a.rank + b.rank]
+    out = contract(f"{sa},{sb}->{sa}{sb}", a.comps, b.comps)
+    return TensorField(a.chart, a.variance + b.variance, out,
+                       tensorial=a.tensorial and b.tensorial)
 
 
-def contract(t: TensorField, up_slot: int, down_slot: int) -> TensorField:
-    if not t.tensorial:
-        raise NonTensorial("contract needs a tensorial field")
-    r = t.rank
-    if not (0 <= up_slot < r and 0 <= down_slot < r) or up_slot == down_slot:
-        raise SlotError("contraction slots out of range")
-    if t.variance[up_slot] != UP or t.variance[down_slot] != DOWN:
-        raise SlotError("contract pairs one up slot with one down slot")
-    n = t.chart.dim
-    keep = [s for s in range(r) if s not in (up_slot, down_slot)]
-    variance = tuple(t.variance[s] for s in keep)
-    out = _object_array((n,) * len(keep))
-    for idx in itertools.product(range(n), repeat=len(keep)):
-        terms = []
-        for k in range(n):
-            full = [0] * r
-            for pos, s in enumerate(keep):
-                full[s] = idx[pos]
-            full[up_slot] = k
-            full[down_slot] = k
-            terms.append(t.comps[tuple(full)])
-        out[idx] = esum(terms)
-    return TensorField(t.chart, variance, out)
+def contract(spec: str, *operands):
+    """Einsum-style contraction of object arrays of Expr (plain numbers are
+    accepted too), e.g. ``contract("ij,j->i", m, v)`` for m v.  See the
+    module docstring for the order of terms and factors.  A single
+    operand's entries are summed as they are, and with no summed index each
+    entry is the bare product of its factors."""
+    arrays = [np.asarray(op, dtype=object) for op in operands]
+    takes, out_shape, summed = _contraction_plan(spec, tuple(a.shape for a in arrays))
+    cols = [a.reshape(-1)[take].tolist() for a, take in zip(arrays, takes)]
+    terms = cols[0] if len(cols) == 1 else [list(map(mul, *rows)) for rows in zip(*cols)]
+    entries = [esum(t) for t in terms] if summed else [t[0] for t in terms]
+    if not out_shape:
+        return entries[0]
+    out = np.empty(len(entries), dtype=object)
+    out[:] = entries
+    return out.reshape(out_shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _contraction_plan(spec: str, shapes: tuple):
+    """(per-operand flat positions of shape (outputs, terms), output shape,
+    whether any index is summed) for ``contract``."""
+    lhs, arrow, out = spec.replace(" ", "").partition("->")
+    subs = lhs.split(",")
+    if not arrow or len(subs) != len(shapes):
+        raise SlotError(f"spec {spec!r} does not name {len(shapes)} operands and an output")
+    sizes: dict = {}
+    for sub, shape in zip(subs, shapes):
+        if len(sub) != len(shape) or not (sub.isascii() and sub.isalpha() or not sub):
+            raise SlotError(f"subscripts {sub!r} do not fit an operand of shape {shape}")
+        for letter, size in zip(sub, shape):
+            if sizes.setdefault(letter, size) != size:
+                raise SlotError(f"index {letter!r} has sizes {sizes[letter]} and {size}")
+    if len(set(out)) != len(out) or not all(c in sizes for c in out):
+        raise SlotError(f"output {out!r} must name distinct indices of the operands")
+    summed = "".join(dict.fromkeys(c for sub in subs for c in sub if c not in out))
+    order = out + summed
+    full = [sizes[c] for c in order]
+    grid = np.indices(full, sparse=True)
+    takes = tuple(
+        np.broadcast_to(np.ravel_multi_index([grid[order.index(c)] for c in sub], shape), full)
+        .reshape(math.prod(sizes[c] for c in out), math.prod(sizes[c] for c in summed))
+        for sub, shape in zip(subs, shapes)
+    )
+    return takes, tuple(sizes[c] for c in out), bool(summed)
 
 
 def _check_metric(metric: TensorField, expect: str):
@@ -220,36 +251,24 @@ def _check_metric(metric: TensorField, expect: str):
             raise SingularMetric(f"|det| < {DET_TOL} at sample point {p}")
 
 
-def _transvect(t: TensorField, matrix: np.ndarray, slot: int, new_variance: str) -> TensorField:
-    n = t.chart.dim
-    out = _object_array(t.comps.shape)
-    for idx in itertools.product(range(n), repeat=t.rank):
-        a = idx[slot]
-        terms = []
-        for b in range(n):
-            src = idx[:slot] + (b,) + idx[slot + 1:]
-            terms.append(mul(matrix[a, b], t.comps[src]))
-        out[idx] = esum(terms)
-    variance = t.variance[:slot] + (new_variance,) + t.variance[slot + 1:]
-    return TensorField(t.chart, variance, out)
-
-
 def raise_index(t: TensorField, metric_inverse: TensorField, slot: int) -> TensorField:
-    if not t.tensorial:
-        raise NonTensorial("raise_index needs a tensorial field")
-    if not (0 <= slot < t.rank) or t.variance[slot] != DOWN:
-        raise SlotError("raise_index needs a down slot")
-    _check_metric(metric_inverse, UP)
-    return _transvect(t, metric_inverse.comps, slot, UP)
+    return _move_index(t, metric_inverse, slot, UP, "raise_index")
 
 
 def lower_index(t: TensorField, metric: TensorField, slot: int) -> TensorField:
+    return _move_index(t, metric, slot, DOWN, "lower_index")
+
+
+def _move_index(t: TensorField, metric: TensorField, slot: int, to: str, name: str) -> TensorField:
+    """metric[a, z] t[..., z, ...] with z in ``slot``, which turns to ``to``."""
     if not t.tensorial:
-        raise NonTensorial("lower_index needs a tensorial field")
-    if not (0 <= slot < t.rank) or t.variance[slot] != UP:
-        raise SlotError("lower_index needs an up slot")
-    _check_metric(metric, DOWN)
-    return _transvect(t, metric.comps, slot, DOWN)
+        raise NonTensorial(f"{name} needs a tensorial field")
+    if not (0 <= slot < t.rank) or t.variance[slot] == to:
+        raise SlotError(f"{name} needs {'a down' if to == UP else 'an up'} slot")
+    _check_metric(metric, to)
+    idx = _LETTERS[:t.rank]
+    out = contract(f"{idx[slot]}z,{idx[:slot]}z{idx[slot + 1:]}->{idx}", metric.comps, t.comps)
+    return TensorField(t.chart, t.variance[:slot] + (to,) + t.variance[slot + 1:], out)
 
 
 def _permutations_with_sign(k):
@@ -441,10 +460,8 @@ def lie_derivative_oneform(x: TensorField, eta: TensorField) -> TensorField:
 def interior_product(x: TensorField, omega: TensorField) -> TensorField:
     """i_X omega: plug the vector into the first slot of a covariant form."""
     _same_chart(x, omega)
-    n = x.chart.dim
-    out = _object_array((n,) * (omega.rank - 1))
-    for idx in itertools.product(range(n), repeat=omega.rank - 1):
-        out[idx] = esum(mul(x.comps[a], omega.comps[(a,) + idx]) for a in range(n))
+    rest = _LETTERS[1:omega.rank]
+    out = contract(f"a,a{rest}->{rest}", x.comps, omega.comps)
     return TensorField(x.chart, (DOWN,) * (omega.rank - 1), out)
 
 

@@ -332,6 +332,50 @@ def test_main_bad_tolerance_is_an_input_error(tmp_path, capsys, value):
     assert "[options.tolerances.sym]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coords", ["xy", ["x", 1], {"x": 0, "y": 1}, None],
+                         ids=["string", "non-string-name", "object", "null"])
+def test_main_bad_coords_is_an_input_error(tmp_path, capsys, coords):
+    # tuple("xy") would read as the names x, y without a message
+    doc = minimal_doc()
+    doc["chart"]["coords"] = coords
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path)]) == 2
+    assert "[chart.coords]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, value, location",
+    [
+        ("phi", True, "background.phi"),
+        ("phi", float("nan"), "background.phi"),
+        ("phi", float("-inf"), "background.phi"),
+        ("phi", 10 ** 400, "background.phi"),
+        ("phi", None, "background.phi"),
+        ("g", {"11": True, "22": 1}, "background.g.11"),
+        ("B", {"12": float("inf")}, "background.B.12"),
+    ],
+    ids=["phi-true", "phi-nan", "phi-inf", "phi-huge-int", "phi-null", "g-true", "B-inf"],
+)
+def test_main_bad_background_number_is_an_input_error(tmp_path, capsys, entry, value, location):
+    # json reads true as 1 and NaN/Infinity as floats; neither is a field
+    doc = minimal_doc()
+    doc["background"][entry] = value
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{location}]" in err and "expected an expression or a finite number" in err
+
+
+def test_background_numbers_load():
+    doc = minimal_doc()
+    doc["background"].update(phi=0.5, g={"11": 2, "22": 1.5})
+    bg = scene_from_dict(doc).background
+    assert ex.evaluate(bg.phi, (0.1, 0.2)) == 0.5
+    assert ex.evaluate(bg.g.comps[0, 0], (0.1, 0.2)) == 2.0
+
+
 def test_good_tolerances_load():
     doc = minimal_doc()
     doc["options"] = {"tolerances": {"sym": 1e-8, "fd": 1, "strict": 2.5e-11}}

@@ -37,6 +37,11 @@ def frame(c, a):
     return GenSection.frame(c, a)
 
 
+def apply_bivector(theta, xi):
+    """theta(xi)^m = theta^{m a} xi_a, the second-argument action."""
+    return tn.TensorField(theta.chart, (UP,), tn.contract("ma,a->m", theta.comps, xi.comps))
+
+
 # ---------------------------------------------------------------------------
 # pairing and D-map
 # ---------------------------------------------------------------------------
@@ -397,11 +402,11 @@ def _bracket_oracle_schouten(theta, i, j, k, point, twist):
     c = theta.chart
     xi = tn.from_function(c, (DOWN,), lambda m: tn.ex.ONE if m == i else tn.ex.ZERO)
     eta = tn.from_function(c, (DOWN,), lambda m: tn.ex.ONE if m == j else tn.ex.ZERO)
-    thxi = gtb._apply_bivector(theta, xi)
-    theta_eta = gtb._apply_bivector(theta, eta)
+    thxi = apply_bivector(theta, xi)
+    theta_eta = apply_bivector(theta, eta)
     comm = tn.lie_bracket(thxi, theta_eta)
     inner = tn.lie_derivative_oneform(thxi, eta) - tn.interior_product(theta_eta, tn.exterior_derivative(xi))
-    half = comm - gtb._apply_bivector(theta, inner)
+    half = comm - apply_bivector(theta, inner)
     tw = tn.ex.esum(
         tn.ex.mul(twist.comps[a, b, cidx], thxi.comps[a], theta_eta.comps[b], theta.comps[cidx, k])
         for a in range(c.dim) for b in range(c.dim) for cidx in range(c.dim)
@@ -465,8 +470,8 @@ def test_koszul_anchor_morphism():
         xi = tn.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
         eta = tn.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
         br = gtb.koszul(xi, eta, theta, zero3)
-        lhs = gtb._apply_bivector(theta, br)
-        rhs = tn.lie_bracket(gtb._apply_bivector(theta, xi), gtb._apply_bivector(theta, eta))
+        lhs = apply_bivector(theta, br)
+        rhs = tn.lie_bracket(apply_bivector(theta, xi), apply_bivector(theta, eta))
         assert (lhs - rhs).max_abs()[0] < 1e-9
 
 
@@ -488,7 +493,7 @@ def test_d_theta_values():
     assert evaluate(v.comps[0], p) == 0.0
     assert evaluate(v.comps[1], p) == pytest.approx(1.0)
     # and it is minus the second-argument action theta(df)
-    w = gtb._apply_bivector(theta, tn.d_scalar(C2, poly("x")))
+    w = apply_bivector(theta, tn.d_scalar(C2, poly("x")))
     assert evaluate(w.comps[1], p) == pytest.approx(-1.0)
 
 

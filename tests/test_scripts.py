@@ -22,6 +22,7 @@ def test_make_scene_writes_a_loadable_scene():
     doc = json.loads(run_script("make_scene.py", "--dim", "2", "--seed", "5", "--invertible-b"))
     scene = scene_from_dict(doc)
     assert scene.chart.dim == 2 and scene.chart.seed == 5
+    assert "options" not in doc  # the ignored "policy" option is no longer written
 
 
 def test_residual_survey_identities_vanish():

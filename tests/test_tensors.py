@@ -50,36 +50,122 @@ def test_tensor_product_chart_mismatch():
 
 def test_contract_identity_gives_dimension():
     c3 = chart("x y z")
-    s = tn.contract(tn.kronecker(c3), 0, 1)
-    assert s.rank == 0
-    assert evaluate(s[()], (0.1, 0.2, 0.3)) == 3.0
+    s = tn.contract("aa->", tn.kronecker(c3).comps)
+    assert evaluate(s, (0.1, 0.2, 0.3)) == 3.0
 
 
 def test_contract_is_dual_pairing():
     v = tn.from_function(C2, (UP,), lambda i: poly("x") if i == 0 else poly("y^2"))
     xi = tn.from_function(C2, (DOWN,), lambda i: poly("2") if i == 0 else poly("x"))
-    s = tn.contract(tn.tensor_product(v, xi), 0, 1)
+    s = tn.contract("aa->", tn.tensor_product(v, xi).comps)
     for p in C2.sample_points():
         want = 2 * p[0] + p[0] * p[1] ** 2
-        assert evaluate(s[()], p) == pytest.approx(want, rel=1e-12)
+        assert evaluate(s, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_contract_slot_errors():
-    g = tn.euclidean_metric(C2)
-    with pytest.raises(SlotError):
-        tn.contract(g, 0, 1)  # both slots down
-    with pytest.raises(SlotError):
-        tn.contract(tn.kronecker(C2), 0, 0)
+    m = tn.euclidean_metric(C2).comps
+    v = np.array([poly("x"), poly("y")], dtype=object)
+    for spec, operands in [
+        ("ij,j", (m, v)),            # no output
+        ("ij->i", (m, v)),           # one subscript list for two operands
+        ("ij,jk->ik", (m, v)),       # subscripts longer than the operand
+        ("i,i->i", (v, np.ones(3))),  # index i of sizes 2 and 3
+        ("ij->ii", (m,)),            # repeated output index
+        ("ij->k", (m,)),             # output index of no operand
+        ("i1->", (m,)),              # not a letter
+    ]:
+        with pytest.raises(SlotError):
+            tn.contract(spec, *operands)
 
 
 def test_contract_order_independence_rank4():
     rng = C2.rng(21)
-    t = rand_tensor(C2, (UP, DOWN, UP, DOWN), rng)
-    a = tn.contract(tn.contract(t, 0, 1), 0, 1)
-    b = tn.contract(tn.contract(t, 2, 3), 0, 1)
-    diff = a[()] - b[()]
-    worst, _ = tn.ex.max_abs_on_points([diff], C2.sample_points())
+    t = rand_tensor(C2, (UP, DOWN, UP, DOWN), rng).comps
+    a = tn.contract("aabb->", t)
+    b = tn.contract("aa->", tn.contract("abcc->ab", t))
+    worst, _ = tn.ex.max_abs_on_points([a - b], C2.sample_points())
     assert worst < 1e-12
+
+
+def test_contract_single_operand_and_scalar_output():
+    m = np.array([[poly("x"), -poly("y")], [poly("x*y"), poly("1 + x")]], dtype=object)
+    t = tn.contract("ij->ji", m)
+    assert all(t[i, j] is m[j, i] for i in range(2) for j in range(2))
+    assert tn.contract("ii->i", m)[1] is m[1, 1]
+    assert isinstance(tn.contract("ij,ij->", m, m), tn.ex.Expr)
+
+
+SPECS = [
+    "ij,j->i",              # matrix-vector
+    "ik,kj->ij",            # matmul
+    "cd,ca,db->ab",         # congruence by a frame matrix (3 operands)
+    "abc,ai,bj,ck->ijk",    # transport of a 3-form (4 operands)
+    "aa->",                 # trace
+    "llb,b->l",             # diagonal of one operand
+    "ij,i,j->",             # scalar output
+    "a,b->ab",              # outer product
+]
+
+
+def _random_operand(c, gen, shape, as_float):
+    """Entries drawn from zero, constants and degree-2 polynomials; with
+    ``as_float`` a plain float array, zeros included."""
+    size = int(np.prod(shape))
+    if as_float:
+        return np.array([0.0 if gen.randint(0, 2) == 0 else gen.uniform(-2, 2)
+                         for _ in range(size)]).reshape(shape)
+    entries = []
+    for _ in range(size):
+        kind = gen.randint(0, 3)
+        entries.append(tn.ex.ZERO if kind == 0 else
+                       tn.ex.Const(gen.uniform(-2, 2)) if kind == 1 else
+                       tn.ex.random_polynomial(c, gen, 2, 1.0))
+    out = np.empty(size, dtype=object)
+    out[:] = entries
+    return out.reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPECS), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 12]),
+       st.booleans())
+def test_contract_matches_einsum(spec, seed, num_points, float_operand):
+    c = chart("x y", seed=seed % 1000, num_points=num_points)
+    gen = c.rng(seed)
+    subs = spec.split("->")[0].split(",")
+    sizes = {letter: gen.randint(1, 3) for letter in sorted(set("".join(subs)))}
+    operands = [
+        _random_operand(c, gen, tuple(sizes[x] for x in sub), float_operand and k == 0)
+        for k, sub in enumerate(subs)
+    ]
+    got = np.asarray(tn.contract(spec, *operands), dtype=object)
+    pts = c.sample_points()
+    values = tn.ex.evaluate_points(got.reshape(-1), pts)
+    for p, col in zip(pts, values.T):
+        numeric = [
+            op if op.dtype != object else
+            np.array([evaluate(e, p) for e in op.reshape(-1)]).reshape(op.shape)
+            for op in operands
+        ]
+        want = np.einsum(spec, *numeric).reshape(-1)
+        np.testing.assert_allclose(col, want, rtol=1e-12, atol=1e-12)
+
+
+def test_contract_builds_the_hand_loops_expressions():
+    """Same term order, factor order and nesting as the loops it replaced."""
+    gen = C2.rng(31)
+    a = _random_operand(C2, gen, (3, 3), False)
+    b = _random_operand(C2, gen, (3, 3), False)
+    a[0, 1] = -a[0, 1]
+    matmul = tn.contract("iq,qj->ij", a, b)
+    ric, F = _random_operand(C2, gen, (3, 3), False), _random_operand(C2, gen, (3, 3), False)
+    congruence = tn.contract("cd,ca,db->ab", ric, F, F)
+    for i, j in itertools.product(range(3), repeat=2):
+        loop = tn.ex.esum(tn.ex.mul(a[i, q], b[q, j]) for q in range(3))
+        assert tn.ex.to_string(matmul[i, j]) == tn.ex.to_string(loop)
+        loop = tn.ex.esum(tn.ex.mul(ric[c, d], F[c, i], F[d, j])
+                          for c in range(3) for d in range(3))
+        assert tn.ex.to_string(congruence[i, j]) == tn.ex.to_string(loop)
 
 
 def test_raise_lower_flat_metric_identity():
@@ -183,8 +269,6 @@ def test_non_tensorial_flag_blocks_variance_ops():
     ginv = tn.metric_inverse(g)
     with pytest.raises(NonTensorial):
         tn.raise_index(grad, ginv, 0)
-    with pytest.raises(NonTensorial):
-        tn.contract(tn.coordinate_gradient(tn.kronecker(C2)), 1, 0)
 
 
 def test_declared_antisymmetry_verified():

@@ -42,14 +42,14 @@ def main():
         doc = build(args.dim, seed, args.invertible_b, scale=0.25, points=12)
         bg = scene_from_dict(doc, name=f"seed {seed}").background
         pts = bg.chart.sample_points()
-        res = streff.central_residuals(bg)
+        derived = streff.Derived(bg)
+        res = streff.central_residuals(derived)
         beta_max = res.betas.max_abs(pts)[0]
         scalar = streff.ex.max_abs_on_points([res.scalar_residual], pts)[0]
         offblock = streff.ex.max_abs_on_points(res.ricci_residual.comps, pts)[0]
         row = [f"{seed:>20}", f"{beta_max:>20.3e}", f"{scalar:>20.3e}", f"{offblock:>20.3e}"]
         if args.invertible_b:
-            transport, _, _, _ = streff.transport_identity_residual(bg)
-            tmax = streff.ex.max_abs_on_points(transport, pts)[0]
+            tmax = streff.ex.max_abs_on_points(derived.transport, pts)[0]
             row.append(f"{tmax:>20.3e}")
         row.append(f"{time.perf_counter() - t0:>20.2f}")
         print("  ".join(row))

@@ -52,12 +52,12 @@ def _flat(arrays):
 # ---------------------------------------------------------------------------
 
 
-def checks_axioms(scene: Scene) -> list:
+def checks_axioms(scene: Scene, derived: streff.Derived) -> list:
     bg = scene.background
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
-    H = bg.h_total()
+    H = derived.h_prime
     gen = chart.rng(1009)
     triples = [tuple(gtb.random_section(chart, gen) for _ in range(3)) for _ in range(3)]
     out = []
@@ -107,7 +107,7 @@ def checks_axioms(scene: Scene) -> list:
     out.append(_check("axioms.anchor-morphism",
                       "anchor sends the bracket to the vector-field commutator", morph, pts, tol))
 
-    gm = gtb.gen_metric(bg.g, bg.B)
+    gm = derived.metric
     tau = gm.tau_matrix()
     tau2 = tn.contract("ik,kj->ij", tau, tau) - np.eye(2 * chart.dim)
     out.append(_check("axioms.involution", "squared metric involution is the identity",
@@ -153,19 +153,17 @@ def checks_axioms(scene: Scene) -> list:
     return out
 
 
-def checks_torsion(scene: Scene) -> list:
-    bg = scene.background
+def checks_torsion(scene: Scene, derived: streff.Derived) -> list:
     chart = scene.chart
     pts = chart.sample_points()
-    Hp = bg.h_total()
+    Hp = derived.h_prime
     out = []
-    minimal = gconn.minimal_connection(bg.g, Hp)
+    minimal = derived.minimal
     T0 = gconn.gualtieri_torsion(minimal)
     out.append(_check("torsion.minimal-vanishes",
                       "distinguished connection is torsion-free", _flat([T0]), pts,
                       scene.tol("strict")))
-    base = gconn.block_lc_connection(bg.g, Hp)
-    T = gconn.gualtieri_torsion(base)
+    T = gconn.gualtieri_torsion(derived.block_lc)
     n = chart.dim
     pullback = []
     for a, b, c in itertools.product(range(2 * n), repeat=3):
@@ -189,14 +187,13 @@ def checks_torsion(scene: Scene) -> list:
     return out
 
 
-def checks_curvature(scene: Scene) -> list:
-    bg = scene.background
+def checks_curvature(scene: Scene, derived: streff.Derived) -> list:
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
-    Hp = bg.h_total()
+    Hp = derived.h_prime
     out = []
-    minimal = gconn.minimal_connection(bg.g, Hp)
+    minimal = derived.minimal
     r = gconn.gen_riemann(minimal)
     dim2 = 2 * chart.dim
     sym1, sym2, sym3, sym4, bianchi = [], [], [], [], []
@@ -216,15 +213,14 @@ def checks_curvature(scene: Scene) -> list:
                       sym4, pts, tol))
     out.append(_check("curvature.bianchi-torsion-free", "algebraic Bianchi identity, torsion-free case",
                       bianchi, pts, tol))
-    base = gconn.block_lc_connection(bg.g, Hp)
     out.append(_check("curvature.bianchi-torsionful",
                       "algebraic Bianchi identity with torsion terms",
-                      _flat([gconn.bianchi_residual(base)]), pts, tol))
+                      _flat([gconn.bianchi_residual(derived.block_lc)]), pts, tol))
     out.append(_check("curvature.pairing-scalar-vanishes",
                       "pairing trace of the distinguished connection vanishes",
                       [gconn.scalar_E(minimal)], pts, scene.tol("strict")))
-    _, _, rscal = rm.curvature_package(bg.g)
-    closed = rscal - 0.5 * rm.form_inner(Hp, Hp, bg.g)
+    _, _, rscal = derived.curvature
+    closed = rscal - 0.5 * rm.form_inner(Hp, Hp, derived.ginv)
     out.append(_check("curvature.metric-scalar-closed-form",
                       "metric trace equals chart scalar minus half the twist norm",
                       [gconn.scalar_G(minimal) - closed], pts, tol))
@@ -248,43 +244,41 @@ def checks_curvature(scene: Scene) -> list:
     out.append(_check("curvature.family-torsion-free",
                       "parameter deformations stay torsion-free",
                       _flat([gconn.gualtieri_torsion(conn)]), pts, tol))
-    K = gconn.param_tensor_frame(params, bg.g)
+    K = gconn.param_tensor_frame(params, minimal.metric)
     out.append(_check("curvature.trace-identity",
                       "quadratic trace identity of the deformation tensor",
                       [gconn.trace_identity_residual(minimal, K)], pts, scene.tol("strict")))
     return out
 
 
-def checks_beta(scene: Scene) -> list:
-    bg = scene.background
+def checks_beta(scene: Scene, derived: streff.Derived) -> list:
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
-    betas = streff.beta_all(bg)
+    betas = derived.betas
     out = []
-    other = streff.beta_b_conformal_form(bg)
+    other = streff.beta_b_conformal_form(derived)
     out.append(_check("beta.antisymmetric-two-forms-agree",
                       "divergence and conformally weighted forms of the antisymmetric residual",
                       [a - b for a, b in zip(betas.beta_B.comps.reshape(-1), other.comps.reshape(-1))],
                       pts, tol))
-    index = streff.beta_g_index_form(bg)
+    index = streff.beta_g_index_form(derived)
     out.append(_check("beta.symmetric-index-free-agree",
                       "index and index-free assemblies of the symmetric residual",
                       [a - b for a, b in zip(betas.beta_g.comps.reshape(-1), index.comps.reshape(-1))],
                       pts, tol))
-    Hp = bg.h_total()
-    lap, _, norm2 = rm.laplace_divergence(bg.phi, bg.g)
-    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, bg.g)
+    Hp = derived.h_prime
+    lap, _, norm2 = rm.laplace_divergence(scene.background.phi, derived.gamma)
+    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, derived.ginv)
     out.append(_check("beta.scalar-combination",
                       "dependent scalar equals its direct assembly",
                       [betas.beta_phi_prime - direct], pts, 1e-12))
     return out
 
 
-def checks_central(scene: Scene) -> list:
-    bg = scene.background
+def checks_central(scene: Scene, derived: streff.Derived) -> list:
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
-    res = streff.central_residuals(bg)
+    res = streff.central_residuals(derived)
     return [
         _check("central.scalar-identity",
                "metric Ricci trace of the dilaton connection equals the scalar residual",
@@ -295,22 +289,23 @@ def checks_central(scene: Scene) -> list:
     ]
 
 
-def _require_symplectic(scene: Scene):
-    if scene.chart.dim % 2 == 1:
+def _require_symplectic(derived: streff.Derived):
+    """The symplectic package, or a CommandError when B is not invertible."""
+    if derived.bg.chart.dim % 2 == 1:
         raise CommandError("symplectic checks need an even-dimensional chart (B is singular)")
     try:
-        return streff.build_symplectic(scene.background)
+        return derived.symplectic
     except SingularB as err:
         raise CommandError(f"symplectic checks need an invertible B: {err}") from err
 
 
-def checks_symplectic(scene: Scene, pkg) -> list:
-    bg = scene.background
+def checks_symplectic(scene: Scene, derived: streff.Derived) -> list:
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
+    pkg = _require_symplectic(derived)
     out = []
-    res_sch = gtb.schouten_check(pkg.theta, tn.exterior_derivative(bg.B))
+    res_sch = gtb.schouten_check(pkg.theta, pkg.cotangent.twist)
     out.append(_check("symplectic.twisted-jacobi",
                       "inverse bivector satisfies the twisted Jacobi identity",
                       _flat([res_sch]), pts, tol))
@@ -323,20 +318,19 @@ def checks_symplectic(scene: Scene, pkg) -> list:
                       "coframe connection is torsion-free", torsion, pts, tol))
     out.append(_check("symplectic.algebroid-compatibility",
                       "coframe connection preserves the fiber metric", compat, pts, tol))
-    res1, res2, res3 = streff.symplectic_residuals(bg, pkg)
-    _, conn_theta, _ = streff.theta_transported_connection(bg, pkg)
+    res1, _, _ = derived.dual_residuals
     out.append(_check("symplectic.scalar-two-paths",
                       "coframe scalar residual equals the sheared metric Ricci trace",
-                      [res1 - gconn.scalar_G(conn_theta)], pts, tol))
+                      [res1 - gconn.scalar_G(derived.theta_connection)], pts, tol))
     return out
 
 
-def checks_equivalence(scene: Scene, pkg) -> list:
-    bg = scene.background
+def checks_equivalence(scene: Scene, derived: streff.Derived) -> list:
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
-    residual, _, _, _ = streff.transport_identity_residual(bg, pkg)
-    rep = streff.equivalence_report(bg, pkg, residual)
+    _require_symplectic(derived)
+    residual = derived.transport
+    rep = streff.equivalence_report(derived)
     # the larger family residual, and its point; a NaN one comes first
     worst, at = ex.worst_of([(rep.beta_max, rep.beta_point),
                              (rep.symplectic_max, rep.symplectic_point)])
@@ -365,27 +359,27 @@ def run_command(cmd: str, scene: Scene) -> Report:
     checks = []
     summary = {}
     pts = scene.chart.sample_points()
-    # One evaluation scope per suite: the checks of a suite (and its
-    # summary) read shared nodes, each evaluated once at each point.
+    # Every suite reads the one context of the background, so each derived
+    # quantity is built once.  One evaluation scope per suite: the checks of
+    # a suite (and its summary) read shared nodes, each evaluated once at
+    # each point; the values are released when the suite ends.
+    derived = streff.Derived(scene.background)
     if cmd in SUITES:
         with ex.evaluation_scope():
-            checks = SUITES[cmd](scene)
+            checks = SUITES[cmd](scene, derived)
             if cmd == "beta":
-                betas = streff.beta_all(scene.background)
-                worst, at = betas.max_abs(pts)
+                worst, at = derived.betas.max_abs(pts)
                 summary["beta_max_abs"] = worst
                 summary["beta_on_shell"] = worst < streff.VANISH_TOL
     elif cmd == "symplectic":
         with ex.evaluation_scope():
-            pkg = _require_symplectic(scene)
-            checks = checks_symplectic(scene, pkg)
-            res1, res2, res3 = streff.symplectic_residuals(scene.background, pkg)
-            worst, _ = ex.max_abs_on_points(_flat([res1, res2, res3]), pts)
+            checks = checks_symplectic(scene, derived)
+            worst, _ = ex.max_abs_on_points(_flat(derived.dual_residuals), pts)
         summary["symplectic_max_abs"] = worst
         summary["symplectic_on_shell"] = worst < streff.VANISH_TOL
     elif cmd == "equivalence":
         with ex.evaluation_scope():
-            checks, rep = checks_equivalence(scene, _require_symplectic(scene))
+            checks, rep = checks_equivalence(scene, derived)
         summary.update(
             beta_max_abs=rep.beta_max,
             symplectic_max_abs=rep.symplectic_max,
@@ -396,20 +390,19 @@ def run_command(cmd: str, scene: Scene) -> Report:
     elif cmd == "all":
         for name in ("axioms", "torsion", "curvature", "beta", "central"):
             with ex.evaluation_scope():
-                checks.extend(SUITES[name](scene))
+                checks.extend(SUITES[name](scene, derived))
         with ex.evaluation_scope():
-            betas = streff.beta_all(scene.background)
-            summary["beta_max_abs"] = betas.max_abs(pts)[0]
+            summary["beta_max_abs"] = derived.betas.max_abs(pts)[0]
         summary["beta_on_shell"] = summary["beta_max_abs"] < streff.VANISH_TOL
         try:
-            pkg = _require_symplectic(scene)
+            _require_symplectic(derived)
         except CommandError as err:
             summary["symplectic_skipped"] = str(err)
         else:
             with ex.evaluation_scope():
-                checks.extend(checks_symplectic(scene, pkg))
+                checks.extend(checks_symplectic(scene, derived))
             with ex.evaluation_scope():
-                eq_checks, rep = checks_equivalence(scene, pkg)
+                eq_checks, rep = checks_equivalence(scene, derived)
             checks.extend(eq_checks)
             summary.update(
                 symplectic_max_abs=rep.symplectic_max,

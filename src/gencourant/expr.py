@@ -46,6 +46,7 @@ symbolic derivative, and is the oracle of the tangent pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -140,14 +141,20 @@ class Chart:
     def rng(self, salt: int = 0) -> SplitMix64:
         return SplitMix64(self.seed * 0x100000001 + salt)
 
-    def sample_points(self) -> list[tuple[float, ...]]:
+    def sample_points(self) -> tuple[tuple[float, ...], ...]:
         """num_points points, coordinates drawn uniformly from the domain box
-        in row-major (point, coordinate) order from the chart's generator."""
+        in row-major (point, coordinate) order from the chart's generator.
+        Drawn on the first call; every call returns that same tuple, so the
+        memos of an ``evaluation_scope`` (keyed by ``repr(points)``) match."""
+        return self._sample_points
+
+    @functools.cached_property
+    def _sample_points(self) -> tuple[tuple[float, ...], ...]:
         gen = self.rng()
-        return [
+        return tuple(
             tuple(gen.uniform(lo, hi) for lo, hi in self.domain)
             for _ in range(self.num_points)
-        ]
+        )
 
 
 def chart(names: str | tuple[str, ...], domain=None, seed: int = 0, num_points: int = 16) -> Chart:
@@ -419,6 +426,7 @@ def add(*terms) -> Expr:
     flat: list[Expr] = []
     const = 0.0
     chart_ = None
+    lone = None  # the only non-constant term, while it is a sum
     for t in terms:
         kind = type(t)
         if kind not in _NODE_TYPES:
@@ -430,15 +438,23 @@ def add(*terms) -> Expr:
         if kind is Const:
             const += t.value
         elif kind is Add:
+            lone = None if flat else t
             for u in t.terms:
                 if type(u) is Const:
                     const += u.value
                 else:
                     flat.append(u)
         else:
+            lone = None
             flat.append(t)
     if not math.isfinite(const):
         _check_fold(Add, terms)
+    if lone is not None:
+        # A sum plus constants that leave its own constant as it was: the
+        # flattened result would be a copy of it, so it is the result.
+        last = lone.terms[-1]
+        if const == (last.value if type(last) is Const else 0.0):
+            return lone
     if const != 0.0 or not flat:
         flat.append(Const(const))
     if len(flat) == 1:

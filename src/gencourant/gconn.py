@@ -45,7 +45,7 @@ from .errors import (
     SingularMetric,
 )
 from .expr import Chart, Expr, add, esum, mul, neg
-from .gtb import GeneralizedMetric, gen_metric
+from .gtb import GeneralizedMetric
 from .tensors import DOWN, UP, TensorField
 
 
@@ -361,27 +361,34 @@ def bianchi_residual(conn: GenConnection) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def minimal_connection(g: TensorField, H_prime: TensorField) -> GenConnection:
+def _block_metric(lc: rm.Christoffel) -> GeneralizedMetric:
+    """BlockDiag(g, g^{-1}) for the metric and inverse that lc carries."""
+    return GeneralizedMetric(lc.metric, None, lc.metric_inverse)
+
+
+def _block_transport(lc: rm.Christoffel) -> np.ndarray:
+    """Coefficients of the block-diagonal transport by the chart connection."""
+    n = lc.chart.dim
+    gamma = _zeros((2 * n,) * 3)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        gamma[k, i, j] = lc.coeffs[k, i, j]
+        gamma[n + k, i, n + j] = neg(lc.coeffs[j, i, k])
+    return gamma
+
+
+def minimal_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
     """The distinguished torsion-free metric connection for the block
-    diagonal metric of g and the bracket twisted by the closed 3-form
-    H_prime:
+    diagonal metric of g (the metric of the chart connection lc) and the
+    bracket twisted by the closed 3-form H_prime:
 
     nab^0_{(X,xi)} (Y,eta) =
       ( nabLC_X Y + (1/6) g^{-1} H'(g^{-1} xi, Y, .) - (1/3) g^{-1} H'(X, g^{-1} eta, .),
         nabLC_X eta - (1/3) H'(X, Y, .) + (1/6) H'(g^{-1} xi, g^{-1} eta, .) )."""
-    chart = g.chart
+    chart = lc.chart
     n = chart.dim
-    metric = gen_metric(g)  # checks positive definiteness
-    gtb.check_closed(H_prime)
-    tn.check_antisymmetric(H_prime)
-    lc = rm.christoffel(g)
     ginv = lc.metric_inverse.comps
     Hc = H_prime.comps
-    gamma = _zeros((2 * n,) * 3)
-    for k, i, j in itertools.product(range(n), repeat=3):
-        # block-diagonal transport by the chart connection
-        gamma[k, i, j] = lc.coeffs[k, i, j]
-        gamma[n + k, i, n + j] = neg(lc.coeffs[j, i, k])
+    gamma = _block_transport(lc)
     # g^{-1} H'(X, g^{-1} eta, .), g^{-1} H'(g^{-1} xi, Y, .), H'(g^{-1} xi, g^{-1} eta, .)
     vec_form = tn.contract("la,vb,mba->mvl", ginv, ginv, Hc)
     form_vec = tn.contract("la,mb,bva->mvl", ginv, ginv, Hc)
@@ -392,22 +399,15 @@ def minimal_connection(g: TensorField, H_prime: TensorField) -> GenConnection:
         gamma[l, n + m, v] = add(gamma[l, n + m, v], mul(1.0 / 6.0, form_vec[m, v, l]))
         gamma[n + l, n + m, n + v] = add(gamma[n + l, n + m, n + v],
                                          mul(1.0 / 6.0, form_form[m, v, l]))
-    return GenConnection(standard_algebroid(chart, H_prime), gamma, metric, "minimal")
+    return GenConnection(standard_algebroid(chart, H_prime), gamma, _block_metric(lc), "minimal")
 
 
-def block_lc_connection(g: TensorField, H_prime: TensorField) -> GenConnection:
-    """The block-diagonal chart Levi-Civita transport alone (metric
-    compatible but torsionful: its torsion 3-form is the anchor pullback
-    of H_prime)."""
-    chart = g.chart
-    n = chart.dim
-    metric = gen_metric(g)
-    lc = rm.christoffel(g)
-    gamma = _zeros((2 * n,) * 3)
-    for k, i, j in itertools.product(range(n), repeat=3):
-        gamma[k, i, j] = lc.coeffs[k, i, j]
-        gamma[n + k, i, n + j] = neg(lc.coeffs[j, i, k])
-    return GenConnection(standard_algebroid(chart, H_prime), gamma, metric, "block-lc")
+def block_lc_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
+    """The block-diagonal transport by the chart connection lc alone
+    (metric compatible but torsionful: its torsion 3-form is the anchor
+    pullback of H_prime)."""
+    return GenConnection(standard_algebroid(lc.chart, H_prime), _block_transport(lc),
+                         _block_metric(lc), "block-lc")
 
 
 @dataclass
@@ -458,17 +458,17 @@ def validate_params(J: TensorField, W: TensorField, policy: str = "reject",
     return ConnParams(J, W)
 
 
-def param_tensor_frame(params: ConnParams, g: TensorField) -> np.ndarray:
+def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> np.ndarray:
     """Frame components K[A,B,C] of the deformation tensor built from (J, W):
 
     K((X,xi),(Y,eta),(Z,zeta)) =
         W(g1 xi, Y, Z) + W(X, g1 eta, Z) + W(X, Y, g1 zeta) + W(g1 xi, g1 eta, g1 zeta)
       - J(g X, eta, zeta) - J(xi, g Y, zeta) - J(xi, eta, g Z) - J(g X, g Y, g Z)
 
-    with g1 = g^{-1}.  Exactly one term survives for each frame type
-    combination."""
+    with g = metric.g and g1 = g^{-1}.  Exactly one term survives for each
+    frame type combination."""
+    g, ginv = metric.g, metric.g_inv.comps
     n = g.chart.dim
-    ginv = tn.metric_inverse(g).comps
     K = _zeros((2 * n,) * 3)
     for forms in itertools.product((False, True), repeat=3):
         # W survives on an odd number of form legs, with g^{-1} on them;
@@ -488,7 +488,7 @@ def param_tensor_frame(params: ConnParams, g: TensorField) -> np.ndarray:
 def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
     """base + g_E^{-1} K(., ., .): every torsion-free metric connection for
     the block-diagonal metric arises this way."""
-    K = param_tensor_frame(params, base.metric.g)
+    K = param_tensor_frame(params, base.metric)
     alg = base.algebroid
     dim2 = alg.dim2
     gamma = np.empty((dim2,) * 3, dtype=object)
@@ -518,19 +518,20 @@ def dilaton_params(g: TensorField, phi) -> ConnParams:
     )
 
 
-def dilaton_connection(g: TensorField, B: TensorField, H: TensorField, phi) -> GenConnection:
+def dilaton_connection(minimal: GenConnection, B: TensorField, phi) -> GenConnection:
     """The connection of the flatness/compatibility dictionary for the
-    background (g, B, phi): built in the block-diagonal picture with twist
-    H + dB, then sheared back by e^B so that it lives on the H-twisted
-    bracket and is compatible with the metric of the pair (g, B)."""
-    conn = untwist(dilaton_connection_twisted(g, H + tn.exterior_derivative(B), phi), B)
+    background (g, B, phi), from the minimal connection of g with twist
+    H' = H + dB: the dilaton parameters are added in that block-diagonal
+    picture, and the result is sheared back by e^B so that it lives on the
+    H-twisted bracket and is compatible with the metric of the pair (g, B)."""
+    conn = untwist(dilaton_connection_twisted(minimal, phi), B)
     conn.provenance = "dilaton"
     return conn
 
 
-def dilaton_connection_twisted(g: TensorField, H_prime: TensorField, phi) -> GenConnection:
+def dilaton_connection_twisted(minimal: GenConnection, phi) -> GenConnection:
     """Same connection, left in the block-diagonal picture."""
-    conn = with_params(minimal_connection(g, H_prime), dilaton_params(g, phi))
+    conn = with_params(minimal, dilaton_params(minimal.metric.g, phi))
     conn.provenance = "dilaton-twisted"
     return conn
 
@@ -561,7 +562,7 @@ def untwist(conn: GenConnection, B: TensorField) -> GenConnection:
     """Shear a connection by e^B: if the input is torsion-free and metric
     for BlockDiag(g, g^{-1}) with bracket twist H', the output is
     torsion-free and metric for the pair (g, B) with twist H' - dB."""
-    gm_new = gen_metric(conn.metric.g, B)
+    gm_new = GeneralizedMetric(conn.metric.g, B, conn.metric.g_inv)
     F = gm_new.shear_matrix(-1)  # matrix of e^{-B}
     Finv = gm_new.shear_matrix(+1)
     H_new = _current_twist(conn) - tn.exterior_derivative(B)
@@ -581,14 +582,13 @@ def _current_twist(conn: GenConnection) -> TensorField:
 
 
 def theta_transport(conn: GenConnection, theta: TensorField, B: TensorField,
-                    G_metric: TensorField) -> GenConnection:
+                    metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection on the standard twisted bracket back through the
     bivector shear F_theta; the result lives on the sheared bracket and is
-    compatible with BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
+    compatible with ``metric``, BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
     F, Finv = gtb.theta_twist_matrices(theta, B)
     alg_new = conjugated_algebroid(conn.chart, F, Finv, conn.algebroid)
-    gm_new = gen_metric(G_metric)
-    return transport_connection(conn, F, Finv, alg_new, gm_new, "theta-sheared")
+    return transport_connection(conn, F, Finv, alg_new, metric, "theta-sheared")
 
 
 # ---------------------------------------------------------------------------

@@ -148,15 +148,15 @@ def check_closed(H: TensorField, tol: float = CLOSEDNESS_TOL):
 
 
 def dorfman(psi: GenSection, phi: GenSection, H: TensorField,
-            check_closedness: bool = True) -> GenSection:
+            validate: bool = True) -> GenSection:
     """Twisted Dorfman bracket
     [(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)).
-    H must be a closed 3-form (checked unless disabled by the caller who
-    already owns a checked context)."""
+    H must be a closed 3-form (checked, with its antisymmetry, unless the
+    caller has validated it already)."""
     if psi.chart != phi.chart:
         raise ChartMismatch("sections on different charts")
-    tn.check_antisymmetric(H, ANTISYM_TOL)
-    if check_closedness:
+    if validate:
+        tn.check_antisymmetric(H, ANTISYM_TOL)
         check_closed(H)
     X, xi = psi.vec, psi.form
     Y, eta = phi.vec, phi.form
@@ -168,10 +168,11 @@ def dorfman(psi: GenSection, phi: GenSection, H: TensorField,
     return GenSection(vec, form)
 
 
-def jacobiator(psi, phi, chi, H: TensorField, check_closedness=False) -> GenSection:
+def jacobiator(psi, phi, chi, H: TensorField) -> GenSection:
     """Failure of the in-bracket derivation rule:
-    [psi,[phi,chi]] - [[psi,phi],chi] - [phi,[psi,chi]]."""
-    br = lambda a, b: dorfman(a, b, H, check_closedness)
+    [psi,[phi,chi]] - [[psi,phi],chi] - [phi,[psi,chi]], for a validated
+    closed 3-form H."""
+    br = lambda a, b: dorfman(a, b, H, validate=False)
     return br(psi, br(phi, chi)) - br(br(psi, phi), chi) - br(phi, br(psi, chi))
 
 
@@ -201,7 +202,9 @@ def _check_antisymmetric_matrix(B: TensorField):
 
 class GeneralizedMetric:
     """The (g, B) package: fiber metric on TM (+) T*M, involution, graph
-    embeddings and projectors, and the induced form on T*M.
+    embeddings and projectors, and the induced form on T*M.  It is built
+    from a validated metric g, its inverse g_inv and a validated 2-form B
+    (None for B = 0); ``gen_metric`` validates and inverts.
 
     Block identities that define it (verified by the test suite):
         G(psi, phi)   = g(X, Y) + g^{-1}(xi - B(X), eta - B(Y))
@@ -210,16 +213,11 @@ class GeneralizedMetric:
         h_G(xi, eta)  = G(rho* xi, rho* eta) = g^{-1}(xi, eta)
     """
 
-    def __init__(self, g: TensorField, B: TensorField | None = None):
+    def __init__(self, g: TensorField, B: TensorField | None, g_inv: TensorField):
         self.chart = g.chart
-        n = self.chart.dim
-        if B is None:
-            B = tn.zeros(self.chart, (DOWN, DOWN))
-        _check_positive_definite(g)
-        _check_antisymmetric_matrix(B)
         self.g = g
-        self.B = B
-        self.g_inv = tn.metric_inverse(g)
+        self.B = B if B is not None else tn.zeros(self.chart, (DOWN, DOWN))
+        self.g_inv = g_inv
         self._gram = None
         self._tau = None
 
@@ -312,7 +310,12 @@ class GeneralizedMetric:
 
 
 def gen_metric(g: TensorField, B: TensorField | None = None) -> GeneralizedMetric:
-    return GeneralizedMetric(g, B)
+    """The package of (g, B), after checking that g is positive definite
+    and B antisymmetric at the sample points."""
+    _check_positive_definite(g)
+    if B is not None:
+        _check_antisymmetric_matrix(B)
+    return GeneralizedMetric(g, B, tn.metric_inverse(g))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +325,6 @@ def gen_metric(g: TensorField, B: TensorField | None = None) -> GeneralizedMetri
 
 def b_twist(psi: GenSection, B: TensorField) -> GenSection:
     """e^B(X, xi) = (X, xi + B(X)); orthogonal for the pairing."""
-    _check_antisymmetric_matrix(B)
     form = psi.form.comps + tn.contract("ma,a->m", B.comps, psi.vec.comps)
     return GenSection(psi.vec, TensorField(psi.chart, (DOWN,), form))
 
@@ -330,10 +332,9 @@ def b_twist(psi: GenSection, B: TensorField) -> GenSection:
 def twisted_bracket_check(B: TensorField, H: TensorField, sections=None, points=None):
     """(max residual, worst point) of e^B([psi,phi]^{H+dB}) - [e^B psi,
     e^B phi]^H over section pairs, as ``ex.worst_of`` picks it; a zero
-    residual means e^B intertwines the two brackets."""
+    residual means e^B intertwines the two brackets.  B and H are taken to
+    be validated: a 2-form and a closed 3-form."""
     chart = B.chart
-    _check_antisymmetric_matrix(B)
-    check_closed(H)
     HdB = H + tn.exterior_derivative(B)
     if sections is None:
         gen = chart.rng(101)
@@ -341,19 +342,19 @@ def twisted_bracket_check(B: TensorField, H: TensorField, sections=None, points=
     pts = points or chart.sample_points()
 
     def residual(psi, phi):
-        lhs = b_twist(dorfman(psi, phi, HdB, check_closedness=False), B)
-        rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H, check_closedness=False)
+        lhs = b_twist(dorfman(psi, phi, HdB, validate=False), B)
+        rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H, validate=False)
         return (lhs - rhs).max_abs(pts)
 
     return ex.worst_of(residual(psi, phi) for psi, phi in sections)
 
 
 def theta_matrix_from_b(B: TensorField) -> TensorField:
-    """theta = B^{-1} as a bivector: theta^{m n} with theta(B(X)) = X.
-    Raises SingularB on odd-dimensional charts or degenerate B."""
+    """theta = B^{-1} as a bivector: theta^{m n} with theta(B(X)) = X, for
+    a validated 2-form B.  Raises SingularB on odd-dimensional charts or
+    degenerate B."""
     chart = B.chart
     n = chart.dim
-    _check_antisymmetric_matrix(B)
     if n % 2 == 1:
         raise SingularB("an antisymmetric 2-form on an odd-dimensional chart is singular")
     pts = chart.sample_points()

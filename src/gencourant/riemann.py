@@ -30,8 +30,8 @@ from .tensors import DOWN, UP, TensorField
 class Christoffel:
     """Levi-Civita connection coefficients Gamma^k_{ij}, symmetric in (i,j).
 
-    Carries the metric and its symbolic inverse so downstream operators can
-    reuse them without re-inverting.
+    Carries the metric and its symbolic inverse, so the operators below
+    take it in place of the metric and never invert g again.
     """
 
     chart: Chart
@@ -98,11 +98,11 @@ def covariant_derivative(t: TensorField, gamma: Christoffel) -> TensorField:
     return TensorField(t.chart, (DOWN,) + t.variance, out)
 
 
-def curvature_package(g: TensorField):
-    """(Riemann (1,3), Ricci (0,2), scalar Expr) of the metric g."""
-    gamma = christoffel(g)
-    n = g.chart.dim
-    coords = g.chart.coords()
+def curvature_package(gamma: Christoffel):
+    """(Riemann (1,3), Ricci (0,2), scalar Expr) of the metric of gamma."""
+    chart = gamma.chart
+    n = chart.dim
+    coords = chart.coords()
     dG = np.empty((n, n, n, n), dtype=object)  # dG[m, k, i, j] = d_m Gamma^k_{ij}
     for m in range(n):
         for k, i, j in itertools.product(range(n), repeat=3):
@@ -122,24 +122,22 @@ def curvature_package(g: TensorField):
         for l in range(n)
         for j in range(n)
     )
-    riem_t = TensorField(g.chart, (UP, DOWN, DOWN, DOWN), riem)
-    ric_t = TensorField(g.chart, (DOWN, DOWN), ric)
+    riem_t = TensorField(chart, (UP, DOWN, DOWN, DOWN), riem)
+    ric_t = TensorField(chart, (DOWN, DOWN), ric)
     return riem_t, ric_t, scalar
 
 
-def form_inner(alpha: TensorField, beta: TensorField, g: TensorField) -> Expr:
-    """(1/p!) alpha_{i1..ip} beta^{i1..ip}; on a flat metric
-    <dx^dy, dx^dy> = 1."""
+def form_inner(alpha: TensorField, beta: TensorField, ginv: TensorField) -> Expr:
+    """(1/p!) alpha_{i1..ip} beta^{i1..ip}, indices raised by the inverse
+    metric ginv; on a flat metric <dx^dy, dx^dy> = 1.  Both arguments are
+    taken to be forms: only their slots are checked."""
     if alpha.rank != beta.rank:
         raise DegreeMismatch(f"degree {alpha.rank} vs {beta.rank}")
     if any(v != DOWN for v in alpha.variance + beta.variance):
         raise SlotError("form_inner expects covariant forms")
-    tn.check_antisymmetric(alpha)
-    tn.check_antisymmetric(beta)
     if alpha.rank == 0:
         return mul(alpha[()], beta[()])
-    ginv = tn.metric_inverse(g)
-    n = g.chart.dim
+    n = ginv.chart.dim
     p = alpha.rank
     norm = 1.0 / float(np.prod(range(1, p + 1)))
     terms = []
@@ -151,13 +149,10 @@ def form_inner(alpha: TensorField, beta: TensorField, g: TensorField) -> Expr:
     return mul(norm, esum(terms))
 
 
-def codifferential(omega: TensorField, g: TensorField, gamma: Christoffel | None = None) -> TensorField:
+def codifferential(omega: TensorField, gamma: Christoffel) -> TensorField:
     """delta_g on a fully antisymmetric covariant p-form via the metric
     trace of its covariant derivative; frame independent."""
-    tn.check_antisymmetric(omega)
-    if gamma is None:
-        gamma = christoffel(g)
-    n = g.chart.dim
+    n = gamma.chart.dim
     nab = covariant_derivative(omega, gamma)  # [k, a, rest...]
     ginv = gamma.metric_inverse
     out = np.empty((n,) * (omega.rank - 1), dtype=object)
@@ -169,41 +164,35 @@ def codifferential(omega: TensorField, g: TensorField, gamma: Christoffel | None
                 for a in range(n)
             )
         )
-    return TensorField(g.chart, (DOWN,) * (omega.rank - 1), out)
+    return TensorField(gamma.chart, (DOWN,) * (omega.rank - 1), out)
 
 
-def gradient_vector(phi, g: TensorField, gamma: Christoffel | None = None) -> TensorField:
-    ginv = gamma.metric_inverse if gamma is not None else tn.metric_inverse(g)
-    dphi = tn.d_scalar(g.chart, phi)
-    return tn.raise_index(dphi, ginv, 0)
+def gradient_vector(phi, ginv: TensorField) -> TensorField:
+    """grad phi = g^{-1} dphi."""
+    dphi = tn.d_scalar(ginv.chart, phi)
+    return TensorField(ginv.chart, (UP,), tn.contract("az,z->a", ginv.comps, dphi.comps))
 
 
-def divergence(v: TensorField, g: TensorField, gamma: Christoffel | None = None) -> Expr:
+def divergence(v: TensorField, gamma: Christoffel) -> Expr:
     """Trace of the Levi-Civita derivative of a vector field."""
     if v.variance != (UP,):
         raise SlotError("divergence expects a vector field")
-    if gamma is None:
-        gamma = christoffel(g)
     nab = covariant_derivative(v, gamma)
-    return esum(nab.comps[k, k] for k in range(g.chart.dim))
+    return esum(nab.comps[k, k] for k in range(gamma.chart.dim))
 
 
-def divergence_oneform(w: TensorField, g: TensorField, gamma: Christoffel | None = None) -> Expr:
+def divergence_oneform(w: TensorField, gamma: Christoffel) -> Expr:
     """Div_g of a 1-form: metric trace g^{ka} (nab_k w)_a."""
-    if gamma is None:
-        gamma = christoffel(g)
     nab = covariant_derivative(w, gamma)
     ginv = gamma.metric_inverse
-    n = g.chart.dim
+    n = gamma.chart.dim
     return esum(mul(ginv.comps[k, a], nab.comps[k, a]) for k in range(n) for a in range(n))
 
 
-def laplace_divergence(phi, g: TensorField, gamma: Christoffel | None = None):
+def laplace_divergence(phi, gamma: Christoffel):
     """(Delta_g phi, gradient vector, |grad phi|^2_g)."""
-    if gamma is None:
-        gamma = christoffel(g)
-    grad = gradient_vector(phi, g, gamma)
-    lap = divergence(grad, g, gamma)
-    dphi = tn.d_scalar(g.chart, phi)
-    norm2 = esum(mul(dphi.comps[a], grad.comps[a]) for a in range(g.chart.dim))
+    grad = gradient_vector(phi, gamma.metric_inverse)
+    lap = divergence(grad, gamma)
+    dphi = tn.d_scalar(gamma.chart, phi)
+    norm2 = esum(mul(dphi.comps[a], grad.comps[a]) for a in range(gamma.chart.dim))
     return lap, grad, norm2

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import gtb
 from . import riemann as rm
 from . import tensors as tn
 from .expr import Chart, Expr, add, esum, mul, neg
-from .gtb import LieAlgebroidCotangent
+from .gtb import GeneralizedMetric, LieAlgebroidCotangent
 from .tensors import DOWN, UP, TensorField
 
 
@@ -66,6 +67,88 @@ class Background:
         return self.H + tn.exterior_derivative(self.B)
 
 
+class Derived:
+    """The derived quantities of one background that the checks read, each
+    built on first read, by the public builder named below, and kept:
+
+    - ``h_prime``: H' = H + dB (``Background.h_total``), checked once to be
+      an antisymmetric closed 3-form;
+    - ``gamma``: the chart Christoffel symbols (``riemann.christoffel``),
+      which carry g and ``ginv`` = g^{-1}, the one inversion of g;
+    - ``curvature``: (Riemann, Ricci, scalar) of g (``riemann.curvature_package``);
+    - ``betas``: the residual tensors (``beta_all``);
+    - ``metric``: the generalized metric of the pair (g, B);
+    - ``minimal``, ``block_lc``, ``dilaton``: the connections on TM (+) T*M
+      (``gconn.minimal_connection``, ``block_lc_connection``,
+      ``dilaton_connection``);
+    - ``symplectic``, ``dual_residuals``, ``theta_connection``, ``transport``:
+      the bivector side for invertible B (``build_symplectic``,
+      ``symplectic_residuals``, ``theta_transported_connection``,
+      ``transport_identity_residual``).
+
+    g, B, H and phi are validated when the ``Background`` is made.  Nothing
+    is built when the context is made, and a builder that raises stores
+    nothing, so the next read raises again."""
+
+    def __init__(self, bg: Background):
+        self.bg = bg
+
+    @cached_property
+    def h_prime(self) -> TensorField:
+        Hp = self.bg.h_total()
+        gtb.check_closed(Hp)
+        tn.check_antisymmetric(Hp)
+        return Hp
+
+    @cached_property
+    def gamma(self) -> rm.Christoffel:
+        return rm.christoffel(self.bg.g)
+
+    @property
+    def ginv(self) -> TensorField:
+        return self.gamma.metric_inverse
+
+    @cached_property
+    def curvature(self):
+        return rm.curvature_package(self.gamma)
+
+    @cached_property
+    def betas(self) -> "BetaResiduals":
+        return beta_all(self)
+
+    @cached_property
+    def metric(self) -> GeneralizedMetric:
+        return GeneralizedMetric(self.bg.g, self.bg.B, self.ginv)
+
+    @cached_property
+    def minimal(self) -> gconn.GenConnection:
+        return gconn.minimal_connection(self.gamma, self.h_prime)
+
+    @cached_property
+    def block_lc(self) -> gconn.GenConnection:
+        return gconn.block_lc_connection(self.gamma, self.h_prime)
+
+    @cached_property
+    def dilaton(self) -> gconn.GenConnection:
+        return gconn.dilaton_connection(self.minimal, self.bg.B, self.bg.phi)
+
+    @cached_property
+    def symplectic(self) -> "SymplecticPackage":
+        return build_symplectic(self)
+
+    @cached_property
+    def dual_residuals(self):
+        return symplectic_residuals(self.symplectic)
+
+    @cached_property
+    def theta_connection(self) -> gconn.GenConnection:
+        return theta_transported_connection(self)
+
+    @cached_property
+    def transport(self) -> np.ndarray:
+        return transport_identity_residual(self)
+
+
 @dataclass
 class BetaResiduals:
     beta_g: TensorField        # symmetric (0,2)
@@ -79,7 +162,7 @@ class BetaResiduals:
         return ex.max_abs_on_points(fields, points)
 
 
-def beta_all(bg: Background) -> BetaResiduals:
+def beta_all(derived: Derived) -> BetaResiduals:
     """Index-free assembly of the three residual tensors:
 
     beta_g(X,Y)  = Ric(X,Y) - (1/2) <i_X H', i_Y H'>_g
@@ -88,16 +171,14 @@ def beta_all(bg: Background) -> BetaResiduals:
     beta_phi     = R(g) - (1/2) <H',H'>_g + 4 Lap(phi) - 4 |grad phi|^2
     beta_phi'    = -(1/4) (beta_phi - tr_g beta_g)
     """
+    bg = derived.bg
     chart = bg.chart
     n = chart.dim
-    g = bg.g
-    Hp = bg.h_total()
-    gamma = rm.christoffel(g)
-    ginv = gamma.metric_inverse
-    _, ric, rscal = rm.curvature_package(g)
+    Hp, gamma, ginv = derived.h_prime, derived.gamma, derived.ginv
+    _, ric, rscal = derived.curvature
     hess = rm.covariant_derivative(tn.d_scalar(chart, bg.phi), gamma)
-    lap, grad, norm2 = rm.laplace_divergence(bg.phi, g, gamma)
-    deltaH = rm.codifferential(Hp, g, gamma)
+    lap, grad, norm2 = rm.laplace_divergence(bg.phi, gamma)
+    deltaH = rm.codifferential(Hp, gamma)
 
     bg_comps = np.empty((n, n), dtype=object)
     bB_comps = np.empty((n, n), dtype=object)
@@ -108,7 +189,7 @@ def beta_all(bg: Background) -> BetaResiduals:
         bg_comps[i, j] = esum(
             [
                 ric.comps[i, j],
-                mul(-0.5, rm.form_inner(iH[i], iH[j], g)),
+                mul(-0.5, rm.form_inner(iH[i], iH[j], ginv)),
                 hess.comps[i, j],
                 hess.comps[j, i],
             ]
@@ -116,34 +197,33 @@ def beta_all(bg: Background) -> BetaResiduals:
         bB_comps[i, j] = add(mul(0.5, deltaH.comps[i, j]), h_grad[i, j])
     beta_g = TensorField(chart, (DOWN, DOWN), bg_comps)
     beta_B = TensorField(chart, (DOWN, DOWN), bB_comps)
-    beta_phi = esum([rscal, mul(-0.5, rm.form_inner(Hp, Hp, g)), mul(4.0, lap), mul(-4.0, norm2)])
+    beta_phi = esum([rscal, mul(-0.5, rm.form_inner(Hp, Hp, ginv)), mul(4.0, lap),
+                     mul(-4.0, norm2)])
     trace = tn.contract("ij,ij->", ginv.comps, bg_comps)
     beta_phi_prime = mul(-0.25, add(beta_phi, neg(trace)))
     return BetaResiduals(beta_g, beta_B, beta_phi, beta_phi_prime)
 
 
-def beta_b_conformal_form(bg: Background) -> TensorField:
+def beta_b_conformal_form(derived: Derived) -> TensorField:
     """The equivalent divergence form (1/2) e^{2 phi} delta_g(e^{-2 phi} H')."""
-    chart = bg.chart
-    Hp = bg.h_total()
-    weight = ex.exp(mul(-2.0, bg.phi))
-    weighted = Hp.map(lambda c: mul(weight, c))
-    delta = rm.codifferential(weighted, bg.g)
-    back = ex.exp(mul(2.0, bg.phi))
+    phi = derived.bg.phi
+    weight = ex.exp(mul(-2.0, phi))
+    weighted = derived.h_prime.map(lambda c: mul(weight, c))
+    delta = rm.codifferential(weighted, derived.gamma)
+    back = ex.exp(mul(2.0, phi))
     return delta.map(lambda c: mul(0.5, back, c))
 
 
-def beta_g_index_form(bg: Background) -> TensorField:
+def beta_g_index_form(derived: Derived) -> TensorField:
     """Raw index-sum assembly Ric_{mn} - (1/4) H'_{m a b} H'_n{}^{a b}
     + 2 (nab dphi)_{(mn)}: an independent formula path used as an oracle
     against the index-free assembly."""
-    chart = bg.chart
+    chart = derived.bg.chart
     n = chart.dim
-    Hp = bg.h_total()
-    gamma = rm.christoffel(bg.g)
+    Hp, gamma = derived.h_prime, derived.gamma
     ginv = gamma.metric_inverse.comps
-    _, ric, _ = rm.curvature_package(bg.g)
-    hess = rm.covariant_derivative(tn.d_scalar(chart, bg.phi), gamma)
+    _, ric, _ = derived.curvature
+    hess = rm.covariant_derivative(tn.d_scalar(chart, derived.bg.phi), gamma)
     out = np.empty((n, n), dtype=object)
     for m, v in itertools.product(range(n), repeat=2):
         quad = esum(
@@ -176,12 +256,12 @@ class CentralResiduals:
         return ex.max_abs_on_points(fields, points)
 
 
-def central_residuals(bg: Background) -> CentralResiduals:
-    """Build the dilaton connection for (g, B, phi) on the H-twisted bracket
-    (through the shear, so B != 0 exercises the conjugation path) and
-    return the two identity residuals."""
-    betas = beta_all(bg)
-    conn = gconn.dilaton_connection(bg.g, bg.B, bg.H, bg.phi)
+def central_residuals(derived: Derived) -> CentralResiduals:
+    """The two identity residuals of the dilaton connection for (g, B, phi)
+    on the H-twisted bracket (built through the shear, so B != 0 exercises
+    the conjugation path)."""
+    betas = derived.betas
+    conn = derived.dilaton
     scalar_res = add(gconn.scalar_G(conn), neg(betas.beta_phi))
     compat = gconn.ricci_compat_residual(conn)
     ricci_res = compat - (betas.beta_g - betas.beta_B)
@@ -202,6 +282,7 @@ class SymplecticPackage:
     chart: Chart
     theta: TensorField                  # bivector, (2,0)
     G: TensorField                      # Riemannian metric (0,2)
+    metric: GeneralizedMetric           # BlockDiag(G, G^{-1}) on TM (+) T*M
     g_A: np.ndarray                     # fiber metric on T*M: matrix of G^{-1} = -theta g theta
     cotangent: LieAlgebroidCotangent
     gamma: np.ndarray                   # connection coefficients [c, a, b]
@@ -211,22 +292,23 @@ class SymplecticPackage:
     scalar: Expr                        # G-trace of ric
 
 
-def build_symplectic(bg: Background, validate: bool = True, tol: float = 1e-9) -> SymplecticPackage:
+def build_symplectic(derived: Derived) -> SymplecticPackage:
+    bg = derived.bg
     chart = bg.chart
     theta = gtb.theta_matrix_from_b(bg.B)  # raises SingularB when not invertible
-    B, ginv = bg.B.comps, tn.metric_inverse(bg.g).comps
+    B, ginv = bg.B.comps, derived.ginv.comps
     G = TensorField(chart, (DOWN, DOWN), -tn.contract("ia,ab,bj->ij", B, ginv, B))
-    gtb._check_positive_definite(G)
-    dB = tn.exterior_derivative(bg.B)
-    cot = LieAlgebroidCotangent.build(theta, dB, validate=validate, tol=tol)
+    metric = gtb.gen_metric(G)  # checks that G is positive definite
+    cot = LieAlgebroidCotangent.build(theta, tn.exterior_derivative(bg.B))
     # g_A = G^{-1} = -theta g theta (inverse without another adjugate pass)
     th = theta.comps
     g_A = -tn.contract("am,mk,kb->ab", th, bg.g.comps, th)
     gamma = cot.algebroid.lc_connection(g_A)
-    H_theta = tn.contract("ijk,ia,jb,kc->abc", bg.h_total().comps, th, th, th)
+    H_theta = tn.contract("ijk,ia,jb,kc->abc", derived.h_prime.comps, th, th, th)
     dphi_dual = gtb.d_theta(chart, bg.phi, theta).comps
     ric, scalar = algebroid_curvature(cot, gamma, G)
-    return SymplecticPackage(chart, theta, G, g_A, cot, gamma, H_theta, dphi_dual, ric, scalar)
+    return SymplecticPackage(chart, theta, G, metric, g_A, cot, gamma, H_theta, dphi_dual, ric,
+                             scalar)
 
 
 def lie_algebroid_lc(theta: TensorField, twist: TensorField, G: TensorField,
@@ -271,7 +353,7 @@ def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: TensorField, degree: int)
     return mul(norm, tn.contract(spec, P, Q, *[G.comps] * degree))
 
 
-def symplectic_residuals(bg: Background, pkg: SymplecticPackage | None = None):
+def symplectic_residuals(pkg: SymplecticPackage):
     """Residual fields of the dual gravity equations:
 
     1. scalar:  R^theta(G^{-1}) - (1/2) <H'_th, H'_th>_G + 4 Lap_th(phi)
@@ -281,9 +363,7 @@ def symplectic_residuals(bg: Background, pkg: SymplecticPackage | None = None):
     3. skew:    H'_th(xi,eta, G(d_th phi))
                 - (1/2) (nab_{E^k} H'_th)(G(E_k), xi, eta)
     """
-    if pkg is None:
-        pkg = build_symplectic(bg)
-    chart = bg.chart
+    chart = pkg.chart
     n = chart.dim
     alg = pkg.cotangent.algebroid
     G = pkg.G
@@ -340,39 +420,29 @@ class EquivalenceReport:
     verdict: str
 
 
-def theta_transported_connection(bg: Background, pkg: SymplecticPackage | None = None):
+def theta_transported_connection(derived: Derived) -> gconn.GenConnection:
     """The dilaton connection pulled back through the bivector shear; its
     metric is the block-diagonal package of G."""
-    if pkg is None:
-        pkg = build_symplectic(bg)
-    conn = gconn.dilaton_connection(bg.g, bg.B, bg.H, bg.phi)
-    return conn, gconn.theta_transport(conn, pkg.theta, bg.B, pkg.G), pkg
+    pkg = derived.symplectic
+    return gconn.theta_transport(derived.dilaton, pkg.theta, derived.bg.B, pkg.metric)
 
 
-def transport_identity_residual(bg: Background, pkg: SymplecticPackage | None = None):
+def transport_identity_residual(derived: Derived) -> np.ndarray:
     """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame."""
-    conn, conn_theta, pkg = theta_transported_connection(bg, pkg)
-    F, _ = gtb.theta_twist_matrices(pkg.theta, bg.B)
-    out = gconn.ricci(conn_theta) - tn.contract("cd,ca,db->ab", gconn.ricci(conn), F, F)
-    return out, conn, conn_theta, pkg
+    F, _ = gtb.theta_twist_matrices(derived.symplectic.theta, derived.bg.B)
+    return (gconn.ricci(derived.theta_connection)
+            - tn.contract("cd,ca,db->ab", gconn.ricci(derived.dilaton), F, F))
 
 
-def equivalence_report(bg: Background, pkg: SymplecticPackage | None = None,
-                       transport: np.ndarray | None = None) -> EquivalenceReport:
+def equivalence_report(derived: Derived) -> EquivalenceReport:
     """Both residual families and the transport identity on the sample
-    points.  ``pkg`` and ``transport`` (the first result of
-    ``transport_identity_residual``) are built here unless given."""
-    points = bg.chart.sample_points()
-    betas = beta_all(bg)
-    if pkg is None:
-        pkg = build_symplectic(bg)
-    res1, res2, res3 = symplectic_residuals(bg, pkg)
-    beta_max, beta_point = betas.max_abs(points)
+    points."""
+    points = derived.bg.chart.sample_points()
+    beta_max, beta_point = derived.betas.max_abs(points)
+    res1, res2, res3 = derived.dual_residuals
     sym_fields = [res1] + list(res2.comps.reshape(-1)) + list(res3.comps.reshape(-1))
     sym_max, sym_point = ex.max_abs_on_points(sym_fields, points)
-    if transport is None:
-        transport, _, _, _ = transport_identity_residual(bg, pkg)
-    transport_max = ex.max_abs_on_points(transport, points)[0]
+    transport_max = ex.max_abs_on_points(derived.transport, points)[0]
     beta_on = beta_max < VANISH_TOL
     sym_on = sym_max < VANISH_TOL
     if beta_on and sym_on:

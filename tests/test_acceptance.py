@@ -80,12 +80,12 @@ def test_criterion_02_minimal_connection():
         c = chart(names, seed=salt, num_points=10)
         g = bumpy_metric(c, salt=salt)
         H = tn.exterior_derivative(bumpy_b(c, salt=salt + 1))
-        conn = gconn.minimal_connection(g, H)
+        conn = gconn.minimal_connection(rm.christoffel(g), H)
         pts = c.sample_points()
         worst_torsion = max(worst_torsion, max_abs(gconn.gualtieri_torsion(conn).reshape(-1), pts))
         worst_scalar_e = max(worst_scalar_e, max_abs([gconn.scalar_E(conn)], pts))
-        _, _, rscal = rm.curvature_package(g)
-        closed = rscal - 0.5 * rm.form_inner(H, H, g)
+        _, _, rscal = rm.curvature_package(rm.christoffel(g))
+        closed = rscal - 0.5 * rm.form_inner(H, H, tn.metric_inverse(g))
         worst_closed = max(worst_closed, max_abs([gconn.scalar_G(conn) - closed], pts))
     report(2, "distinguished connection: torsion", worst_torsion, 1e-10)
     report(2, "distinguished connection: pairing scalar", worst_scalar_e, 1e-10)
@@ -99,7 +99,7 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
         c = chart(names, seed=salt, num_points=8)
         g = bumpy_metric(c, salt=salt)
         H = tn.exterior_derivative(bumpy_b(c, salt=salt + 1))
-        conn = gconn.minimal_connection(g, H)
+        conn = gconn.minimal_connection(rm.christoffel(g), H)
         r = gconn.gen_riemann(conn)
         dim2 = 2 * n
         fields = []
@@ -111,7 +111,7 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
             fields.append(tn.ex.esum([r[d, cc, a, b], r[d, a, b, cc], r[d, b, cc, a]]))
         pts = c.sample_points()
         worst = max(worst, max_abs(fields, pts))
-        base = gconn.block_lc_connection(g, H)
+        base = gconn.block_lc_connection(rm.christoffel(g), H)
         worst = max(worst, max_abs(gconn.bianchi_residual(base).reshape(-1), pts))
     report(3, "curvature symmetries and both Bianchi identities", worst, 1e-9)
 
@@ -165,7 +165,7 @@ def _family_fixture(salt):
     g = bumpy_metric(c, salt=salt)
     H = tn.exterior_derivative(bumpy_b(c, salt=salt + 50))
     params = _random_valid_params(c, salt + 100)
-    conn = gconn.with_params(gconn.minimal_connection(g, H), params)
+    conn = gconn.with_params(gconn.minimal_connection(rm.christoffel(g), H), params)
     return c, g, H, params, conn
 
 
@@ -178,8 +178,8 @@ def test_criterion_04_scalar_closed_forms():
         ginv = gamma.metric_inverse
         n = 2
         jw = tn.ex.esum(tn.ex.mul(Jp.comps[a], Wp.comps[a]) for a in range(n))
-        want_e = -4.0 * rm.divergence(Jp, g, gamma) + 8.0 * jw
-        _, _, rg = rm.curvature_package(g)
+        want_e = -4.0 * rm.divergence(Jp, gamma) + 8.0 * jw
+        _, _, rg = rm.curvature_package(rm.christoffel(g))
         w2 = tn.ex.esum(
             tn.ex.mul(ginv.comps[a, b], Wp.comps[a], Wp.comps[b])
             for a in range(n) for b in range(n)
@@ -189,8 +189,8 @@ def test_criterion_04_scalar_closed_forms():
             for a in range(n) for b in range(n)
         )
         want_g = (
-            rg - 0.5 * rm.form_inner(H, H, g)
-            + 4.0 * rm.divergence_oneform(Wp, g, gamma) - 4.0 * w2 - 4.0 * j2
+            rg - 0.5 * rm.form_inner(H, H, tn.metric_inverse(g))
+            + 4.0 * rm.divergence_oneform(Wp, gamma) - 4.0 * w2 - 4.0 * j2
         )
         pts = c.sample_points()
         worst = max(worst, max_abs([gconn.scalar_E(conn) - want_e], pts))
@@ -206,8 +206,8 @@ def test_criterion_05_off_block_ricci_closed_form():
         Jp, Wp = _partial_traces(params, g)
         gamma = rm.christoffel(g)
         ginv = gamma.metric_inverse
-        _, ric, _ = rm.curvature_package(g)
-        deltaH = rm.codifferential(H, g, gamma)
+        _, ric, _ = rm.curvature_package(rm.christoffel(g))
+        deltaH = rm.codifferential(H, gamma)
         nabW = rm.covariant_derivative(Wp, gamma)
         nabJ = rm.covariant_derivative(Jp, gamma)
         n = 2
@@ -222,7 +222,7 @@ def test_criterion_05_off_block_ricci_closed_form():
             want = (
                 ric.comps[i, j]
                 - 0.5 * deltaH.comps[i, j]
-                - 0.5 * rm.form_inner(ixH, jyH, g)
+                - 0.5 * rm.form_inner(ixH, jyH, tn.metric_inverse(g))
                 + nabW.comps[i, j] + nabW.comps[j, i] + hw
                 + tn.ex.esum(tn.ex.mul(nabJ.comps[i, a], g.comps[a, j]) for a in range(n))
                 - tn.ex.esum(tn.ex.mul(nabJ.comps[j, a], g.comps[a, i]) for a in range(n))
@@ -250,7 +250,7 @@ def test_criterion_07_central_identities():
     for n, salt in cases:
         bg = random_background(n, salt=600 + salt, with_b=True, with_h=(salt % 2 == 0))
         assert bg.B.max_abs()[0] > 0  # the shear path is exercised
-        res = streff.central_residuals(bg)
+        res = streff.central_residuals(streff.Derived(bg))
         worst = max(worst, res.max_abs(bg.chart.sample_points())[0])
     report(7, "flatness/compatibility identities on 20 random backgrounds", worst, 1e-9)
 
@@ -284,7 +284,7 @@ def test_criterion_10_symplectic_equivalence():
     worst = 0.0
     for salt in range(10):
         bg = random_background(2, salt=700 + salt, invertible_b=True)
-        residual, _, _, _ = streff.transport_identity_residual(bg)
+        residual = streff.transport_identity_residual(streff.Derived(bg))
         worst = max(worst, max_abs(residual.reshape(-1), bg.chart.sample_points()))
     report(10, "Ricci transport through the bivector shear, 10 backgrounds", worst, 1e-9)
 
@@ -292,7 +292,7 @@ def test_criterion_10_symplectic_equivalence():
     flat = streff.Background(
         c, tn.euclidean_metric(c), tn.form_from_wedge_coeffs(c, 2, {(0, 1): 1}), 0.0
     )
-    rep = streff.equivalence_report(flat)
+    rep = streff.equivalence_report(streff.Derived(flat))
     ok = rep.beta_on_shell and rep.symplectic_on_shell
     print(f"criterion 10 {'PASS' if ok else 'FAIL'}: flat background vanishes simultaneously "
           f"(beta {rep.beta_max:.1e}, dual {rep.symplectic_max:.1e})")

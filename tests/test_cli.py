@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from gencourant import cli, streff
+from gencourant import cli, gconn, streff
 from gencourant import expr as ex
 from gencourant import gtb
+from gencourant import riemann as rm
+from gencourant import tensors as tn
 from gencourant.cli import main, run_command
 from gencourant.errors import CommandError, SceneError
 from gencourant.scene import SceneValidationError, load_scene, scene_from_dict
@@ -409,13 +411,12 @@ def test_simultaneous_vanishing_reports_the_worst_point():
     # larger, and it peaks away from the first sample point
     scene = load_scene(SCENES / "poly2d.json")
     pts = scene.chart.sample_points()
-    checks, rep = cli.checks_equivalence(scene, cli._require_symplectic(scene))
+    derived = streff.Derived(scene.background)
+    checks, rep = cli.checks_equivalence(scene, derived)
     vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]
     assert rep.symplectic_max > rep.beta_max
     assert vanishing.worst_point == rep.symplectic_point != pts[0]
-    res1, res2, res3 = streff.symplectic_residuals(scene.background,
-                                                  cli._require_symplectic(scene))
-    fields = cli._flat([res1, res2, res3])
+    fields = cli._flat(derived.dual_residuals)
     per_point = [max(abs(v) for v in ex.evaluate_many(fields, p)) for p in pts]
     assert rep.symplectic_max == pytest.approx(max(per_point), rel=1e-12)  # fsum vs numpy
     assert rep.symplectic_point == pts[per_point.index(max(per_point))]
@@ -429,7 +430,7 @@ def test_simultaneous_vanishing_fails_on_a_nan_family(monkeypatch):
     pts = scene.chart.sample_points()
     report = streff.EquivalenceReport(1e-12, pts[2], math.nan, pts[5], 0.0, True, False, "")
     monkeypatch.setattr(streff, "equivalence_report", lambda *args: report)
-    checks, _ = cli.checks_equivalence(scene, cli._require_symplectic(scene))
+    checks, _ = cli.checks_equivalence(scene, streff.Derived(scene.background))
     vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]
     assert not vanishing.passed
     assert vanishing.worst_point == pts[5]
@@ -474,18 +475,112 @@ def test_non_integer_overrides_rejected(key, value):
     assert f"[{key} override]" in str(err.value)
 
 
-@pytest.mark.parametrize("points", [1, 3])
-def test_central_on_a_4d_scene(points):
-    # the frame derivatives of the 4-D dilaton connection, valued by the
-    # tangent pass in the per-point walk (1 point) and the vector pass (3)
+def four_d_scene(points):
+    """The scene of ``make_scene.py --dim 4 --seed 1 --invertible-b``."""
     sys.path.insert(0, str(SCENES.parent / "scripts"))
     try:
         import make_scene
     finally:
         sys.path.pop(0)
-    doc = make_scene.build(dim=4, seed=1, invertible_b=True, scale=0.25, points=points)
-    report = run_command("central", scene_from_dict(doc))
+    return scene_from_dict(make_scene.build(dim=4, seed=1, invertible_b=True, scale=0.25,
+                                            points=points))
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_central_on_a_4d_scene(points):
+    # the frame derivatives of the 4-D dilaton connection, valued by the
+    # tangent pass in the per-point walk (1 point) and the vector pass (3)
+    report = run_command("central", four_d_scene(points))
     assert report.passed
     assert {c.name for c in report.checks} == {"central.off-block-identity",
                                                "central.scalar-identity"}
     assert all(c.max_abs_residual <= 1e-9 for c in report.checks)
+
+
+# ---------------------------------------------------------------------------
+# the derived-quantity context
+# ---------------------------------------------------------------------------
+
+
+BUILDERS = ((rm, "christoffel"), (tn, "metric_inverse"), (tn, "check_antisymmetric"),
+            (streff, "beta_all"), (gconn, "dilaton_connection"))
+
+
+def builder_calls(monkeypatch, cmd, scene):
+    """How often ``run_command`` calls each builder of BUILDERS."""
+    calls = dict.fromkeys((name for _, name in BUILDERS), 0)
+    for module, name in BUILDERS:
+        def spy(*args, _name=name, _builder=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _builder(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    run_command(cmd, scene)
+    return calls
+
+
+def test_all_builds_each_derived_quantity_once(monkeypatch):
+    # g and G = -B g^{-1} B are inverted once each; H' is checked once, and
+    # theta twice (when the cotangent algebroid is built, and by the
+    # symplectic.twisted-jacobi check)
+    calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
+    assert calls == {"christoffel": 1, "metric_inverse": 2, "check_antisymmetric": 3,
+                     "beta_all": 1, "dilaton_connection": 1}
+
+
+def test_central_on_a_4d_scene_builds_each_derived_quantity_once(monkeypatch):
+    calls = builder_calls(monkeypatch, "central", four_d_scene(1))
+    assert calls == {"christoffel": 1, "metric_inverse": 1, "check_antisymmetric": 1,
+                     "beta_all": 1, "dilaton_connection": 1}
+
+
+SUITE_FUNCTIONS = ("checks_axioms", "checks_torsion", "checks_curvature", "checks_beta",
+                   "checks_central", "checks_symplectic", "checks_equivalence")
+
+
+@pytest.mark.parametrize("scene_file", ["poly2d.json", "poly3d.json"])
+def test_a_fresh_context_per_suite_leaves_the_report_unchanged(monkeypatch, scene_file):
+    # the suites of `all` read one shared context; each suite reading its
+    # own, built afresh, must give the same report bit for bit
+    shared = run_command("all", load_scene(SCENES / scene_file)).to_dict()
+    fresh_contexts = []
+    for name in SUITE_FUNCTIONS:
+        def fresh(scene, derived, _suite=getattr(cli, name)):
+            fresh_contexts.append(streff.Derived(scene.background))
+            assert fresh_contexts[-1] is not derived
+            return _suite(scene, fresh_contexts[-1])
+        monkeypatch.setattr(cli, name, fresh)
+        suite = name.removeprefix("checks_")
+        if suite in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, suite, fresh)
+    separate = run_command("all", load_scene(SCENES / scene_file)).to_dict()
+    assert len(fresh_contexts) == (7 if scene_file == "poly2d.json" else 5)
+    shared.pop("timing_seconds")
+    separate.pop("timing_seconds")
+    assert json.dumps(shared, sort_keys=True) == json.dumps(separate, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["all", "axioms", "beta", "central", "symplectic"])
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        ({"11": "1", "22": "-1"}, "error: metric not positive definite at sample point "
+                                  "(0.7666216164272854, -0.13694400590297995) [background]"),
+        ({"11": "1e-6", "22": "1e-6"}, "error: |det| < 1e-10 at sample point "
+                                       "(0.7666216164272854, -0.13694400590297995)"),
+    ],
+    ids=["not-positive-definite", "singular"],
+)
+def test_main_invalid_metric_is_an_input_error(tmp_path, capsys, command, g, message):
+    # caught when the scene loads, or when the context first inverts g
+    doc = minimal_doc()
+    doc["background"].update(g=g, B={"12": "1"})
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_all_on_an_odd_chart_reports_why_symplectic_is_skipped():
+    report = run_command("all", load_scene(SCENES / "poly3d.json"))
+    assert report.summary["symplectic_skipped"] == (
+        "symplectic checks need an even-dimensional chart (B is singular)")

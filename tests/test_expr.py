@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 
 from gencourant.errors import ChartMismatch, DomainError, ExprSyntaxError, UnknownSymbol
 from gencourant.expr import (
+    ZERO,
     Add,
     Chart,
+    Const,
     Coord,
     Pow,
     Sin,
     SplitMix64,
+    add,
     chart,
     differentiate,
+    esum,
     evaluate,
     evaluate_many,
     parse_expr,
@@ -277,6 +281,17 @@ def test_sample_points_deterministic_and_in_domain():
     assert chart("x y", seed=43).sample_points() != chart("x y", seed=42).sample_points()
 
 
+def test_sample_points_are_drawn_once_per_chart():
+    c = chart("x y", domain=((0.0, 2.0), (-3.0, -1.0)), seed=42, num_points=10)
+    pts = c.sample_points()
+    assert c.sample_points() is pts
+    assert isinstance(pts, tuple) and all(isinstance(p, tuple) for p in pts)
+    fresh = chart("x y", domain=((0.0, 2.0), (-3.0, -1.0)), seed=42, num_points=10)
+    assert fresh.sample_points() == pts
+    other = chart("x y", domain=((0.0, 2.0), (-3.0, -1.0)), seed=43, num_points=10)
+    assert other.sample_points() != pts
+
+
 def test_splitmix64_reference_values():
     # first outputs for seed 0, cross-checked against the published algorithm
     gen = SplitMix64(0)
@@ -297,3 +312,32 @@ def test_random_polynomial_degree_bound():
     # third derivative of a degree-2 polynomial vanishes identically
     d3 = differentiate(differentiate(differentiate(e, X), X), X)
     assert all(evaluate(d3, p) == 0.0 for p in XY.sample_points())
+
+
+# ---------------------------------------------------------------------------
+# smart constructors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["x + y", "x*y - 2*y + 1", "sin(x) + x^2 - 0.5"])
+def test_sum_of_a_lone_sum_is_that_sum(text):
+    s = parse_expr(text, XY)
+    assert type(s) is Add
+    terms, printed = s.terms, to_string(s)
+    assert esum([s]) is s
+    assert add(ZERO, s, 0.0) is s  # constants that leave its constant as it is
+    assert esum([ZERO, s, Const(-0.0)]) is s
+    assert s.terms == terms and to_string(s) == printed
+
+
+def test_sums_that_change_a_lone_sum_are_new_nodes():
+    s = parse_expr("x + y + 1", XY)
+    t = add(s, 2.0)
+    assert t is not s and to_string(t) == "x + y + 3"
+    assert add(s, -1.0).terms == s.terms[:2]
+    u = add(s, X)
+    assert u is not s and to_string(u) == "x + y + x + 1"
+    assert to_string(add(X, s)) == "x + x + y + 1"
+    # a sum built without flattening is flattened, not returned
+    raw = Add((Const(1.0), X), XY)
+    assert add(raw) is not raw and to_string(add(raw)) == "x + 1"

@@ -536,7 +536,7 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
     for a, b in [(0, 1), (1, 2), (0, 3)]:
         psi = gtb.theta_twist(GenSection.frame(c4, n + a), theta, B)
         phi = gtb.theta_twist(GenSection.frame(c4, n + b), theta, B)
-        br = dorfman(psi, phi, H, check_closedness=False)
+        br = dorfman(psi, phi, H, validate=False)
         tw = gtb.theta_twist_inverse(br, theta, B)
         # form part: the twisted Koszul bracket of dx^a, dx^b
         fa = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == a else tn.ex.ZERO)

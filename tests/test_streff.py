@@ -9,7 +9,7 @@ import pytest
 from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
 from gencourant.errors import SingularB
 from gencourant.expr import chart, evaluate, parse_expr
-from gencourant.streff import Background, beta_all, central_residuals, equivalence_report
+from gencourant.streff import Background, Derived, beta_all, central_residuals, equivalence_report
 from gencourant.tensors import DOWN, UP
 
 from conftest import bumpy_b, bumpy_metric, random_background
@@ -32,30 +32,30 @@ def flat_background(n=2, constant_b=False):
 
 def test_flat_background_all_residuals_vanish():
     bg = flat_background(constant_b=True)
-    betas = beta_all(bg)
+    betas = beta_all(Derived(bg))
     assert betas.max_abs(bg.chart.sample_points())[0] == 0.0
     assert evaluate(betas.beta_phi_prime, (0.1, 0.2)) == 0.0
 
 
 def test_beta_b_conformal_form_agrees():
     bg = random_background(2, salt=3)
-    betas = beta_all(bg)
-    other = streff.beta_b_conformal_form(bg)
+    betas = beta_all(Derived(bg))
+    other = streff.beta_b_conformal_form(Derived(bg))
     d = [a - b for a, b in zip(betas.beta_B.comps.reshape(-1), other.comps.reshape(-1))]
     assert tn.ex.max_abs_on_points(d, bg.chart.sample_points())[0] < 1e-9
 
 
 def test_beta_g_index_form_agrees():
     bg = random_background(2, salt=5)
-    betas = beta_all(bg)
-    other = streff.beta_g_index_form(bg)
+    betas = beta_all(Derived(bg))
+    other = streff.beta_g_index_form(Derived(bg))
     d = [a - b for a, b in zip(betas.beta_g.comps.reshape(-1), other.comps.reshape(-1))]
     assert tn.ex.max_abs_on_points(d, bg.chart.sample_points())[0] < 1e-9
 
 
 def test_beta_symmetries():
     bg = random_background(2, salt=7)
-    betas = beta_all(bg)
+    betas = beta_all(Derived(bg))
     n = bg.chart.dim
     sym = [betas.beta_g.comps[i, j] - betas.beta_g.comps[j, i] for i in range(n) for j in range(n)]
     skew = [betas.beta_B.comps[i, j] + betas.beta_B.comps[j, i] for i in range(n) for j in range(n)]
@@ -64,12 +64,12 @@ def test_beta_symmetries():
 
 def test_beta_phi_prime_relation_and_direct_form():
     bg = random_background(2, salt=9)
-    betas = beta_all(bg)
+    betas = beta_all(Derived(bg))
     # direct assembly: -1/2 Lap + |grad|^2 - 1/4 <H',H'>
     g = bg.g
     Hp = bg.h_total()
-    lap, _, norm2 = rm.laplace_divergence(bg.phi, g)
-    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, g)
+    lap, _, norm2 = rm.laplace_divergence(bg.phi, rm.christoffel(g))
+    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, tn.metric_inverse(g))
     d = betas.beta_phi_prime - direct
     assert tn.ex.max_abs_on_points([d], bg.chart.sample_points())[0] < 1e-12
 
@@ -81,21 +81,21 @@ def test_beta_phi_prime_relation_and_direct_form():
 
 def test_central_identities_flat_exact():
     bg = flat_background()
-    res = central_residuals(bg)
+    res = central_residuals(Derived(bg))
     assert res.max_abs(bg.chart.sample_points())[0] == 0.0
 
 
 @pytest.mark.parametrize("salt", [11, 12, 13])
 def test_central_identities_random_2d(salt):
     bg = random_background(2, salt=salt)
-    res = central_residuals(bg)
+    res = central_residuals(Derived(bg))
     worst, _ = res.max_abs(bg.chart.sample_points())
     assert worst < 1e-9
 
 
 def test_central_identities_random_3d():
     bg = random_background(3, salt=21)
-    res = central_residuals(bg)
+    res = central_residuals(Derived(bg))
     worst, _ = res.max_abs(bg.chart.sample_points())
     assert worst < 1e-9
 
@@ -103,24 +103,24 @@ def test_central_identities_random_3d():
 def test_central_identities_nonzero_twist():
     bg = random_background(2, salt=15, with_h=True)
     assert bg.H.max_abs()[0] > 0  # the twist really is nonzero
-    res = central_residuals(bg)
+    res = central_residuals(Derived(bg))
     assert res.max_abs(bg.chart.sample_points())[0] < 1e-9
 
 
 def test_metric_trace_equals_scalar_residual_closed_form():
     bg = random_background(2, salt=17)
-    conn = gconn.dilaton_connection(bg.g, bg.B, bg.H, bg.phi)
+    conn = Derived(bg).dilaton
     sg = gconn.scalar_G(conn)
     g, Hp = bg.g, bg.h_total()
-    _, _, rscal = rm.curvature_package(g)
-    lap, _, norm2 = rm.laplace_divergence(bg.phi, g)
-    want = rscal - 0.5 * rm.form_inner(Hp, Hp, g) + 4.0 * lap - 4.0 * norm2
+    _, _, rscal = rm.curvature_package(rm.christoffel(g))
+    lap, _, norm2 = rm.laplace_divergence(bg.phi, rm.christoffel(g))
+    want = rscal - 0.5 * rm.form_inner(Hp, Hp, tn.metric_inverse(g)) + 4.0 * lap - 4.0 * norm2
     assert tn.ex.max_abs_on_points([sg - want], bg.chart.sample_points())[0] < 1e-9
 
 
 def test_off_shell_backgrounds_have_nonzero_betas():
     bg = random_background(2, salt=19)
-    assert beta_all(bg).max_abs(bg.chart.sample_points())[0] > 1e-3
+    assert beta_all(Derived(bg)).max_abs(bg.chart.sample_points())[0] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def symplectic_background(salt=23, n=2):
 
 def test_algebroid_connection_torsion_free():
     bg = symplectic_background()
-    pkg = streff.build_symplectic(bg)
+    pkg = streff.build_symplectic(Derived(bg))
     alg = pkg.cotangent.algebroid
     n = bg.chart.dim
     res = []
@@ -157,7 +157,7 @@ def test_algebroid_connection_torsion_free():
 
 def test_algebroid_connection_metric_compatibility():
     bg = symplectic_background(salt=25)
-    pkg = streff.build_symplectic(bg)
+    pkg = streff.build_symplectic(Derived(bg))
     alg = pkg.cotangent.algebroid
     n = bg.chart.dim
     res = []
@@ -196,7 +196,7 @@ def test_koszul_jacobi_for_inverse_bivector():
 
 def test_symplectic_flat_background_vanishes():
     bg = flat_background(constant_b=True)
-    res1, res2, res3 = streff.symplectic_residuals(bg)
+    res1, res2, res3 = Derived(bg).dual_residuals
     fields = [res1] + list(res2.comps.reshape(-1)) + list(res3.comps.reshape(-1))
     assert tn.ex.max_abs_on_points(fields, bg.chart.sample_points())[0] < 1e-12
 
@@ -204,17 +204,16 @@ def test_symplectic_flat_background_vanishes():
 def test_symplectic_odd_dimension_rejected():
     bg = random_background(3, salt=29)
     with pytest.raises(SingularB):
-        streff.build_symplectic(bg)
+        streff.build_symplectic(Derived(bg))
 
 
 def test_symplectic_scalar_equals_transported_metric_trace():
     """Independent paths: coframe-side classical assembly vs the frame-side
     metric trace of the sheared dilaton connection."""
     bg = symplectic_background(salt=31)
-    pkg = streff.build_symplectic(bg)
-    res1, _, _ = streff.symplectic_residuals(bg, pkg)
-    _, conn_theta, _ = streff.theta_transported_connection(bg, pkg)
-    sg = gconn.scalar_G(conn_theta)
+    derived = Derived(bg)
+    res1, _, _ = derived.dual_residuals
+    sg = gconn.scalar_G(streff.theta_transported_connection(derived))
     assert tn.ex.max_abs_on_points([res1 - sg], bg.chart.sample_points())[0] < 1e-9
 
 
@@ -222,9 +221,9 @@ def test_symplectic_2d_degree_reduction():
     """On a 2-chart every 3-form dies, so the scalar residual reduces to
     R^theta(G^{-1}) + 4 Lap - 4 |d phi|^2 and the skew residual vanishes."""
     bg = symplectic_background(salt=33)
-    pkg = streff.build_symplectic(bg)
+    pkg = streff.build_symplectic(Derived(bg))
     assert tn.ex.max_abs_on_points(pkg.H_theta, bg.chart.sample_points())[0] < 1e-12
-    res1, _, res3 = streff.symplectic_residuals(bg, pkg)
+    res1, _, res3 = streff.symplectic_residuals(pkg)
     n = 2
     G = pkg.G
     w = pkg.dphi_dual
@@ -239,13 +238,13 @@ def test_symplectic_2d_degree_reduction():
 
 def test_transport_identity_off_shell():
     bg = symplectic_background(salt=35)
-    residual, _, _, _ = streff.transport_identity_residual(bg)
+    residual = streff.transport_identity_residual(Derived(bg))
     assert tn.ex.max_abs_on_points(residual, bg.chart.sample_points())[0] < 1e-9
 
 
 def test_equivalence_report_flat():
     bg = flat_background(constant_b=True)
-    rep = equivalence_report(bg)
+    rep = equivalence_report(Derived(bg))
     assert rep.beta_on_shell and rep.symplectic_on_shell
     assert rep.verdict == "equivalent: both on-shell"
     assert rep.transport_max < 1e-9
@@ -253,12 +252,12 @@ def test_equivalence_report_flat():
 
 def test_equivalence_report_off_shell_and_scaling():
     bg = symplectic_background(salt=37)
-    rep = equivalence_report(bg)
+    rep = equivalence_report(Derived(bg))
     assert not rep.beta_on_shell and not rep.symplectic_on_shell
     assert rep.verdict == "equivalent: both off-shell"
     assert rep.transport_max < 1e-9
     # rescaling g keeps the verdict structure
     bg2 = Background(bg.chart, bg.g.scale(2.0), bg.B, bg.phi, bg.H)
-    rep2 = equivalence_report(bg2)
+    rep2 = equivalence_report(Derived(bg2))
     assert rep2.verdict == rep.verdict
     assert rep2.transport_max < 1e-9

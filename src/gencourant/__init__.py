@@ -21,7 +21,6 @@ Layers, bottom to top:
 from .errors import (
     ChartMismatch,
     CommandError,
-    CyclicConstraintViolated,
     DegreeMismatch,
     DomainError,
     ExprSyntaxError,
@@ -60,7 +59,6 @@ __all__ = [
     "NotAntisymmetric",
     "SingularB",
     "NotTwistedPoisson",
-    "CyclicConstraintViolated",
     "InvalidLieAlgebra",
     "SceneError",
     "CommandError",

@@ -79,10 +79,6 @@ class NotTwistedPoisson(GencourantError):
         self.max_residual = max_residual
 
 
-class CyclicConstraintViolated(GencourantError):
-    """Connection parameter tensor has a nonzero cyclic sum under policy 'reject'."""
-
-
 class InvalidLieAlgebra(GencourantError):
     """Quadratic Lie algebra input violates one of its axioms."""
 

@@ -38,12 +38,7 @@ from . import expr as ex
 from . import gtb
 from . import riemann as rm
 from . import tensors as tn
-from .errors import (
-    CyclicConstraintViolated,
-    InvalidLieAlgebra,
-    NotAntisymmetric,
-    SingularMetric,
-)
+from .errors import InvalidLieAlgebra, NotAntisymmetric, SingularMetric
 from .expr import Chart, Expr, add, esum, mul, neg
 from .gtb import GeneralizedMetric
 from .tensors import DOWN, UP, TensorField
@@ -159,7 +154,6 @@ class GenConnection:
     algebroid: CourantFrame
     gamma: np.ndarray  # [C, A, B]
     metric: GeneralizedMetric
-    provenance: str = "custom"
     _r0: gtb.CurvatureEntries = field(init=False, repr=False, compare=False)
     _curvature: dict = field(default_factory=dict, repr=False, compare=False)
     _ricci: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -262,10 +256,9 @@ def scalar_E(conn: GenConnection) -> Expr:
     return esum(ric[alg.swap(lam), lam] for lam in range(alg.dim2))
 
 
-def scalar_G(conn: GenConnection, metric: GeneralizedMetric | None = None) -> Expr:
+def scalar_G(conn: GenConnection) -> Expr:
     """Generalized-metric trace of the Ricci tensor."""
-    gm = metric if metric is not None else conn.metric
-    return tn.contract("lm,ml->", gm.gram_inverse(), ricci(conn))
+    return tn.contract("lm,ml->", conn.metric.gram_inverse(), ricci(conn))
 
 
 def divergence_section(conn: GenConnection, comps: np.ndarray) -> Expr:
@@ -313,10 +306,10 @@ def v_trace(conn: GenConnection, h: TensorField) -> TensorField:
     return TensorField(conn.chart, (DOWN,), out)
 
 
-def ricci_compat_residual(conn: GenConnection, metric: GeneralizedMetric | None = None) -> TensorField:
+def ricci_compat_residual(conn: GenConnection) -> TensorField:
     """(X, Y) -> Ric(Psi_+(X), Psi_-(Y)): the off-block part of the Ricci
     tensor with respect to the eigenbundle splitting of the metric."""
-    gm = metric if metric is not None else conn.metric
+    gm = conn.metric
     chart = conn.chart
     plus = [gm.psi_plus(_coord_field(chart, i)).components() for i in range(chart.dim)]
     minus = [gm.psi_minus(_coord_field(chart, j)).components() for j in range(chart.dim)]
@@ -399,7 +392,7 @@ def minimal_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnectio
         gamma[l, n + m, v] = add(gamma[l, n + m, v], mul(1.0 / 6.0, form_vec[m, v, l]))
         gamma[n + l, n + m, n + v] = add(gamma[n + l, n + m, n + v],
                                          mul(1.0 / 6.0, form_form[m, v, l]))
-    return GenConnection(standard_algebroid(chart, H_prime), gamma, _block_metric(lc), "minimal")
+    return GenConnection(standard_algebroid(chart, H_prime), gamma, _block_metric(lc))
 
 
 def block_lc_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
@@ -407,7 +400,7 @@ def block_lc_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnecti
     (metric compatible but torsionful: its torsion 3-form is the anchor
     pullback of H_prime)."""
     return GenConnection(standard_algebroid(lc.chart, H_prime), _block_transport(lc),
-                         _block_metric(lc), "block-lc")
+                         _block_metric(lc))
 
 
 @dataclass
@@ -420,42 +413,23 @@ class ConnParams:
     W: TensorField
 
 
-def _cyclic_residual(t: TensorField) -> float:
-    n = t.chart.dim
-    res = []
-    for a, b, c in itertools.product(range(n), repeat=3):
-        res.append(esum([t.comps[a, b, c], t.comps[b, c, a], t.comps[c, a, b]]))
-    return ex.max_abs_on_points(res, t.chart.sample_points())[0]
-
-
 def _alt3(t: TensorField) -> TensorField:
     return tn.antisymmetrize(t, (0, 1, 2))
 
 
-def validate_params(J: TensorField, W: TensorField, policy: str = "reject",
-                    tol: float = 1e-10) -> ConnParams:
-    """Check (or restore, under policy='project') the constraints on a
-    parameter pair.  Antisymmetry in the last two slots is a hard
-    requirement; the cyclic constraint is either enforced (reject) or
-    repaired by T -> T - Alt(T), which zeroes the cyclic sum of a tensor
-    skew in its last two slots."""
+def validate_params(J: TensorField, W: TensorField) -> ConnParams:
+    """Check the antisymmetry of a parameter pair in the last two slots,
+    and restore the cyclic constraint by T -> T - Alt(T), which zeroes the
+    cyclic sum of a tensor skew in its last two slots."""
     if J.variance != (UP, UP, UP) or W.variance != (DOWN, DOWN, DOWN):
         raise NotAntisymmetric("J must be fully contravariant, W fully covariant")
     for t, name in ((J, "J"), (W, "W")):
         swapped = np.swapaxes(t.comps, 1, 2)
         diff = [add(a, b) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
         worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
-        if not worst <= tol:
+        if not worst <= 1e-10:
             raise NotAntisymmetric(f"{name} not antisymmetric in its last two slots ({worst:.3e})")
-    if policy == "project":
-        J = J - _alt3(J)
-        W = W - _alt3(W)
-    else:
-        for t, name in ((J, "J"), (W, "W")):
-            worst = _cyclic_residual(t)
-            if not worst <= tol:
-                raise CyclicConstraintViolated(f"cyclic sum of {name} is {worst:.3e}")
-    return ConnParams(J, W)
+    return ConnParams(J - _alt3(J), W - _alt3(W))
 
 
 def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> np.ndarray:
@@ -485,6 +459,22 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> np.ndar
     return K
 
 
+def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> Expr:
+    """K(g_E^{-1} K(., e_l, e_m), e^m, e^l) - 2 K(e^m, g_E^{-1} K(e_l, e_m, .), e^l),
+    identically zero for any parameter tensor with the cyclic property.
+    Written as the equivalent full contraction
+    K(e^n, e^m, e^l) { K(e_n, e_l, e_m) - 2 K(e_l, e_n, e_m) }."""
+    alg = conn.algebroid
+    dim2 = alg.dim2
+    terms = []
+    for nu, m2, lam in itertools.product(range(dim2), repeat=3):
+        up = K[alg.swap(nu), alg.swap(m2), alg.swap(lam)]
+        terms.append(
+            mul(up, add(K[nu, lam, m2], mul(-2.0, K[lam, nu, m2])))
+        )
+    return esum(terms)
+
+
 def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
     """base + g_E^{-1} K(., ., .): every torsion-free metric connection for
     the block-diagonal metric arises this way."""
@@ -494,7 +484,7 @@ def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
     gamma = np.empty((dim2,) * 3, dtype=object)
     for c, a, b in itertools.product(range(dim2), repeat=3):
         gamma[c, a, b] = add(base.gamma[c, a, b], K[a, b, alg.swap(c)])
-    return GenConnection(alg, gamma, base.metric, "params")
+    return GenConnection(alg, gamma, base.metric)
 
 
 def dilaton_params(g: TensorField, phi) -> ConnParams:
@@ -524,16 +514,12 @@ def dilaton_connection(minimal: GenConnection, B: TensorField, phi) -> GenConnec
     H' = H + dB: the dilaton parameters are added in that block-diagonal
     picture, and the result is sheared back by e^B so that it lives on the
     H-twisted bracket and is compatible with the metric of the pair (g, B)."""
-    conn = untwist(dilaton_connection_twisted(minimal, phi), B)
-    conn.provenance = "dilaton"
-    return conn
+    return untwist(dilaton_connection_twisted(minimal, phi), B)
 
 
 def dilaton_connection_twisted(minimal: GenConnection, phi) -> GenConnection:
     """Same connection, left in the block-diagonal picture."""
-    conn = with_params(minimal, dilaton_params(minimal.metric.g, phi))
-    conn.provenance = "dilaton-twisted"
-    return conn
+    return with_params(minimal, dilaton_params(minimal.metric.g, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +528,7 @@ def dilaton_connection_twisted(minimal: GenConnection, phi) -> GenConnection:
 
 
 def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
-                         algebroid: CourantFrame, metric: GeneralizedMetric,
-                         provenance: str = "transported") -> GenConnection:
+                         algebroid: CourantFrame, metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection back through a frame isomorphism F into a new
     bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') )."""
     src = conn.algebroid
@@ -555,7 +540,7 @@ def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
                       for c in range(dim2)], dtype=object)
     derivs = tn.contract("ca,cdb->dab", F, along)
     gamma = tn.contract("ge,eab->gab", Finv, pulled) + tn.contract("gd,dab->gab", Finv, derivs)
-    return GenConnection(algebroid, gamma, metric, provenance)
+    return GenConnection(algebroid, gamma, metric)
 
 
 def untwist(conn: GenConnection, B: TensorField) -> GenConnection:
@@ -567,8 +552,7 @@ def untwist(conn: GenConnection, B: TensorField) -> GenConnection:
     Finv = gm_new.shear_matrix(+1)
     H_new = _current_twist(conn) - tn.exterior_derivative(B)
     alg_new = standard_algebroid(conn.chart, H_new)
-    out = transport_connection(conn, F, Finv, alg_new, gm_new, "untwisted")
-    return out
+    return transport_connection(conn, F, Finv, alg_new, gm_new)
 
 
 def _current_twist(conn: GenConnection) -> TensorField:
@@ -588,74 +572,7 @@ def theta_transport(conn: GenConnection, theta: TensorField, B: TensorField,
     compatible with ``metric``, BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
     F, Finv = gtb.theta_twist_matrices(theta, B)
     alg_new = conjugated_algebroid(conn.chart, F, Finv, conn.algebroid)
-    return transport_connection(conn, F, Finv, alg_new, metric, "theta-sheared")
-
-
-# ---------------------------------------------------------------------------
-# trace relations of the affine family (helpers for identity tests)
-# ---------------------------------------------------------------------------
-
-
-def param_trace_oneform(K: np.ndarray, alg: CourantFrame) -> np.ndarray:
-    """K'(psi) = K(e_l, e^l, psi)."""
-    dim2 = alg.dim2
-    return np.array(
-        [esum(K[lam, alg.swap(lam), c] for lam in range(dim2)) for c in range(dim2)],
-        dtype=object,
-    )
-
-
-def divergence_dual(conn: GenConnection, kp: np.ndarray) -> Expr:
-    """Div(K') = (nab_{e_l} K')(e^l) for a frame 1-form K'."""
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    terms = []
-    for lam in range(dim2):
-        sl = alg.swap(lam)
-        terms.append(alg.frame_derivative(lam, kp[sl]))
-        terms.append(neg(esum(mul(conn.gamma[c, lam, sl], kp[c]) for c in range(dim2))))
-    return esum(terms)
-
-
-def pairing_norm2_dual(kp: np.ndarray, alg: CourantFrame) -> Expr:
-    """|K'|^2 with the (split) pairing: K'(e_l) K'(e^l)."""
-    return esum(mul(kp[lam], kp[alg.swap(lam)]) for lam in range(alg.dim2))
-
-
-def restrict_to_graph(conn: GenConnection, sign: int) -> np.ndarray:
-    """Chart connection coefficients of the restriction to the graph
-    eigenbundle: nab_{Psi(d_i)} Psi(d_j) = Psi(Gamma^k_{ij} d_k), valid
-    because a metric connection preserves both eigenbundles."""
-    chart = conn.chart
-    n = chart.dim
-    gm = conn.metric
-    secs = [
-        (gm.psi_plus if sign > 0 else gm.psi_minus)(_coord_field(chart, i)).components()
-        for i in range(n)
-    ]
-    out = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            nab = conn.algebroid.connection_apply(conn.gamma, secs[i], secs[j])
-            for k in range(n):
-                out[k, i, j] = nab[k]  # vector part determines the graph section
-    return out
-
-
-def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> Expr:
-    """K(g_E^{-1} K(., e_l, e_m), e^m, e^l) - 2 K(e^m, g_E^{-1} K(e_l, e_m, .), e^l),
-    identically zero for any parameter tensor with the cyclic property.
-    Written as the equivalent full contraction
-    K(e^n, e^m, e^l) { K(e_n, e_l, e_m) - 2 K(e_l, e_n, e_m) }."""
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    terms = []
-    for nu, m2, lam in itertools.product(range(dim2), repeat=3):
-        up = K[alg.swap(nu), alg.swap(m2), alg.swap(lam)]
-        terms.append(
-            mul(up, add(K[nu, lam, m2], mul(-2.0, K[lam, nu, m2])))
-        )
-    return esum(terms)
+    return transport_connection(conn, F, Finv, alg_new, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .expr import Chart, Expr, add, esum, mul, neg
 from .tensors import DOWN, UP, TensorField
 
 CLOSEDNESS_TOL = 1e-10
-ANTISYM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +74,6 @@ class GenSection:
         return GenSection(vec, form)
 
     @staticmethod
-    def zero(chart: Chart) -> "GenSection":
-        return GenSection(tn.zeros(chart, (UP,)), tn.zeros(chart, (DOWN,)))
-
-    @staticmethod
     def frame(chart: Chart, a: int) -> "GenSection":
         """Generalized coordinate frame e_a, a in [0, 2n)."""
         n = chart.dim
@@ -98,10 +93,10 @@ class GenSection:
         return ex.max_abs_on_points(self.components(), points or self.chart.sample_points())
 
 
-def random_section(chart: Chart, gen: ex.SplitMix64, degree: int = 2) -> GenSection:
+def random_section(chart: Chart, gen: ex.SplitMix64) -> GenSection:
     """Random section with polynomial coefficients of total degree <= 2."""
     n = chart.dim
-    comps = np.array([ex.random_polynomial(chart, gen, degree) for _ in range(2 * n)], dtype=object)
+    comps = np.array([ex.random_polynomial(chart, gen) for _ in range(2 * n)], dtype=object)
     return GenSection.from_components(chart, comps)
 
 
@@ -133,31 +128,22 @@ def d_map(chart: Chart, f) -> GenSection:
     return GenSection(tn.zeros(chart, (UP,)), tn.d_scalar(chart, f))
 
 
-def rho(psi: GenSection) -> TensorField:
-    """Anchor: projection to the vector part."""
-    return psi.vec
-
-
-def check_closed(H: TensorField, tol: float = CLOSEDNESS_TOL):
+def check_closed(H: TensorField):
     """Raise NotClosed with the max |dH| component unless dH vanishes at
     the chart's sample points."""
     dH = tn.exterior_derivative(H)
     worst, _ = ex.max_abs_on_points(dH.comps, H.chart.sample_points())
-    if not worst <= tol:
+    if not worst <= CLOSEDNESS_TOL:
         raise NotClosed(worst)
 
 
-def dorfman(psi: GenSection, phi: GenSection, H: TensorField,
-            validate: bool = True) -> GenSection:
+def dorfman(psi: GenSection, phi: GenSection, H: TensorField) -> GenSection:
     """Twisted Dorfman bracket
-    [(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)).
-    H must be a closed 3-form (checked, with its antisymmetry, unless the
-    caller has validated it already)."""
+    [(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)), for a
+    validated closed 3-form H (``Background`` and ``Derived.h_prime`` check
+    it once)."""
     if psi.chart != phi.chart:
         raise ChartMismatch("sections on different charts")
-    if validate:
-        tn.check_antisymmetric(H, ANTISYM_TOL)
-        check_closed(H)
     X, xi = psi.vec, psi.form
     Y, eta = phi.vec, phi.form
     vec = tn.lie_bracket(X, Y)
@@ -172,7 +158,7 @@ def jacobiator(psi, phi, chi, H: TensorField) -> GenSection:
     """Failure of the in-bracket derivation rule:
     [psi,[phi,chi]] - [[psi,phi],chi] - [phi,[psi,chi]], for a validated
     closed 3-form H."""
-    br = lambda a, b: dorfman(a, b, H, validate=False)
+    br = lambda a, b: dorfman(a, b, H)
     return br(psi, br(phi, chi)) - br(br(psi, phi), chi) - br(phi, br(psi, chi))
 
 
@@ -195,7 +181,7 @@ def _check_positive_definite(g: TensorField):
 
 def _check_antisymmetric_matrix(B: TensorField):
     try:
-        tn.check_antisymmetric(B, ANTISYM_TOL)
+        tn.check_antisymmetric(B)
     except NotAntisymmetric:
         raise NotAntisymmetric("2-form fails antisymmetry at a sample point")
 
@@ -269,14 +255,6 @@ class GeneralizedMetric:
             self._tau = tn.contract("ik,kj->ij", pairing_gram(self.chart), self.gram())
         return self._tau
 
-    def apply_tau(self, psi: GenSection) -> GenSection:
-        comps = tn.contract("ij,j->i", self.tau_matrix(), psi.components())
-        return GenSection.from_components(self.chart, comps)
-
-    def value(self, psi: GenSection, phi: GenSection) -> Expr:
-        """G(psi, phi) = <psi, tau(phi)>."""
-        return tn.contract("ij,i,j->", self.gram(), psi.components(), phi.components())
-
     # -- graphs of (pm g + B) -------------------------------------------
 
     def psi_plus(self, X: TensorField) -> GenSection:
@@ -305,8 +283,11 @@ class GeneralizedMetric:
         return GenSection.from_components(self.chart, comps)
 
     def h_form(self) -> TensorField:
-        """Induced symmetric form on T*M; equals g^{-1} on this bundle."""
-        return self.g_inv
+        """Induced symmetric form on T*M, h(xi, eta) = G(rho* xi, rho* eta):
+        the form-form block of the Gram matrix (rho* xi = (0, xi)).  It
+        equals g^{-1} for every B."""
+        n = self.chart.dim
+        return TensorField(self.chart, (UP, UP), self.gram()[n:, n:].copy())
 
 
 def gen_metric(g: TensorField, B: TensorField | None = None) -> GeneralizedMetric:
@@ -342,8 +323,8 @@ def twisted_bracket_check(B: TensorField, H: TensorField, sections=None, points=
     pts = points or chart.sample_points()
 
     def residual(psi, phi):
-        lhs = b_twist(dorfman(psi, phi, HdB, validate=False), B)
-        rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H, validate=False)
+        lhs = b_twist(dorfman(psi, phi, HdB), B)
+        rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H)
         return (lhs - rhs).max_abs(pts)
 
     return ex.worst_of(residual(psi, phi) for psi, phi in sections)
@@ -366,31 +347,10 @@ def theta_matrix_from_b(B: TensorField) -> TensorField:
     return TensorField(chart, (UP, UP), inv)
 
 
-def _check_theta_inverts_b(theta: TensorField, B: TensorField):
-    prods = tn.contract("ia,aj->ij", theta.comps, B.comps) - np.eye(theta.chart.dim)
-    worst, _ = ex.max_abs_on_points(prods.reshape(-1), theta.chart.sample_points())
-    if not worst <= 1e-9:
-        raise SingularB(f"theta is not the inverse of B (residual {worst:.3e})")
-
-
-def theta_twist(psi: GenSection, theta: TensorField, B: TensorField) -> GenSection:
-    """F_theta(X, xi) = (theta(xi), xi - B(X)) for theta = B^{-1};
-    orthogonal for the pairing, with inverse (X, xi) |-> (X - theta(xi), B(X))."""
-    if theta.chart.dim % 2 == 1:
-        raise SingularB("F_theta needs an even-dimensional chart")
-    _check_theta_inverts_b(theta, B)
-    F, _ = theta_twist_matrices(theta, B)
-    return GenSection.from_components(psi.chart, tn.contract("ab,b->a", F, psi.components()))
-
-
-def theta_twist_inverse(psi: GenSection, theta: TensorField, B: TensorField) -> GenSection:
-    """F_theta^{-1}(X, xi) = (X - theta(xi), B(X))."""
-    _, Finv = theta_twist_matrices(theta, B)
-    return GenSection.from_components(psi.chart, tn.contract("ab,b->a", Finv, psi.components()))
-
-
 def theta_twist_matrices(theta: TensorField, B: TensorField):
-    """Frame matrices (F, F^{-1}) of the theta shear."""
+    """Frame matrices (F, F^{-1}) of the bivector shear
+    F_theta(X, xi) = (theta(xi), xi - B(X)) for theta = B^{-1}, which is
+    orthogonal for the pairing, with inverse (X, xi) |-> (X - theta(xi), B(X))."""
     chart = theta.chart
     n = chart.dim
     F = np.empty((2 * n, 2 * n), dtype=object)
@@ -418,7 +378,7 @@ def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
         (1/2)[theta,theta](xi,eta,zeta) + twist(theta xi, theta eta, theta zeta)
     on coordinate 1-forms; identically zero iff theta is a twisted Poisson
     structure for the given twist 3-form."""
-    tn.check_antisymmetric(theta, ANTISYM_TOL)
+    tn.check_antisymmetric(theta)
     chart = theta.chart
     n = chart.dim
     coords = chart.coords()
@@ -437,10 +397,10 @@ def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
     return TensorField(chart, (UP, UP, UP), out)
 
 
-def validate_twisted_poisson(theta: TensorField, twist: TensorField, tol: float = 1e-9):
+def validate_twisted_poisson(theta: TensorField, twist: TensorField):
     res = schouten_check(theta, twist)
     worst, _ = res.max_abs()
-    if not worst <= tol:
+    if not worst <= 1e-9:
         raise NotTwistedPoisson(worst)
 
 
@@ -465,15 +425,6 @@ def d_theta(chart: Chart, f, theta: TensorField) -> TensorField:
     a vector field with components theta^{a m} d_a f."""
     df = tn.d_scalar(chart, f)
     return TensorField(chart, (UP,), tn.contract("am,a->m", theta.comps, df.comps))
-
-
-def poisson_bracket(f, g, theta: TensorField) -> Expr:
-    """{f, g} = theta(df).g; with this convention [df, dg] = d{f, g} for a
-    Poisson bivector."""
-    chart = theta.chart
-    df = tn.d_scalar(chart, f)
-    dg = tn.d_scalar(chart, g)
-    return tn.contract("ma,a,m->", theta.comps, df.comps, dg.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +524,6 @@ class AnchoredFrame:
                 out[:, a, b] = 0.5 * (self.structure[:, a, b] + raised)
         return out
 
-    def curvature(self, gamma: np.ndarray):
-        """(Riemann [d,c,a,b], Ricci [c,b]) of connection coefficients as
-        full arrays, from ``CurvatureEntries``."""
-        r0 = CurvatureEntries(self, gamma)
-        riem = np.empty((self.rank,) * 4, dtype=object)
-        for idx in itertools.product(range(self.rank), repeat=4):
-            riem[idx] = r0[idx]
-        return riem, r0.ricci()
-
     def covariant_derivative_form(self, gamma: np.ndarray, a: int, omega: np.ndarray, degree: int) -> np.ndarray:
         """nab_{E_a} of a degree-p frame form."""
         r = self.rank
@@ -656,21 +598,19 @@ class CurvatureEntries:
 
 @dataclass
 class LieAlgebroidCotangent:
-    """T*M with anchor theta and the twisted Koszul bracket; 'validated'
-    means the twisted Jacobi residual vanished at the sample points."""
+    """T*M with anchor theta and the twisted Koszul bracket."""
 
     chart: Chart
     theta: TensorField
     twist: TensorField  # 3-form twisting the Koszul bracket (dB in practice)
     algebroid: AnchoredFrame
-    validated: bool
 
     @staticmethod
-    def build(theta: TensorField, twist: TensorField, validate: bool = True,
-              tol: float = 1e-9) -> "LieAlgebroidCotangent":
+    def build(theta: TensorField, twist: TensorField) -> "LieAlgebroidCotangent":
+        """The algebroid of theta, after checking that its twisted Jacobi
+        residual vanishes at the sample points."""
         chart = theta.chart
-        if validate:
-            validate_twisted_poisson(theta, twist, tol)
+        validate_twisted_poisson(theta, twist)
         n = chart.dim
         anchor = theta.comps.T.copy()  # [a, m] = theta(dx^a)^m
         structure = np.empty((n, n, n), dtype=object)
@@ -683,25 +623,4 @@ class LieAlgebroidCotangent:
                 br = koszul(frame_forms[a], frame_forms[b], theta, twist)
                 for c in range(n):
                     structure[c, a, b] = br.comps[c]
-        return LieAlgebroidCotangent(
-            chart, theta, twist, AnchoredFrame(chart, anchor, structure), validate
-        )
-
-
-def a_dorfman(phi_pair, psi_pair, algebroid: AnchoredFrame, H_A: np.ndarray):
-    """Dorfman bracket on A (+) A* for a Lie algebroid A:
-    [(u,x),(v,y)] = ([u,v]_A, L^A_u y - i_v d^A x - H_A(u,v,.)), with the
-    twist H_A a frame 3-form on A.  Arguments and result are (section,
-    dual-section) component pairs."""
-    u, x = phi_pair
-    v, y = psi_pair
-    r = algebroid.rank
-    vec = algebroid.bracket(u, v)
-    # L^A_u y = i_u d^A y + d^A i_u y on 1-forms over the frame
-    iu_dy = tn.contract("a,ab->b", u, algebroid.differential(y, 1))
-    d_iuy = algebroid.differential(np.array(tn.contract("a,a->", u, y), dtype=object), 0)
-    iv_dx = tn.contract("a,ab->b", v, algebroid.differential(x, 1))
-    h = tn.contract("acb,a,c->b", H_A, u, v)
-    out = np.array([add(iu_dy[b], d_iuy[b], neg(iv_dx[b]), neg(h[b])) for b in range(r)],
-                   dtype=object)
-    return vec, out
+        return LieAlgebroidCotangent(chart, theta, twist, AnchoredFrame(chart, anchor, structure))

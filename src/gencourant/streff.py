@@ -248,8 +248,6 @@ class CentralResiduals:
 
     scalar_residual: Expr              # metric Ricci trace minus beta_phi
     ricci_residual: TensorField        # off-block Ricci minus (beta_g - beta_B)
-    connection: gconn.GenConnection
-    betas: BetaResiduals
 
     def max_abs(self, points):
         fields = [self.scalar_residual] + list(self.ricci_residual.comps.reshape(-1))
@@ -265,7 +263,7 @@ def central_residuals(derived: Derived) -> CentralResiduals:
     scalar_res = add(gconn.scalar_G(conn), neg(betas.beta_phi))
     compat = gconn.ricci_compat_residual(conn)
     ricci_res = compat - (betas.beta_g - betas.beta_B)
-    return CentralResiduals(scalar_res, ricci_res, conn, betas)
+    return CentralResiduals(scalar_res, ricci_res)
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +309,10 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
                              scalar)
 
 
-def lie_algebroid_lc(theta: TensorField, twist: TensorField, G: TensorField,
-                     tol: float = 1e-9):
-    """Public wrapper: validate theta against the twist, build the cotangent
-    algebroid and the Levi-Civita coefficients for the fiber metric G^{-1}."""
-    gtb._check_positive_definite(G)
-    cot = LieAlgebroidCotangent.build(theta, twist, validate=True, tol=tol)
-    g_A = tn.matrix_inverse(G.comps)
-    return cot, cot.algebroid.lc_connection(g_A)
-
-
 def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField):
     """(Ricci over the coframe, G-trace scalar) of an algebroid connection."""
     ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
     return ric, tn.contract("ab,ab->", G.comps, ric)
-
-
-def algebroid_laplacian(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField, phi) -> Expr:
-    """Lap(phi) = (nab_{E_k}(d_A phi))(G(d_k)) over the coframe."""
-    w = gtb.d_theta(cot.chart, phi, cot.theta).comps
-    return _laplacian_dual(G, _nabla_dual(cot.algebroid, gamma, w))
 
 
 def _nabla_dual(alg: gtb.AnchoredFrame, gamma: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -408,13 +390,12 @@ VANISH_TOL = 1e-7
 @dataclass
 class EquivalenceReport:
     """Max-abs of each residual family over the sample points, with the
-    point where it is reached, and the transport identity's max-abs."""
+    point where it is reached."""
 
     beta_max: float
     beta_point: tuple
     symplectic_max: float
     symplectic_point: tuple
-    transport_max: float
     beta_on_shell: bool
     symplectic_on_shell: bool
     verdict: str
@@ -435,14 +416,12 @@ def transport_identity_residual(derived: Derived) -> np.ndarray:
 
 
 def equivalence_report(derived: Derived) -> EquivalenceReport:
-    """Both residual families and the transport identity on the sample
-    points."""
+    """Both residual families on the sample points."""
     points = derived.bg.chart.sample_points()
     beta_max, beta_point = derived.betas.max_abs(points)
     res1, res2, res3 = derived.dual_residuals
     sym_fields = [res1] + list(res2.comps.reshape(-1)) + list(res3.comps.reshape(-1))
     sym_max, sym_point = ex.max_abs_on_points(sym_fields, points)
-    transport_max = ex.max_abs_on_points(derived.transport, points)[0]
     beta_on = beta_max < VANISH_TOL
     sym_on = sym_max < VANISH_TOL
     if beta_on and sym_on:
@@ -451,5 +430,4 @@ def equivalence_report(derived: Derived) -> EquivalenceReport:
         verdict = "equivalent: both off-shell"
     else:
         verdict = "inconsistent: one family vanishes without the other"
-    return EquivalenceReport(beta_max, beta_point, sym_max, sym_point, transport_max,
-                             beta_on, sym_on, verdict)
+    return EquivalenceReport(beta_max, beta_point, sym_max, sym_point, beta_on, sym_on, verdict)

@@ -183,14 +183,6 @@ def euclidean_metric(chart: Chart) -> TensorField:
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for specs built in code
 
 
-def tensor_product(a: TensorField, b: TensorField) -> TensorField:
-    _same_chart(a, b)
-    sa, sb = _LETTERS[:a.rank], _LETTERS[a.rank:a.rank + b.rank]
-    out = contract(f"{sa},{sb}->{sa}{sb}", a.comps, b.comps)
-    return TensorField(a.chart, a.variance + b.variance, out,
-                       tensorial=a.tensorial and b.tensorial)
-
-
 def contract(spec: str, *operands):
     """Einsum-style contraction of object arrays of Expr (plain numbers are
     accepted too), e.g. ``contract("ij,j->i", m, v)`` for m v.  See the
@@ -238,10 +230,9 @@ def _contraction_plan(spec: str, shapes: tuple):
     return takes, tuple(sizes[c] for c in out), bool(summed)
 
 
-def _check_metric(metric: TensorField, expect: str):
-    if metric.rank != 2 or metric.variance != (expect, expect):
-        raise SlotError("metric must be a rank-2 tensor of uniform variance")
-    n = metric.chart.dim
+def _check_metric(metric: TensorField):
+    if metric.variance != (DOWN, DOWN):
+        raise SlotError("metric must be a (0,2) tensor")
     pts = metric.chart.sample_points()
     for p, m in zip(pts, metric.evaluate_points(pts)):
         # written so that a NaN or an infinity fails the test
@@ -249,26 +240,6 @@ def _check_metric(metric: TensorField, expect: str):
             raise SlotError(f"metric is not finite and symmetric at sample point {p}")
         if not abs(np.linalg.det(m)) >= DET_TOL:
             raise SingularMetric(f"|det| < {DET_TOL} at sample point {p}")
-
-
-def raise_index(t: TensorField, metric_inverse: TensorField, slot: int) -> TensorField:
-    return _move_index(t, metric_inverse, slot, UP, "raise_index")
-
-
-def lower_index(t: TensorField, metric: TensorField, slot: int) -> TensorField:
-    return _move_index(t, metric, slot, DOWN, "lower_index")
-
-
-def _move_index(t: TensorField, metric: TensorField, slot: int, to: str, name: str) -> TensorField:
-    """metric[a, z] t[..., z, ...] with z in ``slot``, which turns to ``to``."""
-    if not t.tensorial:
-        raise NonTensorial(f"{name} needs a tensorial field")
-    if not (0 <= slot < t.rank) or t.variance[slot] == to:
-        raise SlotError(f"{name} needs {'a down' if to == UP else 'an up'} slot")
-    _check_metric(metric, to)
-    idx = _LETTERS[:t.rank]
-    out = contract(f"{idx[slot]}z,{idx[:slot]}z{idx[slot + 1:]}->{idx}", metric.comps, t.comps)
-    return TensorField(t.chart, t.variance[:slot] + (to,) + t.variance[slot + 1:], out)
 
 
 def _permutations_with_sign(k):
@@ -288,14 +259,14 @@ def _permutations_with_sign(k):
         yield perm, sign
 
 
-def _sym_projector(t: TensorField, slot_set, use_sign: bool) -> TensorField:
+def antisymmetrize(t: TensorField, slot_set) -> TensorField:
     if not t.tensorial:
-        raise NonTensorial("(anti)symmetrize needs a tensorial field")
+        raise NonTensorial("antisymmetrize needs a tensorial field")
     slots = tuple(slot_set)
     if len(set(slots)) != len(slots) or any(not 0 <= s < t.rank for s in slots):
         raise SlotError("bad slot set")
     if len({t.variance[s] for s in slots}) > 1:
-        raise SlotError("cannot (anti)symmetrize slots of mixed variance")
+        raise SlotError("cannot antisymmetrize slots of mixed variance")
     n = t.chart.dim
     k = len(slots)
     norm = 1.0 / float(np.prod(range(1, k + 1)))
@@ -307,17 +278,9 @@ def _sym_projector(t: TensorField, slot_set, use_sign: bool) -> TensorField:
             for pos, s in enumerate(slots):
                 src[s] = idx[slots[perm[pos]]]
             term = t.comps[tuple(src)]
-            terms.append(term if (sign > 0 or not use_sign) else neg(term))
+            terms.append(term if sign > 0 else neg(term))
         out[idx] = mul(norm, esum(terms))
     return TensorField(t.chart, t.variance, out)
-
-
-def antisymmetrize(t: TensorField, slot_set) -> TensorField:
-    return _sym_projector(t, slot_set, use_sign=True)
-
-
-def symmetrize(t: TensorField, slot_set) -> TensorField:
-    return _sym_projector(t, slot_set, use_sign=False)
 
 
 def coordinate_gradient(t: TensorField) -> TensorField:
@@ -372,7 +335,7 @@ def matrix_inverse(m: np.ndarray) -> np.ndarray:
 def metric_inverse(g: TensorField) -> TensorField:
     """Symbolic inverse of a (0,2) metric, checked nondegenerate at the
     chart's sample points."""
-    _check_metric(g, DOWN)
+    _check_metric(g)
     return TensorField(g.chart, (UP, UP), matrix_inverse(g.comps))
 
 
@@ -381,7 +344,7 @@ def metric_inverse(g: TensorField) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def check_antisymmetric(t: TensorField, tol: float = 1e-10):
+def check_antisymmetric(t: TensorField):
     """All-pairs antisymmetry of a covariant or contravariant form."""
     if t.rank < 2:
         return
@@ -390,7 +353,7 @@ def check_antisymmetric(t: TensorField, tol: float = 1e-10):
         swapped = np.swapaxes(t.comps, i, i + 1)
         diff = [add(a, b) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
         worst, _ = ex.max_abs_on_points(diff, pts)
-        if not worst <= tol:
+        if not worst <= 1e-10:
             raise NotAntisymmetric(f"antisymmetry residual {worst:.3e} in slots ({i},{i + 1})")
 
 

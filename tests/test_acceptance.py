@@ -53,19 +53,19 @@ def test_criterion_01_courant_axioms():
             )
             fields.append(
                 lhs
-                - gtb.pairing(gtb.dorfman(a, b, H, False), d)
-                - gtb.pairing(b, gtb.dorfman(a, d, H, False))
+                - gtb.pairing(gtb.dorfman(a, b, H), d)
+                - gtb.pairing(b, gtb.dorfman(a, d, H))
             )
             fields.extend(
                 (
-                    gtb.dorfman(a, b, H, False)
-                    + gtb.dorfman(b, a, H, False)
+                    gtb.dorfman(a, b, H)
+                    + gtb.dorfman(b, a, H)
                     - gtb.d_map(c, gtb.pairing(a, b))
                 ).components()
             )
             f = tn.ex.random_polynomial(c, gen)
             g2 = tn.ex.random_polynomial(c, gen)
-            fields.extend(gtb.dorfman(gtb.d_map(c, f), a, H, False).components())
+            fields.extend(gtb.dorfman(gtb.d_map(c, f), a, H).components())
             fields.append(gtb.pairing(gtb.d_map(c, f), gtb.d_map(c, g2)))
             worst = max(worst, max_abs(fields, pts))
     report(1, "Courant axioms on random sections", worst, 1e-9)
@@ -124,7 +124,7 @@ def _random_valid_params(c, salt, scale=0.2):
     W = tn.antisymmetrize(
         tn.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
     )
-    return gconn.validate_params(J, W, policy="project")
+    return gconn.validate_params(J, W)
 
 
 def _partial_traces(params, g):

@@ -324,6 +324,24 @@ def test_classical_oracle_catches_a_fault_in_the_shared_curvature(monkeypatch):
     assert not checks["curvature.metric-scalar-closed-form"].passed
 
 
+def test_induced_form_check_catches_a_misplaced_shear(monkeypatch):
+    # axioms.induced-form compares G(rho* xi, rho* eta), the form-form block
+    # of the Gram matrix, with g^{-1}.  With B moved to the (vector, form)
+    # corner of the shear, that block gains B^T g B.
+    exact = gtb.GeneralizedMetric.shear_matrix
+
+    def misplaced(self, sign):
+        n = self.chart.dim
+        m = exact(self, sign)
+        m[n:, :n], m[:n, n:] = m[:n, n:].copy(), m[n:, :n].copy()
+        return m
+
+    monkeypatch.setattr(gtb.GeneralizedMetric, "shear_matrix", misplaced)
+    scene = load_scene(SCENES / "poly2d.json")
+    checks = {c.name: c for c in run_command("axioms", scene).checks}
+    assert not checks["axioms.induced-form"].passed
+
+
 @pytest.mark.parametrize("value", ["tight", True, float("nan"), float("inf"), 0, -1e-9, None, [1e-9]])
 def test_main_bad_tolerance_is_an_input_error(tmp_path, capsys, value):
     doc = minimal_doc()
@@ -428,7 +446,7 @@ def test_simultaneous_vanishing_fails_on_a_nan_family(monkeypatch):
     # fail at the NaN's point, not read the small beta residual
     scene = load_scene(SCENES / "poly2d.json")
     pts = scene.chart.sample_points()
-    report = streff.EquivalenceReport(1e-12, pts[2], math.nan, pts[5], 0.0, True, False, "")
+    report = streff.EquivalenceReport(1e-12, pts[2], math.nan, pts[5], True, False, "")
     monkeypatch.setattr(streff, "equivalence_report", lambda *args: report)
     checks, _ = cli.checks_equivalence(scene, streff.Derived(scene.background))
     vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]

@@ -10,7 +10,7 @@ from gencourant import gconn
 from gencourant import gtb
 from gencourant import riemann as rm
 from gencourant import tensors as tn
-from gencourant.errors import CyclicConstraintViolated, NotAntisymmetric
+from gencourant.errors import NotAntisymmetric
 from gencourant.expr import chart, evaluate
 from gencourant.gtb import GenSection
 from gencourant.tensors import DOWN, UP, TensorField
@@ -50,7 +50,7 @@ def random_params(c, g, salt=3, scale=0.2):
         tn.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)),
         (1, 2),
     )
-    return gconn.validate_params(J, W, policy="project")
+    return gconn.validate_params(J, W)
 
 
 def max_abs(arr, c):
@@ -69,7 +69,7 @@ def test_bracket_components_match_dorfman():
     for _ in range(3):
         psi, phi = gtb.random_section(C2, gen), gtb.random_section(C2, gen)
         got = gconn._bracket_components(alg, psi.components(), phi.components())
-        want = gtb.dorfman(psi, phi, H, validate=False).components()
+        want = gtb.dorfman(psi, phi, H).components()
         assert max_abs([a - b for a, b in zip(got, want)], C2) < 1e-10
 
 
@@ -268,15 +268,13 @@ def test_validate_params_cases():
     W3 = tn.antisymmetrize(
         tn.from_function(c3, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c3, gen)), (0, 1, 2)
     )
-    params = gconn.validate_params(tn.zeros(c3, (UP,) * 3), W3, policy="project")
+    params = gconn.validate_params(tn.zeros(c3, (UP,) * 3), W3)
     assert params.W.max_abs()[0] < 1e-12
-    with pytest.raises(CyclicConstraintViolated):
-        gconn.validate_params(tn.zeros(c3, (UP,) * 3), W3, policy="reject")
 
-    # the dilaton choice is already valid
+    # the dilaton choice already has a zero cyclic sum, so the projection keeps it
     phi = tn.ex.parse_expr("x*y", C2)
     dil = gconn.dilaton_params(g, phi)
-    gconn.validate_params(dil.J, dil.W, policy="reject")
+    assert (gconn.validate_params(dil.J, dil.W).W - dil.W).max_abs()[0] < 1e-12
 
     # antisymmetry in the last two slots is a hard requirement
     bad = tn.from_function(C2, (DOWN,) * 3, lambda i, j, k: tn.ex.ONE)
@@ -446,14 +444,17 @@ def test_affine_family_scalar_relations():
     dparams = gconn.ConnParams(p2.J - p1.J, p2.W - p1.W)
     K = gconn.param_tensor_frame(dparams, gtb.gen_metric(g))
     alg = base.algebroid
-    kp = gconn.param_trace_oneform(K, alg)
+    eta = gtb.pairing_gram(C2)
+    kp = tn.contract("lm,lmc->c", eta, K)  # K'(psi) = K(e_l, e^l, psi)
+    # Div K' = (nab_{e_l} K')(e^l) and |K'|^2 = K'(e_l) K'(e^l)
+    nab_kp = np.array([alg.connection_apply_dual(base.gamma, lam, kp) for lam in range(4)])
     pts = C2.sample_points()
 
     lhs = gconn.scalar_E(other)
     rhs = (
         gconn.scalar_E(base)
-        + 2.0 * gconn.divergence_dual(base, kp)
-        - gconn.pairing_norm2_dual(kp, alg)
+        + 2.0 * tn.contract("lm,lm->", eta, nab_kp)
+        - tn.contract("lm,l,m->", eta, kp, kp)
     )
     assert tn.ex.max_abs_on_points([lhs - rhs], pts)[0] < 1e-9
 
@@ -481,12 +482,15 @@ def test_affine_family_scalar_relations():
             ],
             dtype=object,
         )
-        gpm = gconn.restrict_to_graph(base, sign)
+        # the restriction to the graph eigenbundle: nab_{Psi(d_k)} Psi(d_a) =
+        # Psi(gpm[k][a][c] d_c), read off the vector part
+        gpm = [[alg.connection_apply(base.gamma, secs[k], secs[a])[:n] for a in range(n)]
+               for k in range(n)]
         div_terms = []
         norm_terms = []
         for k, a in itertools.product(range(n), repeat=2):
             nab = tn.ex.differentiate(kp_pm[a], C2.coord(k)) - tn.ex.esum(
-                tn.ex.mul(gpm[c, k, a], kp_pm[c]) for c in range(n)
+                tn.ex.mul(gpm[k][a][c], kp_pm[c]) for c in range(n)
             )
             div_terms.append(tn.ex.mul(0.5, ginv.comps[k, a], nab))
             norm_terms.append(tn.ex.mul(0.5, ginv.comps[k, a], kp_pm[k], kp_pm[a]))

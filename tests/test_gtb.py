@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gencourant import gtb
+from gencourant import gtb, streff
 from gencourant import tensors as tn
 from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
 from gencourant.expr import chart, evaluate, parse_expr, worst_of
@@ -97,11 +97,12 @@ def test_dorfman_constant_frame_fields():
 
 
 def test_dorfman_requires_closed_twist():
-    # dH != 0 for H = x4 dx1^dx2^dx3 on a 4-chart
+    # dH != 0 for H = x4 dx1^dx2^dx3 on a 4-chart; the background that
+    # hands H to the bracket refuses it
     c4 = chart("x1 x2 x3 x4", seed=31)
     H = tn.form_from_wedge_coeffs(c4, 3, {(0, 1, 2): parse_expr("x4", c4)})
     with pytest.raises(NotClosed):
-        dorfman(frame(c4, 0), frame(c4, 1), H)
+        streff.Background(c4, tn.euclidean_metric(c4), tn.zeros(c4, (DOWN, DOWN)), 0.0, H)
 
 
 def test_dorfman_kills_d_map():
@@ -118,7 +119,7 @@ def test_dorfman_symmetric_part_is_d_of_pairing():
     gen = C3.rng(19)
     for _ in range(4):
         psi, phi = random_section(C3, gen), random_section(C3, gen)
-        sym = dorfman(psi, phi, H, False) + dorfman(phi, psi, H, False)
+        sym = dorfman(psi, phi, H) + dorfman(phi, psi, H)
         want = d_map(C3, pairing(psi, phi))
         assert (sym - want).max_abs()[0] < 1e-10
 
@@ -141,7 +142,7 @@ def test_dorfman_invariance_of_pairing():
             tn.ex.mul(psi.vec.comps[a], tn.ex.differentiate(pairing(phi, chi), C2.coord(a)))
             for a in range(2)
         )
-        rhs = pairing(dorfman(psi, phi, H, False), chi) + pairing(phi, dorfman(psi, chi, H, False))
+        rhs = pairing(dorfman(psi, phi, H), chi) + pairing(phi, dorfman(psi, chi, H))
         assert tn.ex.max_abs_on_points([lhs - rhs], pts)[0] < 1e-9
 
 
@@ -151,11 +152,11 @@ def test_dorfman_left_leibniz():
     f = tn.ex.random_polynomial(C2, gen)
     psi, phi = random_section(C2, gen), random_section(C2, gen)
     fpsi = psi.scale(f)
-    lhs = dorfman(fpsi, phi, H, False)
+    lhs = dorfman(fpsi, phi, H)
     rhof_f = tn.ex.esum(
         tn.ex.mul(phi.vec.comps[a], tn.ex.differentiate(f, C2.coord(a))) for a in range(2)
     )
-    rhs = dorfman(psi, phi, H, False).scale(f) - psi.scale(rhof_f) + d_map(C2, f).scale(pairing(psi, phi))
+    rhs = dorfman(psi, phi, H).scale(f) - psi.scale(rhof_f) + d_map(C2, f).scale(pairing(psi, phi))
     assert (lhs - rhs).max_abs()[0] < 1e-9
 
 
@@ -163,7 +164,7 @@ def test_anchor_is_bracket_morphism_and_rho_rhostar_zero():
     H = closed_three_form(C2, seed=3)
     gen = C2.rng(53)
     psi, phi = random_section(C2, gen), random_section(C2, gen)
-    br = dorfman(psi, phi, H, False)
+    br = dorfman(psi, phi, H)
     want = tn.lie_bracket(psi.vec, phi.vec)
     assert (br.vec - want).max_abs()[0] < 1e-9
     # rho . rho* = 0: rho*(xi) = (0, xi) has no vector part by construction
@@ -238,7 +239,7 @@ def test_gen_metric_tau_involution_and_orthogonality():
 
 def test_gen_metric_flat_tau_swaps():
     gm = gen_metric(tn.euclidean_metric(C2))
-    t = gm.apply_tau(frame(C2, 0))
+    t = shear(gm.tau_matrix(), frame(C2, 0))
     assert (t - frame(C2, 2)).max_abs()[0] == 0.0
 
 
@@ -341,17 +342,27 @@ def test_twisted_bracket_check_reports_the_worst_point():
     assert at in C3.sample_points()
 
 
+def shear(M, psi):
+    """The section with frame components M psi."""
+    return GenSection.from_components(psi.chart, tn.contract("ab,b->a", M, psi.components()))
+
+
 def test_theta_twist_inverse_and_pairing():
     B = tn.form_from_wedge_coeffs(C2, 2, {(0, 1): poly("1 + x/4")})
     theta = gtb.theta_matrix_from_b(B)
-    gen = C2.rng(79)
+    F, Finv = gtb.theta_twist_matrices(theta, B)
     pts = C2.sample_points()
+    one = tn.contract("ab,bc->ac", F, Finv) - np.eye(4)
+    assert tn.ex.max_abs_on_points(one, pts)[0] < 1e-10
+    # F^T eta F = eta: F_theta is orthogonal for the pairing
+    eta = gtb.pairing_gram(C2)
+    ortho = tn.contract("ca,cd,db->ab", F, eta, F) - eta
+    assert tn.ex.max_abs_on_points(ortho, pts)[0] < 1e-10
+    gen = C2.rng(79)
     for _ in range(3):
-        psi = random_section(C2, gen)
-        back = gtb.theta_twist_inverse(gtb.theta_twist(psi, theta, B), theta, B)
-        assert (back - psi).max_abs(pts)[0] < 1e-10
-        phi = random_section(C2, gen)
-        d = pairing(gtb.theta_twist(psi, theta, B), gtb.theta_twist(phi, theta, B)) - pairing(psi, phi)
+        psi, phi = random_section(C2, gen), random_section(C2, gen)
+        assert (shear(Finv, shear(F, psi)) - psi).max_abs(pts)[0] < 1e-10
+        d = pairing(shear(F, psi), shear(F, phi)) - pairing(psi, phi)
         assert tn.ex.max_abs_on_points([d], pts)[0] < 1e-10
 
 
@@ -365,7 +376,8 @@ def test_theta_twist_2d_matrix_oracle():
         assert np.allclose(th, np.linalg.inv(Bv))
         assert np.allclose(th, -Bv)
     # spot values through the shear
-    tw = gtb.theta_twist(frame(C2, 2), theta, B)  # F(0, dx) = (theta(dx), dx)
+    F, _ = gtb.theta_twist_matrices(theta, B)
+    tw = shear(F, frame(C2, 2))  # F(0, dx) = (theta(dx), dx)
     assert evaluate(tw.vec.comps[1], (0.1, 0.2)) == pytest.approx(1.0)
     assert evaluate(tw.vec.comps[0], (0.1, 0.2)) == 0.0
 
@@ -458,7 +470,9 @@ def test_koszul_exact_forms_constant_theta():
     zero3 = tn.zeros(C2, (DOWN,) * 3)
     f, g = poly("x^2*y"), poly("x + y^2")
     br = gtb.koszul(tn.d_scalar(C2, f), tn.d_scalar(C2, g), theta, zero3)
-    want = tn.d_scalar(C2, gtb.poisson_bracket(f, g, theta))
+    # {f, g} = theta(df).g; [df, dg] = d{f, g} for a Poisson bivector
+    df, dg = tn.d_scalar(C2, f), tn.d_scalar(C2, g)
+    want = tn.d_scalar(C2, tn.contract("ma,a,m->", theta.comps, df.comps, dg.comps))
     assert (br - want).max_abs()[0] < 1e-12
 
 
@@ -498,7 +512,7 @@ def test_d_theta_values():
 
 
 # ---------------------------------------------------------------------------
-# Lie algebroid calculus and the A-Dorfman correspondence
+# Lie algebroid calculus and the sheared Dorfman bracket
 # ---------------------------------------------------------------------------
 
 
@@ -532,12 +546,12 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
     theta = gtb.theta_matrix_from_b(B)
     H = tn.zeros(c4, (DOWN,) * 3)
     dB = tn.exterior_derivative(B)
+    F, Finv = gtb.theta_twist_matrices(theta, B)
     pts = c4.sample_points()[:5]
     for a, b in [(0, 1), (1, 2), (0, 3)]:
-        psi = gtb.theta_twist(GenSection.frame(c4, n + a), theta, B)
-        phi = gtb.theta_twist(GenSection.frame(c4, n + b), theta, B)
-        br = dorfman(psi, phi, H, validate=False)
-        tw = gtb.theta_twist_inverse(br, theta, B)
+        psi = shear(F, GenSection.frame(c4, n + a))
+        phi = shear(F, GenSection.frame(c4, n + b))
+        tw = shear(Finv, dorfman(psi, phi, H))
         # form part: the twisted Koszul bracket of dx^a, dx^b
         fa = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == a else tn.ex.ZERO)
         fb = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == b else tn.ex.ZERO)
@@ -553,39 +567,13 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
             assert tn.ex.max_abs_on_points([d], pts)[0] < 1e-9
 
 
-def test_a_dorfman_matches_transported_bracket():
-    c4, B = invertible_B4()
-    n = 4
-    theta = gtb.theta_matrix_from_b(B)
-    dB = tn.exterior_derivative(B)
-    cot = gtb.LieAlgebroidCotangent.build(theta, dB)
-    # frame 3-form on A: H'_theta(dx^a, dx^b, dx^c) with H = 0
-    H_A = np.empty((n, n, n), dtype=object)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        H_A[a, b, c] = tn.ex.esum(
-            tn.ex.mul(dB.comps[i, j, k], theta.comps[i, a], theta.comps[j, b], theta.comps[k, c])
-            for i in range(n) for j in range(n) for k in range(n)
-        )
-    pts = c4.sample_points()[:4]
-    ea = lambda a: np.array([tn.ex.ONE if i == a else tn.ex.ZERO for i in range(n)], dtype=object)
-    zero = np.array([tn.ex.ZERO] * n, dtype=object)
-    for a, b in [(0, 1), (2, 3)]:
-        vec, dual = gtb.a_dorfman((ea(a), zero), (ea(b), zero), cot.algebroid, H_A)
-        psi = gtb.theta_twist(GenSection.frame(c4, n + a), theta, B)
-        phi = gtb.theta_twist(GenSection.frame(c4, n + b), theta, B)
-        tw = gtb.theta_twist_inverse(dorfman(psi, phi, tn.zeros(c4, (DOWN,) * 3), False), theta, B)
-        dform = [u - v for u, v in zip(vec, tw.form.comps)]
-        dvec = [u - v for u, v in zip(dual, tw.vec.comps)]
-        assert tn.ex.max_abs_on_points(dform + dvec, pts)[0] < 1e-9
-
-
 def test_lie_algebroid_lc_constant_data():
     theta = tn.TensorField(C2, (UP, UP), tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1}).comps)
     cot = gtb.LieAlgebroidCotangent.build(theta, tn.zeros(C2, (DOWN,) * 3))
     g_A = np.array([[tn.ex.Const(2.0), tn.ex.ZERO], [tn.ex.ZERO, tn.ex.Const(3.0)]], dtype=object)
     gamma = cot.algebroid.lc_connection(g_A)
     assert tn.ex.max_abs_on_points(gamma, C2.sample_points())[0] == 0.0
-    _, ric = cot.algebroid.curvature(gamma)
+    ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
     assert tn.ex.max_abs_on_points(ric, C2.sample_points())[0] == 0.0
 
 
@@ -602,7 +590,12 @@ def test_lazy_ricci_reads_only_its_entries():
     r0 = gtb.CurvatureEntries(cot.algebroid, gamma)
     ric = r0.ricci()
     assert sorted(r0._entries) == sorted((a, c, a, b) for a, c, b in itertools.product(range(n), repeat=3))
-    _, full = cot.algebroid.curvature(gamma)
+    # Ricci from the full Riemann array of a fresh entry builder
+    r0_full = gtb.CurvatureEntries(cot.algebroid, gamma)
+    riem = np.empty((n,) * 4, dtype=object)
+    for idx in itertools.product(range(n), repeat=4):
+        riem[idx] = r0_full[idx]
+    full = tn.contract("acab->cb", riem)
     pts = c4.sample_points()[:3]
     np.testing.assert_array_equal(
         tn.ex.evaluate_points(ric.reshape(-1), pts), tn.ex.evaluate_points(full.reshape(-1), pts)

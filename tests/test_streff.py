@@ -132,12 +132,14 @@ def test_lie_algebroid_lc_constant_data_is_flat():
     c = chart("x y", seed=81)
     theta = tn.TensorField(c, (UP, UP), tn.form_from_wedge_coeffs(c, 2, {(0, 1): 1}).comps)
     G = tn.euclidean_metric(c)
-    cot, gamma = streff.lie_algebroid_lc(theta, tn.zeros(c, (DOWN,) * 3), G)
+    cot = gtb.LieAlgebroidCotangent.build(theta, tn.zeros(c, (DOWN,) * 3))
+    gamma = cot.algebroid.lc_connection(tn.matrix_inverse(G.comps))
     assert tn.ex.max_abs_on_points(gamma, c.sample_points())[0] == 0.0
     ric, scal = streff.algebroid_curvature(cot, gamma, G)
     assert tn.ex.max_abs_on_points(list(ric.reshape(-1)) + [scal], c.sample_points())[0] == 0.0
-    assert tn.ex.max_abs_on_points([streff.algebroid_laplacian(cot, gamma, G, parse_expr("x", c))],
-                                   c.sample_points())[0] == 0.0
+    w = gtb.d_theta(c, parse_expr("x", c), theta).comps
+    lap = streff._laplacian_dual(G, streff._nabla_dual(cot.algebroid, gamma, w))
+    assert tn.ex.max_abs_on_points([lap], c.sample_points())[0] == 0.0
 
 
 def symplectic_background(salt=23, n=2):
@@ -230,7 +232,7 @@ def test_symplectic_2d_degree_reduction():
     norm2 = tn.ex.esum(
         tn.ex.mul(G.comps[a, b], w[a], w[b]) for a in range(n) for b in range(n)
     )
-    lap = streff.algebroid_laplacian(pkg.cotangent, pkg.gamma, G, bg.phi)
+    lap = streff._laplacian_dual(G, streff._nabla_dual(pkg.cotangent.algebroid, pkg.gamma, w))
     reduced = pkg.scalar + 4.0 * lap - 4.0 * norm2
     assert tn.ex.max_abs_on_points([res1 - reduced], bg.chart.sample_points())[0] < 1e-12
     assert res3.max_abs()[0] < 1e-12
@@ -244,20 +246,24 @@ def test_transport_identity_off_shell():
 
 def test_equivalence_report_flat():
     bg = flat_background(constant_b=True)
-    rep = equivalence_report(Derived(bg))
+    derived = Derived(bg)
+    rep = equivalence_report(derived)
     assert rep.beta_on_shell and rep.symplectic_on_shell
     assert rep.verdict == "equivalent: both on-shell"
-    assert rep.transport_max < 1e-9
+    assert tn.ex.max_abs_on_points(derived.transport, bg.chart.sample_points())[0] < 1e-9
 
 
 def test_equivalence_report_off_shell_and_scaling():
     bg = symplectic_background(salt=37)
-    rep = equivalence_report(Derived(bg))
+    derived = Derived(bg)
+    rep = equivalence_report(derived)
+    pts = bg.chart.sample_points()
     assert not rep.beta_on_shell and not rep.symplectic_on_shell
     assert rep.verdict == "equivalent: both off-shell"
-    assert rep.transport_max < 1e-9
+    assert tn.ex.max_abs_on_points(derived.transport, pts)[0] < 1e-9
     # rescaling g keeps the verdict structure
     bg2 = Background(bg.chart, bg.g.scale(2.0), bg.B, bg.phi, bg.H)
-    rep2 = equivalence_report(Derived(bg2))
+    derived2 = Derived(bg2)
+    rep2 = equivalence_report(derived2)
     assert rep2.verdict == rep.verdict
-    assert rep2.transport_max < 1e-9
+    assert tn.ex.max_abs_on_points(derived2.transport, pts)[0] < 1e-9

@@ -55,7 +55,6 @@ def christoffel_with(k):
 
 
 THETA = skew(C2, (UP, UP), ex.ONE)
-B = skew(C2, (DOWN, DOWN), ex.neg(ex.ONE))
 
 CASES = {
     "declared-antisymmetry": (
@@ -76,7 +75,7 @@ CASES = {
         NotClosed,
     ),
     "theta-inverts-b": (
-        lambda k: gtb._check_theta_inverts_b(skew(C2, (UP, UP), ex.add(1.0, on(C2, k))), B),
+        lambda k: gtb.theta_matrix_from_b(skew(C2, (DOWN, DOWN), ex.add(1.0, on(C2, k)))),
         SingularB,
     ),
     "twisted-poisson": (

@@ -219,7 +219,7 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> list:
     out.append(_check("curvature.pairing-scalar-vanishes",
                       "pairing trace of the distinguished connection vanishes",
                       [gconn.scalar_E(minimal)], pts, scene.tol("strict")))
-    _, _, rscal = derived.curvature
+    _, rscal = derived.curvature
     closed = rscal - 0.5 * rm.form_inner(Hp, Hp, derived.ginv)
     out.append(_check("curvature.metric-scalar-closed-form",
                       "metric trace equals chart scalar minus half the twist norm",

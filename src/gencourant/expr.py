@@ -1,11 +1,17 @@
 """Scalar fields on a coordinate chart: expression trees with exact
 differentiation, numeric evaluation, light simplification and a parser.
 
-The node vocabulary is fixed (constants, coordinates, negation, n-ary sums
-and products, quotients, integer powers, sin/cos/exp/ln/sqrt, and the lazy
-partial derivative ``Tangent``) and is closed under differentiation.  There is no canonical form and no decision procedure
-for expression equality: fields are compared by evaluating them at the
-chart's seeded sample points.
+The node vocabulary is fixed (constants, coordinates, n-ary sums and
+products, quotients, integer powers, sin/cos/exp/ln/sqrt, and the lazy
+partial derivative ``Tangent``) and is closed under differentiation.  A
+product carries its numeric coefficient on the node, as a power carries its
+exponent (GiNaC's ``mul`` and its ``overall_coeff``): ``2*x*y`` is one node
+with coefficient 2 and factors (x, y), not a product with a constant child,
+and the negation of a product is the same factors with the coefficient
+negated, so a negation is never a node of its own (``-u`` is u with
+coefficient -1).  There is no canonical form and no decision procedure for
+expression equality: fields are compared by evaluating them at the chart's
+seeded sample points.
 
 Expressions are immutable and freely share subtrees, so large tensor
 formulas are DAGs in memory.  Evaluation and differentiation are memoized
@@ -248,18 +254,6 @@ class Coord(Expr):
         return hash((self.chart, self.index))
 
 
-class Neg(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        self.chart = arg.chart
-        self._deriv = None
-        self.arg = arg
-
-    def children(self):
-        return (self.arg,)
-
-
 class Add(Expr):
     __slots__ = ("terms",)
 
@@ -273,12 +267,18 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    """``coeff`` times the product of ``factors``; the coefficient is part of
+    the node, not a child.  As ``mul`` builds it, no factor is a constant or
+    a product, the coefficient is not zero, and a lone factor has a
+    coefficient other than one."""
 
-    def __init__(self, factors: tuple[Expr, ...], chart_):
+    __slots__ = ("factors", "coeff")
+
+    def __init__(self, factors: tuple[Expr, ...], chart_, coeff: float = 1.0):
         self.chart = chart_
         self._deriv = None
         self.factors = factors
+        self.coeff = coeff
 
     def children(self):
         return self.factors
@@ -376,7 +376,7 @@ ONE = Const(1.0)
 # The node classes.  The hot kernels dispatch on ``type(e)`` against these
 # rather than walking an ``isinstance`` chain; an operand of any other type
 # goes through ``_coerce``.
-_NODE_TYPES = frozenset((Const, Coord, Neg, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt, Tangent))
+_NODE_TYPES = frozenset((Const, Coord, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt, Tangent))
 
 
 def _coerce(x) -> Expr:
@@ -411,13 +411,16 @@ def is_one(e: Expr) -> bool:
 def _check_fold(node_type, operands):
     """Called when the constants folded by ``add`` (node_type Add) or ``mul``
     (Mul) came to an infinity or a NaN: if they were all finite, raise
-    DomainError("overflow") naming a node of them."""
-    consts = [
-        u.value
-        for t in map(_coerce, operands)
-        for u in (t.children() if isinstance(t, node_type) else (t,))
-        if isinstance(u, Const)
-    ]
+    DomainError("overflow") naming a node of them (a product's coefficient
+    is one of them unless it is 1)."""
+    consts = []
+    for t in map(_coerce, operands):
+        if type(t) is Const:
+            consts.append(t.value)
+        elif type(t) is Add and node_type is Add:
+            consts.extend(u.value for u in t.terms if type(u) is Const)
+        elif type(t) is Mul and node_type is Mul and t.coeff != 1.0:
+            consts.append(t.coeff)
     if all(map(math.isfinite, consts)):
         raise DomainError("overflow", node_type(tuple(map(Const, consts)), None))
 
@@ -468,15 +471,20 @@ def esum(terms) -> Expr:
 
 
 def neg(e) -> Expr:
+    """-e: a constant negated, a product with its coefficient negated (the
+    same factor tuple), anything else as a product with coefficient -1."""
     kind = type(e)
     if kind not in _NODE_TYPES:
         e = _coerce(e)
         kind = type(e)
     if kind is Const:
         return Const(-e.value)
-    if kind is Neg:
-        return e.arg
-    return Neg(e)
+    if kind is Mul:
+        factors = e.factors
+        if e.coeff == -1.0 and len(factors) == 1:
+            return factors[0]
+        return Mul(factors, e.chart, -e.coeff)
+    return Mul((e,), e.chart, -1.0)
 
 
 def mul(*factors) -> Expr:
@@ -493,15 +501,9 @@ def mul(*factors) -> Expr:
             chart_ = c if chart_ is None else _merge_charts(chart_, c)
         if kind is Const:
             const *= f.value
-        elif kind is Neg:
-            const = -const
-            flat.append(f.arg)
         elif kind is Mul:
-            for u in f.factors:
-                if type(u) is Const:
-                    const *= u.value
-                else:
-                    flat.append(u)
+            const *= f.coeff
+            flat.extend(f.factors)
         else:
             flat.append(f)
     if not math.isfinite(const):
@@ -510,11 +512,9 @@ def mul(*factors) -> Expr:
         return ZERO
     if not flat:
         return Const(const)
-    if const != 1.0:
-        flat.insert(0, Const(const))
-    if len(flat) == 1:
+    if const == 1.0 and len(flat) == 1:
         return flat[0]
-    return Mul(tuple(flat), chart_)
+    return Mul(tuple(flat), chart_, const)
 
 
 def div(num, den) -> Expr:
@@ -629,16 +629,15 @@ def _diff_rules(e: Expr, coord: Coord) -> Expr:
     kind = type(e)
     if kind is Mul:
         factors = e.factors
+        scale = () if e.coeff == 1.0 else (Const(e.coeff),)
         terms = []
         for i, f in enumerate(factors):
             df = _diff(f, coord)
             if type(df) is not Const or df.value != 0.0:
-                terms.append(mul(df, *factors[:i], *factors[i + 1:]))
+                terms.append(mul(*scale, df, *factors[:i], *factors[i + 1:]))
         return add(*terms) if terms else ZERO
     if kind is Add:
         return add(*[_diff(t, coord) for t in e.terms])
-    if kind is Neg:
-        return neg(_diff(e.arg, coord))
     if kind is Div:
         du, dv = _diff(e.num, coord), _diff(e.den, coord)
         return div(add(mul(du, e.den), neg(mul(e.num, dv))), mul(e.den, e.den))
@@ -766,7 +765,7 @@ def _checked(node: Expr, fn, *args) -> float:
 def _eval_node(e: Expr, point: tuple, memo) -> float:
     kind = type(e)
     if kind is Mul:
-        out = 1.0
+        out = e.coeff
         for f in e.factors:
             out *= memo[id(f)]
         return out
@@ -778,8 +777,6 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
         if e.index >= len(point):
             raise DomainError("point has wrong dimension", e)
         return float(point[e.index])
-    if kind is Neg:
-        return -memo[id(e.arg)]
     if kind is Div:
         d = memo[id(e.den)]
         if d == 0.0:
@@ -877,6 +874,8 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
     if kind is Mul:
         factors = iter(e.factors)
         out = memo[id(next(factors))]
+        if e.coeff != 1.0:
+            out = e.coeff * out
         for f in factors:
             out = out * memo[id(f)]
         return out
@@ -892,8 +891,6 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
         if e.index >= len(cols):
             raise _Replay
         return cols[e.index]
-    if kind is Neg:
-        return -memo[id(e.arg)]
     if kind is Div:
         d = memo[id(e.den)]
         if not np.isfinite(d).all():
@@ -966,13 +963,13 @@ def _tangent(f: Expr, memo: dict, units):
 def _tangent_node(e: Expr, vals: dict, tans: dict, unit):
     kind = type(e)
     if kind is Mul:
-        factors = e.factors
+        factors, coeff = e.factors, e.coeff
         out = None
         for i, f in enumerate(factors):
             t = tans[id(f)]
             if t is None:
                 continue
-            c = None
+            c = None if coeff == 1.0 else coeff
             for j, g in enumerate(factors):
                 if j != i:
                     c = vals[id(g)] if c is None else c * vals[id(g)]
@@ -990,9 +987,6 @@ def _tangent_node(e: Expr, vals: dict, tans: dict, unit):
         return None
     if kind is Coord:
         return unit[e.index]
-    if kind is Neg:
-        t = tans[id(e.arg)]
-        return None if t is None else -t
     if kind is Div:
         tu, tv = tans[id(e.num)], tans[id(e.den)]
         if tu is None and tv is None:
@@ -1063,12 +1057,10 @@ def simplify(e: Expr) -> Expr:
 def _rebuild(e: Expr, memo) -> Expr:
     if isinstance(e, (Const, Coord)):
         return e
-    if isinstance(e, Neg):
-        return neg(memo[id(e.arg)])
     if isinstance(e, Add):
         return add(*(memo[id(t)] for t in e.terms))
     if isinstance(e, Mul):
-        return mul(*(memo[id(f)] for f in e.factors))
+        return mul(e.coeff, *(memo[id(f)] for f in e.factors))
     if isinstance(e, Div):
         return div(memo[id(e.num)], memo[id(e.den)])
     if isinstance(e, Pow):
@@ -1104,11 +1096,6 @@ def _print(e: Expr) -> tuple[str, int]:
         return _const_str(e.value), _PREC_ATOM
     if isinstance(e, Coord):
         return e.name, _PREC_ATOM
-    if isinstance(e, Neg):
-        s, p = _print(e.arg)
-        if p < _PREC_NEG:
-            s = f"({s})"
-        return f"-{s}", _PREC_NEG
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
@@ -1121,7 +1108,9 @@ def _print(e: Expr) -> tuple[str, int]:
                 parts.append(f" + {s}")
         return "".join(parts), _PREC_ADD
     if isinstance(e, Mul):
-        parts = []
+        if e.coeff < 0.0:  # as the negation of the product with coefficient -coeff
+            return f"-{_print(Mul(e.factors, e.chart, -e.coeff))[0]}", _PREC_NEG
+        parts = [] if e.coeff == 1.0 else [_const_str(e.coeff)]
         for f in e.factors:
             s, p = _print(f)
             if p < _PREC_MUL:

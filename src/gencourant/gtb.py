@@ -27,7 +27,6 @@ from . import expr as ex
 from . import tensors as tn
 from .errors import (
     ChartMismatch,
-    NotAntisymmetric,
     NotClosed,
     NotPositiveDefinite,
     NotTwistedPoisson,
@@ -179,18 +178,11 @@ def _check_positive_definite(g: TensorField):
             raise NotPositiveDefinite(f"metric not positive definite at sample point {p}")
 
 
-def _check_antisymmetric_matrix(B: TensorField):
-    try:
-        tn.check_antisymmetric(B)
-    except NotAntisymmetric:
-        raise NotAntisymmetric("2-form fails antisymmetry at a sample point")
-
-
 class GeneralizedMetric:
     """The (g, B) package: fiber metric on TM (+) T*M, involution, graph
     embeddings and projectors, and the induced form on T*M.  It is built
     from a validated metric g, its inverse g_inv and a validated 2-form B
-    (None for B = 0); ``gen_metric`` validates and inverts.
+    (None for B = 0); ``gen_metric`` validates and inverts g for B = 0.
 
     Block identities that define it (verified by the test suite):
         G(psi, phi)   = g(X, Y) + g^{-1}(xi - B(X), eta - B(Y))
@@ -290,13 +282,11 @@ class GeneralizedMetric:
         return TensorField(self.chart, (UP, UP), self.gram()[n:, n:].copy())
 
 
-def gen_metric(g: TensorField, B: TensorField | None = None) -> GeneralizedMetric:
-    """The package of (g, B), after checking that g is positive definite
-    and B antisymmetric at the sample points."""
+def gen_metric(g: TensorField) -> GeneralizedMetric:
+    """The package of (g, 0), after checking that g is positive definite at
+    the sample points."""
     _check_positive_definite(g)
-    if B is not None:
-        _check_antisymmetric_matrix(B)
-    return GeneralizedMetric(g, B, tn.metric_inverse(g))
+    return GeneralizedMetric(g, None, tn.metric_inverse(g))
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +300,16 @@ def b_twist(psi: GenSection, B: TensorField) -> GenSection:
     return GenSection(psi.vec, TensorField(psi.chart, (DOWN,), form))
 
 
-def twisted_bracket_check(B: TensorField, H: TensorField, sections=None, points=None):
+def twisted_bracket_check(B: TensorField, H: TensorField):
     """(max residual, worst point) of e^B([psi,phi]^{H+dB}) - [e^B psi,
-    e^B phi]^H over section pairs, as ``ex.worst_of`` picks it; a zero
-    residual means e^B intertwines the two brackets.  B and H are taken to
-    be validated: a 2-form and a closed 3-form."""
+    e^B phi]^H over three seeded section pairs, as ``ex.worst_of`` picks it;
+    a zero residual means e^B intertwines the two brackets.  B and H are
+    taken to be validated: a 2-form and a closed 3-form."""
     chart = B.chart
     HdB = H + tn.exterior_derivative(B)
-    if sections is None:
-        gen = chart.rng(101)
-        sections = [(random_section(chart, gen), random_section(chart, gen)) for _ in range(3)]
-    pts = points or chart.sample_points()
+    gen = chart.rng(101)
+    sections = [(random_section(chart, gen), random_section(chart, gen)) for _ in range(3)]
+    pts = chart.sample_points()
 
     def residual(psi, phi):
         lhs = b_twist(dorfman(psi, phi, HdB), B)

@@ -10,11 +10,19 @@ Conventions (locked by the unit-sphere and flat-metric tests):
 - Ric_{lj} = R^k_{lkj};  scalar = g^{lj} Ric_{lj}  (unit 2-sphere: +2)
 - <a, b>_g = (1/p!) a_{i1..ip} b^{i1..ip} for p-forms
 - (delta_g w)(X,...) = -g^{ka} (nab_k w)(d_a, X, ...)
+
+Only what the checks read is built.  ``riemann_entry`` builds one entry
+R^k_{lij} and differentiates only the two Gamma entries it reads, so
+``curvature_package`` builds the n^3 traced entries R^k_{lkj} that Ricci
+sums, not the n^4 tensor.  ``form_inner`` raises b's slots one at a time
+(p n^{p+1} products) before pairing with a, rather than summing the n^{2p}
+products a_I b_J g^{i1 j1}..g^{ip jp}.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +30,7 @@ import numpy as np
 from . import expr as ex
 from . import tensors as tn
 from .errors import DegreeMismatch, SlotError
-from .expr import Chart, Expr, add, esum, mul, neg
+from .expr import Chart, Coord, Expr, add, esum, mul, neg
 from .tensors import DOWN, UP, TensorField
 
 
@@ -98,55 +106,46 @@ def covariant_derivative(t: TensorField, gamma: Christoffel) -> TensorField:
     return TensorField(t.chart, (DOWN,) + t.variance, out)
 
 
-def curvature_package(gamma: Christoffel):
-    """(Riemann (1,3), Ricci (0,2), scalar Expr) of the metric of gamma."""
-    chart = gamma.chart
-    n = chart.dim
-    coords = chart.coords()
-    dG = np.empty((n, n, n, n), dtype=object)  # dG[m, k, i, j] = d_m Gamma^k_{ij}
+def riemann_entry(gamma: Christoffel, k: int, l: int, i: int, j: int) -> Expr:
+    """R^k_{lij}.  Of dGamma it reads d_i Gamma^k_{jl} and d_j Gamma^k_{il},
+    which ``differentiate`` caches on the Gamma nodes, so entries reading
+    the same derivative share it."""
+    G, n = gamma.coeffs, gamma.chart.dim
+    terms = [ex.differentiate(G[k, j, l], Coord(gamma.chart, i)),
+             neg(ex.differentiate(G[k, i, l], Coord(gamma.chart, j)))]
     for m in range(n):
-        for k, i, j in itertools.product(range(n), repeat=3):
-            dG[m, k, i, j] = ex.differentiate(gamma.coeffs[k, i, j], coords[m])
-    riem = np.empty((n, n, n, n), dtype=object)  # [k, l, i, j]
-    for k, l, i, j in itertools.product(range(n), repeat=4):
-        terms = [dG[i, k, j, l], neg(dG[j, k, i, l])]
-        for m in range(n):
-            terms.append(mul(gamma.coeffs[k, i, m], gamma.coeffs[m, j, l]))
-            terms.append(neg(mul(gamma.coeffs[k, j, m], gamma.coeffs[m, i, l])))
-        riem[k, l, i, j] = esum(terms)
+        terms.append(mul(G[k, i, m], G[m, j, l]))
+        terms.append(neg(mul(G[k, j, m], G[m, i, l])))
+    return esum(terms)
+
+
+def curvature_package(gamma: Christoffel):
+    """(Ricci (0,2), scalar Expr) of the metric of gamma, from the n^3
+    traced entries R^k_{lkj}."""
+    n = gamma.chart.dim
     ric = np.empty((n, n), dtype=object)
     for l, j in itertools.product(range(n), repeat=2):
-        ric[l, j] = esum(riem[k, l, k, j] for k in range(n))
-    scalar = esum(
-        mul(gamma.metric_inverse.comps[l, j], ric[l, j])
-        for l in range(n)
-        for j in range(n)
-    )
-    riem_t = TensorField(chart, (UP, DOWN, DOWN, DOWN), riem)
-    ric_t = TensorField(chart, (DOWN, DOWN), ric)
-    return riem_t, ric_t, scalar
+        ric[l, j] = esum(riemann_entry(gamma, k, l, k, j) for k in range(n))
+    scalar = tn.contract("lj,lj->", gamma.metric_inverse.comps, ric)
+    return TensorField(gamma.chart, (DOWN, DOWN), ric), scalar
 
 
 def form_inner(alpha: TensorField, beta: TensorField, ginv: TensorField) -> Expr:
     """(1/p!) alpha_{i1..ip} beta^{i1..ip}, indices raised by the inverse
-    metric ginv; on a flat metric <dx^dy, dx^dy> = 1.  Both arguments are
-    taken to be forms: only their slots are checked."""
+    metric ginv one slot at a time; on a flat metric <dx^dy, dx^dy> = 1.
+    Both arguments are taken to be forms: only their slots are checked."""
     if alpha.rank != beta.rank:
         raise DegreeMismatch(f"degree {alpha.rank} vs {beta.rank}")
     if any(v != DOWN for v in alpha.variance + beta.variance):
         raise SlotError("form_inner expects covariant forms")
-    if alpha.rank == 0:
-        return mul(alpha[()], beta[()])
-    n = ginv.chart.dim
     p = alpha.rank
-    norm = 1.0 / float(np.prod(range(1, p + 1)))
-    terms = []
-    for idx in itertools.product(range(n), repeat=p):
-        for jdx in itertools.product(range(n), repeat=p):
-            factors = [alpha.comps[idx], beta.comps[jdx]]
-            factors.extend(ginv.comps[idx[s], jdx[s]] for s in range(p))
-            terms.append(mul(*factors))
-    return mul(norm, esum(terms))
+    if p == 0:
+        return mul(alpha[()], beta[()])
+    slots = "abcdefgh"[:p]
+    raised = beta.comps
+    for s in range(p):  # raised[.., a_s, ..] = g^{a_s z} raised[.., z, ..]
+        raised = tn.contract(f"{slots[s]}z,{slots[:s]}z{slots[s + 1:]}->{slots}", ginv.comps, raised)
+    return mul(1.0 / math.factorial(p), tn.contract(f"{slots},{slots}->", alpha.comps, raised))
 
 
 def codifferential(omega: TensorField, gamma: Christoffel) -> TensorField:

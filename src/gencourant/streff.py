@@ -75,7 +75,7 @@ class Derived:
       an antisymmetric closed 3-form;
     - ``gamma``: the chart Christoffel symbols (``riemann.christoffel``),
       which carry g and ``ginv`` = g^{-1}, the one inversion of g;
-    - ``curvature``: (Riemann, Ricci, scalar) of g (``riemann.curvature_package``);
+    - ``curvature``: (Ricci, scalar) of g (``riemann.curvature_package``);
     - ``betas``: the residual tensors (``beta_all``);
     - ``metric``: the generalized metric of the pair (g, B);
     - ``minimal``, ``block_lc``, ``dilaton``: the connections on TM (+) T*M
@@ -175,7 +175,7 @@ def beta_all(derived: Derived) -> BetaResiduals:
     chart = bg.chart
     n = chart.dim
     Hp, gamma, ginv = derived.h_prime, derived.gamma, derived.ginv
-    _, ric, rscal = derived.curvature
+    ric, rscal = derived.curvature
     hess = rm.covariant_derivative(tn.d_scalar(chart, bg.phi), gamma)
     lap, grad, norm2 = rm.laplace_divergence(bg.phi, gamma)
     deltaH = rm.codifferential(Hp, gamma)
@@ -222,7 +222,7 @@ def beta_g_index_form(derived: Derived) -> TensorField:
     n = chart.dim
     Hp, gamma = derived.h_prime, derived.gamma
     ginv = gamma.metric_inverse.comps
-    _, ric, _ = derived.curvature
+    ric, _ = derived.curvature
     hess = rm.covariant_derivative(tn.d_scalar(chart, derived.bg.phi), gamma)
     out = np.empty((n, n), dtype=object)
     for m, v in itertools.product(range(n), repeat=2):

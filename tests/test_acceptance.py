@@ -84,7 +84,7 @@ def test_criterion_02_minimal_connection():
         pts = c.sample_points()
         worst_torsion = max(worst_torsion, max_abs(gconn.gualtieri_torsion(conn).reshape(-1), pts))
         worst_scalar_e = max(worst_scalar_e, max_abs([gconn.scalar_E(conn)], pts))
-        _, _, rscal = rm.curvature_package(rm.christoffel(g))
+        _, rscal = rm.curvature_package(rm.christoffel(g))
         closed = rscal - 0.5 * rm.form_inner(H, H, tn.metric_inverse(g))
         worst_closed = max(worst_closed, max_abs([gconn.scalar_G(conn) - closed], pts))
     report(2, "distinguished connection: torsion", worst_torsion, 1e-10)
@@ -179,7 +179,7 @@ def test_criterion_04_scalar_closed_forms():
         n = 2
         jw = tn.ex.esum(tn.ex.mul(Jp.comps[a], Wp.comps[a]) for a in range(n))
         want_e = -4.0 * rm.divergence(Jp, gamma) + 8.0 * jw
-        _, _, rg = rm.curvature_package(rm.christoffel(g))
+        _, rg = rm.curvature_package(rm.christoffel(g))
         w2 = tn.ex.esum(
             tn.ex.mul(ginv.comps[a, b], Wp.comps[a], Wp.comps[b])
             for a in range(n) for b in range(n)
@@ -206,7 +206,7 @@ def test_criterion_05_off_block_ricci_closed_form():
         Jp, Wp = _partial_traces(params, g)
         gamma = rm.christoffel(g)
         ginv = gamma.metric_inverse
-        _, ric, _ = rm.curvature_package(rm.christoffel(g))
+        ric, _ = rm.curvature_package(rm.christoffel(g))
         deltaH = rm.codifferential(H, gamma)
         nabW = rm.covariant_derivative(Wp, gamma)
         nabJ = rm.covariant_derivative(Jp, gamma)

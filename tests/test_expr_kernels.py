@@ -1,6 +1,7 @@
 """The hot kernels of ``expr`` (smart constructors, differentiation, the DAG
 walk) against a reference copy of their plain ``isinstance``-chain form:
-same node structure, same factor and term order, same DomainError."""
+same node structure (a product's coefficient included), same factor and
+term order, same DomainError."""
 
 import math
 
@@ -20,7 +21,6 @@ from gencourant.expr import (
     Exp,
     Ln,
     Mul,
-    Neg,
     Pow,
     Sin,
     Sqrt,
@@ -76,9 +76,11 @@ def ref_neg(e):
     e = ex._coerce(e)
     if isinstance(e, Const):
         return Const(-e.value)
-    if isinstance(e, Neg):
-        return e.arg
-    return Neg(e)
+    if isinstance(e, Mul):
+        if e.coeff == -1.0 and len(e.factors) == 1:
+            return e.factors[0]
+        return Mul(e.factors, e.chart, -e.coeff)
+    return Mul((e,), e.chart, -1.0)
 
 
 def ref_mul(*factors):
@@ -88,15 +90,9 @@ def ref_mul(*factors):
         chart_ = _ref_merge(chart_, f.chart)
         if isinstance(f, Const):
             const *= f.value
-        elif isinstance(f, Neg):
-            const = -const
-            flat.append(f.arg)
         elif isinstance(f, Mul):
-            for u in f.factors:
-                if isinstance(u, Const):
-                    const *= u.value
-                else:
-                    flat.append(u)
+            const *= f.coeff
+            flat.extend(f.factors)
         else:
             flat.append(f)
     if not math.isfinite(const):
@@ -105,11 +101,9 @@ def ref_mul(*factors):
         return ex.ZERO
     if not flat:
         return Const(const)
-    if const != 1.0:
-        flat.insert(0, Const(const))
-    if len(flat) == 1:
+    if const == 1.0 and len(flat) == 1:
         return flat[0]
-    return Mul(tuple(flat), chart_)
+    return Mul(tuple(flat), chart_, const)
 
 
 def ref_div(num, den):
@@ -140,16 +134,15 @@ def _ref_diff_rules(e, coord, memo):
         return ex.ZERO
     if isinstance(e, Coord):
         return ex.ONE if e.index == coord.index else ex.ZERO
-    if isinstance(e, Neg):
-        return ref_neg(d(e.arg))
     if isinstance(e, Add):
         return ref_add(*(d(t) for t in e.terms))
     if isinstance(e, Mul):
+        scale = () if e.coeff == 1.0 else (Const(e.coeff),)
         terms = []
         for i, f in enumerate(e.factors):
             df = d(f)
             if not ex.is_zero(df):
-                terms.append(ref_mul(df, *e.factors[:i], *e.factors[i + 1:]))
+                terms.append(ref_mul(*scale, df, *e.factors[:i], *e.factors[i + 1:]))
         return ref_add(*terms) if terms else ex.ZERO
     if isinstance(e, Div):
         du, dv = d(e.num), d(e.den)
@@ -177,12 +170,10 @@ def ref_simplify(e, memo=None):
         kids = [ref_simplify(k, memo) for k in e.children()]
         if isinstance(e, (Const, Coord)):
             out = e
-        elif isinstance(e, Neg):
-            out = ref_neg(*kids)
         elif isinstance(e, Add):
             out = ref_add(*kids)
         elif isinstance(e, Mul):
-            out = ref_mul(*kids)
+            out = ref_mul(e.coeff, *kids)
         elif isinstance(e, Div):
             out = ref_div(*kids)
         elif isinstance(e, Pow):
@@ -200,15 +191,16 @@ def ref_simplify(e, memo=None):
 
 def structure(e, table, done=None):
     """An integer naming the structure of ``e``: node class, payload (exact
-    constant bits, coordinate index, exponent), chart, and the structures of
-    the children in order.  Equal integers from one ``table`` mean equal
-    trees, however the nodes are shared."""
+    constant bits, coordinate index, exponent, exact coefficient bits),
+    chart, and the structures of the children in order.  Equal integers from
+    one ``table`` mean equal trees, however the nodes are shared."""
     done = {} if done is None else done
     if id(e) not in done:
         kids = tuple(structure(k, table, done) for k in e.children())
         payload = (repr(e.value) if isinstance(e, Const) else
                    e.index if isinstance(e, Coord) else
-                   e.exponent if isinstance(e, Pow) else None)
+                   e.exponent if isinstance(e, Pow) else
+                   repr(e.coeff) if isinstance(e, Mul) else None)
         key = (type(e), payload, None if e.chart is None else id(e.chart), kids)
         done[id(e)] = table.setdefault(key, len(table))
     return done[id(e)]
@@ -249,7 +241,7 @@ OPS = {
     # unflattened nodes, so that simplify has folding to do
     "raw-add": (2, False, lambda a, b: Add((a, Const(1.5), b), XY), None),
     "raw-mul": (2, False, lambda a, b: Mul((Const(-1.0), a, b), XY), None),
-    "raw-neg": (1, False, Neg, None),
+    "raw-neg": (1, False, lambda a: Mul((a,), XY, -1.0), None),
 }
 
 
@@ -318,6 +310,62 @@ def test_second_derivatives_reuse_the_node_cache():
     d1 = ex.differentiate(e, X)
     assert ex.differentiate(e, X) is d1
     assert_same_structure(ex.differentiate(d1, Y), ref_diff(ref_diff(e, X, {}), Y, {}))
+
+
+# ---------------------------------------------------------------------------
+# a product's coefficient
+# ---------------------------------------------------------------------------
+
+# factors that print as themselves inside a product, so that the printed
+# product parses back to the same node
+FACTORS = [X, Y, ex.sin(X), ex.add(X, Y), ex.powi(Y, 2), ex.exp(ex.mul(X, Y))]
+MAGNITUDES = st.floats(1e-6, 1e6)
+COEFFS = MAGNITUDES | MAGNITUDES.map(lambda c: -c)
+
+
+def test_neg_of_a_product_shares_its_factor_tuple():
+    m = ex.mul(0.5, X, ex.sin(Y))
+    n = ex.neg(m)
+    assert type(n) is Mul and n.factors is m.factors and n.coeff == -0.5
+    assert ex.neg(n).factors is m.factors and ex.neg(n).coeff == 0.5
+    s = ex.add(X, Y)
+    assert type(ex.neg(s)) is Mul and ex.neg(s).factors == (s,) and ex.neg(s).coeff == -1.0
+    assert ex.neg(ex.neg(s)) is s and ex.neg(ex.neg(X)) is X
+
+
+@settings(max_examples=100, deadline=None)
+@given(COEFFS, COEFFS, st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3),
+       st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+def test_mul_multiplies_coefficients(a, b, left, right):
+    p, q = ex.mul(a, *left), ex.mul(b, *right)
+    got = ex.mul(p, q)
+    assert type(got) is Mul
+    assert got.coeff == a * b and got.factors == tuple(left + right)
+    assert all(type(f) not in (Const, Mul) for f in got.factors)
+    assert_same_structure(ex.mul(p, 2.0), ex.mul(a * 2.0, *left))
+    assert_same_structure(ex.mul(p, ex.neg(q)), ex.mul(-(a * b), *left, *right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEFFS | st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0]),
+       st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+def test_coefficient_products_round_trip_through_the_parser(c, factors):
+    m = ex.mul(c, *factors)
+    assert_same_structure(parse_expr(to_string(m), XY), m)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: ex.neg(ex.mul(X, Y)), "-x*y"),
+    (lambda: ex.mul(-0.5, X, Y), "-0.5*x*y"),
+    (lambda: ex.mul(2, X), "2*x"),
+    (lambda: ex.mul(-2, X), "-2*x"),
+    (lambda: ex.neg(ex.add(X, Y)), "-(x + y)"),
+    (lambda: ex.add(X, ex.mul(-0.5, X, Y)), "x - 0.5*x*y"),
+    (lambda: ex.mul(X, ex.neg(Y)), "-x*y"),
+    (lambda: ex.powi(ex.neg(X), 2), "(-x)^2"),
+])
+def test_a_negative_coefficient_prints_as_a_negation(build, text):
+    assert to_string(build()) == text
 
 
 # ---------------------------------------------------------------------------

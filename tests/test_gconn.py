@@ -173,7 +173,7 @@ def test_scalar_G_closed_form_random_background():
     H = closed_h(C2, salt=14)
     conn = gconn.minimal_connection(rm.christoffel(g), H)
     sg = gconn.scalar_G(conn)
-    _, _, rg = rm.curvature_package(rm.christoffel(g))
+    _, rg = rm.curvature_package(rm.christoffel(g))
     want = rg - 0.5 * rm.form_inner(H, H, tn.metric_inverse(g))
     assert tn.ex.max_abs_on_points([sg - want], C2.sample_points())[0] < 1e-9
 
@@ -347,7 +347,7 @@ def test_scalar_closed_forms_with_params():
     assert tn.ex.max_abs_on_points([se - want_e], C2.sample_points())[0] < 1e-9
 
     sg = gconn.scalar_G(conn)
-    _, _, rg = rm.curvature_package(rm.christoffel(g))
+    _, rg = rm.curvature_package(rm.christoffel(g))
     w2 = tn.ex.esum(
         tn.ex.mul(ginv.comps[a, b], Wp.comps[a], Wp.comps[b]) for a in range(n) for b in range(n)
     )
@@ -373,7 +373,7 @@ def test_ricci_compat_closed_form_with_params():
     Jp, Wp = _traces(params, g)
     gamma = rm.christoffel(g)
     ginv = gamma.metric_inverse
-    _, ric, _ = rm.curvature_package(rm.christoffel(g))
+    ric, _ = rm.curvature_package(rm.christoffel(g))
     deltaH = rm.codifferential(H, gamma)
     nabW = rm.covariant_derivative(Wp, gamma)
     nabJ = rm.covariant_derivative(Jp, gamma)
@@ -569,7 +569,7 @@ def test_covariance_of_torsion_riemann_ricci_under_shear():
     B = bumpy_b(C2, salt=67)
     hat = gconn.block_lc_connection(rm.christoffel(g), H)  # torsionful: stresses T covariance
     conn = gconn.untwist(hat, B)
-    M = gtb.gen_metric(g, B).shear_matrix(-1)  # e^{-B}: hat = pullback of conn
+    M = gtb.GeneralizedMetric(g, B, tn.metric_inverse(g)).shear_matrix(-1)  # e^{-B}: hat = pullback of conn
     dim2 = 4
     That = gconn.gualtieri_torsion(hat)
     Tun = gconn.gualtieri_torsion(conn)

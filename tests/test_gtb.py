@@ -10,7 +10,7 @@ from gencourant import gtb, streff
 from gencourant import tensors as tn
 from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
 from gencourant.expr import chart, evaluate, parse_expr, worst_of
-from gencourant.gtb import GenSection, d_map, dorfman, gen_metric, pairing, random_section
+from gencourant.gtb import GeneralizedMetric, GenSection, d_map, dorfman, gen_metric, pairing, random_section
 from gencourant.tensors import DOWN, UP
 
 
@@ -196,6 +196,11 @@ def bumpy_B(c, seed=61, scale=0.3):
     return tn.form_from_wedge_coeffs(c, 2, coeffs)
 
 
+def with_b(g, B):
+    """The package of (g, B) as ``streff.Derived.metric`` builds it."""
+    return GeneralizedMetric(g, B, tn.metric_inverse(g))
+
+
 def test_gen_metric_block_form_b_zero():
     g = bumpy_g(C2)
     gm = gen_metric(g)
@@ -215,7 +220,7 @@ def test_gen_metric_block_formula_general_b():
     """Gram matrix agrees with the explicit block form
     [[g - B g^{-1} B, B g^{-1}], [-g^{-1} B, g^{-1}]]."""
     g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = gen_metric(g, B)
+    gm = with_b(g, B)
     gram = gm.gram()
     for p in C2.sample_points():
         gv, Bv = g.evaluate(p), B.evaluate(p)
@@ -227,7 +232,7 @@ def test_gen_metric_block_formula_general_b():
 
 def test_gen_metric_tau_involution_and_orthogonality():
     g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = gen_metric(g, B)
+    gm = with_b(g, B)
     tau = gm.tau_matrix()
     pts = C2.sample_points()
     eta = gtb.pairing_gram(C2)
@@ -245,7 +250,7 @@ def test_gen_metric_flat_tau_swaps():
 
 def test_h_form_is_inverse_metric_for_any_b():
     g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = gen_metric(g, B)
+    gm = with_b(g, B)
     # h(xi, eta) = G(rho* xi, rho* eta) must equal g^{-1}(xi, eta)
     gram = gm.gram()
     pts = C2.sample_points()
@@ -256,7 +261,7 @@ def test_h_form_is_inverse_metric_for_any_b():
 
 def test_gram_inverse_consistent():
     g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = gen_metric(g, B)
+    gm = with_b(g, B)
     gram, gram_inv = gm.gram(), gm.gram_inverse()
     for p in C2.sample_points()[:4]:
         G = np.array([[evaluate(gram[a, b], p) for b in range(4)] for a in range(4)])
@@ -266,7 +271,7 @@ def test_gram_inverse_consistent():
 
 def test_graph_embeddings_and_projectors():
     g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = gen_metric(g, B)
+    gm = with_b(g, B)
     gen = C2.rng(67)
     X = tn.from_function(C2, (UP,), lambda i: tn.ex.random_polynomial(C2, gen))
     plus = gm.psi_plus(X)
@@ -282,8 +287,8 @@ def test_graph_embeddings_and_projectors():
 def test_h_form_invariant_under_shear_related_metrics():
     # G' built from (g, B + C) relates to G(g, B) by the shear e^C; h stays g^{-1}
     g = bumpy_g(C2)
-    gm1 = gen_metric(g, bumpy_B(C2, seed=1))
-    gm2 = gen_metric(g, bumpy_B(C2, seed=2))
+    gm1 = with_b(g, bumpy_B(C2, seed=1))
+    gm2 = with_b(g, bumpy_B(C2, seed=2))
     d = [a - b for a, b in zip(gm1.h_form().comps.reshape(-1), gm2.h_form().comps.reshape(-1))]
     assert tn.ex.max_abs_on_points(d, C2.sample_points())[0] < 1e-12
 
@@ -291,9 +296,10 @@ def test_h_form_invariant_under_shear_related_metrics():
 def test_gen_metric_validation_errors():
     with pytest.raises(NotPositiveDefinite):
         gen_metric(tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1") if i == j == 0 else (poly("-1") if i == j else poly("0"))))
+    # B is validated with the background, before any package is built
     bad_B = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("x"))
     with pytest.raises(NotAntisymmetric):
-        gen_metric(tn.euclidean_metric(C2), bad_B)
+        streff.Background(C2, tn.euclidean_metric(C2), bad_B, poly("0"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +340,15 @@ def test_b_twist_intertwines_brackets():
 def test_twisted_bracket_check_reports_the_worst_point():
     H = closed_three_form(C3, seed=11)
     B = bumpy_B(C3, seed=77)
-    gen = C3.rng(5)
-    pairs = [(random_section(C3, gen), random_section(C3, gen)) for _ in range(2)]
-    worst, at = gtb.twisted_bracket_check(B, H, sections=pairs)
-    each = [gtb.twisted_bracket_check(B, H, sections=[pair]) for pair in pairs]
+    gen = C3.rng(101)  # the check's own section pairs
+    pairs = [(random_section(C3, gen), random_section(C3, gen)) for _ in range(3)]
+    HdB = H + tn.exterior_derivative(B)
+    each = [
+        (gtb.b_twist(dorfman(psi, phi, HdB), B)
+         - dorfman(gtb.b_twist(psi, B), gtb.b_twist(phi, B), H)).max_abs(C3.sample_points())
+        for psi, phi in pairs
+    ]
+    worst, at = gtb.twisted_bracket_check(B, H)
     assert (worst, at) == worst_of(each)
     assert at in C3.sample_points()
 
@@ -605,5 +616,9 @@ def test_lazy_ricci_reads_only_its_entries():
     r0 = gtb.CurvatureEntries(cot.algebroid, gamma)
     r0[d, c, a, b], r0[d, c, b, a]
     assert sorted(r0._derivatives) == [(a, d, b, c), (b, d, a, c)]
-    negated = [t.arg for t in r0[d, c, b, a].terms if isinstance(t, tn.ex.Neg)]
-    assert any(t is r0._derivatives[(a, d, b, c)] for t in negated)
+    # and R0[d, c, b, a] holds it negated: a product (the anchor row of E_a
+    # has one entry here) with the same factor tuple and the coefficient negated
+    deriv = r0._derivatives[(a, d, b, c)]
+    assert type(deriv) is tn.ex.Mul
+    assert any(type(t) is tn.ex.Mul and t.factors is deriv.factors and t.coeff == -deriv.coeff
+               for t in r0[d, c, b, a].terms)

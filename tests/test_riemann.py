@@ -5,9 +5,13 @@ never touch the symbolic derivative path.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from conftest import bumpy_metric
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencourant import riemann as rm
 from gencourant import tensors as tn
@@ -152,17 +156,65 @@ def test_scalar_covariant_derivative_is_differential():
 # --- curvature --------------------------------------------------------------
 
 
+def full_riemann(gamma):
+    """All n^4 entries R^k_{lij}, from the per-entry builder."""
+    n = gamma.chart.dim
+    riem = np.empty((n,) * 4, dtype=object)
+    for idx in itertools.product(range(n), repeat=4):
+        riem[idx] = rm.riemann_entry(gamma, *idx)
+    return riem
+
+
+def brute_force_riemann(gamma):
+    """All n^4 entries of R^k_{lij} = d_i G^k_{jl} - d_j G^k_{il}
+    + G^k_{im} G^m_{jl} - G^k_{jm} G^m_{il}, from all n^4 derivatives."""
+    n, G = gamma.chart.dim, gamma.coeffs
+    coords = gamma.chart.coords()
+    dG = np.empty((n,) * 4, dtype=object)  # dG[m, k, i, j] = d_m G^k_{ij}
+    for m, k, i, j in itertools.product(range(n), repeat=4):
+        dG[m, k, i, j] = tn.ex.differentiate(G[k, i, j], coords[m])
+    riem = np.empty((n,) * 4, dtype=object)
+    for k, l, i, j in itertools.product(range(n), repeat=4):
+        riem[k, l, i, j] = tn.ex.esum(
+            [dG[i, k, j, l], -dG[j, k, i, l]]
+            + [G[k, i, m] * G[m, j, l] - G[k, j, m] * G[m, i, l] for m in range(n)]
+        )
+    return riem
+
+
 def test_flat_curvature_zero():
-    riem, ric, scal = rm.curvature_package(rm.christoffel(tn.euclidean_metric(C2)))
-    assert riem.max_abs()[0] == 0.0
+    gamma = rm.christoffel(tn.euclidean_metric(C2))
+    ric, scal = rm.curvature_package(gamma)
+    assert tn.ex.max_abs_on_points(full_riemann(gamma), C2.sample_points())[0] == 0.0
     assert ric.max_abs()[0] == 0.0
     assert scal is tn.ex.ZERO or evaluate(scal, (0.1, 0.2)) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ricci_is_the_trace_of_a_brute_force_riemann(n):
+    c = chart("x y z w"[: 2 * n - 1], seed=40 + n, num_points=4)
+    gamma = rm.christoffel(bumpy_metric(c, salt=n))
+    ric, scal = rm.curvature_package(gamma)
+    riem = brute_force_riemann(gamma)
+    want = tn.contract("klkj->lj", riem)
+    pts = c.sample_points()
+    got_vals = tn.ex.evaluate_points(list(ric.comps.reshape(-1)) + [scal], pts)
+    want_vals = tn.ex.evaluate_points(
+        list(want.reshape(-1)) + [tn.contract("lj,lj->", gamma.metric_inverse.comps, want)], pts
+    )
+    np.testing.assert_allclose(got_vals, want_vals, rtol=1e-12, atol=1e-12)
+    # and every entry of the per-entry builder is the brute-force one
+    np.testing.assert_allclose(
+        tn.ex.evaluate_points(full_riemann(gamma).reshape(-1), pts),
+        tn.ex.evaluate_points(riem.reshape(-1), pts),
+        rtol=1e-12, atol=1e-12,
+    )
 
 
 def test_unit_sphere_scalar_curvature():
     c = chart("x1 x2", domain=((0.4, 2.7), (-1.0, 1.0)), seed=7)
     g = mk_metric(c, [["1", "0"], ["0", "sin(x1)^2"]])
-    _, _, scal = rm.curvature_package(rm.christoffel(g))
+    _, scal = rm.curvature_package(rm.christoffel(g))
 
     def gfun(p):
         return np.array([[1.0, 0.0], [0.0, np.sin(p[0]) ** 2]])
@@ -181,11 +233,11 @@ def test_block_metric_scalar_additivity():
         ["0", "0", "0", "sin(x3)^2"],
     ]
     g = mk_metric(c4, entries)
-    _, _, scal = rm.curvature_package(rm.christoffel(g))
+    _, scal = rm.curvature_package(rm.christoffel(g))
 
     c2 = chart("x1 x2", domain=((0.4, 2.0),) * 2)
-    _, _, s1 = rm.curvature_package(rm.christoffel(mk_metric(c2, [["1", "0"], ["0", "x1^2"]])))
-    _, _, s2 = rm.curvature_package(rm.christoffel(mk_metric(c2, [["1", "0"], ["0", "sin(x1)^2"]])))
+    _, s1 = rm.curvature_package(rm.christoffel(mk_metric(c2, [["1", "0"], ["0", "x1^2"]])))
+    _, s2 = rm.curvature_package(rm.christoffel(mk_metric(c2, [["1", "0"], ["0", "sin(x1)^2"]])))
     for p in c4.sample_points()[:5]:
         left = evaluate(scal, p)
         right = evaluate(s1, (p[0], p[1])) + evaluate(s2, (p[2], p[3]))
@@ -194,11 +246,11 @@ def test_block_metric_scalar_additivity():
 
 def test_first_bianchi_identity():
     g = make_bumpy_metric(C2)
-    riem, _, _ = rm.curvature_package(rm.christoffel(g))
+    riem = full_riemann(rm.christoffel(g))
     n = 2
     residuals = []
     for k, l, i, j in itertools.product(range(n), repeat=4):
-        residuals.append(riem.comps[k, l, i, j] + riem.comps[k, i, j, l] + riem.comps[k, j, l, i])
+        residuals.append(riem[k, l, i, j] + riem[k, i, j, l] + riem[k, j, l, i])
     assert tn.ex.max_abs_on_points(residuals, C2.sample_points())[0] < 1e-9
 
 
@@ -209,7 +261,7 @@ def test_ricci_symmetry():
         lambda i, j: parse_expr("2" if i == j else "0", c3) if i == j or (i, j) not in [(0, 1), (1, 0)]
         else parse_expr("x*z/4", c3),
     )
-    _, ric, _ = rm.curvature_package(rm.christoffel(g))
+    ric, _ = rm.curvature_package(rm.christoffel(g))
     diffs = [ric.comps[i, j] - ric.comps[j, i] for i in range(3) for j in range(3)]
     assert tn.ex.max_abs_on_points(diffs, c3.sample_points())[0] < 1e-12
 
@@ -246,6 +298,27 @@ def test_form_inner_symmetry_and_positivity():
     assert tn.ex.max_abs_on_points([sym], pts)[0] < 1e-12
     for p in pts:
         assert evaluate(rm.form_inner(a, a, tn.metric_inverse(g)), p) >= -1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(2, 4), st.integers(0, 2**16))
+def test_form_inner_equals_the_brute_force_sum(p, n, salt):
+    c = chart("x y z w"[: 2 * n - 1], seed=salt, num_points=2)
+    gen = c.rng(salt)
+    rand = lambda *idx: tn.ex.random_polynomial(c, gen, 2, 0.5)  # noqa: E731
+    alpha = tn.from_function(c, (DOWN,) * p, rand)
+    beta = tn.from_function(c, (DOWN,) * p, rand)
+    upper = {(i, j): rand() for i in range(n) for j in range(i, n)}
+    ginv = tn.from_function(c, (UP, UP), lambda i, j: upper[min(i, j), max(i, j)])
+    got = rm.form_inner(alpha, beta, ginv)
+    for pt in c.sample_points():
+        a, b, gi = alpha.evaluate(pt), beta.evaluate(pt), ginv.evaluate(pt)
+        want = math.fsum(
+            a[idx] * b[jdx] * math.prod(gi[i, j] for i, j in zip(idx, jdx))
+            for idx in itertools.product(range(n), repeat=p)
+            for jdx in itertools.product(range(n), repeat=p)
+        ) / math.factorial(p)
+        assert evaluate(got, pt) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_codifferential_constant_flat_zero():

@@ -112,7 +112,7 @@ def test_metric_trace_equals_scalar_residual_closed_form():
     conn = Derived(bg).dilaton
     sg = gconn.scalar_G(conn)
     g, Hp = bg.g, bg.h_total()
-    _, _, rscal = rm.curvature_package(rm.christoffel(g))
+    _, rscal = rm.curvature_package(rm.christoffel(g))
     lap, _, norm2 = rm.laplace_divergence(bg.phi, rm.christoffel(g))
     want = rscal - 0.5 * rm.form_inner(Hp, Hp, tn.metric_inverse(g)) + 4.0 * lap - 4.0 * norm2
     assert tn.ex.max_abs_on_points([sg - want], bg.chart.sample_points())[0] < 1e-9

@@ -52,10 +52,10 @@ SAFE_OPS = {
     "sqrt": (1, lambda a: ex.mul(0.7, ex.sqrt(ex.add(1, a)))),
     # nodes the smart constructors would not make: unflattened, and an
     # exponent of 0 or 1 (over a coordinate, so that differentiate does not
-    # fold the constant b^(k-1))
-    "raw-add": (2, lambda a, b: ex.Add((a, Const(0.5), b), XY)),
+    # fold the constant b^(k-1)); the sum is scaled back into [-1, 1]
+    "raw-add": (2, lambda a, b: ex.mul(0.4, ex.Add((a, Const(0.5), b), XY))),
     "raw-mul": (2, lambda a, b: ex.Mul((Const(-0.5), a, b), XY)),
-    "raw-neg": (1, ex.Neg),
+    "raw-neg": (1, lambda a: ex.Mul((a,), XY, -1.0)),
     "raw-pow": (1, lambda a: ex.Pow(ex.mul(0.5, ex.add(a, Y)), 1)),
     "raw-pow0": (1, lambda a: ex.Pow(ex.add(a, X), 0)),
 }

@@ -45,8 +45,8 @@ def main():
         derived = streff.Derived(bg)
         res = streff.central_residuals(derived)
         beta_max = derived.betas.max_abs(pts)[0]
-        scalar = streff.ex.max_abs_on_points([res.scalar_residual], pts)[0]
-        offblock = streff.ex.max_abs_on_points(res.ricci_residual.comps, pts)[0]
+        scalar = streff.ex.max_abs_on_points(res.scalar_residual, pts)[0]
+        offblock = streff.ex.max_abs_on_points(res.ricci_residual, pts)[0]
         row = [f"{seed:>20}", f"{beta_max:>20.3e}", f"{scalar:>20.3e}", f"{offblock:>20.3e}"]
         if args.invertible_b:
             tmax = streff.ex.max_abs_on_points(derived.transport, pts)[0]

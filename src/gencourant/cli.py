@@ -31,6 +31,8 @@ COMMANDS = ("axioms", "torsion", "curvature", "beta", "central", "symplectic", "
 
 
 def _check(name, identity, fields, points, tol) -> Check:
+    """The check of ``fields``: expressions, or a float array of residuals
+    whose last axis runs over ``points`` (see ``ex.max_abs_on_points``)."""
     worst, at = ex.max_abs_on_points(fields, points)
     return Check(name, identity, worst, tol, at)
 
@@ -194,15 +196,12 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> list:
     Hp = derived.h_prime
     out = []
     minimal = derived.minimal
-    r = gconn.gen_riemann(minimal)
-    dim2 = 2 * chart.dim
-    sym1, sym2, sym3, sym4, bianchi = [], [], [], [], []
-    for d, c, a, b in itertools.product(range(dim2), repeat=4):
-        sym1.append(r[d, c, a, b] + r[d, c, b, a])
-        sym2.append(r[d, c, a, b] + r[c, d, a, b])
-        sym3.append(r[d, c, a, b] - r[b, a, c, d])
-        sym4.append(r[d, c, a, b] - r[a, b, d, c])
-        bianchi.append(ex.esum([r[d, c, a, b], r[d, a, b, c], r[d, b, c, a]]))
+    r = gconn.gen_riemann(minimal)  # [d, c, a, b, point]
+    sym1 = r + np.einsum("dcbap->dcabp", r)
+    sym2 = r + np.einsum("cdabp->dcabp", r)
+    sym3 = r - np.einsum("bacdp->dcabp", r)
+    sym4 = r - np.einsum("abdcp->dcabp", r)
+    bianchi = r + np.einsum("dabcp->dcabp", r) + np.einsum("dbcap->dcabp", r)
     out.append(_check("curvature.skew-last-pair", "curvature tensor is skew in the bracket slots",
                       sym1, pts, tol))
     out.append(_check("curvature.skew-first-pair", "curvature tensor is skew in the value slots",
@@ -215,15 +214,15 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> list:
                       bianchi, pts, tol))
     out.append(_check("curvature.bianchi-torsionful",
                       "algebraic Bianchi identity with torsion terms",
-                      _flat([gconn.bianchi_residual(derived.block_lc)]), pts, tol))
+                      gconn.bianchi_residual(derived.block_lc), pts, tol))
     out.append(_check("curvature.pairing-scalar-vanishes",
                       "pairing trace of the distinguished connection vanishes",
-                      [gconn.scalar_E(minimal)], pts, scene.tol("strict")))
+                      gconn.scalar_E(minimal), pts, scene.tol("strict")))
     _, rscal = derived.curvature
     closed = rscal - 0.5 * rm.form_inner(Hp, Hp, derived.ginv)
     out.append(_check("curvature.metric-scalar-closed-form",
                       "metric trace equals chart scalar minus half the twist norm",
-                      [gconn.scalar_G(minimal) - closed], pts, tol))
+                      gconn.scalar_G(minimal) - tn.values_at(closed, pts), pts, tol))
     out.append(_check("curvature.characteristic-field-minimal",
                       "characteristic vector field of the distinguished connection vanishes",
                       _flat([gconn.char_vf(minimal)]), pts, scene.tol("strict")))
@@ -282,10 +281,10 @@ def checks_central(scene: Scene, derived: streff.Derived) -> list:
     return [
         _check("central.scalar-identity",
                "metric Ricci trace of the dilaton connection equals the scalar residual",
-               [res.scalar_residual], pts, tol),
+               res.scalar_residual, pts, tol),
         _check("central.off-block-identity",
                "off-block Ricci equals symmetric minus antisymmetric residual",
-               _flat([res.ricci_residual]), pts, tol),
+               res.ricci_residual, pts, tol),
     ]
 
 
@@ -321,7 +320,7 @@ def checks_symplectic(scene: Scene, derived: streff.Derived) -> list:
     res1, _, _ = derived.dual_residuals
     out.append(_check("symplectic.scalar-two-paths",
                       "coframe scalar residual equals the sheared metric Ricci trace",
-                      [res1 - gconn.scalar_G(derived.theta_connection)], pts, tol))
+                      res1 - gconn.scalar_G(derived.theta_connection), pts, tol))
     return out
 
 
@@ -337,7 +336,7 @@ def checks_equivalence(scene: Scene, derived: streff.Derived) -> list:
     agree = 0.0 if rep.beta_on_shell == rep.symplectic_on_shell else worst
     return [
         _check("equivalence.ricci-transport",
-               "Ricci tensors match through the bivector shear", _flat([residual]), pts, tol),
+               "Ricci tensors match through the bivector shear", residual, pts, tol),
         Check("equivalence.simultaneous-vanishing",
               "the two residual families vanish together", agree, streff.VANISH_TOL, at),
     ], rep
@@ -374,7 +373,7 @@ def run_command(cmd: str, scene: Scene) -> Report:
     elif cmd == "symplectic":
         with ex.evaluation_scope():
             checks = checks_symplectic(scene, derived)
-            worst, _ = ex.max_abs_on_points(_flat(derived.dual_residuals), pts)
+            worst, _ = ex.max_abs_on_points(streff.dual_fields(derived), pts)
         summary["symplectic_max_abs"] = worst
         summary["symplectic_on_shell"] = worst < streff.VANISH_TOL
     elif cmd == "equivalence":

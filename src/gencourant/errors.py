@@ -39,10 +39,6 @@ class SlotError(GencourantError):
     """Bad tensor slot index or variance for the requested operation."""
 
 
-class NonTensorial(SlotError):
-    """A variance-sensitive operation received a non-tensorial array."""
-
-
 class SingularMetric(GencourantError):
     """Metric determinant below tolerance at some sample point."""
 

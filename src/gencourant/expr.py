@@ -2,8 +2,8 @@
 differentiation, numeric evaluation, light simplification and a parser.
 
 The node vocabulary is fixed (constants, coordinates, n-ary sums and
-products, quotients, integer powers, sin/cos/exp/ln/sqrt, and the lazy
-partial derivative ``Tangent``) and is closed under differentiation.  A
+products, quotients, integer powers, sin/cos/exp/ln/sqrt) and is closed
+under differentiation.  A
 product carries its numeric coefficient on the node, as a power carries its
 exponent (GiNaC's ``mul`` and its ``overall_coeff``): ``2*x*y`` is one node
 with coefficient 2 and factors (x, y), not a product with a constant child,
@@ -42,12 +42,13 @@ walk's.  Both memos live for one call, unless the call is made inside an
 ``evaluation_scope``: then the calls on one point set share them until the
 scope ends, so checks that read the same nodes evaluate them once.
 
-One node is not a value but a derivative: ``Tangent(f, m)``, the lazy
-∂f/∂x^m.  The walks value it by a forward-mode pass over the DAG of f that
-reads the node values already in the memo and keeps one tangent array (all
-n partials) per node next to them, so the cost is one pass over f for all
-directions, with no derivative DAG built.  ``differentiate`` stays the exact
-symbolic derivative, and is the oracle of the tangent pass.
+``evaluate_jets`` gives the first partials of its roots as well as their
+values, with no derivative DAG built: after the roots are valued as
+``evaluate_points`` values them, a forward-mode pass over their DAGs reads
+the node values in the memo and keeps one tangent array (all n partials)
+per node next to them, so the cost is one pass for all directions.
+``differentiate`` stays the exact symbolic derivative, and is the oracle of
+the tangent pass.
 """
 
 from __future__ import annotations
@@ -350,33 +351,13 @@ class Sqrt(Func):
     name = "sqrt"
 
 
-class Tangent(Expr):
-    """The partial derivative of ``arg`` along coordinate ``index``, kept
-    lazy: no derivative DAG is built.  The walks value it from one forward
-    (tangent) pass over arg's DAG that gives every partial of every node at
-    once (see ``_tangent``); ``tangent`` is the smart constructor."""
-
-    __slots__ = ("arg", "index")
-
-    def __init__(self, arg: Expr, index: int):
-        if arg.chart is None or not 0 <= index < arg.chart.dim:
-            raise ValueError("a Tangent needs a coordinate of the chart of its argument")
-        self.chart = arg.chart
-        self._deriv = None
-        self.arg = arg
-        self.index = index
-
-    def children(self):
-        return (self.arg,)
-
-
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
 # The node classes.  The hot kernels dispatch on ``type(e)`` against these
 # rather than walking an ``isinstance`` chain; an operand of any other type
 # goes through ``_coerce``.
-_NODE_TYPES = frozenset((Const, Coord, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt, Tangent))
+_NODE_TYPES = frozenset((Const, Coord, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt))
 
 
 def _coerce(x) -> Expr:
@@ -572,17 +553,6 @@ def sqrt(e) -> Expr:
     return Sqrt(e)
 
 
-def tangent(e, index: int) -> Expr:
-    """∂e/∂x^index as a lazy ``Tangent`` node.  Constants and coordinates
-    are answered at once, as ``differentiate`` answers them."""
-    e = _coerce(e)
-    if e.chart is None:
-        return ZERO
-    if type(e) is Coord:
-        return ONE if e.index == index else ZERO
-    return Tangent(e, index)
-
-
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
 
 
@@ -653,8 +623,6 @@ def _diff_rules(e: Expr, coord: Coord) -> Expr:
         return div(_diff(e.arg, coord), e.arg)
     if kind is Sqrt:
         return div(_diff(e.arg, coord), mul(2.0, e))
-    if kind is Tangent:  # the symbolic derivative, which keeps the algebra closed
-        return _diff(_diff(e.arg, Coord(e.chart, e.index)), coord)
     raise TypeError(f"cannot differentiate {kind.__name__}")
 
 
@@ -706,8 +674,9 @@ _scope: ContextVar[_Scope | None] = ContextVar("evaluation_scope", default=None)
 
 @contextmanager
 def evaluation_scope():
-    """Within the block, ``evaluate_points`` calls on one point set share
-    their memos, so a node reached from several calls is evaluated once.
+    """Within the block, ``evaluate_points`` and ``evaluate_jets`` calls on
+    one point set share their memos (values and tangents), so a node reached
+    from several calls is evaluated once.
     The values are those of separate calls, bit for bit, and so are the
     errors: a node that raised is never stored.  Everything is released
     when the outermost block ends; a nested block joins the outer one."""
@@ -803,13 +772,6 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
         if a < 0.0:
             raise DomainError("sqrt of a negative value", e)
         return math.sqrt(a)
-    if kind is Tangent:
-        t = _tangent(e.arg, memo, lambda: np.eye(len(point)))
-        if t is None:
-            return 0.0
-        if not np.isfinite(t).all():
-            _raise_singular_tangent(e.arg, memo)
-        return float(t[e.index])
     raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
@@ -827,22 +789,75 @@ def evaluate_points(exprs, points) -> np.ndarray:
     points go straight to the per-point walk.
     """
     exprs = list(exprs)
-    scope = _scope.get()
-    if scope is None:
-        vector_memo, point_memos = {}, [None] * len(points)
-    else:
-        vector_memo, point_memos = scope.memos_for(exprs, points)
-    if len(points) >= 2:
-        try:
-            cols = np.array(points, dtype=float).T.copy()
-        except (TypeError, ValueError):  # points of unequal length
-            cols = None
-        if cols is not None and cols.ndim == 2:
-            out = _vector_pass(exprs, cols, vector_memo)
-            if out is not None:
-                return out
+    vector_memo, point_memos = _memos(exprs, points)
+    cols = _columns(points)
+    if cols is not None:
+        out = _vector_pass(exprs, cols, vector_memo)
+        if out is not None:
+            return out
     rows = [evaluate_many(exprs, pt, memo) for pt, memo in zip(points, point_memos)]
     return np.array(rows, dtype=float).reshape(len(points), len(exprs)).T
+
+
+def evaluate_jets(roots, points) -> tuple[np.ndarray, np.ndarray]:
+    """Values and first partials of ``roots`` at each of ``points``: float64
+    arrays of shape (len(roots), P) and (len(roots), n, P), with
+    partials[i, m, p] = d root_i / d x^m at points[p] and n the length of a
+    point.
+
+    The values come from the walks of ``evaluate_points``, with its memos
+    and its replay rule.  The tangent pass then runs over the memo that
+    holds them: over all points at once after the vector pass, and otherwise
+    at each point right after the values there.  A partial that is not
+    finite in the vector pass sends the whole call to the per-point walk,
+    where it raises the DomainError that names the node of its root whose
+    derivative is singular or overflows."""
+    roots = list(roots)
+    count = len(points)
+    vector_memo, point_memos = _memos(roots, points)
+    cols = _columns(points)
+    if cols is not None:
+        values = _vector_pass(roots, cols, vector_memo)
+        if values is not None:
+            n = len(cols)
+            unit = np.broadcast_to(np.eye(n)[:, :, None], (n, n, count))
+            partials = np.array([_partials(f, vector_memo, unit, (n, count))
+                                 for f in roots]).reshape(len(roots), n, count)
+            if np.isfinite(partials).all():
+                return values, partials
+    n = len(points[0]) if count else 0
+    unit = np.eye(n)
+    values = np.empty((len(roots), count))
+    partials = np.empty((len(roots), n, count))
+    for p, (pt, memo) in enumerate(zip(points, point_memos)):
+        values[:, p] = evaluate_many(roots, pt, memo)
+        for i, f in enumerate(roots):
+            t = _partials(f, memo, unit, (n,))
+            if not np.isfinite(t).all():
+                _raise_singular_tangent(f, memo)
+            partials[i, :, p] = t
+    return values, partials
+
+
+def _memos(roots: list, points):
+    """(vector-pass memo, one per-point memo per point) for one call: those
+    of the enclosing ``evaluation_scope``, or fresh ones."""
+    scope = _scope.get()
+    if scope is None:
+        return {}, [{} for _ in points]
+    return scope.memos_for(roots, points)
+
+
+def _columns(points):
+    """The points as one row per coordinate, for the vector pass, or None
+    when there are fewer than two points or they differ in length."""
+    if len(points) < 2:
+        return None
+    try:
+        cols = np.array(points, dtype=float).T.copy()
+    except (TypeError, ValueError):  # points of unequal length
+        return None
+    return cols if cols.ndim == 2 else None
 
 
 class _Replay(Exception):
@@ -914,24 +929,11 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
         return np.log(memo[id(e.arg)])
     if kind is Sqrt:
         return np.sqrt(memo[id(e.arg)])
-    if kind is Tangent:
-        # a Tangent's value does not carry its argument's, so a non-finite
-        # value or tangent there gives up
-        f = e.arg
-        if not np.isfinite(memo[id(f)]).all():
-            raise _Replay
-        n, count = cols.shape
-        t = _tangent(f, memo, lambda: np.broadcast_to(np.eye(n)[:, :, None], (n, n, count)))
-        if t is None:
-            return 0.0
-        if not np.isfinite(t).all():
-            raise _Replay
-        return t[e.index]
     raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------
-# the tangent pass: forward-mode partial derivatives for Tangent nodes
+# the tangent pass: forward-mode partial derivatives for ``evaluate_jets``
 # ---------------------------------------------------------------------------
 #
 # A tangent is the array of all n partials of one node, coordinate index
@@ -939,25 +941,30 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
 # stands for the zero tangent of a subtree with no coordinate below it.  The
 # rules mirror ``_diff_rules`` and read the node values that the walk has
 # already stored; a tangent that is singular or overflows comes out
-# non-finite, which the walks turn into a DomainError or a replay.
+# non-finite, which ``evaluate_jets`` turns into a replay or a DomainError.
 
 # The key under which a value memo holds its tangent memo (node keys are ids).
 _TANGENTS = "tangents"
 
 
-def _tangent(f: Expr, memo: dict, units):
+def _tangent(f: Expr, memo: dict, unit):
     """The tangent of ``f``, from the tangent memo kept in the value memo
     ``memo``, which holds the value of every node under ``f``.  A pass fills
-    in the nodes of f not yet in the tangent memo; ``units()`` gives the
-    tangents of the coordinates."""
+    in the nodes of f not yet in the tangent memo; ``unit[m]`` is the
+    tangent of coordinate m."""
     tangents = memo.get(_TANGENTS)
     if tangents is None:
         tangents = memo[_TANGENTS] = {}
     if id(f) not in tangents:
-        unit = units()
         with np.errstate(all="ignore"):
             _fill((f,), tangents, lambda e: _tangent_node(e, memo, tangents, unit))
     return tangents[id(f)]
+
+
+def _partials(f: Expr, memo: dict, unit, shape) -> np.ndarray:
+    """The tangent of ``f`` as an array of ``shape``, zero for a constant."""
+    t = _tangent(f, memo, unit)
+    return np.zeros(shape) if t is None else t
 
 
 def _tangent_node(e: Expr, vals: dict, tans: dict, unit):
@@ -1002,8 +1009,6 @@ def _tangent_node(e: Expr, vals: dict, tans: dict, unit):
     if kind is Pow:
         t, k = tans[id(e.base)], e.exponent
         return None if t is None or k == 0 else k * np.power(vals[id(e.base)], k - 1) * t
-    if kind is Tangent:
-        raise TypeError("the tangent pass does not nest: a Tangent below a Tangent")
     t = tans[id(e.arg)]  # one of the functions sin ... sqrt
     if t is None:
         return None
@@ -1067,8 +1072,6 @@ def _rebuild(e: Expr, memo) -> Expr:
         return powi(memo[id(e.base)], e.exponent)
     if isinstance(e, Func):
         return _FUNCTIONS[e.name](memo[id(e.arg)])
-    if isinstance(e, Tangent):
-        return tangent(memo[id(e.arg)], e.index)
     raise TypeError(type(e).__name__)
 
 
@@ -1133,8 +1136,6 @@ def _print(e: Expr) -> tuple[str, int]:
         return f"{bs}^{es}", _PREC_POW
     if isinstance(e, Func):
         return f"{e.name}({_print(e.arg)[0]})", _PREC_ATOM
-    if isinstance(e, Tangent):  # printed only: the parser reads no derivatives
-        return f"diff({_print(e.arg)[0]}, {e.chart.coord_names[e.index]})", _PREC_ATOM
     raise TypeError(type(e).__name__)
 
 
@@ -1357,14 +1358,21 @@ def worst_of(pairs):
 def max_abs_on_points(exprs, points):
     """Max absolute value over expressions x points; returns (value, point)
     as ``worst_of`` picks it over the per-point maxima.  Accepts a single
-    Expr, an iterable, or a numpy object array."""
-    if isinstance(exprs, Expr):
-        flat = [exprs]
-    elif isinstance(exprs, np.ndarray):
-        flat = list(exprs.reshape(-1))
-    else:
-        flat = list(exprs)
+    Expr, an iterable, a numpy object array, or a float array of values
+    whose last axis runs over ``points``."""
     if not points:
         return 0.0, ()
-    per_point = np.abs(evaluate_points(flat, points)).max(axis=0, initial=0.0)
+    if isinstance(exprs, np.ndarray) and exprs.dtype != object:
+        if exprs.shape[-1:] != (len(points),):
+            raise ValueError(f"values of shape {exprs.shape} do not end in {len(points)} points")
+        values = exprs.reshape(-1, len(points))
+    else:
+        if isinstance(exprs, Expr):
+            flat = [exprs]
+        elif isinstance(exprs, np.ndarray):
+            flat = list(exprs.reshape(-1))
+        else:
+            flat = list(exprs)
+        values = evaluate_points(flat, points)
+    per_point = np.abs(values).max(axis=0, initial=0.0)
     return worst_of(zip(per_point.tolist(), map(tuple, points)))

@@ -7,13 +7,19 @@ nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``CourantFrame``: the
 anchored frame of ``gtb.AnchoredFrame`` (anchor and frame brackets of the
 ambient bracket) plus the constant pairing Gram matrix.  The frame calculus
 (frame derivatives, connection action, covariant derivative of frame forms,
-the curvature R0 below, built entry by entry by ``gtb.CurvatureEntries``) is
-that of ``gtb.AnchoredFrame``; this module adds
+the curvature R0 below) is that of ``gtb.AnchoredFrame``; this module adds
 what is specific to Courant algebroids: the pairing, the left-Leibniz term
 of the bracket, the Gualtieri torsion, the symmetrised curvature R and its
 pairing-dual traces.  Everything downstream is computed from those two
 ingredients, so the same code serves the standard twisted bracket, its
 shear by e^B, and the bivector-sheared bracket.
+
+The connection coefficients are expressions; the curvature is numbers.  R0
+comes from ``gtb.AnchoredFrame.curvature`` at the chart's sample points, and
+R, the Ricci tensor and its traces follow from it by einsum, each array
+ending in the point axis.  Where a curvature meets an expression (the graph
+sections Psi_pm, the inverse Gram matrix, a torsion term), that expression
+is valued at the same points first (``tensors.values_at``).
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -149,17 +155,15 @@ def _bracket_components(alg: CourantFrame, u: np.ndarray, v: np.ndarray) -> np.n
 @dataclass
 class GenConnection:
     """Connection coefficients over the generalized frame, together with the
-    bracket data and the generalized metric of its picture."""
+    bracket data and the generalized metric of its picture.  Its curvature
+    and Ricci tensor are computed once, on first read (``gen_riemann``,
+    ``ricci``)."""
 
     algebroid: CourantFrame
     gamma: np.ndarray  # [C, A, B]
     metric: GeneralizedMetric
-    _r0: gtb.CurvatureEntries = field(init=False, repr=False, compare=False)
-    _curvature: dict = field(default_factory=dict, repr=False, compare=False)
+    _riemann: np.ndarray | None = field(default=None, repr=False, compare=False)
     _ricci: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._r0 = gtb.CurvatureEntries(self.algebroid, self.gamma)
 
     @property
     def chart(self) -> Chart:
@@ -168,23 +172,6 @@ class GenConnection:
     def lowered(self, a: int, b: int, c: int) -> Expr:
         """<nab_{e_a} e_b, e_c> for the constant swap Gram."""
         return self.gamma[self.algebroid.swap(c), a, b]
-
-    def riemann_entry(self, d: int, c: int, a: int, b: int) -> Expr:
-        """R[D, C, A, B] (see ``gen_riemann``), built on first read and kept.
-        With R0[D,C,A,B] = <R0(e_A,e_B)e_C, e_D> = r0[swap(D),C,A,B], where
-        r0[F, C, A, B] is the e_F component of R0(e_A, e_B) e_C."""
-        key = (d, c, a, b)
-        hit = self._curvature.get(key)
-        if hit is None:
-            alg = self.algebroid
-            third = esum(
-                mul(self.lowered(lam, a, b), self.lowered(alg.swap(lam), c, d))
-                for lam in range(alg.dim2)
-            )
-            hit = self._curvature[key] = mul(
-                0.5, add(self._r0[alg.swap(d), c, a, b], self._r0[alg.swap(b), a, c, d], third)
-            )
-        return hit
 
 
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
@@ -225,40 +212,45 @@ def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
     return out
 
 
+def _swap(alg: CourantFrame) -> list:
+    """The frame index permutation a -> swap(a): the pairing-dual frame."""
+    return [alg.swap(a) for a in range(alg.dim2)]
+
+
 def gen_riemann(conn: GenConnection) -> np.ndarray:
-    """Curvature tensor R[D, C, A, B] = R(e_D, e_C, e_A, e_B) (the argument
-    order of the defining formula: R(phi', phi, psi, psi')), as a full
-    array of the connection's kept entries."""
-    out = np.empty((conn.algebroid.dim2,) * 4, dtype=object)
-    for idx in itertools.product(range(conn.algebroid.dim2), repeat=4):
-        out[idx] = conn.riemann_entry(*idx)
-    return out
+    """Curvature tensor R[D, C, A, B, p] = R(e_D, e_C, e_A, e_B) (the argument
+    order of the defining formula: R(phi', phi, psi, psi')) at the chart's
+    sample points p, computed on first read and kept.  With
+    r0[D, C, A, B] = <R0(e_A,e_B)e_C, e_D>, the e_swap(D) component of R0,
+        R[D, C, A, B] = (1/2) { r0[D, C, A, B] + r0[B, A, C, D]
+                                + <nab_{e_l} e_A, e_B> <nab_{e^l} e_C, e_D> }."""
+    if conn._riemann is None:
+        alg = conn.algebroid
+        swap = _swap(alg)
+        gamma, r0 = alg.curvature(conn.gamma, conn.chart.sample_points())
+        r0 = r0[swap]
+        low = gamma[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
+        third = np.einsum("blap,dlcp->dcabp", low, low[:, swap])
+        conn._riemann = 0.5 * (r0 + np.einsum("bacdp->dcabp", r0) + third)
+    return conn._riemann
 
 
 def ricci(conn: GenConnection) -> np.ndarray:
-    """Ric[C, B] = R(e^l, e_C, e_l, e_B), symmetric; reads (2n)^3 entries
-    of R, and through them at most 2 (2n)^3 of R0."""
-    if conn._ricci is not None:
-        return conn._ricci
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    out = np.empty((dim2, dim2), dtype=object)
-    for c, b in itertools.product(range(dim2), repeat=2):
-        out[c, b] = esum(conn.riemann_entry(alg.swap(lam), c, lam, b) for lam in range(dim2))
-    conn._ricci = out
-    return out
+    """Ric[C, B, p] = R(e^l, e_C, e_l, e_B), symmetric; computed once."""
+    if conn._ricci is None:
+        conn._ricci = np.einsum("lclbp->cbp", gen_riemann(conn)[_swap(conn.algebroid)])
+    return conn._ricci
 
 
-def scalar_E(conn: GenConnection) -> Expr:
-    """Pairing trace of the Ricci tensor."""
-    alg = conn.algebroid
-    ric = ricci(conn)
-    return esum(ric[alg.swap(lam), lam] for lam in range(alg.dim2))
+def scalar_E(conn: GenConnection) -> np.ndarray:
+    """Pairing trace of the Ricci tensor, at each sample point."""
+    return np.einsum("llp->p", ricci(conn)[_swap(conn.algebroid)])
 
 
-def scalar_G(conn: GenConnection) -> Expr:
-    """Generalized-metric trace of the Ricci tensor."""
-    return tn.contract("lm,ml->", conn.metric.gram_inverse(), ricci(conn))
+def scalar_G(conn: GenConnection) -> np.ndarray:
+    """Generalized-metric trace of the Ricci tensor, at each sample point."""
+    ginv = tn.values_at(conn.metric.gram_inverse(), conn.chart.sample_points())
+    return np.einsum("lmp,mlp->p", ginv, ricci(conn))
 
 
 def divergence_section(conn: GenConnection, comps: np.ndarray) -> Expr:
@@ -306,15 +298,17 @@ def v_trace(conn: GenConnection, h: TensorField) -> TensorField:
     return TensorField(conn.chart, (DOWN,), out)
 
 
-def ricci_compat_residual(conn: GenConnection) -> TensorField:
-    """(X, Y) -> Ric(Psi_+(X), Psi_-(Y)): the off-block part of the Ricci
-    tensor with respect to the eigenbundle splitting of the metric."""
+def ricci_compat_residual(conn: GenConnection) -> np.ndarray:
+    """[i, j, p]: Ric(Psi_+(d_i), Psi_-(d_j)) at the chart's sample points,
+    the off-block part of the Ricci tensor with respect to the eigenbundle
+    splitting of the metric."""
     gm = conn.metric
     chart = conn.chart
+    pts = chart.sample_points()
     plus = [gm.psi_plus(_coord_field(chart, i)).components() for i in range(chart.dim)]
     minus = [gm.psi_minus(_coord_field(chart, j)).components() for j in range(chart.dim)]
-    out = tn.contract("ab,ia,jb->ij", ricci(conn), plus, minus)
-    return TensorField(chart, (DOWN, DOWN), out)
+    return np.einsum("abp,iap,jbp->ijp", ricci(conn), tn.values_at(plus, pts),
+                     tn.values_at(minus, pts))
 
 
 def _coord_field(chart: Chart, i: int) -> TensorField:
@@ -322,31 +316,27 @@ def _coord_field(chart: Chart, i: int) -> TensorField:
 
 
 def bianchi_residual(conn: GenConnection) -> np.ndarray:
-    """Residual of the algebraic Bianchi identity with torsion terms:
+    """Residual [D, A, B, C, p] of the algebraic Bianchi identity with torsion
+    terms at the chart's sample points:
     <R(e_A,e_B)e_C + cyc, e_D>
       - (1/2){ sum_cyc [ (nab_A T)(B,C,D) - T(A, T-op(B,C), D) ]
-               - (nab_D T)(A,B,C) }."""
+               - (nab_D T)(A,B,C) }.
+    The torsion terms are built as expressions and valued at the points."""
     alg = conn.algebroid
     dim2 = alg.dim2
-    r = gen_riemann(conn)
     T = gualtieri_torsion(conn)
     nabT = [alg.covariant_derivative_form(conn.gamma, a, T, 3) for a in range(dim2)]
-    out = np.empty((dim2,) * 4, dtype=object)
+    torsion = np.empty((dim2,) * 4, dtype=object)
     for d, a, b, c in itertools.product(range(dim2), repeat=4):
-        lhs = add(r[d, c, a, b], r[d, a, b, c], r[d, b, c, a])
-        rhs_terms = []
+        terms = []
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            rhs_terms.append(nabT[x][y, z, d])
-            rhs_terms.append(
-                neg(
-                    esum(
-                        mul(T[y, z, alg.swap(f)], T[x, f, d]) for f in range(dim2)
-                    )
-                )
-            )
-        rhs_terms.append(neg(nabT[d][a, b, c]))
-        out[d, a, b, c] = add(lhs, neg(mul(0.5, esum(rhs_terms))))
-    return out
+            terms.append(nabT[x][y, z, d])
+            terms.append(neg(esum(mul(T[y, z, alg.swap(f)], T[x, f, d]) for f in range(dim2))))
+        terms.append(neg(nabT[d][a, b, c]))
+        torsion[d, a, b, c] = esum(terms)
+    r = gen_riemann(conn)
+    cyclic = np.einsum("dcabp->dabcp", r) + r + np.einsum("dbcap->dabcp", r)
+    return cyclic - 0.5 * tn.values_at(torsion, conn.chart.sample_points())
 
 
 # ---------------------------------------------------------------------------

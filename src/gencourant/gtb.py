@@ -5,10 +5,15 @@ canonical pairing, the twisted Dorfman bracket and its differential, the
 generalized metric package built from a pair (g, B), the shear maps e^B and
 F_theta, the twisted Koszul bracket, a Schouten-bracket residual check, and
 the calculus on an anchored frame (``AnchoredFrame``: frame derivative,
-anchored bracket, connections, Cartan differential, Levi-Civita connection;
-``CurvatureEntries``: its curvature).  That calculus serves both the
+anchored bracket, connections, Cartan differential, Levi-Civita connection,
+and the curvature of a connection).  That calculus serves both the
 cotangent Lie algebroid of an invertible 2-form and, through
 ``gconn.CourantFrame``, the generalized coordinate frame of TM (+) T*M.
+
+The curvature is numbers, not expressions: ``frame_curvature`` is one einsum
+stage over the values of the connection coefficients, their first partials
+(from ``expr.evaluate_jets``), the anchor and the structure functions, with
+a trailing axis over the sample points.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -71,13 +76,6 @@ class GenSection:
         vec = TensorField(chart, (UP,), comps[:n])
         form = TensorField(chart, (DOWN,), comps[n:])
         return GenSection(vec, form)
-
-    @staticmethod
-    def frame(chart: Chart, a: int) -> "GenSection":
-        """Generalized coordinate frame e_a, a in [0, 2n)."""
-        n = chart.dim
-        comps = np.array([ex.ONE if i == a else ex.ZERO for i in range(2 * n)], dtype=object)
-        return GenSection.from_components(chart, comps)
 
     def __add__(self, other):
         return GenSection(self.vec + other.vec, self.form + other.form)
@@ -329,7 +327,8 @@ def theta_matrix_from_b(B: TensorField) -> TensorField:
         raise SingularB("an antisymmetric 2-form on an odd-dimensional chart is singular")
     pts = chart.sample_points()
     for p, m in zip(pts, B.evaluate_points(pts)):
-        if not abs(np.linalg.det(m)) >= tn.DET_TOL:
+        # written so that a NaN or an infinity fails the test, before det sees it
+        if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
             raise SingularB(f"B degenerate at sample point {p}")
     inv = tn.matrix_inverse(B.comps)
     # matrix inverse of B_{mn} gives theta with theta^{m a} B_{a n} = delta
@@ -513,6 +512,18 @@ class AnchoredFrame:
                 out[:, a, b] = 0.5 * (self.structure[:, a, b] + raised)
         return out
 
+    def curvature(self, gamma: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+        """(Gamma[c, a, b, p], R0[d, c, a, b, p]): the values of connection
+        coefficients gamma at ``points``, and their curvature there
+        (``frame_curvature``).  Gamma and its first partials come from one
+        ``evaluate_jets`` call."""
+        values, partials = ex.evaluate_jets(gamma.reshape(-1), points)
+        count = len(points)
+        gv = values.reshape(gamma.shape + (count,))
+        dgv = partials.reshape(gamma.shape + (self.chart.dim, count))
+        anchor, C = tn.values_at(self.anchor, points), tn.values_at(self.structure, points)
+        return gv, frame_curvature(gv, dgv, anchor, C)
+
     def covariant_derivative_form(self, gamma: np.ndarray, a: int, omega: np.ndarray, degree: int) -> np.ndarray:
         """nab_{E_a} of a degree-p frame form."""
         r = self.rank
@@ -527,62 +538,21 @@ class AnchoredFrame:
         return out
 
 
-class CurvatureEntries:
-    """The curvature R0[d, c, a, b] of connection coefficients gamma on an
-    anchored frame, with
+def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
+                    C: np.ndarray) -> np.ndarray:
+    """The curvature R0[d, c, a, b, p] (the E_d component of R(E_a,E_b)E_c at
+    point p) of connection coefficients on an anchored frame, with
         R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c,
-    built entry by entry on first read and kept, so a contraction that reads
-    r^3 entries builds only those.  Each frame derivative a(E_a).Gamma^d_{bc}
-    is built once and shared by the two entries that use it.  It is the sum
-    of anchor[a, m] times the lazy partial ``ex.tangent(Gamma^d_{bc}, m)``,
-    so no derivative DAG of Gamma is built: the evaluator computes all
-    partials of a Gamma entry in one forward pass over its DAG."""
-
-    def __init__(self, frame: AnchoredFrame, gamma: np.ndarray):
-        self.frame = frame
-        self.gamma = gamma
-        self._entries: dict = {}
-        self._derivatives: dict = {}
-        self._partials: dict = {}
-
-    def __getitem__(self, idx) -> Expr:
-        hit = self._entries.get(idx)
-        if hit is None:
-            hit = self._entries[idx] = self._build(*idx)
-        return hit
-
-    def _derivative(self, a: int, d: int, b: int, c: int) -> Expr:
-        """a(E_a).Gamma^d_{bc}"""
-        key = (a, d, b, c)
-        hit = self._derivatives.get(key)
-        if hit is None:
-            n = self.frame.chart.dim
-            partials = self._partials.get((d, b, c))
-            if partials is None:
-                partials = self._partials[(d, b, c)] = [
-                    ex.tangent(self.gamma[d, b, c], m) for m in range(n)
-                ]
-            anchor = self.frame.anchor[a]
-            hit = self._derivatives[key] = esum(mul(anchor[m], partials[m]) for m in range(n))
-        return hit
-
-    def _build(self, d: int, c: int, a: int, b: int) -> Expr:
-        gamma, C = self.gamma, self.frame.structure
-        terms = [self._derivative(a, d, b, c), neg(self._derivative(b, d, a, c))]
-        for e in range(self.frame.rank):
-            terms.append(mul(gamma[e, b, c], gamma[d, a, e]))
-            terms.append(neg(mul(gamma[e, a, c], gamma[d, b, e])))
-            if not ex.is_zero(C[e, a, b]):
-                terms.append(neg(mul(C[e, a, b], gamma[d, e, c])))
-        return esum(terms)
-
-    def ricci(self) -> np.ndarray:
-        """Ric[c, b] = R^a_{cab}, reading r^3 entries."""
-        r = self.frame.rank
-        ric = np.empty((r, r), dtype=object)
-        for c, b in itertools.product(range(r), repeat=2):
-            ric[c, b] = esum(self[a, c, a, b] for a in range(r))
-        return ric
+    from float arrays that end in the point axis: gamma[d, b, c, p] =
+    Gamma^d_{bc}, dgamma[d, b, c, m, p] its partial along x^m, anchor[a, m, p]
+    and C[e, a, b, p].  The frame derivative a(E_a).Gamma^d_{bc} is
+    anchor[a, m] dgamma[d, b, c, m].  Plain ``np.einsum`` (no BLAS), so the
+    same inputs give the same bits."""
+    along = np.einsum("amp,dbcmp->dcabp", anchor, dgamma)  # a(E_a).Gamma^d_{bc}
+    return (along - along.swapaxes(2, 3)
+            + np.einsum("ebcp,daep->dcabp", gamma, gamma)
+            - np.einsum("eacp,dbep->dcabp", gamma, gamma)
+            - np.einsum("eabp,decp->dcabp", C, gamma))
 
 
 @dataclass

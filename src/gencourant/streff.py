@@ -14,8 +14,11 @@ evaluates
   with G = -B g^{-1} B, and the three residuals of the dual gravity
   equations, plus the transport identity connecting both Ricci tensors.
 
-All residuals are exact symbolic fields; the CLI samples them at the
-chart's seeded points.
+The residuals that do not involve a curvature of TM (+) T*M or of the
+cotangent algebroid are exact symbolic fields, which the CLI samples at the
+chart's seeded points.  Those curvatures are numbers at those points (see
+``gconn``), so the residuals that involve them are float arrays ending in
+the point axis, with their symbolic parts valued at the same points.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from . import riemann as rm
 from . import tensors as tn
 from .expr import Chart, Expr, add, esum, mul, neg
 from .gtb import GeneralizedMetric, LieAlgebroidCotangent
-from .tensors import DOWN, UP, TensorField
+from .tensors import DOWN, TensorField
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +246,27 @@ def beta_g_index_form(derived: Derived) -> TensorField:
 
 @dataclass
 class CentralResiduals:
-    """Identity residuals: both fields vanish for every background, on-shell
-    or not."""
+    """Identity residuals at the chart's sample points: both vanish for every
+    background, on-shell or not."""
 
-    scalar_residual: Expr              # metric Ricci trace minus beta_phi
-    ricci_residual: TensorField        # off-block Ricci minus (beta_g - beta_B)
+    scalar_residual: np.ndarray        # [p]: metric Ricci trace minus beta_phi
+    ricci_residual: np.ndarray         # [i, j, p]: off-block Ricci minus (beta_g - beta_B)
 
     def max_abs(self, points):
-        fields = [self.scalar_residual] + list(self.ricci_residual.comps.reshape(-1))
-        return ex.max_abs_on_points(fields, points)
+        fields = [self.scalar_residual[None], self.ricci_residual.reshape(-1, len(points))]
+        return ex.max_abs_on_points(np.concatenate(fields), points)
 
 
 def central_residuals(derived: Derived) -> CentralResiduals:
     """The two identity residuals of the dilaton connection for (g, B, phi)
     on the H-twisted bracket (built through the shear, so B != 0 exercises
     the conjugation path)."""
+    pts = derived.bg.chart.sample_points()
     betas = derived.betas
     conn = derived.dilaton
-    scalar_res = add(gconn.scalar_G(conn), neg(betas.beta_phi))
-    compat = gconn.ricci_compat_residual(conn)
-    ricci_res = compat - (betas.beta_g - betas.beta_B)
-    return CentralResiduals(scalar_res, ricci_res)
+    scalar_res = gconn.scalar_G(conn) - tn.values_at(betas.beta_phi, pts)
+    beta_diff = tn.values_at((betas.beta_g - betas.beta_B).comps, pts)
+    return CentralResiduals(scalar_res, gconn.ricci_compat_residual(conn) - beta_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,9 @@ def central_residuals(derived: Derived) -> CentralResiduals:
 class SymplecticPackage:
     """Everything attached to theta = B^{-1}: the dual metric G = -B g^{-1} B,
     the cotangent Lie algebroid with its Levi-Civita connection for G^{-1},
-    the transported twist, and the dilaton data in the dual variables."""
+    the transported twist, and the dilaton data in the dual variables.  The
+    curvature of the connection is computed when the residuals are
+    (``algebroid_curvature``)."""
 
     chart: Chart
     theta: TensorField                  # bivector, (2,0)
@@ -286,8 +291,6 @@ class SymplecticPackage:
     gamma: np.ndarray                   # connection coefficients [c, a, b]
     H_theta: np.ndarray                 # frame 3-form H'(theta., theta., theta.)
     dphi_dual: np.ndarray               # d_theta phi as dual-frame components
-    ric: np.ndarray                     # Ricci of the algebroid connection [a, b]
-    scalar: Expr                        # G-trace of ric
 
 
 def build_symplectic(derived: Derived) -> SymplecticPackage:
@@ -304,15 +307,16 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
     gamma = cot.algebroid.lc_connection(g_A)
     H_theta = tn.contract("ijk,ia,jb,kc->abc", derived.h_prime.comps, th, th, th)
     dphi_dual = gtb.d_theta(chart, bg.phi, theta).comps
-    ric, scalar = algebroid_curvature(cot, gamma, G)
-    return SymplecticPackage(chart, theta, G, metric, g_A, cot, gamma, H_theta, dphi_dual, ric,
-                             scalar)
+    return SymplecticPackage(chart, theta, G, metric, g_A, cot, gamma, H_theta, dphi_dual)
 
 
 def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField):
-    """(Ricci over the coframe, G-trace scalar) of an algebroid connection."""
-    ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
-    return ric, tn.contract("ab,ab->", G.comps, ric)
+    """(Ricci [a, b, p] over the coframe, G-trace scalar [p]) of an algebroid
+    connection at the chart's sample points: Ric[c, b] = R0[a, c, a, b]."""
+    pts = cot.chart.sample_points()
+    _, r0 = cot.algebroid.curvature(gamma, pts)
+    ric = np.einsum("acabp->cbp", r0)
+    return ric, np.einsum("abp,abp->p", tn.values_at(G.comps, pts), ric)
 
 
 def _nabla_dual(alg: gtb.AnchoredFrame, gamma: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -336,7 +340,8 @@ def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: TensorField, degree: int)
 
 
 def symplectic_residuals(pkg: SymplecticPackage):
-    """Residual fields of the dual gravity equations:
+    """Residuals of the dual gravity equations at the chart's sample points,
+    as float arrays [p], [a, b, p] and [a, b, p]:
 
     1. scalar:  R^theta(G^{-1}) - (1/2) <H'_th, H'_th>_G + 4 Lap_th(phi)
                 - 4 |d_th phi|^2_G
@@ -344,24 +349,26 @@ def symplectic_residuals(pkg: SymplecticPackage):
                 + (nab_xi d_th phi)(eta) + (nab_eta d_th phi)(xi)
     3. skew:    H'_th(xi,eta, G(d_th phi))
                 - (1/2) (nab_{E^k} H'_th)(G(E_k), xi, eta)
-    """
+
+    Everything but the curvature terms is built symbolically and valued."""
     chart = pkg.chart
+    pts = chart.sample_points()
     n = chart.dim
     alg = pkg.cotangent.algebroid
     G = pkg.G
     w = pkg.dphi_dual
+    ric, scalar = algebroid_curvature(pkg.cotangent, pkg.gamma, G)
     norm2 = tn.contract("ab,a,b->", G.comps, w, w)
     nab_w = _nabla_dual(alg, pkg.gamma, w)
     lap = _laplacian_dual(G, nab_w)
     hh = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 3)
-    res1 = esum([pkg.scalar, mul(-0.5, hh), mul(4.0, lap), mul(-4.0, norm2)])
+    rest1 = esum([mul(-0.5, hh), mul(4.0, lap), mul(-4.0, norm2)])
 
-    res2 = np.empty((n, n), dtype=object)
+    rest2 = np.empty((n, n), dtype=object)
     iH = [pkg.H_theta[a] for a in range(n)]  # i_{E^a} H: slice of the first slot
     for a, b in itertools.product(range(n), repeat=2):
-        res2[a, b] = esum(
+        rest2[a, b] = esum(
             [
-                pkg.ric[a, b],
                 mul(-0.5, _pform_inner_dual(iH[a], iH[b], G, 2)),
                 nab_w[a][b],
                 nab_w[b][a],
@@ -373,9 +380,9 @@ def symplectic_residuals(pkg: SymplecticPackage):
     res3 = (tn.contract("abc,c->ab", pkg.H_theta, u)
             + -0.5 * tn.contract("km,kmab->ab", G.comps.T, nabH))
     return (
-        res1,
-        TensorField(chart, (UP, UP), res2),
-        TensorField(chart, (UP, UP), res3),
+        scalar + tn.values_at(rest1, pts),
+        ric + tn.values_at(rest2, pts),
+        tn.values_at(res3, pts),
     )
 
 
@@ -408,20 +415,27 @@ def theta_transported_connection(derived: Derived) -> gconn.GenConnection:
     return gconn.theta_transport(derived.dilaton, pkg.theta, derived.bg.B, pkg.metric)
 
 
+def dual_fields(derived: Derived) -> np.ndarray:
+    """The three dual residuals as one float array [field, p]."""
+    res1, res2, res3 = derived.dual_residuals
+    count = len(res1)
+    return np.concatenate([res1[None], res2.reshape(-1, count), res3.reshape(-1, count)])
+
+
 def transport_identity_residual(derived: Derived) -> np.ndarray:
-    """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame."""
+    """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame, at
+    the chart's sample points: [a, b, p]."""
     F, _ = gtb.theta_twist_matrices(derived.symplectic.theta, derived.bg.B)
+    F = tn.values_at(F, derived.bg.chart.sample_points())
     return (gconn.ricci(derived.theta_connection)
-            - tn.contract("cd,ca,db->ab", gconn.ricci(derived.dilaton), F, F))
+            - np.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))
 
 
 def equivalence_report(derived: Derived) -> EquivalenceReport:
     """Both residual families on the sample points."""
     points = derived.bg.chart.sample_points()
     beta_max, beta_point = derived.betas.max_abs(points)
-    res1, res2, res3 = derived.dual_residuals
-    sym_fields = [res1] + list(res2.comps.reshape(-1)) + list(res3.comps.reshape(-1))
-    sym_max, sym_point = ex.max_abs_on_points(sym_fields, points)
+    sym_max, sym_point = ex.max_abs_on_points(dual_fields(derived), points)
     beta_on = beta_max < VANISH_TOL
     sym_on = sym_max < VANISH_TOL
     if beta_on and sym_on:

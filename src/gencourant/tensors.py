@@ -2,9 +2,7 @@
 
 Components are numpy object arrays of Expr, one axis per slot, row-major in
 slot order.  Variances are recorded per slot ('up' = contravariant,
-'down' = covariant).  Non-tensorial intermediates (raw coordinate gradients,
-connection coefficients) carry ``tensorial=False`` and are rejected by the
-variance-sensitive operations.
+'down' = covariant).
 
 Index contractions are written as einsum specs, in the notation of numpy's
 ``einsum``, and built by ``contract``: ``contract("cd,ca,db->ab", ric, F, F)``
@@ -27,8 +25,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .errors import (ChartMismatch, DomainError, NonTensorial, NotAntisymmetric, SingularMetric,
-                     SlotError)
+from .errors import ChartMismatch, DomainError, NotAntisymmetric, SingularMetric, SlotError
 from .expr import Chart, Expr, add, esum, evaluate_many, mul, neg
 
 UP = "up"
@@ -46,8 +43,7 @@ def _object_array(shape) -> np.ndarray:
 class TensorField:
     """Multi-index array of scalar fields with a declared variance per slot."""
 
-    def __init__(self, chart: Chart, variance, comps, tensorial: bool = True,
-                 antisymmetric_slots=None, symmetric_slots=None):
+    def __init__(self, chart: Chart, variance, comps):
         self.chart = chart
         self.variance = tuple(variance)
         for v in self.variance:
@@ -64,11 +60,6 @@ class TensorField:
                 raise ChartMismatch("component expression lives on another chart")
             flat[i] = e
         self.comps = arr
-        self.tensorial = tensorial
-        if antisymmetric_slots:
-            _check_slot_symmetry(self, tuple(antisymmetric_slots), sign=-1)
-        if symmetric_slots:
-            _check_slot_symmetry(self, tuple(symmetric_slots), sign=+1)
 
     @property
     def rank(self) -> int:
@@ -100,7 +91,7 @@ class TensorField:
     def map(self, fn) -> "TensorField":
         out = np.empty(self.comps.shape, dtype=object)
         out.reshape(-1)[:] = [fn(c) for c in self.comps.reshape(-1)]
-        return TensorField(self.chart, self.variance, out, tensorial=self.tensorial)
+        return TensorField(self.chart, self.variance, out)
 
     def __add__(self, other):
         _same_chart(self, other)
@@ -110,8 +101,7 @@ class TensorField:
         flat, a, b = out.reshape(-1), self.comps.reshape(-1), other.comps.reshape(-1)
         for i in range(flat.size):
             flat[i] = add(a[i], b[i])
-        return TensorField(self.chart, self.variance, out,
-                           tensorial=self.tensorial and other.tensorial)
+        return TensorField(self.chart, self.variance, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -120,27 +110,12 @@ class TensorField:
         return self.map(lambda c: mul(factor, c))
 
     def __repr__(self):
-        kind = "" if self.tensorial else ", non-tensorial"
-        return f"<TensorField {self.variance}{kind} on {self.chart.coord_names}>"
+        return f"<TensorField {self.variance} on {self.chart.coord_names}>"
 
 
 def _same_chart(a: TensorField, b: TensorField):
     if a.chart != b.chart:
         raise ChartMismatch("tensor fields live on different charts")
-
-
-def _check_slot_symmetry(t: TensorField, slots, sign):
-    if len(slots) < 2:
-        return
-    if len({t.variance[s] for s in slots}) != 1:
-        raise SlotError("declared symmetry mixes slot variances")
-    i, j = slots[0], slots[1]
-    swapped = np.swapaxes(t.comps, i, j)
-    diff = [add(a, mul(-sign, b)) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
-    worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
-    if not worst <= 1e-10:
-        word = "antisymmetry" if sign < 0 else "symmetry"
-        raise NotAntisymmetric(f"declared {word} fails: residual {worst:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +133,12 @@ def scalar_field(chart: Chart, e) -> TensorField:
     return TensorField(chart, (), a)
 
 
-def from_function(chart: Chart, variance, fn, tensorial=True) -> TensorField:
+def from_function(chart: Chart, variance, fn) -> TensorField:
     variance = tuple(variance)
     out = _object_array((chart.dim,) * len(variance))
     for idx in itertools.product(range(chart.dim), repeat=len(variance)):
         out[idx] = ex._coerce(fn(*idx))
-    return TensorField(chart, variance, out, tensorial=tensorial)
+    return TensorField(chart, variance, out)
 
 
 def kronecker(chart: Chart) -> TensorField:
@@ -199,6 +174,15 @@ def contract(spec: str, *operands):
     out = np.empty(len(entries), dtype=object)
     out[:] = entries
     return out.reshape(out_shape)
+
+
+def values_at(comps, points) -> np.ndarray:
+    """The values of an Expr or an object array of Expr at ``points``, as a
+    float array of shape ``comps.shape + (len(points),)`` (see
+    ``expr.evaluate_points``): the form in which the numeric curvature
+    stage takes the quantities it combines with."""
+    arr = np.asarray(comps, dtype=object)
+    return ex.evaluate_points(arr.reshape(-1), points).reshape(arr.shape + (len(points),))
 
 
 @functools.lru_cache(maxsize=256)
@@ -260,8 +244,6 @@ def _permutations_with_sign(k):
 
 
 def antisymmetrize(t: TensorField, slot_set) -> TensorField:
-    if not t.tensorial:
-        raise NonTensorial("antisymmetrize needs a tensorial field")
     slots = tuple(slot_set)
     if len(set(slots)) != len(slots) or any(not 0 <= s < t.rank for s in slots):
         raise SlotError("bad slot set")
@@ -284,15 +266,15 @@ def antisymmetrize(t: TensorField, slot_set) -> TensorField:
 
 
 def coordinate_gradient(t: TensorField) -> TensorField:
-    """Raw partial derivatives of the components, as a non-tensorial field
-    with one extra leading down slot."""
+    """Raw partial derivatives of the components, with one extra leading
+    down slot (not a tensor: ``riemann.covariant_derivative`` corrects it)."""
     n = t.chart.dim
     out = _object_array((n,) + t.comps.shape)
     for mu in range(n):
         c = t.chart.coord(mu)
         for idx in itertools.product(range(n), repeat=t.rank):
             out[(mu,) + idx] = ex.differentiate(t.comps[idx], c)
-    return TensorField(t.chart, (DOWN,) + t.variance, out, tensorial=False)
+    return TensorField(t.chart, (DOWN,) + t.variance, out)
 
 
 # ---------------------------------------------------------------------------

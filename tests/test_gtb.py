@@ -5,6 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import random_background
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencourant import gtb, streff
 from gencourant import tensors as tn
@@ -34,7 +37,9 @@ def closed_three_form(c, seed=1, scale=0.25):
 
 
 def frame(c, a):
-    return GenSection.frame(c, a)
+    """Generalized coordinate frame e_a, a in [0, 2n)."""
+    comps = [tn.ex.ONE if i == a else tn.ex.ZERO for i in range(2 * c.dim)]
+    return GenSection.from_components(c, comps)
 
 
 def apply_bivector(theta, xi):
@@ -560,8 +565,8 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
     F, Finv = gtb.theta_twist_matrices(theta, B)
     pts = c4.sample_points()[:5]
     for a, b in [(0, 1), (1, 2), (0, 3)]:
-        psi = shear(F, GenSection.frame(c4, n + a))
-        phi = shear(F, GenSection.frame(c4, n + b))
+        psi = shear(F, frame(c4, n + a))
+        phi = shear(F, frame(c4, n + b))
         tw = shear(Finv, dorfman(psi, phi, H))
         # form part: the twisted Koszul bracket of dx^a, dx^b
         fa = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == a else tn.ex.ZERO)
@@ -584,41 +589,61 @@ def test_lie_algebroid_lc_constant_data():
     g_A = np.array([[tn.ex.Const(2.0), tn.ex.ZERO], [tn.ex.ZERO, tn.ex.Const(3.0)]], dtype=object)
     gamma = cot.algebroid.lc_connection(g_A)
     assert tn.ex.max_abs_on_points(gamma, C2.sample_points())[0] == 0.0
-    ric = gtb.CurvatureEntries(cot.algebroid, gamma).ricci()
-    assert tn.ex.max_abs_on_points(ric, C2.sample_points())[0] == 0.0
+    _, r0 = cot.algebroid.curvature(gamma, C2.sample_points())
+    assert tn.ex.max_abs_on_points(r0, C2.sample_points())[0] == 0.0
 
 
-def test_lazy_ricci_reads_only_its_entries():
+# ---------------------------------------------------------------------------
+# the numeric curvature against the defining formula, built symbolically
+# ---------------------------------------------------------------------------
+
+
+def brute_force_r0(frame, gamma):
+    """R0[d, c, a, b] as expressions, from the definition
+    R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c
+    with nab_{E_b} E_c = Gamma[:, b, c], [E_a, E_b] = C[:, a, b], and the
+    frame derivatives of ``connection_apply`` (symbolic ``differentiate``)."""
+    r = frame.rank
+    unit = [np.array([tn.ex.ONE if i == a else tn.ex.ZERO for i in range(r)], dtype=object)
+            for a in range(r)]
+    out = np.empty((r,) * 4, dtype=object)
+    for a, b, c in itertools.product(range(r), repeat=3):
+        out[:, c, a, b] = (frame.connection_apply(gamma, unit[a], gamma[:, b, c])
+                           - frame.connection_apply(gamma, unit[b], gamma[:, a, c])
+                           - frame.connection_apply(gamma, frame.structure[:, a, b], unit[c]))
+    return out
+
+
+def assert_frame_curvature_matches(frame, gamma, points):
+    gv, r0 = frame.curvature(gamma, points)
+    np.testing.assert_array_equal(gv, tn.values_at(gamma, points))
+    want = tn.values_at(brute_force_r0(frame, gamma), points)
+    np.testing.assert_allclose(r0, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 5]))
+def test_frame_curvature_matches_the_definition(salt, count):
+    # rank n: the cotangent algebroid of theta = B^{-1}, whose anchor is theta;
+    # rank 2n: the dilaton connection (constant anchor) and its pullback
+    # through the bivector shear (anchor built from theta)
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt)
+    derived = streff.Derived(bg)
+    points = bg.chart.sample_points()[:count]
+    pkg = derived.symplectic
+    assert_frame_curvature_matches(pkg.cotangent.algebroid, pkg.gamma, points)
+    for conn in (derived.dilaton, derived.theta_connection):
+        assert_frame_curvature_matches(conn.algebroid, conn.gamma, points)
+
+
+def test_frame_curvature_of_a_4d_cotangent_algebroid():
     # a non-constant fiber metric, so every R0 entry has frame derivatives
     c4, B = invertible_B4()
-    n = 4
     theta = gtb.theta_matrix_from_b(B)
     cot = gtb.LieAlgebroidCotangent.build(theta, tn.exterior_derivative(B))
     g_A = tn.from_function(
         c4, (UP, UP), lambda i, j: parse_expr("1 + x2^2/8", c4) if i == j else tn.ex.ZERO
     ).comps
     gamma = cot.algebroid.lc_connection(g_A)
-    r0 = gtb.CurvatureEntries(cot.algebroid, gamma)
-    ric = r0.ricci()
-    assert sorted(r0._entries) == sorted((a, c, a, b) for a, c, b in itertools.product(range(n), repeat=3))
-    # Ricci from the full Riemann array of a fresh entry builder
-    r0_full = gtb.CurvatureEntries(cot.algebroid, gamma)
-    riem = np.empty((n,) * 4, dtype=object)
-    for idx in itertools.product(range(n), repeat=4):
-        riem[idx] = r0_full[idx]
-    full = tn.contract("acab->cb", riem)
-    pts = c4.sample_points()[:3]
-    np.testing.assert_array_equal(
-        tn.ex.evaluate_points(ric.reshape(-1), pts), tn.ex.evaluate_points(full.reshape(-1), pts)
-    )
-    # the frame derivative a(E_a).Gamma^d_{bc} is built once for R0[d,c,a,b] and R0[d,c,b,a]
-    d, c, a, b = 3, 0, 1, 2
-    r0 = gtb.CurvatureEntries(cot.algebroid, gamma)
-    r0[d, c, a, b], r0[d, c, b, a]
-    assert sorted(r0._derivatives) == [(a, d, b, c), (b, d, a, c)]
-    # and R0[d, c, b, a] holds it negated: a product (the anchor row of E_a
-    # has one entry here) with the same factor tuple and the coefficient negated
-    deriv = r0._derivatives[(a, d, b, c)]
-    assert type(deriv) is tn.ex.Mul
-    assert any(type(t) is tn.ex.Mul and t.factors is deriv.factors and t.coeff == -deriv.coeff
-               for t in r0[d, c, b, a].terms)
+    for count in (1, 3):
+        assert_frame_curvature_matches(cot.algebroid, gamma, c4.sample_points()[:count])

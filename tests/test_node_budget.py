@@ -1,9 +1,10 @@
 """Node budgets: how many distinct expression nodes the checks evaluate.
 
 Building and evaluating the DAG costs about the same per node, so the count
-of distinct nodes under the roots that ``evaluate_points`` receives during
-``cli.run_command`` tracks the time to a verdict.  A budget that fails means
-the same checks now build more nodes than they need.
+of distinct nodes under the roots that ``evaluate_points`` and
+``evaluate_jets`` receive during ``cli.run_command`` tracks the time to a
+verdict.  A budget that fails means the same checks now build more nodes
+than they need.
 """
 
 import importlib.util
@@ -28,18 +29,20 @@ def generated_scene(seed, points):
 
 
 def evaluated_nodes(monkeypatch, command, scene) -> int:
-    """Distinct nodes under every root that ``evaluate_points`` receives
-    while ``command`` runs on ``scene``.  The roots are kept, so no node id
-    is reused while they are counted."""
+    """Distinct nodes under every root that ``evaluate_points`` or
+    ``evaluate_jets`` receives while ``command`` runs on ``scene``.  The
+    roots are kept, so no node id is reused while they are counted."""
     roots = []
-    evaluate_points = ex.evaluate_points
 
-    def recording(exprs, points):
-        exprs = list(exprs)
-        roots.extend(exprs)
-        return evaluate_points(exprs, points)
+    def recording(evaluate):
+        def record(exprs, points):
+            exprs = list(exprs)
+            roots.extend(exprs)
+            return evaluate(exprs, points)
+        return record
 
-    monkeypatch.setattr(ex, "evaluate_points", recording)
+    for name in ("evaluate_points", "evaluate_jets"):
+        monkeypatch.setattr(ex, name, recording(getattr(ex, name)))
     report = cli.run_command(command, scene)
     assert report.passed
     seen = set()
@@ -53,9 +56,9 @@ def evaluated_nodes(monkeypatch, command, scene) -> int:
 
 
 def test_central_on_the_4d_scene_node_budget(monkeypatch):
-    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 52_000
+    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 27_500
 
 
 def test_all_on_poly2d_node_budget(monkeypatch):
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
-    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 18_000
+    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 10_600

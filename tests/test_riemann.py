@@ -85,6 +85,19 @@ def test_flat_christoffel_zero():
     assert tn.ex.max_abs_on_points(gamma.coeffs, C2.sample_points())[0] == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_christoffel_symmetric_pairs_are_one_object(n):
+    c = chart("x y z w"[: 2 * n - 1], seed=n)
+    gen = c.rng(7)
+    pert = [[tn.ex.random_polynomial(c, gen, 2, 0.2) for _ in range(n)] for _ in range(n)]
+    g = tn.from_function(c, (DOWN, DOWN),
+                         lambda i, j: (1.0 if i == j else 0.0) + pert[min(i, j)][max(i, j)])
+    G = rm.christoffel(g).coeffs
+    for k, i, j in itertools.product(range(n), repeat=3):
+        assert G[k, i, j] is G[k, j, i]
+    assert len({id(e) for e in G.reshape(-1)}) <= n * n * (n + 1) // 2
+
+
 def test_polar_like_christoffel_against_fd_oracle():
     c = chart("x1 x2", domain=((0.4, 2.0), (-1.0, 1.0)), seed=5)
     g = mk_metric(c, [["1", "0"], ["0", "x1^2"]])

@@ -1,6 +1,7 @@
-"""Lazy derivative nodes: the forward (tangent) pass against the symbolic
-derivative it replaces on the curvature path, its memo, and the DomainError
-of a derivative that is singular where the value is not."""
+"""Jets: ``evaluate_jets`` values roots and their first partials by the
+forward (tangent) pass, against the symbolic derivative it replaces on the
+curvature path; its memo; and the DomainError of a derivative that is
+singular where the value is not."""
 
 import contextlib
 
@@ -13,14 +14,11 @@ from gencourant import expr as ex
 from gencourant.errors import DomainError
 from gencourant.expr import (
     Const,
-    Tangent,
     chart,
     differentiate,
-    evaluate,
+    evaluate_jets,
     evaluate_points,
     parse_expr,
-    tangent,
-    to_string,
 )
 
 XY = chart("x y", seed=3, num_points=12)
@@ -90,9 +88,9 @@ def cases(draw, unsafe=False):
     return fields, c.sample_points()
 
 
-def _outcome(roots, points):
+def _outcome(evaluate, roots, points):
     try:
-        return evaluate_points(roots, points), None
+        return evaluate(roots, points), None
     except DomainError as err:
         return None, err
 
@@ -101,110 +99,99 @@ def _scope(scoped):
     return ex.evaluation_scope() if scoped else contextlib.nullcontext()
 
 
+def _symbolic_partials(fields, points):
+    """[field, m, point] from the symbolic derivatives."""
+    derivs = evaluate_points([differentiate(f, c) for f in fields for c in (X, Y)], points)
+    return derivs.reshape(len(fields), 2, len(points))
+
+
 @settings(max_examples=200, deadline=None)
 @given(cases(), st.booleans())
-def test_tangents_match_symbolic_derivatives(case, scoped):
+def test_jets_match_symbolic_derivatives(case, scoped):
     fields, points = case
     with _scope(scoped):
-        got = evaluate_points([tangent(f, m) for f in fields for m in (0, 1)], points)
-        want = evaluate_points([differentiate(f, c) for f in fields for c in (X, Y)], points)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        values, partials = evaluate_jets(fields, points)
+        want = _symbolic_partials(fields, points)
+    assert partials.shape == (len(fields), 2, len(points))
+    np.testing.assert_array_equal(values, evaluate_points(fields, points))
+    np.testing.assert_allclose(partials, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases(unsafe=True), st.booleans())
-def test_tangents_raise_where_symbolic_derivatives_do(case, scoped):
+def test_jets_raise_where_symbolic_derivatives_do(case, scoped):
     fields, points = case
     with _scope(scoped):
-        got, got_err = _outcome([tangent(f, m) for f in fields for m in (0, 1)], points)
-        want, want_err = _outcome([differentiate(f, c) for f in fields for c in (X, Y)], points)
+        got, got_err = _outcome(evaluate_jets, fields, points)
+        want, want_err = _outcome(_symbolic_partials, fields, points)
     if want_err is not None:
         assert got_err is not None
     elif got_err is not None:
-        # the tangent pass also values the fields themselves, where a
-        # symbolic derivative may skip a singular node (d ln(u) = du/u), and
-        # it takes every direction at once
-        _, value_err = _outcome(fields, points)
+        # the jets also value the fields themselves, where a symbolic
+        # derivative may skip a singular node (d ln(u) = du/u), and they
+        # take every direction at once
+        _, value_err = _outcome(evaluate_points, fields, points)
         assert value_err is not None or "derivative" in str(got_err)
     else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[1], want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(cases(unsafe=True))
-def test_tangent_errors_do_not_depend_on_the_walk(case):
+def test_jet_errors_do_not_depend_on_the_walk(case):
     # the vector pass, a scope, and the per-point walk at the first failing
     # point all raise the same DomainError
-    fields, points = case
-    roots = [ex.add(tangent(f, 1), tangent(f, 0)) for f in fields]
-    _, err = _outcome(roots, points)
+    roots, points = case
+    _, err = _outcome(evaluate_jets, roots, points)
     if err is None:
         return
-    _, first_alone = _outcome(roots[:1], points)
+    _, first_alone = _outcome(evaluate_jets, roots[:1], points)
     with ex.evaluation_scope():
-        _, first = _outcome(roots[:1], points)
-        _, scoped = _outcome(roots, points)
+        _, first = _outcome(evaluate_jets, roots[:1], points)
+        _, scoped = _outcome(evaluate_jets, roots, points)
     assert str(first) == str(first_alone)
     assert str(scoped) == str(err)
     for p in points:
-        try:
-            ex.evaluate_many(roots, p)
-        except DomainError as at_point:
+        _, at_point = _outcome(evaluate_jets, roots, [p])
+        if at_point is not None:
             assert str(at_point) == str(err)
             break
     else:
         pytest.fail("the per-point walk raised nowhere")
 
 
-def test_tangents_inside_value_dags():
+def test_jets_combine_into_a_derivative_formula():
     f = parse_expr("x^3*sin(x*y) + exp(y)/(1 + x^2)", XY)
     g = parse_expr("cos(x) - y", XY)
-    lazy = ex.add(ex.mul(g, tangent(f, 0)), ex.mul(tangent(f, 1), tangent(g, 0)), f)
     exact = ex.add(ex.mul(g, differentiate(f, X)), ex.mul(differentiate(f, Y), differentiate(g, X)), f)
     for points in (XY.sample_points()[:1], XY.sample_points()):
-        np.testing.assert_allclose(evaluate_points([lazy], points),
-                                   evaluate_points([exact], points), rtol=1e-12, atol=1e-12)
+        (fv, gv), ((fx, fy), (gx, _)) = evaluate_jets([f, g], points)
+        np.testing.assert_allclose(gv * fx + fy * gx + fv, evaluate_points([exact], points)[0],
+                                   rtol=1e-12, atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# the node
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("count", [1, 12])
+def test_jets_of_constants_and_coordinates(count):
+    points = XY.sample_points()[:count]
+    values, partials = evaluate_jets([Const(2.0), X, Y, ex.sqrt(Const(-1.0) * Const(-1.0))], points)
+    np.testing.assert_array_equal(values[:2], [[2.0] * count, [p[0] for p in points]])
+    np.testing.assert_array_equal(partials[0], 0.0)
+    np.testing.assert_array_equal(partials[1], [[1.0] * count, [0.0] * count])
+    np.testing.assert_array_equal(partials[2], [[0.0] * count, [1.0] * count])
+    np.testing.assert_array_equal(partials[3], 0.0)
 
 
-def test_tangent_constructor_answers_leaves():
-    assert tangent(Const(2.0), 0) is ex.ZERO
-    assert tangent(3, 1) is ex.ZERO
-    assert tangent(X, 0) is ex.ONE and tangent(X, 1) is ex.ZERO
-    assert tangent(ex.sqrt(Const(-1.0)), 0) is ex.ZERO  # constant: no coordinate below
-    node = tangent(X * Y, 1)
-    assert type(node) is Tangent and node.children() == (node.arg,) and node.chart is XY
-    with pytest.raises(ValueError):
-        Tangent(X * Y, 2)
-    with pytest.raises(ValueError):
-        Tangent(Const(1.0), 0)
-
-
-def test_tangent_prints_simplifies_and_differentiates():
-    f = parse_expr("x*y + sin(x)", XY)
-    node = tangent(f, 0)
-    assert to_string(node) == "diff(x*y + sin(x), x)"
-    assert to_string(ex.mul(2, node)) == "2*diff(x*y + sin(x), x)"
-    raw = Tangent(ex.Add((X, Const(0.0), ex.Mul((Const(1.0), Y), XY)), XY), 1)
-    assert to_string(ex.simplify(raw)) == "diff(x + y, y)"
-    assert ex.simplify(Tangent(ex.Add((X, Const(0.0)), XY), 0)) is ex.ONE
-    # d/dy of d/dx f is the symbolic second derivative
-    assert differentiate(node, Y) is differentiate(differentiate(f, X), Y)
-    p = (0.3, -0.7)
-    assert evaluate(differentiate(node, Y), p) == 1.0
-
-
-def test_nested_tangents_are_not_valued():
-    inner = tangent(parse_expr("x*y^2", XY), 1)
-    outer = Tangent(ex.mul(X, inner), 0)
-    with pytest.raises(TypeError, match="does not nest"):
-        evaluate(outer, (0.5, 0.5))
-    # the symbolic derivative of a Tangent is a plain DAG
-    assert evaluate(differentiate(inner, X), (0.5, 0.25)) == pytest.approx(0.5)
+def test_one_point_values_go_through_evaluate_many(monkeypatch):
+    # the per-point walk is the reference, and the one that a caller
+    # wrapping evaluate_many sees
+    calls = []
+    many = ex.evaluate_many
+    monkeypatch.setattr(ex, "evaluate_many", lambda *a: calls.append(a) or many(*a))
+    f = parse_expr("x*y*exp(x - y)", XY)
+    evaluate_jets([f], XY.sample_points()[:1])
+    assert len(calls) == 1
+    evaluate_jets([f], XY.sample_points())
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +213,23 @@ def test_scope_shares_the_tangent_pass(monkeypatch, count):
     first, second = ex.mul(shared, Y), ex.mul(ex.exp(X), shared)
     seen = _count_tangent_nodes(monkeypatch)
     with ex.evaluation_scope():
-        evaluate_points([tangent(first, 0)], points)
-        evaluate_points([tangent(second, 1), tangent(first, 1)], points)
+        evaluate_jets([first], points)
+        evaluate_jets([second, first], points)
     assert sum(e is shared for e in seen) == 1
     assert sum(e is first for e in seen) == 1
     seen.clear()
-    evaluate_points([tangent(first, 0)], points)
-    evaluate_points([tangent(second, 1)], points)
+    evaluate_jets([first], points)
+    evaluate_jets([second], points)
     assert sum(e is shared for e in seen) == 2
 
 
 def test_one_pass_gives_every_direction(monkeypatch):
     f = parse_expr("x*y*exp(x - y)", XY)
     seen = _count_tangent_nodes(monkeypatch)
-    vals = evaluate_points([tangent(f, 0), tangent(f, 1)], XY.sample_points())
+    _, partials = evaluate_jets([f], XY.sample_points())
     assert sum(e is f for e in seen) == 1
-    want = evaluate_points([differentiate(f, X), differentiate(f, Y)], XY.sample_points())
-    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(partials, _symbolic_partials([f], XY.sample_points()),
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +244,18 @@ POINT_SETS = {
 
 @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("points", sorted(POINT_SETS))
-@pytest.mark.parametrize("text, direction, named", [
-    ("sqrt(x*x)*y", 0, "sqrt(x*x)"),
-    ("sqrt(x)", 0, "sqrt(x)"),
+@pytest.mark.parametrize("text, named", [
+    ("sqrt(x*x)*y", "sqrt(x*x)"),
+    ("sqrt(x)", "sqrt(x)"),
     # every direction is taken at once: d/dy sqrt(x) is 0, but the pass
     # that gives it also gives d/dx
-    ("sqrt(x) + y", 1, "sqrt(x)"),
+    ("sqrt(x) + y", "sqrt(x)"),
 ])
-def test_sqrt_at_zero_names_the_node_of_f(text, direction, named, points, scoped):
+def test_sqrt_at_zero_names_the_node_of_f(text, named, points, scoped):
     f = parse_expr(text, XY)
     with _scope(scoped):
         with pytest.raises(DomainError) as err:
-            evaluate_points([ex.add(Y, tangent(f, direction))], POINT_SETS[points])
+            evaluate_jets([Y, f], POINT_SETS[points])
         evaluate_points([f], POINT_SETS[points])  # the value is finite
     assert str(err.value) == f"sqrt at zero has no derivative in subexpression '{named}'"
     assert any(e is err.value.subexpr for e in _nodes(f))
@@ -289,7 +276,7 @@ def test_singular_derivative_names_the_node_of_f(text, message, named, symbolic,
     points = [(1.0, 0.5)] * count
     with _scope(scoped):
         with pytest.raises(DomainError) as err:
-            evaluate_points([tangent(f, 0)], points)
+            evaluate_jets([f], points)
         evaluate_points([f], points)
     assert str(err.value) == f"{message} in subexpression '{named}'"
     assert any(e is err.value.subexpr for e in _nodes(f))

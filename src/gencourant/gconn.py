@@ -7,19 +7,24 @@ nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``CourantFrame``: the
 anchored frame of ``gtb.AnchoredFrame`` (anchor and frame brackets of the
 ambient bracket) plus the constant pairing Gram matrix.  The frame calculus
 (frame derivatives, connection action, covariant derivative of frame forms,
-the curvature R0 below) is that of ``gtb.AnchoredFrame``; this module adds
-what is specific to Courant algebroids: the pairing, the left-Leibniz term
-of the bracket, the Gualtieri torsion, the symmetrised curvature R and its
-pairing-dual traces.  Everything downstream is computed from those two
-ingredients, so the same code serves the standard twisted bracket, its
-shear by e^B, and the bivector-sheared bracket.
+the torsion of a frame and the curvature R0 below) is that of
+``gtb.AnchoredFrame``; this module adds what is specific to Courant
+algebroids: the pairing, the left-Leibniz term of the bracket, the Gualtieri
+torsion, the symmetrised curvature R and its pairing-dual traces.
+Everything downstream is computed from those two ingredients, so the same
+code serves the standard twisted bracket, its shear by e^B, and the
+bivector-sheared bracket.
 
-The connection coefficients are expressions; the curvature is numbers.  R0
-comes from ``gtb.AnchoredFrame.curvature`` at the chart's sample points, and
-R, the Ricci tensor and its traces follow from it by einsum, each array
-ending in the point axis.  Where a curvature meets an expression (the graph
-sections Psi_pm, the inverse Gram matrix, a torsion term), that expression
-is valued at the same points first (``tensors.values_at``).
+The connection coefficients are expressions (the minimal connection, the
+parameter family and the transports build them); what is read from them is
+numbers at the chart's sample points, each array ending in the point axis:
+the torsion (``torsion_map``), the compatibility residuals
+(``gtb.covariant_derivative``) and R0 (``gtb.AnchoredFrame.curvature``),
+from which R, the Ricci tensor and its traces follow by einsum.  An
+expression that meets them (the graph sections Psi_pm, the inverse Gram
+matrix, the twist) is valued at the same points first
+(``tensors.values_at``).  ``char_vf`` and ``v_tensor`` stay expressions:
+the acceptance tests compare them as tensor fields.
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -169,47 +174,44 @@ class GenConnection:
     def chart(self) -> Chart:
         return self.algebroid.chart
 
-    def lowered(self, a: int, b: int, c: int) -> Expr:
-        """<nab_{e_a} e_b, e_c> for the constant swap Gram."""
-        return self.gamma[self.algebroid.swap(c), a, b]
-
 
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
-    """rho(e_A).<e_B, e_C> - <nab_A e_B, e_C> - <e_B, nab_A e_C>; the first
-    term is zero for the constant-Gram coordinate frame."""
-    dim2 = conn.algebroid.dim2
-    out = _zeros((dim2,) * 3)
-    for a, b, c in itertools.product(range(dim2), repeat=3):
-        out[a, b, c] = neg(add(conn.lowered(a, b, c), conn.lowered(a, c, b)))
-    return out
+    """[A, B, C, p]: (nab_A <,>)(e_B, e_C) at the chart's sample points, the
+    covariant derivative of the constant pairing Gram matrix (its partials
+    are zero)."""
+    pts = conn.chart.sample_points()
+    alg = conn.algebroid
+    eta = np.broadcast_to(gtb.pairing_gram(conn.chart)[..., None], (alg.dim2,) * 2 + (len(pts),))
+    return gtb.covariant_derivative(tn.values_at(conn.gamma, pts), tn.values_at(alg.anchor, pts),
+                                    eta, np.zeros(eta.shape[:2] + (conn.chart.dim, len(pts))))
 
 
 def metric_compat_residual(conn: GenConnection) -> np.ndarray:
-    """(nab_A G)(e_B, e_C) = rho(e_A).G(e_B,e_C) - G(nab_A e_B, e_C) - G(e_B, nab_A e_C)."""
-    alg = conn.algebroid
-    gram = conn.metric.gram()
-    return np.array(
-        [alg.covariant_derivative_form(conn.gamma, a, gram, 2) for a in range(alg.dim2)]
-    )
+    """[A, B, C, p]: (nab_A G)(e_B, e_C) = rho(e_A).G(e_B,e_C) - G(nab_A e_B, e_C)
+    - G(e_B, nab_A e_C) at the chart's sample points, from the jets of the
+    Gram matrix."""
+    return conn.algebroid.covariant_derivative_at(conn.gamma, conn.metric.gram(),
+                                                  conn.chart.sample_points())
+
+
+def torsion_map(alg: CourantFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The Gualtieri torsion T[A, B, D, ...] of connection coefficients
+    gamma[D, A, B, ...] on a frame with structure functions C[D, A, B, ...],
+    over arrays with any trailing axes:
+    T(A,B,D) = <nab_A e_B - nab_B e_A - [e_A,e_B], e_D> + <nab_D e_A, e_B>.
+    It is linear, so applied to the values it gives T and applied to the
+    partials it gives the partials of T."""
+    swap = _swap(alg)
+    return (np.einsum("cab...->abc...", gtb.frame_torsion(gamma, C)[swap])
+            + np.einsum("bca...->abc...", gamma[swap]))
 
 
 def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
-    """Totally antisymmetric torsion 3-form on the frame:
-    T(A,B,C) = <nab_A e_B - nab_B e_A - [e_A,e_B], e_C> + <nab_C e_A, e_B>."""
+    """Totally antisymmetric torsion 3-form T[A, B, C, p] on the frame at the
+    chart's sample points (``torsion_map``)."""
+    pts = conn.chart.sample_points()
     alg = conn.algebroid
-    dim2 = alg.dim2
-    out = _zeros((dim2,) * 3)
-    for a, b, c in itertools.product(range(dim2), repeat=3):
-        sc = alg.swap(c)
-        out[a, b, c] = esum(
-            [
-                conn.gamma[sc, a, b],
-                neg(conn.gamma[sc, b, a]),
-                neg(alg.structure[sc, a, b]),
-                conn.gamma[alg.swap(b), c, a],
-            ]
-        )
-    return out
+    return torsion_map(alg, tn.values_at(conn.gamma, pts), tn.values_at(alg.structure, pts))
 
 
 def _swap(alg: CourantFrame) -> list:
@@ -263,7 +265,7 @@ def divergence_section(conn: GenConnection, comps: np.ndarray) -> Expr:
 
 def char_vf(conn: GenConnection) -> TensorField:
     """Characteristic vector field: f -> Div(Df), read off on the
-    coordinate functions."""
+    coordinate functions; an expression, as the acceptance tests read it."""
     chart = conn.chart
     out = np.array(
         [
@@ -277,7 +279,8 @@ def char_vf(conn: GenConnection) -> TensorField:
 
 def v_tensor(conn: GenConnection) -> TensorField:
     """V(xi, eta, zeta) = <nab_{rho* xi} rho* eta, rho* zeta> on the
-    coordinate coframe; contravariant, antisymmetric in the last two slots."""
+    coordinate coframe; contravariant, antisymmetric in the last two slots.
+    An expression, as the acceptance tests read it."""
     chart = conn.chart
     n = chart.dim
     alg = conn.algebroid
@@ -315,28 +318,35 @@ def _coord_field(chart: Chart, i: int) -> TensorField:
     return tn.from_function(chart, (UP,), lambda m: ex.ONE if m == i else ex.ZERO)
 
 
+def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
+    """(nabT, TT), each [X, Y, Z, D, p] at the chart's sample points:
+    nabT = (nab_{e_X} T)(e_Y, e_Z, e_D), from T and its partials
+    (``torsion_map`` of the jets of Gamma and C), and
+    TT = T(e_Y, e_Z, e^F) T(e_X, e_F, e_D)."""
+    pts = conn.chart.sample_points()
+    alg = conn.algebroid
+    gamma, dgamma = tn.jets_at(conn.gamma, pts)
+    C, dC = tn.jets_at(alg.structure, pts)
+    T = torsion_map(alg, gamma, C)
+    nabT = gtb.covariant_derivative(gamma, tn.values_at(alg.anchor, pts), T,
+                                    torsion_map(alg, dgamma, dC))
+    return nabT, np.einsum("yzfp,xfdp->xyzdp", T[:, :, _swap(alg)], T)
+
+
 def bianchi_residual(conn: GenConnection) -> np.ndarray:
     """Residual [D, A, B, C, p] of the algebraic Bianchi identity with torsion
     terms at the chart's sample points:
     <R(e_A,e_B)e_C + cyc, e_D>
       - (1/2){ sum_cyc [ (nab_A T)(B,C,D) - T(A, T-op(B,C), D) ]
-               - (nab_D T)(A,B,C) }.
-    The torsion terms are built as expressions and valued at the points."""
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    T = gualtieri_torsion(conn)
-    nabT = [alg.covariant_derivative_form(conn.gamma, a, T, 3) for a in range(dim2)]
-    torsion = np.empty((dim2,) * 4, dtype=object)
-    for d, a, b, c in itertools.product(range(dim2), repeat=4):
-        terms = []
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            terms.append(nabT[x][y, z, d])
-            terms.append(neg(esum(mul(T[y, z, alg.swap(f)], T[x, f, d]) for f in range(dim2))))
-        terms.append(neg(nabT[d][a, b, c]))
-        torsion[d, a, b, c] = esum(terms)
+               - (nab_D T)(A,B,C) }
+    with the torsion terms of ``torsion_terms``."""
+    nabT, TT = torsion_terms(conn)
+    S = nabT - TT
+    torsion = (np.einsum("abcdp->dabcp", S) + np.einsum("bcadp->dabcp", S)
+               + np.einsum("cabdp->dabcp", S) - nabT)
     r = gen_riemann(conn)
     cyclic = np.einsum("dcabp->dabcp", r) + r + np.einsum("dbcap->dabcp", r)
-    return cyclic - 0.5 * tn.values_at(torsion, conn.chart.sample_points())
+    return cyclic - 0.5 * torsion
 
 
 # ---------------------------------------------------------------------------

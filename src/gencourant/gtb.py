@@ -10,10 +10,12 @@ and the curvature of a connection).  That calculus serves both the
 cotangent Lie algebroid of an invertible 2-form and, through
 ``gconn.CourantFrame``, the generalized coordinate frame of TM (+) T*M.
 
-The curvature is numbers, not expressions: ``frame_curvature`` is one einsum
-stage over the values of the connection coefficients, their first partials
-(from ``expr.evaluate_jets``), the anchor and the structure functions, with
-a trailing axis over the sample points.
+The expressions stop at the connection coefficients (the Levi-Civita
+connection, the brackets and the anchor are built as expressions); what is
+read from a connection is numbers.  ``frame_curvature``,
+``covariant_derivative`` and ``frame_torsion`` are einsum stages over float
+arrays with a trailing point axis: values, and first partials from
+``tensors.jets_at``.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -512,30 +514,21 @@ class AnchoredFrame:
                 out[:, a, b] = 0.5 * (self.structure[:, a, b] + raised)
         return out
 
+    def covariant_derivative_at(self, gamma: np.ndarray, omega: np.ndarray, points) -> np.ndarray:
+        """nab[a, i1..ip, p]: ``covariant_derivative`` of a covariant frame
+        tensor omega, an object array of Expr, at ``points``, for connection
+        coefficients gamma, from the jets of omega."""
+        return covariant_derivative(tn.values_at(gamma, points), tn.values_at(self.anchor, points),
+                                    *tn.jets_at(omega, points))
+
     def curvature(self, gamma: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
         """(Gamma[c, a, b, p], R0[d, c, a, b, p]): the values of connection
         coefficients gamma at ``points``, and their curvature there
         (``frame_curvature``).  Gamma and its first partials come from one
-        ``evaluate_jets`` call."""
-        values, partials = ex.evaluate_jets(gamma.reshape(-1), points)
-        count = len(points)
-        gv = values.reshape(gamma.shape + (count,))
-        dgv = partials.reshape(gamma.shape + (self.chart.dim, count))
+        ``tensors.jets_at`` call."""
+        gv, dgv = tn.jets_at(gamma, points)
         anchor, C = tn.values_at(self.anchor, points), tn.values_at(self.structure, points)
         return gv, frame_curvature(gv, dgv, anchor, C)
-
-    def covariant_derivative_form(self, gamma: np.ndarray, a: int, omega: np.ndarray, degree: int) -> np.ndarray:
-        """nab_{E_a} of a degree-p frame form."""
-        r = self.rank
-        out = np.empty((r,) * degree, dtype=object)
-        for idx in itertools.product(range(r), repeat=degree):
-            terms = [self.frame_derivative(a, omega[idx])]
-            for slot in range(degree):
-                for c in range(r):
-                    src = idx[:slot] + (c,) + idx[slot + 1:]
-                    terms.append(neg(mul(gamma[c, a, idx[slot]], omega[src])))
-            out[idx] = esum(terms)
-        return out
 
 
 def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
@@ -553,6 +546,30 @@ def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
             + np.einsum("ebcp,daep->dcabp", gamma, gamma)
             - np.einsum("eacp,dbep->dcabp", gamma, gamma)
             - np.einsum("eabp,decp->dcabp", C, gamma))
+
+
+def covariant_derivative(gamma: np.ndarray, anchor: np.ndarray, omega: np.ndarray,
+                         domega: np.ndarray) -> np.ndarray:
+    """nab[a, i1..ip, p] = (nab_{E_a} omega)(E_i1, .., E_ip) at point p for a
+    degree-p frame form (or any covariant frame tensor) omega:
+        a(E_a).omega_{i1..ip} - sum_s Gamma^c_{a i_s} omega_{i1..c..ip},
+    from float arrays that end in the point axis: gamma[c, a, b, p],
+    anchor[a, m, p], omega[i1..ip, p] and domega[i1..ip, m, p], its partial
+    along x^m.  Plain ``np.einsum``, as in ``frame_curvature``."""
+    slots = "bdefgh"[:omega.ndim - 1]
+    out = np.einsum(f"amp,{slots}mp->a{slots}p", anchor, domega)
+    for s, b in enumerate(slots):
+        moved = slots[:s] + "c" + slots[s + 1:]
+        out -= np.einsum(f"ca{b}p,{moved}p->a{slots}p", gamma, omega)
+    return out
+
+
+def frame_torsion(gamma: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """T[c, a, b, ...] = Gamma^c_{ab} - Gamma^c_{ba} - C^c_{ab}, the E_c
+    component of nab_{E_a} E_b - nab_{E_b} E_a - [E_a, E_b], over arrays with
+    any trailing axes.  It is linear, so the partials of gamma and C give
+    the partials of T."""
+    return gamma - gamma.swapaxes(1, 2) - C
 
 
 @dataclass

@@ -14,11 +14,12 @@ evaluates
   with G = -B g^{-1} B, and the three residuals of the dual gravity
   equations, plus the transport identity connecting both Ricci tensors.
 
-The residuals that do not involve a curvature of TM (+) T*M or of the
-cotangent algebroid are exact symbolic fields, which the CLI samples at the
-chart's seeded points.  Those curvatures are numbers at those points (see
-``gconn``), so the residuals that involve them are float arrays ending in
-the point axis, with their symbolic parts valued at the same points.
+The residuals that read no connection on TM (+) T*M or on the cotangent
+algebroid are exact symbolic fields, which the CLI samples at the chart's
+seeded points.  What is read from those connections (curvature, covariant
+derivatives) is numbers at those points (see ``gtb`` and ``gconn``), so the
+residuals that involve them are float arrays ending in the point axis, with
+their symbolic parts valued at the same points.
 """
 
 from __future__ import annotations
@@ -319,24 +320,16 @@ def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: Tensor
     return ric, np.einsum("abp,abp->p", tn.values_at(G.comps, pts), ric)
 
 
-def _nabla_dual(alg: gtb.AnchoredFrame, gamma: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[k, a] = (nab_{E_k} w)_a for a dual section w."""
-    return np.array([alg.connection_apply_dual(gamma, k, w) for k in range(alg.rank)],
-                    dtype=object)
-
-
-def _laplacian_dual(G: TensorField, nab_w: np.ndarray) -> Expr:
-    """G^{ak} (nab_{E_k} w)_a, summed over k first."""
-    return tn.contract("ka,ka->", G.comps.T, nab_w)
-
-
-def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: TensorField, degree: int) -> Expr:
+def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: TensorField, degree: int):
     """(1/p!) P(E^{i1}..) Q(G E_{i1} ..) for frame p-forms on the cotangent
-    algebroid (G lowers the algebroid frame indices)."""
+    algebroid (G lowers the algebroid frame indices).  A slot of P or Q
+    beyond the last ``degree`` ones is a free index of the result, so
+    P[x] and Q[y] paired over x and y give an array [x, y]."""
     i, j = "abc"[:degree], "def"[:degree]
-    spec = ",".join([i, j] + [y + x for x, y in zip(i, j)]) + "->"
+    x, y = "x"[: P.ndim - degree], "y"[: Q.ndim - degree]
+    spec = ",".join([x + i, y + j] + [b + a for a, b in zip(i, j)]) + "->" + x + y
     norm = 1.0 / float(np.prod(range(1, degree + 1)))
-    return mul(norm, tn.contract(spec, P, Q, *[G.comps] * degree))
+    return norm * tn.contract(spec, P, Q, *[G.comps] * degree)
 
 
 def symplectic_residuals(pkg: SymplecticPackage):
@@ -350,39 +343,30 @@ def symplectic_residuals(pkg: SymplecticPackage):
     3. skew:    H'_th(xi,eta, G(d_th phi))
                 - (1/2) (nab_{E^k} H'_th)(G(E_k), xi, eta)
 
-    Everything but the curvature terms is built symbolically and valued."""
+    The curvature terms and the covariant derivatives of d_th phi and H'_th
+    are numbers (``gtb.AnchoredFrame.covariant_derivative_at``); the other
+    terms are built symbolically and valued."""
     chart = pkg.chart
     pts = chart.sample_points()
-    n = chart.dim
     alg = pkg.cotangent.algebroid
     G = pkg.G
     w = pkg.dphi_dual
     ric, scalar = algebroid_curvature(pkg.cotangent, pkg.gamma, G)
+    Gv = tn.values_at(G.comps, pts)
+    nab_w = alg.covariant_derivative_at(pkg.gamma, w, pts)  # [k, a, p] = (nab_{E_k} w)_a
+    lap = np.einsum("akp,kap->p", Gv, nab_w)  # G^{ak} (nab_{E_k} w)_a
     norm2 = tn.contract("ab,a,b->", G.comps, w, w)
-    nab_w = _nabla_dual(alg, pkg.gamma, w)
-    lap = _laplacian_dual(G, nab_w)
     hh = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 3)
-    rest1 = esum([mul(-0.5, hh), mul(4.0, lap), mul(-4.0, norm2)])
-
-    rest2 = np.empty((n, n), dtype=object)
-    iH = [pkg.H_theta[a] for a in range(n)]  # i_{E^a} H: slice of the first slot
-    for a, b in itertools.product(range(n), repeat=2):
-        rest2[a, b] = esum(
-            [
-                mul(-0.5, _pform_inner_dual(iH[a], iH[b], G, 2)),
-                nab_w[a][b],
-                nab_w[b][a],
-            ]
-        )
-
+    rest1 = add(mul(-0.5, hh), mul(-4.0, norm2))
+    # <i_{E^x} H'_th, i_{E^y} H'_th>_G, with i_{E^x} the slice of the first slot
+    inner = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 2)
     u = tn.contract("am,m->a", G.comps, w)  # G(d_th phi) as a frame section of the algebroid
-    nabH = [alg.covariant_derivative_form(pkg.gamma, k, pkg.H_theta, 3) for k in range(n)]
-    res3 = (tn.contract("abc,c->ab", pkg.H_theta, u)
-            + -0.5 * tn.contract("km,kmab->ab", G.comps.T, nabH))
+    nabH = alg.covariant_derivative_at(pkg.gamma, pkg.H_theta, pts)  # [k, a, b, c, p]
     return (
-        scalar + tn.values_at(rest1, pts),
-        ric + tn.values_at(rest2, pts),
-        tn.values_at(res3, pts),
+        scalar + 4.0 * lap + tn.values_at(rest1, pts),
+        ric + nab_w + nab_w.swapaxes(0, 1) - 0.5 * tn.values_at(inner, pts),
+        (tn.values_at(tn.contract("abc,c->ab", pkg.H_theta, u), pts)
+         - 0.5 * np.einsum("mkp,kmabp->abp", Gv, nabH)),
     )
 
 

@@ -185,6 +185,17 @@ def values_at(comps, points) -> np.ndarray:
     return ex.evaluate_points(arr.reshape(-1), points).reshape(arr.shape + (len(points),))
 
 
+def jets_at(comps, points) -> tuple[np.ndarray, np.ndarray]:
+    """The values and first partials of an object array of Expr at
+    ``points`` (see ``expr.evaluate_jets``): float arrays of shapes
+    ``comps.shape + (P,)`` and ``comps.shape + (n, P)``, the partial along
+    x^m in the axis of length n."""
+    arr = np.asarray(comps, dtype=object)
+    values, partials = ex.evaluate_jets(arr.reshape(-1), points)
+    return (values.reshape(arr.shape + values.shape[1:]),
+            partials.reshape(arr.shape + partials.shape[1:]))
+
+
 @functools.lru_cache(maxsize=256)
 def _contraction_plan(spec: str, shapes: tuple):
     """(per-operand flat positions of shape (outputs, terms), output shape,

@@ -1,4 +1,7 @@
-"""Shared builders for random chart backgrounds."""
+"""Shared builders for random chart backgrounds, and the symbolic
+formulas that the numeric frame calculus is checked against."""
+
+import itertools
 
 import numpy as np
 
@@ -48,3 +51,36 @@ def random_background(n, salt, with_b=True, with_h=True, invertible_b=False, see
     else:
         H = tn.zeros(c, (DOWN,) * 3)
     return Background(c, g, B, phi, H)
+
+
+def symbolic_covariant_derivative(frame, gamma, omega):
+    """nab[a, i1..ip] of a covariant frame tensor omega as expressions, from
+    the definition a(E_a).omega_{i1..ip} - sum_s Gamma^c_{a i_s} omega_{..c..},
+    with the frame derivative anchor[a, m] d omega / d x^m by
+    ``differentiate``."""
+    ex = tn.ex
+    r = frame.rank
+    coords = frame.chart.coords()
+    out = np.empty((r,) + omega.shape, dtype=object)
+    for a in range(r):
+        for idx in itertools.product(range(r), repeat=omega.ndim):
+            terms = [ex.mul(frame.anchor[a, m], ex.differentiate(omega[idx], x))
+                     for m, x in enumerate(coords)]
+            for s, b in enumerate(idx):
+                for c in range(r):
+                    moved = idx[:s] + (c,) + idx[s + 1:]
+                    terms.append(ex.neg(ex.mul(gamma[c, a, b], omega[moved])))
+            out[(a,) + idx] = ex.esum(terms)
+    return out
+
+
+def symbolic_gualtieri_torsion(frame, gamma):
+    """T[a, b, c] = <nab_a e_b - nab_b e_a - [e_a, e_b], e_c> + <nab_c e_a, e_b>
+    as expressions, for the swap Gram of a Courant frame."""
+    ex = tn.ex
+    out = np.empty((frame.rank,) * 3, dtype=object)
+    for a, b, c in itertools.product(range(frame.rank), repeat=3):
+        sc, sb = frame.swap(c), frame.swap(b)
+        out[a, b, c] = ex.esum([gamma[sc, a, b], ex.neg(gamma[sc, b, a]),
+                                ex.neg(frame.structure[sc, a, b]), gamma[sb, c, a]])
+    return out

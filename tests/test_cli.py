@@ -431,7 +431,10 @@ def test_simultaneous_vanishing_reports_the_worst_point():
     scene = load_scene(SCENES / "poly2d.json")
     pts = scene.chart.sample_points()
     derived = streff.Derived(scene.background)
-    checks, rep = cli.checks_equivalence(scene, derived)
+    checks, summary = cli.checks_equivalence(scene, derived)
+    rep = streff.equivalence_report(derived)
+    assert (summary["beta_max_abs"], summary["symplectic_max_abs"]) == (rep.beta_max,
+                                                                        rep.symplectic_max)
     vanishing = {c.name: c for c in checks}["equivalence.simultaneous-vanishing"]
     assert rep.symplectic_max > rep.beta_max
     assert vanishing.worst_point == rep.symplectic_point != pts[0]
@@ -491,6 +494,19 @@ def test_non_integer_overrides_rejected(key, value):
     with pytest.raises(SceneValidationError) as err:
         scene_from_dict(doc, **{key: value})
     assert f"[{key} override]" in str(err.value)
+
+
+@pytest.mark.parametrize("domain", [[[-1e308, 1e308], [-1, 1]], [[-math.inf, math.inf], [-1, 1]],
+                                    [[-1, 10**400], [-1, 1]]],
+                         ids=["infinite-width", "infinite-bounds", "beyond-float-range"])
+def test_main_unbounded_domain_is_an_input_error(tmp_path, capsys, domain):
+    # sample points at x = inf would let `beta` pass on flat2d
+    doc = json.loads((SCENES / "flat2d.json").read_text())
+    doc["chart"]["domain"] = domain
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path)]) == 2
+    assert "[chart]" in capsys.readouterr().err
 
 
 def four_d_scene(points):

@@ -5,6 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import symbolic_covariant_derivative, symbolic_gualtieri_torsion
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencourant import gconn
 from gencourant import gtb
@@ -121,7 +124,8 @@ def test_minimal_correction_solves_the_three_conditions():
     dim2 = alg.dim2
     calH = np.empty((dim2,) * 3, dtype=object)
     for a, b, c in itertools.product(range(dim2), repeat=3):
-        calH[a, b, c] = conn.lowered(a, b, c) - base.lowered(a, b, c)
+        # <nab_{e_a} e_b, e_c> is the e_swap(c) component for the swap Gram
+        calH[a, b, c] = conn.gamma[alg.swap(c), a, b] - base.gamma[alg.swap(c), a, b]
     tau = conn.metric.tau_matrix()
     res1, res2, res3 = [], [], []
     n = C2.dim
@@ -146,11 +150,9 @@ def test_block_lc_torsion_is_anchor_pullback_of_twist():
     base = gconn.block_lc_connection(rm.christoffel(g), H)
     T = gconn.gualtieri_torsion(base)
     n = C2.dim
-    res = []
-    for a, b, c in itertools.product(range(2 * n), repeat=3):
-        want = H.comps[a, b, c] if max(a, b, c) < n else tn.ex.ZERO
-        res.append(T[a, b, c] - want)
-    assert max_abs(res, C2) < 1e-10
+    want = np.zeros_like(T)
+    want[:n, :n, :n] = values(H.comps, C2)
+    assert max_abs(T - want, C2) < 1e-10
 
 
 def test_torsion_is_totally_antisymmetric():
@@ -158,8 +160,7 @@ def test_torsion_is_totally_antisymmetric():
     H = closed_h(C2, salt=6)
     T = gconn.gualtieri_torsion(gconn.block_lc_connection(rm.christoffel(g), H))
     for i, j in [(0, 1), (1, 2), (0, 2)]:
-        swapped = np.swapaxes(T, i, j)
-        assert max_abs([a + b for a, b in zip(T.reshape(-1), swapped.reshape(-1))], C2) < 1e-10
+        assert max_abs(T + np.swapaxes(T, i, j), C2) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,33 @@ def test_bianchi_with_torsion_for_block_transport():
     H = closed_h(C2, salt=22)
     base = gconn.block_lc_connection(rm.christoffel(g), H)
     assert max_abs(gconn.bianchi_residual(base), C2) < 1e-9
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 5]))
+def test_bianchi_torsion_terms_match_the_definition(salt, count):
+    # term by term: on the block transport the Bianchi residual is ~1e-17
+    # whatever its terms are, and T T vanishes (T lives on vector legs), so
+    # random polynomials are added to its coefficients
+    c = chart("x y z", seed=salt, num_points=count)
+    g = bumpy_metric(c, scale=0.02, salt=salt)  # positive definite on the box
+    base = gconn.block_lc_connection(rm.christoffel(g), closed_h(c, salt=salt + 1))
+    alg = base.algebroid
+    gen = c.rng(salt + 2)
+    noise = np.array([tn.ex.random_polynomial(c, gen) for _ in range(base.gamma.size)])
+    conn = gconn.GenConnection(alg, base.gamma + noise.reshape(base.gamma.shape), base.metric)
+    points = c.sample_points()
+    nabT, TT = gconn.torsion_terms(conn)
+    T = symbolic_gualtieri_torsion(alg, conn.gamma)
+    want_nabT = symbolic_covariant_derivative(alg, conn.gamma, T)
+    want_TT = np.empty((alg.dim2,) * 4, dtype=object)
+    for x, y, z, d in itertools.product(range(alg.dim2), repeat=4):
+        want_TT[x, y, z, d] = tn.ex.esum(tn.ex.mul(T[y, z, alg.swap(f)], T[x, f, d])
+                                         for f in range(alg.dim2))
+    for got, want in ((nabT, want_nabT), (TT, want_TT)):
+        want = tn.values_at(want, points)
+        assert np.abs(want).max() > 1e-2
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +605,17 @@ def test_covariance_of_torsion_riemann_ricci_under_shear():
     conn = gconn.untwist(hat, B)
     M = gtb.GeneralizedMetric(g, B, tn.metric_inverse(g)).shear_matrix(-1)  # e^{-B}: hat = pullback of conn
     dim2 = 4
+    # torsion and curvature are numbers at the sample points, so M is valued there
+    Mv = values(M, C2)
     That = gconn.gualtieri_torsion(hat)
     Tun = gconn.gualtieri_torsion(conn)
     res = []
     for a, b, c in itertools.product(range(dim2), repeat=3):
-        want = tn.ex.esum(
-            tn.ex.mul(Tun[d, e, f], M[d, a], M[e, b], M[f, c])
-            for d in range(dim2) for e in range(dim2) for f in range(dim2)
-        )
+        want = sum(Tun[d, e, f] * Mv[d, a] * Mv[e, b] * Mv[f, c]
+                   for d in range(dim2) for e in range(dim2) for f in range(dim2))
         res.append(That[a, b, c] - want)
-    assert max_abs(res, C2) < 1e-9
+    assert max_abs(np.array(res), C2) < 1e-9
 
-    # the curvature is numbers at the sample points, so M is valued there
-    Mv = values(M, C2)
     Rhat = gconn.ricci(hat)
     Run = gconn.ricci(conn)
     res = []

@@ -5,11 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import random_background
+from conftest import random_background, symbolic_covariant_derivative, symbolic_gualtieri_torsion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant import gtb, streff
+from gencourant import gconn, gtb, streff
 from gencourant import tensors as tn
 from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
 from gencourant.expr import chart, evaluate, parse_expr, worst_of
@@ -647,3 +647,70 @@ def test_frame_curvature_of_a_4d_cotangent_algebroid():
     gamma = cot.algebroid.lc_connection(g_A)
     for count in (1, 3):
         assert_frame_curvature_matches(cot.algebroid, gamma, c4.sample_points()[:count])
+
+
+# ---------------------------------------------------------------------------
+# the numeric covariant derivative and torsion against their definitions
+# ---------------------------------------------------------------------------
+
+
+def frames_of(derived):
+    """(frame, Gamma) on rank n (the cotangent algebroid of theta, whose
+    anchor is theta) and rank 2n (the dilaton connection, constant anchor,
+    and its pullback through the bivector shear, anchor built from theta)."""
+    pkg = derived.symplectic
+    return [(pkg.cotangent.algebroid, pkg.gamma)] + [
+        (conn.algebroid, conn.gamma) for conn in (derived.dilaton, derived.theta_connection)]
+
+
+def random_array(c, shape, gen):
+    out = np.empty(shape, dtype=object)
+    out.reshape(-1)[:] = [tn.ex.random_polynomial(c, gen) for _ in range(out.size)]
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 5]), st.integers(1, 3))
+def test_covariant_derivative_matches_the_definition(salt, count, degree):
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt)
+    points = bg.chart.sample_points()[:count]
+    gen = bg.chart.rng(salt)
+    for frame, gamma in frames_of(streff.Derived(bg)):
+        omega = random_array(bg.chart, (frame.rank,) * degree, gen)
+        got = frame.covariant_derivative_at(gamma, omega, points)
+        want = tn.values_at(symbolic_covariant_derivative(frame, gamma, omega), points)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def symbolic_frame_torsion(frame, gamma):
+    out = np.empty((frame.rank,) * 3, dtype=object)
+    for c, a, b in itertools.product(range(frame.rank), repeat=3):
+        out[c, a, b] = gamma[c, a, b] - gamma[c, b, a] - frame.structure[c, a, b]
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 5]))
+def test_torsion_map_gives_the_torsion_and_its_partials(salt, count):
+    # Gamma plus random polynomials, so that the torsion is not zero
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt)
+    points = bg.chart.sample_points()[:count]
+    gen = bg.chart.rng(salt)
+    coords = bg.chart.coords()
+    for frame, gamma in frames_of(streff.Derived(bg)):
+        gamma = gamma + random_array(bg.chart, gamma.shape, gen)
+        if isinstance(frame, gconn.CourantFrame):
+            torsion = lambda g, C, frame=frame: gconn.torsion_map(frame, g, C)
+            symbolic = symbolic_gualtieri_torsion(frame, gamma)
+        else:
+            torsion, symbolic = gtb.frame_torsion, symbolic_frame_torsion(frame, gamma)
+        gv, dgv = tn.jets_at(gamma, points)
+        C, dC = tn.jets_at(frame.structure, points)
+        partials = np.array([[tn.ex.differentiate(t, x) for x in coords]
+                             for t in symbolic.reshape(-1)], dtype=object)
+        np.testing.assert_allclose(torsion(gv, C), tn.values_at(symbolic, points),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            torsion(dgv, dC),
+            tn.values_at(partials.reshape(symbolic.shape + (len(coords),)), points),
+            rtol=1e-12, atol=1e-12)

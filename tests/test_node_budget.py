@@ -61,4 +61,4 @@ def test_central_on_the_4d_scene_node_budget(monkeypatch):
 
 def test_all_on_poly2d_node_budget(monkeypatch):
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
-    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 10_600
+    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 7_750

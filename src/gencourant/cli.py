@@ -215,7 +215,7 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
                       gconn.scalar_G(minimal) - tn.values_at(closed, pts), pts, tol))
     out.append(_check("curvature.characteristic-field-minimal",
                       "characteristic vector field of the distinguished connection vanishes",
-                      _flat([gconn.char_vf(minimal)]), pts, scene.tol("strict")))
+                      gconn.char_vf(minimal), pts, scene.tol("strict")))
 
     # one random parameter pair: stays in the family, scalars follow the
     # closed forms in the partial traces
@@ -233,10 +233,10 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
     out.append(_check("curvature.family-torsion-free",
                       "parameter deformations stay torsion-free",
                       gconn.gualtieri_torsion(conn), pts, tol))
-    K = gconn.param_tensor_frame(params, minimal.metric)
+    K, _ = gconn.param_tensor_frame(params, minimal.metric)
     out.append(_check("curvature.trace-identity",
                       "quadratic trace identity of the deformation tensor",
-                      [gconn.trace_identity_residual(minimal, K)], pts, scene.tol("strict")))
+                      gconn.trace_identity_residual(minimal, K), pts, scene.tol("strict")))
     return out, {}
 
 
@@ -300,12 +300,13 @@ def checks_symplectic(scene: Scene, derived: streff.Derived) -> tuple[list, dict
                       "inverse bivector satisfies the twisted Jacobi identity",
                       _flat([res_sch]), pts, tol))
     alg = pkg.cotangent.algebroid
-    torsion = gtb.frame_torsion(tn.values_at(pkg.gamma, pts), tn.values_at(alg.structure, pts))
+    gamma = tn.values_at(pkg.gamma, pts)
+    torsion = gtb.frame_torsion(gamma, tn.values_at(alg.structure, pts))
     out.append(_check("symplectic.algebroid-torsion-free",
                       "coframe connection is torsion-free", torsion, pts, tol))
     out.append(_check("symplectic.algebroid-compatibility",
                       "coframe connection preserves the fiber metric",
-                      alg.covariant_derivative_at(pkg.gamma, pkg.g_A, pts), pts, tol))
+                      alg.covariant_derivative_at(gamma, pkg.g_A, pts), pts, tol))
     res1, _, _ = derived.dual_residuals
     out.append(_check("symplectic.scalar-two-paths",
                       "coframe scalar residual equals the sheared metric Ricci trace",

@@ -15,16 +15,21 @@ Everything downstream is computed from those two ingredients, so the same
 code serves the standard twisted bracket, its shear by e^B, and the
 bivector-sheared bracket.
 
-The connection coefficients are expressions (the minimal connection, the
-parameter family and the transports build them); what is read from them is
-numbers at the chart's sample points, each array ending in the point axis:
-the torsion (``torsion_map``), the compatibility residuals
-(``gtb.covariant_derivative``) and R0 (``gtb.AnchoredFrame.curvature``),
-from which R, the Ricci tensor and its traces follow by einsum.  An
-expression that meets them (the graph sections Psi_pm, the inverse Gram
-matrix, the twist) is valued at the same points first
-(``tensors.values_at``).  ``char_vf`` and ``v_tensor`` stay expressions:
-the acceptance tests compare them as tensor fields.
+A connection is its coefficients at the chart's sample points: the values
+Gamma[C, A, B, p] and the first partials dGamma[C, A, B, m, p] (a jet).  The
+minimal connection and the block transport are built as expressions and
+valued once, by ``tensors.jets_at``; the parameter family (``with_params``)
+and the transports (``untwist``, ``theta_transport``) compute their jets
+from the jets of their ingredients by ``tensors.jet_contract``, the product
+rule applied to one einsum.  The brackets and the anchor of a picture, the
+metric and the parameters stay expressions.  Everything read from a
+connection is numbers at those points, each array ending in the point
+axis: the torsion (``torsion_map``), the compatibility residuals
+(``gtb.covariant_derivative``), R0 (``gtb.AnchoredFrame.curvature``), from
+which R, the Ricci tensor and its traces follow by einsum, and the
+characteristic field and the V tensor.  An expression that meets them (the
+graph sections Psi_pm, the inverse Gram matrix, the twist) is valued at
+the same points first (``tensors.values_at`` or ``tensors.jets_at``).
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -159,13 +164,14 @@ def _bracket_components(alg: CourantFrame, u: np.ndarray, v: np.ndarray) -> np.n
 
 @dataclass
 class GenConnection:
-    """Connection coefficients over the generalized frame, together with the
-    bracket data and the generalized metric of its picture.  Its curvature
-    and Ricci tensor are computed once, on first read (``gen_riemann``,
-    ``ricci``)."""
+    """Connection coefficients over the generalized frame at the chart's
+    sample points, together with the bracket data and the generalized metric
+    of its picture.  Its curvature and Ricci tensor are computed once, on
+    first read (``gen_riemann``, ``ricci``)."""
 
     algebroid: CourantFrame
-    gamma: np.ndarray  # [C, A, B]
+    gamma: np.ndarray  # [C, A, B, p]
+    dgamma: np.ndarray  # [C, A, B, m, p]: the partial along x^m
     metric: GeneralizedMetric
     _riemann: np.ndarray | None = field(default=None, repr=False, compare=False)
     _ricci: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -175,6 +181,12 @@ class GenConnection:
         return self.algebroid.chart
 
 
+def _valued(alg: CourantFrame, gamma: np.ndarray, metric: GeneralizedMetric) -> GenConnection:
+    """The connection with coefficients gamma, an object array of Expr, by
+    one ``tensors.jets_at`` at the chart's sample points."""
+    return GenConnection(alg, *tn.jets_at(gamma, alg.chart.sample_points()), metric)
+
+
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
     """[A, B, C, p]: (nab_A <,>)(e_B, e_C) at the chart's sample points, the
     covariant derivative of the constant pairing Gram matrix (its partials
@@ -182,7 +194,7 @@ def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
     pts = conn.chart.sample_points()
     alg = conn.algebroid
     eta = np.broadcast_to(gtb.pairing_gram(conn.chart)[..., None], (alg.dim2,) * 2 + (len(pts),))
-    return gtb.covariant_derivative(tn.values_at(conn.gamma, pts), tn.values_at(alg.anchor, pts),
+    return gtb.covariant_derivative(conn.gamma, tn.values_at(alg.anchor, pts),
                                     eta, np.zeros(eta.shape[:2] + (conn.chart.dim, len(pts))))
 
 
@@ -211,7 +223,7 @@ def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
     chart's sample points (``torsion_map``)."""
     pts = conn.chart.sample_points()
     alg = conn.algebroid
-    return torsion_map(alg, tn.values_at(conn.gamma, pts), tn.values_at(alg.structure, pts))
+    return torsion_map(alg, conn.gamma, tn.values_at(alg.structure, pts))
 
 
 def _swap(alg: CourantFrame) -> list:
@@ -229,9 +241,8 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
     if conn._riemann is None:
         alg = conn.algebroid
         swap = _swap(alg)
-        gamma, r0 = alg.curvature(conn.gamma, conn.chart.sample_points())
-        r0 = r0[swap]
-        low = gamma[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
+        r0 = alg.curvature(conn.gamma, conn.dgamma, conn.chart.sample_points())[swap]
+        low = conn.gamma[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
         third = np.einsum("blap,dlcp->dcabp", low, low[:, swap])
         conn._riemann = 0.5 * (r0 + np.einsum("bacdp->dcabp", r0) + third)
     return conn._riemann
@@ -255,50 +266,46 @@ def scalar_G(conn: GenConnection) -> np.ndarray:
     return np.einsum("lmp,mlp->p", ginv, ricci(conn))
 
 
-def divergence_section(conn: GenConnection, comps: np.ndarray) -> Expr:
-    """Div(psi) = <nab_{e_l} psi, e^l>: the e_l component of nab_{e_l} psi."""
-    alg = conn.algebroid
-    moved = tn.contract("llb,b->l", conn.gamma, comps)  # Gamma^l_{lb} psi^b
-    return esum(t for lam in range(alg.dim2)
-                for t in (moved[lam], alg.frame_derivative(lam, comps[lam])))
+def divergence_section(conn: GenConnection, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """Div(psi)[..., p] = <nab_{e_l} psi, e^l>, the e_l component of
+    nab_{e_l} psi, at the chart's sample points, for sections given by
+    their values psi[A, ..., p] and partials dpsi[A, ..., m, p] there."""
+    anchor = tn.values_at(conn.algebroid.anchor, conn.chart.sample_points())
+    return (np.einsum("llbp,b...p->...p", conn.gamma, psi)  # Gamma^l_{lb} psi^b
+            + np.einsum("lmp,l...mp->...p", anchor, dpsi))  # rho(e_l).psi^l
 
 
-def char_vf(conn: GenConnection) -> TensorField:
-    """Characteristic vector field: f -> Div(Df), read off on the
-    coordinate functions; an expression, as the acceptance tests read it."""
+def char_vf(conn: GenConnection) -> np.ndarray:
+    """Characteristic vector field [m, p]: f -> Div(Df), read off on the
+    coordinate functions, at the chart's sample points."""
     chart = conn.chart
-    out = np.array(
-        [
-            divergence_section(conn, conn.algebroid.d_map_components(chart.coord(m)))
-            for m in range(chart.dim)
-        ],
-        dtype=object,
-    )
-    return TensorField(chart, (UP,), out)
-
-
-def v_tensor(conn: GenConnection) -> TensorField:
-    """V(xi, eta, zeta) = <nab_{rho* xi} rho* eta, rho* zeta> on the
-    coordinate coframe; contravariant, antisymmetric in the last two slots.
-    An expression, as the acceptance tests read it."""
-    chart = conn.chart
-    n = chart.dim
     alg = conn.algebroid
-    rs = [alg.rho_star_components(m) for m in range(n)]
-    eta = gtb.pairing_gram(chart)
-    out = np.empty((n, n, n), dtype=object)
-    for i, j in itertools.product(range(n), repeat=2):
-        nab = alg.connection_apply(conn.gamma, rs[i], rs[j])
-        out[i, j] = tn.contract("a,ab,kb->k", nab, eta, rs)
-    return TensorField(chart, (UP, UP, UP), out)
+    sections = np.array([alg.d_map_components(chart.coord(m)) for m in range(chart.dim)]).T
+    return divergence_section(conn, *tn.jets_at(sections, chart.sample_points()))
 
 
-def v_trace(conn: GenConnection, h: TensorField) -> TensorField:
-    """Partial trace of the V tensor against the inverse of the induced
-    form h: Z -> V(dx^k, h^{-1}(d_k), h^{-1}(Z))."""
-    hinv = tn.matrix_inverse(h.comps)
-    out = tn.contract("kab,ak,bl->l", v_tensor(conn).comps, hinv, hinv)
-    return TensorField(conn.chart, (DOWN,), out)
+def v_tensor(conn: GenConnection) -> np.ndarray:
+    """V[i, j, k, p] = <nab_{rho* xi} rho* eta, rho* zeta> on the coordinate
+    coframe, at the chart's sample points; antisymmetric in the last two
+    slots.  With R[C, i] the frame components of rho*(dx^i),
+        nab_{R_i} R_j = R_i^A R_j^B Gamma^C_{AB} + rho(R_i).R_j^C,
+    and its pairing with R_k is its contraction with anchor[C, k]."""
+    chart = conn.chart
+    pts = chart.sample_points()
+    alg = conn.algebroid
+    R, dR = tn.jets_at(np.array([alg.rho_star_components(m) for m in range(chart.dim)]).T, pts)
+    anchor = tn.values_at(alg.anchor, pts)
+    nab = (np.einsum("aip,bjp,cabp->cijp", R, R, conn.gamma)
+           + np.einsum("aip,axp,cjxp->cijp", R, anchor, dR))
+    return np.einsum("cijp,ckp->ijkp", nab, anchor)
+
+
+def v_trace(conn: GenConnection, h: TensorField) -> np.ndarray:
+    """Partial trace [l, p] of the V tensor against the inverse of the
+    induced form h: Z -> V(dx^k, h^{-1}(d_k), h^{-1}(Z)), at the chart's
+    sample points."""
+    hinv = tn.values_at(tn.matrix_inverse(h.comps), conn.chart.sample_points())
+    return np.einsum("kabp,akp,blp->lp", v_tensor(conn), hinv, hinv)
 
 
 def ricci_compat_residual(conn: GenConnection) -> np.ndarray:
@@ -325,11 +332,10 @@ def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
     TT = T(e_Y, e_Z, e^F) T(e_X, e_F, e_D)."""
     pts = conn.chart.sample_points()
     alg = conn.algebroid
-    gamma, dgamma = tn.jets_at(conn.gamma, pts)
     C, dC = tn.jets_at(alg.structure, pts)
-    T = torsion_map(alg, gamma, C)
-    nabT = gtb.covariant_derivative(gamma, tn.values_at(alg.anchor, pts), T,
-                                    torsion_map(alg, dgamma, dC))
+    T = torsion_map(alg, conn.gamma, C)
+    nabT = gtb.covariant_derivative(conn.gamma, tn.values_at(alg.anchor, pts), T,
+                                    torsion_map(alg, conn.dgamma, dC))
     return nabT, np.einsum("yzfp,xfdp->xyzdp", T[:, :, _swap(alg)], T)
 
 
@@ -372,13 +378,18 @@ def _block_transport(lc: rm.Christoffel) -> np.ndarray:
 def minimal_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
     """The distinguished torsion-free metric connection for the block
     diagonal metric of g (the metric of the chart connection lc) and the
-    bracket twisted by the closed 3-form H_prime:
+    bracket twisted by the closed 3-form H_prime (``_minimal_coefficients``)."""
+    return _valued(standard_algebroid(lc.chart, H_prime), _minimal_coefficients(lc, H_prime),
+                   _block_metric(lc))
+
+
+def _minimal_coefficients(lc: rm.Christoffel, H_prime: TensorField) -> np.ndarray:
+    """The coefficients of the minimal connection, as expressions:
 
     nab^0_{(X,xi)} (Y,eta) =
       ( nabLC_X Y + (1/6) g^{-1} H'(g^{-1} xi, Y, .) - (1/3) g^{-1} H'(X, g^{-1} eta, .),
         nabLC_X eta - (1/3) H'(X, Y, .) + (1/6) H'(g^{-1} xi, g^{-1} eta, .) )."""
-    chart = lc.chart
-    n = chart.dim
+    n = lc.chart.dim
     ginv = lc.metric_inverse.comps
     Hc = H_prime.comps
     gamma = _block_transport(lc)
@@ -392,15 +403,14 @@ def minimal_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnectio
         gamma[l, n + m, v] = add(gamma[l, n + m, v], mul(1.0 / 6.0, form_vec[m, v, l]))
         gamma[n + l, n + m, n + v] = add(gamma[n + l, n + m, n + v],
                                          mul(1.0 / 6.0, form_form[m, v, l]))
-    return GenConnection(standard_algebroid(chart, H_prime), gamma, _block_metric(lc))
+    return gamma
 
 
 def block_lc_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
     """The block-diagonal transport by the chart connection lc alone
     (metric compatible but torsionful: its torsion 3-form is the anchor
     pullback of H_prime)."""
-    return GenConnection(standard_algebroid(lc.chart, H_prime), _block_transport(lc),
-                         _block_metric(lc))
+    return _valued(standard_algebroid(lc.chart, H_prime), _block_transport(lc), _block_metric(lc))
 
 
 @dataclass
@@ -432,18 +442,23 @@ def validate_params(J: TensorField, W: TensorField) -> ConnParams:
     return ConnParams(J - _alt3(J), W - _alt3(W))
 
 
-def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> np.ndarray:
-    """Frame components K[A,B,C] of the deformation tensor built from (J, W):
+def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):
+    """The jet (K[A,B,C,p], dK[A,B,C,m,p]) at the chart's sample points of
+    the frame components of the deformation tensor built from (J, W):
 
     K((X,xi),(Y,eta),(Z,zeta)) =
         W(g1 xi, Y, Z) + W(X, g1 eta, Z) + W(X, Y, g1 zeta) + W(g1 xi, g1 eta, g1 zeta)
       - J(g X, eta, zeta) - J(xi, g Y, zeta) - J(xi, eta, g Z) - J(g X, g Y, g Z)
 
     with g = metric.g and g1 = g^{-1}.  Exactly one term survives for each
-    frame type combination."""
-    g, ginv = metric.g, metric.g_inv.comps
-    n = g.chart.dim
-    K = _zeros((2 * n,) * 3)
+    frame type combination; each is a ``tensors.jet_contract`` of the jets
+    of g or g1 and of J or W."""
+    chart = metric.chart
+    n = chart.dim
+    pts = chart.sample_points()
+    g, ginv, J, W = (tn.jets_at(t.comps, pts) for t in (metric.g, metric.g_inv, params.J, params.W))
+    K = np.zeros((2 * n,) * 3 + (len(pts),))
+    dK = np.zeros((2 * n,) * 3 + (n, len(pts)))
     for forms in itertools.product((False, True), repeat=3):
         # W survives on an odd number of form legs, with g^{-1} on them;
         # -J on an even number, with g on the vector legs
@@ -453,38 +468,34 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> np.ndar
             if is_form == odd:
                 legs.append(f"{out}{s}" if odd else f"{s}{out}")
             slots += s if is_form == odd else out
-        metric, t = (ginv, params.W.comps) if odd else (g.comps, params.J.comps)
-        block = tn.contract(",".join(legs + [slots]) + "->ijk", *[metric] * len(legs), t)
-        K[np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])] = block if odd else -block
-    return K
+        leg, t = (ginv, W) if odd else (g, J)
+        block, dblock = tn.jet_contract(",".join(legs + [slots]) + "->ijk", *[leg] * len(legs), t)
+        where = np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])
+        K[where], dK[where] = (block, dblock) if odd else (-block, -dblock)
+    return K, dK
 
 
-def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> Expr:
-    """K(g_E^{-1} K(., e_l, e_m), e^m, e^l) - 2 K(e^m, g_E^{-1} K(e_l, e_m, .), e^l),
-    identically zero for any parameter tensor with the cyclic property.
-    Written as the equivalent full contraction
+def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
+    """K(g_E^{-1} K(., e_l, e_m), e^m, e^l) - 2 K(e^m, g_E^{-1} K(e_l, e_m, .), e^l)
+    at each sample point, identically zero for any parameter tensor with the
+    cyclic property, from the values K[A, B, C, p] there.  Written as the
+    equivalent full contraction
     K(e^n, e^m, e^l) { K(e_n, e_l, e_m) - 2 K(e_l, e_n, e_m) }."""
-    alg = conn.algebroid
-    dim2 = alg.dim2
-    terms = []
-    for nu, m2, lam in itertools.product(range(dim2), repeat=3):
-        up = K[alg.swap(nu), alg.swap(m2), alg.swap(lam)]
-        terms.append(
-            mul(up, add(K[nu, lam, m2], mul(-2.0, K[lam, nu, m2])))
-        )
-    return esum(terms)
+    swap = _swap(conn.algebroid)
+    up = K[np.ix_(swap, swap, swap)]
+    return np.einsum("nmlp,nlmp->p", up, K - 2.0 * np.einsum("lnmp->nlmp", K))
 
 
 def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
     """base + g_E^{-1} K(., ., .): every torsion-free metric connection for
-    the block-diagonal metric arises this way."""
-    K = param_tensor_frame(params, base.metric)
-    alg = base.algebroid
-    dim2 = alg.dim2
-    gamma = np.empty((dim2,) * 3, dtype=object)
-    for c, a, b in itertools.product(range(dim2), repeat=3):
-        gamma[c, a, b] = add(base.gamma[c, a, b], K[a, b, alg.swap(c)])
-    return GenConnection(alg, gamma, base.metric)
+    the block-diagonal metric arises this way.  Gamma^C_{AB} gains
+    K[A, B, swap(C)], and its partials gain those of K."""
+    swap = _swap(base.algebroid)
+    K, dK = param_tensor_frame(params, base.metric)
+    return GenConnection(base.algebroid,
+                         base.gamma + np.einsum("abc...->cab...", K[:, :, swap]),
+                         base.dgamma + np.einsum("abc...->cab...", dK[:, :, swap]),
+                         base.metric)
 
 
 def dilaton_params(g: TensorField, phi) -> ConnParams:
@@ -530,17 +541,23 @@ def dilaton_connection_twisted(minimal: GenConnection, phi) -> GenConnection:
 def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
                          algebroid: CourantFrame, metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection back through a frame isomorphism F into a new
-    bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') )."""
+    bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') ), so
+        Gamma'^G_{AB} = F^{-1 G}_E ( F^C_A F^D_B Gamma^E_{CD}
+                                     + F^C_A rho_src(e_C).F^E_B ).
+    F and F^{-1} are object arrays of Expr; the jets of the result follow
+    from those of F, F^{-1}, the frame derivatives rho_src(e_C).F and the
+    source coefficients by ``tensors.jet_contract``."""
     src = conn.algebroid
-    dim2 = src.dim2
-    # F^C_A F^D_B Gamma^E_{CD}, summed over C first
-    pulled = tn.contract("ead,db->eab", tn.contract("ca,ecd->ead", F, conn.gamma), F)
-    # F^C_A rho_src(e_C).F^D_B
+    pts = conn.chart.sample_points()
     along = np.array([[[src.frame_derivative(c, f) for f in row] for row in F]
-                      for c in range(dim2)], dtype=object)
-    derivs = tn.contract("ca,cdb->dab", F, along)
-    gamma = tn.contract("ge,eab->gab", Finv, pulled) + tn.contract("gd,dab->gab", Finv, derivs)
-    return GenConnection(algebroid, gamma, metric)
+                      for c in range(src.dim2)], dtype=object)  # [C, E, B]
+    Fj, Finvj, alongj = (tn.jets_at(m, pts) for m in (F, Finv, along))
+    # F^C_A F^D_B Gamma^E_{CD}, summed over C first
+    pulled = tn.jet_contract("ca,ecd->ead", Fj, (conn.gamma, conn.dgamma))
+    pulled = tn.jet_contract("ead,db->eab", pulled, Fj)
+    derivs = tn.jet_contract("ca,ceb->eab", Fj, alongj)
+    inner = (pulled[0] + derivs[0], pulled[1] + derivs[1])
+    return GenConnection(algebroid, *tn.jet_contract("ge,eab->gab", Finvj, inner), metric)
 
 
 def untwist(conn: GenConnection, B: TensorField) -> GenConnection:

@@ -10,12 +10,11 @@ and the curvature of a connection).  That calculus serves both the
 cotangent Lie algebroid of an invertible 2-form and, through
 ``gconn.CourantFrame``, the generalized coordinate frame of TM (+) T*M.
 
-The expressions stop at the connection coefficients (the Levi-Civita
-connection, the brackets and the anchor are built as expressions); what is
-read from a connection is numbers.  ``frame_curvature``,
-``covariant_derivative`` and ``frame_torsion`` are einsum stages over float
-arrays with a trailing point axis: values, and first partials from
-``tensors.jets_at``.
+The expressions stop at the Levi-Civita connection of an anchored frame,
+its brackets and its anchor; what is read from a connection is numbers.
+``frame_curvature``, ``covariant_derivative`` and ``frame_torsion`` are
+einsum stages over float arrays with a trailing point axis: values, and
+first partials from ``tensors.jets_at``.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -169,8 +168,8 @@ def jacobiator(psi, phi, chi, H: TensorField) -> GenSection:
 def _check_positive_definite(g: TensorField):
     pts = g.chart.sample_points()
     for p, m in zip(pts, g.evaluate_points(pts)):
-        # written so that a NaN or an infinity fails the test
-        if not np.max(np.abs(m - m.T)) <= 1e-10:
+        # written so that a NaN or an infinity fails the test, before m - m.T sees it
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= 1e-10):
             raise NotPositiveDefinite(f"metric not finite and symmetric at {p}")
         try:
             np.linalg.cholesky(m)
@@ -516,19 +515,19 @@ class AnchoredFrame:
 
     def covariant_derivative_at(self, gamma: np.ndarray, omega: np.ndarray, points) -> np.ndarray:
         """nab[a, i1..ip, p]: ``covariant_derivative`` of a covariant frame
-        tensor omega, an object array of Expr, at ``points``, for connection
-        coefficients gamma, from the jets of omega."""
-        return covariant_derivative(tn.values_at(gamma, points), tn.values_at(self.anchor, points),
+        tensor omega, an object array of Expr, at ``points``, for the values
+        gamma[c, a, b, p] of connection coefficients there, from the jets of
+        omega."""
+        return covariant_derivative(gamma, tn.values_at(self.anchor, points),
                                     *tn.jets_at(omega, points))
 
-    def curvature(self, gamma: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
-        """(Gamma[c, a, b, p], R0[d, c, a, b, p]): the values of connection
-        coefficients gamma at ``points``, and their curvature there
-        (``frame_curvature``).  Gamma and its first partials come from one
-        ``tensors.jets_at`` call."""
-        gv, dgv = tn.jets_at(gamma, points)
+    def curvature(self, gamma: np.ndarray, dgamma: np.ndarray, points) -> np.ndarray:
+        """R0[d, c, a, b, p] (``frame_curvature``) of connection coefficients
+        with values gamma[c, a, b, p] and first partials dgamma[c, a, b, m, p]
+        at ``points``, where the anchor and the structure functions are
+        valued."""
         anchor, C = tn.values_at(self.anchor, points), tn.values_at(self.structure, points)
-        return gv, frame_curvature(gv, dgv, anchor, C)
+        return frame_curvature(gamma, dgamma, anchor, C)
 
 
 def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,

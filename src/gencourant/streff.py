@@ -315,7 +315,7 @@ def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: Tensor
     """(Ricci [a, b, p] over the coframe, G-trace scalar [p]) of an algebroid
     connection at the chart's sample points: Ric[c, b] = R0[a, c, a, b]."""
     pts = cot.chart.sample_points()
-    _, r0 = cot.algebroid.curvature(gamma, pts)
+    r0 = cot.algebroid.curvature(*tn.jets_at(gamma, pts), pts)
     ric = np.einsum("acabp->cbp", r0)
     return ric, np.einsum("abp,abp->p", tn.values_at(G.comps, pts), ric)
 
@@ -352,8 +352,8 @@ def symplectic_residuals(pkg: SymplecticPackage):
     G = pkg.G
     w = pkg.dphi_dual
     ric, scalar = algebroid_curvature(pkg.cotangent, pkg.gamma, G)
-    Gv = tn.values_at(G.comps, pts)
-    nab_w = alg.covariant_derivative_at(pkg.gamma, w, pts)  # [k, a, p] = (nab_{E_k} w)_a
+    Gv, gamma = tn.values_at(G.comps, pts), tn.values_at(pkg.gamma, pts)
+    nab_w = alg.covariant_derivative_at(gamma, w, pts)  # [k, a, p] = (nab_{E_k} w)_a
     lap = np.einsum("akp,kap->p", Gv, nab_w)  # G^{ak} (nab_{E_k} w)_a
     norm2 = tn.contract("ab,a,b->", G.comps, w, w)
     hh = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 3)
@@ -361,7 +361,7 @@ def symplectic_residuals(pkg: SymplecticPackage):
     # <i_{E^x} H'_th, i_{E^y} H'_th>_G, with i_{E^x} the slice of the first slot
     inner = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 2)
     u = tn.contract("am,m->a", G.comps, w)  # G(d_th phi) as a frame section of the algebroid
-    nabH = alg.covariant_derivative_at(pkg.gamma, pkg.H_theta, pts)  # [k, a, b, c, p]
+    nabH = alg.covariant_derivative_at(gamma, pkg.H_theta, pts)  # [k, a, b, c, p]
     return (
         scalar + 4.0 * lap + tn.values_at(rest1, pts),
         ric + nab_w + nab_w.swapaxes(0, 1) - 0.5 * tn.values_at(inner, pts),

@@ -196,6 +196,25 @@ def jets_at(comps, points) -> tuple[np.ndarray, np.ndarray]:
             partials.reshape(arr.shape + partials.shape[1:]))
 
 
+def jet_contract(spec: str, *jets) -> tuple[np.ndarray, np.ndarray]:
+    """The einsum ``spec`` (the notation of ``contract``) of jets, and its
+    first partials by the product rule.  Each jet is a pair (values,
+    partials) of float arrays of shapes ``shape + (P,)`` and
+    ``shape + (n, P)``, as ``jets_at`` gives them; so is the result.  One
+    plain ``np.einsum`` (no BLAS, no ``optimize``) for the values and one
+    for each operand's partials, so the same inputs give the same bits."""
+    lhs, _, out = spec.replace(" ", "").partition("->")
+    subs = lhs.split(",")
+    m, p = [c for c in _LETTERS if c not in spec][:2]
+    values = [v for v, _ in jets]
+    result = np.einsum(",".join(s + p for s in subs) + f"->{out}{p}", *values)
+    partials = 0.0
+    for i, (_, d) in enumerate(jets):
+        dspec = ",".join(s + (m + p if j == i else p) for j, s in enumerate(subs))
+        partials = partials + np.einsum(f"{dspec}->{out}{m}{p}", *values[:i], d, *values[i + 1:])
+    return result, partials
+
+
 @functools.lru_cache(maxsize=256)
 def _contraction_plan(spec: str, shapes: tuple):
     """(per-operand flat positions of shape (outputs, terms), output shape,
@@ -230,8 +249,8 @@ def _check_metric(metric: TensorField):
         raise SlotError("metric must be a (0,2) tensor")
     pts = metric.chart.sample_points()
     for p, m in zip(pts, metric.evaluate_points(pts)):
-        # written so that a NaN or an infinity fails the test
-        if not np.max(np.abs(m - m.T)) <= 1e-10:
+        # written so that a NaN or an infinity fails the test, before m - m.T sees it
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= 1e-10):
             raise SlotError(f"metric is not finite and symmetric at sample point {p}")
         if not abs(np.linalg.det(m)) >= DET_TOL:
             raise SingularMetric(f"|det| < {DET_TOL} at sample point {p}")

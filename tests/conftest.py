@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 
+from gencourant import gconn, gtb
 from gencourant import tensors as tn
 from gencourant.expr import chart
 from gencourant.streff import Background
@@ -35,9 +36,10 @@ def bumpy_b(c, salt=2, scale=0.2, offset=0.0):
     return tn.form_from_wedge_coeffs(c, 2, coeffs)
 
 
-def random_background(n, salt, with_b=True, with_h=True, invertible_b=False, seed=500):
+def random_background(n, salt, with_b=True, with_h=True, invertible_b=False, seed=500,
+                      num_points=12):
     names = "x y z w"[: 2 * n - 1]
-    c = chart(names, seed=seed + salt, num_points=12)
+    c = chart(names, seed=seed + salt, num_points=num_points)
     gen = c.rng(salt + 17)
     g = bumpy_metric(c, salt=salt)
     B = (
@@ -84,3 +86,87 @@ def symbolic_gualtieri_torsion(frame, gamma):
         out[a, b, c] = ex.esum([gamma[sc, a, b], ex.neg(gamma[sc, b, a]),
                                 ex.neg(frame.structure[sc, a, b]), gamma[sb, c, a]])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the parameter family and the transports, as expressions
+# ---------------------------------------------------------------------------
+
+
+def symbolic_param_tensor_frame(params, metric):
+    """K[A, B, C] of ``gconn.param_tensor_frame`` as expressions, one term
+    per frame type combination: W with g^{-1} on the form legs when an odd
+    number of legs are forms, else -J with g on the vector legs."""
+    ex = tn.ex
+    n = metric.chart.dim
+    g, ginv = metric.g.comps, metric.g_inv.comps
+    J, W = params.J.comps, params.W.comps
+    K = np.empty((2 * n,) * 3, dtype=object)
+    for A, B, C in itertools.product(range(2 * n), repeat=3):
+        legs = [(s >= n, s % n) for s in (A, B, C)]
+        odd = sum(f for f, _ in legs) % 2 == 1
+        terms = []
+        for idx in itertools.product(range(n), repeat=3):
+            factors = []
+            for (is_form, i), a in zip(legs, idx):
+                if is_form == odd:
+                    factors.append(ginv[i, a] if odd else g[a, i])
+                elif a != i:
+                    break
+            else:
+                factors.append(W[idx] if odd else J[idx])
+                terms.append(ex.mul(*factors))
+        K[A, B, C] = ex.esum(terms) if odd else ex.neg(ex.esum(terms))
+    return K
+
+
+def symbolic_with_params(frame, gamma, params, metric):
+    """Gamma^C_{AB} + K[A, B, swap(C)] as expressions."""
+    K = symbolic_param_tensor_frame(params, metric)
+    out = np.empty(gamma.shape, dtype=object)
+    for c, a, b in itertools.product(range(frame.rank), repeat=3):
+        out[c, a, b] = tn.ex.add(gamma[c, a, b], K[a, b, frame.swap(c)])
+    return out
+
+
+def symbolic_transport(frame, gamma, F, Finv):
+    """F^{-1 G}_E ( F^C_A F^D_B Gamma^E_{CD} + F^C_A rho(e_C).F^E_B ) as
+    expressions, with the frame derivative of the source ``frame`` written
+    with ``differentiate``."""
+    ex = tn.ex
+    r = frame.rank
+    coords = frame.chart.coords()
+    out = np.empty((r,) * 3, dtype=object)
+    for g_, a, b in itertools.product(range(r), repeat=3):
+        terms = []
+        for e, c in itertools.product(range(r), repeat=2):
+            for d in range(r):
+                terms.append(ex.mul(Finv[g_, e], F[c, a], F[d, b], gamma[e, c, d]))
+            for m, x in enumerate(coords):
+                terms.append(ex.mul(Finv[g_, e], F[c, a], frame.anchor[c, m],
+                                    ex.differentiate(F[e, b], x)))
+        out[g_, a, b] = ex.esum(terms)
+    return out
+
+
+def symbolic_untwist(frame, gamma, metric, B):
+    """Coefficients of ``gconn.untwist``: the transport through e^{-B}."""
+    sheared = gtb.GeneralizedMetric(metric.g, B, metric.g_inv)
+    return symbolic_transport(frame, gamma, sheared.shear_matrix(-1), sheared.shear_matrix(+1))
+
+
+def symbolic_dilaton(derived):
+    """Coefficients of ``derived.dilaton`` as expressions: the dilaton
+    parameters added to the minimal coefficients, then untwisted by B."""
+    bg, minimal = derived.bg, derived.minimal
+    gamma = gconn._minimal_coefficients(derived.gamma, derived.h_prime)
+    params = gconn.dilaton_params(bg.g, bg.phi)
+    twisted = symbolic_with_params(minimal.algebroid, gamma, params, minimal.metric)
+    return symbolic_untwist(minimal.algebroid, twisted, minimal.metric, bg.B)
+
+
+def symbolic_theta_connection(derived):
+    """Coefficients of ``derived.theta_connection`` as expressions: the
+    symbolic dilaton coefficients pulled back through F_theta."""
+    F, Finv = gtb.theta_twist_matrices(derived.symplectic.theta, derived.bg.B)
+    return symbolic_transport(derived.dilaton.algebroid, symbolic_dilaton(derived), F, Finv)

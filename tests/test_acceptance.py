@@ -239,9 +239,9 @@ def test_criterion_06_characteristic_field_and_v_trace():
         c, g, H, params, conn = _family_fixture(salt + 40)
         Jp, Wp = _partial_traces(params, g)
         pts = c.sample_points()
-        worst = max(worst, max_abs((gconn.char_vf(conn) - Jp.scale(2.0)).comps, pts))
+        worst = max(worst, max_abs(gconn.char_vf(conn) - 2.0 * tn.values_at(Jp.comps, pts), pts))
         tr = gconn.v_trace(conn, conn.metric.h_form())
-        worst = max(worst, max_abs((tr - Wp).comps, pts))
+        worst = max(worst, max_abs(tr - tn.values_at(Wp.comps, pts), pts))
     report(6, "characteristic field = 2 J' and V-trace = W'", worst, 1e-10)
 
 

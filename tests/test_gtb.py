@@ -5,7 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import random_background, symbolic_covariant_derivative, symbolic_gualtieri_torsion
+from conftest import (
+    random_background,
+    symbolic_covariant_derivative,
+    symbolic_dilaton,
+    symbolic_gualtieri_torsion,
+    symbolic_theta_connection,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -589,7 +595,7 @@ def test_lie_algebroid_lc_constant_data():
     g_A = np.array([[tn.ex.Const(2.0), tn.ex.ZERO], [tn.ex.ZERO, tn.ex.Const(3.0)]], dtype=object)
     gamma = cot.algebroid.lc_connection(g_A)
     assert tn.ex.max_abs_on_points(gamma, C2.sample_points())[0] == 0.0
-    _, r0 = cot.algebroid.curvature(gamma, C2.sample_points())
+    r0 = cot.algebroid.curvature(*tn.jets_at(gamma, C2.sample_points()), C2.sample_points())
     assert tn.ex.max_abs_on_points(r0, C2.sample_points())[0] == 0.0
 
 
@@ -614,9 +620,11 @@ def brute_force_r0(frame, gamma):
     return out
 
 
-def assert_frame_curvature_matches(frame, gamma, points):
-    gv, r0 = frame.curvature(gamma, points)
-    np.testing.assert_array_equal(gv, tn.values_at(gamma, points))
+def assert_frame_curvature_matches(frame, gamma, points, jets=None):
+    """R0 from ``jets``, the values and partials of the coefficients gamma
+    (an object array of Expr) at ``points`` (by default ``tn.jets_at`` of
+    gamma), against the definition."""
+    r0 = frame.curvature(*(jets or tn.jets_at(gamma, points)), points)
     want = tn.values_at(brute_force_r0(frame, gamma), points)
     np.testing.assert_allclose(r0, want, rtol=1e-12, atol=1e-12)
 
@@ -625,15 +633,17 @@ def assert_frame_curvature_matches(frame, gamma, points):
 @given(st.integers(0, 2**16), st.sampled_from([1, 5]))
 def test_frame_curvature_matches_the_definition(salt, count):
     # rank n: the cotangent algebroid of theta = B^{-1}, whose anchor is theta;
-    # rank 2n: the dilaton connection (constant anchor) and its pullback
-    # through the bivector shear (anchor built from theta)
-    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt)
+    # rank 2n: the jets of the dilaton connection (constant anchor) and of its
+    # pullback through the bivector shear (anchor built from theta), against
+    # the definition on their symbolic coefficients
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
     derived = streff.Derived(bg)
-    points = bg.chart.sample_points()[:count]
+    points = bg.chart.sample_points()
     pkg = derived.symplectic
     assert_frame_curvature_matches(pkg.cotangent.algebroid, pkg.gamma, points)
-    for conn in (derived.dilaton, derived.theta_connection):
-        assert_frame_curvature_matches(conn.algebroid, conn.gamma, points)
+    for conn, gamma in ((derived.dilaton, symbolic_dilaton(derived)),
+                        (derived.theta_connection, symbolic_theta_connection(derived))):
+        assert_frame_curvature_matches(conn.algebroid, gamma, points, (conn.gamma, conn.dgamma))
 
 
 def test_frame_curvature_of_a_4d_cotangent_algebroid():
@@ -655,12 +665,17 @@ def test_frame_curvature_of_a_4d_cotangent_algebroid():
 
 
 def frames_of(derived):
-    """(frame, Gamma) on rank n (the cotangent algebroid of theta, whose
-    anchor is theta) and rank 2n (the dilaton connection, constant anchor,
-    and its pullback through the bivector shear, anchor built from theta)."""
+    """(frame, Gamma as expressions, the values of Gamma at the chart's
+    sample points) on rank n (the cotangent algebroid of theta, whose anchor
+    is theta) and rank 2n (the dilaton connection, constant anchor, and its
+    pullback through the bivector shear, anchor built from theta; their
+    expressions are the symbolic transports, their values the connections')."""
     pkg = derived.symplectic
-    return [(pkg.cotangent.algebroid, pkg.gamma)] + [
-        (conn.algebroid, conn.gamma) for conn in (derived.dilaton, derived.theta_connection)]
+    points = derived.bg.chart.sample_points()
+    return [(pkg.cotangent.algebroid, pkg.gamma, tn.values_at(pkg.gamma, points)),
+            (derived.dilaton.algebroid, symbolic_dilaton(derived), derived.dilaton.gamma),
+            (derived.theta_connection.algebroid, symbolic_theta_connection(derived),
+             derived.theta_connection.gamma)]
 
 
 def random_array(c, shape, gen):
@@ -672,12 +687,12 @@ def random_array(c, shape, gen):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**16), st.sampled_from([1, 5]), st.integers(1, 3))
 def test_covariant_derivative_matches_the_definition(salt, count, degree):
-    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt)
-    points = bg.chart.sample_points()[:count]
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
+    points = bg.chart.sample_points()
     gen = bg.chart.rng(salt)
-    for frame, gamma in frames_of(streff.Derived(bg)):
+    for frame, gamma, values in frames_of(streff.Derived(bg)):
         omega = random_array(bg.chart, (frame.rank,) * degree, gen)
-        got = frame.covariant_derivative_at(gamma, omega, points)
+        got = frame.covariant_derivative_at(values, omega, points)
         want = tn.values_at(symbolic_covariant_derivative(frame, gamma, omega), points)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -693,11 +708,11 @@ def symbolic_frame_torsion(frame, gamma):
 @given(st.integers(0, 2**16), st.sampled_from([1, 5]))
 def test_torsion_map_gives_the_torsion_and_its_partials(salt, count):
     # Gamma plus random polynomials, so that the torsion is not zero
-    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt)
-    points = bg.chart.sample_points()[:count]
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
+    points = bg.chart.sample_points()
     gen = bg.chart.rng(salt)
     coords = bg.chart.coords()
-    for frame, gamma in frames_of(streff.Derived(bg)):
+    for frame, gamma, _ in frames_of(streff.Derived(bg)):
         gamma = gamma + random_array(bg.chart, gamma.shape, gen)
         if isinstance(frame, gconn.CourantFrame):
             torsion = lambda g, C, frame=frame: gconn.torsion_map(frame, g, C)

@@ -56,9 +56,9 @@ def evaluated_nodes(monkeypatch, command, scene) -> int:
 
 
 def test_central_on_the_4d_scene_node_budget(monkeypatch):
-    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 27_500
+    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 19_785
 
 
 def test_all_on_poly2d_node_budget(monkeypatch):
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
-    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 7_750
+    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 6_350

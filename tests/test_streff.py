@@ -140,7 +140,8 @@ def test_lie_algebroid_lc_constant_data_is_flat():
     assert tn.ex.max_abs_on_points(ric, c.sample_points())[0] == 0.0
     assert tn.ex.max_abs_on_points(scal, c.sample_points())[0] == 0.0
     w = gtb.d_theta(c, parse_expr("x", c), theta).comps
-    nab_w = cot.algebroid.covariant_derivative_at(gamma, w, c.sample_points())
+    nab_w = cot.algebroid.covariant_derivative_at(tn.values_at(gamma, c.sample_points()), w,
+                                                  c.sample_points())
     assert tn.ex.max_abs_on_points(nab_w, c.sample_points())[0] == 0.0
 
 

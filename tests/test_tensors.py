@@ -157,6 +157,36 @@ def test_contract_matches_einsum(spec, seed, num_points, float_operand):
         np.testing.assert_allclose(col, want, rtol=1e-12, atol=1e-12)
 
 
+JET_SPECS = [
+    "ab->ba",               # one operand
+    "aa->",                 # trace
+    "ij,j->i",              # matrix-vector
+    "ca,ecd->ead",          # a transport's first factor
+    "a,b->ab",              # outer product
+    "llb,b->l",             # diagonal of one operand
+    "ij,ia,jb->ab",         # congruence
+    "ia,jb,abk->ijk",       # two legs on a 3-tensor
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(JET_SPECS), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 5]))
+def test_jet_contract_matches_the_derivative_of_the_contraction(spec, seed, num_points):
+    c = chart("x y", seed=seed % 1000, num_points=num_points)
+    gen = c.rng(seed)
+    subs = spec.split("->")[0].split(",")
+    sizes = {letter: gen.randint(1, 3) for letter in sorted(set("".join(subs)))}
+    operands = [_random_operand(c, gen, tuple(sizes[x] for x in sub), False) for sub in subs]
+    pts = c.sample_points()
+    got, dgot = tn.jet_contract(spec, *[tn.jets_at(op, pts) for op in operands])
+    symbolic = np.asarray(tn.contract(spec, *operands), dtype=object)
+    partials = np.array([[tn.ex.differentiate(e, x) for x in c.coords()]
+                         for e in symbolic.reshape(-1)], dtype=object)
+    np.testing.assert_allclose(got, tn.values_at(symbolic, pts), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dgot, tn.values_at(partials.reshape(symbolic.shape + (2,)), pts),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_contract_builds_the_hand_loops_expressions():
     """Same term order, factor order and nesting as the loops it replaced."""
     gen = C2.rng(31)

@@ -92,3 +92,13 @@ def test_validator_rejects_nan(name):
     build(ex.ZERO)  # the same validator accepts the field with k = 0
     with pytest.raises(error):
         build(NAN)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["metric-inverse", "positive-definite"])
+def test_metric_validator_rejects_an_infinite_entry_without_a_warning(name):
+    # the finiteness test comes before the symmetry test, whose m - m.T would
+    # warn on inf - inf
+    build, error = CASES[name]
+    with pytest.raises(error):
+        build(ex.Const(float("inf")))

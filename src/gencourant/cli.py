@@ -69,7 +69,7 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
 
     inv = []
     for a, b, c in triples:
-        lhs = tn.contract("m,m->", a.vec.comps, ex.gradient(gtb.pairing(b, c), chart))
+        lhs = tn.contract("m,m->", a.vec.comps, tn.partials(gtb.pairing(b, c), chart))
         rhs = gtb.pairing(gtb.dorfman(a, b, H), c) + gtb.pairing(b, gtb.dorfman(a, c, H))
         inv.append(lhs - rhs)
     out.append(_check("axioms.pairing-invariance",
@@ -91,7 +91,7 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
                       "differential image is central and isotropic", props, pts, tol))
 
     a, b, _ = triples[1]
-    rhof = tn.contract("m,m->", b.vec.comps, ex.gradient(f, chart))
+    rhof = tn.contract("m,m->", b.vec.comps, tn.partials(f, chart))
     left = (
         gtb.dorfman(a.scale(f), b, H)
         - gtb.dorfman(a, b, H).scale(f)

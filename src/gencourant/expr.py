@@ -633,10 +633,6 @@ def _diff_rules(e: Expr, coord: Coord) -> Expr:
     raise TypeError(f"cannot differentiate {kind.__name__}")
 
 
-def gradient(e: Expr, chart_: Chart) -> list[Expr]:
-    return [differentiate(e, Coord(chart_, i)) for i in range(chart_.dim)]
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

@@ -55,15 +55,9 @@ from . import gtb
 from . import riemann as rm
 from . import tensors as tn
 from .errors import InvalidLieAlgebra, NotAntisymmetric, SingularMetric
-from .expr import Chart, Expr, add, esum, mul, neg
+from .expr import Chart, Expr
 from .gtb import GeneralizedMetric
 from .tensors import DOWN, UP, TensorField
-
-
-def _zeros(shape) -> np.ndarray:
-    a = np.empty(shape, dtype=object)
-    a.reshape(-1)[:] = [ex.ZERO] * a.size
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +83,7 @@ class CourantFrame(gtb.AnchoredFrame):
     def d_map_components(self, f: Expr) -> np.ndarray:
         """Frame components of the bracket differential: <Df, e_A> = rho(e_A).f,
         so (Df)^C = rho(e_{swap(C)}).f."""
-        return np.array(
-            [self.frame_derivative(self.swap(c), f) for c in range(self.dim2)], dtype=object
-        )
-
-    def rho_star_components(self, mu: int) -> np.ndarray:
-        """Frame components of rho*(dx^mu) = g_E^{-1} rho^T dx^mu."""
-        return np.array(
-            [self.anchor[self.swap(c), mu] for c in range(self.dim2)], dtype=object
-        )
+        return tn.contract("cm,m->c", self.anchor[_swap(self)], tn.partials(f, self.chart))
 
 
 def standard_algebroid(chart: Chart, H: TensorField) -> CourantFrame:
@@ -105,12 +91,9 @@ def standard_algebroid(chart: Chart, H: TensorField) -> CourantFrame:
     to the vector part; the only nonzero frame brackets are
     [(d_mu,0),(d_nu,0)] = (0, -H(d_mu, d_nu, .))."""
     n = chart.dim
-    anchor = _zeros((2 * n, n))
-    for m in range(n):
-        anchor[m, m] = ex.ONE
-    brackets = _zeros((2 * n, 2 * n, 2 * n))
-    for m, v, l in itertools.product(range(n), repeat=3):
-        brackets[n + l, m, v] = neg(H.comps[m, v, l])
+    anchor = np.concatenate([tn.identity(n), tn.zeros_array((n, n))])
+    brackets = tn.zeros_array((2 * n,) * 3)
+    brackets[n:, :n, :n] = np.moveaxis(-H.comps, 2, 0)  # [n + l, m, v] = -H[m, v, l]
     return CourantFrame(chart, anchor, brackets)
 
 
@@ -118,14 +101,8 @@ def conjugated_algebroid(chart: Chart, F: np.ndarray, Finv: np.ndarray,
                          source: CourantFrame) -> CourantFrame:
     """Pull the bracket of ``source`` back through the frame isomorphism F:
     [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
-    n = chart.dim
-    dim2 = 2 * n
-    anchor = np.array([source.anchor_of(F[:, a]) for a in range(dim2)], dtype=object)
-    brackets = _zeros((dim2, dim2, dim2))
-    for a in range(dim2):
-        for b in range(dim2):
-            br = _bracket_components(source, F[:, a], F[:, b])
-            brackets[:, a, b] = tn.contract("cd,d->c", Finv, br)
+    anchor = source.anchor_of(F).T
+    brackets = tn.contract("cd,dab->cab", Finv, _bracket_components(source, F, F))
     return CourantFrame(chart, anchor, brackets)
 
 
@@ -133,28 +110,16 @@ def _bracket_components(alg: CourantFrame, u: np.ndarray, v: np.ndarray) -> np.n
     """[psi, phi] of general sections: the anchored-frame bracket
     u^A v^B [e_A,e_B] + (rho(u).v^C) e_C - (rho(v).u^C) e_C plus the
     left-Leibniz term of the Courant bracket, the D<u, e_B> contributions
-    from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df."""
-    dim2 = alg.dim2
-    coords = alg.chart.coords()
-    n = alg.chart.dim
-    out = alg.bracket(u, v)
-    eta = gtb.pairing_gram(alg.chart)
-    for c in range(dim2):
-        # left-Leibniz correction <e_A, v> D(u^A), projected on e_c:
-        # (Df)^c = rho(e_swap(c)).f
-        sc = alg.swap(c)
-        out[c] = add(
-            out[c],
-            esum(
-                mul(
-                    esum(mul(v[b], eta[a, b]) for b in range(dim2)),
-                    mul(alg.anchor[sc, m], ex.differentiate(u[a], coords[m])),
-                )
-                for a in range(dim2)
-                for m in range(n)
-            ),
-        )
-    return out
+    from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df.
+    Sections are u[A] and v[B], or batches u[A, x] and v[B, y], which give
+    [C, x, y] (see ``gtb.AnchoredFrame.bracket``)."""
+    x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
+    # left-Leibniz term <e_A, v> D(u^A), with (Df)^C = rho(e_swap(C)).f:
+    # the products rho(e_swap(C))^m d_m u^A, then paired with <e_A, v>
+    paired = tn.contract(f"b{y},ab->a{y}", v, gtb.pairing_gram(alg.chart))
+    dual_anchor = alg.anchor[_swap(alg)]
+    products = tn.contract(f"cm,a{x}m->ca{x}m", dual_anchor, tn.partials(u, alg.chart))
+    return alg.bracket(u, v) + tn.contract(f"a{y},ca{x}m->c{x}{y}", paired, products)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +258,7 @@ def v_tensor(conn: GenConnection) -> np.ndarray:
     chart = conn.chart
     pts = chart.sample_points()
     alg = conn.algebroid
-    R, dR = tn.jets_at(np.array([alg.rho_star_components(m) for m in range(chart.dim)]).T, pts)
+    R, dR = tn.jets_at(alg.anchor[_swap(alg)], pts)  # R[C, i] = rho*(dx^i)^C
     anchor = tn.values_at(alg.anchor, pts)
     nab = (np.einsum("aip,bjp,cabp->cijp", R, R, conn.gamma)
            + np.einsum("aip,axp,cjxp->cijp", R, anchor, dR))
@@ -322,7 +287,7 @@ def ricci_compat_residual(conn: GenConnection) -> np.ndarray:
 
 
 def _coord_field(chart: Chart, i: int) -> TensorField:
-    return tn.from_function(chart, (UP,), lambda m: ex.ONE if m == i else ex.ZERO)
+    return TensorField(chart, (UP,), tn.identity(chart.dim)[i])
 
 
 def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
@@ -366,12 +331,12 @@ def _block_metric(lc: rm.Christoffel) -> GeneralizedMetric:
 
 
 def _block_transport(lc: rm.Christoffel) -> np.ndarray:
-    """Coefficients of the block-diagonal transport by the chart connection."""
+    """Coefficients of the block-diagonal transport by the chart connection:
+    Gamma^k_{ij} on vectors and -Gamma^j_{ik} on forms."""
     n = lc.chart.dim
-    gamma = _zeros((2 * n,) * 3)
-    for k, i, j in itertools.product(range(n), repeat=3):
-        gamma[k, i, j] = lc.coeffs[k, i, j]
-        gamma[n + k, i, n + j] = neg(lc.coeffs[j, i, k])
+    gamma = tn.zeros_array((2 * n,) * 3)
+    gamma[:n, :n, :n] = lc.coeffs
+    gamma[n:, :n, n:] = -lc.coeffs.transpose(2, 1, 0)  # [n + k, i, n + j] = -Gamma^j_{ik}
     return gamma
 
 
@@ -393,16 +358,19 @@ def _minimal_coefficients(lc: rm.Christoffel, H_prime: TensorField) -> np.ndarra
     ginv = lc.metric_inverse.comps
     Hc = H_prime.comps
     gamma = _block_transport(lc)
-    # g^{-1} H'(X, g^{-1} eta, .), g^{-1} H'(g^{-1} xi, Y, .), H'(g^{-1} xi, g^{-1} eta, .)
-    vec_form = tn.contract("la,vb,mba->mvl", ginv, ginv, Hc)
-    form_vec = tn.contract("la,mb,bva->mvl", ginv, ginv, Hc)
-    form_form = tn.contract("ma,vb,abl->mvl", ginv, ginv, Hc)
-    for m, v, l in itertools.product(range(n), repeat=3):
-        gamma[n + l, m, v] = add(gamma[n + l, m, v], mul(-1.0 / 3.0, Hc[m, v, l]))
-        gamma[l, m, n + v] = add(gamma[l, m, n + v], mul(-1.0 / 3.0, vec_form[m, v, l]))
-        gamma[l, n + m, v] = add(gamma[l, n + m, v], mul(1.0 / 6.0, form_vec[m, v, l]))
-        gamma[n + l, n + m, n + v] = add(gamma[n + l, n + m, n + v],
-                                         mul(1.0 / 6.0, form_form[m, v, l]))
+    # each H' term is indexed [l, m, v] (the output slot l, the legs m and v)
+    # and adds c times itself to the block of Gamma[l, m, v] whose slots are
+    # the vector (first n) or form (last n) frame indices it names
+    vec_vec = np.moveaxis(Hc, 2, 0)  # H'(X, Y, .)
+    vec_form = tn.contract("la,vb,mba->lmv", ginv, ginv, Hc)  # g^{-1} H'(X, g^{-1} eta, .)
+    form_vec = tn.contract("la,mb,bva->lmv", ginv, ginv, Hc)  # g^{-1} H'(g^{-1} xi, Y, .)
+    form_form = tn.contract("ma,vb,abl->lmv", ginv, ginv, Hc)  # H'(g^{-1} xi, g^{-1} eta, .)
+    vec, form = slice(0, n), slice(n, 2 * n)
+    for block, c, term in (((form, vec, vec), -1.0 / 3.0, vec_vec),
+                           ((vec, vec, form), -1.0 / 3.0, vec_form),
+                           ((vec, form, vec), 1.0 / 6.0, form_vec),
+                           ((form, form, form), 1.0 / 6.0, form_form)):
+        gamma[block] = gamma[block] + tn.contract(",lmv->lmv", c, term)
     return gamma
 
 
@@ -434,8 +402,7 @@ def validate_params(J: TensorField, W: TensorField) -> ConnParams:
     if J.variance != (UP, UP, UP) or W.variance != (DOWN, DOWN, DOWN):
         raise NotAntisymmetric("J must be fully contravariant, W fully covariant")
     for t, name in ((J, "J"), (W, "W")):
-        swapped = np.swapaxes(t.comps, 1, 2)
-        diff = [add(a, b) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
+        diff = t.comps + np.swapaxes(t.comps, 1, 2)
         worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"{name} not antisymmetric in its last two slots ({worst:.3e})")
@@ -507,16 +474,11 @@ def dilaton_params(g: TensorField, phi) -> ConnParams:
     n = chart.dim
     if n < 2:
         raise SingularMetric("the dilaton trace condition needs a chart of dimension > 1")
-    dphi = tn.d_scalar(chart, phi)
-    W = np.empty((n, n, n), dtype=object)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        W[i, j, k] = mul(
-            1.0 / (n - 1),
-            add(mul(g.comps[i, j], dphi.comps[k]), neg(mul(g.comps[i, k], dphi.comps[j]))),
-        )
-    return ConnParams(
-        tn.zeros(chart, (UP, UP, UP)), TensorField(chart, (DOWN, DOWN, DOWN), W)
-    )
+    dphi = tn.d_scalar(chart, phi).comps
+    brace = tn.contract("zijk->ijk", np.stack([tn.contract("ij,k->ijk", g.comps, dphi),
+                                                tn.contract(",ik,j->ijk", -1.0, g.comps, dphi)]))
+    W = TensorField(chart, (DOWN, DOWN, DOWN), brace).scale(1.0 / (n - 1))
+    return ConnParams(tn.zeros(chart, (UP, UP, UP)), W)
 
 
 def dilaton_connection(minimal: GenConnection, B: TensorField, phi) -> GenConnection:
@@ -549,8 +511,7 @@ def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
     source coefficients by ``tensors.jet_contract``."""
     src = conn.algebroid
     pts = conn.chart.sample_points()
-    along = np.array([[[src.frame_derivative(c, f) for f in row] for row in F]
-                      for c in range(src.dim2)], dtype=object)  # [C, E, B]
+    along = tn.contract("cm,ebm->ceb", src.anchor, tn.partials(F, conn.chart))  # rho(e_C).F^E_B
     Fj, Finvj, alongj = (tn.jets_at(m, pts) for m in (F, Finv, along))
     # F^C_A F^D_B Gamma^E_{CD}, summed over C first
     pulled = tn.jet_contract("ca,ecd->ead", Fj, (conn.gamma, conn.dgamma))
@@ -574,12 +535,9 @@ def untwist(conn: GenConnection, B: TensorField) -> GenConnection:
 
 def _current_twist(conn: GenConnection) -> TensorField:
     """Recover the twist 3-form from the standard-frame brackets."""
-    chart = conn.chart
-    n = chart.dim
-    comps = np.empty((n, n, n), dtype=object)
-    for m, v, l in itertools.product(range(n), repeat=3):
-        comps[m, v, l] = neg(conn.algebroid.structure[n + l, m, v])
-    return TensorField(chart, (DOWN, DOWN, DOWN), comps)
+    n = conn.chart.dim
+    comps = -np.moveaxis(conn.algebroid.structure[n:, :n, :n], 0, 2)  # [m, v, l] = -C^{n+l}_{mv}
+    return TensorField(conn.chart, (DOWN, DOWN, DOWN), comps)
 
 
 def theta_transport(conn: GenConnection, theta: TensorField, B: TensorField,
@@ -603,29 +561,19 @@ def lc_parameter_space_dim(n: int) -> int:
     flat block-diagonal metric (K(., ., tau .) pairing condition), and
     vanishing cyclic sum.  Equals (2/3) n (n^2 - 1)."""
     dim2 = 2 * n
-
-    def swap(a):
-        return a + n if a < n else a - n
-
-    def flat(a, b, c):
-        return (a * dim2 + b) * dim2 + c
-
-    rows = []
-    for a, b, c in itertools.product(range(dim2), repeat=3):
-        r1 = np.zeros(dim2 ** 3)
-        r1[flat(a, b, c)] += 1
-        r1[flat(a, c, b)] += 1
-        rows.append(r1)
-        r2 = np.zeros(dim2 ** 3)
-        r2[flat(a, b, swap(c))] += 1
-        r2[flat(a, c, swap(b))] += 1
-        rows.append(r2)
-        r3 = np.zeros(dim2 ** 3)
-        r3[flat(a, b, c)] += 1
-        r3[flat(b, c, a)] += 1
-        r3[flat(c, a, b)] += 1
-        rows.append(r3)
-    rank = np.linalg.matrix_rank(np.array(rows))
+    swap = np.r_[n:dim2, :n]
+    at = np.arange(dim2 ** 3).reshape((dim2,) * 3)  # at[a, b, c]: the position of K[a, b, c]
+    unit = np.eye(dim2 ** 3)
+    # for each (a, b, c), the rows K[abc] + K[acb], K[ab swap(c)] + K[ac swap(b)]
+    # and K[abc] + K[bca] + K[cab]
+    paired = at[:, :, swap]
+    rows = np.concatenate([
+        unit[at.reshape(-1)] + unit[at.transpose(0, 2, 1).reshape(-1)],
+        unit[paired.reshape(-1)] + unit[paired.transpose(0, 2, 1).reshape(-1)],
+        unit[at.reshape(-1)] + unit[at.transpose(2, 0, 1).reshape(-1)]
+        + unit[at.transpose(1, 2, 0).reshape(-1)],
+    ])
+    rank = np.linalg.matrix_rank(rows)
     return dim2 ** 3 - rank
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NotTwistedPoisson,
     SingularB,
 )
-from .expr import Chart, Expr, add, esum, mul, neg
+from .expr import Chart, Expr, add
 from .tensors import DOWN, UP, TensorField
 
 CLOSEDNESS_TOL = 1e-10
@@ -204,15 +204,8 @@ class GeneralizedMetric:
         """Frame matrix of e^{sign*B}: block lower-triangular with B in the
         (form, vector) corner."""
         n = self.chart.dim
-        m = np.empty((2 * n, 2 * n), dtype=object)
-        m.reshape(-1)[:] = [ex.ZERO] * m.size
-        for i in range(2 * n):
-            m[i, i] = ex.ONE
-        for i in range(n):
-            for j in range(n):
-                b = self.B.comps[i, j]
-                m[n + i, j] = b if sign > 0 else neg(b)
-        return m
+        one, zero = tn.identity(n), tn.zeros_array((n, n))
+        return np.block([[one, zero], [self.B.comps if sign > 0 else -self.B.comps, one]])
 
     def gram(self) -> np.ndarray:
         """(2n)x(2n) Gram matrix G_ab = G(e_a, e_b) via the shear product
@@ -234,10 +227,8 @@ class GeneralizedMetric:
         frame matrix."""
         n = self.chart.dim
         M = self.shear_matrix(+1)
-        core = np.empty((2 * n, 2 * n), dtype=object)
-        core.reshape(-1)[:] = [ex.ZERO] * core.size
-        core[:n, :n] = self.g_inv.comps
-        core[n:, n:] = self.g.comps
+        zero = tn.zeros_array((n, n))
+        core = np.block([[self.g_inv.comps, zero], [zero, self.g.comps]])
         return tn.contract("ik,jk->ij", tn.contract("ik,kj->ij", M, core), M)
 
     def tau_matrix(self) -> np.ndarray:
@@ -260,14 +251,9 @@ class GeneralizedMetric:
 
     def projector_matrix(self, sign: int) -> np.ndarray:
         """P_pm = (1 pm tau)/2 on frame components."""
-        n = self.chart.dim
         tau = self.tau_matrix()
-        out = np.empty((2 * n, 2 * n), dtype=object)
-        for i in range(2 * n):
-            for j in range(2 * n):
-                diag = ex.ONE if i == j else ex.ZERO
-                out[i, j] = mul(0.5, add(diag, tau[i, j] if sign > 0 else neg(tau[i, j])))
-        return out
+        one = tn.identity(2 * self.chart.dim)
+        return tn.contract(",ij->ij", 0.5, one + (tau if sign > 0 else -tau))
 
     def project(self, psi: GenSection, sign: int) -> GenSection:
         comps = tn.contract("ij,j->i", self.projector_matrix(sign), psi.components())
@@ -340,20 +326,10 @@ def theta_twist_matrices(theta: TensorField, B: TensorField):
     """Frame matrices (F, F^{-1}) of the bivector shear
     F_theta(X, xi) = (theta(xi), xi - B(X)) for theta = B^{-1}, which is
     orthogonal for the pairing, with inverse (X, xi) |-> (X - theta(xi), B(X))."""
-    chart = theta.chart
-    n = chart.dim
-    F = np.empty((2 * n, 2 * n), dtype=object)
-    Finv = np.empty((2 * n, 2 * n), dtype=object)
-    for m in (F, Finv):
-        m.reshape(-1)[:] = [ex.ZERO] * m.size
-    for i in range(n):
-        for j in range(n):
-            F[i, n + j] = theta.comps[i, j]
-            F[n + i, j] = neg(B.comps[i, j])
-            Finv[i, j] = ex.ONE if i == j else ex.ZERO
-            Finv[i, n + j] = neg(theta.comps[i, j])
-            Finv[n + i, j] = B.comps[i, j]
-        F[n + i, n + i] = ex.ONE
+    n = theta.chart.dim
+    one, zero = tn.identity(n), tn.zeros_array((n, n))
+    F = np.block([[zero, theta.comps], [-B.comps, one]])
+    Finv = np.block([[one, -theta.comps], [B.comps, zero]])
     return F, Finv
 
 
@@ -368,22 +344,18 @@ def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
     on coordinate 1-forms; identically zero iff theta is a twisted Poisson
     structure for the given twist 3-form."""
     tn.check_antisymmetric(theta)
-    chart = theta.chart
-    n = chart.dim
-    coords = chart.coords()
     th = theta.comps
+    dth = tn.partials(th, theta.chart)  # dth[k, j, a] = d_a theta^{kj}
     tw = tn.contract("abc,ai,bj,ck->ijk", twist.comps, th, th, th)
-    out = np.empty((n, n, n), dtype=object)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        # (1/2)[theta,theta](dx^i, dx^j, dx^k), from the bracket identity
-        # [theta xi, theta eta] - theta(L_{theta xi} eta - i_{theta eta} d xi)
-        half = esum(
-            [mul(th[a, i], ex.differentiate(th[k, j], coords[a])) for a in range(n)]
-            + [neg(mul(th[a, j], ex.differentiate(th[k, i], coords[a]))) for a in range(n)]
-            + [neg(mul(th[k, b], ex.differentiate(th[j, i], coords[b]))) for b in range(n)]
-        )
-        out[i, j, k] = add(half, tw[i, j, k])
-    return TensorField(chart, (UP, UP, UP), out)
+    # (1/2)[theta,theta](dx^i, dx^j, dx^k), from the bracket identity
+    # [theta xi, theta eta] - theta(L_{theta xi} eta - i_{theta eta} d xi):
+    # theta^{ai} d_a theta^{kj} - theta^{aj} d_a theta^{ki} - theta^{kb} d_b theta^{ji}
+    half = tn.contract("zijk->ijk", np.concatenate([
+        tn.contract("ai,kja->aijk", th, dth),
+        tn.contract(",aj,kia->aijk", -1.0, th, dth),
+        tn.contract(",kb,jib->bijk", -1.0, th, dth),
+    ]))
+    return TensorField(theta.chart, (UP, UP, UP), half + tw)
 
 
 def validate_twisted_poisson(theta: TensorField, twist: TensorField):
@@ -438,80 +410,66 @@ class AnchoredFrame:
         self.anchor = anchor  # [a, m]: vector field of E_a
         self.structure = structure  # [c, a, b]
 
-    def _along(self, vec, f) -> Expr:
-        """Derivative of f along the vector field with components vec."""
-        return tn.contract("m,m->", vec, ex.gradient(f, self.chart))
-
-    def frame_derivative(self, a: int, f) -> Expr:
-        """a(E_a).f"""
-        return self._along(self.anchor[a], f)
-
     def anchor_of(self, u) -> np.ndarray:
-        """Vector-field components of a(u) for a section u^a E_a."""
-        return tn.contract("a,am->m", u, self.anchor)
+        """Vector-field components a(u)[m, x] of a section u^a E_a (u[a] or,
+        for a batch of sections, u[a, x])."""
+        x = "x"[:u.ndim - 1]
+        return tn.contract(f"a{x},am->m{x}", u, self.anchor)
 
     def connection_apply(self, gamma: np.ndarray, u, v) -> np.ndarray:
         """nab_u v = (u^a v^b Gamma^c_{ab} + a(u).v^c) E_c for connection
-        coefficients nab_{E_a} E_b = Gamma^c_{ab} E_c."""
-        rho_u = self.anchor_of(u)
-        out = tn.contract("a,b,cab->c", u, v, gamma)
-        for c in range(self.rank):
-            out[c] = add(out[c], self._along(rho_u, v[c]))
-        return out
+        coefficients nab_{E_a} E_b = Gamma^c_{ab} E_c.  Sections are u[a] and
+        v[b], or batches u[a, x] and v[b, y], which give [c, x, y]."""
+        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
+        dv = tn.partials(v, self.chart)
+        return (tn.contract(f"a{x},b{y},cab->c{x}{y}", u, v, gamma)
+                + tn.contract(f"m{x},c{y}m->c{x}{y}", self.anchor_of(u), dv))
 
-    def connection_apply_dual(self, gamma: np.ndarray, a: int, x) -> np.ndarray:
-        """nab_{E_a} on dual sections: (nab x)_b = a(E_a).x_b - Gamma^c_{ab} x_c.
-        With gamma = structure this is the Lie derivative L_{E_a}."""
-        along = np.array([self.frame_derivative(a, xb) for xb in x], dtype=object)
-        return along - tn.contract("cb,c->b", gamma[:, a, :], x)
+    def connection_apply_dual(self, gamma: np.ndarray, x) -> np.ndarray:
+        """nab[a, b] of a dual section x[b] (or [a, b, y] of a batch x[b, y]):
+        (nab_{E_a} x)_b = a(E_a).x_b - Gamma^c_{ab} x_c.  With gamma =
+        structure this is the Lie derivative L_{E_a}."""
+        y = "y"[:x.ndim - 1]
+        return (tn.contract(f"am,b{y}m->ab{y}", self.anchor, tn.partials(x, self.chart))
+                - tn.contract(f"cab,c{y}->ab{y}", gamma, x))
 
     def bracket(self, u, v) -> np.ndarray:
-        """[u, v]^c = u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c.  A Courant
-        bracket adds a left-Leibniz term to this (see gconn)."""
-        lie = self.connection_apply(self.structure, u, v)
-        rho_v = self.anchor_of(v)
-        return np.array(
-            [add(lie[c], neg(self._along(rho_v, u[c]))) for c in range(self.rank)], dtype=object
-        )
+        """[u, v]^c = u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c, on sections or
+        batches as in ``connection_apply``.  A Courant bracket adds a
+        left-Leibniz term to this (see gconn)."""
+        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
+        du = tn.partials(u, self.chart)
+        return (self.connection_apply(self.structure, u, v)
+                - tn.contract(f"m{y},c{x}m->c{x}{y}", self.anchor_of(v), du))
 
     def differential(self, omega: np.ndarray, degree: int) -> np.ndarray:
-        """Cartan formula for d on a degree-p form over the frame."""
-        r = self.rank
-        p = degree
-        out = np.empty((r,) * (p + 1), dtype=object)
-        for idx in itertools.product(range(r), repeat=p + 1):
-            terms = []
-            for i in range(p + 1):
-                rest = idx[:i] + idx[i + 1:]
-                val = omega[rest] if p else omega[()]
-                term = self.frame_derivative(idx[i], val)
-                terms.append(term if i % 2 == 0 else neg(term))
-            for i in range(p + 1):
-                for j in range(i + 1, p + 1):
-                    rest = tuple(idx[k] for k in range(p + 1) if k not in (i, j))
-                    for c in range(r):
-                        coef = self.structure[c, idx[i], idx[j]]
-                        if ex.is_zero(coef):
-                            continue
-                        term = mul(coef, omega[(c,) + rest])
-                        terms.append(term if (i + j) % 2 == 0 else neg(term))
-            out[idx] = esum(terms)
-        return out
+        """Cartan formula for d on a degree-p form omega[i1..ip] over the
+        frame (or a batch omega[i1..ip, x] of them):
+            (d w)_{i0..ip} = sum_k (-1)^k a(E_{i_k}).w_{..^i_k..}
+                             + sum_{k<l} (-1)^{k+l} C^c_{i_k i_l} w_{c..^i_k..^i_l..}."""
+        idx = "abdefgh"[:degree + 1]
+        x = "x"[:omega.ndim - degree]
+        # along[i, ..] = a(E_i).w_{..}, moved to slot k for the k-th term
+        along = tn.contract(f"{idx[0]}m,{idx[1:]}{x}m->{idx}{x}", self.anchor,
+                            tn.partials(omega, self.chart))
+        terms = [np.moveaxis(along, 0, k)[None] for k in range(degree + 1)]
+        terms = [t if k % 2 == 0 else -t for k, t in enumerate(terms)]
+        for k, l in itertools.combinations(range(degree + 1), 2):
+            spec = f"c{idx[k]}{idx[l]},c{idx[:k]}{idx[k + 1:l]}{idx[l + 1:]}{x}->c{idx}{x}"
+            terms.append(tn.contract(spec, self.structure, omega) if (k + l) % 2 == 0
+                         else tn.contract("," + spec, -1.0, self.structure, omega))
+        return tn.contract(f"z{idx}{x}->{idx}{x}", np.concatenate(terms))
 
     def lc_connection(self, g_A: np.ndarray) -> np.ndarray:
         """Torsion-free metric connection coefficients Gamma^c_{ab} from
         nab_{E_a} E_b =
           (1/2) { [E_a, E_b] + g^{-1}( L_{E_a}(g E_b) + i_{E_b} d(g E_a) ) }."""
-        r = self.rank
-        g_inv = tn.matrix_inverse(g_A)
-        out = np.empty((r, r, r), dtype=object)  # [c, a, b]
-        for a in range(r):
-            for b in range(r):
-                lie = self.connection_apply_dual(self.structure, a, g_A[:, b])
-                dga = self.differential(g_A[:, a], 1)  # [c, d] 2-form
-                raised = tn.contract("cd,d->c", g_inv, lie + dga[b])
-                out[:, a, b] = 0.5 * (self.structure[:, a, b] + raised)
-        return out
+        # lie[a, d, b] = (L_{E_a}(g E_b))_d, dga[b, d, a] = d(g E_a)_{bd}
+        lie = self.connection_apply_dual(self.structure, g_A)
+        dga = self.differential(g_A, 1)
+        raised = tn.contract("cd,abd->cab", tn.matrix_inverse(g_A),
+                             lie.transpose(0, 2, 1) + dga.transpose(2, 0, 1))
+        return 0.5 * (self.structure + raised)
 
     def covariant_derivative_at(self, gamma: np.ndarray, omega: np.ndarray, points) -> np.ndarray:
         """nab[a, i1..ip, p]: ``covariant_derivative`` of a covariant frame
@@ -586,16 +544,9 @@ class LieAlgebroidCotangent:
         residual vanishes at the sample points."""
         chart = theta.chart
         validate_twisted_poisson(theta, twist)
-        n = chart.dim
         anchor = theta.comps.T.copy()  # [a, m] = theta(dx^a)^m
-        structure = np.empty((n, n, n), dtype=object)
-        frame_forms = [
-            tn.from_function(chart, (DOWN,), lambda i, a=a: ex.ONE if i == a else ex.ZERO)
-            for a in range(n)
-        ]
-        for a in range(n):
-            for b in range(n):
-                br = koszul(frame_forms[a], frame_forms[b], theta, twist)
-                for c in range(n):
-                    structure[c, a, b] = br.comps[c]
+        frame = [TensorField(chart, (DOWN,), row) for row in tn.identity(chart.dim)]
+        brackets = np.array([[koszul(fa, fb, theta, twist).comps for fb in frame] for fa in frame],
+                            dtype=object)  # [a, b, c]
+        structure = np.moveaxis(brackets, -1, 0)
         return LieAlgebroidCotangent(chart, theta, twist, AnchoredFrame(chart, anchor, structure))

@@ -48,14 +48,9 @@ class Christoffel:
     metric_inverse: TensorField
 
     def __post_init__(self):
-        n = self.chart.dim
-        diffs = [
-            add(self.coeffs[k, i, j], neg(self.coeffs[k, j, i]))
-            for k in range(n)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        if diffs:
+        i, j = np.triu_indices(self.chart.dim, 1)
+        diffs = (self.coeffs[:, i, j] - self.coeffs[:, j, i]).reshape(-1)
+        if diffs.size:
             worst, _ = ex.max_abs_on_points(diffs, self.chart.sample_points())
             if not worst <= 1e-10:
                 raise SlotError(f"connection coefficients not symmetric: {worst:.3e}")
@@ -66,12 +61,7 @@ def christoffel(g: TensorField) -> Christoffel:
     Each is built once for i <= j, and Gamma^k_{ji} is that same object."""
     ginv = tn.metric_inverse(g)  # also checks symmetry and nondegeneracy
     n = g.chart.dim
-    coords = g.chart.coords()
-    dg = np.empty((n, n, n), dtype=object)  # dg[l, i, j] = d_l g_{ij}
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                dg[l, i, j] = ex.differentiate(g.comps[i, j], coords[l])
+    dg = np.moveaxis(tn.partials(g.comps, g.chart), -1, 0)  # dg[l, i, j] = d_l g_{ij}
     out = np.empty((n, n, n), dtype=object)
     for k, i, j in itertools.product(range(n), repeat=3):
         if i <= j:  # Gamma^k_{ji} is the same object
@@ -87,22 +77,17 @@ def christoffel(g: TensorField) -> Christoffel:
 
 def covariant_derivative(t: TensorField, gamma: Christoffel) -> TensorField:
     """nab t with one extra leading down slot: +Gamma on up slots,
-    -Gamma on down slots."""
-    n = t.chart.dim
-    grad = tn.coordinate_gradient(t)
-    out = np.empty(grad.comps.shape, dtype=object)
-    for full in itertools.product(range(n), repeat=t.rank + 1):
-        mu, idx = full[0], full[1:]
-        terms = [grad.comps[full]]
-        for slot, var in enumerate(t.variance):
-            a = idx[slot]
-            for b in range(n):
-                src = idx[:slot] + (b,) + idx[slot + 1:]
-                if var == UP:
-                    terms.append(mul(gamma.coeffs[a, mu, b], t.comps[src]))
-                else:
-                    terms.append(neg(mul(gamma.coeffs[b, mu, a], t.comps[src])))
-        out[full] = esum(terms)
+    -Gamma on down slots.  Each entry sums the partial, then the terms of
+    each slot in turn, over the index b that the slot's Gamma brings in."""
+    idx = "acdefgh"[:t.rank]
+    terms = [np.moveaxis(tn.partials(t.comps, t.chart), -1, 0)[None]]  # [., mu, idx]
+    for slot, var in enumerate(t.variance):
+        a, src = idx[slot], idx[:slot] + "b" + idx[slot + 1:]
+        if var == UP:  # Gamma^a_{mu b} t[.. b ..]
+            terms.append(tn.contract(f"{a}mb,{src}->bm{idx}", gamma.coeffs, t.comps))
+        else:  # -Gamma^b_{mu a} t[.. b ..]
+            terms.append(tn.contract(f",bm{a},{src}->bm{idx}", -1.0, gamma.coeffs, t.comps))
+    out = tn.contract(f"zm{idx}->m{idx}", np.concatenate(terms))
     return TensorField(t.chart, (DOWN,) + t.variance, out)
 
 
@@ -151,18 +136,9 @@ def form_inner(alpha: TensorField, beta: TensorField, ginv: TensorField) -> Expr
 def codifferential(omega: TensorField, gamma: Christoffel) -> TensorField:
     """delta_g on a fully antisymmetric covariant p-form via the metric
     trace of its covariant derivative; frame independent."""
-    n = gamma.chart.dim
     nab = covariant_derivative(omega, gamma)  # [k, a, rest...]
-    ginv = gamma.metric_inverse
-    out = np.empty((n,) * (omega.rank - 1), dtype=object)
-    for idx in itertools.product(range(n), repeat=omega.rank - 1):
-        out[idx] = neg(
-            esum(
-                mul(ginv.comps[k, a], nab.comps[(k, a) + idx])
-                for k in range(n)
-                for a in range(n)
-            )
-        )
+    rest = "bcdefgh"[:omega.rank - 1]
+    out = -tn.contract(f"ka,ka{rest}->{rest}", gamma.metric_inverse.comps, nab.comps)
     return TensorField(gamma.chart, (DOWN,) * (omega.rank - 1), out)
 
 
@@ -176,16 +152,12 @@ def divergence(v: TensorField, gamma: Christoffel) -> Expr:
     """Trace of the Levi-Civita derivative of a vector field."""
     if v.variance != (UP,):
         raise SlotError("divergence expects a vector field")
-    nab = covariant_derivative(v, gamma)
-    return esum(nab.comps[k, k] for k in range(gamma.chart.dim))
+    return tn.contract("kk->", covariant_derivative(v, gamma).comps)
 
 
 def divergence_oneform(w: TensorField, gamma: Christoffel) -> Expr:
     """Div_g of a 1-form: metric trace g^{ka} (nab_k w)_a."""
-    nab = covariant_derivative(w, gamma)
-    ginv = gamma.metric_inverse
-    n = gamma.chart.dim
-    return esum(mul(ginv.comps[k, a], nab.comps[k, a]) for k in range(n) for a in range(n))
+    return tn.contract("ka,ka->", gamma.metric_inverse.comps, covariant_derivative(w, gamma).comps)
 
 
 def laplace_divergence(phi, gamma: Christoffel):
@@ -193,5 +165,4 @@ def laplace_divergence(phi, gamma: Christoffel):
     grad = gradient_vector(phi, gamma.metric_inverse)
     lap = divergence(grad, gamma)
     dphi = tn.d_scalar(gamma.chart, phi)
-    norm2 = esum(mul(dphi.comps[a], grad.comps[a]) for a in range(gamma.chart.dim))
-    return lap, grad, norm2
+    return lap, grad, tn.contract("a,a->", dphi.comps, grad.comps)

@@ -24,7 +24,6 @@ their symbolic parts valued at the same points.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,21 +183,12 @@ def beta_all(derived: Derived) -> BetaResiduals:
     lap, grad, norm2 = rm.laplace_divergence(bg.phi, gamma)
     deltaH = rm.codifferential(Hp, gamma)
 
-    bg_comps = np.empty((n, n), dtype=object)
-    bB_comps = np.empty((n, n), dtype=object)
-    h_grad = tn.contract("ija,a->ij", Hp.comps, grad.comps)
-    coord_fields = [gconn._coord_field(chart, i) for i in range(n)]
-    iH = [tn.interior_product(coord_fields[i], Hp) for i in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        bg_comps[i, j] = esum(
-            [
-                ric.comps[i, j],
-                mul(-0.5, rm.form_inner(iH[i], iH[j], ginv)),
-                hess.comps[i, j],
-                hess.comps[j, i],
-            ]
-        )
-        bB_comps[i, j] = add(mul(0.5, deltaH.comps[i, j]), h_grad[i, j])
+    iH = [tn.interior_product(gconn._coord_field(chart, i), Hp) for i in range(n)]
+    inner = np.array([[rm.form_inner(a, b, ginv) for b in iH] for a in iH], dtype=object)
+    bg_comps = tn.contract("zij->ij", np.stack([ric.comps, tn.contract(",ij->ij", -0.5, inner),
+                                                hess.comps, hess.comps.T]))
+    bB_comps = (tn.contract(",ij->ij", 0.5, deltaH.comps)
+                + tn.contract("ija,a->ij", Hp.comps, grad.comps))
     beta_g = TensorField(chart, (DOWN, DOWN), bg_comps)
     beta_B = TensorField(chart, (DOWN, DOWN), bB_comps)
     beta_phi = esum([rscal, mul(-0.5, rm.form_inner(Hp, Hp, ginv)), mul(4.0, lap),
@@ -223,20 +213,13 @@ def beta_g_index_form(derived: Derived) -> TensorField:
     + 2 (nab dphi)_{(mn)}: an independent formula path used as an oracle
     against the index-free assembly."""
     chart = derived.bg.chart
-    n = chart.dim
-    Hp, gamma = derived.h_prime, derived.gamma
+    Hp, gamma = derived.h_prime.comps, derived.gamma
     ginv = gamma.metric_inverse.comps
     ric, _ = derived.curvature
     hess = rm.covariant_derivative(tn.d_scalar(chart, derived.bg.phi), gamma)
-    out = np.empty((n, n), dtype=object)
-    for m, v in itertools.product(range(n), repeat=2):
-        quad = esum(
-            mul(Hp.comps[m, a, b], Hp.comps[v, c, d], ginv[a, c], ginv[b, d])
-            for a in range(n) for b in range(n) for c in range(n) for d in range(n)
-        )
-        out[m, v] = esum(
-            [ric.comps[m, v], mul(-0.25, quad), hess.comps[m, v], hess.comps[v, m]]
-        )
+    quad = tn.contract("mab,vcd,ac,bd->mv", Hp, Hp, ginv, ginv)
+    out = tn.contract("zmv->mv", np.stack([ric.comps, tn.contract(",mv->mv", -0.25, quad),
+                                           hess.comps, hess.comps.T]))
     return TensorField(chart, (DOWN, DOWN), out)
 
 
@@ -252,10 +235,6 @@ class CentralResiduals:
 
     scalar_residual: np.ndarray        # [p]: metric Ricci trace minus beta_phi
     ricci_residual: np.ndarray         # [i, j, p]: off-block Ricci minus (beta_g - beta_B)
-
-    def max_abs(self, points):
-        fields = [self.scalar_residual[None], self.ricci_residual.reshape(-1, len(points))]
-        return ex.max_abs_on_points(np.concatenate(fields), points)
 
 
 def central_residuals(derived: Derived) -> CentralResiduals:

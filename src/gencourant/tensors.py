@@ -12,8 +12,16 @@ with the summed indices nested in order of first appearance in the spec (the
 first outermost), and each term is one n-ary ``mul`` of the operands'
 entries in operand order.  An index repeated within an operand reads its
 diagonal, so ``contract("aa->", m)`` is the trace; an empty output gives the
-Expr itself.  Charts stay tiny (n <= 4 in practice), so the remaining
-non-contraction formulas are explicit loops over ``itertools.product``.
+Expr itself.
+
+A coordinate derivative is one more index: ``partials(comps, chart)`` is the
+array of first partials with the derivative along x^m as a trailing axis, so
+a first-order operator is a ``contract`` spec over it, e.g. the Lie bracket
+``contract("as,sca->c", np.stack([X, Y], 1), np.stack([dY, -dX]))``.  A sum
+of differently indexed terms is one ``contract("z...->...")`` over the term
+arrays stacked along z, so that each entry stays one n-ary sum; a term that
+enters with a minus sign is negated entry by entry, or carries a leading
+scalar operand -1.0 (``mul(-1.0, a, b)`` is the node ``neg(mul(a, b))``).
 """
 
 from __future__ import annotations
@@ -34,10 +42,16 @@ DOWN = "down"
 DET_TOL = 1e-10
 
 
-def _object_array(shape) -> np.ndarray:
-    a = np.empty(shape, dtype=object)
-    a.reshape(-1)[:] = [ex.ZERO] * a.size
-    return a
+def zeros_array(shape) -> np.ndarray:
+    """An object array of the constant ZERO."""
+    return np.full(shape, ex.ZERO, dtype=object)
+
+
+def identity(k: int) -> np.ndarray:
+    """The k x k identity as an object array of the constants ONE and ZERO."""
+    out = zeros_array((k, k))
+    np.fill_diagonal(out, ex.ONE)
+    return out
 
 
 class TensorField:
@@ -97,11 +111,7 @@ class TensorField:
         _same_chart(self, other)
         if self.variance != other.variance:
             raise SlotError("cannot add tensors of different variance")
-        out = _object_array(self.comps.shape)
-        flat, a, b = out.reshape(-1), self.comps.reshape(-1), other.comps.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = add(a[i], b[i])
-        return TensorField(self.chart, self.variance, out)
+        return TensorField(self.chart, self.variance, self.comps + other.comps)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -124,7 +134,7 @@ def _same_chart(a: TensorField, b: TensorField):
 
 
 def zeros(chart: Chart, variance) -> TensorField:
-    return TensorField(chart, variance, _object_array((chart.dim,) * len(tuple(variance))))
+    return TensorField(chart, variance, zeros_array((chart.dim,) * len(tuple(variance))))
 
 
 def scalar_field(chart: Chart, e) -> TensorField:
@@ -135,7 +145,7 @@ def scalar_field(chart: Chart, e) -> TensorField:
 
 def from_function(chart: Chart, variance, fn) -> TensorField:
     variance = tuple(variance)
-    out = _object_array((chart.dim,) * len(variance))
+    out = zeros_array((chart.dim,) * len(variance))
     for idx in itertools.product(range(chart.dim), repeat=len(variance)):
         out[idx] = ex._coerce(fn(*idx))
     return TensorField(chart, variance, out)
@@ -143,11 +153,11 @@ def from_function(chart: Chart, variance, fn) -> TensorField:
 
 def kronecker(chart: Chart) -> TensorField:
     """Identity (1,1)-tensor."""
-    return from_function(chart, (UP, DOWN), lambda i, j: ex.ONE if i == j else ex.ZERO)
+    return TensorField(chart, (UP, DOWN), identity(chart.dim))
 
 
 def euclidean_metric(chart: Chart) -> TensorField:
-    return from_function(chart, (DOWN, DOWN), lambda i, j: ex.ONE if i == j else ex.ZERO)
+    return TensorField(chart, (DOWN, DOWN), identity(chart.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +175,32 @@ def contract(spec: str, *operands):
     operand's entries are summed as they are, and with no summed index each
     entry is the bare product of its factors."""
     arrays = [np.asarray(op, dtype=object) for op in operands]
-    takes, out_shape, summed = _contraction_plan(spec, tuple(a.shape for a in arrays))
+    takes, out_shape, terms = _contraction_plan(spec, tuple(a.shape for a in arrays))
+    # one flat list per operand and one of products, so that no list or
+    # tuple is made per term or per entry
     cols = [a.reshape(-1)[take].tolist() for a, take in zip(arrays, takes)]
-    terms = cols[0] if len(cols) == 1 else [list(map(mul, *rows)) for rows in zip(*cols)]
-    entries = [esum(t) for t in terms] if summed else [t[0] for t in terms]
+    products = cols[0] if len(cols) == 1 else list(map(mul, *cols))
+    if terms:
+        entries = [esum(products[i:i + terms]) for i in range(0, len(products), terms)]
+    else:
+        entries = products
     if not out_shape:
         return entries[0]
     out = np.empty(len(entries), dtype=object)
     out[:] = entries
     return out.reshape(out_shape)
+
+
+def partials(comps, chart: Chart) -> np.ndarray:
+    """The first partials of an Expr or an object array of Expr, as an
+    object array of shape ``comps.shape + (n,)``: entry [..., m] is
+    ``expr.differentiate`` of comps[...] along x^m.  Derivatives are cached
+    on the nodes, so a partial taken twice is the same object."""
+    arr = np.asarray(comps, dtype=object)
+    coords = chart.coords()
+    out = np.empty(arr.shape + (len(coords),), dtype=object)
+    out.reshape(-1)[:] = [ex.differentiate(e, c) for e in arr.reshape(-1) for c in coords]
+    return out
 
 
 def values_at(comps, points) -> np.ndarray:
@@ -217,8 +244,9 @@ def jet_contract(spec: str, *jets) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=256)
 def _contraction_plan(spec: str, shapes: tuple):
-    """(per-operand flat positions of shape (outputs, terms), output shape,
-    whether any index is summed) for ``contract``."""
+    """(per-operand flat positions, in the order outputs then terms, output
+    shape, terms per output entry or 0 when no index is summed) for
+    ``contract``."""
     lhs, arrow, out = spec.replace(" ", "").partition("->")
     subs = lhs.split(",")
     if not arrow or len(subs) != len(shapes):
@@ -238,10 +266,11 @@ def _contraction_plan(spec: str, shapes: tuple):
     grid = np.indices(full, sparse=True)
     takes = tuple(
         np.broadcast_to(np.ravel_multi_index([grid[order.index(c)] for c in sub], shape), full)
-        .reshape(math.prod(sizes[c] for c in out), math.prod(sizes[c] for c in summed))
+        .reshape(-1)
         for sub, shape in zip(subs, shapes)
     )
-    return takes, tuple(sizes[c] for c in out), bool(summed)
+    terms = math.prod(sizes[c] for c in summed) if summed else 0
+    return takes, tuple(sizes[c] for c in out), terms
 
 
 def _check_metric(metric: TensorField):
@@ -279,32 +308,17 @@ def antisymmetrize(t: TensorField, slot_set) -> TensorField:
         raise SlotError("bad slot set")
     if len({t.variance[s] for s in slots}) > 1:
         raise SlotError("cannot antisymmetrize slots of mixed variance")
-    n = t.chart.dim
-    k = len(slots)
-    norm = 1.0 / float(np.prod(range(1, k + 1)))
-    out = _object_array(t.comps.shape)
-    for idx in itertools.product(range(n), repeat=t.rank):
-        terms = []
-        for perm, sign in _permutations_with_sign(k):
-            src = list(idx)
-            for pos, s in enumerate(slots):
-                src[s] = idx[slots[perm[pos]]]
-            term = t.comps[tuple(src)]
-            terms.append(term if sign > 0 else neg(term))
-        out[idx] = mul(norm, esum(terms))
-    return TensorField(t.chart, t.variance, out)
-
-
-def coordinate_gradient(t: TensorField) -> TensorField:
-    """Raw partial derivatives of the components, with one extra leading
-    down slot (not a tensor: ``riemann.covariant_derivative`` corrects it)."""
-    n = t.chart.dim
-    out = _object_array((n,) + t.comps.shape)
-    for mu in range(n):
-        c = t.chart.coord(mu)
-        for idx in itertools.product(range(n), repeat=t.rank):
-            out[(mu,) + idx] = ex.differentiate(t.comps[idx], c)
-    return TensorField(t.chart, (DOWN,) + t.variance, out)
+    terms = []
+    for perm, sign in _permutations_with_sign(len(slots)):
+        # term[idx] = t[src] with src[slots[pos]] = idx[slots[perm[pos]]]
+        axes = list(range(t.rank))
+        for pos, s in enumerate(slots):
+            axes[slots[perm[pos]]] = s
+        term = t.comps.transpose(axes)
+        terms.append(term if sign > 0 else -term)
+    idx = _LETTERS[:t.rank]
+    out = TensorField(t.chart, t.variance, contract(f"z{idx}->{idx}", np.stack(terms)))
+    return out.scale(1.0 / math.factorial(len(slots)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +376,7 @@ def check_antisymmetric(t: TensorField):
         return
     pts = t.chart.sample_points()
     for i in range(t.rank - 1):
-        swapped = np.swapaxes(t.comps, i, i + 1)
-        diff = [add(a, b) for a, b in zip(t.comps.reshape(-1), swapped.reshape(-1))]
+        diff = t.comps + np.swapaxes(t.comps, i, i + 1)
         worst, _ = ex.max_abs_on_points(diff, pts)
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"antisymmetry residual {worst:.3e} in slots ({i},{i + 1})")
@@ -374,24 +387,19 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     (d w)_{i0..ip} = sum_k (-1)^k d_{i_k} w_{i0..^i_k..ip}."""
     if any(v != DOWN for v in omega.variance):
         raise SlotError("exterior derivative needs a covariant form")
-    n = omega.chart.dim
     p = omega.rank
-    out = _object_array((n,) * (p + 1))
-    coords = omega.chart.coords()
-    for idx in itertools.product(range(n), repeat=p + 1):
-        terms = []
-        for k in range(p + 1):
-            rest = idx[:k] + idx[k + 1:]
-            term = ex.differentiate(omega.comps[rest], coords[idx[k]])
-            terms.append(term if k % 2 == 0 else neg(term))
-        out[idx] = esum(terms)
+    d = partials(omega.comps, omega.chart)
+    terms = [np.moveaxis(d, -1, k) for k in range(p + 1)]  # d_{i_k} w_{..^i_k..}
+    terms = [t if k % 2 == 0 else -t for k, t in enumerate(terms)]
+    idx = _LETTERS[:p + 1]
+    out = contract(f"z{idx}->{idx}", np.stack(terms))
     return TensorField(omega.chart, (DOWN,) * (p + 1), out)
 
 
 def form_from_wedge_coeffs(chart: Chart, degree: int, coeffs: dict) -> TensorField:
     """Antisymmetric covariant tensor from coefficients of the wedge basis,
     e.g. {(0,1): b} for b dx^0 ^ dx^1 (component T_{01} = b, T_{10} = -b)."""
-    out = _object_array((chart.dim,) * degree)
+    out = zeros_array((chart.dim,) * degree)
     for idx, value in coeffs.items():
         if len(set(idx)) != len(idx):
             raise SlotError("wedge index with a repeat")
@@ -403,32 +411,18 @@ def form_from_wedge_coeffs(chart: Chart, degree: int, coeffs: dict) -> TensorFie
 
 
 def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
-    """Commutator of two vector fields."""
+    """Commutator of two vector fields: [X, Y]^c = X^a d_a Y^c - Y^a d_a X^c."""
     _same_chart(x, y)
-    n = x.chart.dim
-    coords = x.chart.coords()
-    out = _object_array((n,))
-    for c in range(n):
-        terms = []
-        for a in range(n):
-            terms.append(mul(x.comps[a], ex.differentiate(y.comps[c], coords[a])))
-            terms.append(neg(mul(y.comps[a], ex.differentiate(x.comps[c], coords[a]))))
-        out[c] = esum(terms)
+    dx, dy = partials(x.comps, x.chart), partials(y.comps, x.chart)
+    out = contract("as,sca->c", np.stack([x.comps, y.comps], 1), np.stack([dy, -dx]))
     return TensorField(x.chart, (UP,), out)
 
 
 def lie_derivative_oneform(x: TensorField, eta: TensorField) -> TensorField:
     """(L_X eta)_m = X^a d_a eta_m + eta_a d_m X^a."""
     _same_chart(x, eta)
-    n = x.chart.dim
-    coords = x.chart.coords()
-    out = _object_array((n,))
-    for m in range(n):
-        terms = []
-        for a in range(n):
-            terms.append(mul(x.comps[a], ex.differentiate(eta.comps[m], coords[a])))
-            terms.append(mul(eta.comps[a], ex.differentiate(x.comps[a], coords[m])))
-        out[m] = esum(terms)
+    dx, deta = partials(x.comps, x.chart), partials(eta.comps, x.chart)
+    out = contract("as,sma->m", np.stack([x.comps, eta.comps], 1), np.stack([deta, dx.T]))
     return TensorField(x.chart, (DOWN,), out)
 
 
@@ -442,8 +436,4 @@ def interior_product(x: TensorField, omega: TensorField) -> TensorField:
 
 def d_scalar(chart: Chart, f) -> TensorField:
     """Differential of a scalar field as a 1-form."""
-    f = ex._coerce(f)
-    out = _object_array((chart.dim,))
-    for mu in range(chart.dim):
-        out[mu] = ex.differentiate(f, chart.coord(mu))
-    return TensorField(chart, (DOWN,), out)
+    return TensorField(chart, (DOWN,), partials(f, chart))

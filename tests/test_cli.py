@@ -509,14 +509,14 @@ def test_main_unbounded_domain_is_an_input_error(tmp_path, capsys, domain):
     assert "[chart]" in capsys.readouterr().err
 
 
-def four_d_scene(points):
-    """The scene of ``make_scene.py --dim 4 --seed 1 --invertible-b``."""
+def four_d_scene(points, seed=1):
+    """The scene of ``make_scene.py --dim 4 --seed <seed> --invertible-b``."""
     sys.path.insert(0, str(SCENES.parent / "scripts"))
     try:
         import make_scene
     finally:
         sys.path.pop(0)
-    return scene_from_dict(make_scene.build(dim=4, seed=1, invertible_b=True, scale=0.25,
+    return scene_from_dict(make_scene.build(dim=4, seed=seed, invertible_b=True, scale=0.25,
                                             points=points))
 
 
@@ -529,6 +529,42 @@ def test_central_on_a_4d_scene(points):
     assert {c.name for c in report.checks} == {"central.off-block-identity",
                                                "central.scalar-identity"}
     assert all(c.max_abs_residual <= 1e-9 for c in report.checks)
+
+
+ALL_CHECKS = {
+    "axioms.anchor-morphism", "axioms.derivative-fd-consistency", "axioms.differential-image",
+    "axioms.eigenbundle-graphs", "axioms.induced-form", "axioms.involution",
+    "axioms.left-leibniz", "axioms.leibniz-identity", "axioms.pairing-invariance",
+    "axioms.shear-intertwines-brackets", "axioms.symmetric-part",
+    "beta.antisymmetric-two-forms-agree", "beta.scalar-combination",
+    "beta.symmetric-index-free-agree",
+    "central.off-block-identity", "central.scalar-identity",
+    "curvature.bianchi-torsion-free", "curvature.bianchi-torsionful",
+    "curvature.characteristic-field-minimal", "curvature.family-torsion-free",
+    "curvature.interchange", "curvature.metric-scalar-closed-form", "curvature.pair-swap",
+    "curvature.pairing-scalar-vanishes", "curvature.skew-first-pair", "curvature.skew-last-pair",
+    "curvature.trace-identity",
+    "equivalence.ricci-transport", "equivalence.simultaneous-vanishing",
+    "symplectic.algebroid-compatibility", "symplectic.algebroid-torsion-free",
+    "symplectic.scalar-two-paths", "symplectic.twisted-jacobi",
+    "torsion.block-transport-pullback", "torsion.metric-compatibility",
+    "torsion.minimal-vanishes", "torsion.pairing-compatibility", "torsion.total-antisymmetry",
+}
+
+
+def test_all_on_a_4d_scene_with_a_twist_on_the_image_of_theta():
+    # dB(theta ., theta ., theta .) is nonzero here (dB = 0 on every 2-D
+    # chart), so the twisted Koszul bracket, the Schouten residual and the
+    # symplectic and equivalence suites read a twist; B is well conditioned
+    # at these points, unlike on the seed-1 scene
+    scene = four_d_scene(2, seed=3)
+    th = gtb.theta_matrix_from_b(scene.background.B).comps
+    dB = tn.exterior_derivative(scene.background.B).comps
+    twist = tn.contract("abc,ai,bj,ck->ijk", dB, th, th, th)
+    assert ex.max_abs_on_points(twist, scene.chart.sample_points())[0] > 0.1
+    report = run_command("all", scene)
+    assert {c.name for c in report.checks} == ALL_CHECKS
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -482,7 +482,7 @@ def test_affine_family_scalar_relations():
     eta = gtb.pairing_gram(C2)
     kp = tn.contract("lm,lmc->c", eta, K)  # K'(psi) = K(e_l, e^l, psi)
     # Div K' = (nab_{e_l} K')(e^l) and |K'|^2 = K'(e_l) K'(e^l)
-    nab_kp = np.array([alg.connection_apply_dual(base_gamma, lam, kp) for lam in range(4)])
+    nab_kp = alg.connection_apply_dual(base_gamma, kp)
     pts = C2.sample_points()
 
     lhs = gconn.scalar_E(other)

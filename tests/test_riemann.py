@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.expr import chart, evaluate, parse_expr
-from gencourant.tensors import DOWN, UP
+from gencourant.tensors import DOWN, UP, TensorField
 
 
 C2 = chart("x y", seed=13)
@@ -146,12 +146,24 @@ def test_metric_compatibility():
     assert nabg.max_abs()[0] < 1e-12
 
 
-def test_flat_covariant_derivative_is_gradient():
+def test_covariant_derivative_of_inverse_metric_and_identity_vanish():
+    """Up slots (g^{-1}) and mixed slots (the identity) on a curved metric."""
+    c3 = chart("x y z", seed=17)
+    curved3 = mk_metric(c3, [["2 + x^2/4", "x*y/8", "0"],
+                             ["x*y/8", "1 + y*z/4", "z/8"],
+                             ["0", "z/8", "3 + x^2"]])
+    for g in (make_bumpy_metric(C2), curved3):
+        gamma = rm.christoffel(g)
+        assert rm.covariant_derivative(gamma.metric_inverse, gamma).max_abs()[0] < 1e-12
+        assert rm.covariant_derivative(tn.kronecker(g.chart), gamma).max_abs()[0] < 1e-12
+
+
+def test_flat_covariant_derivative_is_the_partials():
     g = tn.euclidean_metric(C2)
     gamma = rm.christoffel(g)
     t = tn.from_function(C2, (UP, DOWN), lambda i, j: parse_expr(f"x^{i + 1}*y^{j + 1}", C2))
     a = rm.covariant_derivative(t, gamma)
-    b = tn.coordinate_gradient(t)
+    b = TensorField(C2, (DOWN, UP, DOWN), np.moveaxis(tn.partials(t.comps, C2), -1, 0))
     diff = [p - q for p, q in zip(a.comps.reshape(-1), b.comps.reshape(-1))]
     assert tn.ex.max_abs_on_points(diff, C2.sample_points())[0] < 1e-12
 

@@ -282,19 +282,29 @@ def test_mixed_variance_antisymmetrization_rejected():
         tn.antisymmetrize(t, (0, 1))
 
 
-def test_coordinate_gradient_basics():
-    const = tn.from_function(C2, (UP,), lambda i: 3)
-    assert tn.coordinate_gradient(const).max_abs()[0] == 0.0
+def test_partials_are_the_cached_derivatives():
+    t = tn.from_function(C2, (UP, DOWN), lambda i, j: poly(f"x^{i + 1}*y^{j + 2} + sin(x*y)"))
+    d = tn.partials(t.comps, C2)
+    assert d.shape == t.comps.shape + (2,)
+    for i, j, m in itertools.product(range(2), repeat=3):
+        assert d[i, j, m] is tn.ex.differentiate(t.comps[i, j], C2.coord(m))
+    f = poly("x^2*y")
+    df = tn.partials(f, C2)  # a bare Expr
+    assert df.shape == (2,)
+    assert all(df[m] is tn.ex.differentiate(f, C2.coord(m)) for m in range(2))
 
-    f = tn.scalar_field(C1, parse_expr("x^2", C1))
-    grad = tn.coordinate_gradient(f)
+
+def test_partials_basics():
+    const = tn.from_function(C2, (UP,), lambda i: 3)
+    assert tn.ex.max_abs_on_points(tn.partials(const.comps, C2), C2.sample_points())[0] == 0.0
+
+    grad = tn.partials(parse_expr("x^2", C1), C1)
     for p in C1.sample_points():
         assert evaluate(grad[0], p) == pytest.approx(2 * p[0], rel=1e-12)
 
 
-def test_second_gradients_commute():
-    f = tn.scalar_field(C2, poly("x^2*y + sin(x*y)"))
-    dd = tn.coordinate_gradient(tn.coordinate_gradient(f))
+def test_second_partials_commute():
+    dd = tn.partials(tn.partials(poly("x^2*y + sin(x*y)"), C2), C2)
     diff = dd[0, 1] - dd[1, 0]
     assert tn.ex.max_abs_on_points([diff], C2.sample_points())[0] < 1e-12
 

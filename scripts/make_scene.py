@@ -16,9 +16,12 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+if __name__ == "__main__":
+    # run as a script, it uses its own checkout's package; imported, it
+    # leaves sys.path to its importer
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gencourant.expr import SplitMix64, chart, random_polynomial, to_string
+from gencourant.expr import SplitMix64, chart, random_polynomial, to_string  # noqa: E402
 
 
 def poly_text(c, gen, scale):

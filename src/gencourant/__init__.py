@@ -5,8 +5,9 @@ Layers, bottom to top:
 
 - ``expr``     scalar fields as expression trees (parse, differentiate,
                evaluate, simplify) plus chart sampling
-- ``tensors``  dense variance-aware tensor fields and index algebra
-- ``riemann``  classical operators of the chart metric (Levi-Civita
+- ``tensors``  dense variance-aware tensor fields, index algebra, and jets
+               (values and first partials at the sample points)
+- ``riemann``  classical operators of the chart metric on jets (Levi-Civita
                connection, curvature, codifferential, Laplacian)
 - ``gtb``      pairing, twisted Dorfman bracket, generalized metrics,
                bivector twists, Koszul bracket and Lie-algebroid calculus

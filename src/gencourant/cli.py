@@ -41,8 +41,6 @@ def _flat(arrays):
     for a in arrays:
         if isinstance(a, np.ndarray):
             out.extend(a.reshape(-1))
-        elif isinstance(a, tn.TensorField):
-            out.extend(a.comps.reshape(-1))
         else:
             out.append(a)
     return out
@@ -58,7 +56,8 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     chart = scene.chart
     pts = chart.sample_points()
     tol = scene.tol("sym")
-    H = derived.h_prime
+    derived.h_prime  # H' is validated before the bracket reads it
+    H = bg.h_total()
     gen = chart.rng(1009)
     triples = [tuple(gtb.random_section(chart, gen) for _ in range(3)) for _ in range(3)]
     out = []
@@ -110,25 +109,22 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
 
     gm = derived.metric
     tau = gm.tau_matrix()
-    tau2 = tn.contract("ik,kj->ij", tau, tau) - np.eye(2 * chart.dim)
+    tau2 = np.einsum("ikp,kjp->ijp", tau, tau) - np.eye(2 * chart.dim)[..., None]
     out.append(_check("axioms.involution", "squared metric involution is the identity",
-                      tau2.reshape(-1), pts, tol))
+                      tau2, pts, tol))
 
     proj = []
     genv = chart.rng(1013)
-    X = tn.from_function(chart, ("up",), lambda i: ex.random_polynomial(chart, genv))
-    plus, minus = gm.psi_plus(X), gm.psi_minus(X)
-    proj.extend((gm.project(plus, +1) - plus).components())
-    proj.extend(gm.project(plus, -1).components())
-    proj.extend((gm.project(minus, -1) - minus).components())
-    proj.extend(gm.project(minus, +1).components())
+    X = tn.values_at([ex.random_polynomial(chart, genv) for _ in range(chart.dim)], pts)
+    for sign in (+1, -1):
+        psi = np.einsum("aip,ip->ap", gm.graph(sign), X)
+        proj += [gm.project(psi, sign) - psi, gm.project(psi, -sign)]
     out.append(_check("axioms.eigenbundle-graphs",
-                      "graph embeddings land in the projector eigenbundles", proj, pts, tol))
+                      "graph embeddings land in the projector eigenbundles", np.stack(proj), pts, tol))
 
-    hdiff = [a - b for a, b in
-             zip(gm.h_form().comps.reshape(-1), gm.g_inv.comps.reshape(-1))]
     out.append(_check("axioms.induced-form",
-                      "induced cotangent form equals the inverse metric", hdiff, pts, tol))
+                      "induced cotangent form equals the inverse metric",
+                      gm.h_form() - gm.g_inv.value, pts, tol))
 
     shear, at = gtb.twisted_bracket_check(bg.B, bg.H)
     out.append(Check("axioms.shear-intertwines-brackets",
@@ -163,7 +159,7 @@ def checks_torsion(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     T = gconn.gualtieri_torsion(derived.block_lc)
     n = chart.dim
     want = np.zeros_like(T)
-    want[:n, :n, :n] = tn.values_at(derived.h_prime.comps, pts)
+    want[:n, :n, :n] = derived.h_prime.value
     out.append(_check("torsion.block-transport-pullback",
                       "block transport torsion is the anchor pullback of the twist",
                       T - want, pts, scene.tol("sym")))
@@ -209,10 +205,10 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
                       "pairing trace of the distinguished connection vanishes",
                       gconn.scalar_E(minimal), pts, scene.tol("strict")))
     _, rscal = derived.curvature
-    closed = rscal - 0.5 * rm.form_inner(Hp, Hp, derived.ginv)
+    closed = rscal - 0.5 * rm.form_inner(Hp.value, Hp.value, derived.ginv.value)
     out.append(_check("curvature.metric-scalar-closed-form",
                       "metric trace equals chart scalar minus half the twist norm",
-                      gconn.scalar_G(minimal) - tn.values_at(closed, pts), pts, tol))
+                      gconn.scalar_G(minimal) - closed, pts, tol))
     out.append(_check("curvature.characteristic-field-minimal",
                       "characteristic vector field of the distinguished connection vanishes",
                       gconn.char_vf(minimal), pts, scene.tol("strict")))
@@ -245,22 +241,18 @@ def checks_beta(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     tol = scene.tol("sym")
     betas = derived.betas
     out = []
-    other = streff.beta_b_conformal_form(derived)
     out.append(_check("beta.antisymmetric-two-forms-agree",
                       "divergence and conformally weighted forms of the antisymmetric residual",
-                      [a - b for a, b in zip(betas.beta_B.comps.reshape(-1), other.comps.reshape(-1))],
-                      pts, tol))
-    index = streff.beta_g_index_form(derived)
+                      betas.beta_B - streff.beta_b_conformal_form(derived), pts, tol))
     out.append(_check("beta.symmetric-index-free-agree",
                       "index and index-free assemblies of the symmetric residual",
-                      [a - b for a, b in zip(betas.beta_g.comps.reshape(-1), index.comps.reshape(-1))],
-                      pts, tol))
-    Hp = derived.h_prime
-    lap, _, norm2 = rm.laplace_divergence(scene.background.phi, derived.gamma)
-    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, derived.ginv)
+                      betas.beta_g - streff.beta_g_index_form(derived), pts, tol))
+    Hp = derived.h_prime.value
+    lap, _, norm2 = rm.laplace_divergence(derived.jets.phi[1], derived.gamma)
+    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, derived.ginv.value)
     out.append(_check("beta.scalar-combination",
                       "dependent scalar equals its direct assembly",
-                      [betas.beta_phi_prime - direct], pts, 1e-12))
+                      betas.beta_phi_prime - direct, pts, 1e-12))
     worst, _ = betas.max_abs(pts)
     return out, {"beta_max_abs": worst, "beta_on_shell": worst < streff.VANISH_TOL}
 
@@ -295,18 +287,18 @@ def checks_symplectic(scene: Scene, derived: streff.Derived) -> tuple[list, dict
     tol = scene.tol("sym")
     pkg = derived.symplectic
     out = []
-    res_sch = gtb.schouten_check(pkg.theta, pkg.cotangent.twist)
+    res_sch = gtb.schouten_check(pkg.cotangent.theta, pkg.cotangent.twist.value, pts)
     out.append(_check("symplectic.twisted-jacobi",
                       "inverse bivector satisfies the twisted Jacobi identity",
-                      _flat([res_sch]), pts, tol))
+                      res_sch, pts, tol))
     alg = pkg.cotangent.algebroid
-    gamma = tn.values_at(pkg.gamma, pts)
-    torsion = gtb.frame_torsion(gamma, tn.values_at(alg.structure, pts))
+    gamma = pkg.gamma.value
+    torsion = gtb.frame_torsion(gamma, alg.structure.value)
     out.append(_check("symplectic.algebroid-torsion-free",
                       "coframe connection is torsion-free", torsion, pts, tol))
     out.append(_check("symplectic.algebroid-compatibility",
                       "coframe connection preserves the fiber metric",
-                      alg.covariant_derivative_at(gamma, pkg.g_A, pts), pts, tol))
+                      alg.covariant_derivative_of(gamma, pkg.g_A), pts, tol))
     res1, _, _ = derived.dual_residuals
     out.append(_check("symplectic.scalar-two-paths",
                       "coframe scalar residual equals the sheared metric Ricci trace",
@@ -370,10 +362,10 @@ def run_command(cmd: str, scene: Scene) -> Report:
                     raise
                 summary["symplectic_skipped"] = str(err)
                 break
-        # One evaluation scope per suite: the checks of a suite (and its
-        # summary) read shared nodes, each evaluated once at each point; the
-        # values are released when the suite ends.
-        with ex.evaluation_scope():
+        # The numeric stages check their outputs finite where they are made
+        # (tensors.finite); an overflow after them shows as a non-finite
+        # residual, which fails its check, not as a numpy warning.
+        with np.errstate(all="ignore"):
             suite_checks, suite_summary = SUITES[name](scene, derived)
         checks.extend(suite_checks)
         summary.update(suite_summary)

@@ -24,10 +24,13 @@ class UnknownSymbol(GencourantError):
 
 
 class DomainError(GencourantError):
-    """Numeric evaluation hit a singular point (1/0, ln(x<=0), sqrt(x<0))."""
+    """Numeric evaluation hit a singular point (1/0, ln(x<=0), sqrt(x<0)) in
+    a subexpression, or a numeric stage produced a non-finite number (no
+    subexpression: the message names the stage)."""
 
-    def __init__(self, message, subexpr):
-        super().__init__(f"{message} in subexpression '{subexpr}'")
+    def __init__(self, message, subexpr=None):
+        at = "" if subexpr is None else f" in subexpression '{subexpr}'"
+        super().__init__(f"{message}{at}")
         self.subexpr = subexpr
 
 

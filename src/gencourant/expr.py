@@ -38,9 +38,9 @@ floats) and summing in term order.  It is used only with two or more
 points; when a domain condition, an overflow or a non-finite root value
 turns up at any point, it drops its result and the scalar walk is replayed
 point by point, so errors and non-finite values are exactly the scalar
-walk's.  Both memos live for one call, unless the call is made inside an
-``evaluation_scope``: then the calls on one point set share them until the
-scope ends, so checks that read the same nodes evaluate them once.
+walk's.  Both memos live for one call: the numeric stages take what they
+read of a background from one call per field (``streff.Derived.jets``), so
+no value is shared across calls.
 
 ``evaluate_jets`` gives the first partials of its roots as well as their
 values, with no derivative DAG built: after the roots are valued as
@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +156,7 @@ class Chart:
     def sample_points(self) -> tuple[tuple[float, ...], ...]:
         """num_points points, coordinates drawn uniformly from the domain box
         in row-major (point, coordinate) order from the chart's generator.
-        Drawn on the first call; every call returns that same tuple, so the
-        memos of an ``evaluation_scope`` (keyed by ``repr(points)``) match."""
+        Drawn on the first call; every call returns that same tuple."""
         return self._sample_points
 
     @functools.cached_property
@@ -654,45 +651,6 @@ def evaluate_many(exprs, point, memo: dict | None = None) -> list[float]:
     return [_eval_into(e, pt, memo) for e in exprs]
 
 
-class _Scope:
-    """The memos of an ``evaluation_scope``, by point set, and the roots
-    whose nodes they are keyed by (kept alive so that no ``id`` is reused)."""
-
-    def __init__(self):
-        self.roots: list = []
-        self.memos: dict = {}
-
-    def memos_for(self, roots: list, points):
-        """(vector-pass memo, one per-point memo per point) for ``points``."""
-        self.roots.append(roots)
-        key = repr(points)  # exact: tells 0.0 from -0.0, unlike ==
-        hit = self.memos.get(key)
-        if hit is None:
-            hit = self.memos[key] = ({}, [{} for _ in points])
-        return hit
-
-
-_scope: ContextVar[_Scope | None] = ContextVar("evaluation_scope", default=None)
-
-
-@contextmanager
-def evaluation_scope():
-    """Within the block, ``evaluate_points`` and ``evaluate_jets`` calls on
-    one point set share their memos (values and tangents), so a node reached
-    from several calls is evaluated once.
-    The values are those of separate calls, bit for bit, and so are the
-    errors: a node that raised is never stored.  Everything is released
-    when the outermost block ends; a nested block joins the outer one."""
-    if _scope.get() is not None:
-        yield
-        return
-    token = _scope.set(_Scope())
-    try:
-        yield
-    finally:
-        _scope.reset(token)
-
-
 def _fill(roots, memo: dict, value) -> None:
     """Store ``value(node)`` in ``memo`` under ``id(node)`` for every node
     under ``roots`` not yet in it, children first.  An explicit stack:
@@ -792,13 +750,12 @@ def evaluate_points(exprs, points) -> np.ndarray:
     points go straight to the per-point walk.
     """
     exprs = list(exprs)
-    vector_memo, point_memos = _memos(exprs, points)
     cols = _columns(points)
     if cols is not None:
-        out = _vector_pass(exprs, cols, vector_memo)
+        out = _vector_pass(exprs, cols, {})
         if out is not None:
             return out
-    rows = [evaluate_many(exprs, pt, memo) for pt, memo in zip(points, point_memos)]
+    rows = [evaluate_many(exprs, pt) for pt in points]
     return np.array(rows, dtype=float).reshape(len(points), len(exprs)).T
 
 
@@ -808,8 +765,8 @@ def evaluate_jets(roots, points) -> tuple[np.ndarray, np.ndarray]:
     partials[i, m, p] = d root_i / d x^m at points[p] and n the length of a
     point.
 
-    The values come from the walks of ``evaluate_points``, with its memos
-    and its replay rule.  The tangent pass then runs over the memo that
+    The values come from the walks of ``evaluate_points``, with its replay
+    rule.  The tangent pass then runs over the memo that
     holds them: over all points at once after the vector pass, and otherwise
     at each point right after the values there.  A partial that is not
     finite in the vector pass sends the whole call to the per-point walk,
@@ -817,7 +774,7 @@ def evaluate_jets(roots, points) -> tuple[np.ndarray, np.ndarray]:
     derivative is singular or overflows."""
     roots = list(roots)
     count = len(points)
-    vector_memo, point_memos = _memos(roots, points)
+    vector_memo = {}
     cols = _columns(points)
     if cols is not None:
         values = _vector_pass(roots, cols, vector_memo)
@@ -832,7 +789,8 @@ def evaluate_jets(roots, points) -> tuple[np.ndarray, np.ndarray]:
     unit = np.eye(n)
     values = np.empty((len(roots), count))
     partials = np.empty((len(roots), n, count))
-    for p, (pt, memo) in enumerate(zip(points, point_memos)):
+    for p, pt in enumerate(points):
+        memo = {}
         values[:, p] = evaluate_many(roots, pt, memo)
         for i, f in enumerate(roots):
             t = _partials(f, memo, unit, (n,))
@@ -840,15 +798,6 @@ def evaluate_jets(roots, points) -> tuple[np.ndarray, np.ndarray]:
                 _raise_singular_tangent(f, memo)
             partials[i, :, p] = t
     return values, partials
-
-
-def _memos(roots: list, points):
-    """(vector-pass memo, one per-point memo per point) for one call: those
-    of the enclosing ``evaluation_scope``, or fresh ones."""
-    scope = _scope.get()
-    if scope is None:
-        return {}, [{} for _ in points]
-    return scope.memos_for(roots, points)
 
 
 def _columns(points):

@@ -6,30 +6,30 @@ A connection is a coefficient array Gamma[C, A, B] with
 nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``CourantFrame``: the
 anchored frame of ``gtb.AnchoredFrame`` (anchor and frame brackets of the
 ambient bracket) plus the constant pairing Gram matrix.  The frame calculus
-(frame derivatives, connection action, covariant derivative of frame forms,
-the torsion of a frame and the curvature R0 below) is that of
-``gtb.AnchoredFrame``; this module adds what is specific to Courant
-algebroids: the pairing, the left-Leibniz term of the bracket, the Gualtieri
-torsion, the symmetrised curvature R and its pairing-dual traces.
+(covariant derivative of frame forms, the torsion of a frame and the
+curvature R0 below) is that of ``gtb.AnchoredFrame``; this module adds what
+is specific to Courant algebroids: the pairing, the left-Leibniz term of the
+bracket, the Gualtieri torsion, the symmetrised curvature R and its
+pairing-dual traces.
 Everything downstream is computed from those two ingredients, so the same
 code serves the standard twisted bracket, its shear by e^B, and the
 bivector-sheared bracket.
 
 A connection is its coefficients at the chart's sample points: the values
-Gamma[C, A, B, p] and the first partials dGamma[C, A, B, m, p] (a jet).  The
-minimal connection and the block transport are built as expressions and
-valued once, by ``tensors.jets_at``; the parameter family (``with_params``)
-and the transports (``untwist``, ``theta_transport``) compute their jets
-from the jets of their ingredients by ``tensors.jet_contract``, the product
-rule applied to one einsum.  The brackets and the anchor of a picture, the
-metric and the parameters stay expressions.  Everything read from a
-connection is numbers at those points, each array ending in the point
-axis: the torsion (``torsion_map``), the compatibility residuals
-(``gtb.covariant_derivative``), R0 (``gtb.AnchoredFrame.curvature``), from
-which R, the Ricci tensor and its traces follow by einsum, and the
-characteristic field and the V tensor.  An expression that meets them (the
-graph sections Psi_pm, the inverse Gram matrix, the twist) is valued at
-the same points first (``tensors.values_at`` or ``tensors.jets_at``).
+Gamma[C, A, B, p] and the first partials dGamma[C, A, B, m, p] (a jet).
+Everything it is built from is a jet too (``tensors.Jet``): the chart
+connection and H' for the minimal connection and the block transport, the
+metric and the parameters for the family (``with_params``), the 2-jets of
+B and theta for the transports (``untwist``, ``theta_transport``), the
+anchor and the brackets of each picture.  They are combined by
+``tensors.jet_contract``, the product rule applied to one einsum.
+Everything read from a connection is numbers at those points, each array
+ending in the point axis: the torsion (``torsion_map``), the compatibility
+residuals (``gtb.covariant_derivative``), R0
+(``gtb.AnchoredFrame.curvature``), from which R, the Ricci tensor and its
+traces follow by einsum, and the characteristic field and the V tensor.
+The random parameter pairs of the curvature suite are expressions of the
+chart, valued once by ``validate_params``.
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -55,9 +55,9 @@ from . import gtb
 from . import riemann as rm
 from . import tensors as tn
 from .errors import InvalidLieAlgebra, NotAntisymmetric, SingularMetric
-from .expr import Chart, Expr
+from .expr import Chart
 from .gtb import GeneralizedMetric
-from .tensors import DOWN, UP, TensorField
+from .tensors import DOWN, UP, Jet, TensorField
 
 
 # ---------------------------------------------------------------------------
@@ -80,46 +80,41 @@ class CourantFrame(gtb.AnchoredFrame):
         n = self.chart.dim
         return a + n if a < n else a - n
 
-    def d_map_components(self, f: Expr) -> np.ndarray:
-        """Frame components of the bracket differential: <Df, e_A> = rho(e_A).f,
-        so (Df)^C = rho(e_{swap(C)}).f."""
-        return tn.contract("cm,m->c", self.anchor[_swap(self)], tn.partials(f, self.chart))
 
-
-def standard_algebroid(chart: Chart, H: TensorField) -> CourantFrame:
-    """The twisted Dorfman bracket on the coordinate frame: anchor projects
-    to the vector part; the only nonzero frame brackets are
-    [(d_mu,0),(d_nu,0)] = (0, -H(d_mu, d_nu, .))."""
+def standard_algebroid(chart: Chart, H: Jet) -> CourantFrame:
+    """The twisted Dorfman bracket on the coordinate frame, for the jet of
+    the twist: anchor projects to the vector part; the only nonzero frame
+    brackets are [(d_mu,0),(d_nu,0)] = (0, -H(d_mu, d_nu, .))."""
     n = chart.dim
-    anchor = np.concatenate([tn.identity(n), tn.zeros_array((n, n))])
-    brackets = tn.zeros_array((2 * n,) * 3)
-    brackets[n:, :n, :n] = np.moveaxis(-H.comps, 2, 0)  # [n + l, m, v] = -H[m, v, l]
+    anchor = tn.constant_jet(np.concatenate([np.eye(n), np.zeros((n, n))]), chart)
+    brackets = tn.constant_jet(np.zeros((2 * n,) * 3), chart)
+    brackets[n:, :n, :n] = -tn.jet_contract("mvl->lmv", H)  # [n + l, m, v] = -H[m, v, l]
     return CourantFrame(chart, anchor, brackets)
 
 
-def conjugated_algebroid(chart: Chart, F: np.ndarray, Finv: np.ndarray,
+def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet,
                          source: CourantFrame) -> CourantFrame:
-    """Pull the bracket of ``source`` back through the frame isomorphism F:
-    [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
-    anchor = source.anchor_of(F).T
-    brackets = tn.contract("cd,dab->cab", Finv, _bracket_components(source, F, F))
+    """Pull the bracket of ``source`` back through the frame isomorphism
+    with 2-jet F: [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
+    anchor = tn.jet_contract("ax,am->xm", F[0], source.anchor)
+    brackets = tn.jet_contract("cd,dab->cab", Finv, _bracket_components(source, F, F))
     return CourantFrame(chart, anchor, brackets)
 
 
-def _bracket_components(alg: CourantFrame, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[psi, phi] of general sections: the anchored-frame bracket
+def _bracket_components(alg: CourantFrame, u: tuple[Jet, Jet], v: tuple[Jet, Jet]) -> Jet:
+    """The jet of [psi, phi] for two batches of sections given by their
+    2-jets, u[A, x] and v[B, y] (with du[A, x, m] = d_m u^A), as [C, x, y]:
+    the anchored-frame bracket
     u^A v^B [e_A,e_B] + (rho(u).v^C) e_C - (rho(v).u^C) e_C plus the
     left-Leibniz term of the Courant bracket, the D<u, e_B> contributions
-    from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df.
-    Sections are u[A] and v[B], or batches u[A, x] and v[B, y], which give
-    [C, x, y] (see ``gtb.AnchoredFrame.bracket``)."""
-    x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
-    # left-Leibniz term <e_A, v> D(u^A), with (Df)^C = rho(e_swap(C)).f:
-    # the products rho(e_swap(C))^m d_m u^A, then paired with <e_A, v>
-    paired = tn.contract(f"b{y},ab->a{y}", v, gtb.pairing_gram(alg.chart))
-    dual_anchor = alg.anchor[_swap(alg)]
-    products = tn.contract(f"cm,a{x}m->ca{x}m", dual_anchor, tn.partials(u, alg.chart))
-    return alg.bracket(u, v) + tn.contract(f"a{y},ca{x}m->c{x}{y}", paired, products)
+    from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df,
+    with (Df)^C = rho(e_swap(C)).f."""
+    (u, du), (v, dv) = u, v
+    eta = tn.constant_jet(gtb.pairing_gram(alg.chart), alg.chart)
+    return (tn.jet_contract("ax,by,cab->cxy", u, v, alg.structure)
+            + tn.jet_contract("ax,am,cym->cxy", u, alg.anchor, dv)
+            - tn.jet_contract("by,bm,cxm->cxy", v, alg.anchor, du)
+            + tn.jet_contract("by,ab,cm,axm->cxy", v, eta, alg.anchor[_swap(alg)], du))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +141,11 @@ class GenConnection:
         return self.algebroid.chart
 
 
-def _valued(alg: CourantFrame, gamma: np.ndarray, metric: GeneralizedMetric) -> GenConnection:
-    """The connection with coefficients gamma, an object array of Expr, by
-    one ``tensors.jets_at`` at the chart's sample points."""
-    return GenConnection(alg, *tn.jets_at(gamma, alg.chart.sample_points()), metric)
+def _connection(stage: str, alg: CourantFrame, gamma: Jet,
+                metric: GeneralizedMetric) -> GenConnection:
+    """The connection with coefficient jet gamma, after checking that it is
+    finite (``tensors.finite``, which names ``stage``)."""
+    return GenConnection(alg, *tn.finite(stage, gamma, alg.chart.sample_points()), metric)
 
 
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
@@ -159,16 +155,15 @@ def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
     pts = conn.chart.sample_points()
     alg = conn.algebroid
     eta = np.broadcast_to(gtb.pairing_gram(conn.chart)[..., None], (alg.dim2,) * 2 + (len(pts),))
-    return gtb.covariant_derivative(conn.gamma, tn.values_at(alg.anchor, pts),
+    return gtb.covariant_derivative(conn.gamma, alg.anchor.value,
                                     eta, np.zeros(eta.shape[:2] + (conn.chart.dim, len(pts))))
 
 
 def metric_compat_residual(conn: GenConnection) -> np.ndarray:
     """[A, B, C, p]: (nab_A G)(e_B, e_C) = rho(e_A).G(e_B,e_C) - G(nab_A e_B, e_C)
-    - G(e_B, nab_A e_C) at the chart's sample points, from the jets of the
+    - G(e_B, nab_A e_C) at the chart's sample points, from the jet of the
     Gram matrix."""
-    return conn.algebroid.covariant_derivative_at(conn.gamma, conn.metric.gram(),
-                                                  conn.chart.sample_points())
+    return conn.algebroid.covariant_derivative_of(conn.gamma, conn.metric.gram())
 
 
 def torsion_map(alg: CourantFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -186,9 +181,7 @@ def torsion_map(alg: CourantFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndarr
 def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
     """Totally antisymmetric torsion 3-form T[A, B, C, p] on the frame at the
     chart's sample points (``torsion_map``)."""
-    pts = conn.chart.sample_points()
-    alg = conn.algebroid
-    return torsion_map(alg, conn.gamma, tn.values_at(alg.structure, pts))
+    return torsion_map(conn.algebroid, conn.gamma, conn.algebroid.structure.value)
 
 
 def _swap(alg: CourantFrame) -> list:
@@ -206,7 +199,7 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
     if conn._riemann is None:
         alg = conn.algebroid
         swap = _swap(alg)
-        r0 = alg.curvature(conn.gamma, conn.dgamma, conn.chart.sample_points())[swap]
+        r0 = alg.curvature(Jet(conn.gamma, conn.dgamma))[swap]
         low = conn.gamma[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
         third = np.einsum("blap,dlcp->dcabp", low, low[:, swap])
         conn._riemann = 0.5 * (r0 + np.einsum("bacdp->dcabp", r0) + third)
@@ -227,26 +220,25 @@ def scalar_E(conn: GenConnection) -> np.ndarray:
 
 def scalar_G(conn: GenConnection) -> np.ndarray:
     """Generalized-metric trace of the Ricci tensor, at each sample point."""
-    ginv = tn.values_at(conn.metric.gram_inverse(), conn.chart.sample_points())
-    return np.einsum("lmp,mlp->p", ginv, ricci(conn))
+    return np.einsum("lmp,mlp->p", conn.metric.gram_inverse(), ricci(conn))
 
 
 def divergence_section(conn: GenConnection, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Div(psi)[..., p] = <nab_{e_l} psi, e^l>, the e_l component of
     nab_{e_l} psi, at the chart's sample points, for sections given by
     their values psi[A, ..., p] and partials dpsi[A, ..., m, p] there."""
-    anchor = tn.values_at(conn.algebroid.anchor, conn.chart.sample_points())
+    anchor = conn.algebroid.anchor.value
     return (np.einsum("llbp,b...p->...p", conn.gamma, psi)  # Gamma^l_{lb} psi^b
             + np.einsum("lmp,l...mp->...p", anchor, dpsi))  # rho(e_l).psi^l
 
 
 def char_vf(conn: GenConnection) -> np.ndarray:
     """Characteristic vector field [m, p]: f -> Div(Df), read off on the
-    coordinate functions, at the chart's sample points."""
-    chart = conn.chart
+    coordinate functions, at the chart's sample points.  The frame
+    components of D(x^m) are (Dx^m)^C = rho(e_swap(C)).x^m, the anchor
+    entries [swap(C), m]."""
     alg = conn.algebroid
-    sections = np.array([alg.d_map_components(chart.coord(m)) for m in range(chart.dim)]).T
-    return divergence_section(conn, *tn.jets_at(sections, chart.sample_points()))
+    return divergence_section(conn, *alg.anchor[_swap(alg)])
 
 
 def v_tensor(conn: GenConnection) -> np.ndarray:
@@ -255,21 +247,19 @@ def v_tensor(conn: GenConnection) -> np.ndarray:
     slots.  With R[C, i] the frame components of rho*(dx^i),
         nab_{R_i} R_j = R_i^A R_j^B Gamma^C_{AB} + rho(R_i).R_j^C,
     and its pairing with R_k is its contraction with anchor[C, k]."""
-    chart = conn.chart
-    pts = chart.sample_points()
     alg = conn.algebroid
-    R, dR = tn.jets_at(alg.anchor[_swap(alg)], pts)  # R[C, i] = rho*(dx^i)^C
-    anchor = tn.values_at(alg.anchor, pts)
+    R, dR = alg.anchor[_swap(alg)]  # R[C, i] = rho*(dx^i)^C
+    anchor = alg.anchor.value
     nab = (np.einsum("aip,bjp,cabp->cijp", R, R, conn.gamma)
            + np.einsum("aip,axp,cjxp->cijp", R, anchor, dR))
     return np.einsum("cijp,ckp->ijkp", nab, anchor)
 
 
-def v_trace(conn: GenConnection, h: TensorField) -> np.ndarray:
+def v_trace(conn: GenConnection, h: np.ndarray) -> np.ndarray:
     """Partial trace [l, p] of the V tensor against the inverse of the
-    induced form h: Z -> V(dx^k, h^{-1}(d_k), h^{-1}(Z)), at the chart's
-    sample points."""
-    hinv = tn.values_at(tn.matrix_inverse(h.comps), conn.chart.sample_points())
+    induced form with values h[i, j, p]: Z -> V(dx^k, h^{-1}(d_k), h^{-1}(Z)),
+    at the chart's sample points."""
+    hinv = np.moveaxis(np.linalg.inv(np.moveaxis(h, -1, 0)), 0, -1)
     return np.einsum("kabp,akp,blp->lp", v_tensor(conn), hinv, hinv)
 
 
@@ -278,16 +268,7 @@ def ricci_compat_residual(conn: GenConnection) -> np.ndarray:
     the off-block part of the Ricci tensor with respect to the eigenbundle
     splitting of the metric."""
     gm = conn.metric
-    chart = conn.chart
-    pts = chart.sample_points()
-    plus = [gm.psi_plus(_coord_field(chart, i)).components() for i in range(chart.dim)]
-    minus = [gm.psi_minus(_coord_field(chart, j)).components() for j in range(chart.dim)]
-    return np.einsum("abp,iap,jbp->ijp", ricci(conn), tn.values_at(plus, pts),
-                     tn.values_at(minus, pts))
-
-
-def _coord_field(chart: Chart, i: int) -> TensorField:
-    return TensorField(chart, (UP,), tn.identity(chart.dim)[i])
+    return np.einsum("abp,aip,bjp->ijp", ricci(conn), gm.graph(+1), gm.graph(-1))
 
 
 def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
@@ -295,11 +276,10 @@ def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
     nabT = (nab_{e_X} T)(e_Y, e_Z, e_D), from T and its partials
     (``torsion_map`` of the jets of Gamma and C), and
     TT = T(e_Y, e_Z, e^F) T(e_X, e_F, e_D)."""
-    pts = conn.chart.sample_points()
     alg = conn.algebroid
-    C, dC = tn.jets_at(alg.structure, pts)
+    C, dC = alg.structure
     T = torsion_map(alg, conn.gamma, C)
-    nabT = gtb.covariant_derivative(conn.gamma, tn.values_at(alg.anchor, pts), T,
+    nabT = gtb.covariant_derivative(conn.gamma, alg.anchor.value, T,
                                     torsion_map(alg, conn.dgamma, dC))
     return nabT, np.einsum("yzfp,xfdp->xyzdp", T[:, :, _swap(alg)], T)
 
@@ -327,68 +307,70 @@ def bianchi_residual(conn: GenConnection) -> np.ndarray:
 
 def _block_metric(lc: rm.Christoffel) -> GeneralizedMetric:
     """BlockDiag(g, g^{-1}) for the metric and inverse that lc carries."""
-    return GeneralizedMetric(lc.metric, None, lc.metric_inverse)
+    return GeneralizedMetric(lc.chart, lc.g, None, lc.ginv)
 
 
-def _block_transport(lc: rm.Christoffel) -> np.ndarray:
-    """Coefficients of the block-diagonal transport by the chart connection:
-    Gamma^k_{ij} on vectors and -Gamma^j_{ik} on forms."""
+def _block_transport(lc: rm.Christoffel) -> Jet:
+    """The jet of the coefficients of the block-diagonal transport by the
+    chart connection: Gamma^k_{ij} on vectors and -Gamma^j_{ik} on forms."""
     n = lc.chart.dim
-    gamma = tn.zeros_array((2 * n,) * 3)
+    gamma = tn.constant_jet(np.zeros((2 * n,) * 3), lc.chart)
     gamma[:n, :n, :n] = lc.coeffs
-    gamma[n:, :n, n:] = -lc.coeffs.transpose(2, 1, 0)  # [n + k, i, n + j] = -Gamma^j_{ik}
+    gamma[n:, :n, n:] = -tn.jet_contract("jik->kij", lc.coeffs)  # [n + k, i, n + j] = -Gamma^j_{ik}
     return gamma
 
 
-def minimal_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
+def minimal_connection(lc: rm.Christoffel, H_prime: Jet) -> GenConnection:
     """The distinguished torsion-free metric connection for the block
     diagonal metric of g (the metric of the chart connection lc) and the
-    bracket twisted by the closed 3-form H_prime (``_minimal_coefficients``)."""
-    return _valued(standard_algebroid(lc.chart, H_prime), _minimal_coefficients(lc, H_prime),
-                   _block_metric(lc))
+    bracket twisted by the closed 3-form with jet H_prime
+    (``_minimal_coefficients``)."""
+    return _connection("minimal connection jet", standard_algebroid(lc.chart, H_prime),
+                       _minimal_coefficients(lc, H_prime), _block_metric(lc))
 
 
-def _minimal_coefficients(lc: rm.Christoffel, H_prime: TensorField) -> np.ndarray:
-    """The coefficients of the minimal connection, as expressions:
+def _minimal_coefficients(lc: rm.Christoffel, H_prime: Jet) -> Jet:
+    """The jet of the coefficients of the minimal connection:
 
     nab^0_{(X,xi)} (Y,eta) =
       ( nabLC_X Y + (1/6) g^{-1} H'(g^{-1} xi, Y, .) - (1/3) g^{-1} H'(X, g^{-1} eta, .),
         nabLC_X eta - (1/3) H'(X, Y, .) + (1/6) H'(g^{-1} xi, g^{-1} eta, .) )."""
     n = lc.chart.dim
-    ginv = lc.metric_inverse.comps
-    Hc = H_prime.comps
+    ginv, Hc = lc.ginv, H_prime
     gamma = _block_transport(lc)
     # each H' term is indexed [l, m, v] (the output slot l, the legs m and v)
     # and adds c times itself to the block of Gamma[l, m, v] whose slots are
     # the vector (first n) or form (last n) frame indices it names
-    vec_vec = np.moveaxis(Hc, 2, 0)  # H'(X, Y, .)
-    vec_form = tn.contract("la,vb,mba->lmv", ginv, ginv, Hc)  # g^{-1} H'(X, g^{-1} eta, .)
-    form_vec = tn.contract("la,mb,bva->lmv", ginv, ginv, Hc)  # g^{-1} H'(g^{-1} xi, Y, .)
-    form_form = tn.contract("ma,vb,abl->lmv", ginv, ginv, Hc)  # H'(g^{-1} xi, g^{-1} eta, .)
+    vec_vec = tn.jet_contract("mvl->lmv", Hc)  # H'(X, Y, .)
+    vec_form = tn.jet_contract("la,vb,mba->lmv", ginv, ginv, Hc)  # g^{-1} H'(X, g^{-1} eta, .)
+    form_vec = tn.jet_contract("la,mb,bva->lmv", ginv, ginv, Hc)  # g^{-1} H'(g^{-1} xi, Y, .)
+    form_form = tn.jet_contract("ma,vb,abl->lmv", ginv, ginv, Hc)  # H'(g^{-1} xi, g^{-1} eta, .)
     vec, form = slice(0, n), slice(n, 2 * n)
     for block, c, term in (((form, vec, vec), -1.0 / 3.0, vec_vec),
                            ((vec, vec, form), -1.0 / 3.0, vec_form),
                            ((vec, form, vec), 1.0 / 6.0, form_vec),
                            ((form, form, form), 1.0 / 6.0, form_form)):
-        gamma[block] = gamma[block] + tn.contract(",lmv->lmv", c, term)
+        gamma[block] = gamma[block] + c * term
     return gamma
 
 
-def block_lc_connection(lc: rm.Christoffel, H_prime: TensorField) -> GenConnection:
+def block_lc_connection(lc: rm.Christoffel, H_prime: Jet) -> GenConnection:
     """The block-diagonal transport by the chart connection lc alone
     (metric compatible but torsionful: its torsion 3-form is the anchor
     pullback of H_prime)."""
-    return _valued(standard_algebroid(lc.chart, H_prime), _block_transport(lc), _block_metric(lc))
+    return _connection("block transport jet", standard_algebroid(lc.chart, H_prime),
+                       _block_transport(lc), _block_metric(lc))
 
 
 @dataclass
 class ConnParams:
     """Validated parameter pair for the affine family of torsion-free
-    metric connections: J fully contravariant, W fully covariant, both
-    antisymmetric in their last two slots with vanishing cyclic sum."""
+    metric connections, as jets at the chart's sample points: J fully
+    contravariant, W fully covariant, both antisymmetric in their last two
+    slots with vanishing cyclic sum."""
 
-    J: TensorField
-    W: TensorField
+    J: Jet
+    W: Jet
 
 
 def _alt3(t: TensorField) -> TensorField:
@@ -396,9 +378,10 @@ def _alt3(t: TensorField) -> TensorField:
 
 
 def validate_params(J: TensorField, W: TensorField) -> ConnParams:
-    """Check the antisymmetry of a parameter pair in the last two slots,
-    and restore the cyclic constraint by T -> T - Alt(T), which zeroes the
-    cyclic sum of a tensor skew in its last two slots."""
+    """Check the antisymmetry of a parameter pair of chart fields in the
+    last two slots, restore the cyclic constraint by T -> T - Alt(T), which
+    zeroes the cyclic sum of a tensor skew in its last two slots, and take
+    the jets of the result."""
     if J.variance != (UP, UP, UP) or W.variance != (DOWN, DOWN, DOWN):
         raise NotAntisymmetric("J must be fully contravariant, W fully covariant")
     for t, name in ((J, "J"), (W, "W")):
@@ -406,7 +389,8 @@ def validate_params(J: TensorField, W: TensorField) -> ConnParams:
         worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"{name} not antisymmetric in its last two slots ({worst:.3e})")
-    return ConnParams(J - _alt3(J), W - _alt3(W))
+    pts = J.chart.sample_points()
+    return ConnParams(tn.jets_at((J - _alt3(J)).comps, pts), tn.jets_at((W - _alt3(W)).comps, pts))
 
 
 def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):
@@ -422,10 +406,8 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):
     of g or g1 and of J or W."""
     chart = metric.chart
     n = chart.dim
-    pts = chart.sample_points()
-    g, ginv, J, W = (tn.jets_at(t.comps, pts) for t in (metric.g, metric.g_inv, params.J, params.W))
-    K = np.zeros((2 * n,) * 3 + (len(pts),))
-    dK = np.zeros((2 * n,) * 3 + (n, len(pts)))
+    g, ginv, J, W = metric.g, metric.g_inv, params.J, params.W
+    K = tn.constant_jet(np.zeros((2 * n,) * 3), chart)
     for forms in itertools.product((False, True), repeat=3):
         # W survives on an odd number of form legs, with g^{-1} on them;
         # -J on an even number, with g on the vector legs
@@ -436,10 +418,9 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):
                 legs.append(f"{out}{s}" if odd else f"{s}{out}")
             slots += s if is_form == odd else out
         leg, t = (ginv, W) if odd else (g, J)
-        block, dblock = tn.jet_contract(",".join(legs + [slots]) + "->ijk", *[leg] * len(legs), t)
-        where = np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])
-        K[where], dK[where] = (block, dblock) if odd else (-block, -dblock)
-    return K, dK
+        block = tn.jet_contract(",".join(legs + [slots]) + "->ijk", *[leg] * len(legs), t)
+        K[np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])] = block if odd else -block
+    return K
 
 
 def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
@@ -458,41 +439,37 @@ def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
     the block-diagonal metric arises this way.  Gamma^C_{AB} gains
     K[A, B, swap(C)], and its partials gain those of K."""
     swap = _swap(base.algebroid)
-    K, dK = param_tensor_frame(params, base.metric)
-    return GenConnection(base.algebroid,
-                         base.gamma + np.einsum("abc...->cab...", K[:, :, swap]),
-                         base.dgamma + np.einsum("abc...->cab...", dK[:, :, swap]),
-                         base.metric)
+    K = param_tensor_frame(params, base.metric)[:, :, swap]
+    return _connection("parameter family jet", base.algebroid,
+                       Jet(base.gamma, base.dgamma) + tn.jet_contract("abc->cab", K), base.metric)
 
 
-def dilaton_params(g: TensorField, phi) -> ConnParams:
-    """J = 0 and W(X,Y,Z) = (1/(n-1)){ g(X,Y) <dphi, Z> - g(X,Z) <dphi, Y> }:
-    the choice with vanishing characteristic vector field and partial trace
-    exactly dphi.  The g-trace of the brace is (n-1) dphi, which fixes the
-    normalization; needs n > 1."""
-    chart = g.chart
-    n = chart.dim
+def dilaton_params(g: Jet, dphi: Jet) -> ConnParams:
+    """J = 0 and W(X,Y,Z) = (1/(n-1)){ g(X,Y) <dphi, Z> - g(X,Z) <dphi, Y> },
+    from the jets of g and of the partials of phi: the choice with
+    vanishing characteristic vector field and partial trace exactly dphi.
+    The g-trace of the brace is (n-1) dphi, which fixes the normalization;
+    needs n > 1."""
+    n = g.value.shape[0]
     if n < 2:
         raise SingularMetric("the dilaton trace condition needs a chart of dimension > 1")
-    dphi = tn.d_scalar(chart, phi).comps
-    brace = tn.contract("zijk->ijk", np.stack([tn.contract("ij,k->ijk", g.comps, dphi),
-                                                tn.contract(",ik,j->ijk", -1.0, g.comps, dphi)]))
-    W = TensorField(chart, (DOWN, DOWN, DOWN), brace).scale(1.0 / (n - 1))
-    return ConnParams(tn.zeros(chart, (UP, UP, UP)), W)
+    W = (1.0 / (n - 1)) * (tn.jet_contract("ij,k->ijk", g, dphi) - tn.jet_contract("ik,j->ijk", g, dphi))
+    return ConnParams(0.0 * W, W)
 
 
-def dilaton_connection(minimal: GenConnection, B: TensorField, phi) -> GenConnection:
+def dilaton_connection(minimal: GenConnection, B: tuple[Jet, Jet], dphi: Jet) -> GenConnection:
     """The connection of the flatness/compatibility dictionary for the
     background (g, B, phi), from the minimal connection of g with twist
-    H' = H + dB: the dilaton parameters are added in that block-diagonal
-    picture, and the result is sheared back by e^B so that it lives on the
-    H-twisted bracket and is compatible with the metric of the pair (g, B)."""
-    return untwist(dilaton_connection_twisted(minimal, phi), B)
+    H' = H + dB, the 2-jet of B and the jet of the partials of phi: the
+    dilaton parameters are added in that block-diagonal picture, and the
+    result is sheared back by e^B so that it lives on the H-twisted bracket
+    and is compatible with the metric of the pair (g, B)."""
+    return untwist(dilaton_connection_twisted(minimal, dphi), B)
 
 
-def dilaton_connection_twisted(minimal: GenConnection, phi) -> GenConnection:
+def dilaton_connection_twisted(minimal: GenConnection, dphi: Jet) -> GenConnection:
     """Same connection, left in the block-diagonal picture."""
-    return with_params(minimal, dilaton_params(minimal.metric.g, phi))
+    return with_params(minimal, dilaton_params(minimal.metric.g, dphi))
 
 
 # ---------------------------------------------------------------------------
@@ -500,51 +477,49 @@ def dilaton_connection_twisted(minimal: GenConnection, phi) -> GenConnection:
 # ---------------------------------------------------------------------------
 
 
-def transport_connection(conn: GenConnection, F: np.ndarray, Finv: np.ndarray,
+def transport_connection(conn: GenConnection, F: tuple[Jet, Jet], Finv: Jet,
                          algebroid: CourantFrame, metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection back through a frame isomorphism F into a new
     bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') ), so
         Gamma'^G_{AB} = F^{-1 G}_E ( F^C_A F^D_B Gamma^E_{CD}
-                                     + F^C_A rho_src(e_C).F^E_B ).
-    F and F^{-1} are object arrays of Expr; the jets of the result follow
-    from those of F, F^{-1}, the frame derivatives rho_src(e_C).F and the
-    source coefficients by ``tensors.jet_contract``."""
-    src = conn.algebroid
-    pts = conn.chart.sample_points()
-    along = tn.contract("cm,ebm->ceb", src.anchor, tn.partials(F, conn.chart))  # rho(e_C).F^E_B
-    Fj, Finvj, alongj = (tn.jets_at(m, pts) for m in (F, Finv, along))
+                                     + F^C_A rho_src(e_C).F^E_B ),
+    from the 2-jet (F, dF) of F, the jet of F^{-1} and the source
+    coefficients by ``tensors.jet_contract``."""
+    (Fj, dF), src = F, conn.algebroid
+    along = tn.jet_contract("cm,ebm->ceb", src.anchor, dF)  # rho(e_C).F^E_B
     # F^C_A F^D_B Gamma^E_{CD}, summed over C first
-    pulled = tn.jet_contract("ca,ecd->ead", Fj, (conn.gamma, conn.dgamma))
+    pulled = tn.jet_contract("ca,ecd->ead", Fj, Jet(conn.gamma, conn.dgamma))
     pulled = tn.jet_contract("ead,db->eab", pulled, Fj)
-    derivs = tn.jet_contract("ca,ceb->eab", Fj, alongj)
-    inner = (pulled[0] + derivs[0], pulled[1] + derivs[1])
-    return GenConnection(algebroid, *tn.jet_contract("ge,eab->gab", Finvj, inner), metric)
+    inner = pulled + tn.jet_contract("ca,ceb->eab", Fj, along)
+    return _connection("transported connection jet", algebroid,
+                       tn.jet_contract("ge,eab->gab", Finv, inner), metric)
 
 
-def untwist(conn: GenConnection, B: TensorField) -> GenConnection:
-    """Shear a connection by e^B: if the input is torsion-free and metric
-    for BlockDiag(g, g^{-1}) with bracket twist H', the output is
-    torsion-free and metric for the pair (g, B) with twist H' - dB."""
-    gm_new = GeneralizedMetric(conn.metric.g, B, conn.metric.g_inv)
-    F = gm_new.shear_matrix(-1)  # matrix of e^{-B}
-    Finv = gm_new.shear_matrix(+1)
-    H_new = _current_twist(conn) - tn.exterior_derivative(B)
+def untwist(conn: GenConnection, B: tuple[Jet, Jet]) -> GenConnection:
+    """Shear a connection by e^B, for the 2-jet (B, dB) of B: if the input
+    is torsion-free and metric for BlockDiag(g, g^{-1}) with bracket twist
+    H', the output is torsion-free and metric for the pair (g, B) with
+    twist H' - dB."""
+    B, dB = B
+    gm_new = GeneralizedMetric(conn.chart, conn.metric.g, B, conn.metric.g_inv)
+    F = (gm_new.shear_matrix(-1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
+    H_new = _current_twist(conn) - dB.map(lambda t: tn.d_of_partials(t, 2))
     alg_new = standard_algebroid(conn.chart, H_new)
-    return transport_connection(conn, F, Finv, alg_new, gm_new)
+    return transport_connection(conn, F, gm_new.shear_matrix(+1), alg_new, gm_new)
 
 
-def _current_twist(conn: GenConnection) -> TensorField:
-    """Recover the twist 3-form from the standard-frame brackets."""
+def _current_twist(conn: GenConnection) -> Jet:
+    """The jet of the twist 3-form, from the standard-frame brackets."""
     n = conn.chart.dim
-    comps = -np.moveaxis(conn.algebroid.structure[n:, :n, :n], 0, 2)  # [m, v, l] = -C^{n+l}_{mv}
-    return TensorField(conn.chart, (DOWN, DOWN, DOWN), comps)
+    return -tn.jet_contract("lmv->mvl", conn.algebroid.structure[n:, :n, :n])  # -C^{n+l}_{mv}
 
 
-def theta_transport(conn: GenConnection, theta: TensorField, B: TensorField,
+def theta_transport(conn: GenConnection, theta: tuple[Jet, Jet], B: tuple[Jet, Jet],
                     metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection on the standard twisted bracket back through the
-    bivector shear F_theta; the result lives on the sheared bracket and is
-    compatible with ``metric``, BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
+    bivector shear F_theta, for the 2-jets of theta and B; the result lives
+    on the sheared bracket and is compatible with ``metric``,
+    BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
     F, Finv = gtb.theta_twist_matrices(theta, B)
     alg_new = conjugated_algebroid(conn.chart, F, Finv, conn.algebroid)
     return transport_connection(conn, F, Finv, alg_new, metric)

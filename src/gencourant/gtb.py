@@ -3,18 +3,21 @@
 Sections are (vector field, 1-form) pairs.  This module provides the
 canonical pairing, the twisted Dorfman bracket and its differential, the
 generalized metric package built from a pair (g, B), the shear maps e^B and
-F_theta, the twisted Koszul bracket, a Schouten-bracket residual check, and
-the calculus on an anchored frame (``AnchoredFrame``: frame derivative,
-anchored bracket, connections, Cartan differential, Levi-Civita connection,
-and the curvature of a connection).  That calculus serves both the
-cotangent Lie algebroid of an invertible 2-form and, through
-``gconn.CourantFrame``, the generalized coordinate frame of TM (+) T*M.
+F_theta, the cotangent Lie algebroid of theta = B^{-1} with its twisted
+Koszul bracket, a Schouten-bracket residual check, and the calculus on an
+anchored frame (``AnchoredFrame``: covariant derivative of frame tensors,
+Levi-Civita connection of a fiber metric, and the curvature of a
+connection).  That calculus serves both the cotangent Lie algebroid and,
+through ``gconn.CourantFrame``, the generalized coordinate frame of
+TM (+) T*M.
 
-The expressions stop at the Levi-Civita connection of an anchored frame,
-its brackets and its anchor; what is read from a connection is numbers.
-``frame_curvature``, ``covariant_derivative`` and ``frame_torsion`` are
-einsum stages over float arrays with a trailing point axis: values, and
-first partials from ``tensors.jets_at``.
+Sections, the pairing and the bracket are expressions: the axioms suite
+checks them on random sections.  Everything built from a background is
+numbers at the chart's sample points (``tensors.Jet``): the generalized
+metric, theta and the shear matrices, the anchor and the structure
+functions of a frame, its Levi-Civita connection.  ``frame_curvature``,
+``covariant_derivative`` and ``frame_torsion`` are einsum stages over
+float arrays with a trailing point axis.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -24,7 +27,6 @@ follows this rule.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,7 @@ from .errors import (
     SingularB,
 )
 from .expr import Chart, Expr, add
-from .tensors import DOWN, UP, TensorField
+from .tensors import DOWN, UP, Jet, TensorField
 
 CLOSEDNESS_TOL = 1e-10
 
@@ -126,11 +128,11 @@ def d_map(chart: Chart, f) -> GenSection:
     return GenSection(tn.zeros(chart, (UP,)), tn.d_scalar(chart, f))
 
 
-def check_closed(H: TensorField):
-    """Raise NotClosed with the max |dH| component unless dH vanishes at
-    the chart's sample points."""
-    dH = tn.exterior_derivative(H)
-    worst, _ = ex.max_abs_on_points(dH.comps, H.chart.sample_points())
+def check_closed(dH: np.ndarray, points):
+    """Raise NotClosed with the max |dH| component unless dH, the values
+    [..., p] of the exterior derivative of a 3-form at ``points``,
+    vanishes there."""
+    worst, _ = ex.max_abs_on_points(dH, points)
     if not worst <= CLOSEDNESS_TOL:
         raise NotClosed(worst)
 
@@ -165,23 +167,25 @@ def jacobiator(psi, phi, chi, H: TensorField) -> GenSection:
 # ---------------------------------------------------------------------------
 
 
-def _check_positive_definite(g: TensorField):
-    pts = g.chart.sample_points()
-    for p, m in zip(pts, g.evaluate_points(pts)):
+def check_positive_definite(matrices, points):
+    """Raise NotPositiveDefinite at the first of ``points`` where the matrix
+    of ``matrices`` (one per point, in order) is not finite, symmetric and
+    positive definite."""
+    for p, m in zip(points, matrices):
         # written so that a NaN or an infinity fails the test, before m - m.T sees it
         if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= 1e-10):
-            raise NotPositiveDefinite(f"metric not finite and symmetric at {p}")
+            raise NotPositiveDefinite(f"metric not finite and symmetric at {tuple(p)}")
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(f"metric not positive definite at sample point {p}")
+            raise NotPositiveDefinite(f"metric not positive definite at sample point {tuple(p)}")
 
 
 class GeneralizedMetric:
-    """The (g, B) package: fiber metric on TM (+) T*M, involution, graph
-    embeddings and projectors, and the induced form on T*M.  It is built
-    from a validated metric g, its inverse g_inv and a validated 2-form B
-    (None for B = 0); ``gen_metric`` validates and inverts g for B = 0.
+    """The (g, B) package at the chart's sample points: fiber metric on
+    TM (+) T*M, involution, graph embeddings and projectors, and the
+    induced form on T*M.  It is built from the jets of a validated metric g,
+    of its inverse g_inv and of a validated 2-form B (None for B = 0).
 
     Block identities that define it (verified by the test suite):
         G(psi, phi)   = g(X, Y) + g^{-1}(xi - B(X), eta - B(Y))
@@ -190,88 +194,69 @@ class GeneralizedMetric:
         h_G(xi, eta)  = G(rho* xi, rho* eta) = g^{-1}(xi, eta)
     """
 
-    def __init__(self, g: TensorField, B: TensorField | None, g_inv: TensorField):
-        self.chart = g.chart
+    def __init__(self, chart: Chart, g: Jet, B: Jet | None, g_inv: Jet):
+        self.chart = chart
         self.g = g
-        self.B = B if B is not None else tn.zeros(self.chart, (DOWN, DOWN))
+        self.B = B if B is not None else 0.0 * g
         self.g_inv = g_inv
         self._gram = None
-        self._tau = None
 
     # -- frame matrices ------------------------------------------------
 
-    def shear_matrix(self, sign: int) -> np.ndarray:
+    def shear_matrix(self, sign: int) -> Jet:
         """Frame matrix of e^{sign*B}: block lower-triangular with B in the
         (form, vector) corner."""
-        n = self.chart.dim
-        one, zero = tn.identity(n), tn.zeros_array((n, n))
-        return np.block([[one, zero], [self.B.comps if sign > 0 else -self.B.comps, one]])
+        return tn.jet_block([[1, 0], [sign * self.B, 1]])
 
-    def gram(self) -> np.ndarray:
+    def gram(self) -> Jet:
         """(2n)x(2n) Gram matrix G_ab = G(e_a, e_b) via the shear product
         form: G = (e^{-B})^T BlockDiag(g, g^{-1}) (e^{-B}); the entries
         below the diagonal are those above it."""
         if self._gram is None:
             n = self.chart.dim
             M = self.shear_matrix(-1)
-            gram = (tn.contract("ij,ia,jb->ab", self.g.comps, M[:n], M[:n])
-                    + tn.contract("ij,ia,jb->ab", self.g_inv.comps, M[n:], M[n:]))
+            gram = (tn.jet_contract("ij,ia,jb->ab", self.g, M[:n], M[:n])
+                    + tn.jet_contract("ij,ia,jb->ab", self.g_inv, M[n:], M[n:]))
             below = np.tril_indices(2 * n, -1)
-            gram[below] = gram.T[below]
+            gram[below] = gram.map(lambda t: t.swapaxes(0, 1))[below]
             self._gram = gram
         return self._gram
 
     def gram_inverse(self) -> np.ndarray:
-        """Inverse Gram through the shear factorization (no symbolic 2n x 2n
-        inversion): G^{-1} = M BlockDiag(g^{-1}, g) M^T with M = e^{B}'s
-        frame matrix."""
-        n = self.chart.dim
-        M = self.shear_matrix(+1)
-        zero = tn.zeros_array((n, n))
-        core = np.block([[self.g_inv.comps, zero], [zero, self.g.comps]])
-        return tn.contract("ik,jk->ij", tn.contract("ik,kj->ij", M, core), M)
+        """Values of the inverse Gram matrix through the shear factorization:
+        G^{-1} = M BlockDiag(g^{-1}, g) M^T with M = e^{B}'s frame matrix."""
+        M = self.shear_matrix(+1).value
+        core = tn.jet_block([[self.g_inv, 0], [0, self.g]]).value
+        return np.einsum("ikp,klp,jlp->ijp", M, core, M)
 
     def tau_matrix(self) -> np.ndarray:
-        """Involution tau = eta^{-1} G on frame components."""
-        if self._tau is None:
-            self._tau = tn.contract("ik,kj->ij", pairing_gram(self.chart), self.gram())
-        return self._tau
+        """Values of the involution tau = eta^{-1} G on frame components."""
+        return np.einsum("ik,kjp->ijp", pairing_gram(self.chart), self.gram().value)
 
     # -- graphs of (pm g + B) -------------------------------------------
 
-    def psi_plus(self, X: TensorField) -> GenSection:
-        return self._graph(X, +1)
-
-    def psi_minus(self, X: TensorField) -> GenSection:
-        return self._graph(X, -1)
-
-    def _graph(self, X: TensorField, sign: int) -> GenSection:
-        form = tn.contract("ma,a->m", sign * self.g.comps + self.B.comps, X.comps)
-        return GenSection(X, TensorField(self.chart, (DOWN,), form))
+    def graph(self, sign: int) -> np.ndarray:
+        """Values of the frame matrix [A, i, p] of X -> Psi_pm(X) =
+        (X, (pm g + B)(X)) on vector components."""
+        n, count = self.chart.dim, self.g.value.shape[-1]
+        vec = np.broadcast_to(np.eye(n)[..., None], (n, n, count))
+        return np.concatenate([vec, sign * self.g.value + self.B.value])
 
     def projector_matrix(self, sign: int) -> np.ndarray:
-        """P_pm = (1 pm tau)/2 on frame components."""
-        tau = self.tau_matrix()
-        one = tn.identity(2 * self.chart.dim)
-        return tn.contract(",ij->ij", 0.5, one + (tau if sign > 0 else -tau))
+        """Values of P_pm = (1 pm tau)/2 on frame components."""
+        one = np.eye(2 * self.chart.dim)[..., None]
+        return 0.5 * (one + sign * self.tau_matrix())
 
-    def project(self, psi: GenSection, sign: int) -> GenSection:
-        comps = tn.contract("ij,j->i", self.projector_matrix(sign), psi.components())
-        return GenSection.from_components(self.chart, comps)
+    def project(self, psi: np.ndarray, sign: int) -> np.ndarray:
+        """P_pm psi for the values psi[A, p] of a section."""
+        return np.einsum("ijp,jp->ip", self.projector_matrix(sign), psi)
 
-    def h_form(self) -> TensorField:
-        """Induced symmetric form on T*M, h(xi, eta) = G(rho* xi, rho* eta):
-        the form-form block of the Gram matrix (rho* xi = (0, xi)).  It
-        equals g^{-1} for every B."""
+    def h_form(self) -> np.ndarray:
+        """Values of the induced symmetric form on T*M, h(xi, eta) =
+        G(rho* xi, rho* eta): the form-form block of the Gram matrix
+        (rho* xi = (0, xi)).  It equals g^{-1} for every B."""
         n = self.chart.dim
-        return TensorField(self.chart, (UP, UP), self.gram()[n:, n:].copy())
-
-
-def gen_metric(g: TensorField) -> GeneralizedMetric:
-    """The package of (g, 0), after checking that g is positive definite at
-    the sample points."""
-    _check_positive_definite(g)
-    return GeneralizedMetric(g, None, tn.metric_inverse(g))
+        return self.gram().value[n:, n:]
 
 
 # ---------------------------------------------------------------------------
@@ -304,88 +289,68 @@ def twisted_bracket_check(B: TensorField, H: TensorField):
     return ex.worst_of(residual(psi, phi) for psi, phi in sections)
 
 
-def theta_matrix_from_b(B: TensorField) -> TensorField:
-    """theta = B^{-1} as a bivector: theta^{m n} with theta(B(X)) = X, for
-    a validated 2-form B.  Raises SingularB on odd-dimensional charts or
-    degenerate B."""
-    chart = B.chart
-    n = chart.dim
-    if n % 2 == 1:
+def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:
+    """The 2-jet of theta = B^{-1} as a bivector (theta^{m a} B_{a n} =
+    delta) from the 2-jet (B, dB) of a validated 2-form: the jet of theta
+    (one ``np.linalg.inv`` per point) and the jet of its partials,
+    d theta = -theta dB theta.  Raises SingularB on odd-dimensional charts
+    or where |det B| < DET_TOL."""
+    if B.value.shape[0] % 2 == 1:
         raise SingularB("an antisymmetric 2-form on an odd-dimensional chart is singular")
-    pts = chart.sample_points()
-    for p, m in zip(pts, B.evaluate_points(pts)):
+    for p, m in zip(points, np.moveaxis(B.value, -1, 0)):
         # written so that a NaN or an infinity fails the test, before det sees it
         if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
-            raise SingularB(f"B degenerate at sample point {p}")
-    inv = tn.matrix_inverse(B.comps)
-    # matrix inverse of B_{mn} gives theta with theta^{m a} B_{a n} = delta
-    return TensorField(chart, (UP, UP), inv)
+            raise SingularB(f"B degenerate at sample point {tuple(p)}")
+    with np.errstate(all="ignore"):
+        theta = tn.finite("theta", tn.jet_inverse(B), points)
+        dtheta = tn.finite("theta", -tn.jet_contract("ia,abm,bj->ijm", theta, dB, theta), points)
+    return theta, dtheta
 
 
-def theta_twist_matrices(theta: TensorField, B: TensorField):
-    """Frame matrices (F, F^{-1}) of the bivector shear
+def theta_twist_matrices(theta: tuple[Jet, Jet], B: tuple[Jet, Jet]):
+    """The 2-jet (F, dF) of the frame matrix of the bivector shear
     F_theta(X, xi) = (theta(xi), xi - B(X)) for theta = B^{-1}, which is
-    orthogonal for the pairing, with inverse (X, xi) |-> (X - theta(xi), B(X))."""
-    n = theta.chart.dim
-    one, zero = tn.identity(n), tn.zeros_array((n, n))
-    F = np.block([[zero, theta.comps], [-B.comps, one]])
-    Finv = np.block([[one, -theta.comps], [B.comps, zero]])
-    return F, Finv
+    orthogonal for the pairing, and the jet of its inverse
+    (X, xi) |-> (X - theta(xi), B(X)), from the 2-jets of theta and B."""
+    (th, dth), (b, db) = theta, B
+    F = tn.jet_block([[0, th], [-b, 1]])
+    dF = tn.jet_block([[0, dth], [-db, 0]])
+    return (F, dF), tn.jet_block([[1, -th], [b, 0]])
 
 
 # ---------------------------------------------------------------------------
-# bivectors: Schouten residual, Koszul bracket, cotangent Lie algebroid
+# bivectors: Schouten residual, cotangent Lie algebroid
 # ---------------------------------------------------------------------------
 
 
-def schouten_check(theta: TensorField, twist: TensorField) -> TensorField:
-    """Componentwise residual of
+def schouten_check(theta: Jet, twist: np.ndarray, points) -> np.ndarray:
+    """Values [i, j, k, p] of the componentwise residual of
         (1/2)[theta,theta](xi,eta,zeta) + twist(theta xi, theta eta, theta zeta)
-    on coordinate 1-forms; identically zero iff theta is a twisted Poisson
-    structure for the given twist 3-form."""
-    tn.check_antisymmetric(theta)
-    th = theta.comps
-    dth = tn.partials(th, theta.chart)  # dth[k, j, a] = d_a theta^{kj}
-    tw = tn.contract("abc,ai,bj,ck->ijk", twist.comps, th, th, th)
+    on coordinate 1-forms, from the jet of theta and the values of the
+    twist; identically zero iff theta is a twisted Poisson structure for
+    the given twist 3-form.  Raises NotAntisymmetric unless theta is."""
+    tn.check_antisymmetric(theta.value, points)
+    th, dth = theta  # dth[k, j, a] = d_a theta^{kj}
+    tw = np.einsum("abcp,aip,bjp,ckp->ijkp", twist, th, th, th)
     # (1/2)[theta,theta](dx^i, dx^j, dx^k), from the bracket identity
     # [theta xi, theta eta] - theta(L_{theta xi} eta - i_{theta eta} d xi):
     # theta^{ai} d_a theta^{kj} - theta^{aj} d_a theta^{ki} - theta^{kb} d_b theta^{ji}
-    half = tn.contract("zijk->ijk", np.concatenate([
-        tn.contract("ai,kja->aijk", th, dth),
-        tn.contract(",aj,kia->aijk", -1.0, th, dth),
-        tn.contract(",kb,jib->bijk", -1.0, th, dth),
-    ]))
-    return TensorField(theta.chart, (UP, UP, UP), half + tw)
+    half = (np.einsum("aip,kjap->ijkp", th, dth) - np.einsum("ajp,kiap->ijkp", th, dth)
+            - np.einsum("kbp,jibp->ijkp", th, dth))
+    return half + tw
 
 
-def validate_twisted_poisson(theta: TensorField, twist: TensorField):
-    res = schouten_check(theta, twist)
-    worst, _ = res.max_abs()
+def validate_twisted_poisson(theta: Jet, twist: np.ndarray, points):
+    worst, _ = ex.max_abs_on_points(schouten_check(theta, twist, points), points)
     if not worst <= 1e-9:
         raise NotTwistedPoisson(worst)
 
 
-def koszul(xi: TensorField, eta: TensorField, theta: TensorField, H: TensorField) -> TensorField:
-    """Twisted Koszul bracket on 1-forms:
-    [xi, eta] = L_{theta xi} eta - i_{theta eta} d xi + H(theta xi, theta eta, .).
-
-    The twist enters as an honest 1-form in the last slot; this is the
-    reading under which theta is a bracket morphism onto vector-field
-    commutators (see the test suite)."""
-    chart = xi.chart
-    thxi = TensorField(chart, (UP,), tn.contract("ma,a->m", theta.comps, xi.comps))
-    theta_eta = TensorField(chart, (UP,), tn.contract("ma,a->m", theta.comps, eta.comps))
-    lie = tn.lie_derivative_oneform(thxi, eta)
-    idxi = tn.interior_product(theta_eta, tn.exterior_derivative(xi))
-    hterm = tn.contract("abm,a,b->m", H.comps, thxi.comps, theta_eta.comps)
-    return lie - idxi + TensorField(chart, (DOWN,), hterm)
-
-
-def d_theta(chart: Chart, f, theta: TensorField) -> TensorField:
-    """Anchored differential of a function: (d_theta f)(xi) = <df, theta(xi)>,
-    a vector field with components theta^{a m} d_a f."""
-    df = tn.d_scalar(chart, f)
-    return TensorField(chart, (UP,), tn.contract("am,a->m", theta.comps, df.comps))
+def d_theta(df: Jet, theta: Jet) -> Jet:
+    """Anchored differential of a function from the jet of its partials:
+    (d_theta f)(xi) = <df, theta(xi)>, a vector field with components
+    theta^{a m} d_a f."""
+    return tn.jet_contract("am,a->m", theta, df)
 
 
 # ---------------------------------------------------------------------------
@@ -395,97 +360,48 @@ def d_theta(chart: Chart, f, theta: TensorField) -> TensorField:
 
 class AnchoredFrame:
     """A bundle over a chart whose sections are spanned by a frame {E_a},
-    with an anchor a(E_a)^m and structure functions [E_a, E_b] = C^c_{ab} E_c.
+    with an anchor a(E_a)^m and structure functions [E_a, E_b] = C^c_{ab} E_c,
+    both held as jets at the chart's sample points.
 
     This is the calculus shared by the cotangent Lie algebroid of an
     invertible 2-form (rank n) and the generalized coordinate frame of a
-    Courant algebroid (rank 2n, ``gconn.CourantFrame``): frame derivatives,
-    the anchored bracket, connections and their curvature.  Sections are
-    component arrays over the frame; exterior forms are plain antisymmetric
-    component arrays over the frame indices."""
+    Courant algebroid (rank 2n, ``gconn.CourantFrame``): the covariant
+    derivative of frame tensors, the Levi-Civita connection of a fiber
+    metric and the curvature of a connection."""
 
-    def __init__(self, chart: Chart, anchor: np.ndarray, structure: np.ndarray):
+    def __init__(self, chart: Chart, anchor: Jet, structure: Jet):
         self.chart = chart
-        self.rank = anchor.shape[0]
+        self.rank = anchor.value.shape[0]
         self.anchor = anchor  # [a, m]: vector field of E_a
         self.structure = structure  # [c, a, b]
 
-    def anchor_of(self, u) -> np.ndarray:
-        """Vector-field components a(u)[m, x] of a section u^a E_a (u[a] or,
-        for a batch of sections, u[a, x])."""
-        x = "x"[:u.ndim - 1]
-        return tn.contract(f"a{x},am->m{x}", u, self.anchor)
-
-    def connection_apply(self, gamma: np.ndarray, u, v) -> np.ndarray:
-        """nab_u v = (u^a v^b Gamma^c_{ab} + a(u).v^c) E_c for connection
-        coefficients nab_{E_a} E_b = Gamma^c_{ab} E_c.  Sections are u[a] and
-        v[b], or batches u[a, x] and v[b, y], which give [c, x, y]."""
-        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
-        dv = tn.partials(v, self.chart)
-        return (tn.contract(f"a{x},b{y},cab->c{x}{y}", u, v, gamma)
-                + tn.contract(f"m{x},c{y}m->c{x}{y}", self.anchor_of(u), dv))
-
-    def connection_apply_dual(self, gamma: np.ndarray, x) -> np.ndarray:
-        """nab[a, b] of a dual section x[b] (or [a, b, y] of a batch x[b, y]):
-        (nab_{E_a} x)_b = a(E_a).x_b - Gamma^c_{ab} x_c.  With gamma =
-        structure this is the Lie derivative L_{E_a}."""
-        y = "y"[:x.ndim - 1]
-        return (tn.contract(f"am,b{y}m->ab{y}", self.anchor, tn.partials(x, self.chart))
-                - tn.contract(f"cab,c{y}->ab{y}", gamma, x))
-
-    def bracket(self, u, v) -> np.ndarray:
-        """[u, v]^c = u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c, on sections or
-        batches as in ``connection_apply``.  A Courant bracket adds a
-        left-Leibniz term to this (see gconn)."""
-        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
-        du = tn.partials(u, self.chart)
-        return (self.connection_apply(self.structure, u, v)
-                - tn.contract(f"m{y},c{x}m->c{x}{y}", self.anchor_of(v), du))
-
-    def differential(self, omega: np.ndarray, degree: int) -> np.ndarray:
-        """Cartan formula for d on a degree-p form omega[i1..ip] over the
-        frame (or a batch omega[i1..ip, x] of them):
-            (d w)_{i0..ip} = sum_k (-1)^k a(E_{i_k}).w_{..^i_k..}
-                             + sum_{k<l} (-1)^{k+l} C^c_{i_k i_l} w_{c..^i_k..^i_l..}."""
-        idx = "abdefgh"[:degree + 1]
-        x = "x"[:omega.ndim - degree]
-        # along[i, ..] = a(E_i).w_{..}, moved to slot k for the k-th term
-        along = tn.contract(f"{idx[0]}m,{idx[1:]}{x}m->{idx}{x}", self.anchor,
-                            tn.partials(omega, self.chart))
-        terms = [np.moveaxis(along, 0, k)[None] for k in range(degree + 1)]
-        terms = [t if k % 2 == 0 else -t for k, t in enumerate(terms)]
-        for k, l in itertools.combinations(range(degree + 1), 2):
-            spec = f"c{idx[k]}{idx[l]},c{idx[:k]}{idx[k + 1:l]}{idx[l + 1:]}{x}->c{idx}{x}"
-            terms.append(tn.contract(spec, self.structure, omega) if (k + l) % 2 == 0
-                         else tn.contract("," + spec, -1.0, self.structure, omega))
-        return tn.contract(f"z{idx}{x}->{idx}{x}", np.concatenate(terms))
-
-    def lc_connection(self, g_A: np.ndarray) -> np.ndarray:
-        """Torsion-free metric connection coefficients Gamma^c_{ab} from
+    def lc_connection(self, g_A: Jet, dg_A: Jet) -> Jet:
+        """The jet of the torsion-free metric connection coefficients
+        Gamma^c_{ab} for the fiber metric with 2-jet (g_A, dg_A), from
         nab_{E_a} E_b =
           (1/2) { [E_a, E_b] + g^{-1}( L_{E_a}(g E_b) + i_{E_b} d(g E_a) ) }."""
-        # lie[a, d, b] = (L_{E_a}(g E_b))_d, dga[b, d, a] = d(g E_a)_{bd}
-        lie = self.connection_apply_dual(self.structure, g_A)
-        dga = self.differential(g_A, 1)
-        raised = tn.contract("cd,abd->cab", tn.matrix_inverse(g_A),
-                             lie.transpose(0, 2, 1) + dga.transpose(2, 0, 1))
-        return 0.5 * (self.structure + raised)
+        points = self.chart.sample_points()
+        with np.errstate(all="ignore"):
+            along = tn.jet_contract("am,bym->aby", self.anchor, dg_A)  # a(E_a).g_{by}
+            Cg = tn.jet_contract("cab,cy->aby", self.structure, g_A)  # C^c_{ab} g_{cy}
+            # lie[a, d, b] = (L_{E_a}(g E_b))_d, dga[b, d, a] = d(g E_a)_{bd}
+            lie = along - Cg
+            dga = along - along.map(lambda t: t.swapaxes(0, 1)) - Cg
+            both = lie.map(lambda t: t.swapaxes(1, 2)) + dga.map(lambda t: np.moveaxis(t, 2, 0))
+            ginv = tn.finite("inverse fiber metric", tn.jet_inverse(g_A), points)
+            gamma = 0.5 * (self.structure + tn.jet_contract("cd,abd->cab", ginv, both))
+            return tn.finite("algebroid Levi-Civita connection jet", gamma, points)
 
-    def covariant_derivative_at(self, gamma: np.ndarray, omega: np.ndarray, points) -> np.ndarray:
+    def covariant_derivative_of(self, gamma: np.ndarray, omega: Jet) -> np.ndarray:
         """nab[a, i1..ip, p]: ``covariant_derivative`` of a covariant frame
-        tensor omega, an object array of Expr, at ``points``, for the values
-        gamma[c, a, b, p] of connection coefficients there, from the jets of
-        omega."""
-        return covariant_derivative(gamma, tn.values_at(self.anchor, points),
-                                    *tn.jets_at(omega, points))
+        tensor with jet omega, for the values gamma[c, a, b, p] of
+        connection coefficients."""
+        return covariant_derivative(gamma, self.anchor.value, *omega)
 
-    def curvature(self, gamma: np.ndarray, dgamma: np.ndarray, points) -> np.ndarray:
+    def curvature(self, gamma: Jet) -> np.ndarray:
         """R0[d, c, a, b, p] (``frame_curvature``) of connection coefficients
-        with values gamma[c, a, b, p] and first partials dgamma[c, a, b, m, p]
-        at ``points``, where the anchor and the structure functions are
-        valued."""
-        anchor, C = tn.values_at(self.anchor, points), tn.values_at(self.structure, points)
-        return frame_curvature(gamma, dgamma, anchor, C)
+        with jet gamma."""
+        return frame_curvature(*gamma, self.anchor.value, self.structure.value)
 
 
 def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
@@ -534,19 +450,21 @@ class LieAlgebroidCotangent:
     """T*M with anchor theta and the twisted Koszul bracket."""
 
     chart: Chart
-    theta: TensorField
-    twist: TensorField  # 3-form twisting the Koszul bracket (dB in practice)
+    theta: Jet
+    twist: Jet  # 3-form twisting the Koszul bracket (dB in practice)
     algebroid: AnchoredFrame
 
     @staticmethod
-    def build(theta: TensorField, twist: TensorField) -> "LieAlgebroidCotangent":
-        """The algebroid of theta, after checking that its twisted Jacobi
-        residual vanishes at the sample points."""
-        chart = theta.chart
-        validate_twisted_poisson(theta, twist)
-        anchor = theta.comps.T.copy()  # [a, m] = theta(dx^a)^m
-        frame = [TensorField(chart, (DOWN,), row) for row in tn.identity(chart.dim)]
-        brackets = np.array([[koszul(fa, fb, theta, twist).comps for fb in frame] for fa in frame],
-                            dtype=object)  # [a, b, c]
-        structure = np.moveaxis(brackets, -1, 0)
-        return LieAlgebroidCotangent(chart, theta, twist, AnchoredFrame(chart, anchor, structure))
+    def build(chart: Chart, theta: tuple[Jet, Jet], twist: Jet) -> "LieAlgebroidCotangent":
+        """The algebroid of the bivector with 2-jet theta, after checking that
+        its twisted Jacobi residual vanishes at the sample points.  The
+        Koszul bracket of the coordinate coframe,
+        [dx^a, dx^b] = L_{theta dx^a} dx^b + twist(theta dx^a, theta dx^b, .),
+        has the structure functions
+        C^c_{ab} = d_c theta^{ba} + twist_{ijc} theta^{ia} theta^{jb}."""
+        th, dth = theta
+        validate_twisted_poisson(th, twist.value, chart.sample_points())
+        anchor = th.map(lambda t: t.swapaxes(0, 1))  # [a, m] = theta(dx^a)^m
+        structure = (dth.map(lambda t: np.moveaxis(t, 2, 0).swapaxes(1, 2))
+                     + tn.jet_contract("ijc,ia,jb->cab", twist, th, th))
+        return LieAlgebroidCotangent(chart, th, twist, AnchoredFrame(chart, anchor, structure))

@@ -1,5 +1,13 @@
 """Classical operators of a chart metric: Levi-Civita connection, curvature,
-form inner products, codifferential, divergence and Laplacian.
+form inner products, codifferential, divergence and Laplacian, as numbers
+at the chart's sample points.
+
+A field is a ``tensors.Jet`` (values and first partials, the point axis
+last), or a float array of values when no partial of it is read.  The
+connection is built from the 2-jet of g (``tensors.field_jets``): g^{-1}
+is one ``np.linalg.inv`` per point, d g^{-1} = -g^{-1} dg g^{-1}, and the
+partials of Gamma come from the second partials of g by
+``tensors.jet_contract``.  Everything else is ``np.einsum`` over them.
 
 Conventions (locked by the unit-sphere and flat-metric tests):
 
@@ -11,158 +19,125 @@ Conventions (locked by the unit-sphere and flat-metric tests):
 - <a, b>_g = (1/p!) a_{i1..ip} b^{i1..ip} for p-forms
 - (delta_g w)(X,...) = -g^{ka} (nab_k w)(d_a, X, ...)
 
-Only what the checks read is built.  ``riemann_entry`` builds one entry
-R^k_{lij} and differentiates only the two Gamma entries it reads, so
-``curvature_package`` builds the n^3 traced entries R^k_{lkj} that Ricci
-sums, not the n^4 tensor.  ``form_inner`` raises b's slots one at a time
-(p n^{p+1} products) before pairing with a, rather than summing the n^{2p}
-products a_I b_J g^{i1 j1}..g^{ip jp}.
+Only what the checks read is computed: ``curvature_package`` sums the n^3
+traced entries R^k_{lkj}, not the n^4 tensor, and ``form_inner`` raises
+b's slots one at a time (p n^{p+1} products) before pairing with a, rather
+than summing the n^{2p} products a_I b_J g^{i1 j1}..g^{ip jp}.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import tensors as tn
-from .errors import DegreeMismatch, SlotError
-from .expr import Chart, Coord, Expr, add, esum, mul, neg
-from .tensors import DOWN, UP, TensorField
+from .errors import DegreeMismatch, SingularMetric
+from .expr import Chart
+from .tensors import DET_TOL, DOWN, UP, Jet
 
 
 @dataclass
 class Christoffel:
-    """Levi-Civita connection coefficients Gamma^k_{ij}, symmetric in (i,j).
-
-    Carries the metric and its symbolic inverse, so the operators below
-    take it in place of the metric and never invert g again.
-    """
+    """The Levi-Civita connection of a chart metric at the sample points:
+    the jets of g, of its inverse and of the coefficients Gamma^k_{ij}, so
+    the operators below take it in place of the metric and never invert g
+    again."""
 
     chart: Chart
-    coeffs: np.ndarray  # [k, i, j]
-    metric: TensorField
-    metric_inverse: TensorField
-
-    def __post_init__(self):
-        i, j = np.triu_indices(self.chart.dim, 1)
-        diffs = (self.coeffs[:, i, j] - self.coeffs[:, j, i]).reshape(-1)
-        if diffs.size:
-            worst, _ = ex.max_abs_on_points(diffs, self.chart.sample_points())
-            if not worst <= 1e-10:
-                raise SlotError(f"connection coefficients not symmetric: {worst:.3e}")
+    g: Jet  # [i, j, p]
+    ginv: Jet  # [i, j, p]
+    coeffs: Jet  # [k, i, j, p]
 
 
-def christoffel(g: TensorField) -> Christoffel:
-    """Levi-Civita coefficients of a symmetric nondegenerate (0,2) metric.
-    Each is built once for i <= j, and Gamma^k_{ji} is that same object."""
-    ginv = tn.metric_inverse(g)  # also checks symmetry and nondegeneracy
-    n = g.chart.dim
-    dg = np.moveaxis(tn.partials(g.comps, g.chart), -1, 0)  # dg[l, i, j] = d_l g_{ij}
-    out = np.empty((n, n, n), dtype=object)
-    for k, i, j in itertools.product(range(n), repeat=3):
-        if i <= j:  # Gamma^k_{ji} is the same object
-            out[k, i, j] = out[k, j, i] = mul(
-                0.5,
-                esum(
-                    mul(ginv.comps[k, l], add(dg[i, l, j], dg[j, i, l], neg(dg[l, i, j])))
-                    for l in range(n)
-                ),
-            )
-    return Christoffel(g.chart, out, g, ginv)
+def christoffel(g: Jet, dg: Jet, chart: Chart) -> Christoffel:
+    """The Levi-Civita connection of a symmetric nondegenerate metric from
+    its 2-jet at the chart's sample points: its jet g and the jet dg of its
+    partials, dg[i, j, m] = d_m g_{ij}.  Raises DomainError where an entry
+    is not finite and SingularMetric where |det g| is below DET_TOL."""
+    points = chart.sample_points()
+    tn.finite("metric jet", g, points)
+    tn.finite("metric jet", dg, points)
+    for p, det in zip(points, np.linalg.det(np.moveaxis(g.value, -1, 0))):
+        if not abs(det) >= DET_TOL:
+            raise SingularMetric(f"|det| < {DET_TOL} at sample point {tuple(p)}")
+    with np.errstate(all="ignore"):
+        ginv = tn.finite("inverse metric", tn.jet_inverse(g), points)
+        # [l, i, j] = d_i g_{lj} + d_j g_{il} - d_l g_{ij}
+        first = (tn.jet_contract("lji->lij", dg) + tn.jet_contract("ilj->lij", dg)
+                 - tn.jet_contract("ijl->lij", dg))
+        coeffs = tn.finite("Christoffel jet", 0.5 * tn.jet_contract("kl,lij->kij", ginv, first),
+                           points)
+    return Christoffel(chart, g, ginv, coeffs)
 
 
-def covariant_derivative(t: TensorField, gamma: Christoffel) -> TensorField:
-    """nab t with one extra leading down slot: +Gamma on up slots,
-    -Gamma on down slots.  Each entry sums the partial, then the terms of
-    each slot in turn, over the index b that the slot's Gamma brings in."""
-    idx = "acdefgh"[:t.rank]
-    terms = [np.moveaxis(tn.partials(t.comps, t.chart), -1, 0)[None]]  # [., mu, idx]
-    for slot, var in enumerate(t.variance):
+def covariant_derivative(t: Jet, variance, gamma: Christoffel) -> np.ndarray:
+    """nab t [mu, slots.., p] of a tensor field of the given variance (one
+    ``tensors.UP`` or ``DOWN`` per slot), with one extra leading down slot:
+    the partial, +Gamma on up slots and -Gamma on down slots."""
+    G = gamma.coeffs.value
+    idx = "acdefgh"[:len(variance)]
+    out = np.moveaxis(t.partial, -2, 0).copy()  # [mu, idx, p]
+    for slot, var in enumerate(variance):
         a, src = idx[slot], idx[:slot] + "b" + idx[slot + 1:]
         if var == UP:  # Gamma^a_{mu b} t[.. b ..]
-            terms.append(tn.contract(f"{a}mb,{src}->bm{idx}", gamma.coeffs, t.comps))
+            out += np.einsum(f"{a}mbq,{src}q->m{idx}q", G, t.value)
         else:  # -Gamma^b_{mu a} t[.. b ..]
-            terms.append(tn.contract(f",bm{a},{src}->bm{idx}", -1.0, gamma.coeffs, t.comps))
-    out = tn.contract(f"zm{idx}->m{idx}", np.concatenate(terms))
-    return TensorField(t.chart, (DOWN,) + t.variance, out)
-
-
-def riemann_entry(gamma: Christoffel, k: int, l: int, i: int, j: int) -> Expr:
-    """R^k_{lij}.  Of dGamma it reads d_i Gamma^k_{jl} and d_j Gamma^k_{il},
-    which ``differentiate`` caches on the Gamma nodes, so entries reading
-    the same derivative share it."""
-    G, n = gamma.coeffs, gamma.chart.dim
-    terms = [ex.differentiate(G[k, j, l], Coord(gamma.chart, i)),
-             neg(ex.differentiate(G[k, i, l], Coord(gamma.chart, j)))]
-    for m in range(n):
-        terms.append(mul(G[k, i, m], G[m, j, l]))
-        terms.append(neg(mul(G[k, j, m], G[m, i, l])))
-    return esum(terms)
+            out -= np.einsum(f"bm{a}q,{src}q->m{idx}q", G, t.value)
+    return out
 
 
 def curvature_package(gamma: Christoffel):
-    """(Ricci (0,2), scalar Expr) of the metric of gamma, from the n^3
+    """(Ricci [l, j, p], scalar [p]) of the metric of gamma, from the n^3
     traced entries R^k_{lkj}."""
-    n = gamma.chart.dim
-    ric = np.empty((n, n), dtype=object)
-    for l, j in itertools.product(range(n), repeat=2):
-        ric[l, j] = esum(riemann_entry(gamma, k, l, k, j) for k in range(n))
-    scalar = tn.contract("lj,lj->", gamma.metric_inverse.comps, ric)
-    return TensorField(gamma.chart, (DOWN, DOWN), ric), scalar
+    G, dG = gamma.coeffs  # dG[k, i, j, m] = d_m Gamma^k_{ij}
+    ric = (np.einsum("kjlkp->ljp", dG) - np.einsum("kkljp->ljp", dG)
+           + np.einsum("kkmp,mjlp->ljp", G, G) - np.einsum("kjmp,mklp->ljp", G, G))
+    return ric, np.einsum("ljp,ljp->p", gamma.ginv.value, ric)
 
 
-def form_inner(alpha: TensorField, beta: TensorField, ginv: TensorField) -> Expr:
-    """(1/p!) alpha_{i1..ip} beta^{i1..ip}, indices raised by the inverse
-    metric ginv one slot at a time; on a flat metric <dx^dy, dx^dy> = 1.
-    Both arguments are taken to be forms: only their slots are checked."""
-    if alpha.rank != beta.rank:
-        raise DegreeMismatch(f"degree {alpha.rank} vs {beta.rank}")
-    if any(v != DOWN for v in alpha.variance + beta.variance):
-        raise SlotError("form_inner expects covariant forms")
-    p = alpha.rank
-    if p == 0:
-        return mul(alpha[()], beta[()])
+def form_inner(alpha: np.ndarray, beta: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """(1/p!) alpha_{i1..ip} beta^{i1..ip} at each point, for the values of
+    two p-forms and of the inverse metric, indices raised one slot at a
+    time; on a flat metric <dx^dy, dx^dy> = 1."""
+    if alpha.ndim != beta.ndim:
+        raise DegreeMismatch(f"degree {alpha.ndim - 1} vs {beta.ndim - 1}")
+    p = alpha.ndim - 1
     slots = "abcdefgh"[:p]
-    raised = beta.comps
+    raised = beta
     for s in range(p):  # raised[.., a_s, ..] = g^{a_s z} raised[.., z, ..]
-        raised = tn.contract(f"{slots[s]}z,{slots[:s]}z{slots[s + 1:]}->{slots}", ginv.comps, raised)
-    return mul(1.0 / math.factorial(p), tn.contract(f"{slots},{slots}->", alpha.comps, raised))
+        raised = np.einsum(f"{slots[s]}zq,{slots[:s]}z{slots[s + 1:]}q->{slots}q", ginv, raised)
+    return np.einsum(f"{slots}q,{slots}q->q", alpha, raised) / math.factorial(p)
 
 
-def codifferential(omega: TensorField, gamma: Christoffel) -> TensorField:
-    """delta_g on a fully antisymmetric covariant p-form via the metric
-    trace of its covariant derivative; frame independent."""
-    nab = covariant_derivative(omega, gamma)  # [k, a, rest...]
-    rest = "bcdefgh"[:omega.rank - 1]
-    out = -tn.contract(f"ka,ka{rest}->{rest}", gamma.metric_inverse.comps, nab.comps)
-    return TensorField(gamma.chart, (DOWN,) * (omega.rank - 1), out)
+def codifferential(omega: Jet, gamma: Christoffel) -> np.ndarray:
+    """delta_g [rest.., p] of a fully antisymmetric covariant p-form via the
+    metric trace of its covariant derivative; frame independent."""
+    rank = omega.value.ndim - 1
+    nab = covariant_derivative(omega, (DOWN,) * rank, gamma)  # [k, a, rest..]
+    rest = "bcdefgh"[:rank - 1]
+    return -np.einsum(f"kaq,ka{rest}q->{rest}q", gamma.ginv.value, nab)
 
 
-def gradient_vector(phi, ginv: TensorField) -> TensorField:
-    """grad phi = g^{-1} dphi."""
-    dphi = tn.d_scalar(ginv.chart, phi)
-    return TensorField(ginv.chart, (UP,), tn.contract("az,z->a", ginv.comps, dphi.comps))
+def gradient_vector(dphi: Jet, ginv: Jet) -> Jet:
+    """grad phi = g^{-1} dphi, from the jet of the partials of phi."""
+    return tn.jet_contract("az,z->a", ginv, dphi)
 
 
-def divergence(v: TensorField, gamma: Christoffel) -> Expr:
-    """Trace of the Levi-Civita derivative of a vector field."""
-    if v.variance != (UP,):
-        raise SlotError("divergence expects a vector field")
-    return tn.contract("kk->", covariant_derivative(v, gamma).comps)
+def divergence(v: Jet, gamma: Christoffel) -> np.ndarray:
+    """Trace of the Levi-Civita derivative of a vector field, at each point."""
+    return np.einsum("kkq->q", covariant_derivative(v, (UP,), gamma))
 
 
-def divergence_oneform(w: TensorField, gamma: Christoffel) -> Expr:
-    """Div_g of a 1-form: metric trace g^{ka} (nab_k w)_a."""
-    return tn.contract("ka,ka->", gamma.metric_inverse.comps, covariant_derivative(w, gamma).comps)
+def divergence_oneform(w: Jet, gamma: Christoffel) -> np.ndarray:
+    """Div_g of a 1-form: metric trace g^{ka} (nab_k w)_a, at each point."""
+    return np.einsum("kaq,kaq->q", gamma.ginv.value, covariant_derivative(w, (DOWN,), gamma))
 
 
-def laplace_divergence(phi, gamma: Christoffel):
-    """(Delta_g phi, gradient vector, |grad phi|^2_g)."""
-    grad = gradient_vector(phi, gamma.metric_inverse)
-    lap = divergence(grad, gamma)
-    dphi = tn.d_scalar(gamma.chart, phi)
-    return lap, grad, tn.contract("a,a->", dphi.comps, grad.comps)
+def laplace_divergence(dphi: Jet, gamma: Christoffel):
+    """(Delta_g phi [p], gradient vector jet, |grad phi|^2_g [p]) from the jet
+    of the partials of phi."""
+    grad = gradient_vector(dphi, gamma.ginv)
+    return (divergence(grad, gamma), grad,
+            np.einsum("aq,aq->q", dphi.value, grad.value))

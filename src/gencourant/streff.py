@@ -14,12 +14,12 @@ evaluates
   with G = -B g^{-1} B, and the three residuals of the dual gravity
   equations, plus the transport identity connecting both Ricci tensors.
 
-The residuals that read no connection on TM (+) T*M or on the cotangent
-algebroid are exact symbolic fields, which the CLI samples at the chart's
-seeded points.  What is read from those connections (curvature, covariant
-derivatives) is numbers at those points (see ``gtb`` and ``gconn``), so the
-residuals that involve them are float arrays ending in the point axis, with
-their symbolic parts valued at the same points.
+The parsed fields of a ``Background`` are the last expressions: ``Derived``
+takes their jets once, at the chart's seeded sample points (the 2-jets of
+g, B and phi and the jet of H, ``Derived.jets``), and every quantity above
+is numbers computed from them (``riemann``, ``gtb``, ``gconn``), each array
+ending in the point axis.  Only the axioms suite still reads expressions:
+random sections and the bracket, with the twist ``Background.h_total``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from . import gconn
 from . import gtb
 from . import riemann as rm
 from . import tensors as tn
-from .expr import Chart, Expr, add, esum, mul, neg
+from .expr import Chart, Expr
 from .gtb import GeneralizedMetric, LieAlgebroidCotangent
-from .tensors import DOWN, TensorField
+from .tensors import DOWN, Jet, TensorField
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +59,11 @@ class Background:
     def __post_init__(self):
         if self.H is None:
             self.H = tn.zeros(self.chart, (DOWN,) * 3)
-        gtb._check_positive_definite(self.g)
+        pts = self.chart.sample_points()
+        gtb.check_positive_definite(self.g.evaluate_points(pts), pts)
         tn.check_antisymmetric(self.B)
         tn.check_antisymmetric(self.H)
-        gtb.check_closed(self.H)
+        gtb.check_closed(tn.values_at(tn.exterior_derivative(self.H).comps, pts), pts)
         self.phi = ex._coerce(self.phi)
 
     def h_total(self) -> TensorField:
@@ -70,12 +71,24 @@ class Background:
         return self.H + tn.exterior_derivative(self.B)
 
 
+@dataclass
+class FieldJets:
+    """The background's fields at the chart's sample points: the 2-jets of
+    g, B and phi (each the jet of the field and the jet of its partials,
+    ``tensors.field_jets``) and the jet of H."""
+
+    g: tuple[Jet, Jet]
+    B: tuple[Jet, Jet]
+    phi: tuple[Jet, Jet]
+    H: Jet
+
+
 class Derived:
     """The derived quantities of one background that the checks read, each
     built on first read, by the public builder named below, and kept:
 
-    - ``h_prime``: H' = H + dB (``Background.h_total``), checked once to be
-      an antisymmetric closed 3-form;
+    - ``jets``: the fields' jets (``FieldJets``), checked finite;
+    - ``h_prime``: the jet of H' = H + dB, checked antisymmetric and closed;
     - ``gamma``: the chart Christoffel symbols (``riemann.christoffel``),
       which carry g and ``ginv`` = g^{-1}, the one inversion of g;
     - ``curvature``: (Ricci, scalar) of g (``riemann.curvature_package``);
@@ -97,19 +110,35 @@ class Derived:
         self.bg = bg
 
     @cached_property
-    def h_prime(self) -> TensorField:
-        Hp = self.bg.h_total()
-        gtb.check_closed(Hp)
-        tn.check_antisymmetric(Hp)
+    def jets(self) -> FieldJets:
+        bg = self.bg
+        chart, pts = bg.chart, bg.chart.sample_points()
+
+        def checked(name, jets):
+            return tuple(tn.finite(f"scene field {name}", j, pts) for j in jets)
+
+        return FieldJets(checked("g", tn.field_jets(bg.g.comps, chart)),
+                         checked("B", tn.field_jets(bg.B.comps, chart)),
+                         checked("phi", tn.field_jets(bg.phi, chart)),
+                         tn.finite("scene field H", tn.jets_at(bg.H.comps, pts), pts))
+
+    @cached_property
+    def h_prime(self) -> Jet:
+        pts = self.bg.chart.sample_points()
+        with np.errstate(all="ignore"):
+            Hp = self.jets.H + self.jets.B[1].map(lambda t: tn.d_of_partials(t, 2))
+        tn.finite("twist H' = H + dB", Hp, pts)
+        tn.check_antisymmetric(Hp.value, pts)
+        gtb.check_closed(tn.d_of_partials(Hp.partial, 3), pts)
         return Hp
 
     @cached_property
     def gamma(self) -> rm.Christoffel:
-        return rm.christoffel(self.bg.g)
+        return rm.christoffel(*self.jets.g, self.bg.chart)
 
     @property
-    def ginv(self) -> TensorField:
-        return self.gamma.metric_inverse
+    def ginv(self) -> Jet:
+        return self.gamma.ginv
 
     @cached_property
     def curvature(self):
@@ -121,7 +150,7 @@ class Derived:
 
     @cached_property
     def metric(self) -> GeneralizedMetric:
-        return GeneralizedMetric(self.bg.g, self.bg.B, self.ginv)
+        return GeneralizedMetric(self.bg.chart, self.jets.g[0], self.jets.B[0], self.ginv)
 
     @cached_property
     def minimal(self) -> gconn.GenConnection:
@@ -133,7 +162,7 @@ class Derived:
 
     @cached_property
     def dilaton(self) -> gconn.GenConnection:
-        return gconn.dilaton_connection(self.minimal, self.bg.B, self.bg.phi)
+        return gconn.dilaton_connection(self.minimal, self.jets.B, self.jets.phi[1])
 
     @cached_property
     def symplectic(self) -> "SymplecticPackage":
@@ -154,15 +183,22 @@ class Derived:
 
 @dataclass
 class BetaResiduals:
-    beta_g: TensorField        # symmetric (0,2)
-    beta_B: TensorField        # antisymmetric (0,2)
-    beta_phi: Expr
-    beta_phi_prime: Expr
+    """The residual tensors at the chart's sample points."""
+
+    beta_g: np.ndarray         # [i, j, p], symmetric
+    beta_B: np.ndarray         # [i, j, p], antisymmetric
+    beta_phi: np.ndarray       # [p]
+    beta_phi_prime: np.ndarray  # [p]
 
     def max_abs(self, points):
-        fields = list(self.beta_g.comps.reshape(-1)) + list(self.beta_B.comps.reshape(-1))
-        fields += [self.beta_phi]
-        return ex.max_abs_on_points(fields, points)
+        count = len(points)
+        fields = [self.beta_g.reshape(-1, count), self.beta_B.reshape(-1, count), self.beta_phi[None]]
+        return ex.max_abs_on_points(np.concatenate(fields), points)
+
+
+def _hessian(derived: Derived) -> np.ndarray:
+    """nab dphi [m, a, p]."""
+    return rm.covariant_derivative(derived.jets.phi[1], (DOWN,), derived.gamma)
 
 
 def beta_all(derived: Derived) -> BetaResiduals:
@@ -174,53 +210,45 @@ def beta_all(derived: Derived) -> BetaResiduals:
     beta_phi     = R(g) - (1/2) <H',H'>_g + 4 Lap(phi) - 4 |grad phi|^2
     beta_phi'    = -(1/4) (beta_phi - tr_g beta_g)
     """
-    bg = derived.bg
-    chart = bg.chart
-    n = chart.dim
-    Hp, gamma, ginv = derived.h_prime, derived.gamma, derived.ginv
+    Hp, gamma = derived.h_prime, derived.gamma
+    ginv = gamma.ginv.value
     ric, rscal = derived.curvature
-    hess = rm.covariant_derivative(tn.d_scalar(chart, bg.phi), gamma)
-    lap, grad, norm2 = rm.laplace_divergence(bg.phi, gamma)
+    hess = _hessian(derived)
+    lap, grad, norm2 = rm.laplace_divergence(derived.jets.phi[1], gamma)
     deltaH = rm.codifferential(Hp, gamma)
-
-    iH = [tn.interior_product(gconn._coord_field(chart, i), Hp) for i in range(n)]
-    inner = np.array([[rm.form_inner(a, b, ginv) for b in iH] for a in iH], dtype=object)
-    bg_comps = tn.contract("zij->ij", np.stack([ric.comps, tn.contract(",ij->ij", -0.5, inner),
-                                                hess.comps, hess.comps.T]))
-    bB_comps = (tn.contract(",ij->ij", 0.5, deltaH.comps)
-                + tn.contract("ija,a->ij", Hp.comps, grad.comps))
-    beta_g = TensorField(chart, (DOWN, DOWN), bg_comps)
-    beta_B = TensorField(chart, (DOWN, DOWN), bB_comps)
-    beta_phi = esum([rscal, mul(-0.5, rm.form_inner(Hp, Hp, ginv)), mul(4.0, lap),
-                     mul(-4.0, norm2)])
-    trace = tn.contract("ij,ij->", ginv.comps, bg_comps)
-    beta_phi_prime = mul(-0.25, add(beta_phi, neg(trace)))
-    return BetaResiduals(beta_g, beta_B, beta_phi, beta_phi_prime)
+    # <i_{d_i} H', i_{d_j} H'>_g, i_{d_i} H' the slice of the first slot
+    n = len(Hp.value)
+    inner = np.array([[rm.form_inner(Hp.value[i], Hp.value[j], ginv) for j in range(n)]
+                      for i in range(n)])
+    beta_g = ric - 0.5 * inner + hess + hess.swapaxes(0, 1)
+    beta_B = 0.5 * deltaH + np.einsum("ijap,ap->ijp", Hp.value, grad.value)
+    beta_phi = rscal - 0.5 * rm.form_inner(Hp.value, Hp.value, ginv) + 4.0 * lap - 4.0 * norm2
+    trace = np.einsum("ijp,ijp->p", ginv, beta_g)
+    return BetaResiduals(beta_g, beta_B, beta_phi, -0.25 * (beta_phi - trace))
 
 
-def beta_b_conformal_form(derived: Derived) -> TensorField:
-    """The equivalent divergence form (1/2) e^{2 phi} delta_g(e^{-2 phi} H')."""
-    phi = derived.bg.phi
-    weight = ex.exp(mul(-2.0, phi))
-    weighted = derived.h_prime.map(lambda c: mul(weight, c))
-    delta = rm.codifferential(weighted, derived.gamma)
-    back = ex.exp(mul(2.0, phi))
-    return delta.map(lambda c: mul(0.5, back, c))
+def beta_b_conformal_form(derived: Derived) -> np.ndarray:
+    """The equivalent divergence form (1/2) e^{2 phi} delta_g(e^{-2 phi} H'),
+    with the jet of e^{-2 phi} from the 2-jet of phi."""
+    phi, dphi = derived.jets.phi
+    pts = derived.bg.chart.sample_points()
+    with np.errstate(all="ignore"):
+        weight = np.exp(-2.0 * phi.value)
+        weight = tn.finite("weight e^(-2 phi)", Jet(weight, -2.0 * weight * dphi.value), pts)
+        back = tn.finite("weight e^(2 phi)", np.exp(2.0 * phi.value), pts)
+    delta = rm.codifferential(tn.jet_contract(",ijk->ijk", weight, derived.h_prime), derived.gamma)
+    return 0.5 * back * delta
 
 
-def beta_g_index_form(derived: Derived) -> TensorField:
+def beta_g_index_form(derived: Derived) -> np.ndarray:
     """Raw index-sum assembly Ric_{mn} - (1/4) H'_{m a b} H'_n{}^{a b}
     + 2 (nab dphi)_{(mn)}: an independent formula path used as an oracle
     against the index-free assembly."""
-    chart = derived.bg.chart
-    Hp, gamma = derived.h_prime.comps, derived.gamma
-    ginv = gamma.metric_inverse.comps
+    Hp, ginv = derived.h_prime.value, derived.ginv.value
     ric, _ = derived.curvature
-    hess = rm.covariant_derivative(tn.d_scalar(chart, derived.bg.phi), gamma)
-    quad = tn.contract("mab,vcd,ac,bd->mv", Hp, Hp, ginv, ginv)
-    out = tn.contract("zmv->mv", np.stack([ric.comps, tn.contract(",mv->mv", -0.25, quad),
-                                           hess.comps, hess.comps.T]))
-    return TensorField(chart, (DOWN, DOWN), out)
+    hess = _hessian(derived)
+    quad = np.einsum("mabp,vcdp,acp,bdp->mvp", Hp, Hp, ginv, ginv)
+    return ric - 0.25 * quad + hess + hess.swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +269,10 @@ def central_residuals(derived: Derived) -> CentralResiduals:
     """The two identity residuals of the dilaton connection for (g, B, phi)
     on the H-twisted bracket (built through the shear, so B != 0 exercises
     the conjugation path)."""
-    pts = derived.bg.chart.sample_points()
     betas = derived.betas
     conn = derived.dilaton
-    scalar_res = gconn.scalar_G(conn) - tn.values_at(betas.beta_phi, pts)
-    beta_diff = tn.values_at((betas.beta_g - betas.beta_B).comps, pts)
-    return CentralResiduals(scalar_res, gconn.ricci_compat_residual(conn) - beta_diff)
+    return CentralResiduals(gconn.scalar_G(conn) - betas.beta_phi,
+                            gconn.ricci_compat_residual(conn) - (betas.beta_g - betas.beta_B))
 
 
 # ---------------------------------------------------------------------------
@@ -256,59 +282,65 @@ def central_residuals(derived: Derived) -> CentralResiduals:
 
 @dataclass
 class SymplecticPackage:
-    """Everything attached to theta = B^{-1}: the dual metric G = -B g^{-1} B,
-    the cotangent Lie algebroid with its Levi-Civita connection for G^{-1},
-    the transported twist, and the dilaton data in the dual variables.  The
-    curvature of the connection is computed when the residuals are
-    (``algebroid_curvature``)."""
+    """Everything attached to theta = B^{-1}, as jets at the chart's sample
+    points: the dual metric G = -B g^{-1} B, the cotangent Lie algebroid
+    with its Levi-Civita connection for G^{-1}, the transported twist, and
+    the dilaton data in the dual variables.  The curvature of the
+    connection is computed when the residuals are (``algebroid_curvature``)."""
 
     chart: Chart
-    theta: TensorField                  # bivector, (2,0)
-    G: TensorField                      # Riemannian metric (0,2)
+    theta: tuple[Jet, Jet]              # 2-jet of the bivector theta^{mn}
+    G: Jet                              # Riemannian metric (0,2)
     metric: GeneralizedMetric           # BlockDiag(G, G^{-1}) on TM (+) T*M
-    g_A: np.ndarray                     # fiber metric on T*M: matrix of G^{-1} = -theta g theta
+    g_A: Jet                            # fiber metric on T*M: G^{-1} = -theta g theta
     cotangent: LieAlgebroidCotangent
-    gamma: np.ndarray                   # connection coefficients [c, a, b]
-    H_theta: np.ndarray                 # frame 3-form H'(theta., theta., theta.)
-    dphi_dual: np.ndarray               # d_theta phi as dual-frame components
+    gamma: Jet                          # connection coefficients [c, a, b]
+    H_theta: Jet                        # frame 3-form H'(theta., theta., theta.)
+    dphi_dual: Jet                      # d_theta phi as dual-frame components
 
 
 def build_symplectic(derived: Derived) -> SymplecticPackage:
-    bg = derived.bg
-    chart = bg.chart
-    theta = gtb.theta_matrix_from_b(bg.B)  # raises SingularB when not invertible
-    B, ginv = bg.B.comps, derived.ginv.comps
-    G = TensorField(chart, (DOWN, DOWN), -tn.contract("ia,ab,bj->ij", B, ginv, B))
-    metric = gtb.gen_metric(G)  # checks that G is positive definite
-    cot = LieAlgebroidCotangent.build(theta, tn.exterior_derivative(bg.B))
-    # g_A = G^{-1} = -theta g theta (inverse without another adjugate pass)
-    th = theta.comps
-    g_A = -tn.contract("am,mk,kb->ab", th, bg.g.comps, th)
-    gamma = cot.algebroid.lc_connection(g_A)
-    H_theta = tn.contract("ijk,ia,jb,kc->abc", derived.h_prime.comps, th, th, th)
-    dphi_dual = gtb.d_theta(chart, bg.phi, theta).comps
-    return SymplecticPackage(chart, theta, G, metric, g_A, cot, gamma, H_theta, dphi_dual)
+    jets = derived.jets
+    chart = derived.bg.chart
+    pts = chart.sample_points()
+    (g, dg), (B, dB) = jets.g, jets.B
+    theta, dtheta = gtb.theta_from_b(B, dB, pts)  # raises SingularB when not invertible
+    G = -tn.jet_contract("ia,ab,bj->ij", B, derived.ginv, B)
+    gtb.check_positive_definite(np.moveaxis(G.value, -1, 0), pts)
+    # g_A = G^{-1} = -theta g theta (the inverse without another inversion),
+    # and the jet of its partials by the product rule
+    g_A = -tn.jet_contract("am,mk,kb->ab", theta, g, theta)
+    dg_A = -(tn.jet_contract("amc,mk,kb->abc", dtheta, g, theta)
+             + tn.jet_contract("am,mkc,kb->abc", theta, dg, theta)
+             + tn.jet_contract("am,mk,kbc->abc", theta, g, dtheta))
+    cot = LieAlgebroidCotangent.build(chart, (theta, dtheta),
+                                      dB.map(lambda t: tn.d_of_partials(t, 2)))
+    gamma = cot.algebroid.lc_connection(g_A, dg_A)
+    H_theta = tn.jet_contract("ijk,ia,jb,kc->abc", derived.h_prime, theta, theta, theta)
+    dphi_dual = gtb.d_theta(jets.phi[1], theta)
+    metric = GeneralizedMetric(chart, G, None, g_A)
+    return SymplecticPackage(chart, (theta, dtheta), G, metric, g_A, cot, gamma, H_theta, dphi_dual)
 
 
-def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: np.ndarray, G: TensorField):
+def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: Jet, G: np.ndarray):
     """(Ricci [a, b, p] over the coframe, G-trace scalar [p]) of an algebroid
-    connection at the chart's sample points: Ric[c, b] = R0[a, c, a, b]."""
-    pts = cot.chart.sample_points()
-    r0 = cot.algebroid.curvature(*tn.jets_at(gamma, pts), pts)
-    ric = np.einsum("acabp->cbp", r0)
-    return ric, np.einsum("abp,abp->p", tn.values_at(G.comps, pts), ric)
+    connection with jet gamma, for the values G[a, b, p] of the metric:
+    Ric[c, b] = R0[a, c, a, b]."""
+    ric = np.einsum("acabp->cbp", cot.algebroid.curvature(gamma))
+    return ric, np.einsum("abp,abp->p", G, ric)
 
 
-def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: TensorField, degree: int):
-    """(1/p!) P(E^{i1}..) Q(G E_{i1} ..) for frame p-forms on the cotangent
-    algebroid (G lowers the algebroid frame indices).  A slot of P or Q
-    beyond the last ``degree`` ones is a free index of the result, so
-    P[x] and Q[y] paired over x and y give an array [x, y]."""
+def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: np.ndarray, degree: int):
+    """(1/p!) P(E^{i1}..) Q(G E_{i1} ..) at each point for the values of
+    frame p-forms on the cotangent algebroid (G lowers the algebroid frame
+    indices).  A slot of P or Q beyond the last ``degree`` ones is a free
+    index of the result, so P[x] and Q[y] paired over x and y give an
+    array [x, y, p]."""
     i, j = "abc"[:degree], "def"[:degree]
-    x, y = "x"[: P.ndim - degree], "y"[: Q.ndim - degree]
-    spec = ",".join([x + i, y + j] + [b + a for a, b in zip(i, j)]) + "->" + x + y
+    x, y = "x"[: P.ndim - 1 - degree], "y"[: Q.ndim - 1 - degree]
+    spec = ",".join([x + i + "p", y + j + "p"] + [b + a + "p" for a, b in zip(i, j)])
     norm = 1.0 / float(np.prod(range(1, degree + 1)))
-    return norm * tn.contract(spec, P, Q, *[G.comps] * degree)
+    return norm * np.einsum(spec + "->" + x + y + "p", P, Q, *[G] * degree)
 
 
 def symplectic_residuals(pkg: SymplecticPackage):
@@ -322,30 +354,23 @@ def symplectic_residuals(pkg: SymplecticPackage):
     3. skew:    H'_th(xi,eta, G(d_th phi))
                 - (1/2) (nab_{E^k} H'_th)(G(E_k), xi, eta)
 
-    The curvature terms and the covariant derivatives of d_th phi and H'_th
-    are numbers (``gtb.AnchoredFrame.covariant_derivative_at``); the other
-    terms are built symbolically and valued."""
-    chart = pkg.chart
-    pts = chart.sample_points()
+    The covariant derivatives of d_th phi and H'_th are those of their jets
+    (``gtb.AnchoredFrame.covariant_derivative_of``)."""
     alg = pkg.cotangent.algebroid
-    G = pkg.G
-    w = pkg.dphi_dual
+    G, gamma = pkg.G.value, pkg.gamma.value
+    w, H = pkg.dphi_dual, pkg.H_theta.value
     ric, scalar = algebroid_curvature(pkg.cotangent, pkg.gamma, G)
-    Gv, gamma = tn.values_at(G.comps, pts), tn.values_at(pkg.gamma, pts)
-    nab_w = alg.covariant_derivative_at(gamma, w, pts)  # [k, a, p] = (nab_{E_k} w)_a
-    lap = np.einsum("akp,kap->p", Gv, nab_w)  # G^{ak} (nab_{E_k} w)_a
-    norm2 = tn.contract("ab,a,b->", G.comps, w, w)
-    hh = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 3)
-    rest1 = add(mul(-0.5, hh), mul(-4.0, norm2))
+    nab_w = alg.covariant_derivative_of(gamma, w)  # [k, a, p] = (nab_{E_k} w)_a
+    lap = np.einsum("akp,kap->p", G, nab_w)  # G^{ak} (nab_{E_k} w)_a
+    norm2 = np.einsum("abp,ap,bp->p", G, w.value, w.value)
     # <i_{E^x} H'_th, i_{E^y} H'_th>_G, with i_{E^x} the slice of the first slot
-    inner = _pform_inner_dual(pkg.H_theta, pkg.H_theta, G, 2)
-    u = tn.contract("am,m->a", G.comps, w)  # G(d_th phi) as a frame section of the algebroid
-    nabH = alg.covariant_derivative_at(gamma, pkg.H_theta, pts)  # [k, a, b, c, p]
+    inner = _pform_inner_dual(H, H, G, 2)
+    u = np.einsum("amp,mp->ap", G, w.value)  # G(d_th phi) as a frame section of the algebroid
+    nabH = alg.covariant_derivative_of(gamma, pkg.H_theta)  # [k, a, b, c, p]
     return (
-        scalar + 4.0 * lap + tn.values_at(rest1, pts),
-        ric + nab_w + nab_w.swapaxes(0, 1) - 0.5 * tn.values_at(inner, pts),
-        (tn.values_at(tn.contract("abc,c->ab", pkg.H_theta, u), pts)
-         - 0.5 * np.einsum("mkp,kmabp->abp", Gv, nabH)),
+        scalar + 4.0 * lap - 0.5 * _pform_inner_dual(H, H, G, 3) - 4.0 * norm2,
+        ric + nab_w + nab_w.swapaxes(0, 1) - 0.5 * inner,
+        np.einsum("abcp,cp->abp", H, u) - 0.5 * np.einsum("mkp,kmabp->abp", G, nabH),
     )
 
 
@@ -375,7 +400,7 @@ def theta_transported_connection(derived: Derived) -> gconn.GenConnection:
     """The dilaton connection pulled back through the bivector shear; its
     metric is the block-diagonal package of G."""
     pkg = derived.symplectic
-    return gconn.theta_transport(derived.dilaton, pkg.theta, derived.bg.B, pkg.metric)
+    return gconn.theta_transport(derived.dilaton, pkg.theta, derived.jets.B, pkg.metric)
 
 
 def dual_fields(derived: Derived) -> np.ndarray:
@@ -388,8 +413,8 @@ def dual_fields(derived: Derived) -> np.ndarray:
 def transport_identity_residual(derived: Derived) -> np.ndarray:
     """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame, at
     the chart's sample points: [a, b, p]."""
-    F, _ = gtb.theta_twist_matrices(derived.symplectic.theta, derived.bg.B)
-    F = tn.values_at(F, derived.bg.chart.sample_points())
+    (F, _), _ = gtb.theta_twist_matrices(derived.symplectic.theta, derived.jets.B)
+    F = F.value
     return (gconn.ricci(derived.theta_connection)
             - np.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))
 

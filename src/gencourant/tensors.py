@@ -22,6 +22,16 @@ of differently indexed terms is one ``contract("z...->...")`` over the term
 arrays stacked along z, so that each entry stays one n-ary sum; a term that
 enters with a minus sign is negated entry by entry, or carries a leading
 scalar operand -1.0 (``mul(-1.0, a, b)`` is the node ``neg(mul(a, b))``).
+
+The expressions stop at the scene: what is built from a background's
+fields is numbers at the chart's sample points.  A ``Jet`` holds the values
+and first partials of an array of fields there; ``field_jets`` takes the
+2-jet of a parsed field (the jet of the field and the jet of its partials,
+so second partials are the partials of the second), and every later
+quantity is a jet combined by ``jet_contract``, the product rule applied
+to one einsum, or by a linear map of both halves (``Jet.map``).
+``jet_inverse`` inverts a matrix field (one ``np.linalg.inv`` per point),
+and ``finite`` is the check at each numeric stage boundary.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartMismatch, DomainError, NotAntisymmetric, SingularMetric, SlotError
-from .expr import Chart, Expr, add, esum, evaluate_many, mul, neg
+from .errors import ChartMismatch, DomainError, NotAntisymmetric, SlotError
+from .expr import Chart, add, esum, evaluate_many, mul, neg
 
 UP = "up"
 DOWN = "down"
@@ -206,30 +216,88 @@ def partials(comps, chart: Chart) -> np.ndarray:
 def values_at(comps, points) -> np.ndarray:
     """The values of an Expr or an object array of Expr at ``points``, as a
     float array of shape ``comps.shape + (len(points),)`` (see
-    ``expr.evaluate_points``): the form in which the numeric curvature
-    stage takes the quantities it combines with."""
+    ``expr.evaluate_points``)."""
     arr = np.asarray(comps, dtype=object)
     return ex.evaluate_points(arr.reshape(-1), points).reshape(arr.shape + (len(points),))
 
 
-def jets_at(comps, points) -> tuple[np.ndarray, np.ndarray]:
+class Jet:
+    """The values and first partials of an array of fields at the sample
+    points: float arrays of shapes ``shape + (P,)`` and ``shape + (n, P)``,
+    the partial along x^m in the axis of length n.  It unpacks as
+    ``value, partial``.  Indexing, sums, differences and multiples by a
+    number act on the field axes of both halves, as does ``map`` with a
+    linear map of the leading axes."""
+
+    __slots__ = ("value", "partial")
+    __array_ufunc__ = None  # a numpy scalar times a Jet is the Jet's __rmul__
+
+    def __init__(self, value: np.ndarray, partial: np.ndarray):
+        self.value = value
+        self.partial = partial
+
+    def __iter__(self):
+        return iter((self.value, self.partial))
+
+    def map(self, fn) -> "Jet":
+        return Jet(fn(self.value), fn(self.partial))
+
+    def __getitem__(self, index) -> "Jet":
+        return Jet(self.value[index], self.partial[index])
+
+    def __setitem__(self, index, other: "Jet"):
+        self.value[index] = other.value
+        self.partial[index] = other.partial
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(self.value + other.value, self.partial + other.partial)
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return Jet(self.value - other.value, self.partial - other.partial)
+
+    def __neg__(self) -> "Jet":
+        return Jet(-self.value, -self.partial)
+
+    def __mul__(self, factor: float) -> "Jet":
+        return Jet(factor * self.value, factor * self.partial)
+
+    __rmul__ = __mul__
+
+
+def jets_at(comps, points) -> Jet:
     """The values and first partials of an object array of Expr at
-    ``points`` (see ``expr.evaluate_jets``): float arrays of shapes
-    ``comps.shape + (P,)`` and ``comps.shape + (n, P)``, the partial along
-    x^m in the axis of length n."""
+    ``points`` (see ``expr.evaluate_jets``), as a ``Jet``."""
     arr = np.asarray(comps, dtype=object)
     values, partials = ex.evaluate_jets(arr.reshape(-1), points)
-    return (values.reshape(arr.shape + values.shape[1:]),
-            partials.reshape(arr.shape + partials.shape[1:]))
+    return Jet(values.reshape(arr.shape + values.shape[1:]),
+               partials.reshape(arr.shape + partials.shape[1:]))
 
 
-def jet_contract(spec: str, *jets) -> tuple[np.ndarray, np.ndarray]:
+def field_jets(comps, chart: Chart) -> tuple[Jet, Jet]:
+    """The 2-jet of an Expr or an object array of Expr at the chart's sample
+    points: its jet, and the jet of its partials (entry [..., m] the
+    partial along x^m, as ``partials`` orders them), whose own partials
+    are the second partials.  One ``jets_at`` call over the field stacked
+    with its partials."""
+    arr = np.asarray(comps, dtype=object)
+    both = jets_at(np.concatenate([arr[..., None], partials(arr, chart)], axis=-1), chart.sample_points())
+    k = arr.ndim
+    return both[(slice(None),) * k + (0,)], both[(slice(None),) * k + (slice(1, None),)]
+
+
+def constant_jet(array, chart: Chart) -> Jet:
+    """The jet of a constant float array at the chart's sample points."""
+    array = np.asarray(array, dtype=float)
+    count = len(chart.sample_points())
+    return Jet(np.repeat(array[..., None], count, axis=-1),
+               np.zeros(array.shape + (chart.dim, count)))
+
+
+def jet_contract(spec: str, *jets) -> Jet:
     """The einsum ``spec`` (the notation of ``contract``) of jets, and its
-    first partials by the product rule.  Each jet is a pair (values,
-    partials) of float arrays of shapes ``shape + (P,)`` and
-    ``shape + (n, P)``, as ``jets_at`` gives them; so is the result.  One
-    plain ``np.einsum`` (no BLAS, no ``optimize``) for the values and one
-    for each operand's partials, so the same inputs give the same bits."""
+    first partials by the product rule.  One plain ``np.einsum`` (no BLAS,
+    no ``optimize``) for the values and one for each operand's partials,
+    so the same inputs give the same bits."""
     lhs, _, out = spec.replace(" ", "").partition("->")
     subs = lhs.split(",")
     m, p = [c for c in _LETTERS if c not in spec][:2]
@@ -239,7 +307,58 @@ def jet_contract(spec: str, *jets) -> tuple[np.ndarray, np.ndarray]:
     for i, (_, d) in enumerate(jets):
         dspec = ",".join(s + (m + p if j == i else p) for j, s in enumerate(subs))
         partials = partials + np.einsum(f"{dspec}->{out}{m}{p}", *values[:i], d, *values[i + 1:])
-    return result, partials
+    return Jet(result, partials)
+
+
+def jet_block(blocks) -> Jet:
+    """The block matrix of a nested list of blocks along the two leading
+    axes, like ``np.block``: each block a Jet, or 0 or 1 for the zero or
+    the identity matrix of the shape of the Jet blocks."""
+    like = next(b for row in blocks for b in row if isinstance(b, Jet))
+
+    def full(b):
+        if isinstance(b, Jet):
+            return b
+        eye = np.eye(like.value.shape[0]).reshape(like.value.shape[:2] + (1,) * (like.value.ndim - 2))
+        return Jet(b * eye + np.zeros_like(like.value), np.zeros_like(like.partial))
+
+    rows = [[full(b) for b in row] for row in blocks]
+    return Jet(*(np.concatenate([np.concatenate([getattr(b, half) for b in row], axis=1) for row in rows])
+                 for half in ("value", "partial")))
+
+
+def jet_inverse(m: Jet) -> Jet:
+    """The inverse of a square matrix field: one ``np.linalg.inv`` per
+    point for the values, and d(M^{-1}) = -M^{-1} dM M^{-1}."""
+    inv = np.moveaxis(np.linalg.inv(np.moveaxis(m.value, -1, 0)), 0, -1)
+    return Jet(inv, -np.einsum("iap,abmp,bjp->ijmp", inv, m.partial, inv))
+
+
+def finite(stage: str, jet, points):
+    """``jet`` (a Jet, or a float array whose last axis runs over
+    ``points``), after checking that every entry is finite; otherwise a
+    DomainError that names the stage, the first non-finite component and
+    its point.  The arithmetic that made it runs under
+    ``np.errstate(all="ignore")``, so this check is what reports it."""
+    for half, array in zip(("value", "partial"), jet if isinstance(jet, Jet) else (jet,)):
+        bad = np.argwhere(~np.isfinite(array))
+        if len(bad):
+            *index, p = bad[0].tolist()
+            what = "" if half == "value" else f" partial along x^{index.pop() + 1}"
+            raise DomainError(f"non-finite {stage}{what} {array[tuple(bad[0])]} at component "
+                              f"{index} and sample point {tuple(points[p])}")
+    return jet
+
+
+def d_of_partials(dw: np.ndarray, degree: int) -> np.ndarray:
+    """The exterior derivative of a p-form from its partials, an array
+    dw[i1..ip, m, ...] = d_m w_{i1..ip} with any trailing axes:
+    (d w)_{i0..ip} = sum_k (-1)^k d_{i_k} w_{i0..^i_k..ip}."""
+    out = 0.0
+    for k in range(degree + 1):
+        term = np.moveaxis(dw, degree, k)
+        out = out + term if k % 2 == 0 else out - term
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -271,18 +390,6 @@ def _contraction_plan(spec: str, shapes: tuple):
     )
     terms = math.prod(sizes[c] for c in summed) if summed else 0
     return takes, tuple(sizes[c] for c in out), terms
-
-
-def _check_metric(metric: TensorField):
-    if metric.variance != (DOWN, DOWN):
-        raise SlotError("metric must be a (0,2) tensor")
-    pts = metric.chart.sample_points()
-    for p, m in zip(pts, metric.evaluate_points(pts)):
-        # written so that a NaN or an infinity fails the test, before m - m.T sees it
-        if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= 1e-10):
-            raise SlotError(f"metric is not finite and symmetric at sample point {p}")
-        if not abs(np.linalg.det(m)) >= DET_TOL:
-            raise SingularMetric(f"|det| < {DET_TOL} at sample point {p}")
 
 
 def _permutations_with_sign(k):
@@ -322,62 +429,21 @@ def antisymmetrize(t: TensorField, slot_set) -> TensorField:
 
 
 # ---------------------------------------------------------------------------
-# symbolic linear algebra for metric-like matrices
-# ---------------------------------------------------------------------------
-
-
-def _det(m: np.ndarray) -> Expr:
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    if n == 2:
-        return add(mul(m[0, 0], m[1, 1]), neg(mul(m[0, 1], m[1, 0])))
-    terms = []
-    for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        term = mul(m[0, j], _det(minor))
-        terms.append(term if j % 2 == 0 else neg(term))
-    return esum(terms)
-
-
-def matrix_inverse(m: np.ndarray) -> np.ndarray:
-    """Adjugate-over-determinant inverse of a square object array of Expr."""
-    n = m.shape[0]
-    d = _det(m)
-    out = np.empty((n, n), dtype=object)
-    if n == 1:
-        out[0, 0] = ex.div(ex.ONE, d)
-        return out
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
-            cof = _det(minor)
-            if (i + j) % 2 == 1:
-                cof = neg(cof)
-            out[i, j] = ex.div(cof, d)
-    return out
-
-
-def metric_inverse(g: TensorField) -> TensorField:
-    """Symbolic inverse of a (0,2) metric, checked nondegenerate at the
-    chart's sample points."""
-    _check_metric(g)
-    return TensorField(g.chart, (UP, UP), matrix_inverse(g.comps))
-
-
-# ---------------------------------------------------------------------------
 # exterior calculus helpers shared by upper layers
 # ---------------------------------------------------------------------------
 
 
-def check_antisymmetric(t: TensorField):
-    """All-pairs antisymmetry of a covariant or contravariant form."""
-    if t.rank < 2:
-        return
-    pts = t.chart.sample_points()
-    for i in range(t.rank - 1):
-        diff = t.comps + np.swapaxes(t.comps, i, i + 1)
-        worst, _ = ex.max_abs_on_points(diff, pts)
+def check_antisymmetric(t, points=None):
+    """All-pairs antisymmetry of a covariant or contravariant form: a
+    TensorField, valued at its chart's sample points, or the float array
+    of the values [..., p] of one at ``points``."""
+    if isinstance(t, TensorField):
+        comps, rank, points = t.comps, t.rank, t.chart.sample_points()
+    else:
+        comps, rank = t, t.ndim - 1
+    for i in range(rank - 1):
+        diff = comps + np.swapaxes(comps, i, i + 1)
+        worst, _ = ex.max_abs_on_points(diff, points)
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"antisymmetry residual {worst:.3e} in slots ({i},{i + 1})")
 

@@ -1,15 +1,21 @@
 """Shared builders for random chart backgrounds, and the symbolic
-formulas that the numeric frame calculus is checked against."""
+formulas that the numeric stages are checked against: each is the
+expression version of a quantity that ``streff.Derived`` computes as jets
+from the scene's fields, built with exact differentiation and valued at
+the same points (``Oracle``)."""
 
 import itertools
+import math
+from functools import cached_property
 
 import numpy as np
 
-from gencourant import gconn, gtb
 from gencourant import tensors as tn
 from gencourant.expr import chart
 from gencourant.streff import Background
-from gencourant.tensors import DOWN
+from gencourant.tensors import DOWN, UP, TensorField
+
+ex = tn.ex
 
 
 def bumpy_metric(c, scale=0.2, salt=1):
@@ -20,6 +26,15 @@ def bumpy_metric(c, scale=0.2, salt=1):
         c, (DOWN, DOWN),
         lambda i, j: (tn.ex.ONE if i == j else tn.ex.ZERO) + pert[min(i, j)][max(i, j)],
     )
+
+
+def well_conditioned(g, floor=0.05):
+    """Whether the eigenvalues of the metric TensorField g are at least
+    ``floor`` at every sample point.  A random ``bumpy_metric`` can be
+    indefinite or nearly singular there, which no scene may be; the 1e-12
+    comparisons with the oracles need a metric a scene could have, since a
+    near-singular one amplifies the roundoff of either side past them."""
+    return all(np.linalg.eigvalsh(g.evaluate(p)).min() >= floor for p in g.chart.sample_points())
 
 
 def bumpy_b(c, salt=2, scale=0.2, offset=0.0):
@@ -93,14 +108,12 @@ def symbolic_gualtieri_torsion(frame, gamma):
 # ---------------------------------------------------------------------------
 
 
-def symbolic_param_tensor_frame(params, metric):
-    """K[A, B, C] of ``gconn.param_tensor_frame`` as expressions, one term
-    per frame type combination: W with g^{-1} on the form legs when an odd
-    number of legs are forms, else -J with g on the vector legs."""
-    ex = tn.ex
-    n = metric.chart.dim
-    g, ginv = metric.g.comps, metric.g_inv.comps
-    J, W = params.J.comps, params.W.comps
+def symbolic_param_tensor_frame(J, W, g, ginv):
+    """K[A, B, C] of ``gconn.param_tensor_frame`` as expressions, from the
+    Expr arrays of J, W, g and g^{-1}, one term per frame type combination:
+    W with g^{-1} on the form legs when an odd number of legs are forms,
+    else -J with g on the vector legs."""
+    n = g.shape[0]
     K = np.empty((2 * n,) * 3, dtype=object)
     for A, B, C in itertools.product(range(2 * n), repeat=3):
         legs = [(s >= n, s % n) for s in (A, B, C)]
@@ -120,20 +133,25 @@ def symbolic_param_tensor_frame(params, metric):
     return K
 
 
-def symbolic_with_params(frame, gamma, params, metric):
+def symbolic_with_params(frame, gamma, J, W, g, ginv):
     """Gamma^C_{AB} + K[A, B, swap(C)] as expressions."""
-    K = symbolic_param_tensor_frame(params, metric)
+    K = symbolic_param_tensor_frame(J, W, g, ginv)
     out = np.empty(gamma.shape, dtype=object)
     for c, a, b in itertools.product(range(frame.rank), repeat=3):
-        out[c, a, b] = tn.ex.add(gamma[c, a, b], K[a, b, frame.swap(c)])
+        out[c, a, b] = ex.add(gamma[c, a, b], K[a, b, frame.swap(c)])
     return out
+
+
+def projected_params(J, W):
+    """The Expr arrays of the parameter pair that ``gconn.validate_params``
+    makes of (J, W): T - Alt(T)."""
+    return tuple((t - tn.antisymmetrize(t, (0, 1, 2))).comps for t in (J, W))
 
 
 def symbolic_transport(frame, gamma, F, Finv):
     """F^{-1 G}_E ( F^C_A F^D_B Gamma^E_{CD} + F^C_A rho(e_C).F^E_B ) as
     expressions, with the frame derivative of the source ``frame`` written
     with ``differentiate``."""
-    ex = tn.ex
     r = frame.rank
     coords = frame.chart.coords()
     out = np.empty((r,) * 3, dtype=object)
@@ -149,24 +167,406 @@ def symbolic_transport(frame, gamma, F, Finv):
     return out
 
 
-def symbolic_untwist(frame, gamma, metric, B):
-    """Coefficients of ``gconn.untwist``: the transport through e^{-B}."""
-    sheared = gtb.GeneralizedMetric(metric.g, B, metric.g_inv)
-    return symbolic_transport(frame, gamma, sheared.shear_matrix(-1), sheared.shear_matrix(+1))
+def shear_matrix(B, sign):
+    """Frame matrix of e^{sign*B} as expressions."""
+    n = B.shape[0]
+    one, zero = tn.identity(n), tn.zeros_array((n, n))
+    return np.block([[one, zero], [B if sign > 0 else -B, one]])
 
 
-def symbolic_dilaton(derived):
-    """Coefficients of ``derived.dilaton`` as expressions: the dilaton
-    parameters added to the minimal coefficients, then untwisted by B."""
-    bg, minimal = derived.bg, derived.minimal
-    gamma = gconn._minimal_coefficients(derived.gamma, derived.h_prime)
-    params = gconn.dilaton_params(bg.g, bg.phi)
-    twisted = symbolic_with_params(minimal.algebroid, gamma, params, minimal.metric)
-    return symbolic_untwist(minimal.algebroid, twisted, minimal.metric, bg.B)
+def theta_twist_matrices(theta, B):
+    """Frame matrices (F, F^{-1}) of the bivector shear as expressions."""
+    n = theta.shape[0]
+    one, zero = tn.identity(n), tn.zeros_array((n, n))
+    return np.block([[zero, theta], [-B, one]]), np.block([[one, -theta], [B, zero]])
 
 
-def symbolic_theta_connection(derived):
-    """Coefficients of ``derived.theta_connection`` as expressions: the
-    symbolic dilaton coefficients pulled back through F_theta."""
-    F, Finv = gtb.theta_twist_matrices(derived.symplectic.theta, derived.bg.B)
-    return symbolic_transport(derived.dilaton.algebroid, symbolic_dilaton(derived), F, Finv)
+# ---------------------------------------------------------------------------
+# symbolic linear algebra and the classical operators
+# ---------------------------------------------------------------------------
+
+
+def _det(m):
+    n = m.shape[0]
+    if n == 1:
+        return m[0, 0]
+    if n == 2:
+        return ex.add(ex.mul(m[0, 0], m[1, 1]), ex.neg(ex.mul(m[0, 1], m[1, 0])))
+    terms = []
+    for j in range(n):
+        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
+        term = ex.mul(m[0, j], _det(minor))
+        terms.append(term if j % 2 == 0 else ex.neg(term))
+    return ex.esum(terms)
+
+
+def matrix_inverse(m):
+    """Adjugate-over-determinant inverse of a square object array of Expr."""
+    n = m.shape[0]
+    d = _det(m)
+    out = np.empty((n, n), dtype=object)
+    if n == 1:
+        out[0, 0] = ex.div(ex.ONE, d)
+        return out
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
+            cof = _det(minor)
+            out[i, j] = ex.div(ex.neg(cof) if (i + j) % 2 else cof, d)
+    return out
+
+
+def christoffel(g, ginv, c):
+    """Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{lj} + d_j g_{il} - d_l g_{ij}) as
+    expressions, from the Expr arrays of g and g^{-1}."""
+    n = c.dim
+    dg = np.moveaxis(tn.partials(g, c), -1, 0)  # dg[l, i, j] = d_l g_{ij}
+    out = np.empty((n, n, n), dtype=object)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        out[k, i, j] = ex.mul(0.5, ex.esum(
+            ex.mul(ginv[k, l], ex.add(dg[i, l, j], dg[j, i, l], ex.neg(dg[l, i, j])))
+            for l in range(n)))
+    return out
+
+
+def riemann_entry(G, c, k, l, i, j):
+    """R^k_{lij} of the coefficients G as an expression."""
+    terms = [ex.differentiate(G[k, j, l], c.coord(i)), ex.neg(ex.differentiate(G[k, i, l], c.coord(j)))]
+    for m in range(c.dim):
+        terms.append(ex.mul(G[k, i, m], G[m, j, l]))
+        terms.append(ex.neg(ex.mul(G[k, j, m], G[m, i, l])))
+    return ex.esum(terms)
+
+
+def covariant_derivative(t, variance, G, c):
+    """nab t with one extra leading down slot, as expressions, for an Expr
+    array t of the given variance and coefficients G."""
+    idx = "acdefgh"[:len(variance)]
+    terms = [np.moveaxis(tn.partials(t, c), -1, 0)[None]]
+    for slot, var in enumerate(variance):
+        a, src = idx[slot], idx[:slot] + "b" + idx[slot + 1:]
+        if var == UP:
+            terms.append(tn.contract(f"{a}mb,{src}->bm{idx}", G, t))
+        else:
+            terms.append(tn.contract(f",bm{a},{src}->bm{idx}", -1.0, G, t))
+    return tn.contract(f"zm{idx}->m{idx}", np.concatenate(terms))
+
+
+def form_inner(alpha, beta, ginv):
+    """(1/p!) alpha_{i1..ip} beta^{i1..ip} as an expression."""
+    p = alpha.ndim
+    if p == 0:
+        return ex.mul(alpha[()], beta[()])
+    slots = "abcdefgh"[:p]
+    raised = beta
+    for s in range(p):
+        raised = tn.contract(f"{slots[s]}z,{slots[:s]}z{slots[s + 1:]}->{slots}", ginv, raised)
+    return ex.mul(1.0 / math.factorial(p), tn.contract(f"{slots},{slots}->", alpha, raised))
+
+
+def codifferential(omega, G, ginv, c):
+    rest = "bcdefgh"[:omega.ndim - 1]
+    nab = covariant_derivative(omega, (DOWN,) * omega.ndim, G, c)
+    return -tn.contract(f"ka,ka{rest}->{rest}", ginv, nab)
+
+
+# ---------------------------------------------------------------------------
+# anchored frames as expressions
+# ---------------------------------------------------------------------------
+
+
+class SymbolicFrame:
+    """An anchored frame with the Expr arrays anchor[a, m] and structure
+    functions C[c, a, b], and the calculus on it as expressions: the
+    definitions that the numeric frame calculus is checked against."""
+
+    def __init__(self, c, anchor, structure):
+        self.chart = c
+        self.rank = anchor.shape[0]
+        self.anchor = anchor
+        self.structure = structure
+
+    def swap(self, a):
+        n = self.chart.dim
+        return a + n if a < n else a - n
+
+    def anchor_of(self, u):
+        x = "x"[:u.ndim - 1]
+        return tn.contract(f"a{x},am->m{x}", u, self.anchor)
+
+    def connection_apply(self, gamma, u, v):
+        """nab_u v = (u^a v^b Gamma^c_{ab} + a(u).v^c) E_c, on sections or
+        batches u[a, x], v[b, y]."""
+        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
+        return (tn.contract(f"a{x},b{y},cab->c{x}{y}", u, v, gamma)
+                + tn.contract(f"m{x},c{y}m->c{x}{y}", self.anchor_of(u), tn.partials(v, self.chart)))
+
+    def connection_apply_dual(self, gamma, x):
+        """(nab_{E_a} x)_b = a(E_a).x_b - Gamma^c_{ab} x_c (batch x[b, y])."""
+        y = "y"[:x.ndim - 1]
+        return (tn.contract(f"am,b{y}m->ab{y}", self.anchor, tn.partials(x, self.chart))
+                - tn.contract(f"cab,c{y}->ab{y}", gamma, x))
+
+    def bracket(self, u, v):
+        """The anchored bracket u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c."""
+        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
+        return (self.connection_apply(self.structure, u, v)
+                - tn.contract(f"m{y},c{x}m->c{x}{y}", self.anchor_of(v), tn.partials(u, self.chart)))
+
+    def courant_bracket(self, u, v):
+        """The bracket plus the left-Leibniz term <e_A, v> D(u^A) of a
+        Courant bracket, (Df)^C = rho(e_swap(C)).f."""
+        x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
+        n = self.chart.dim
+        eta = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+        paired = tn.contract(f"b{y},ab->a{y}", v, eta)
+        dual_anchor = self.anchor[[self.swap(a) for a in range(self.rank)]]
+        products = tn.contract(f"cm,a{x}m->ca{x}m", dual_anchor, tn.partials(u, self.chart))
+        return self.bracket(u, v) + tn.contract(f"a{y},ca{x}m->c{x}{y}", paired, products)
+
+    def differential(self, omega, degree):
+        """Cartan's d on a degree-p frame form omega[i1..ip] (or a batch
+        omega[i1..ip, x])."""
+        idx = "abdefgh"[:degree + 1]
+        x = "x"[:omega.ndim - degree]
+        along = tn.contract(f"{idx[0]}m,{idx[1:]}{x}m->{idx}{x}", self.anchor,
+                            tn.partials(omega, self.chart))
+        terms = [np.moveaxis(along, 0, k)[None] for k in range(degree + 1)]
+        terms = [t if k % 2 == 0 else -t for k, t in enumerate(terms)]
+        for k, l in itertools.combinations(range(degree + 1), 2):
+            spec = f"c{idx[k]}{idx[l]},c{idx[:k]}{idx[k + 1:l]}{idx[l + 1:]}{x}->c{idx}{x}"
+            terms.append(tn.contract(spec, self.structure, omega) if (k + l) % 2 == 0
+                         else tn.contract("," + spec, -1.0, self.structure, omega))
+        return tn.contract(f"z{idx}{x}->{idx}{x}", np.concatenate(terms))
+
+    def lc_connection(self, g_A):
+        """Levi-Civita coefficients of the fiber metric g_A as expressions."""
+        lie = self.connection_apply_dual(self.structure, g_A)
+        dga = self.differential(g_A, 1)
+        raised = tn.contract("cd,abd->cab", matrix_inverse(g_A),
+                             lie.transpose(0, 2, 1) + dga.transpose(2, 0, 1))
+        return 0.5 * (self.structure + raised)
+
+
+def standard_frame(c, H):
+    """The twisted Dorfman bracket on the coordinate frame, for the Expr
+    array of the twist."""
+    n = c.dim
+    anchor = np.concatenate([tn.identity(n), tn.zeros_array((n, n))])
+    brackets = tn.zeros_array((2 * n,) * 3)
+    brackets[n:, :n, :n] = np.moveaxis(-H, 2, 0)
+    return SymbolicFrame(c, anchor, brackets)
+
+
+def conjugated_frame(c, F, Finv, source):
+    """The bracket of ``source`` pulled back through F, as expressions."""
+    anchor = source.anchor_of(F).T
+    return SymbolicFrame(c, anchor, tn.contract("cd,dab->cab", Finv, source.courant_bracket(F, F)))
+
+
+def koszul(xi, eta, theta, H):
+    """Twisted Koszul bracket on 1-forms (TensorFields):
+    [xi, eta] = L_{theta xi} eta - i_{theta eta} d xi + H(theta xi, theta eta, .)."""
+    c = xi.chart
+    thxi = TensorField(c, (UP,), tn.contract("ma,a->m", theta.comps, xi.comps))
+    theta_eta = TensorField(c, (UP,), tn.contract("ma,a->m", theta.comps, eta.comps))
+    lie = tn.lie_derivative_oneform(thxi, eta)
+    idxi = tn.interior_product(theta_eta, tn.exterior_derivative(xi))
+    hterm = tn.contract("abm,a,b->m", H.comps, thxi.comps, theta_eta.comps)
+    return lie - idxi + TensorField(c, (DOWN,), hterm)
+
+
+def cotangent_frame(theta, twist):
+    """The cotangent Lie algebroid of the bivector theta (a TensorField),
+    with the Koszul bracket twisted by the 3-form ``twist``."""
+    c = theta.chart
+    frame = [TensorField(c, (DOWN,), row) for row in tn.identity(c.dim)]
+    brackets = np.array([[koszul(fa, fb, theta, twist).comps for fb in frame] for fa in frame],
+                        dtype=object)
+    return SymbolicFrame(c, theta.comps.T.copy(), np.moveaxis(brackets, -1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the numeric stages of a background, as expressions
+# ---------------------------------------------------------------------------
+
+
+class Oracle:
+    """The Expr versions of what ``streff.Derived`` computes as numbers for
+    a background: each attribute is an Expr array built from the parsed
+    fields by exact differentiation."""
+
+    def __init__(self, bg):
+        self.bg = bg
+        self.chart = bg.chart
+
+    def values(self, e):
+        return tn.values_at(e, self.chart.sample_points())
+
+    def jets(self, e):
+        return tn.jets_at(e, self.chart.sample_points())
+
+    @cached_property
+    def ginv(self):
+        return matrix_inverse(self.bg.g.comps)
+
+    @cached_property
+    def gamma(self):
+        return christoffel(self.bg.g.comps, self.ginv, self.chart)
+
+    @cached_property
+    def h_prime(self):
+        return self.bg.h_total().comps
+
+    @cached_property
+    def curvature(self):
+        n, c = self.chart.dim, self.chart
+        ric = np.empty((n, n), dtype=object)
+        for l, j in itertools.product(range(n), repeat=2):
+            ric[l, j] = ex.esum(riemann_entry(self.gamma, c, k, l, k, j) for k in range(n))
+        return ric, tn.contract("lj,lj->", self.ginv, ric)
+
+    @cached_property
+    def dphi(self):
+        return tn.partials(self.bg.phi, self.chart)
+
+    @cached_property
+    def hessian(self):
+        return covariant_derivative(self.dphi, (DOWN,), self.gamma, self.chart)
+
+    @cached_property
+    def grad(self):
+        return tn.contract("az,z->a", self.ginv, self.dphi)
+
+    @cached_property
+    def laplacian(self):
+        return tn.contract("kk->", covariant_derivative(self.grad, (UP,), self.gamma, self.chart))
+
+    @cached_property
+    def delta_h(self):
+        return codifferential(self.h_prime, self.gamma, self.ginv, self.chart)
+
+    @cached_property
+    def betas(self):
+        """(beta_g, beta_B, beta_phi) by the index-free assembly."""
+        Hp, ginv, n = self.h_prime, self.ginv, self.chart.dim
+        ric, rscal = self.curvature
+        inner = np.array([[form_inner(Hp[i], Hp[j], ginv) for j in range(n)] for i in range(n)],
+                         dtype=object)
+        beta_g = tn.contract("zij->ij", np.stack([ric, tn.contract(",ij->ij", -0.5, inner),
+                                                  self.hessian, self.hessian.T]))
+        beta_B = (tn.contract(",ij->ij", 0.5, self.delta_h)
+                  + tn.contract("ija,a->ij", Hp, self.grad))
+        norm2 = tn.contract("a,a->", self.dphi, self.grad)
+        beta_phi = ex.esum([rscal, ex.mul(-0.5, form_inner(Hp, Hp, ginv)),
+                            ex.mul(4.0, self.laplacian), ex.mul(-4.0, norm2)])
+        return beta_g, beta_B, beta_phi
+
+    @cached_property
+    def standard(self):
+        return standard_frame(self.chart, self.h_prime)
+
+    @cached_property
+    def block_transport(self):
+        n = self.chart.dim
+        gamma = tn.zeros_array((2 * n,) * 3)
+        gamma[:n, :n, :n] = self.gamma
+        gamma[n:, :n, n:] = -self.gamma.transpose(2, 1, 0)
+        return gamma
+
+    @cached_property
+    def minimal(self):
+        n, ginv, Hc = self.chart.dim, self.ginv, self.h_prime
+        gamma = self.block_transport.copy()
+        vec, form = slice(0, n), slice(n, 2 * n)
+        for block, c, term in (
+                ((form, vec, vec), -1.0 / 3.0, np.moveaxis(Hc, 2, 0)),
+                ((vec, vec, form), -1.0 / 3.0, tn.contract("la,vb,mba->lmv", ginv, ginv, Hc)),
+                ((vec, form, vec), 1.0 / 6.0, tn.contract("la,mb,bva->lmv", ginv, ginv, Hc)),
+                ((form, form, form), 1.0 / 6.0, tn.contract("ma,vb,abl->lmv", ginv, ginv, Hc))):
+            gamma[block] = gamma[block] + tn.contract(",lmv->lmv", c, term)
+        return gamma
+
+    @cached_property
+    def dilaton_twisted(self):
+        """The dilaton parameters added to the minimal coefficients."""
+        n, g = self.chart.dim, self.bg.g.comps
+        W = tn.contract(",zijk->ijk", 1.0 / (n - 1), np.stack(
+            [tn.contract("ij,k->ijk", g, self.dphi), tn.contract(",ik,j->ijk", -1.0, g, self.dphi)]))
+        return symbolic_with_params(self.standard, self.minimal, tn.zeros_array((n,) * 3), W, g, self.ginv)
+
+    @cached_property
+    def untwisted_frame(self):
+        return standard_frame(self.chart, self.h_prime - tn.exterior_derivative(self.bg.B).comps)
+
+    @cached_property
+    def dilaton(self):
+        B = self.bg.B.comps
+        return symbolic_transport(self.standard, self.dilaton_twisted, shear_matrix(B, -1),
+                                  shear_matrix(B, +1))
+
+    @cached_property
+    def theta(self):
+        return matrix_inverse(self.bg.B.comps)
+
+    @cached_property
+    def cotangent(self):
+        return cotangent_frame(TensorField(self.chart, (UP, UP), self.theta),
+                               tn.exterior_derivative(self.bg.B))
+
+    @cached_property
+    def g_A(self):
+        return -tn.contract("am,mk,kb->ab", self.theta, self.bg.g.comps, self.theta)
+
+    @cached_property
+    def lc_gamma(self):
+        return self.cotangent.lc_connection(self.g_A)
+
+    @cached_property
+    def theta_matrices(self):
+        return theta_twist_matrices(self.theta, self.bg.B.comps)
+
+    @cached_property
+    def theta_connection(self):
+        F, Finv = self.theta_matrices
+        return symbolic_transport(self.untwisted_frame, self.dilaton, F, Finv)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the parameter family in the chart geometry
+# ---------------------------------------------------------------------------
+
+
+def partial_traces(g, J, W):
+    """The Expr arrays of the partial traces J'^l = g_{ak} J^{kal} and
+    W'_l = g^{ka} W_{kal} of a parameter pair."""
+    return tn.contract("ak,kal->l", g, J), tn.contract("ka,kal->l", matrix_inverse(g), W)
+
+
+def family_closed_forms(g, H, J, W):
+    """Closed forms, in the chart geometry of g (``riemann``), of what the
+    connection minimal(g, H) + (J, W) gives, at the chart's sample points:
+    (scalar_E [p], scalar_G [p], off-block Ricci [i, j, p], J' [l, p],
+    W' [l, p]), for the TensorFields g and H and the Expr arrays of a
+    projected parameter pair."""
+    from gencourant import riemann as rm
+
+    c = g.chart
+    pts = c.sample_points()
+    lc = rm.christoffel(*tn.field_jets(g.comps, c), c)
+    Jp, Wp = (tn.jets_at(t, pts) for t in partial_traces(g.comps, J, W))
+    Hj = tn.jets_at(H.comps, pts)
+    gv, ginv, Hv, Jv, Wv = lc.g.value, lc.ginv.value, Hj.value, Jp.value, Wp.value
+    ric, rg = rm.curvature_package(lc)
+    want_e = -4.0 * rm.divergence(Jp, lc) + 8.0 * np.einsum("ap,ap->p", Jv, Wv)
+    want_g = (rg - 0.5 * rm.form_inner(Hv, Hv, ginv) + 4.0 * rm.divergence_oneform(Wp, lc)
+              - 4.0 * np.einsum("abp,ap,bp->p", ginv, Wv, Wv)
+              - 4.0 * np.einsum("abp,ap,bp->p", gv, Jv, Jv))
+    nabW = rm.covariant_derivative(Wp, (DOWN,), lc)
+    nabJ = rm.covariant_derivative(Jp, (UP,), lc)
+    n = c.dim
+    inner = np.array([[rm.form_inner(Hv[i], Hv[j], ginv) for j in range(n)] for i in range(n)])
+    off = (ric - 0.5 * rm.codifferential(Hj, lc) - 0.5 * inner + nabW + nabW.swapaxes(0, 1)
+           + np.einsum("abp,jiap,bp->ijp", ginv, Hv, Wv)
+           + np.einsum("iap,ajp->ijp", nabJ, gv) - np.einsum("jap,aip->ijp", nabJ, gv))
+    return want_e, want_g, off, Jv, Wv

@@ -16,7 +16,7 @@ from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
 from gencourant.expr import SplitMix64, chart, differentiate, evaluate
 from gencourant.tensors import DOWN, UP
 
-from conftest import bumpy_b, bumpy_metric, random_background
+from conftest import bumpy_b, bumpy_metric, family_closed_forms, projected_params, random_background
 from test_qla import so3_so3
 
 
@@ -28,6 +28,14 @@ def report(number, title, worst, tol):
 
 def max_abs(fields, points):
     return tn.ex.max_abs_on_points(fields, points)[0]
+
+
+def chart_connection(g):
+    return rm.christoffel(*tn.field_jets(g.comps, g.chart), g.chart)
+
+
+def minimal(g, H):
+    return gconn.minimal_connection(chart_connection(g), tn.jets_at(H.comps, g.chart.sample_points()))
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +88,14 @@ def test_criterion_02_minimal_connection():
         c = chart(names, seed=salt, num_points=10)
         g = bumpy_metric(c, salt=salt)
         H = tn.exterior_derivative(bumpy_b(c, salt=salt + 1))
-        conn = gconn.minimal_connection(rm.christoffel(g), H)
+        conn = minimal(g, H)
         pts = c.sample_points()
         worst_torsion = max(worst_torsion, max_abs(gconn.gualtieri_torsion(conn), pts))
         worst_scalar_e = max(worst_scalar_e, max_abs(gconn.scalar_E(conn), pts))
-        _, rscal = rm.curvature_package(rm.christoffel(g))
-        closed = rscal - 0.5 * rm.form_inner(H, H, tn.metric_inverse(g))
-        closed_res = gconn.scalar_G(conn) - tn.values_at(closed, pts)
+        lc = chart_connection(g)
+        _, rscal = rm.curvature_package(lc)
+        Hv = tn.values_at(H.comps, pts)
+        closed_res = gconn.scalar_G(conn) - (rscal - 0.5 * rm.form_inner(Hv, Hv, lc.ginv.value))
         worst_closed = max(worst_closed, max_abs(closed_res, pts))
     report(2, "distinguished connection: torsion", worst_torsion, 1e-10)
     report(2, "distinguished connection: pairing scalar", worst_scalar_e, 1e-10)
@@ -100,7 +109,7 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
         c = chart(names, seed=salt, num_points=8)
         g = bumpy_metric(c, salt=salt)
         H = tn.exterior_derivative(bumpy_b(c, salt=salt + 1))
-        conn = gconn.minimal_connection(rm.christoffel(g), H)
+        conn = minimal(g, H)
         r = gconn.gen_riemann(conn)
         dim2 = 2 * n
         fields = []
@@ -112,12 +121,12 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
             fields.append(r[d, cc, a, b] + r[d, a, b, cc] + r[d, b, cc, a])
         pts = c.sample_points()
         worst = max(worst, max_abs(np.array(fields), pts))
-        base = gconn.block_lc_connection(rm.christoffel(g), H)
+        base = gconn.block_lc_connection(chart_connection(g), tn.jets_at(H.comps, pts))
         worst = max(worst, max_abs(gconn.bianchi_residual(base), pts))
     report(3, "curvature symmetries and both Bianchi identities", worst, 1e-9)
 
 
-def _random_valid_params(c, salt, scale=0.2):
+def _random_pair(c, salt, scale=0.2):
     gen = c.rng(salt)
     J = tn.antisymmetrize(
         tn.from_function(c, (UP,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
@@ -125,123 +134,46 @@ def _random_valid_params(c, salt, scale=0.2):
     W = tn.antisymmetrize(
         tn.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
     )
-    return gconn.validate_params(J, W)
-
-
-def _partial_traces(params, g):
-    c = g.chart
-    n = c.dim
-    ginv = tn.metric_inverse(g)
-    Jp = tn.TensorField(
-        c, (UP,),
-        np.array(
-            [
-                tn.ex.esum(
-                    tn.ex.mul(g.comps[a, k], params.J.comps[k, a, l])
-                    for k in range(n) for a in range(n)
-                )
-                for l in range(n)
-            ],
-            dtype=object,
-        ),
-    )
-    Wp = tn.TensorField(
-        c, (DOWN,),
-        np.array(
-            [
-                tn.ex.esum(
-                    tn.ex.mul(ginv.comps[k, a], params.W.comps[k, a, l])
-                    for k in range(n) for a in range(n)
-                )
-                for l in range(n)
-            ],
-            dtype=object,
-        ),
-    )
-    return Jp, Wp
+    return J, W
 
 
 def _family_fixture(salt):
+    """The connection minimal + (J, W) for a random pair, and the closed
+    forms of ``conftest.family_closed_forms`` in the chart geometry."""
     c = chart("x y", seed=330 + salt, num_points=10)
     g = bumpy_metric(c, salt=salt)
     H = tn.exterior_derivative(bumpy_b(c, salt=salt + 50))
-    params = _random_valid_params(c, salt + 100)
-    conn = gconn.with_params(gconn.minimal_connection(rm.christoffel(g), H), params)
-    return c, g, H, params, conn
+    J, W = _random_pair(c, salt + 100)
+    conn = gconn.with_params(minimal(g, H), gconn.validate_params(J, W))
+    return c, conn, family_closed_forms(g, H, *projected_params(J, W))
 
 
 def test_criterion_04_scalar_closed_forms():
     worst = 0.0
     for salt in range(10):
-        c, g, H, params, conn = _family_fixture(salt)
-        Jp, Wp = _partial_traces(params, g)
-        gamma = rm.christoffel(g)
-        ginv = gamma.metric_inverse
-        n = 2
-        jw = tn.ex.esum(tn.ex.mul(Jp.comps[a], Wp.comps[a]) for a in range(n))
-        want_e = -4.0 * rm.divergence(Jp, gamma) + 8.0 * jw
-        _, rg = rm.curvature_package(rm.christoffel(g))
-        w2 = tn.ex.esum(
-            tn.ex.mul(ginv.comps[a, b], Wp.comps[a], Wp.comps[b])
-            for a in range(n) for b in range(n)
-        )
-        j2 = tn.ex.esum(
-            tn.ex.mul(g.comps[a, b], Jp.comps[a], Jp.comps[b])
-            for a in range(n) for b in range(n)
-        )
-        want_g = (
-            rg - 0.5 * rm.form_inner(H, H, tn.metric_inverse(g))
-            + 4.0 * rm.divergence_oneform(Wp, gamma) - 4.0 * w2 - 4.0 * j2
-        )
+        c, conn, (want_e, want_g, _, _, _) = _family_fixture(salt)
         pts = c.sample_points()
-        worst = max(worst, max_abs(gconn.scalar_E(conn) - tn.values_at(want_e, pts), pts))
-        worst = max(worst, max_abs(gconn.scalar_G(conn) - tn.values_at(want_g, pts), pts))
+        worst = max(worst, max_abs(gconn.scalar_E(conn) - want_e, pts))
+        worst = max(worst, max_abs(gconn.scalar_G(conn) - want_g, pts))
     report(4, "scalar traces vs closed forms, 10 random parameter pairs", worst, 1e-9)
 
 
 def test_criterion_05_off_block_ricci_closed_form():
     worst = 0.0
     for salt in range(10):
-        c, g, H, params, conn = _family_fixture(salt + 20)
-        res = gconn.ricci_compat_residual(conn)
-        Jp, Wp = _partial_traces(params, g)
-        gamma = rm.christoffel(g)
-        ginv = gamma.metric_inverse
-        ric, _ = rm.curvature_package(rm.christoffel(g))
-        deltaH = rm.codifferential(H, gamma)
-        nabW = rm.covariant_derivative(Wp, gamma)
-        nabJ = rm.covariant_derivative(Jp, gamma)
-        n = 2
-        diffs = []
-        for i, j in itertools.product(range(n), repeat=2):
-            ixH = tn.interior_product(gconn._coord_field(c, i), H)
-            jyH = tn.interior_product(gconn._coord_field(c, j), H)
-            hw = tn.ex.esum(
-                tn.ex.mul(ginv.comps[a, b], H.comps[j, i, a], Wp.comps[b])
-                for a in range(n) for b in range(n)
-            )
-            want = (
-                ric.comps[i, j]
-                - 0.5 * deltaH.comps[i, j]
-                - 0.5 * rm.form_inner(ixH, jyH, tn.metric_inverse(g))
-                + nabW.comps[i, j] + nabW.comps[j, i] + hw
-                + tn.ex.esum(tn.ex.mul(nabJ.comps[i, a], g.comps[a, j]) for a in range(n))
-                - tn.ex.esum(tn.ex.mul(nabJ.comps[j, a], g.comps[a, i]) for a in range(n))
-            )
-            diffs.append(res[i, j] - tn.values_at(want, c.sample_points()))
-        worst = max(worst, max_abs(np.array(diffs), c.sample_points()))
+        c, conn, (_, _, want, _, _) = _family_fixture(salt + 20)
+        worst = max(worst, max_abs(gconn.ricci_compat_residual(conn) - want, c.sample_points()))
     report(5, "off-block Ricci vs closed form, 10 random parameter pairs", worst, 1e-9)
 
 
 def test_criterion_06_characteristic_field_and_v_trace():
     worst = 0.0
     for salt in (0, 3, 7):
-        c, g, H, params, conn = _family_fixture(salt + 40)
-        Jp, Wp = _partial_traces(params, g)
+        c, conn, (_, _, _, Jp, Wp) = _family_fixture(salt + 40)
         pts = c.sample_points()
-        worst = max(worst, max_abs(gconn.char_vf(conn) - 2.0 * tn.values_at(Jp.comps, pts), pts))
+        worst = max(worst, max_abs(gconn.char_vf(conn) - 2.0 * Jp, pts))
         tr = gconn.v_trace(conn, conn.metric.h_form())
-        worst = max(worst, max_abs(tr - tn.values_at(Wp.comps, pts), pts))
+        worst = max(worst, max_abs(tr - Wp, pts))
     report(6, "characteristic field = 2 J' and V-trace = W'", worst, 1e-10)
 
 

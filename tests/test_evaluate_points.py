@@ -97,17 +97,6 @@ def dags(draw, unsafe=False):
     return _roots(draw, _pool(draw, unsafe)), _points(draw, st.integers(1, 12))
 
 
-@st.composite
-def call_sequences(draw, unsafe=False):
-    """(roots, points) of 2 to 6 calls: roots over one pool of shared
-    subtrees, points one of two sets of 1 or of 12 sample points."""
-    pool = _pool(draw, unsafe)
-    count = draw(st.sampled_from([1, 12]))
-    point_sets = [_points(draw, st.just(count)) for _ in range(2)]
-    return [(_roots(draw, pool), draw(st.sampled_from(point_sets)))
-            for _ in range(draw(st.integers(2, 6)))]
-
-
 def _scalar_walk(roots, points):
     """The per-point reference: values, or the DomainError of the first
     failing point."""
@@ -153,58 +142,6 @@ def test_max_abs_matches_per_point_reference(case):
     assert worst == pytest.approx(max(per_point), rel=1e-12, abs=1e-12)
     assert at in points
     assert per_point[points.index(at)] == pytest.approx(worst, rel=1e-12, abs=1e-12)
-
-
-def _outcome(roots, points):
-    """(values, None), or (message, point) of the DomainError: the point is
-    the last one the per-point walk was called at."""
-    seen = []
-    walk = ex.evaluate_many
-
-    def spy(exprs, point, memo=None):
-        seen.append(tuple(point))
-        return walk(exprs, point, memo)
-
-    ex.evaluate_many = spy
-    try:
-        return evaluate_points(roots, points), None
-    except DomainError as err:
-        return str(err), seen[-1]
-    finally:
-        ex.evaluate_many = walk
-
-
-@settings(max_examples=150, deadline=None)
-@given(call_sequences(unsafe=True))
-def test_scope_matches_separate_calls(case):
-    # bit for bit, and the same DomainError at the same point, also for the
-    # calls after one that raised inside the scope
-    want = [_outcome(roots, points) for roots, points in case]
-    with ex.evaluation_scope():
-        got = [_outcome(roots, points) for roots, points in case]
-    assert ex._scope.get() is None
-    for (w, w_at), (g, g_at) in zip(want, got):
-        assert type(g) is type(w)
-        if isinstance(w, str):
-            assert (g, g_at) == (w, w_at)
-        else:
-            assert g.tobytes() == w.tobytes()
-
-
-def test_scope_evaluates_a_shared_node_once(monkeypatch):
-    shared = parse_expr("sin(x*y) + x", XY)
-    first, second = ex.mul(2, shared), ex.add(shared, Y)
-    visits = []
-    node = ex._eval_node
-    monkeypatch.setattr(ex, "_eval_node", lambda e, *a: visits.append(e) or node(e, *a))
-    with ex.evaluation_scope():
-        evaluate_points([first], PTS_1)
-        evaluate_points([second], PTS_1)
-        with ex.evaluation_scope():  # a nested scope joins the outer one
-            evaluate_points([first, second], PTS_1)
-    assert sum(v is shared for v in visits) == 1
-    evaluate_points([first], PTS_1)
-    assert sum(v is shared for v in visits) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -404,9 +404,6 @@ def test_domain_error_names_the_same_subexpression(text, points, named):
             first_bad = err
             break
     assert to_string(first_bad.subexpr) == named
-    with ex.evaluation_scope(), pytest.raises(DomainError) as scoped:
-        evaluate_points([ex.add(e, X), e], points)
-    assert to_string(scoped.value.subexpr) == named
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
+import conftest
 from conftest import (
+    Oracle,
     random_background,
     symbolic_covariant_derivative,
-    symbolic_dilaton,
     symbolic_gualtieri_torsion,
-    symbolic_theta_connection,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +19,8 @@ from gencourant import gconn, gtb, streff
 from gencourant import tensors as tn
 from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
 from gencourant.expr import chart, evaluate, parse_expr, worst_of
-from gencourant.gtb import GeneralizedMetric, GenSection, d_map, dorfman, gen_metric, pairing, random_section
-from gencourant.tensors import DOWN, UP
+from gencourant.gtb import GeneralizedMetric, GenSection, d_map, dorfman, pairing, random_section
+from gencourant.tensors import DOWN, UP, Jet, TensorField
 
 
 C2 = chart("x y", seed=23)
@@ -207,24 +207,30 @@ def bumpy_B(c, seed=61, scale=0.3):
     return tn.form_from_wedge_coeffs(c, 2, coeffs)
 
 
+def jets_of(field):
+    """The 2-jet of a TensorField at its chart's sample points."""
+    return tn.field_jets(field.comps, field.chart)
+
+
 def with_b(g, B):
     """The package of (g, B) as ``streff.Derived.metric`` builds it."""
-    return GeneralizedMetric(g, B, tn.metric_inverse(g))
+    g = jets_of(g)[0]
+    return GeneralizedMetric(C2, g, None if B is None else jets_of(B)[0], tn.jet_inverse(g))
+
+
+def per_point(values):
+    """A float array [..., p] as one array per point."""
+    return np.moveaxis(values, -1, 0)
 
 
 def test_gen_metric_block_form_b_zero():
     g = bumpy_g(C2)
-    gm = gen_metric(g)
-    gram = gm.gram()
-    ginv = gm.g_inv
-    pts = C2.sample_points()
-    for p in pts:
-        G = np.array([[evaluate(gram[a, b], p) for b in range(4)] for a in range(4)])
-        gv = g.evaluate(p)
-        giv = ginv.evaluate(p)
+    gm = with_b(g, None)
+    for G, gv, giv in zip(*map(per_point, (gm.gram().value, gm.g.value, gm.g_inv.value))):
         assert np.allclose(G[:2, :2], gv, atol=1e-12)
         assert np.allclose(G[2:, 2:], giv, atol=1e-12)
         assert np.allclose(G[:2, 2:], 0, atol=1e-12)
+        assert np.allclose(gv @ giv, np.eye(2), atol=1e-12)
 
 
 def test_gen_metric_block_formula_general_b():
@@ -232,67 +238,60 @@ def test_gen_metric_block_formula_general_b():
     [[g - B g^{-1} B, B g^{-1}], [-g^{-1} B, g^{-1}]]."""
     g, B = bumpy_g(C2), bumpy_B(C2)
     gm = with_b(g, B)
-    gram = gm.gram()
-    for p in C2.sample_points():
+    for G, p in zip(per_point(gm.gram().value), C2.sample_points()):
         gv, Bv = g.evaluate(p), B.evaluate(p)
         giv = np.linalg.inv(gv)
         blocks = np.block([[gv - Bv @ giv @ Bv, Bv @ giv], [-giv @ Bv, giv]])
-        G = np.array([[evaluate(gram[a, b], p) for b in range(4)] for a in range(4)])
         assert np.allclose(G, blocks, atol=1e-10)
 
 
-def test_gen_metric_tau_involution_and_orthogonality():
+def test_gram_jet_is_the_jet_of_the_block_formula():
     g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = with_b(g, B)
-    tau = gm.tau_matrix()
-    pts = C2.sample_points()
+    ginv = conftest.matrix_inverse(g.comps)
+    Bc = B.comps
+    want = np.block([[g.comps - tn.contract("ia,ab,bj->ij", Bc, ginv, Bc), tn.contract("ia,aj->ij", Bc, ginv)],
+                     [-tn.contract("ia,aj->ij", ginv, Bc), ginv]])
+    got, want = with_b(g, B).gram(), tn.jets_at(want, C2.sample_points())
+    np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
+
+
+def test_gen_metric_tau_involution_and_orthogonality():
+    gm = with_b(bumpy_g(C2), bumpy_B(C2))
     eta = gtb.pairing_gram(C2)
-    for p in pts:
-        T = np.array([[evaluate(tau[a, b], p) for b in range(4)] for a in range(4)])
+    for T in per_point(gm.tau_matrix()):
         assert np.allclose(T @ T, np.eye(4), atol=1e-10)
         assert np.allclose(T.T @ eta @ T, eta, atol=1e-10)  # <tau., tau.> = <.,.>
 
 
 def test_gen_metric_flat_tau_swaps():
-    gm = gen_metric(tn.euclidean_metric(C2))
-    t = shear(gm.tau_matrix(), frame(C2, 0))
-    assert (t - frame(C2, 2)).max_abs()[0] == 0.0
+    gm = with_b(tn.euclidean_metric(C2), None)
+    e2 = np.zeros((4, 1))
+    e2[2] = 1.0
+    assert np.abs(gm.tau_matrix()[:, 0] - e2).max() == 0.0
 
 
 def test_h_form_is_inverse_metric_for_any_b():
-    g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = with_b(g, B)
+    gm = with_b(bumpy_g(C2), bumpy_B(C2))
     # h(xi, eta) = G(rho* xi, rho* eta) must equal g^{-1}(xi, eta)
-    gram = gm.gram()
-    pts = C2.sample_points()
-    for p in pts:
-        G = np.array([[evaluate(gram[2 + a, 2 + b], p) for b in range(2)] for a in range(2)])
-        assert np.allclose(G, gm.g_inv.evaluate(p), atol=1e-10)
+    assert np.allclose(gm.h_form(), gm.g_inv.value, atol=1e-10)
 
 
 def test_gram_inverse_consistent():
-    g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = with_b(g, B)
-    gram, gram_inv = gm.gram(), gm.gram_inverse()
-    for p in C2.sample_points()[:4]:
-        G = np.array([[evaluate(gram[a, b], p) for b in range(4)] for a in range(4)])
-        Gi = np.array([[evaluate(gram_inv[a, b], p) for b in range(4)] for a in range(4)])
+    gm = with_b(bumpy_g(C2), bumpy_B(C2))
+    for G, Gi in zip(per_point(gm.gram().value), per_point(gm.gram_inverse())):
         assert np.allclose(G @ Gi, np.eye(4), atol=1e-10)
 
 
 def test_graph_embeddings_and_projectors():
-    g, B = bumpy_g(C2), bumpy_B(C2)
-    gm = with_b(g, B)
+    gm = with_b(bumpy_g(C2), bumpy_B(C2))
     gen = C2.rng(67)
-    X = tn.from_function(C2, (UP,), lambda i: tn.ex.random_polynomial(C2, gen))
-    plus = gm.psi_plus(X)
-    minus = gm.psi_minus(X)
-    p_plus = gm.project(plus, +1)
-    p_cross = gm.project(plus, -1)
-    assert (p_plus - plus).max_abs()[0] < 1e-12
-    assert p_cross.max_abs()[0] < 1e-12
-    assert (gm.project(minus, -1) - minus).max_abs()[0] < 1e-12
-    assert gm.project(minus, +1).max_abs()[0] < 1e-12
+    X = tn.values_at([tn.ex.random_polynomial(C2, gen) for _ in range(2)], C2.sample_points())
+    plus, minus = (np.einsum("aip,ip->ap", gm.graph(sign), X) for sign in (+1, -1))
+    assert np.abs(gm.project(plus, +1) - plus).max() < 1e-12
+    assert np.abs(gm.project(plus, -1)).max() < 1e-12
+    assert np.abs(gm.project(minus, -1) - minus).max() < 1e-12
+    assert np.abs(gm.project(minus, +1)).max() < 1e-12
 
 
 def test_h_form_invariant_under_shear_related_metrics():
@@ -300,13 +299,15 @@ def test_h_form_invariant_under_shear_related_metrics():
     g = bumpy_g(C2)
     gm1 = with_b(g, bumpy_B(C2, seed=1))
     gm2 = with_b(g, bumpy_B(C2, seed=2))
-    d = [a - b for a, b in zip(gm1.h_form().comps.reshape(-1), gm2.h_form().comps.reshape(-1))]
-    assert tn.ex.max_abs_on_points(d, C2.sample_points())[0] < 1e-12
+    assert np.abs(gm1.h_form() - gm2.h_form()).max() < 1e-12
 
 
 def test_gen_metric_validation_errors():
+    bad = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1") if i == j == 0 else (poly("-1") if i == j else poly("0")))
     with pytest.raises(NotPositiveDefinite):
-        gen_metric(tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1") if i == j == 0 else (poly("-1") if i == j else poly("0"))))
+        gtb.check_positive_definite(bad.evaluate_points(C2.sample_points()), C2.sample_points())
+    with pytest.raises(NotPositiveDefinite):
+        streff.Background(C2, bad, tn.zeros(C2, (DOWN, DOWN)), poly("0"))
     # B is validated with the background, before any package is built
     bad_B = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("x"))
     with pytest.raises(NotAntisymmetric):
@@ -369,45 +370,48 @@ def shear(M, psi):
     return GenSection.from_components(psi.chart, tn.contract("ab,b->a", M, psi.components()))
 
 
+def theta_jets(B):
+    """The 2-jets of theta = B^{-1} and of B."""
+    b = jets_of(B)
+    return gtb.theta_from_b(*b, B.chart.sample_points()), b
+
+
 def test_theta_twist_inverse_and_pairing():
     B = tn.form_from_wedge_coeffs(C2, 2, {(0, 1): poly("1 + x/4")})
-    theta = gtb.theta_matrix_from_b(B)
-    F, Finv = gtb.theta_twist_matrices(theta, B)
-    pts = C2.sample_points()
-    one = tn.contract("ab,bc->ac", F, Finv) - np.eye(4)
-    assert tn.ex.max_abs_on_points(one, pts)[0] < 1e-10
-    # F^T eta F = eta: F_theta is orthogonal for the pairing
+    (F, dF), Finv = gtb.theta_twist_matrices(*theta_jets(B))
     eta = gtb.pairing_gram(C2)
-    ortho = tn.contract("ca,cd,db->ab", F, eta, F) - eta
-    assert tn.ex.max_abs_on_points(ortho, pts)[0] < 1e-10
-    gen = C2.rng(79)
-    for _ in range(3):
-        psi, phi = random_section(C2, gen), random_section(C2, gen)
-        assert (shear(Finv, shear(F, psi)) - psi).max_abs(pts)[0] < 1e-10
-        d = pairing(shear(F, psi), shear(F, phi)) - pairing(psi, phi)
-        assert tn.ex.max_abs_on_points([d], pts)[0] < 1e-10
+    for f, finv in zip(per_point(F.value), per_point(Finv.value)):
+        assert np.allclose(f @ finv, np.eye(4), atol=1e-10)
+        # F^T eta F = eta: F_theta is orthogonal for the pairing
+        assert np.allclose(f.T @ eta @ f, eta, atol=1e-10)
+    # the jet of the partials of F continues the jet of F
+    np.testing.assert_array_equal(F.partial, dF.value)
+    # and both are the jets of the symbolic shear
+    theta = conftest.matrix_inverse(B.comps)
+    want, _ = conftest.theta_twist_matrices(theta, B.comps)
+    for got, want in zip((F, dF), tn.field_jets(want, C2)):
+        np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
 
 
 def test_theta_twist_2d_matrix_oracle():
     B = tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1})
-    theta = gtb.theta_matrix_from_b(B)
+    (theta, _), _ = theta_jets(B)
     # direct 2x2 inversion: B matrix [[0,1],[-1,0]] so theta = -B as a matrix
-    for p in C2.sample_points()[:2]:
+    for q, p in enumerate(C2.sample_points()[:2]):
         Bv = B.evaluate(p)
-        th = theta.evaluate(p)
-        assert np.allclose(th, np.linalg.inv(Bv))
-        assert np.allclose(th, -Bv)
-    # spot values through the shear
-    F, _ = gtb.theta_twist_matrices(theta, B)
-    tw = shear(F, frame(C2, 2))  # F(0, dx) = (theta(dx), dx)
-    assert evaluate(tw.vec.comps[1], (0.1, 0.2)) == pytest.approx(1.0)
-    assert evaluate(tw.vec.comps[0], (0.1, 0.2)) == 0.0
+        assert np.allclose(theta.value[..., q], np.linalg.inv(Bv))
+        assert np.allclose(theta.value[..., q], -Bv)
+    # spot values through the shear: F(0, dx) = (theta(dx), dx)
+    (F, _), _ = gtb.theta_twist_matrices(*theta_jets(B))
+    assert F.value[1, 2, 0] == pytest.approx(1.0)
+    assert F.value[0, 2, 0] == 0.0
 
 
 def test_theta_twist_odd_dimension_fails():
     B3 = tn.form_from_wedge_coeffs(C3, 2, {(0, 1): 1})
     with pytest.raises(SingularB):
-        gtb.theta_matrix_from_b(B3)
+        theta_jets(B3)
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +419,25 @@ def test_theta_twist_odd_dimension_fails():
 # ---------------------------------------------------------------------------
 
 
+def schouten(theta, twist):
+    """The numeric Schouten residual of Expr TensorFields theta and twist."""
+    c = theta.chart
+    return gtb.schouten_check(jets_of(theta)[0], tn.values_at(twist.comps, c.sample_points()),
+                              c.sample_points())
+
+
 def test_schouten_constant_theta_is_poisson():
     theta = tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1})
     theta = tn.TensorField(C2, (UP, UP), theta.comps)  # reinterpret as bivector
-    res = gtb.schouten_check(theta, tn.zeros(C2, (DOWN,) * 3))
-    assert res.max_abs()[0] == 0.0
+    assert np.abs(schouten(theta, tn.zeros(C2, (DOWN,) * 3))).max() == 0.0
 
 
 def test_schouten_2d_invertible_b():
     # any invertible 2-form on a 2-chart is twisted Poisson: dB = 0 in 2d
     B = tn.form_from_wedge_coeffs(C2, 2, {(0, 1): poly("1 + x")})
-    theta = gtb.theta_matrix_from_b(B)
-    res = gtb.schouten_check(theta, tn.exterior_derivative(B))
-    assert res.max_abs()[0] < 1e-12
+    ((theta, _), _), pts = theta_jets(B), C2.sample_points()
+    twist = tn.values_at(tn.exterior_derivative(B).comps, pts)
+    assert np.abs(gtb.schouten_check(theta, twist, pts)).max() < 1e-12
 
 
 def _bracket_oracle_schouten(theta, i, j, k, point, twist):
@@ -459,12 +469,12 @@ def test_schouten_3d_degenerate_pattern_zero():
     )
     B = tn.form_from_wedge_coeffs(C3, 2, {(0, 1): 1, (1, 2): poly("x", C3)})
     twist = tn.exterior_derivative(B)
-    res = gtb.schouten_check(theta, twist)
-    assert res.max_abs()[0] < 1e-12
+    res = schouten(theta, twist)
+    assert np.abs(res).max() < 1e-12
     # independent brute-force oracle on a few index triples and points
-    for (i, j, k), p in zip(itertools.permutations(range(3)), C3.sample_points()):
+    for q, ((i, j, k), p) in enumerate(zip(itertools.permutations(range(3)), C3.sample_points())):
         assert _bracket_oracle_schouten(theta, i, j, k, p, twist) == pytest.approx(
-            evaluate(res.comps[i, j, k], p), abs=1e-10
+            res[i, j, k, q], abs=1e-10
         )
 
 
@@ -474,24 +484,28 @@ def test_schouten_residual_antisymmetric_and_matches_oracle():
         lambda i, j: {(0, 1): poly("1", C3), (1, 0): poly("-1", C3),
                       (1, 2): poly("y", C3), (2, 1): poly("-y", C3)}.get((i, j), poly("0", C3)),
     )
-    res = gtb.schouten_check(theta, tn.zeros(C3, (DOWN,) * 3))
-    assert res.max_abs()[0] > 0.5  # genuinely non-Poisson
+    res = schouten(theta, tn.zeros(C3, (DOWN,) * 3))
+    assert np.abs(res).max() > 0.5  # genuinely non-Poisson
     pts = C3.sample_points()
     for i, j, k in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
-        for p in pts[:3]:
+        for q, p in enumerate(pts[:3]):
             want = _bracket_oracle_schouten(theta, i, j, k, p, tn.zeros(C3, (DOWN,) * 3))
-            assert evaluate(res.comps[i, j, k], p) == pytest.approx(want, abs=1e-10)
+            assert res[i, j, k, q] == pytest.approx(want, abs=1e-10)
     # total antisymmetry of the residual 3-vector
-    swapped = np.swapaxes(res.comps, 0, 1)
-    d = [a + b for a, b in zip(res.comps.reshape(-1), swapped.reshape(-1))]
-    assert tn.ex.max_abs_on_points(d, pts)[0] < 1e-10
+    assert np.abs(res + np.swapaxes(res, 0, 1)).max() < 1e-10
+
+
+def test_schouten_rejects_a_bivector_that_is_not_antisymmetric():
+    theta = tn.from_function(C2, (UP, UP), lambda i, j: poly("1"))
+    with pytest.raises(NotAntisymmetric):
+        schouten(theta, tn.zeros(C2, (DOWN,) * 3))
 
 
 def test_koszul_exact_forms_constant_theta():
     theta = tn.TensorField(C2, (UP, UP), tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1}).comps)
     zero3 = tn.zeros(C2, (DOWN,) * 3)
     f, g = poly("x^2*y"), poly("x + y^2")
-    br = gtb.koszul(tn.d_scalar(C2, f), tn.d_scalar(C2, g), theta, zero3)
+    br = conftest.koszul(tn.d_scalar(C2, f), tn.d_scalar(C2, g), theta, zero3)
     # {f, g} = theta(df).g; [df, dg] = d{f, g} for a Poisson bivector
     df, dg = tn.d_scalar(C2, f), tn.d_scalar(C2, g)
     want = tn.d_scalar(C2, tn.contract("ma,a,m->", theta.comps, df.comps, dg.comps))
@@ -505,10 +519,14 @@ def test_koszul_anchor_morphism():
     for _ in range(3):
         xi = tn.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
         eta = tn.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
-        br = gtb.koszul(xi, eta, theta, zero3)
+        br = conftest.koszul(xi, eta, theta, zero3)
         lhs = apply_bivector(theta, br)
         rhs = tn.lie_bracket(apply_bivector(theta, xi), apply_bivector(theta, eta))
         assert (lhs - rhs).max_abs()[0] < 1e-9
+
+
+def zero_twist(c):
+    return tn.constant_jet(np.zeros((c.dim,) * 3), c)
 
 
 def test_not_twisted_poisson_raised():
@@ -518,19 +536,18 @@ def test_not_twisted_poisson_raised():
                       (1, 2): poly("y", C3), (2, 1): poly("-y", C3)}.get((i, j), poly("0", C3)),
     )
     with pytest.raises(NotTwistedPoisson):
-        gtb.LieAlgebroidCotangent.build(theta, tn.zeros(C3, (DOWN,) * 3))
+        gtb.LieAlgebroidCotangent.build(C3, jets_of(theta), zero_twist(C3))
 
 
 def test_d_theta_values():
     theta = tn.TensorField(C2, (UP, UP), tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1}).comps)
-    v = gtb.d_theta(C2, poly("x"), theta)
+    v = gtb.d_theta(tn.field_jets(poly("x"), C2)[1], jets_of(theta)[0]).value
     # (d_theta f)^m = theta^{a m} d_a f: for f = x this is theta^{0 m}, so (0, +1)
-    p = (0.3, 0.4)
-    assert evaluate(v.comps[0], p) == 0.0
-    assert evaluate(v.comps[1], p) == pytest.approx(1.0)
+    assert (v[0] == 0.0).all()
+    assert v[1] == pytest.approx(1.0)
     # and it is minus the second-argument action theta(df)
     w = apply_bivector(theta, tn.d_scalar(C2, poly("x")))
-    assert evaluate(w.comps[1], p) == pytest.approx(-1.0)
+    assert evaluate(w.comps[1], (0.3, 0.4)) == pytest.approx(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +563,46 @@ def invertible_B4():
     return c4, B
 
 
+def cotangent_pair(B):
+    """The numeric cotangent algebroid of theta = B^{-1} with twist dB, and
+    its symbolic version (``conftest.cotangent_frame``)."""
+    c = B.chart
+    (theta, b) = theta_jets(B)
+    numeric = gtb.LieAlgebroidCotangent.build(c, theta, b[1].map(lambda t: tn.d_of_partials(t, 2)))
+    symbolic = conftest.cotangent_frame(TensorField(c, (UP, UP), conftest.matrix_inverse(B.comps)),
+                                        tn.exterior_derivative(B))
+    return numeric, symbolic
+
+
 def test_cotangent_algebroid_d_squared_zero():
     c4, B = invertible_B4()
-    theta = gtb.theta_matrix_from_b(B)
-    cot = gtb.LieAlgebroidCotangent.build(theta, tn.exterior_derivative(B))
-    alg = cot.algebroid
-    gen = c4.rng(3)
-    f = tn.ex.random_polynomial(c4, gen)
+    _, alg = cotangent_pair(B)
     f0 = np.empty((), dtype=object)
-    f0[()] = f
+    f0[()] = tn.ex.random_polynomial(c4, c4.rng(3))
     ddf = alg.differential(alg.differential(f0, 0), 1)
     assert tn.ex.max_abs_on_points(ddf, c4.sample_points())[0] < 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 5]))
+def test_symplectic_jets_match_the_symbolic_ones(salt, count):
+    # theta, the anchor and structure functions of the cotangent algebroid,
+    # its Levi-Civita connection, and the anchor and brackets of the
+    # bivector-sheared picture, against the jets of their expressions
+    bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
+    derived, oracle = streff.Derived(bg), Oracle(bg)
+    pkg = derived.symplectic
+    alg = pkg.cotangent.algebroid
+    sheared = derived.theta_connection.algebroid
+    want_sheared = conftest.conjugated_frame(bg.chart, *oracle.theta_matrices, oracle.untwisted_frame)
+    cases = [(pkg.theta[0], oracle.theta), (pkg.g_A, oracle.g_A),
+             (alg.anchor, oracle.cotangent.anchor), (alg.structure, oracle.cotangent.structure),
+             (pkg.gamma, oracle.lc_gamma),
+             (sheared.anchor, want_sheared.anchor), (sheared.structure, want_sheared.structure)]
+    for got, want in cases:
+        want = oracle.jets(want)
+        np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
 
 
 def test_theta_shear_transports_dorfman_to_a_dorfman():
@@ -565,10 +611,10 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
     of the twist sign."""
     c4, B = invertible_B4()
     n = 4
-    theta = gtb.theta_matrix_from_b(B)
+    theta = TensorField(c4, (UP, UP), conftest.matrix_inverse(B.comps))
     H = tn.zeros(c4, (DOWN,) * 3)
     dB = tn.exterior_derivative(B)
-    F, Finv = gtb.theta_twist_matrices(theta, B)
+    F, Finv = conftest.theta_twist_matrices(theta.comps, B.comps)
     pts = c4.sample_points()[:5]
     for a, b in [(0, 1), (1, 2), (0, 3)]:
         psi = shear(F, frame(c4, n + a))
@@ -577,7 +623,7 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
         # form part: the twisted Koszul bracket of dx^a, dx^b
         fa = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == a else tn.ex.ZERO)
         fb = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == b else tn.ex.ZERO)
-        want_form = gtb.koszul(fa, fb, theta, dB)
+        want_form = conftest.koszul(fa, fb, theta, dB)
         assert (tw.form - want_form).max_abs(pts)[0] < 1e-9
         # vector part: -H'(theta dx^a, theta dx^b, theta dx^m), H' = H + dB
         for m in range(n):
@@ -591,12 +637,11 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
 
 def test_lie_algebroid_lc_constant_data():
     theta = tn.TensorField(C2, (UP, UP), tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1}).comps)
-    cot = gtb.LieAlgebroidCotangent.build(theta, tn.zeros(C2, (DOWN,) * 3))
+    cot = gtb.LieAlgebroidCotangent.build(C2, jets_of(theta), zero_twist(C2))
     g_A = np.array([[tn.ex.Const(2.0), tn.ex.ZERO], [tn.ex.ZERO, tn.ex.Const(3.0)]], dtype=object)
-    gamma = cot.algebroid.lc_connection(g_A)
-    assert tn.ex.max_abs_on_points(gamma, C2.sample_points())[0] == 0.0
-    r0 = cot.algebroid.curvature(*tn.jets_at(gamma, C2.sample_points()), C2.sample_points())
-    assert tn.ex.max_abs_on_points(r0, C2.sample_points())[0] == 0.0
+    gamma = cot.algebroid.lc_connection(*tn.field_jets(g_A, C2))
+    assert np.abs(gamma.value).max() == 0.0
+    assert np.abs(cot.algebroid.curvature(gamma)).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +653,8 @@ def brute_force_r0(frame, gamma):
     """R0[d, c, a, b] as expressions, from the definition
     R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c
     with nab_{E_b} E_c = Gamma[:, b, c], [E_a, E_b] = C[:, a, b], and the
-    frame derivatives of ``connection_apply`` (symbolic ``differentiate``)."""
+    frame derivatives of ``connection_apply`` (symbolic ``differentiate``)
+    on a symbolic frame."""
     r = frame.rank
     unit = [np.array([tn.ex.ONE if i == a else tn.ex.ZERO for i in range(r)], dtype=object)
             for a in range(r)]
@@ -620,13 +666,29 @@ def brute_force_r0(frame, gamma):
     return out
 
 
-def assert_frame_curvature_matches(frame, gamma, points, jets=None):
-    """R0 from ``jets``, the values and partials of the coefficients gamma
-    (an object array of Expr) at ``points`` (by default ``tn.jets_at`` of
-    gamma), against the definition."""
-    r0 = frame.curvature(*(jets or tn.jets_at(gamma, points)), points)
-    want = tn.values_at(brute_force_r0(frame, gamma), points)
+def assert_frame_curvature_matches(numeric, symbolic, gamma, points, jet=None):
+    """R0 of the numeric frame, from ``jet`` (by default ``tn.jets_at`` of
+    the coefficients gamma, an object array of Expr), against the
+    definition on the symbolic frame."""
+    r0 = numeric.curvature(jet or tn.jets_at(gamma, points))
+    want = tn.values_at(brute_force_r0(symbolic, gamma), points)
     np.testing.assert_allclose(r0, want, rtol=1e-12, atol=1e-12)
+
+
+def frames_of(derived):
+    """(numeric frame, symbolic frame, Gamma as expressions, the jet of
+    Gamma at the chart's sample points) on rank n (the cotangent algebroid
+    of theta, whose anchor is theta) and rank 2n (the dilaton connection,
+    constant anchor, and its pullback through the bivector shear, anchor
+    built from theta)."""
+    oracle = Oracle(derived.bg)
+    pkg = derived.symplectic
+    sheared = conftest.conjugated_frame(derived.bg.chart, *oracle.theta_matrices, oracle.untwisted_frame)
+    return [(pkg.cotangent.algebroid, oracle.cotangent, oracle.lc_gamma, pkg.gamma),
+            (derived.dilaton.algebroid, oracle.untwisted_frame, oracle.dilaton,
+             Jet(derived.dilaton.gamma, derived.dilaton.dgamma)),
+            (derived.theta_connection.algebroid, sheared, oracle.theta_connection,
+             Jet(derived.theta_connection.gamma, derived.theta_connection.dgamma))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -637,45 +699,29 @@ def test_frame_curvature_matches_the_definition(salt, count):
     # pullback through the bivector shear (anchor built from theta), against
     # the definition on their symbolic coefficients
     bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
-    derived = streff.Derived(bg)
     points = bg.chart.sample_points()
-    pkg = derived.symplectic
-    assert_frame_curvature_matches(pkg.cotangent.algebroid, pkg.gamma, points)
-    for conn, gamma in ((derived.dilaton, symbolic_dilaton(derived)),
-                        (derived.theta_connection, symbolic_theta_connection(derived))):
-        assert_frame_curvature_matches(conn.algebroid, gamma, points, (conn.gamma, conn.dgamma))
+    for numeric, symbolic, gamma, jet in frames_of(streff.Derived(bg)):
+        assert_frame_curvature_matches(numeric, symbolic, gamma, points, jet)
 
 
 def test_frame_curvature_of_a_4d_cotangent_algebroid():
     # a non-constant fiber metric, so every R0 entry has frame derivatives
     c4, B = invertible_B4()
-    theta = gtb.theta_matrix_from_b(B)
-    cot = gtb.LieAlgebroidCotangent.build(theta, tn.exterior_derivative(B))
+    numeric, symbolic = cotangent_pair(B)
     g_A = tn.from_function(
         c4, (UP, UP), lambda i, j: parse_expr("1 + x2^2/8", c4) if i == j else tn.ex.ZERO
     ).comps
-    gamma = cot.algebroid.lc_connection(g_A)
-    for count in (1, 3):
-        assert_frame_curvature_matches(cot.algebroid, gamma, c4.sample_points()[:count])
+    gamma = symbolic.lc_connection(g_A)
+    got = numeric.algebroid.lc_connection(*tn.field_jets(g_A, c4))
+    want = tn.jets_at(gamma, c4.sample_points())
+    np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
+    assert_frame_curvature_matches(numeric.algebroid, symbolic, gamma, c4.sample_points(), got)
 
 
 # ---------------------------------------------------------------------------
 # the numeric covariant derivative and torsion against their definitions
 # ---------------------------------------------------------------------------
-
-
-def frames_of(derived):
-    """(frame, Gamma as expressions, the values of Gamma at the chart's
-    sample points) on rank n (the cotangent algebroid of theta, whose anchor
-    is theta) and rank 2n (the dilaton connection, constant anchor, and its
-    pullback through the bivector shear, anchor built from theta; their
-    expressions are the symbolic transports, their values the connections')."""
-    pkg = derived.symplectic
-    points = derived.bg.chart.sample_points()
-    return [(pkg.cotangent.algebroid, pkg.gamma, tn.values_at(pkg.gamma, points)),
-            (derived.dilaton.algebroid, symbolic_dilaton(derived), derived.dilaton.gamma),
-            (derived.theta_connection.algebroid, symbolic_theta_connection(derived),
-             derived.theta_connection.gamma)]
 
 
 def random_array(c, shape, gen):
@@ -690,10 +736,10 @@ def test_covariant_derivative_matches_the_definition(salt, count, degree):
     bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
     points = bg.chart.sample_points()
     gen = bg.chart.rng(salt)
-    for frame, gamma, values in frames_of(streff.Derived(bg)):
-        omega = random_array(bg.chart, (frame.rank,) * degree, gen)
-        got = frame.covariant_derivative_at(values, omega, points)
-        want = tn.values_at(symbolic_covariant_derivative(frame, gamma, omega), points)
+    for numeric, symbolic, gamma, jet in frames_of(streff.Derived(bg)):
+        omega = random_array(bg.chart, (numeric.rank,) * degree, gen)
+        got = numeric.covariant_derivative_of(jet.value, tn.jets_at(omega, points))
+        want = tn.values_at(symbolic_covariant_derivative(symbolic, gamma, omega), points)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -712,15 +758,15 @@ def test_torsion_map_gives_the_torsion_and_its_partials(salt, count):
     points = bg.chart.sample_points()
     gen = bg.chart.rng(salt)
     coords = bg.chart.coords()
-    for frame, gamma, _ in frames_of(streff.Derived(bg)):
+    for numeric, frame, gamma, _ in frames_of(streff.Derived(bg)):
         gamma = gamma + random_array(bg.chart, gamma.shape, gen)
-        if isinstance(frame, gconn.CourantFrame):
-            torsion = lambda g, C, frame=frame: gconn.torsion_map(frame, g, C)
+        if isinstance(numeric, gconn.CourantFrame):
+            torsion = lambda g, C, numeric=numeric: gconn.torsion_map(numeric, g, C)
             symbolic = symbolic_gualtieri_torsion(frame, gamma)
         else:
             torsion, symbolic = gtb.frame_torsion, symbolic_frame_torsion(frame, gamma)
         gv, dgv = tn.jets_at(gamma, points)
-        C, dC = tn.jets_at(frame.structure, points)
+        C, dC = numeric.structure
         partials = np.array([[tn.ex.differentiate(t, x) for x in coords]
                              for t in symbolic.reshape(-1)], dtype=object)
         np.testing.assert_allclose(torsion(gv, C), tn.values_at(symbolic, points),

@@ -56,9 +56,9 @@ def evaluated_nodes(monkeypatch, command, scene) -> int:
 
 
 def test_central_on_the_4d_scene_node_budget(monkeypatch):
-    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 19_785
+    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 1_712
 
 
 def test_all_on_poly2d_node_budget(monkeypatch):
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
-    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 6_350
+    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 4_686

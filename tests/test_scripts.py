@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,6 +24,20 @@ def test_make_scene_writes_a_loadable_scene():
     scene = scene_from_dict(doc)
     assert scene.chart.dim == 2 and scene.chart.seed == 5
     assert "options" not in doc  # the ignored "policy" option is no longer written
+
+
+def test_importing_make_scene_leaves_sys_path_unchanged():
+    # a benchmark that imports the generator of one checkout must keep
+    # importing the package it chose, not the generator's own
+    before = list(sys.path)
+    spec = importlib.util.spec_from_file_location("make_scene_probe", SCRIPTS / "make_scene.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        assert sys.path == before
+    finally:
+        sys.path[:] = before
+    assert module.build(dim=2, seed=5, invertible_b=True, scale=0.25, points=2)["chart"]["seed"] == 5
 
 
 def test_residual_survey_identities_vanish():

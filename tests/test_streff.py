@@ -1,18 +1,21 @@
 """String-background residuals: the anomaly tensors, the curvature
 dictionary, and the bivector-gauge equivalence."""
 
-import itertools
 
 import numpy as np
 import pytest
 
-from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
-from gencourant.errors import SingularB
-from gencourant.expr import chart, evaluate, parse_expr
-from gencourant.streff import Background, Derived, beta_all, central_residuals, equivalence_report
-from gencourant.tensors import DOWN, UP
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
-from conftest import bumpy_b, bumpy_metric, random_background, symbolic_covariant_derivative
+from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
+from gencourant.errors import NotPositiveDefinite, SingularB
+from gencourant.expr import chart, parse_expr
+from gencourant.streff import Background, Derived, beta_all, central_residuals, equivalence_report
+from gencourant.tensors import DOWN
+
+import conftest
+from conftest import Oracle, random_background, symbolic_covariant_derivative
 
 
 def flat_background(n=2, constant_b=False):
@@ -34,44 +37,72 @@ def test_flat_background_all_residuals_vanish():
     bg = flat_background(constant_b=True)
     betas = beta_all(Derived(bg))
     assert betas.max_abs(bg.chart.sample_points())[0] == 0.0
-    assert evaluate(betas.beta_phi_prime, (0.1, 0.2)) == 0.0
+    assert (betas.beta_phi_prime == 0.0).all()
+
+
+def max_abs(values, bg):
+    return tn.ex.max_abs_on_points(values, bg.chart.sample_points())[0]
 
 
 def test_beta_b_conformal_form_agrees():
     bg = random_background(2, salt=3)
-    betas = beta_all(Derived(bg))
-    other = streff.beta_b_conformal_form(Derived(bg))
-    d = [a - b for a, b in zip(betas.beta_B.comps.reshape(-1), other.comps.reshape(-1))]
-    assert tn.ex.max_abs_on_points(d, bg.chart.sample_points())[0] < 1e-9
+    derived = Derived(bg)
+    assert max_abs(derived.betas.beta_B - streff.beta_b_conformal_form(derived), bg) < 1e-9
 
 
 def test_beta_g_index_form_agrees():
     bg = random_background(2, salt=5)
-    betas = beta_all(Derived(bg))
-    other = streff.beta_g_index_form(Derived(bg))
-    d = [a - b for a, b in zip(betas.beta_g.comps.reshape(-1), other.comps.reshape(-1))]
-    assert tn.ex.max_abs_on_points(d, bg.chart.sample_points())[0] < 1e-9
+    derived = Derived(bg)
+    assert max_abs(derived.betas.beta_g - streff.beta_g_index_form(derived), bg) < 1e-9
 
 
 def test_beta_symmetries():
     bg = random_background(2, salt=7)
     betas = beta_all(Derived(bg))
-    n = bg.chart.dim
-    sym = [betas.beta_g.comps[i, j] - betas.beta_g.comps[j, i] for i in range(n) for j in range(n)]
-    skew = [betas.beta_B.comps[i, j] + betas.beta_B.comps[j, i] for i in range(n) for j in range(n)]
-    assert tn.ex.max_abs_on_points(sym + skew, bg.chart.sample_points())[0] < 1e-12
+    assert max_abs(betas.beta_g - betas.beta_g.swapaxes(0, 1), bg) < 1e-12
+    assert max_abs(betas.beta_B + betas.beta_B.swapaxes(0, 1), bg) < 1e-12
 
 
 def test_beta_phi_prime_relation_and_direct_form():
     bg = random_background(2, salt=9)
-    betas = beta_all(Derived(bg))
+    derived = Derived(bg)
     # direct assembly: -1/2 Lap + |grad|^2 - 1/4 <H',H'>
-    g = bg.g
-    Hp = bg.h_total()
-    lap, _, norm2 = rm.laplace_divergence(bg.phi, rm.christoffel(g))
-    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, tn.metric_inverse(g))
-    d = betas.beta_phi_prime - direct
-    assert tn.ex.max_abs_on_points([d], bg.chart.sample_points())[0] < 1e-12
+    Hp = derived.h_prime.value
+    lap, _, norm2 = rm.laplace_divergence(derived.jets.phi[1], derived.gamma)
+    direct = -0.5 * lap + norm2 - 0.25 * rm.form_inner(Hp, Hp, derived.ginv.value)
+    assert max_abs(derived.betas.beta_phi_prime - direct, bg) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2**16), st.sampled_from([1, 5]))
+def test_classical_stage_matches_the_symbolic_one(n, salt, count):
+    # the chart Ricci tensor and scalar, Hess phi, Lap phi, delta H', <H', H'>
+    # and the three residuals against their expression versions
+    try:
+        bg = random_background(n, salt=salt % 1000, seed=salt, num_points=count)
+    except NotPositiveDefinite:
+        reject()  # a metric no scene may have
+    assume(conftest.well_conditioned(bg.g))
+    derived, oracle = Derived(bg), Oracle(bg)
+    ric, scalar = derived.curvature
+    dphi = derived.jets.phi[1]
+    lap, _, _ = rm.laplace_divergence(dphi, derived.gamma)
+    Hp, ginv = derived.h_prime, derived.ginv.value
+    betas = derived.betas
+    want_ric, want_scalar = oracle.curvature
+    cases = [
+        (ric, want_ric), (scalar, want_scalar),
+        (rm.covariant_derivative(dphi, (DOWN,), derived.gamma), oracle.hessian),
+        (lap, oracle.laplacian),
+        (rm.codifferential(Hp, derived.gamma), oracle.delta_h),
+        (rm.form_inner(Hp.value, Hp.value, ginv),
+         conftest.form_inner(oracle.h_prime, oracle.h_prime, oracle.ginv)),
+        (betas.beta_g, oracle.betas[0]), (betas.beta_B, oracle.betas[1]),
+        (betas.beta_phi, oracle.betas[2]),
+    ]
+    assert np.abs(ric).max() > 1e-3
+    for got, want in cases:
+        np.testing.assert_allclose(got, oracle.values(want), rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +139,13 @@ def test_central_identities_nonzero_twist():
 
 def test_metric_trace_equals_scalar_residual_closed_form():
     bg = random_background(2, salt=17)
-    conn = Derived(bg).dilaton
-    sg = gconn.scalar_G(conn)
-    g, Hp = bg.g, bg.h_total()
-    _, rscal = rm.curvature_package(rm.christoffel(g))
-    lap, _, norm2 = rm.laplace_divergence(bg.phi, rm.christoffel(g))
-    want = rscal - 0.5 * rm.form_inner(Hp, Hp, tn.metric_inverse(g)) + 4.0 * lap - 4.0 * norm2
-    pts = bg.chart.sample_points()
-    assert tn.ex.max_abs_on_points(sg - tn.values_at(want, pts), pts)[0] < 1e-9
+    derived = Derived(bg)
+    sg = gconn.scalar_G(derived.dilaton)
+    Hp = derived.h_prime.value
+    _, rscal = derived.curvature
+    lap, _, norm2 = rm.laplace_divergence(derived.jets.phi[1], derived.gamma)
+    want = rscal - 0.5 * rm.form_inner(Hp, Hp, derived.ginv.value) + 4.0 * lap - 4.0 * norm2
+    assert max_abs(sg - want, bg) < 1e-9
 
 
 def test_off_shell_backgrounds_have_nonzero_betas():
@@ -130,18 +160,19 @@ def test_off_shell_backgrounds_have_nonzero_betas():
 
 def test_lie_algebroid_lc_constant_data_is_flat():
     c = chart("x y", seed=81)
-    theta = tn.TensorField(c, (UP, UP), tn.form_from_wedge_coeffs(c, 2, {(0, 1): 1}).comps)
-    G = tn.euclidean_metric(c)
-    cot = gtb.LieAlgebroidCotangent.build(theta, tn.zeros(c, (DOWN,) * 3))
-    gamma = cot.algebroid.lc_connection(tn.matrix_inverse(G.comps))
-    assert tn.ex.max_abs_on_points(gamma, c.sample_points())[0] == 0.0
-    ric, scal = streff.algebroid_curvature(cot, gamma, G)
-    assert tn.ex.max_abs_on_points(ric, c.sample_points())[0] == 0.0
-    assert tn.ex.max_abs_on_points(scal, c.sample_points())[0] == 0.0
-    w = gtb.d_theta(c, parse_expr("x", c), theta).comps
-    nab_w = cot.algebroid.covariant_derivative_at(tn.values_at(gamma, c.sample_points()), w,
-                                                  c.sample_points())
-    assert tn.ex.max_abs_on_points(nab_w, c.sample_points())[0] == 0.0
+    pts = c.sample_points()
+    theta = tn.field_jets(tn.form_from_wedge_coeffs(c, 2, {(0, 1): 1}).comps, c)
+    zero3 = tn.constant_jet(np.zeros((2, 2, 2)), c)
+    cot = gtb.LieAlgebroidCotangent.build(c, theta, zero3)
+    g_A = tn.field_jets(tn.identity(2), c)
+    gamma = cot.algebroid.lc_connection(*g_A)
+    assert tn.ex.max_abs_on_points(gamma.value, pts)[0] == 0.0
+    ric, scal = streff.algebroid_curvature(cot, gamma, g_A[0].value)
+    assert tn.ex.max_abs_on_points(ric, pts)[0] == 0.0
+    assert tn.ex.max_abs_on_points(scal, pts)[0] == 0.0
+    _, dx = tn.field_jets(parse_expr("x", c), c)
+    nab_w = cot.algebroid.covariant_derivative_of(gamma.value, gtb.d_theta(dx, theta[0]))
+    assert tn.ex.max_abs_on_points(nab_w, pts)[0] == 0.0
 
 
 def symplectic_background(salt=23, n=2):
@@ -151,46 +182,30 @@ def symplectic_background(salt=23, n=2):
 def test_algebroid_connection_torsion_free():
     bg = symplectic_background()
     pkg = streff.build_symplectic(Derived(bg))
-    alg = pkg.cotangent.algebroid
-    n = bg.chart.dim
-    res = []
-    for a, b, c in itertools.product(range(n), repeat=3):
-        res.append(pkg.gamma[c, a, b] - pkg.gamma[c, b, a] - alg.structure[c, a, b])
-    assert tn.ex.max_abs_on_points(res, bg.chart.sample_points())[0] < 1e-9
+    gamma, C = pkg.gamma.value, pkg.cotangent.algebroid.structure.value
+    assert max_abs(gamma - gamma.swapaxes(1, 2) - C, bg) < 1e-9
 
 
 def test_algebroid_connection_metric_compatibility():
     bg = symplectic_background(salt=25)
     pkg = streff.build_symplectic(Derived(bg))
-    alg = pkg.cotangent.algebroid
-    n = bg.chart.dim
-    res = []
-    for a, b, c in itertools.product(range(n), repeat=3):
-        lhs = tn.contract("m,m->", alg.anchor[a], tn.partials(pkg.g_A[b, c], bg.chart))
-        rhs = tn.ex.esum(
-            [tn.ex.mul(pkg.gamma[d, a, b], pkg.g_A[d, c]) for d in range(n)]
-            + [tn.ex.mul(pkg.gamma[d, a, c], pkg.g_A[b, d]) for d in range(n)]
-        )
-        res.append(lhs - rhs)
-    assert tn.ex.max_abs_on_points(res, bg.chart.sample_points())[0] < 1e-9
+    anchor = pkg.cotangent.algebroid.anchor.value
+    (g_A, dg_A), gamma = pkg.g_A, pkg.gamma.value
+    lhs = np.einsum("amp,bcmp->abcp", anchor, dg_A)
+    rhs = np.einsum("dabp,dcp->abcp", gamma, g_A) + np.einsum("dacp,bdp->abcp", gamma, g_A)
+    assert max_abs(lhs - rhs, bg) < 1e-9
 
 
-def test_koszul_jacobi_for_inverse_bivector():
-    bg = symplectic_background(salt=27)
-    theta = gtb.theta_matrix_from_b(bg.B)
-    dB = tn.exterior_derivative(bg.B)
-    n = bg.chart.dim
-    frames = [
-        tn.from_function(bg.chart, (DOWN,), lambda i, a=a: tn.ex.ONE if i == a else tn.ex.ZERO)
-        for a in range(n)
-    ]
-    br = lambda x, y: gtb.koszul(x, y, theta, dB)
-    res = []
-    for a, b, c in itertools.product(range(n), repeat=3):
-        jac = br(frames[a], br(frames[b], frames[c])) - br(br(frames[a], frames[b]), frames[c]) \
-            - br(frames[b], br(frames[a], frames[c]))
-        res.extend(jac.comps.reshape(-1))
-    assert tn.ex.max_abs_on_points(res, bg.chart.sample_points())[0] < 1e-9
+@pytest.mark.parametrize("n", [2, 4])
+def test_cotangent_structure_satisfies_jacobi(n):
+    # sum over cyclic (a, b, c) of C^e_{bc} C^d_{ae} + a(E_a).C^d_{bc}
+    bg = random_background(n, salt=27, invertible_b=True)
+    alg = streff.build_symplectic(Derived(bg)).cotangent.algebroid
+    (C, dC), anchor = alg.structure, alg.anchor.value
+    term = np.einsum("ebcp,daep->dabcp", C, C) + np.einsum("amp,dbcmp->dabcp", anchor, dC)
+    jacobi = term + np.einsum("dbcap->dabcp", term) + np.einsum("dcabp->dabcp", term)
+    assert np.abs(C).max() > 1e-2
+    assert max_abs(jacobi, bg) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +241,19 @@ def test_symplectic_2d_degree_reduction():
     R^theta(G^{-1}) + 4 Lap - 4 |d phi|^2 and the skew residual vanishes."""
     bg = symplectic_background(salt=33)
     pkg = streff.build_symplectic(Derived(bg))
-    assert tn.ex.max_abs_on_points(pkg.H_theta, bg.chart.sample_points())[0] < 1e-12
+    assert max_abs(pkg.H_theta.value, bg) < 1e-12
     res1, _, res3 = streff.symplectic_residuals(pkg)
-    n = 2
-    G = pkg.G
-    w = pkg.dphi_dual
-    norm2 = tn.ex.esum(
-        tn.ex.mul(G.comps[a, b], w[a], w[b]) for a in range(n) for b in range(n)
-    )
+    oracle = Oracle(bg)
+    G = -tn.contract("ia,ab,bj->ij", bg.B.comps, oracle.ginv, bg.B.comps)
+    w = tn.contract("am,a->m", oracle.theta, oracle.dphi)
+    norm2 = tn.contract("ab,a,b->", G, w, w)
     # G^{ak} (nab_{E_k} w)_a, from the definition of nab
-    nab_w = symbolic_covariant_derivative(pkg.cotangent.algebroid, pkg.gamma, w)
-    lap = tn.contract("ak,ka->", G.comps, nab_w)
-    _, scalar = streff.algebroid_curvature(pkg.cotangent, pkg.gamma, G)
-    pts = bg.chart.sample_points()
-    reduced = scalar + tn.values_at(4.0 * lap - 4.0 * norm2, pts)
-    assert tn.ex.max_abs_on_points(res1 - reduced, pts)[0] < 1e-12
-    assert tn.ex.max_abs_on_points(res3, pts)[0] < 1e-12
+    nab_w = symbolic_covariant_derivative(oracle.cotangent, oracle.lc_gamma, w)
+    lap = tn.contract("ak,ka->", G, nab_w)
+    _, scalar = streff.algebroid_curvature(pkg.cotangent, pkg.gamma, pkg.G.value)
+    reduced = scalar + oracle.values(4.0 * lap - 4.0 * norm2)
+    assert max_abs(res1 - reduced, bg) < 1e-12
+    assert max_abs(res3, bg) < 1e-12
 
 
 def test_transport_identity_off_shell():

@@ -3,8 +3,6 @@ forward (tangent) pass, against the symbolic derivative it replaces on the
 curvature path; its memo; and the DomainError of a derivative that is
 singular where the value is not."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,10 +93,6 @@ def _outcome(evaluate, roots, points):
         return None, err
 
 
-def _scope(scoped):
-    return ex.evaluation_scope() if scoped else contextlib.nullcontext()
-
-
 def _symbolic_partials(fields, points):
     """[field, m, point] from the symbolic derivatives."""
     derivs = evaluate_points([differentiate(f, c) for f in fields for c in (X, Y)], points)
@@ -106,24 +100,22 @@ def _symbolic_partials(fields, points):
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.booleans())
-def test_jets_match_symbolic_derivatives(case, scoped):
+@given(cases())
+def test_jets_match_symbolic_derivatives(case):
     fields, points = case
-    with _scope(scoped):
-        values, partials = evaluate_jets(fields, points)
-        want = _symbolic_partials(fields, points)
+    values, partials = evaluate_jets(fields, points)
+    want = _symbolic_partials(fields, points)
     assert partials.shape == (len(fields), 2, len(points))
     np.testing.assert_array_equal(values, evaluate_points(fields, points))
     np.testing.assert_allclose(partials, want, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(unsafe=True), st.booleans())
-def test_jets_raise_where_symbolic_derivatives_do(case, scoped):
+@given(cases(unsafe=True))
+def test_jets_raise_where_symbolic_derivatives_do(case):
     fields, points = case
-    with _scope(scoped):
-        got, got_err = _outcome(evaluate_jets, fields, points)
-        want, want_err = _outcome(_symbolic_partials, fields, points)
+    got, got_err = _outcome(evaluate_jets, fields, points)
+    want, want_err = _outcome(_symbolic_partials, fields, points)
     if want_err is not None:
         assert got_err is not None
     elif got_err is not None:
@@ -139,18 +131,12 @@ def test_jets_raise_where_symbolic_derivatives_do(case, scoped):
 @settings(max_examples=100, deadline=None)
 @given(cases(unsafe=True))
 def test_jet_errors_do_not_depend_on_the_walk(case):
-    # the vector pass, a scope, and the per-point walk at the first failing
-    # point all raise the same DomainError
+    # the vector pass and the per-point walk at the first failing point
+    # raise the same DomainError
     roots, points = case
     _, err = _outcome(evaluate_jets, roots, points)
     if err is None:
         return
-    _, first_alone = _outcome(evaluate_jets, roots[:1], points)
-    with ex.evaluation_scope():
-        _, first = _outcome(evaluate_jets, roots[:1], points)
-        _, scoped = _outcome(evaluate_jets, roots, points)
-    assert str(first) == str(first_alone)
-    assert str(scoped) == str(err)
     for p in points:
         _, at_point = _outcome(evaluate_jets, roots, [p])
         if at_point is not None:
@@ -206,23 +192,6 @@ def _count_tangent_nodes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("count", [1, 12])
-def test_scope_shares_the_tangent_pass(monkeypatch, count):
-    points = XY.sample_points()[:count]
-    shared = parse_expr("sin(x*y) + x^2", XY)
-    first, second = ex.mul(shared, Y), ex.mul(ex.exp(X), shared)
-    seen = _count_tangent_nodes(monkeypatch)
-    with ex.evaluation_scope():
-        evaluate_jets([first], points)
-        evaluate_jets([second, first], points)
-    assert sum(e is shared for e in seen) == 1
-    assert sum(e is first for e in seen) == 1
-    seen.clear()
-    evaluate_jets([first], points)
-    evaluate_jets([second], points)
-    assert sum(e is shared for e in seen) == 2
-
-
 def test_one_pass_gives_every_direction(monkeypatch):
     f = parse_expr("x*y*exp(x - y)", XY)
     seen = _count_tangent_nodes(monkeypatch)
@@ -242,7 +211,6 @@ POINT_SETS = {
 }
 
 
-@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("points", sorted(POINT_SETS))
 @pytest.mark.parametrize("text, named", [
     ("sqrt(x*x)*y", "sqrt(x*x)"),
@@ -251,17 +219,15 @@ POINT_SETS = {
     # that gives it also gives d/dx
     ("sqrt(x) + y", "sqrt(x)"),
 ])
-def test_sqrt_at_zero_names_the_node_of_f(text, named, points, scoped):
+def test_sqrt_at_zero_names_the_node_of_f(text, named, points):
     f = parse_expr(text, XY)
-    with _scope(scoped):
-        with pytest.raises(DomainError) as err:
-            evaluate_jets([Y, f], POINT_SETS[points])
-        evaluate_points([f], POINT_SETS[points])  # the value is finite
+    with pytest.raises(DomainError) as err:
+        evaluate_jets([Y, f], POINT_SETS[points])
+    evaluate_points([f], POINT_SETS[points])  # the value is finite
     assert str(err.value) == f"sqrt at zero has no derivative in subexpression '{named}'"
     assert any(e is err.value.subexpr for e in _nodes(f))
 
 
-@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("text, message, named, symbolic", [
     # (1e-170*x)^2 underflows to 0, and the quotient rule divides by it
@@ -271,13 +237,12 @@ def test_sqrt_at_zero_names_the_node_of_f(text, named, points, scoped):
     ("(1e-160*x)^(-1) + y", "overflow in a derivative", "(1e-160*x)^(-1)",
      "overflow in subexpression '(1e-160*x)^(-2)'"),
 ])
-def test_singular_derivative_names_the_node_of_f(text, message, named, symbolic, count, scoped):
+def test_singular_derivative_names_the_node_of_f(text, message, named, symbolic, count):
     f = parse_expr(text, XY)
     points = [(1.0, 0.5)] * count
-    with _scope(scoped):
-        with pytest.raises(DomainError) as err:
-            evaluate_jets([f], points)
-        evaluate_points([f], points)
+    with pytest.raises(DomainError) as err:
+        evaluate_jets([f], points)
+    evaluate_points([f], points)
     assert str(err.value) == f"{message} in subexpression '{named}'"
     assert any(e is err.value.subexpr for e in _nodes(f))
     # the symbolic derivative named a node of its own DAG

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant.errors import ChartMismatch, SingularMetric, SlotError
+from gencourant.errors import ChartMismatch, DomainError, SingularMetric, SlotError
 from gencourant.expr import chart, evaluate, parse_expr
+from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.tensors import DOWN, UP, TensorField
 
@@ -204,13 +205,16 @@ def test_contract_builds_the_hand_loops_expressions():
         assert tn.ex.to_string(congruence[i, j]) == tn.ex.to_string(loop)
 
 
+def inverse_values(g):
+    """The values of g^{-1} at the chart's sample points, by ``jet_inverse``."""
+    return tn.jet_inverse(tn.field_jets(g.comps, g.chart)[0]).value
+
+
 def test_raise_lower_flat_metric_identity():
-    g = tn.euclidean_metric(C2)
-    ginv = tn.metric_inverse(g)
     xi = tn.from_function(C2, (DOWN,), lambda i: poly("x*y") if i else poly("1+x"))
-    up = TensorField(C2, (UP,), tn.contract("ab,b->a", ginv.comps, xi.comps))
-    for p in C2.sample_points():
-        assert np.allclose(up.evaluate(p), xi.evaluate(p))
+    xv = tn.values_at(xi.comps, C2.sample_points())
+    up = np.einsum("abp,bp->ap", inverse_values(tn.euclidean_metric(C2)), xv)
+    np.testing.assert_array_equal(up, xv)
 
 
 def test_raise_then_lower_roundtrip():
@@ -218,30 +222,53 @@ def test_raise_then_lower_roundtrip():
         C2, (DOWN, DOWN),
         lambda i, j: poly("2 + x^2") if i == j == 0 else (poly("1") if i == j else poly("x*y/4")),
     )
-    ginv = tn.metric_inverse(g)
-    rng = C2.rng(5)
-    t = rand_tensor(C2, (DOWN, UP), rng)
-    up = tn.contract("ab,bc->ac", ginv.comps, t.comps)
-    back = tn.contract("ab,bc->ac", g.comps, up)
-    diff = [a - b for a, b in zip(back.reshape(-1), t.comps.reshape(-1))]
-    worst, _ = tn.ex.max_abs_on_points(diff, C2.sample_points())
-    assert worst < 1e-12
+    pts = C2.sample_points()
+    t = tn.values_at(rand_tensor(C2, (DOWN, UP), C2.rng(5)).comps, pts)
+    up = np.einsum("abp,bcp->acp", inverse_values(g), t)
+    back = np.einsum("abp,bcp->acp", tn.values_at(g.comps, pts), up)
+    assert np.abs(back - t).max() < 1e-12
 
 
 def test_lower_with_diagonal_metric():
     g = tn.from_function(C2, (DOWN, DOWN),
                          lambda i, j: poly("2") if i == j == 0 else (poly("1") if i == j else poly("0")))
-    ginv = tn.metric_inverse(g)
-    dx1 = tn.from_function(C2, (DOWN,), lambda i: poly("1") if i == 0 else poly("0"))
-    v = tn.contract("ab,b->a", ginv.comps, dx1.comps)
-    assert evaluate(v[0], (0.5, 0.5)) == pytest.approx(0.5)
-    assert evaluate(v[1], (0.5, 0.5)) == 0.0
+    v = inverse_values(g)[:, 0]  # g^{-1}(dx^1)
+    assert v[0, 0] == pytest.approx(0.5)
+    assert v[1, 0] == 0.0
+
+
+def test_jet_inverse_partials_are_those_of_the_inverse():
+    g = tn.from_function(
+        C2, (DOWN, DOWN),
+        lambda i, j: poly("2 + x^2") if i == j == 0 else (poly("1 + y^2") if i == j else poly("x*y/4")),
+    )
+    inv = tn.jet_inverse(tn.field_jets(g.comps, C2)[0])
+    h = 1e-6
+    for q, p in enumerate(C2.sample_points()[:3]):
+        for m in range(2):
+            up, dn = list(p), list(p)
+            up[m] += h
+            dn[m] -= h
+            fd = (np.linalg.inv(g.evaluate(up)) - np.linalg.inv(g.evaluate(dn))) / (2 * h)
+            assert np.abs(inv.partial[:, :, m, q] - fd).max() < 1e-8
 
 
 def test_singular_metric_detected():
     g = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1"))  # rank 1 matrix
     with pytest.raises(SingularMetric):
-        tn.metric_inverse(g)
+        rm.christoffel(*tn.field_jets(g.comps, C2), C2)
+
+
+def test_finite_names_the_stage_the_component_and_the_point():
+    pts = C2.sample_points()[:2]
+    values = np.zeros((2, 3, 2))
+    values[1, 2, 1] = np.inf
+    with pytest.raises(DomainError, match=r"non-finite stage X inf at component \[1, 2\] and sample point"):
+        tn.finite("stage X", values, pts)
+    partial = np.zeros((2, 2, 2))
+    partial[0, 1, 0] = np.nan
+    with pytest.raises(DomainError, match=r"partial along x\^2 nan at component \[0\]"):
+        tn.finite("stage Y", tn.Jet(np.zeros((2, 2)), partial), pts)
 
 
 def test_antisymmetrize_fixed_point_and_kill_symmetric():

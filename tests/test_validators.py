@@ -12,12 +12,12 @@ from gencourant import gconn, gtb
 from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.errors import (
+    DomainError,
     NotAntisymmetric,
     NotClosed,
     NotPositiveDefinite,
     NotTwistedPoisson,
     SingularB,
-    SlotError,
 )
 from gencourant.expr import chart
 from gencourant.tensors import DOWN, UP, TensorField
@@ -46,38 +46,50 @@ def full(c, variance, entry):
     return TensorField(c, variance, comps)
 
 
-def christoffel_with(k):
-    coeffs = np.empty((2, 2, 2), dtype=object)
-    coeffs.reshape(-1)[:] = [ex.ZERO] * 8
-    coeffs[0, 0, 1] = on(C2, k)
-    g = tn.euclidean_metric(C2)
-    return rm.Christoffel(C2, coeffs, g, g)
+def jets(field):
+    return tn.field_jets(field.comps, field.chart)
 
 
-THETA = skew(C2, (UP, UP), ex.ONE)
+def values(field):
+    return tn.values_at(field.comps, field.chart.sample_points())
+
+
+def value_jets(field):
+    """The 2-jet of a field whose values are those of ``field`` and whose
+    partials are zero: its values reach the validator even where they are
+    not finite."""
+    v = values(field)
+    zeros = lambda *shape: np.zeros(v.shape[:-1] + shape + v.shape[-1:])  # noqa: E731
+    return tn.Jet(v, zeros(2)), tn.Jet(zeros(2), zeros(2, 2))
+
+
+PTS2 = C2.sample_points()
+THETA = jets(skew(C2, (UP, UP), ex.ONE))[0]
 
 CASES = {
     "check-antisymmetric": (
         lambda k: tn.check_antisymmetric(skew(C2, (DOWN, DOWN), on(C2, k))),
         NotAntisymmetric,
     ),
-    "metric-inverse": (lambda k: tn.metric_inverse(metric(k)), SlotError),
-    "positive-definite": (lambda k: gtb._check_positive_definite(metric(k)), NotPositiveDefinite),
+    "metric-inverse": (lambda k: rm.christoffel(*value_jets(metric(k)), C2), DomainError),
+    "positive-definite": (
+        lambda k: gtb.check_positive_definite(metric(k).evaluate_points(PTS2), PTS2),
+        NotPositiveDefinite,
+    ),
     "closedness": (
-        lambda k: gtb.check_closed(
-            tn.form_from_wedge_coeffs(C4, 3, {(0, 1, 2): ex.mul(k, C4.coord(3))})
-        ),
+        lambda k: gtb.check_closed(values(tn.exterior_derivative(
+            tn.form_from_wedge_coeffs(C4, 3, {(0, 1, 2): ex.mul(k, C4.coord(3))}))), C4.sample_points()),
         NotClosed,
     ),
     "theta-inverts-b": (
-        lambda k: gtb.theta_matrix_from_b(skew(C2, (DOWN, DOWN), ex.add(1.0, on(C2, k)))),
+        lambda k: gtb.theta_from_b(*value_jets(skew(C2, (DOWN, DOWN), ex.add(1.0, on(C2, k)))), PTS2),
         SingularB,
     ),
     "twisted-poisson": (
-        lambda k: gtb.validate_twisted_poisson(THETA, full(C2, (DOWN,) * 3, on(C2, k))),
+        lambda k: gtb.validate_twisted_poisson(THETA, values(full(C2, (DOWN,) * 3, on(C2, k))), PTS2),
         NotTwistedPoisson,
     ),
-    "christoffel-symmetry": (christoffel_with, SlotError),
+    "numeric-stage": (lambda k: tn.finite("stage", values(metric(k)), PTS2), DomainError),
     "params-antisymmetry": (
         lambda k: gconn.validate_params(full(C2, (UP,) * 3, on(C2, k)), tn.zeros(C2, (DOWN,) * 3)),
         NotAntisymmetric,

@@ -30,20 +30,10 @@ COMMANDS = ("axioms", "torsion", "curvature", "beta", "central", "symplectic", "
 
 
 def _check(name, identity, fields, points, tol) -> Check:
-    """The check of ``fields``: expressions, or a float array of residuals
-    whose last axis runs over ``points`` (see ``ex.max_abs_on_points``)."""
+    """The check of ``fields``, a float array of residuals whose last axis
+    runs over ``points`` (see ``ex.max_abs_on_points``)."""
     worst, at = ex.max_abs_on_points(fields, points)
     return Check(name, identity, worst, tol, at)
-
-
-def _flat(arrays):
-    out = []
-    for a in arrays:
-        if isinstance(a, np.ndarray):
-            out.extend(a.reshape(-1))
-        else:
-            out.append(a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -52,60 +42,56 @@ def _flat(arrays):
 
 
 def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
-    bg = scene.background
     chart = scene.chart
+    n = chart.dim
     pts = chart.sample_points()
     tol = scene.tol("sym")
-    derived.h_prime  # H' is validated before the bracket reads it
-    H = bg.h_total()
+    H = derived.h_prime
     gen = chart.rng(1009)
-    triples = [tuple(gtb.random_section(chart, gen) for _ in range(3)) for _ in range(3)]
+    sections = gtb.random_sections(chart, gen, 9)
+    triples = [sections[k:k + 3] for k in (0, 3, 6)]
+    fg, dfg = tn.random_polynomial_jets(chart, gen, (2,))  # f and g2
+    f, df, dg2 = fg[0], dfg[0], dfg[1]
     out = []
+    br = lambda a, b: gtb.dorfman(a, b, H)  # values of the bracket of two section jets
+    along = lambda X, w: np.einsum("mp,mp->p", X, w)  # X^m w_m
 
-    jac = _flat([gtb.jacobiator(a, b, c, H).components() for a, b, c in triples])
+    jac = np.stack([gtb.jacobiator(a, b, c, H) for a, b, c in triples])
     out.append(_check("axioms.leibniz-identity",
                       "in-bracket derivation rule (Jacobiator residual)", jac, pts, tol))
 
-    inv = []
-    for a, b, c in triples:
-        lhs = tn.contract("m,m->", a.vec.comps, tn.partials(gtb.pairing(b, c), chart))
-        rhs = gtb.pairing(gtb.dorfman(a, b, H), c) + gtb.pairing(b, gtb.dorfman(a, c, H))
-        inv.append(lhs - rhs)
+    inv = [along(a.value[:n], gtb.pairing(b, c).partial)
+           - gtb.pairing(br(a, b), c.value) - gtb.pairing(b.value, br(a, c))
+           for (a, _), (b, _), (c, _) in triples]
     out.append(_check("axioms.pairing-invariance",
-                      "anchored derivative of the pairing splits over the bracket", inv, pts, tol))
+                      "anchored derivative of the pairing splits over the bracket", np.stack(inv), pts, tol))
 
-    sym = _flat([
-        (gtb.dorfman(a, b, H) + gtb.dorfman(b, a, H)
-         - gtb.d_map(chart, gtb.pairing(a, b))).components()
-        for a, b, _ in triples
-    ])
+    sym = [br(a, b) + br(b, a) - gtb.d_map(gtb.pairing(a, b).partial) for (a, _), (b, _), _ in triples]
     out.append(_check("axioms.symmetric-part",
-                      "symmetrized bracket is the differential of the pairing", sym, pts, tol))
+                      "symmetrized bracket is the differential of the pairing", np.stack(sym), pts, tol))
 
-    f = ex.random_polynomial(chart, gen)
-    g2 = ex.random_polynomial(chart, gen)
-    props = _flat([gtb.dorfman(gtb.d_map(chart, f), triples[0][0], H).components()])
-    props.append(gtb.pairing(gtb.d_map(chart, f), gtb.d_map(chart, g2)))
+    props = np.concatenate([br(gtb.d_map(df), triples[0][0][0]),
+                            gtb.pairing(gtb.d_map(df.value), gtb.d_map(dg2.value))[None]])
     out.append(_check("axioms.differential-image",
                       "differential image is central and isotropic", props, pts, tol))
 
-    a, b, _ = triples[1]
-    rhof = tn.contract("m,m->", b.vec.comps, tn.partials(f, chart))
-    left = (
-        gtb.dorfman(a.scale(f), b, H)
-        - gtb.dorfman(a, b, H).scale(f)
-        + a.scale(rhof)
-        - gtb.d_map(chart, f).scale(gtb.pairing(a, b))
-    )
+    (a, _), (b, _), _ = triples[1]
+    ab = gtb.pairing(a.value, b.value)
+    left = (br(tn.jet_contract(",a->a", f, a), b) - f.value * br(a, b)
+            + along(b.value[:n], df.value) * a.value - ab * gtb.d_map(df.value))
     out.append(_check("axioms.left-leibniz",
-                      "left multiplication rule of the bracket", left.components(), pts, tol))
+                      "left multiplication rule of the bracket", left, pts, tol))
 
-    morph = _flat([
-        (gtb.dorfman(a, b, H).vec - tn.lie_bracket(a.vec, b.vec)).comps
-        for a, b, _ in triples
-    ])
+    # the anchor of the bracket acting on f, against X(Y f) - Y(X f) from
+    # the 2-jet of f
+    morph = []
+    for (a, _), (b, _), _ in triples:
+        X, Y = a[:n], b[:n]
+        Yf, Xf = (tn.jet_contract("m,m->", V, df) for V in (Y, X))
+        morph.append(along(br(a, b)[:n], df.value)
+                     - (along(X.value, Yf.partial) - along(Y.value, Xf.partial)))
     out.append(_check("axioms.anchor-morphism",
-                      "anchor sends the bracket to the vector-field commutator", morph, pts, tol))
+                      "anchor sends the bracket to the vector-field commutator", np.stack(morph), pts, tol))
 
     gm = derived.metric
     tau = gm.tau_matrix()
@@ -115,7 +101,7 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
 
     proj = []
     genv = chart.rng(1013)
-    X = tn.values_at([ex.random_polynomial(chart, genv) for _ in range(chart.dim)], pts)
+    X = tn.random_polynomial_jets(chart, genv, (n,))[0].value
     for sign in (+1, -1):
         psi = np.einsum("aip,ip->ap", gm.graph(sign), X)
         proj += [gm.project(psi, sign) - psi, gm.project(psi, -sign)]
@@ -126,22 +112,23 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
                       "induced cotangent form equals the inverse metric",
                       gm.h_form() - gm.g_inv.value, pts, tol))
 
-    shear, at = gtb.twisted_bracket_check(bg.B, bg.H)
+    shear, at = gtb.twisted_bracket_check(chart, derived.jets.B[0], derived.jets.H, H)
     out.append(Check("axioms.shear-intertwines-brackets",
                      "the 2-form shear maps the shifted twist bracket to the original",
                      shear, tol, at))
 
     # finite-difference consistency of the expression engine on phi
+    phi = scene.background.phi
     fd = []
     h = 1e-4
     for m in range(chart.dim):
-        d = ex.differentiate(bg.phi, chart.coord(m))
+        d = ex.differentiate(phi, chart.coord(m))
         for p in pts[:4]:
             up = list(p)
             dn = list(p)
             up[m] += h
             dn[m] -= h
-            cd = (ex.evaluate(bg.phi, up) - ex.evaluate(bg.phi, dn)) / (2 * h)
+            cd = (ex.evaluate(phi, up) - ex.evaluate(phi, dn)) / (2 * h)
             fd.append((abs(cd - ex.evaluate(d, p)), p))
     worst, at = ex.worst_of(fd)
     out.append(Check("axioms.derivative-fd-consistency",
@@ -216,14 +203,9 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
     # one random parameter pair: stays in the family, scalars follow the
     # closed forms in the partial traces
     gen = chart.rng(1021)
-    J = tn.antisymmetrize(
-        tn.from_function(chart, ("up",) * 3, lambda *i: ex.random_polynomial(chart, gen, 2, 0.2)),
-        (1, 2),
-    )
-    W = tn.antisymmetrize(
-        tn.from_function(chart, ("down",) * 3, lambda *i: ex.random_polynomial(chart, gen, 2, 0.2)),
-        (1, 2),
-    )
+    n = chart.dim
+    JW = tn.random_polynomial_jets(chart, gen, (2, n, n, n), 2, 0.2)[0]
+    J, W = (JW[k].map(lambda t: 0.5 * (t - t.swapaxes(1, 2))) for k in (0, 1))  # skew in (1, 2)
     params = gconn.validate_params(J, W)
     conn = gconn.with_params(minimal, params)
     out.append(_check("curvature.family-torsion-free",

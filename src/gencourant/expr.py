@@ -1268,30 +1268,32 @@ def parse_expr(text: str, chart_: Chart) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The monomials of total degree <= degree in ``dim`` coordinates, each
+    as the sorted tuple of its coordinate indices, in the order in which
+    ``random_polynomial`` draws their coefficients: () first, then each
+    index i followed by the monomials of one degree less from i on, a
+    monomial kept where it first appears."""
+
+    def walk(deg, start):
+        yield ()
+        if deg:
+            for i in range(start, dim):
+                for rest in walk(deg - 1, i):
+                    yield (i,) + rest
+
+    return tuple(dict.fromkeys(walk(degree, 0)))
+
+
 def random_polynomial(chart_: Chart, gen: SplitMix64, degree: int = 2, scale: float = 0.25) -> Expr:
     """Random polynomial of total degree <= degree with coefficients drawn
-    uniformly from [-scale, scale].  Degree-2 fields keep derived tensor
-    DAGs small while exercising all second-derivative paths."""
+    uniformly from [-scale, scale], one per entry of ``monomials``.
+    Degree-2 fields keep derived tensor DAGs small while exercising all
+    second-derivative paths."""
     xs = chart_.coords()
-
-    def monomials(deg, start):
-        if deg == 0:
-            yield ()
-            return
-        yield ()
-        for i in range(start, chart_.dim):
-            for rest in monomials(deg - 1, i):
-                yield (i,) + rest
-
-    seen = set()
-    terms = []
-    for mono in monomials(degree, 0):
-        if mono in seen:
-            continue
-        seen.add(mono)
-        coeff = gen.uniform(-scale, scale)
-        terms.append(mul(coeff, *(xs[i] for i in mono)))
-    return add(*terms)
+    return add(*(mul(gen.uniform(-scale, scale), *(xs[i] for i in mono))
+                 for mono in monomials(chart_.dim, degree)))
 
 
 def worst_of(pairs):

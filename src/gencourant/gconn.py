@@ -28,8 +28,9 @@ ending in the point axis: the torsion (``torsion_map``), the compatibility
 residuals (``gtb.covariant_derivative``), R0
 (``gtb.AnchoredFrame.curvature``), from which R, the Ricci tensor and its
 traces follow by einsum, and the characteristic field and the V tensor.
-The random parameter pairs of the curvature suite are expressions of the
-chart, valued once by ``validate_params``.
+The random parameter pair of the curvature suite is the jet of random
+polynomials (``tensors.random_polynomial_jets``), checked by
+``validate_params``.
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -50,14 +51,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import expr as ex
 from . import gtb
 from . import riemann as rm
 from . import tensors as tn
 from .errors import InvalidLieAlgebra, NotAntisymmetric, SingularMetric
 from .expr import Chart
 from .gtb import GeneralizedMetric
-from .tensors import DOWN, UP, Jet, TensorField
+from .tensors import Jet
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +373,25 @@ class ConnParams:
     W: Jet
 
 
-def _alt3(t: TensorField) -> TensorField:
-    return tn.antisymmetrize(t, (0, 1, 2))
+def _alt3(t: np.ndarray) -> np.ndarray:
+    """The alternation of an array over its three leading slots."""
+    rest = tuple(range(3, t.ndim))
+    even = t + t.transpose((1, 2, 0) + rest) + t.transpose((2, 0, 1) + rest)
+    odd = t.transpose((1, 0, 2) + rest) + t.transpose((0, 2, 1) + rest) + t.transpose((2, 1, 0) + rest)
+    return (even - odd) / 6.0
 
 
-def validate_params(J: TensorField, W: TensorField) -> ConnParams:
-    """Check the antisymmetry of a parameter pair of chart fields in the
-    last two slots, restore the cyclic constraint by T -> T - Alt(T), which
-    zeroes the cyclic sum of a tensor skew in its last two slots, and take
-    the jets of the result."""
-    if J.variance != (UP, UP, UP) or W.variance != (DOWN, DOWN, DOWN):
-        raise NotAntisymmetric("J must be fully contravariant, W fully covariant")
+def validate_params(J: Jet, W: Jet) -> ConnParams:
+    """Check the antisymmetry in the last two slots of a parameter pair
+    given by its jets, J^{ijk} and W_{ijk}, on their values, and restore the
+    cyclic constraint by T -> T - Alt(T) on both halves, which zeroes the
+    cyclic sum of a tensor skew in its last two slots."""
     for t, name in ((J, "J"), (W, "W")):
-        diff = t.comps + np.swapaxes(t.comps, 1, 2)
-        worst, _ = ex.max_abs_on_points(diff, t.chart.sample_points())
+        # written so that a NaN fails the test
+        worst = np.abs(t.value + t.value.swapaxes(1, 2)).max(initial=0.0)
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"{name} not antisymmetric in its last two slots ({worst:.3e})")
-    pts = J.chart.sample_points()
-    return ConnParams(tn.jets_at((J - _alt3(J)).comps, pts), tn.jets_at((W - _alt3(W)).comps, pts))
+    return ConnParams(J - J.map(_alt3), W - W.map(_alt3))
 
 
 def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):

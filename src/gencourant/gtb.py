@@ -11,13 +11,18 @@ connection).  That calculus serves both the cotangent Lie algebroid and,
 through ``gconn.CourantFrame``, the generalized coordinate frame of
 TM (+) T*M.
 
-Sections, the pairing and the bracket are expressions: the axioms suite
-checks them on random sections.  Everything built from a background is
-numbers at the chart's sample points (``tensors.Jet``): the generalized
-metric, theta and the shear matrices, the anchor and the structure
-functions of a frame, its Levi-Civita connection.  ``frame_curvature``,
-``covariant_derivative`` and ``frame_torsion`` are einsum stages over
-float arrays with a trailing point axis.
+Everything here is numbers at the chart's sample points (``tensors.Jet``).
+A section is its frame components u[A] over (d_mu, 0), (0, dx^mu): its
+values, its jet (values and first partials) or its 2-jet (the jets of u
+and of its partials du[A, m]); the random sections of the axioms suite
+are polynomial 2-jets.  The pairing, the differential, the e^B shear and
+the bracket are one formula each, ``tensors.jet_contract`` on jets and
+``np.einsum`` on values, so the bracket of two 2-jets is the jet of the
+bracket.  The generalized metric, theta and the shear matrices, the anchor
+and the structure functions of a frame and its Levi-Civita connection are
+jets too, and ``frame_curvature``, ``covariant_derivative`` and
+``frame_torsion`` are einsum stages over float arrays with a trailing
+point axis.
 
 Convention: a 2-form acts on a vector through its *second* argument,
 B(X) = B(. , X), i.e. B(X)_m = B_{m n} X^n; the same rule applies to
@@ -34,83 +39,40 @@ import numpy as np
 from . import expr as ex
 from . import tensors as tn
 from .errors import (
-    ChartMismatch,
     NotClosed,
     NotPositiveDefinite,
     NotTwistedPoisson,
     SingularB,
 )
-from .expr import Chart, Expr, add
-from .tensors import DOWN, UP, Jet, TensorField
+from .expr import Chart
+from .tensors import Jet
 
 CLOSEDNESS_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# sections
+# sections: pairing, differential, Dorfman bracket
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GenSection:
-    """Section (X, xi) of TM (+) T*M."""
-
-    vec: TensorField  # (1,0)
-    form: TensorField  # (0,1)
-
-    def __post_init__(self):
-        if self.vec.chart != self.form.chart:
-            raise ChartMismatch("section parts on different charts")
-        if self.vec.variance != (UP,) or self.form.variance != (DOWN,):
-            raise ValueError("GenSection needs a vector and a 1-form")
-
-    @property
-    def chart(self) -> Chart:
-        return self.vec.chart
-
-    def components(self) -> np.ndarray:
-        """Length-2n object array over the frame (d_mu, 0), (0, dx^mu)."""
-        return np.concatenate([self.vec.comps, self.form.comps])
-
-    @staticmethod
-    def from_components(chart: Chart, comps) -> "GenSection":
-        n = chart.dim
-        comps = np.asarray(comps, dtype=object)
-        vec = TensorField(chart, (UP,), comps[:n])
-        form = TensorField(chart, (DOWN,), comps[n:])
-        return GenSection(vec, form)
-
-    def __add__(self, other):
-        return GenSection(self.vec + other.vec, self.form + other.form)
-
-    def __sub__(self, other):
-        return GenSection(self.vec - other.vec, self.form - other.form)
-
-    def scale(self, factor):
-        return GenSection(self.vec.scale(factor), self.form.scale(factor))
-
-    def max_abs(self, points=None):
-        return ex.max_abs_on_points(self.components(), points or self.chart.sample_points())
+def random_sections(chart: Chart, gen: ex.SplitMix64, count: int) -> list:
+    """The 2-jets of ``count`` random sections, each component a random
+    polynomial of total degree <= 2 (``tensors.random_polynomial_jets``),
+    section by section."""
+    u, du = tn.random_polynomial_jets(chart, gen, (count, 2 * chart.dim))
+    return [(u[k], du[k]) for k in range(count)]
 
 
-def random_section(chart: Chart, gen: ex.SplitMix64) -> GenSection:
-    """Random section with polynomial coefficients of total degree <= 2."""
-    n = chart.dim
-    comps = np.array([ex.random_polynomial(chart, gen) for _ in range(2 * n)], dtype=object)
-    return GenSection.from_components(chart, comps)
+def _swap(u):
+    """The frame components of a section with its vector and form parts
+    exchanged, so that <u, v> = u . swap(v)."""
+    return u[np.roll(np.arange(len(u)), len(u) // 2)]
 
 
-# ---------------------------------------------------------------------------
-# pairing, differential, Dorfman bracket
-# ---------------------------------------------------------------------------
-
-
-def pairing(psi: GenSection, phi: GenSection) -> Expr:
-    """<(X,xi),(Y,eta)> = eta(X) + xi(Y); split signature (n, n)."""
-    if psi.chart != phi.chart:
-        raise ChartMismatch("sections on different charts")
-    return add(tn.contract("a,a->", phi.form.comps, psi.vec.comps),
-               tn.contract("a,a->", psi.form.comps, phi.vec.comps))
+def pairing(u, v):
+    """<(X,xi),(Y,eta)> = eta(X) + xi(Y), split signature (n, n), of two
+    sections given by their values or their jets."""
+    return tn.jet_contract("a,a->", u, _swap(v))
 
 
 def pairing_gram(chart: Chart) -> np.ndarray:
@@ -123,9 +85,11 @@ def pairing_gram(chart: Chart) -> np.ndarray:
     return eta
 
 
-def d_map(chart: Chart, f) -> GenSection:
-    """The bracket-side differential: f |-> (0, df)."""
-    return GenSection(tn.zeros(chart, (UP,)), tn.d_scalar(chart, f))
+def d_map(df):
+    """The bracket-side differential f |-> (0, df), from the values or the
+    jet of the partials df[m] of f; any 1-form embeds the same way."""
+    embed = lambda t: np.concatenate([np.zeros_like(t), t])
+    return df.map(embed) if isinstance(df, Jet) else embed(df)
 
 
 def check_closed(dH: np.ndarray, points):
@@ -137,29 +101,30 @@ def check_closed(dH: np.ndarray, points):
         raise NotClosed(worst)
 
 
-def dorfman(psi: GenSection, phi: GenSection, H: TensorField) -> GenSection:
+def dorfman(psi, phi, H: Jet):
     """Twisted Dorfman bracket
-    [(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)), for a
-    validated closed 3-form H (``Background`` and ``Derived.h_prime`` check
-    it once)."""
-    if psi.chart != phi.chart:
-        raise ChartMismatch("sections on different charts")
-    X, xi = psi.vec, psi.form
-    Y, eta = phi.vec, phi.form
-    vec = tn.lie_bracket(X, Y)
-    lie = tn.lie_derivative_oneform(X, eta)
-    iydxi = tn.interior_product(Y, tn.exterior_derivative(xi))
-    hterm = tn.contract("abm,a,b->m", H.comps, X.comps, Y.comps)
-    form = lie - iydxi - TensorField(psi.chart, (DOWN,), hterm)
-    return GenSection(vec, form)
+    [(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)), for the jet of
+    a validated closed 3-form H (``Background`` and ``Derived.h_prime``
+    check it once), written on the frame components u of psi and v of phi
+    (X and Y their vector parts) as
+        X.dv - Y.du + (0, <v, d_m u> - H(X, Y, d_m)).
+    On the 2-jets (u, du) of the sections (Jets) it gives the bracket's
+    jet; on their jets (values and first partials) it gives its values."""
+    (u, du), (v, dv) = psi, phi
+    n = len(H)
+    twist = H if isinstance(u, Jet) else H.value
+    out = tn.jet_contract("a,ca->c", u[:n], dv) - tn.jet_contract("a,ca->c", v[:n], du)
+    out[n:] = (out[n:] + tn.jet_contract("a,am->m", _swap(v), du)
+               - tn.jet_contract("abm,a,b->m", twist, u[:n], v[:n]))
+    return out
 
 
-def jacobiator(psi, phi, chi, H: TensorField) -> GenSection:
-    """Failure of the in-bracket derivation rule:
-    [psi,[phi,chi]] - [[psi,phi],chi] - [phi,[psi,chi]], for a validated
-    closed 3-form H."""
+def jacobiator(psi, phi, chi, H: Jet) -> np.ndarray:
+    """Values of the failure of the in-bracket derivation rule,
+    [psi,[phi,chi]] - [[psi,phi],chi] - [phi,[psi,chi]], for the 2-jets of
+    the sections and the jet of a validated closed 3-form H."""
     br = lambda a, b: dorfman(a, b, H)
-    return br(psi, br(phi, chi)) - br(br(psi, phi), chi) - br(phi, br(psi, chi))
+    return br(psi[0], br(phi, chi)) - br(br(psi, phi), chi[0]) - br(phi[0], br(psi, chi))
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +229,27 @@ class GeneralizedMetric:
 # ---------------------------------------------------------------------------
 
 
-def b_twist(psi: GenSection, B: TensorField) -> GenSection:
-    """e^B(X, xi) = (X, xi + B(X)); orthogonal for the pairing."""
-    form = psi.form.comps + tn.contract("ma,a->m", B.comps, psi.vec.comps)
-    return GenSection(psi.vec, TensorField(psi.chart, (DOWN,), form))
+def b_twist(u, B):
+    """e^B(X, xi) = (X, xi + B(X)), orthogonal for the pairing, of a section
+    and a 2-form given by their values or their jets."""
+    return u + d_map(tn.jet_contract("ma,a->m", B, u[:len(B)]))
 
 
-def twisted_bracket_check(B: TensorField, H: TensorField):
-    """(max residual, worst point) of e^B([psi,phi]^{H+dB}) - [e^B psi,
-    e^B phi]^H over three seeded section pairs, as ``ex.worst_of`` picks it;
-    a zero residual means e^B intertwines the two brackets.  B and H are
-    taken to be validated: a 2-form and a closed 3-form."""
-    chart = B.chart
-    HdB = H + tn.exterior_derivative(B)
-    gen = chart.rng(101)
-    sections = [(random_section(chart, gen), random_section(chart, gen)) for _ in range(3)]
+def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
+    """(max residual, worst point) of e^B([psi,phi]^{H'}) - [e^B psi,
+    e^B phi]^H over three seeded section pairs, as ``ex.worst_of`` picks it,
+    from the jets of B, of H and of H' = H + dB; a zero residual means e^B
+    intertwines the two brackets.  B and H are taken to be validated: a
+    2-form and a closed 3-form."""
+    sections = [u for u, _ in random_sections(chart, chart.rng(101), 6)]
     pts = chart.sample_points()
 
     def residual(psi, phi):
-        lhs = b_twist(dorfman(psi, phi, HdB), B)
+        lhs = b_twist(dorfman(psi, phi, h_prime), B.value)
         rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H)
-        return (lhs - rhs).max_abs(pts)
+        return ex.max_abs_on_points(lhs - rhs, pts)
 
-    return ex.worst_of(residual(psi, phi) for psi, phi in sections)
+    return ex.worst_of(residual(*sections[k:k + 2]) for k in (0, 2, 4))
 
 
 def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:

@@ -18,8 +18,8 @@ The parsed fields of a ``Background`` are the last expressions: ``Derived``
 takes their jets once, at the chart's seeded sample points (the 2-jets of
 g, B and phi and the jet of H, ``Derived.jets``), and every quantity above
 is numbers computed from them (``riemann``, ``gtb``, ``gconn``), each array
-ending in the point axis.  Only the axioms suite still reads expressions:
-random sections and the bracket, with the twist ``Background.h_total``.
+ending in the point axis.  The random sections and parameters of the
+checks are numbers too (``tensors.random_polynomial_jets``).
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class Background:
         tn.check_antisymmetric(self.H)
         gtb.check_closed(tn.values_at(tn.exterior_derivative(self.H).comps, pts), pts)
         self.phi = ex._coerce(self.phi)
-
-    def h_total(self) -> TensorField:
-        """H' = H + dB: the twist seen by the sheared, block-diagonal picture."""
-        return self.H + tn.exterior_derivative(self.B)
 
 
 @dataclass

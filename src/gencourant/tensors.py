@@ -31,7 +31,9 @@ so second partials are the partials of the second), and every later
 quantity is a jet combined by ``jet_contract``, the product rule applied
 to one einsum, or by a linear map of both halves (``Jet.map``).
 ``jet_inverse`` inverts a matrix field (one ``np.linalg.inv`` per point),
-and ``finite`` is the check at each numeric stage boundary.
+and ``finite`` is the check at each numeric stage boundary.  Random fields
+are jets from the start: ``random_polynomial_jets`` gives the 2-jets of
+seeded random polynomials from the 2-jet of their monomial basis.
 """
 
 from __future__ import annotations
@@ -153,14 +155,6 @@ def scalar_field(chart: Chart, e) -> TensorField:
     return TensorField(chart, (), a)
 
 
-def from_function(chart: Chart, variance, fn) -> TensorField:
-    variance = tuple(variance)
-    out = zeros_array((chart.dim,) * len(variance))
-    for idx in itertools.product(range(chart.dim), repeat=len(variance)):
-        out[idx] = ex._coerce(fn(*idx))
-    return TensorField(chart, variance, out)
-
-
 def kronecker(chart: Chart) -> TensorField:
     """Identity (1,1)-tensor."""
     return TensorField(chart, (UP, DOWN), identity(chart.dim))
@@ -239,6 +233,9 @@ class Jet:
     def __iter__(self):
         return iter((self.value, self.partial))
 
+    def __len__(self):
+        return len(self.value)
+
     def map(self, fn) -> "Jet":
         return Jet(fn(self.value), fn(self.partial))
 
@@ -293,21 +290,65 @@ def constant_jet(array, chart: Chart) -> Jet:
                np.zeros(array.shape + (chart.dim, count)))
 
 
-def jet_contract(spec: str, *jets) -> Jet:
+def jet_contract(spec: str, *jets):
     """The einsum ``spec`` (the notation of ``contract``) of jets, and its
     first partials by the product rule.  One plain ``np.einsum`` (no BLAS,
     no ``optimize``) for the values and one for each operand's partials,
-    so the same inputs give the same bits."""
+    so the same inputs give the same bits.  Operands that are float arrays
+    of values [..., p], not Jets, give the values alone."""
     lhs, _, out = spec.replace(" ", "").partition("->")
     subs = lhs.split(",")
     m, p = [c for c in _LETTERS if c not in spec][:2]
+    value_spec = ",".join(s + p for s in subs) + f"->{out}{p}"
+    if not isinstance(jets[0], Jet):
+        return np.einsum(value_spec, *jets)
     values = [v for v, _ in jets]
-    result = np.einsum(",".join(s + p for s in subs) + f"->{out}{p}", *values)
+    result = np.einsum(value_spec, *values)
     partials = 0.0
     for i, (_, d) in enumerate(jets):
         dspec = ",".join(s + (m + p if j == i else p) for j, s in enumerate(subs))
         partials = partials + np.einsum(f"{dspec}->{out}{m}{p}", *values[:i], d, *values[i + 1:])
     return Jet(result, partials)
+
+
+@functools.lru_cache(maxsize=16)
+def _monomial_jets(chart: Chart, degree: int) -> np.ndarray:
+    """basis[M, k, p]: at each sample point p, the value (k = 0), the first
+    partials (k = 1 + m) and the second partials (k = 1 + n + n m + l) of
+    each of the M monomials of ``expr.monomials``."""
+    n = chart.dim
+    x = np.array(chart.sample_points()).T[None]  # [1, n, p]
+    powers = np.array([np.bincount(np.array(mono, dtype=int), minlength=n)
+                       for mono in ex.monomials(n, degree)])  # [M, n]
+    eye = np.eye(n, dtype=int)
+
+    def term(*axes):
+        # d_{axes} x^powers: the falling factorials of the exponents times
+        # the lowered power (an exponent that would turn negative has a zero
+        # factor and is clipped)
+        factor, e = np.ones(len(powers)), powers
+        for k in axes:
+            factor, e = factor * e[:, k], e - eye[k]
+        return factor[:, None] * np.prod(x ** np.maximum(e, 0)[..., None], axis=1)
+
+    rows = [term()] + [term(m) for m in range(n)] + [term(m, l) for m in range(n) for l in range(n)]
+    return np.stack(rows, axis=1)
+
+
+def random_polynomial_jets(chart: Chart, gen: ex.SplitMix64, shape: tuple, degree: int = 2,
+                           scale: float = 0.25) -> tuple[Jet, Jet]:
+    """The 2-jet at the chart's sample points (as ``field_jets`` gives it) of
+    an array of the given shape of random polynomials, drawn in C order as
+    that many calls of ``expr.random_polynomial`` would draw them: a row of
+    coefficients over ``expr.monomials`` per polynomial, contracted in one
+    einsum with the 2-jet of that monomial basis."""
+    n, count = chart.dim, len(chart.sample_points())
+    size = math.prod(shape) * len(ex.monomials(n, degree))
+    coeffs = np.array([gen.uniform(-scale, scale) for _ in range(size)]).reshape(math.prod(shape), -1)
+    jets = np.einsum("ab,bkp->akp", coeffs, _monomial_jets(chart, degree)).reshape(shape + (-1, count))
+    first = jets[..., 1:n + 1, :]
+    return (Jet(jets[..., 0, :], first),
+            Jet(first, jets[..., n + 1:, :].reshape(shape + (n, n, count))))
 
 
 def jet_block(blocks) -> Jet:
@@ -409,25 +450,6 @@ def _permutations_with_sign(k):
         yield perm, sign
 
 
-def antisymmetrize(t: TensorField, slot_set) -> TensorField:
-    slots = tuple(slot_set)
-    if len(set(slots)) != len(slots) or any(not 0 <= s < t.rank for s in slots):
-        raise SlotError("bad slot set")
-    if len({t.variance[s] for s in slots}) > 1:
-        raise SlotError("cannot antisymmetrize slots of mixed variance")
-    terms = []
-    for perm, sign in _permutations_with_sign(len(slots)):
-        # term[idx] = t[src] with src[slots[pos]] = idx[slots[perm[pos]]]
-        axes = list(range(t.rank))
-        for pos, s in enumerate(slots):
-            axes[slots[perm[pos]]] = s
-        term = t.comps.transpose(axes)
-        terms.append(term if sign > 0 else -term)
-    idx = _LETTERS[:t.rank]
-    out = TensorField(t.chart, t.variance, contract(f"z{idx}->{idx}", np.stack(terms)))
-    return out.scale(1.0 / math.factorial(len(slots)))
-
-
 # ---------------------------------------------------------------------------
 # exterior calculus helpers shared by upper layers
 # ---------------------------------------------------------------------------
@@ -474,32 +496,3 @@ def form_from_wedge_coeffs(chart: Chart, degree: int, coeffs: dict) -> TensorFie
             tgt = tuple(idx[perm[i]] for i in range(degree))
             out[tgt] = add(out[tgt], e if sign > 0 else neg(e))
     return TensorField(chart, (DOWN,) * degree, out)
-
-
-def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
-    """Commutator of two vector fields: [X, Y]^c = X^a d_a Y^c - Y^a d_a X^c."""
-    _same_chart(x, y)
-    dx, dy = partials(x.comps, x.chart), partials(y.comps, x.chart)
-    out = contract("as,sca->c", np.stack([x.comps, y.comps], 1), np.stack([dy, -dx]))
-    return TensorField(x.chart, (UP,), out)
-
-
-def lie_derivative_oneform(x: TensorField, eta: TensorField) -> TensorField:
-    """(L_X eta)_m = X^a d_a eta_m + eta_a d_m X^a."""
-    _same_chart(x, eta)
-    dx, deta = partials(x.comps, x.chart), partials(eta.comps, x.chart)
-    out = contract("as,sma->m", np.stack([x.comps, eta.comps], 1), np.stack([deta, dx.T]))
-    return TensorField(x.chart, (DOWN,), out)
-
-
-def interior_product(x: TensorField, omega: TensorField) -> TensorField:
-    """i_X omega: plug the vector into the first slot of a covariant form."""
-    _same_chart(x, omega)
-    rest = _LETTERS[1:omega.rank]
-    out = contract(f"a,a{rest}->{rest}", x.comps, omega.comps)
-    return TensorField(x.chart, (DOWN,) * (omega.rank - 1), out)
-
-
-def d_scalar(chart: Chart, f) -> TensorField:
-    """Differential of a scalar field as a 1-form."""
-    return TensorField(chart, (DOWN,), partials(f, chart))

@@ -1,16 +1,19 @@
 """Shared builders for random chart backgrounds, and the symbolic
 formulas that the numeric stages are checked against: each is the
 expression version of a quantity that ``streff.Derived`` computes as jets
-from the scene's fields, built with exact differentiation and valued at
-the same points (``Oracle``)."""
+from the scene's fields (``Oracle``), or that ``gtb`` computes from the
+jets of random sections (``GenSection``, ``dorfman``, ...), built with
+exact differentiation and valued at the same points."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from gencourant import tensors as tn
+from gencourant.errors import SlotError
 from gencourant.expr import chart
 from gencourant.streff import Background
 from gencourant.tensors import DOWN, UP, TensorField
@@ -18,11 +21,145 @@ from gencourant.tensors import DOWN, UP, TensorField
 ex = tn.ex
 
 
+# ---------------------------------------------------------------------------
+# tensor fields, vector calculus and the Dorfman bracket, as expressions
+# ---------------------------------------------------------------------------
+
+
+def from_function(c, variance, fn):
+    """The TensorField with components fn(*idx)."""
+    variance = tuple(variance)
+    out = tn.zeros_array((c.dim,) * len(variance))
+    for idx in itertools.product(range(c.dim), repeat=len(variance)):
+        out[idx] = ex._coerce(fn(*idx))
+    return TensorField(c, variance, out)
+
+
+def antisymmetrize(t, slot_set):
+    """The alternation of a TensorField over the given slots."""
+    slots = tuple(slot_set)
+    if len(set(slots)) != len(slots) or any(not 0 <= s < t.rank for s in slots):
+        raise SlotError("bad slot set")
+    if len({t.variance[s] for s in slots}) > 1:
+        raise SlotError("cannot antisymmetrize slots of mixed variance")
+    terms = []
+    for perm, sign in tn._permutations_with_sign(len(slots)):
+        # term[idx] = t[src] with src[slots[pos]] = idx[slots[perm[pos]]]
+        axes = list(range(t.rank))
+        for pos, s in enumerate(slots):
+            axes[slots[perm[pos]]] = s
+        term = t.comps.transpose(axes)
+        terms.append(term if sign > 0 else -term)
+    idx = "abcdefgh"[:t.rank]
+    out = TensorField(t.chart, t.variance, tn.contract(f"z{idx}->{idx}", np.stack(terms)))
+    return out.scale(1.0 / math.factorial(len(slots)))
+
+
+def lie_bracket(x, y):
+    """Commutator of two vector fields: [X, Y]^c = X^a d_a Y^c - Y^a d_a X^c."""
+    dx, dy = tn.partials(x.comps, x.chart), tn.partials(y.comps, x.chart)
+    out = tn.contract("as,sca->c", np.stack([x.comps, y.comps], 1), np.stack([dy, -dx]))
+    return TensorField(x.chart, (UP,), out)
+
+
+def lie_derivative_oneform(x, eta):
+    """(L_X eta)_m = X^a d_a eta_m + eta_a d_m X^a."""
+    dx, deta = tn.partials(x.comps, x.chart), tn.partials(eta.comps, x.chart)
+    out = tn.contract("as,sma->m", np.stack([x.comps, eta.comps], 1), np.stack([deta, dx.T]))
+    return TensorField(x.chart, (DOWN,), out)
+
+
+def interior_product(x, omega):
+    """i_X omega: plug the vector into the first slot of a covariant form."""
+    rest = "bcdefgh"[:omega.rank - 1]
+    out = tn.contract(f"a,a{rest}->{rest}", x.comps, omega.comps)
+    return TensorField(x.chart, (DOWN,) * (omega.rank - 1), out)
+
+
+def d_scalar(c, f):
+    """Differential of a scalar field as a 1-form."""
+    return TensorField(c, (DOWN,), tn.partials(f, c))
+
+
+@dataclass
+class GenSection:
+    """Section (X, xi) of TM (+) T*M as expressions."""
+
+    vec: TensorField  # (1,0)
+    form: TensorField  # (0,1)
+
+    @property
+    def chart(self):
+        return self.vec.chart
+
+    def components(self):
+        """Length-2n object array over the frame (d_mu, 0), (0, dx^mu)."""
+        return np.concatenate([self.vec.comps, self.form.comps])
+
+    @staticmethod
+    def from_components(c, comps):
+        comps = np.asarray(comps, dtype=object)
+        return GenSection(TensorField(c, (UP,), comps[:c.dim]), TensorField(c, (DOWN,), comps[c.dim:]))
+
+    def __add__(self, other):
+        return GenSection(self.vec + other.vec, self.form + other.form)
+
+    def __sub__(self, other):
+        return GenSection(self.vec - other.vec, self.form - other.form)
+
+    def scale(self, factor):
+        return GenSection(self.vec.scale(factor), self.form.scale(factor))
+
+    def max_abs(self, points=None):
+        return ex.max_abs_on_points(self.components(), points or self.chart.sample_points())
+
+
+def random_section(c, gen):
+    """Random section with polynomial coefficients of total degree <= 2,
+    drawn as ``gtb.random_sections`` draws one."""
+    comps = np.array([ex.random_polynomial(c, gen) for _ in range(2 * c.dim)], dtype=object)
+    return GenSection.from_components(c, comps)
+
+
+def pairing(psi, phi):
+    """<(X,xi),(Y,eta)> = eta(X) + xi(Y)."""
+    return ex.add(tn.contract("a,a->", phi.form.comps, psi.vec.comps),
+                  tn.contract("a,a->", psi.form.comps, phi.vec.comps))
+
+
+def d_map(c, f):
+    """f |-> (0, df)."""
+    return GenSection(tn.zeros(c, (UP,)), d_scalar(c, f))
+
+
+def dorfman(psi, phi, H):
+    """[(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)) for the
+    TensorField of a closed 3-form H."""
+    X, xi = psi.vec, psi.form
+    Y, eta = phi.vec, phi.form
+    lie = lie_derivative_oneform(X, eta)
+    iydxi = interior_product(Y, tn.exterior_derivative(xi))
+    hterm = tn.contract("abm,a,b->m", H.comps, X.comps, Y.comps)
+    return GenSection(lie_bracket(X, Y), lie - iydxi - TensorField(psi.chart, (DOWN,), hterm))
+
+
+def jacobiator(psi, phi, chi, H):
+    """[psi,[phi,chi]] - [[psi,phi],chi] - [phi,[psi,chi]]."""
+    br = lambda a, b: dorfman(a, b, H)
+    return br(psi, br(phi, chi)) - br(br(psi, phi), chi) - br(phi, br(psi, chi))
+
+
+def b_twist(psi, B):
+    """e^B(X, xi) = (X, xi + B(X)) for the TensorField of a 2-form B."""
+    form = psi.form.comps + tn.contract("ma,a->m", B.comps, psi.vec.comps)
+    return GenSection(psi.vec, TensorField(psi.chart, (DOWN,), form))
+
+
 def bumpy_metric(c, scale=0.2, salt=1):
     gen = c.rng(salt)
     n = c.dim
     pert = [[tn.ex.random_polynomial(c, gen, 2, scale) for _ in range(n)] for _ in range(n)]
-    return tn.from_function(
+    return from_function(
         c, (DOWN, DOWN),
         lambda i, j: (tn.ex.ONE if i == j else tn.ex.ZERO) + pert[min(i, j)][max(i, j)],
     )
@@ -142,10 +279,17 @@ def symbolic_with_params(frame, gamma, J, W, g, ginv):
     return out
 
 
+def param_jets(J, W):
+    """The jets at the sample points of a parameter pair of TensorFields,
+    as ``gconn.validate_params`` takes them."""
+    pts = J.chart.sample_points()
+    return tn.jets_at(J.comps, pts), tn.jets_at(W.comps, pts)
+
+
 def projected_params(J, W):
     """The Expr arrays of the parameter pair that ``gconn.validate_params``
     makes of (J, W): T - Alt(T)."""
-    return tuple((t - tn.antisymmetrize(t, (0, 1, 2))).comps for t in (J, W))
+    return tuple((t - antisymmetrize(t, (0, 1, 2))).comps for t in (J, W))
 
 
 def symbolic_transport(frame, gamma, F, Finv):
@@ -370,8 +514,8 @@ def koszul(xi, eta, theta, H):
     c = xi.chart
     thxi = TensorField(c, (UP,), tn.contract("ma,a->m", theta.comps, xi.comps))
     theta_eta = TensorField(c, (UP,), tn.contract("ma,a->m", theta.comps, eta.comps))
-    lie = tn.lie_derivative_oneform(thxi, eta)
-    idxi = tn.interior_product(theta_eta, tn.exterior_derivative(xi))
+    lie = lie_derivative_oneform(thxi, eta)
+    idxi = interior_product(theta_eta, tn.exterior_derivative(xi))
     hterm = tn.contract("abm,a,b->m", H.comps, thxi.comps, theta_eta.comps)
     return lie - idxi + TensorField(c, (DOWN,), hterm)
 
@@ -416,7 +560,7 @@ class Oracle:
 
     @cached_property
     def h_prime(self):
-        return self.bg.h_total().comps
+        return (self.bg.H + tn.exterior_derivative(self.bg.B)).comps
 
     @cached_property
     def curvature(self):

@@ -16,6 +16,7 @@ from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
 from gencourant.expr import SplitMix64, chart, differentiate, evaluate
 from gencourant.tensors import DOWN, UP
 
+import conftest
 from conftest import bumpy_b, bumpy_metric, family_closed_forms, projected_params, random_background
 from test_qla import so3_so3
 
@@ -43,39 +44,31 @@ def minimal(g, H):
 
 def test_criterion_01_courant_axioms():
     """Bracket axioms on 20 seeded random section triples, twist from a
-    random polynomial potential."""
+    random polynomial potential: the numeric bracket of the sections'
+    polynomial 2-jets."""
     worst = 0.0
     for n, base_salt in ((2, 300), (3, 400)):
         names = "x y z"[: 2 * n - 1]
         c = chart(names, seed=base_salt, num_points=10)
         gen = c.rng(base_salt)
         B0 = bumpy_b(c, salt=base_salt + 1)
-        H = tn.exterior_derivative(B0)
         pts = c.sample_points()
+        H = tn.jets_at(tn.exterior_derivative(B0).comps, pts)
+        br = lambda u, v: gtb.dorfman(u, v, H)  # noqa: E731
         for _ in range(10):
-            a, b, d = (gtb.random_section(c, gen) for _ in range(3))
-            fields = list(gtb.jacobiator(a, b, d, H).components())
-            lhs = tn.ex.esum(
-                tn.ex.mul(a.vec.comps[m], differentiate(gtb.pairing(b, d), c.coord(m)))
-                for m in range(n)
-            )
-            fields.append(
-                lhs
-                - gtb.pairing(gtb.dorfman(a, b, H), d)
-                - gtb.pairing(b, gtb.dorfman(a, d, H))
-            )
-            fields.extend(
-                (
-                    gtb.dorfman(a, b, H)
-                    + gtb.dorfman(b, a, H)
-                    - gtb.d_map(c, gtb.pairing(a, b))
-                ).components()
-            )
-            f = tn.ex.random_polynomial(c, gen)
-            g2 = tn.ex.random_polynomial(c, gen)
-            fields.extend(gtb.dorfman(gtb.d_map(c, f), a, H).components())
-            fields.append(gtb.pairing(gtb.d_map(c, f), gtb.d_map(c, g2)))
-            worst = max(worst, max_abs(fields, pts))
+            a, b, d = gtb.random_sections(c, gen, 3)
+            _, dfg = tn.random_polynomial_jets(c, gen, (2,))  # f and g2
+            (a1, _), (b1, _), (d1, _) = a, b, d
+            invariance = (np.einsum("mp,mp->p", a1.value[:n], gtb.pairing(b1, d1).partial)
+                          - gtb.pairing(br(a1, b1), d1.value) - gtb.pairing(b1.value, br(a1, d1)))
+            fields = [
+                gtb.jacobiator(a, b, d, H),
+                invariance[None],
+                br(a1, b1) + br(b1, a1) - gtb.d_map(gtb.pairing(a1, b1).partial),
+                br(gtb.d_map(dfg[0]), a1),
+                gtb.pairing(gtb.d_map(dfg[0].value), gtb.d_map(dfg[1].value))[None],
+            ]
+            worst = max(worst, max_abs(np.concatenate(fields), pts))
     report(1, "Courant axioms on random sections", worst, 1e-9)
 
 
@@ -128,11 +121,11 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
 
 def _random_pair(c, salt, scale=0.2):
     gen = c.rng(salt)
-    J = tn.antisymmetrize(
-        tn.from_function(c, (UP,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
+    J = conftest.antisymmetrize(
+        conftest.from_function(c, (UP,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
     )
-    W = tn.antisymmetrize(
-        tn.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
+    W = conftest.antisymmetrize(
+        conftest.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
     )
     return J, W
 
@@ -144,7 +137,7 @@ def _family_fixture(salt):
     g = bumpy_metric(c, salt=salt)
     H = tn.exterior_derivative(bumpy_b(c, salt=salt + 50))
     J, W = _random_pair(c, salt + 100)
-    conn = gconn.with_params(minimal(g, H), gconn.validate_params(J, W))
+    conn = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(J, W)))
     return c, conn, family_closed_forms(g, H, *projected_params(J, W))
 
 

@@ -590,6 +590,33 @@ def test_all_on_a_4d_scene_with_a_twist_on_the_image_of_theta():
     assert report.passed
 
 
+def failed_axioms(scene):
+    return {c.name for c in run_command("axioms", scene).checks if not c.passed}
+
+
+def test_a_bracket_with_the_twist_sign_flipped_fails_the_shear_check(monkeypatch):
+    # the axioms hold for -H' too; only the shear check ties the bracket to
+    # the background's twist, and it needs dB != 0 where it reads it
+    scene = four_d_scene(2, seed=3)
+    assert failed_axioms(scene) == set()
+    bracket = gtb.dorfman
+    monkeypatch.setattr(gtb, "dorfman", lambda psi, phi, H: bracket(psi, phi, -H))
+    assert "axioms.shear-intertwines-brackets" in failed_axioms(scene)
+
+
+def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypatch):
+    # [u, v] = X.dv - Y.du + ...: the mutant adds Y.du where it subtracts it
+    scene = load_scene(SCENES / "poly2d.json")
+    bracket = gtb.dorfman
+
+    def mutant(psi, phi, H):
+        (_, du), (v, _) = psi, phi
+        return bracket(psi, phi, H) + 2.0 * tn.jet_contract("a,ca->c", v[:len(H)], du)
+
+    monkeypatch.setattr(gtb, "dorfman", mutant)
+    assert "axioms.anchor-morphism" in failed_axioms(scene)
+
+
 # ---------------------------------------------------------------------------
 # the derived-quantity context
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from gencourant.expr import (
     worst_of,
 )
 from gencourant.scene import Check
+import conftest
 
 XY = chart("x y", seed=3, num_points=12)
 X, Y = XY.coords()
@@ -243,9 +244,7 @@ def test_constant_folding_keeps_given_infinities():
 
 
 def test_tensor_field_points_in_order():
-    from gencourant import tensors as tn
-
-    g = tn.from_function(XY, ("down", "down"), lambda i, j: X * Y if i == j else Const(0.5))
+    g = conftest.from_function(XY, ("down", "down"), lambda i, j: X * Y if i == j else Const(0.5))
     mats = list(g.evaluate_points(PTS_12))
     assert len(mats) == len(PTS_12)
     for p, m in zip(PTS_12, mats):

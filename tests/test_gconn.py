@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import conftest
 from conftest import (
     Oracle,
     family_closed_forms,
@@ -40,7 +41,7 @@ def bumpy_metric(c, scale=0.2, salt=1):
     gen = c.rng(salt)
     n = c.dim
     pert = [[tn.ex.random_polynomial(c, gen, 2, scale) for _ in range(n)] for _ in range(n)]
-    return tn.from_function(
+    return conftest.from_function(
         c, (DOWN, DOWN),
         lambda i, j: (tn.ex.ONE if i == j else tn.ex.ZERO) + pert[min(i, j)][max(i, j)],
     )
@@ -58,19 +59,19 @@ def closed_h(c, salt=2, scale=0.2):
 def random_pair(c, salt=3, scale=0.2):
     """A random parameter pair of chart fields, skew in the last two slots."""
     gen = c.rng(salt)
-    J = tn.antisymmetrize(
-        tn.from_function(c, (UP,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)),
+    J = conftest.antisymmetrize(
+        conftest.from_function(c, (UP,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)),
         (1, 2),
     )
-    W = tn.antisymmetrize(
-        tn.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)),
+    W = conftest.antisymmetrize(
+        conftest.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)),
         (1, 2),
     )
     return J, W
 
 
 def random_params(c, g, salt=3, scale=0.2):
-    return gconn.validate_params(*random_pair(c, salt, scale))
+    return gconn.validate_params(*conftest.param_jets(*random_pair(c, salt, scale)))
 
 
 def max_abs(arr, c):
@@ -109,10 +110,10 @@ def test_bracket_components_match_dorfman():
     alg = gconn.standard_algebroid(C2, jets(H.comps, C2))
     gen = C2.rng(7)
     for _ in range(3):
-        psi, phi = gtb.random_section(C2, gen), gtb.random_section(C2, gen)
+        psi, phi = conftest.random_section(C2, gen), conftest.random_section(C2, gen)
         u, v = (tn.field_jets(s.components()[:, None], C2) for s in (psi, phi))
         got = gconn._bracket_components(alg, u, v)[:, 0, 0]
-        want = jets(gtb.dorfman(psi, phi, H).components(), C2)
+        want = jets(conftest.dorfman(psi, phi, H).components(), C2)
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
 
@@ -121,7 +122,7 @@ def test_dual_anchor_is_the_differential_of_the_coordinates():
     alg = gconn.standard_algebroid(C2, jets(closed_h(C2).comps, C2))
     dual = alg.anchor[gconn._swap(alg)].value  # [C, m]: (D x^m)^C
     for m in range(C2.dim):
-        want = values(gtb.d_map(C2, C2.coord(m)).components(), C2)
+        want = values(conftest.d_map(C2, C2.coord(m)).components(), C2)
         assert max_abs(dual[:, m] - want, C2) == 0.0
 
 
@@ -323,15 +324,15 @@ def test_validate_params_cases():
     g = bumpy_metric(C2)
     zeroJ = tn.zeros(C2, (UP,) * 3)
     zeroW = tn.zeros(C2, (DOWN,) * 3)
-    gconn.validate_params(zeroJ, zeroW)  # W = 0 valid
+    gconn.validate_params(*conftest.param_jets(zeroJ, zeroW))  # W = 0 valid
 
     # fully antisymmetric W projects to zero
     gen = C2.rng(31)
     c3 = chart("x y z", seed=9)
-    W3 = tn.antisymmetrize(
-        tn.from_function(c3, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c3, gen)), (0, 1, 2)
+    W3 = conftest.antisymmetrize(
+        conftest.from_function(c3, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c3, gen)), (0, 1, 2)
     )
-    params = gconn.validate_params(tn.zeros(c3, (UP,) * 3), W3)
+    params = gconn.validate_params(*conftest.param_jets(tn.zeros(c3, (UP,) * 3), W3))
     assert max_abs(params.W.value, c3) < 1e-12
 
     # the dilaton choice already has a zero cyclic sum, so the projection keeps it
@@ -340,14 +341,14 @@ def test_validate_params_cases():
     W = tn.TensorField(C2, (DOWN,) * 3, tn.contract("zijk->ijk", np.stack(
         [tn.contract("ij,k->ijk", g.comps, dphi), tn.contract(",ik,j->ijk", -1.0, g.comps, dphi)])))
     dil = gconn.dilaton_params(tn.field_jets(g.comps, C2)[0], tn.field_jets(phi, C2)[1])
-    kept = gconn.validate_params(tn.zeros(C2, (UP,) * 3), W)
+    kept = gconn.validate_params(*conftest.param_jets(tn.zeros(C2, (UP,) * 3), W))
     assert max_abs(kept.W.value - dil.W.value, C2) < 1e-12
     assert max_abs(kept.W.partial - dil.W.partial, C2) < 1e-12
 
     # antisymmetry in the last two slots is a hard requirement
-    bad = tn.from_function(C2, (DOWN,) * 3, lambda i, j, k: tn.ex.ONE)
+    bad = conftest.from_function(C2, (DOWN,) * 3, lambda i, j, k: tn.ex.ONE)
     with pytest.raises(NotAntisymmetric):
-        gconn.validate_params(zeroJ, bad)
+        gconn.validate_params(*conftest.param_jets(zeroJ, bad))
 
 
 def test_with_params_zero_is_identity():
@@ -373,7 +374,7 @@ def family(salt):
     g = bumpy_metric(C2, salt=salt)
     H = closed_h(C2, salt=salt + 1)
     J, W = random_pair(C2, salt=salt + 2)
-    conn = gconn.with_params(minimal(g, H), gconn.validate_params(J, W))
+    conn = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(J, W)))
     return conn, family_closed_forms(g, H, *projected_params(J, W))
 
 
@@ -399,7 +400,7 @@ def test_char_vf_and_v_tensor_with_params():
     assert max_abs(gconn.char_vf(base), C2) < 1e-10
     assert max_abs(gconn.v_tensor(base), C2) < 1e-10
 
-    conn = gconn.with_params(base, gconn.validate_params(J, W))
+    conn = gconn.with_params(base, gconn.validate_params(*conftest.param_jets(J, W)))
     Jx, Wx = projected_params(J, W)
     *_, Jp, Wp = family_closed_forms(g, H, Jx, Wx)
     assert max_abs(gconn.char_vf(conn) - Jp * 2.0, C2) < 1e-10
@@ -419,8 +420,8 @@ def test_affine_family_scalar_relations():
     g = bumpy_metric(C2, salt=41)
     H = closed_h(C2, salt=42)
     pair1, pair2 = random_pair(C2, salt=43), random_pair(C2, salt=44)
-    base = gconn.with_params(minimal(g, H), gconn.validate_params(*pair1))
-    other = gconn.with_params(minimal(g, H), gconn.validate_params(*pair2))
+    base = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(*pair1)))
+    other = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(*pair2)))
     (J1, W1), (J2, W2) = projected_params(*pair1), projected_params(*pair2)
     # the identities are checked on the symbolic coefficients of base
     gc = g.comps
@@ -608,7 +609,7 @@ def test_connections_match_the_symbolic_ones(salt, count):
     derived, oracle = streff.Derived(bg), Oracle(bg)
     minimal_conn, B = derived.minimal, bg.B.comps
     J, W = random_pair(bg.chart, salt=salt)
-    family_conn = gconn.with_params(minimal_conn, gconn.validate_params(J, W))
+    family_conn = gconn.with_params(minimal_conn, gconn.validate_params(*conftest.param_jets(J, W)))
     family_gamma = symbolic_with_params(oracle.standard, oracle.minimal, *projected_params(J, W),
                                         bg.g.comps, oracle.ginv)
     untwisted = gconn.untwist(family_conn, derived.jets.B)
@@ -655,7 +656,7 @@ def test_dilaton_connection_traces():
     conn = gconn.dilaton_connection(minimal(g, H_prime), b_jets(B), tn.field_jets(phi, C2)[1])
     assert max_abs(gconn.char_vf(conn), C2) < 1e-10
     tr = gconn.v_trace(conn, conn.metric.h_form())
-    assert max_abs(tr - values(tn.d_scalar(C2, phi).comps, C2), C2) < 1e-10
+    assert max_abs(tr - values(conftest.d_scalar(C2, phi).comps, C2), C2) < 1e-10
 
 
 def test_parameter_space_dimension():

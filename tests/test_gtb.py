@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 import conftest
 from conftest import (
+    GenSection,
     Oracle,
+    d_map,
+    dorfman,
+    pairing,
     random_background,
+    random_section,
     symbolic_covariant_derivative,
     symbolic_gualtieri_torsion,
 )
@@ -19,7 +24,7 @@ from gencourant import gconn, gtb, streff
 from gencourant import tensors as tn
 from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
 from gencourant.expr import chart, evaluate, parse_expr, worst_of
-from gencourant.gtb import GeneralizedMetric, GenSection, d_map, dorfman, pairing, random_section
+from gencourant.gtb import GeneralizedMetric
 from gencourant.tensors import DOWN, UP, Jet, TensorField
 
 
@@ -140,7 +145,7 @@ def test_dorfman_leibniz_identity():
     gen = C2.rng(41)
     for _ in range(3):
         psi, phi, chi = (random_section(C2, gen) for _ in range(3))
-        assert gtb.jacobiator(psi, phi, chi, H).max_abs()[0] < 1e-9
+        assert conftest.jacobiator(psi, phi, chi, H).max_abs()[0] < 1e-9
 
 
 def test_dorfman_invariance_of_pairing():
@@ -176,11 +181,37 @@ def test_anchor_is_bracket_morphism_and_rho_rhostar_zero():
     gen = C2.rng(53)
     psi, phi = random_section(C2, gen), random_section(C2, gen)
     br = dorfman(psi, phi, H)
-    want = tn.lie_bracket(psi.vec, phi.vec)
+    want = conftest.lie_bracket(psi.vec, phi.vec)
     assert (br.vec - want).max_abs()[0] < 1e-9
     # rho . rho* = 0: rho*(xi) = (0, xi) has no vector part by construction
-    xi = tn.from_function(C2, (DOWN,), lambda i: poly("x+y") if i else poly("x^2"))
+    xi = conftest.from_function(C2, (DOWN,), lambda i: poly("x+y") if i else poly("x^2"))
     assert GenSection(tn.zeros(C2, (UP,)), xi).vec.max_abs()[0] == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 5])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**16))
+def test_numeric_bracket_matches_the_expression_bracket(dim, count, seed):
+    # the bracket of two section 2-jets is the jet of the Expr bracket; its
+    # pairing, Jacobiator and e^B shear are their values
+    c = chart("x y z w".split()[:dim], seed=seed, num_points=count)
+    H = closed_three_form(c, seed=seed % 97)
+    B = bumpy_B(c, seed=seed % 89)
+    pts = c.sample_points()
+    Hj, Bj = tn.jets_at(H.comps, pts), tn.jets_at(B.comps, pts)
+    psi, phi, chi = gtb.random_sections(c, c.rng(seed), 3)
+    gen = c.rng(seed)
+    a, b, d = (random_section(c, gen) for _ in range(3))
+    cases = [(gtb.dorfman(psi, phi, Hj), tn.jets_at(dorfman(a, b, H).components(), pts)),
+             (gtb.pairing(psi[0], phi[0]), tn.jets_at(pairing(a, b), pts)),
+             (gtb.b_twist(psi[0], Bj), tn.jets_at(conftest.b_twist(a, B).components(), pts))]
+    for got, want in cases:
+        np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gtb.jacobiator(psi, phi, chi, Hj),
+                               tn.values_at(conftest.jacobiator(a, b, d, H).components(), pts),
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +221,7 @@ def test_anchor_is_bracket_morphism_and_rho_rhostar_zero():
 
 def bumpy_g(c):
     n = c.dim
-    return tn.from_function(
+    return conftest.from_function(
         c, (DOWN, DOWN),
         lambda i, j: parse_expr(f"2 + {c.coord_names[i]}^2/4", c) if i == j
         else parse_expr(f"{c.coord_names[min(i, j)]}*{c.coord_names[max(i, j)]}/8", c),
@@ -303,13 +334,13 @@ def test_h_form_invariant_under_shear_related_metrics():
 
 
 def test_gen_metric_validation_errors():
-    bad = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1") if i == j == 0 else (poly("-1") if i == j else poly("0")))
+    bad = conftest.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1") if i == j == 0 else (poly("-1") if i == j else poly("0")))
     with pytest.raises(NotPositiveDefinite):
         gtb.check_positive_definite(bad.evaluate_points(C2.sample_points()), C2.sample_points())
     with pytest.raises(NotPositiveDefinite):
         streff.Background(C2, bad, tn.zeros(C2, (DOWN, DOWN)), poly("0"))
     # B is validated with the background, before any package is built
-    bad_B = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("x"))
+    bad_B = conftest.from_function(C2, (DOWN, DOWN), lambda i, j: poly("x"))
     with pytest.raises(NotAntisymmetric):
         streff.Background(C2, tn.euclidean_metric(C2), bad_B, poly("0"))
 
@@ -322,14 +353,14 @@ def test_gen_metric_validation_errors():
 def test_b_twist_values_and_inverse():
     B = bumpy_B(C2)
     e0 = frame(C2, 0)
-    tw = gtb.b_twist(e0, B)
+    tw = conftest.b_twist(e0, B)
     assert (tw.vec - e0.vec).max_abs()[0] == 0.0
     for m in range(2):
         diff = tw.form.comps[m] - B.comps[m, 0]
         assert tn.ex.max_abs_on_points([diff], C2.sample_points())[0] < 1e-12
     gen = C2.rng(71)
     psi = random_section(C2, gen)
-    back = gtb.b_twist(gtb.b_twist(psi, B), B.scale(-1))
+    back = conftest.b_twist(conftest.b_twist(psi, B), B.scale(-1))
     assert (back - psi).max_abs()[0] < 1e-12
 
 
@@ -339,30 +370,40 @@ def test_b_twist_preserves_pairing():
     pts = C2.sample_points()
     for _ in range(3):
         psi, phi = random_section(C2, gen), random_section(C2, gen)
-        d = pairing(gtb.b_twist(psi, B), gtb.b_twist(phi, B)) - pairing(psi, phi)
+        d = pairing(conftest.b_twist(psi, B), conftest.b_twist(phi, B)) - pairing(psi, phi)
         assert tn.ex.max_abs_on_points([d], pts)[0] < 1e-12
+
+
+def twisted_jets(c, B, H):
+    """The jets of B, of H and of H' = H + dB, as ``twisted_bracket_check``
+    reads them."""
+    pts = c.sample_points()
+    return (tn.jets_at(B.comps, pts), tn.jets_at(H.comps, pts),
+            tn.jets_at((H + tn.exterior_derivative(B)).comps, pts))
 
 
 def test_b_twist_intertwines_brackets():
     H = closed_three_form(C3, seed=11)
     B = bumpy_B(C3, seed=77)
-    assert gtb.twisted_bracket_check(B, H)[0] < 1e-9
+    assert gtb.twisted_bracket_check(C3, *twisted_jets(C3, B, H))[0] < 1e-9
 
 
 def test_twisted_bracket_check_reports_the_worst_point():
+    # with H in place of H' = H + dB the residual is the dB term, far above
+    # roundoff, so the worst pair and point are those of the Expr oracle
     H = closed_three_form(C3, seed=11)
     B = bumpy_B(C3, seed=77)
+    Bj, Hj, _ = twisted_jets(C3, B, H)
     gen = C3.rng(101)  # the check's own section pairs
     pairs = [(random_section(C3, gen), random_section(C3, gen)) for _ in range(3)]
-    HdB = H + tn.exterior_derivative(B)
-    each = [
-        (gtb.b_twist(dorfman(psi, phi, HdB), B)
-         - dorfman(gtb.b_twist(psi, B), gtb.b_twist(phi, B), H)).max_abs(C3.sample_points())
-        for psi, phi in pairs
-    ]
-    worst, at = gtb.twisted_bracket_check(B, H)
-    assert (worst, at) == worst_of(each)
-    assert at in C3.sample_points()
+    b_twist = conftest.b_twist
+    each = [(b_twist(dorfman(psi, phi, H), B) - dorfman(b_twist(psi, B), b_twist(phi, B), H)).max_abs()
+            for psi, phi in pairs]
+    worst, at = gtb.twisted_bracket_check(C3, Bj, Hj, Hj)
+    want, want_at = worst_of(each)
+    assert worst > 1e-2
+    assert worst == pytest.approx(want, rel=1e-12)
+    assert at == want_at
 
 
 def shear(M, psi):
@@ -444,12 +485,12 @@ def _bracket_oracle_schouten(theta, i, j, k, point, twist):
     """Brute-force residual via vector-field commutators:
     [theta xi, theta eta] - theta(L_{theta xi} eta - i_{theta eta} d xi)."""
     c = theta.chart
-    xi = tn.from_function(c, (DOWN,), lambda m: tn.ex.ONE if m == i else tn.ex.ZERO)
-    eta = tn.from_function(c, (DOWN,), lambda m: tn.ex.ONE if m == j else tn.ex.ZERO)
+    xi = conftest.from_function(c, (DOWN,), lambda m: tn.ex.ONE if m == i else tn.ex.ZERO)
+    eta = conftest.from_function(c, (DOWN,), lambda m: tn.ex.ONE if m == j else tn.ex.ZERO)
     thxi = apply_bivector(theta, xi)
     theta_eta = apply_bivector(theta, eta)
-    comm = tn.lie_bracket(thxi, theta_eta)
-    inner = tn.lie_derivative_oneform(thxi, eta) - tn.interior_product(theta_eta, tn.exterior_derivative(xi))
+    comm = conftest.lie_bracket(thxi, theta_eta)
+    inner = conftest.lie_derivative_oneform(thxi, eta) - conftest.interior_product(theta_eta, tn.exterior_derivative(xi))
     half = comm - apply_bivector(theta, inner)
     tw = tn.ex.esum(
         tn.ex.mul(twist.comps[a, b, cidx], thxi.comps[a], theta_eta.comps[b], theta.comps[cidx, k])
@@ -462,7 +503,7 @@ def test_schouten_3d_degenerate_pattern_zero():
     """theta with the coefficient pattern of dx^dy + x dy^dz (an invertible
     primitive does not exist in odd dimension; the bivector itself is
     Poisson and the dB twist dies on its image)."""
-    theta = tn.from_function(
+    theta = conftest.from_function(
         C3, (UP, UP),
         lambda i, j: {(0, 1): poly("1", C3), (1, 0): poly("-1", C3),
                       (1, 2): poly("x", C3), (2, 1): poly("-x", C3)}.get((i, j), poly("0", C3)),
@@ -479,7 +520,7 @@ def test_schouten_3d_degenerate_pattern_zero():
 
 
 def test_schouten_residual_antisymmetric_and_matches_oracle():
-    theta = tn.from_function(
+    theta = conftest.from_function(
         C3, (UP, UP),
         lambda i, j: {(0, 1): poly("1", C3), (1, 0): poly("-1", C3),
                       (1, 2): poly("y", C3), (2, 1): poly("-y", C3)}.get((i, j), poly("0", C3)),
@@ -496,7 +537,7 @@ def test_schouten_residual_antisymmetric_and_matches_oracle():
 
 
 def test_schouten_rejects_a_bivector_that_is_not_antisymmetric():
-    theta = tn.from_function(C2, (UP, UP), lambda i, j: poly("1"))
+    theta = conftest.from_function(C2, (UP, UP), lambda i, j: poly("1"))
     with pytest.raises(NotAntisymmetric):
         schouten(theta, tn.zeros(C2, (DOWN,) * 3))
 
@@ -505,10 +546,10 @@ def test_koszul_exact_forms_constant_theta():
     theta = tn.TensorField(C2, (UP, UP), tn.form_from_wedge_coeffs(C2, 2, {(0, 1): 1}).comps)
     zero3 = tn.zeros(C2, (DOWN,) * 3)
     f, g = poly("x^2*y"), poly("x + y^2")
-    br = conftest.koszul(tn.d_scalar(C2, f), tn.d_scalar(C2, g), theta, zero3)
+    br = conftest.koszul(conftest.d_scalar(C2, f), conftest.d_scalar(C2, g), theta, zero3)
     # {f, g} = theta(df).g; [df, dg] = d{f, g} for a Poisson bivector
-    df, dg = tn.d_scalar(C2, f), tn.d_scalar(C2, g)
-    want = tn.d_scalar(C2, tn.contract("ma,a,m->", theta.comps, df.comps, dg.comps))
+    df, dg = conftest.d_scalar(C2, f), conftest.d_scalar(C2, g)
+    want = conftest.d_scalar(C2, tn.contract("ma,a,m->", theta.comps, df.comps, dg.comps))
     assert (br - want).max_abs()[0] < 1e-12
 
 
@@ -517,11 +558,11 @@ def test_koszul_anchor_morphism():
     zero3 = tn.zeros(C2, (DOWN,) * 3)
     gen = C2.rng(83)
     for _ in range(3):
-        xi = tn.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
-        eta = tn.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
+        xi = conftest.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
+        eta = conftest.d_scalar(C2, tn.ex.random_polynomial(C2, gen))
         br = conftest.koszul(xi, eta, theta, zero3)
         lhs = apply_bivector(theta, br)
-        rhs = tn.lie_bracket(apply_bivector(theta, xi), apply_bivector(theta, eta))
+        rhs = conftest.lie_bracket(apply_bivector(theta, xi), apply_bivector(theta, eta))
         assert (lhs - rhs).max_abs()[0] < 1e-9
 
 
@@ -530,7 +571,7 @@ def zero_twist(c):
 
 
 def test_not_twisted_poisson_raised():
-    theta = tn.from_function(
+    theta = conftest.from_function(
         C3, (UP, UP),
         lambda i, j: {(0, 1): poly("1", C3), (1, 0): poly("-1", C3),
                       (1, 2): poly("y", C3), (2, 1): poly("-y", C3)}.get((i, j), poly("0", C3)),
@@ -546,7 +587,7 @@ def test_d_theta_values():
     assert (v[0] == 0.0).all()
     assert v[1] == pytest.approx(1.0)
     # and it is minus the second-argument action theta(df)
-    w = apply_bivector(theta, tn.d_scalar(C2, poly("x")))
+    w = apply_bivector(theta, conftest.d_scalar(C2, poly("x")))
     assert evaluate(w.comps[1], (0.3, 0.4)) == pytest.approx(-1.0)
 
 
@@ -621,8 +662,8 @@ def test_theta_shear_transports_dorfman_to_a_dorfman():
         phi = shear(F, frame(c4, n + b))
         tw = shear(Finv, dorfman(psi, phi, H))
         # form part: the twisted Koszul bracket of dx^a, dx^b
-        fa = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == a else tn.ex.ZERO)
-        fb = tn.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == b else tn.ex.ZERO)
+        fa = conftest.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == a else tn.ex.ZERO)
+        fb = conftest.from_function(c4, (DOWN,), lambda i: tn.ex.ONE if i == b else tn.ex.ZERO)
         want_form = conftest.koszul(fa, fb, theta, dB)
         assert (tw.form - want_form).max_abs(pts)[0] < 1e-9
         # vector part: -H'(theta dx^a, theta dx^b, theta dx^m), H' = H + dB
@@ -708,7 +749,7 @@ def test_frame_curvature_of_a_4d_cotangent_algebroid():
     # a non-constant fiber metric, so every R0 entry has frame derivatives
     c4, B = invertible_B4()
     numeric, symbolic = cotangent_pair(B)
-    g_A = tn.from_function(
+    g_A = conftest.from_function(
         c4, (UP, UP), lambda i, j: parse_expr("1 + x2^2/8", c4) if i == j else tn.ex.ZERO
     ).comps
     gamma = symbolic.lc_connection(g_A)

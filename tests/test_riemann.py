@@ -27,7 +27,7 @@ C2 = chart("x y", seed=13)
 
 
 def mk_metric(c, entries):
-    return tn.from_function(c, (DOWN, DOWN), lambda i, j: parse_expr(entries[i][j], c))
+    return conftest.from_function(c, (DOWN, DOWN), lambda i, j: parse_expr(entries[i][j], c))
 
 
 # --- finite-difference oracles (independent of the symbolic path) ----------
@@ -133,7 +133,7 @@ def test_polar_like_christoffel_against_fd_oracle():
 
 def test_conformal_1d_christoffel():
     c = chart("x", seed=1)
-    g = tn.from_function(c, (DOWN, DOWN), lambda i, j: parse_expr("exp(2*x)", c))
+    g = conftest.from_function(c, (DOWN, DOWN), lambda i, j: parse_expr("exp(2*x)", c))
     G = lc(g).coeffs.value
 
     def gfun(p):
@@ -159,7 +159,7 @@ def test_christoffel_jet_matches_the_symbolic_one(n, salt, count):
 
 
 def test_singular_metric_raises():
-    g = tn.from_function(C2, (DOWN, DOWN), lambda i, j: parse_expr("1", C2))  # rank 1
+    g = conftest.from_function(C2, (DOWN, DOWN), lambda i, j: parse_expr("1", C2))  # rank 1
     with pytest.raises(SingularMetric):
         lc(g)
 
@@ -192,7 +192,7 @@ def test_covariant_derivative_of_inverse_metric_and_identity_vanish():
 
 def test_flat_covariant_derivative_is_the_partials():
     gamma = lc(tn.euclidean_metric(C2))
-    t = tn.from_function(C2, (UP, DOWN), lambda i, j: parse_expr(f"x^{i + 1}*y^{j + 1}", C2))
+    t = conftest.from_function(C2, (UP, DOWN), lambda i, j: parse_expr(f"x^{i + 1}*y^{j + 1}", C2))
     a = rm.covariant_derivative(jets(t.comps, C2), (UP, DOWN), gamma)
     b = vals(np.moveaxis(tn.partials(t.comps, C2), -1, 0), C2)
     assert max_abs(a - b, C2) < 1e-12
@@ -214,7 +214,7 @@ def test_covariant_derivative_matches_the_symbolic_one(n, salt, count, rank):
     gamma = lc(g)
     gen = c.rng(salt)
     variance = tuple(UP if gen.uniform() < 0.5 else DOWN for _ in range(rank))
-    t = tn.from_function(c, variance, lambda *i: tn.ex.random_polynomial(c, gen)).comps
+    t = conftest.from_function(c, variance, lambda *i: tn.ex.random_polynomial(c, gen)).comps
     G = conftest.christoffel(g.comps, conftest.matrix_inverse(g.comps), c)
     np.testing.assert_allclose(rm.covariant_derivative(jets(t, c), variance, gamma),
                                vals(conftest.covariant_derivative(t, variance, G, c), c),
@@ -308,7 +308,7 @@ def test_first_bianchi_identity():
 
 def test_ricci_symmetry():
     c3 = chart("x y z", seed=17)
-    g = tn.from_function(
+    g = conftest.from_function(
         c3, (DOWN, DOWN),
         lambda i, j: parse_expr("2" if i == j else "0", c3) if i == j or (i, j) not in [(0, 1), (1, 0)]
         else parse_expr("x*z/4", c3),
@@ -363,10 +363,10 @@ def test_form_inner_equals_the_brute_force_sum(p, n, salt):
     c = chart("x y z w"[: 2 * n - 1], seed=salt, num_points=2)
     gen = c.rng(salt)
     rand = lambda *idx: tn.ex.random_polynomial(c, gen, 2, 0.5)  # noqa: E731
-    alpha = tn.from_function(c, (DOWN,) * p, rand)
-    beta = tn.from_function(c, (DOWN,) * p, rand)
+    alpha = conftest.from_function(c, (DOWN,) * p, rand)
+    beta = conftest.from_function(c, (DOWN,) * p, rand)
     upper = {(i, j): rand() for i in range(n) for j in range(i, n)}
-    ginv = tn.from_function(c, (UP, UP), lambda i, j: upper[min(i, j), max(i, j)])
+    ginv = conftest.from_function(c, (UP, UP), lambda i, j: upper[min(i, j), max(i, j)])
     got = rm.form_inner(vals(alpha.comps, c), vals(beta.comps, c), vals(ginv.comps, c))
     for q, pt in enumerate(c.sample_points()):
         a, b, gi = alpha.evaluate(pt), beta.evaluate(pt), ginv.evaluate(pt)
@@ -472,5 +472,5 @@ def test_laplacian_matches_the_symbolic_one():
 
 
 def test_rotation_field_divergence_free():
-    v = tn.from_function(C2, (UP,), lambda i: parse_expr("-y" if i == 0 else "x", C2))
+    v = conftest.from_function(C2, (UP,), lambda i: parse_expr("-y" if i == 0 else "x", C2))
     assert max_abs(rm.divergence(jets(v.comps, C2), lc(tn.euclidean_metric(C2))), C2) == 0.0

@@ -12,6 +12,7 @@ from gencourant.expr import chart, evaluate, parse_expr
 from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.tensors import DOWN, UP, TensorField
+import conftest
 
 
 C2 = chart("x y", seed=11)
@@ -24,13 +25,13 @@ def poly(text, c=C2):
 
 
 def rand_tensor(c, variance, rng):
-    return tn.from_function(
+    return conftest.from_function(
         c, variance, lambda *idx: rng.uniform(-1, 1) + rng.uniform(-1, 1) * c.coord(0)
     )
 
 
 def test_tensor_product_scalar_case():
-    dx = tn.from_function(C1, (DOWN,), lambda i: 1)
+    dx = conftest.from_function(C1, (DOWN,), lambda i: 1)
     t = TensorField(C1, (DOWN, DOWN), tn.contract("a,b->ab", dx.comps, dx.comps))
     assert t.comps.shape == (1, 1)
     assert evaluate(t[0, 0], (0.7,)) == 1.0
@@ -47,8 +48,8 @@ def test_tensor_product_zero_and_scale():
 
 def test_tensor_product_chart_mismatch():
     uv = chart("u v")
-    x = tn.from_function(C2, (DOWN,), C2.coord)
-    u = tn.from_function(uv, (DOWN,), uv.coord)
+    x = conftest.from_function(C2, (DOWN,), C2.coord)
+    u = conftest.from_function(uv, (DOWN,), uv.coord)
     with pytest.raises(ChartMismatch):
         tn.contract("a,b->ab", x.comps, u.comps)
     with pytest.raises(ChartMismatch):
@@ -62,8 +63,8 @@ def test_contract_identity_gives_dimension():
 
 
 def test_contract_is_dual_pairing():
-    v = tn.from_function(C2, (UP,), lambda i: poly("x") if i == 0 else poly("y^2"))
-    xi = tn.from_function(C2, (DOWN,), lambda i: poly("2") if i == 0 else poly("x"))
+    v = conftest.from_function(C2, (UP,), lambda i: poly("x") if i == 0 else poly("y^2"))
+    xi = conftest.from_function(C2, (DOWN,), lambda i: poly("2") if i == 0 else poly("x"))
     s = tn.contract("aa->", tn.contract("a,b->ab", v.comps, xi.comps))
     for p in C2.sample_points():
         want = 2 * p[0] + p[0] * p[1] ** 2
@@ -211,14 +212,14 @@ def inverse_values(g):
 
 
 def test_raise_lower_flat_metric_identity():
-    xi = tn.from_function(C2, (DOWN,), lambda i: poly("x*y") if i else poly("1+x"))
+    xi = conftest.from_function(C2, (DOWN,), lambda i: poly("x*y") if i else poly("1+x"))
     xv = tn.values_at(xi.comps, C2.sample_points())
     up = np.einsum("abp,bp->ap", inverse_values(tn.euclidean_metric(C2)), xv)
     np.testing.assert_array_equal(up, xv)
 
 
 def test_raise_then_lower_roundtrip():
-    g = tn.from_function(
+    g = conftest.from_function(
         C2, (DOWN, DOWN),
         lambda i, j: poly("2 + x^2") if i == j == 0 else (poly("1") if i == j else poly("x*y/4")),
     )
@@ -230,7 +231,7 @@ def test_raise_then_lower_roundtrip():
 
 
 def test_lower_with_diagonal_metric():
-    g = tn.from_function(C2, (DOWN, DOWN),
+    g = conftest.from_function(C2, (DOWN, DOWN),
                          lambda i, j: poly("2") if i == j == 0 else (poly("1") if i == j else poly("0")))
     v = inverse_values(g)[:, 0]  # g^{-1}(dx^1)
     assert v[0, 0] == pytest.approx(0.5)
@@ -238,7 +239,7 @@ def test_lower_with_diagonal_metric():
 
 
 def test_jet_inverse_partials_are_those_of_the_inverse():
-    g = tn.from_function(
+    g = conftest.from_function(
         C2, (DOWN, DOWN),
         lambda i, j: poly("2 + x^2") if i == j == 0 else (poly("1 + y^2") if i == j else poly("x*y/4")),
     )
@@ -254,7 +255,7 @@ def test_jet_inverse_partials_are_those_of_the_inverse():
 
 
 def test_singular_metric_detected():
-    g = tn.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1"))  # rank 1 matrix
+    g = conftest.from_function(C2, (DOWN, DOWN), lambda i, j: poly("1"))  # rank 1 matrix
     with pytest.raises(SingularMetric):
         rm.christoffel(*tn.field_jets(g.comps, C2), C2)
 
@@ -273,20 +274,20 @@ def test_finite_names_the_stage_the_component_and_the_point():
 
 def test_antisymmetrize_fixed_point_and_kill_symmetric():
     skew = tn.form_from_wedge_coeffs(C2, 2, {(0, 1): poly("1+x")})
-    again = tn.antisymmetrize(skew, (0, 1))
+    again = conftest.antisymmetrize(skew, (0, 1))
     diff = [a - b for a, b in zip(skew.comps.reshape(-1), again.comps.reshape(-1))]
     assert tn.ex.max_abs_on_points(diff, C2.sample_points())[0] < 1e-12
 
     g = tn.euclidean_metric(C2)
-    assert tn.antisymmetrize(g, (0, 1)).max_abs()[0] == 0.0
+    assert conftest.antisymmetrize(g, (0, 1)).max_abs()[0] == 0.0
 
 
 def test_symmetrize_idempotent():
     # the symmetric part of a 2-tensor is t - Alt(t); taking it again changes nothing
     rng = C2.rng(9)
     t = rand_tensor(C2, (DOWN, DOWN), rng)
-    s1 = t - tn.antisymmetrize(t, (0, 1))
-    s2 = s1 - tn.antisymmetrize(s1, (0, 1))
+    s1 = t - conftest.antisymmetrize(t, (0, 1))
+    s2 = s1 - conftest.antisymmetrize(s1, (0, 1))
     diff = [a - b for a, b in zip(s1.comps.reshape(-1), s2.comps.reshape(-1))]
     assert tn.ex.max_abs_on_points(diff, C2.sample_points())[0] < 1e-12
 
@@ -295,7 +296,7 @@ def test_antisymmetrize_sign_flip_property():
     c3 = chart("x y z", seed=2)
     rng = c3.rng(1)
     t = rand_tensor(c3, (DOWN, DOWN, DOWN), rng)
-    a = tn.antisymmetrize(t, (0, 1, 2))
+    a = conftest.antisymmetrize(t, (0, 1, 2))
     pts = c3.sample_points()
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         swapped = np.swapaxes(a.comps, i, j)
@@ -306,11 +307,11 @@ def test_antisymmetrize_sign_flip_property():
 def test_mixed_variance_antisymmetrization_rejected():
     t = tn.kronecker(C2)
     with pytest.raises(SlotError):
-        tn.antisymmetrize(t, (0, 1))
+        conftest.antisymmetrize(t, (0, 1))
 
 
 def test_partials_are_the_cached_derivatives():
-    t = tn.from_function(C2, (UP, DOWN), lambda i, j: poly(f"x^{i + 1}*y^{j + 2} + sin(x*y)"))
+    t = conftest.from_function(C2, (UP, DOWN), lambda i, j: poly(f"x^{i + 1}*y^{j + 2} + sin(x*y)"))
     d = tn.partials(t.comps, C2)
     assert d.shape == t.comps.shape + (2,)
     for i, j, m in itertools.product(range(2), repeat=3):
@@ -322,7 +323,7 @@ def test_partials_are_the_cached_derivatives():
 
 
 def test_partials_basics():
-    const = tn.from_function(C2, (UP,), lambda i: 3)
+    const = conftest.from_function(C2, (UP,), lambda i: 3)
     assert tn.ex.max_abs_on_points(tn.partials(const.comps, C2), C2.sample_points())[0] == 0.0
 
     grad = tn.partials(parse_expr("x^2", C1), C1)
@@ -337,7 +338,7 @@ def test_second_partials_commute():
 
 
 def test_exterior_derivative_of_one_form():
-    xi = tn.from_function(C2, (DOWN,), lambda i: poly("x*y") if i == 0 else poly("x^2"))
+    xi = conftest.from_function(C2, (DOWN,), lambda i: poly("x*y") if i == 0 else poly("x^2"))
     d = tn.exterior_derivative(xi)
     for p in C2.sample_points():
         m = d.evaluate(p)
@@ -347,15 +348,15 @@ def test_exterior_derivative_of_one_form():
 
 def test_exterior_derivative_squares_to_zero():
     c3 = chart("x y z", seed=8)
-    xi = tn.from_function(c3, (DOWN,), lambda i: parse_expr(["x*y", "z^2", "x+y*z"][i], c3))
+    xi = conftest.from_function(c3, (DOWN,), lambda i: parse_expr(["x*y", "z^2", "x+y*z"][i], c3))
     dd = tn.exterior_derivative(tn.exterior_derivative(xi))
     assert dd.max_abs()[0] < 1e-12
 
 
 def test_lie_bracket_coordinate_fields():
-    x1 = tn.from_function(C2, (UP,), lambda i: poly("1") if i == 0 else poly("0"))
-    x2 = tn.from_function(C2, (UP,), lambda i: poly("0") if i == 0 else poly("x"))
-    b = tn.lie_bracket(x1, x2)
+    x1 = conftest.from_function(C2, (UP,), lambda i: poly("1") if i == 0 else poly("0"))
+    x2 = conftest.from_function(C2, (UP,), lambda i: poly("0") if i == 0 else poly("x"))
+    b = conftest.lie_bracket(x1, x2)
     for p in C2.sample_points():
         assert np.allclose(b.evaluate(p), [0.0, 1.0])
 
@@ -365,7 +366,21 @@ def test_lie_bracket_coordinate_fields():
 def test_interior_product_antisymmetry(seed):
     c3 = chart("x y z", seed=1)
     rng = c3.rng(seed % 1000)
-    w = tn.antisymmetrize(rand_tensor(c3, (DOWN, DOWN, DOWN), rng), (0, 1, 2))
+    w = conftest.antisymmetrize(rand_tensor(c3, (DOWN, DOWN, DOWN), rng), (0, 1, 2))
     v = rand_tensor(c3, (UP,), rng)
-    got = tn.interior_product(v, tn.interior_product(v, w))
+    got = conftest.interior_product(v, conftest.interior_product(v, w))
     assert got.max_abs()[0] < 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 5])
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 3), st.sampled_from([0.25, 0.2]))
+def test_polynomial_jets_are_the_jets_of_the_random_polynomials(dim, count, seed, degree, scale):
+    c = chart("x y z w".split()[:dim], seed=seed, num_points=count)
+    got = tn.random_polynomial_jets(c, c.rng(seed), (2, 3), degree, scale)
+    gen = c.rng(seed)
+    polys = [[tn.ex.random_polynomial(c, gen, degree, scale) for _ in range(3)] for _ in range(2)]
+    for jet, want in zip(got, tn.field_jets(np.array(polys, dtype=object), c)):
+        np.testing.assert_allclose(jet.value, want.value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(jet.partial, want.partial, rtol=1e-12, atol=1e-12)

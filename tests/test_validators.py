@@ -91,7 +91,8 @@ CASES = {
     ),
     "numeric-stage": (lambda k: tn.finite("stage", values(metric(k)), PTS2), DomainError),
     "params-antisymmetry": (
-        lambda k: gconn.validate_params(full(C2, (UP,) * 3, on(C2, k)), tn.zeros(C2, (DOWN,) * 3)),
+        lambda k: gconn.validate_params(value_jets(full(C2, (UP,) * 3, on(C2, k)))[0],
+                                        value_jets(tn.zeros(C2, (DOWN,) * 3))[0]),
         NotAntisymmetric,
     ),
 }

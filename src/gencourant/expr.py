@@ -38,17 +38,13 @@ floats) and summing in term order.  It is used only with two or more
 points; when a domain condition, an overflow or a non-finite root value
 turns up at any point, it drops its result and the scalar walk is replayed
 point by point, so errors and non-finite values are exactly the scalar
-walk's.  Both memos live for one call: the numeric stages take what they
-read of a background from one call per field (``streff.Derived.jets``), so
-no value is shared across calls.
+walk's.  Both memos live for one call: a background's fields are valued in
+one call per field when it is loaded (``streff.Background``), and nothing
+after that shares a value with them.
 
-``evaluate_jets`` gives the first partials of its roots as well as their
-values, with no derivative DAG built: after the roots are valued as
-``evaluate_points`` values them, a forward-mode pass over their DAGs reads
-the node values in the memo and keeps one tangent array (all n partials)
-per node next to them, so the cost is one pass for all directions.
-``differentiate`` stays the exact symbolic derivative, and is the oracle of
-the tangent pass.
+``differentiate`` is the one derivative rule: the partials of a field that
+the numeric stages read, second partials included, are its symbolic
+derivatives, valued in the same call as the field.
 """
 
 from __future__ import annotations
@@ -641,12 +637,10 @@ def evaluate(e: Expr, point) -> float:
     return _eval_into(e, tuple(point), memo)
 
 
-def evaluate_many(exprs, point, memo: dict | None = None) -> list[float]:
+def evaluate_many(exprs, point) -> list[float]:
     """Evaluate several expressions at one point with a shared memo, so
-    common subtrees are computed once.  A ``memo`` passed in must only ever
-    have been filled at this point, by nodes that are still alive."""
-    if memo is None:
-        memo = {}
+    common subtrees are computed once."""
+    memo: dict[int, float] = {}
     pt = tuple(point)
     return [_eval_into(e, pt, memo) for e in exprs]
 
@@ -752,52 +746,11 @@ def evaluate_points(exprs, points) -> np.ndarray:
     exprs = list(exprs)
     cols = _columns(points)
     if cols is not None:
-        out = _vector_pass(exprs, cols, {})
+        out = _vector_pass(exprs, cols)
         if out is not None:
             return out
     rows = [evaluate_many(exprs, pt) for pt in points]
     return np.array(rows, dtype=float).reshape(len(points), len(exprs)).T
-
-
-def evaluate_jets(roots, points) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first partials of ``roots`` at each of ``points``: float64
-    arrays of shape (len(roots), P) and (len(roots), n, P), with
-    partials[i, m, p] = d root_i / d x^m at points[p] and n the length of a
-    point.
-
-    The values come from the walks of ``evaluate_points``, with its replay
-    rule.  The tangent pass then runs over the memo that
-    holds them: over all points at once after the vector pass, and otherwise
-    at each point right after the values there.  A partial that is not
-    finite in the vector pass sends the whole call to the per-point walk,
-    where it raises the DomainError that names the node of its root whose
-    derivative is singular or overflows."""
-    roots = list(roots)
-    count = len(points)
-    vector_memo = {}
-    cols = _columns(points)
-    if cols is not None:
-        values = _vector_pass(roots, cols, vector_memo)
-        if values is not None:
-            n = len(cols)
-            unit = np.broadcast_to(np.eye(n)[:, :, None], (n, n, count))
-            partials = np.array([_partials(f, vector_memo, unit, (n, count))
-                                 for f in roots]).reshape(len(roots), n, count)
-            if np.isfinite(partials).all():
-                return values, partials
-    n = len(points[0]) if count else 0
-    unit = np.eye(n)
-    values = np.empty((len(roots), count))
-    partials = np.empty((len(roots), n, count))
-    for p, pt in enumerate(points):
-        memo = {}
-        values[:, p] = evaluate_many(roots, pt, memo)
-        for i, f in enumerate(roots):
-            t = _partials(f, memo, unit, (n,))
-            if not np.isfinite(t).all():
-                _raise_singular_tangent(f, memo)
-            partials[i, :, p] = t
-    return values, partials
 
 
 def _columns(points):
@@ -816,10 +769,10 @@ class _Replay(Exception):
     """The vector pass cannot decide; the per-point walk must."""
 
 
-def _vector_pass(roots: list, cols: np.ndarray, memo: dict):
+def _vector_pass(roots: list, cols: np.ndarray):
     """Root values as rows over the points (``cols`` holds one row per
-    coordinate), or None when the per-point walk has to be replayed.  Node
-    values are kept in ``memo``; one that gives up is not stored."""
+    coordinate), or None when the per-point walk has to be replayed."""
+    memo = {}
     with np.errstate(all="ignore"):
         try:
             _fill(roots, memo, lambda e: _vec_node(e, cols, memo))
@@ -882,119 +835,6 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
     if kind is Sqrt:
         return np.sqrt(memo[id(e.arg)])
     raise TypeError(f"cannot evaluate {kind.__name__}")
-
-
-# ---------------------------------------------------------------------------
-# the tangent pass: forward-mode partial derivatives for ``evaluate_jets``
-# ---------------------------------------------------------------------------
-#
-# A tangent is the array of all n partials of one node, coordinate index
-# first: shape (n,) in the per-point walk, (n, P) in the vector pass.  None
-# stands for the zero tangent of a subtree with no coordinate below it.  The
-# rules mirror ``_diff_rules`` and read the node values that the walk has
-# already stored; a tangent that is singular or overflows comes out
-# non-finite, which ``evaluate_jets`` turns into a replay or a DomainError.
-
-# The key under which a value memo holds its tangent memo (node keys are ids).
-_TANGENTS = "tangents"
-
-
-def _tangent(f: Expr, memo: dict, unit):
-    """The tangent of ``f``, from the tangent memo kept in the value memo
-    ``memo``, which holds the value of every node under ``f``.  A pass fills
-    in the nodes of f not yet in the tangent memo; ``unit[m]`` is the
-    tangent of coordinate m."""
-    tangents = memo.get(_TANGENTS)
-    if tangents is None:
-        tangents = memo[_TANGENTS] = {}
-    if id(f) not in tangents:
-        with np.errstate(all="ignore"):
-            _fill((f,), tangents, lambda e: _tangent_node(e, memo, tangents, unit))
-    return tangents[id(f)]
-
-
-def _partials(f: Expr, memo: dict, unit, shape) -> np.ndarray:
-    """The tangent of ``f`` as an array of ``shape``, zero for a constant."""
-    t = _tangent(f, memo, unit)
-    return np.zeros(shape) if t is None else t
-
-
-def _tangent_node(e: Expr, vals: dict, tans: dict, unit):
-    kind = type(e)
-    if kind is Mul:
-        factors, coeff = e.factors, e.coeff
-        out = None
-        for i, f in enumerate(factors):
-            t = tans[id(f)]
-            if t is None:
-                continue
-            c = None if coeff == 1.0 else coeff
-            for j, g in enumerate(factors):
-                if j != i:
-                    c = vals[id(g)] if c is None else c * vals[id(g)]
-            term = t if c is None else c * t
-            out = term if out is None else out + term
-        return out
-    if kind is Add:
-        out = None
-        for u in e.terms:
-            t = tans[id(u)]
-            if t is not None:
-                out = t if out is None else out + t
-        return out
-    if kind is Const:
-        return None
-    if kind is Coord:
-        return unit[e.index]
-    if kind is Div:
-        tu, tv = tans[id(e.num)], tans[id(e.den)]
-        if tu is None and tv is None:
-            return None
-        u, v = vals[id(e.num)], vals[id(e.den)]
-        if tv is None:
-            top = tu * v
-        elif tu is None:
-            top = -(u * tv)
-        else:
-            top = tu * v - u * tv
-        return top / (v * v)
-    if kind is Pow:
-        t, k = tans[id(e.base)], e.exponent
-        return None if t is None or k == 0 else k * np.power(vals[id(e.base)], k - 1) * t
-    t = tans[id(e.arg)]  # one of the functions sin ... sqrt
-    if t is None:
-        return None
-    if kind is Sin:
-        return np.cos(vals[id(e.arg)]) * t
-    if kind is Cos:
-        return -np.sin(vals[id(e.arg)]) * t
-    if kind is Exp:
-        return vals[id(e)] * t
-    if kind is Ln:
-        return t / vals[id(e.arg)]
-    if kind is Sqrt:
-        return t / (2.0 * vals[id(e)])
-    raise TypeError(f"no tangent rule for {kind.__name__}")
-
-
-def _raise_singular_tangent(f: Expr, memo: dict):
-    """Raise the DomainError of a non-finite tangent of ``f``: it names the
-    first node of f, in walk order, whose tangent is not finite, which is
-    where the derivative was singular or overflowed (its children's are
-    finite)."""
-    tangents = memo[_TANGENTS]
-
-    def check(e):
-        t = tangents[id(e)]
-        if t is not None and not np.isfinite(t).all():
-            kind = type(e)
-            if kind is Sqrt and memo[id(e)] == 0.0:
-                raise DomainError("sqrt at zero has no derivative", e)
-            if kind is Div and memo[id(e.den)] * memo[id(e.den)] == 0.0:
-                raise DomainError("the derivative of a quotient divides by zero", e)
-            raise DomainError("overflow in a derivative", e)
-
-    _fill((f,), {}, check)
 
 
 # ---------------------------------------------------------------------------

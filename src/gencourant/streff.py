@@ -14,17 +14,17 @@ evaluates
   with G = -B g^{-1} B, and the three residuals of the dual gravity
   equations, plus the transport identity connecting both Ricci tensors.
 
-The parsed fields of a ``Background`` are the last expressions: ``Derived``
-takes their jets once, at the chart's seeded sample points (the 2-jets of
-g, B and phi and the jet of H, ``Derived.jets``), and every quantity above
-is numbers computed from them (``riemann``, ``gtb``, ``gconn``), each array
+The parsed fields of a ``Background`` are the last expressions: it takes
+their jets once, when it is made, at the chart's seeded sample points (the
+2-jets of g, B and phi and the jet of H, ``Background.jets``, from their
+symbolic partials), and every quantity above is numbers computed from them (``riemann``, ``gtb``, ``gconn``), each array
 ending in the point axis.  The random sections and parameters of the
 checks are numbers too (``tensors.random_polynomial_jets``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,29 +45,6 @@ from .tensors import DOWN, Jet, TensorField
 
 
 @dataclass
-class Background:
-    """Chart background fields: Riemannian g, 2-form B, dilaton phi, and a
-    closed 3-form twist H (defaults to zero).  H may instead be supplied
-    through a potential 2-form, guaranteeing closedness by construction."""
-
-    chart: Chart
-    g: TensorField
-    B: TensorField
-    phi: Expr
-    H: TensorField = None
-
-    def __post_init__(self):
-        if self.H is None:
-            self.H = tn.zeros(self.chart, (DOWN,) * 3)
-        pts = self.chart.sample_points()
-        gtb.check_positive_definite(self.g.evaluate_points(pts), pts)
-        tn.check_antisymmetric(self.B)
-        tn.check_antisymmetric(self.H)
-        gtb.check_closed(tn.values_at(tn.exterior_derivative(self.H).comps, pts), pts)
-        self.phi = ex._coerce(self.phi)
-
-
-@dataclass
 class FieldJets:
     """The background's fields at the chart's sample points: the 2-jets of
     g, B and phi (each the jet of the field and the jet of its partials,
@@ -79,11 +56,49 @@ class FieldJets:
     H: Jet
 
 
+@dataclass
+class Background:
+    """Chart background fields: Riemannian g, 2-form B, dilaton phi, and a
+    closed 3-form twist H (defaults to zero).  H may instead be supplied
+    through a potential 2-form, guaranteeing closedness by construction.
+
+    The fields are valued once, when the background is made: ``jets``
+    holds their jets at the chart's sample points, checked finite, and g
+    (symmetric, positive definite), B and H (antisymmetric) and dH = 0
+    are validated on those numbers."""
+
+    chart: Chart
+    g: TensorField
+    B: TensorField
+    phi: Expr
+    H: TensorField = None
+    jets: FieldJets = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.H is None:
+            self.H = tn.zeros(self.chart, (DOWN,) * 3)
+        self.phi = ex._coerce(self.phi)
+        chart, pts = self.chart, self.chart.sample_points()
+
+        def checked(name, jets):
+            return tuple(tn.finite(f"scene field {name}", j, pts) for j in jets)
+
+        self.jets = jets = FieldJets(checked("g", tn.field_jets(self.g.comps, chart)),
+                                     checked("B", tn.field_jets(self.B.comps, chart)),
+                                     checked("phi", tn.field_jets(self.phi, chart)),
+                                     tn.finite("scene field H", tn.jets_at(self.H.comps, chart), pts))
+        gtb.check_positive_definite(np.moveaxis(jets.g[0].value, -1, 0), pts)
+        tn.check_antisymmetric(jets.B[0].value, pts)
+        tn.check_antisymmetric(jets.H.value, pts)
+        with np.errstate(all="ignore"):
+            dH = tn.d_of_partials(jets.H.partial, 3)
+        gtb.check_closed(dH, pts)
+
+
 class Derived:
     """The derived quantities of one background that the checks read, each
     built on first read, by the public builder named below, and kept:
 
-    - ``jets``: the fields' jets (``FieldJets``), checked finite;
     - ``h_prime``: the jet of H' = H + dB, checked antisymmetric and closed;
     - ``gamma``: the chart Christoffel symbols (``riemann.christoffel``),
       which carry g and ``ginv`` = g^{-1}, the one inversion of g;
@@ -98,25 +113,17 @@ class Derived:
       ``symplectic_residuals``, ``theta_transported_connection``,
       ``transport_identity_residual``).
 
-    g, B, H and phi are validated when the ``Background`` is made.  Nothing
+    ``jets`` is the background's ``FieldJets``: g, B, H and phi are valued
+    and validated when the ``Background`` is made.  Nothing
     is built when the context is made, and a builder that raises stores
     nothing, so the next read raises again."""
 
     def __init__(self, bg: Background):
         self.bg = bg
 
-    @cached_property
+    @property
     def jets(self) -> FieldJets:
-        bg = self.bg
-        chart, pts = bg.chart, bg.chart.sample_points()
-
-        def checked(name, jets):
-            return tuple(tn.finite(f"scene field {name}", j, pts) for j in jets)
-
-        return FieldJets(checked("g", tn.field_jets(bg.g.comps, chart)),
-                         checked("B", tn.field_jets(bg.B.comps, chart)),
-                         checked("phi", tn.field_jets(bg.phi, chart)),
-                         tn.finite("scene field H", tn.jets_at(bg.H.comps, pts), pts))
+        return self.bg.jets
 
     @cached_property
     def h_prime(self) -> Jet:

@@ -25,10 +25,12 @@ scalar operand -1.0 (``mul(-1.0, a, b)`` is the node ``neg(mul(a, b))``).
 
 The expressions stop at the scene: what is built from a background's
 fields is numbers at the chart's sample points.  A ``Jet`` holds the values
-and first partials of an array of fields there; ``field_jets`` takes the
-2-jet of a parsed field (the jet of the field and the jet of its partials,
-so second partials are the partials of the second), and every later
-quantity is a jet combined by ``jet_contract``, the product rule applied
+and first partials of an array of fields there.  ``jets_at`` takes the jet
+of a parsed field and ``field_jets`` its 2-jet (the jet of the field and
+the jet of its partials, so second partials are the partials of the
+second), each valuing the field with its symbolic ``partials`` in one
+``values_at`` call; a background takes them once, when it is made
+(``streff.Background``).  Every later quantity is a jet combined by ``jet_contract``, the product rule applied
 to one einsum, or by a linear map of both halves (``Jet.map``).
 ``jet_inverse`` inverts a matrix field (one ``np.linalg.inv`` per point),
 and ``finite`` is the check at each numeric stage boundary.  Random fields
@@ -261,13 +263,14 @@ class Jet:
     __rmul__ = __mul__
 
 
-def jets_at(comps, points) -> Jet:
-    """The values and first partials of an object array of Expr at
-    ``points`` (see ``expr.evaluate_jets``), as a ``Jet``."""
+def jets_at(comps, chart: Chart) -> Jet:
+    """The values and first partials of an Expr or an object array of Expr
+    at the chart's sample points, as a ``Jet``: the field and its
+    ``partials``, valued in one ``values_at`` call."""
     arr = np.asarray(comps, dtype=object)
-    values, partials = ex.evaluate_jets(arr.reshape(-1), points)
-    return Jet(values.reshape(arr.shape + values.shape[1:]),
-               partials.reshape(arr.shape + partials.shape[1:]))
+    both = values_at(np.concatenate([arr[..., None], partials(arr, chart)], axis=-1),
+                     chart.sample_points())
+    return Jet(both[..., 0, :], both[..., 1:, :])
 
 
 def field_jets(comps, chart: Chart) -> tuple[Jet, Jet]:
@@ -277,7 +280,7 @@ def field_jets(comps, chart: Chart) -> tuple[Jet, Jet]:
     are the second partials.  One ``jets_at`` call over the field stacked
     with its partials."""
     arr = np.asarray(comps, dtype=object)
-    both = jets_at(np.concatenate([arr[..., None], partials(arr, chart)], axis=-1), chart.sample_points())
+    both = jets_at(np.concatenate([arr[..., None], partials(arr, chart)], axis=-1), chart)
     k = arr.ndim
     return both[(slice(None),) * k + (0,)], both[(slice(None),) * k + (slice(1, None),)]
 
@@ -455,15 +458,10 @@ def _permutations_with_sign(k):
 # ---------------------------------------------------------------------------
 
 
-def check_antisymmetric(t, points=None):
-    """All-pairs antisymmetry of a covariant or contravariant form: a
-    TensorField, valued at its chart's sample points, or the float array
-    of the values [..., p] of one at ``points``."""
-    if isinstance(t, TensorField):
-        comps, rank, points = t.comps, t.rank, t.chart.sample_points()
-    else:
-        comps, rank = t, t.ndim - 1
-    for i in range(rank - 1):
+def check_antisymmetric(comps: np.ndarray, points):
+    """All-pairs antisymmetry of a covariant or contravariant form, from the
+    float array of its values [..., p] at ``points``."""
+    for i in range(comps.ndim - 2):
         diff = comps + np.swapaxes(comps, i, i + 1)
         worst, _ = ex.max_abs_on_points(diff, points)
         if not worst <= 1e-10:

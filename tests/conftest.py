@@ -282,8 +282,7 @@ def symbolic_with_params(frame, gamma, J, W, g, ginv):
 def param_jets(J, W):
     """The jets at the sample points of a parameter pair of TensorFields,
     as ``gconn.validate_params`` takes them."""
-    pts = J.chart.sample_points()
-    return tn.jets_at(J.comps, pts), tn.jets_at(W.comps, pts)
+    return tn.jets_at(J.comps, J.chart), tn.jets_at(W.comps, W.chart)
 
 
 def projected_params(J, W):
@@ -548,7 +547,7 @@ class Oracle:
         return tn.values_at(e, self.chart.sample_points())
 
     def jets(self, e):
-        return tn.jets_at(e, self.chart.sample_points())
+        return tn.jets_at(e, self.chart)
 
     @cached_property
     def ginv(self):
@@ -696,10 +695,9 @@ def family_closed_forms(g, H, J, W):
     from gencourant import riemann as rm
 
     c = g.chart
-    pts = c.sample_points()
     lc = rm.christoffel(*tn.field_jets(g.comps, c), c)
-    Jp, Wp = (tn.jets_at(t, pts) for t in partial_traces(g.comps, J, W))
-    Hj = tn.jets_at(H.comps, pts)
+    Jp, Wp = (tn.jets_at(t, c) for t in partial_traces(g.comps, J, W))
+    Hj = tn.jets_at(H.comps, c)
     gv, ginv, Hv, Jv, Wv = lc.g.value, lc.ginv.value, Hj.value, Jp.value, Wp.value
     ric, rg = rm.curvature_package(lc)
     want_e = -4.0 * rm.divergence(Jp, lc) + 8.0 * np.einsum("ap,ap->p", Jv, Wv)

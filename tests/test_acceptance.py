@@ -36,7 +36,7 @@ def chart_connection(g):
 
 
 def minimal(g, H):
-    return gconn.minimal_connection(chart_connection(g), tn.jets_at(H.comps, g.chart.sample_points()))
+    return gconn.minimal_connection(chart_connection(g), tn.jets_at(H.comps, g.chart))
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_criterion_01_courant_axioms():
         gen = c.rng(base_salt)
         B0 = bumpy_b(c, salt=base_salt + 1)
         pts = c.sample_points()
-        H = tn.jets_at(tn.exterior_derivative(B0).comps, pts)
+        H = tn.jets_at(tn.exterior_derivative(B0).comps, c)
         br = lambda u, v: gtb.dorfman(u, v, H)  # noqa: E731
         for _ in range(10):
             a, b, d = gtb.random_sections(c, gen, 3)
@@ -114,7 +114,7 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
             fields.append(r[d, cc, a, b] + r[d, a, b, cc] + r[d, b, cc, a])
         pts = c.sample_points()
         worst = max(worst, max_abs(np.array(fields), pts))
-        base = gconn.block_lc_connection(chart_connection(g), tn.jets_at(H.comps, pts))
+        base = gconn.block_lc_connection(chart_connection(g), tn.jets_at(H.comps, c))
         worst = max(worst, max_abs(gconn.bianchi_residual(base), pts))
     report(3, "curvature symmetries and both Bianchi identities", worst, 1e-9)
 

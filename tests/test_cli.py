@@ -260,7 +260,7 @@ def test_main_seed_override_changes_points(tmp_path):
         ("exp(800*x+800)", "overflow in subexpression 'exp(800*x + 800)'"),
         # constant folding while the scene is parsed
         ("exp(800)", "overflow in subexpression 'exp(800)'"),
-        # the literal reads as inf; cos(inf) is the first infinite argument met
+        # the literal reads as inf; sin(inf) is the first infinite argument met
         ("sin(1e999*x)", "infinite value in subexpression 'sin(inf*x)'"),
         # finite constants folding to inf (and inf - inf to NaN) while parsing
         ("1e200*1e200 - 1e200*1e200", "overflow in subexpression '1e+200*1e+200'"),
@@ -274,6 +274,22 @@ def test_main_overflow_is_an_input_error(tmp_path, capsys, phi, message):
     path.write_text(json.dumps(doc))
     assert main(["central", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_derivative_singular_at_every_point_is_rejected_at_load(tmp_path, capsys):
+    # phi is finite at every sample point of the line x = 0, but its
+    # partial along x divides by zero there; the fields' jets are taken
+    # when the scene is loaded, so the load names that partial
+    doc = minimal_doc()
+    doc["chart"]["domain"] = [[0, 0], [-1, 1]]
+    doc["background"]["phi"] = "sqrt(x) + y"
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SceneValidationError) as err:
+        load_scene(path)
+    assert "'1/(2*sqrt(x))'" in str(err.value)
+    assert main(["central", str(path)]) == 2
+    assert "'1/(2*sqrt(x))'" in capsys.readouterr().err
 
 
 PROBES = {

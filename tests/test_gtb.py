@@ -199,13 +199,13 @@ def test_numeric_bracket_matches_the_expression_bracket(dim, count, seed):
     H = closed_three_form(c, seed=seed % 97)
     B = bumpy_B(c, seed=seed % 89)
     pts = c.sample_points()
-    Hj, Bj = tn.jets_at(H.comps, pts), tn.jets_at(B.comps, pts)
+    Hj, Bj = tn.jets_at(H.comps, c), tn.jets_at(B.comps, c)
     psi, phi, chi = gtb.random_sections(c, c.rng(seed), 3)
     gen = c.rng(seed)
     a, b, d = (random_section(c, gen) for _ in range(3))
-    cases = [(gtb.dorfman(psi, phi, Hj), tn.jets_at(dorfman(a, b, H).components(), pts)),
-             (gtb.pairing(psi[0], phi[0]), tn.jets_at(pairing(a, b), pts)),
-             (gtb.b_twist(psi[0], Bj), tn.jets_at(conftest.b_twist(a, B).components(), pts))]
+    cases = [(gtb.dorfman(psi, phi, Hj), tn.jets_at(dorfman(a, b, H).components(), c)),
+             (gtb.pairing(psi[0], phi[0]), tn.jets_at(pairing(a, b), c)),
+             (gtb.b_twist(psi[0], Bj), tn.jets_at(conftest.b_twist(a, B).components(), c))]
     for got, want in cases:
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
@@ -282,7 +282,7 @@ def test_gram_jet_is_the_jet_of_the_block_formula():
     Bc = B.comps
     want = np.block([[g.comps - tn.contract("ia,ab,bj->ij", Bc, ginv, Bc), tn.contract("ia,aj->ij", Bc, ginv)],
                      [-tn.contract("ia,aj->ij", ginv, Bc), ginv]])
-    got, want = with_b(g, B).gram(), tn.jets_at(want, C2.sample_points())
+    got, want = with_b(g, B).gram(), tn.jets_at(want, C2)
     np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
 
@@ -377,9 +377,8 @@ def test_b_twist_preserves_pairing():
 def twisted_jets(c, B, H):
     """The jets of B, of H and of H' = H + dB, as ``twisted_bracket_check``
     reads them."""
-    pts = c.sample_points()
-    return (tn.jets_at(B.comps, pts), tn.jets_at(H.comps, pts),
-            tn.jets_at((H + tn.exterior_derivative(B)).comps, pts))
+    return (tn.jets_at(B.comps, c), tn.jets_at(H.comps, c),
+            tn.jets_at((H + tn.exterior_derivative(B)).comps, c))
 
 
 def test_b_twist_intertwines_brackets():
@@ -707,11 +706,11 @@ def brute_force_r0(frame, gamma):
     return out
 
 
-def assert_frame_curvature_matches(numeric, symbolic, gamma, points, jet=None):
-    """R0 of the numeric frame, from ``jet`` (by default ``tn.jets_at`` of
-    the coefficients gamma, an object array of Expr), against the
-    definition on the symbolic frame."""
-    r0 = numeric.curvature(jet or tn.jets_at(gamma, points))
+def assert_frame_curvature_matches(numeric, symbolic, gamma, points, jet):
+    """R0 of the numeric frame, from ``jet``, the jet of the coefficients
+    gamma (an object array of Expr), against the definition on the symbolic
+    frame."""
+    r0 = numeric.curvature(jet)
     want = tn.values_at(brute_force_r0(symbolic, gamma), points)
     np.testing.assert_allclose(r0, want, rtol=1e-12, atol=1e-12)
 
@@ -754,7 +753,7 @@ def test_frame_curvature_of_a_4d_cotangent_algebroid():
     ).comps
     gamma = symbolic.lc_connection(g_A)
     got = numeric.algebroid.lc_connection(*tn.field_jets(g_A, c4))
-    want = tn.jets_at(gamma, c4.sample_points())
+    want = tn.jets_at(gamma, c4)
     np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
     assert_frame_curvature_matches(numeric.algebroid, symbolic, gamma, c4.sample_points(), got)
@@ -779,7 +778,7 @@ def test_covariant_derivative_matches_the_definition(salt, count, degree):
     gen = bg.chart.rng(salt)
     for numeric, symbolic, gamma, jet in frames_of(streff.Derived(bg)):
         omega = random_array(bg.chart, (numeric.rank,) * degree, gen)
-        got = numeric.covariant_derivative_of(jet.value, tn.jets_at(omega, points))
+        got = numeric.covariant_derivative_of(jet.value, tn.jets_at(omega, bg.chart))
         want = tn.values_at(symbolic_covariant_derivative(symbolic, gamma, omega), points)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -806,7 +805,7 @@ def test_torsion_map_gives_the_torsion_and_its_partials(salt, count):
             symbolic = symbolic_gualtieri_torsion(frame, gamma)
         else:
             torsion, symbolic = gtb.frame_torsion, symbolic_frame_torsion(frame, gamma)
-        gv, dgv = tn.jets_at(gamma, points)
+        gv, dgv = tn.jets_at(gamma, bg.chart)
         C, dC = numeric.structure
         partials = np.array([[tn.ex.differentiate(t, x) for x in coords]
                              for t in symbolic.reshape(-1)], dtype=object)

@@ -1,10 +1,10 @@
-"""Node budgets: how many distinct expression nodes the checks evaluate.
+"""Node budgets: how many distinct expression nodes a command values.
 
 Building and evaluating the DAG costs about the same per node, so the count
-of distinct nodes under the roots that ``evaluate_points`` and
-``evaluate_jets`` receive during ``cli.run_command`` tracks the time to a
-verdict.  A budget that fails means the same checks now build more nodes
-than they need.
+of distinct nodes under the roots that ``evaluate_points`` receives while a
+scene is loaded (its fields' jets are taken then) and a command runs on it
+tracks the time to a verdict.  A budget that fails means the same checks
+now build more nodes than they need.
 """
 
 import importlib.util
@@ -21,29 +21,28 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def generated_scene(seed, points):
-    """The 4-D scene of ``scripts/make_scene.py --dim 4 --invertible-b``."""
+    """The document of the 4-D scene of ``scripts/make_scene.py --dim 4
+    --invertible-b``."""
     spec = importlib.util.spec_from_file_location("make_scene", ROOT / "scripts" / "make_scene.py")
     make_scene = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_scene)
-    return scene_from_dict(make_scene.build(dim=4, seed=seed, invertible_b=True, scale=0.25, points=points))
+    return make_scene.build(dim=4, seed=seed, invertible_b=True, scale=0.25, points=points)
 
 
-def evaluated_nodes(monkeypatch, command, scene) -> int:
-    """Distinct nodes under every root that ``evaluate_points`` or
-    ``evaluate_jets`` receives while ``command`` runs on ``scene``.  The
+def evaluated_nodes(monkeypatch, command, doc) -> int:
+    """Distinct nodes under every root that ``evaluate_points`` receives
+    while ``scene_from_dict`` loads ``doc`` and ``command`` runs on it.  The
     roots are kept, so no node id is reused while they are counted."""
     roots = []
+    evaluate = ex.evaluate_points
 
-    def recording(evaluate):
-        def record(exprs, points):
-            exprs = list(exprs)
-            roots.extend(exprs)
-            return evaluate(exprs, points)
-        return record
+    def record(exprs, points):
+        exprs = list(exprs)
+        roots.extend(exprs)
+        return evaluate(exprs, points)
 
-    for name in ("evaluate_points", "evaluate_jets"):
-        monkeypatch.setattr(ex, name, recording(getattr(ex, name)))
-    report = cli.run_command(command, scene)
+    monkeypatch.setattr(ex, "evaluate_points", record)
+    report = cli.run_command(command, scene_from_dict(doc))
     assert report.passed
     seen = set()
     stack = list(roots)
@@ -56,9 +55,9 @@ def evaluated_nodes(monkeypatch, command, scene) -> int:
 
 
 def test_central_on_the_4d_scene_node_budget(monkeypatch):
-    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 1_712
+    assert evaluated_nodes(monkeypatch, "central", generated_scene(1, 1)) <= 2_345
 
 
 def test_all_on_poly2d_node_budget(monkeypatch):
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
-    assert evaluated_nodes(monkeypatch, "all", scene_from_dict(doc)) <= 44
+    assert evaluated_nodes(monkeypatch, "all", doc) <= 54

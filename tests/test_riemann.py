@@ -88,7 +88,7 @@ def lc(g):
 
 
 def jets(comps, c):
-    return tn.jets_at(comps, c.sample_points())
+    return tn.jets_at(comps, c)
 
 
 def vals(comps, c):

@@ -180,7 +180,7 @@ def test_jet_contract_matches_the_derivative_of_the_contraction(spec, seed, num_
     sizes = {letter: gen.randint(1, 3) for letter in sorted(set("".join(subs)))}
     operands = [_random_operand(c, gen, tuple(sizes[x] for x in sub), False) for sub in subs]
     pts = c.sample_points()
-    got, dgot = tn.jet_contract(spec, *[tn.jets_at(op, pts) for op in operands])
+    got, dgot = tn.jet_contract(spec, *[tn.jets_at(op, c) for op in operands])
     symbolic = np.asarray(tn.contract(spec, *operands), dtype=object)
     partials = np.array([[tn.ex.differentiate(e, x) for x in c.coords()]
                          for e in symbolic.reshape(-1)], dtype=object)

@@ -68,7 +68,7 @@ THETA = jets(skew(C2, (UP, UP), ex.ONE))[0]
 
 CASES = {
     "check-antisymmetric": (
-        lambda k: tn.check_antisymmetric(skew(C2, (DOWN, DOWN), on(C2, k))),
+        lambda k: tn.check_antisymmetric(values(skew(C2, (DOWN, DOWN), on(C2, k))), PTS2),
         NotAntisymmetric,
     ),
     "metric-inverse": (lambda k: rm.christoffel(*value_jets(metric(k)), C2), DomainError),

@@ -4,9 +4,10 @@ TM (+) T*M of a coordinate chart.
 Layers, bottom to top:
 
 - ``expr``     scalar fields as expression trees (parse, differentiate,
-               evaluate, simplify) plus chart sampling
-- ``tensors``  dense variance-aware tensor fields, index algebra, and jets
-               (values and first partials at the sample points)
+               evaluate) plus chart sampling
+- ``tensors``  partials and the exterior derivative of object arrays of
+               fields, and jets (values and first partials at the sample
+               points) combined by einsum specs
 - ``riemann``  classical operators of the chart metric on jets (Levi-Civita
                connection, curvature, codifferential, Laplacian)
 - ``gtb``      pairing, twisted Dorfman bracket, generalized metrics,
@@ -16,7 +17,8 @@ Layers, bottom to top:
                Lie-algebra case
 - ``streff``   string-background residuals (beta functions, flatness and
                block-diagonality identities, symplectic-gravity side)
-- ``scene``/``cli``  scene files, residual reports and the command line
+- ``scene``/``cli``  scene files (the loader fills the Expr arrays of g, B
+               and H), residual reports and the command line
 """
 
 from .errors import (
@@ -34,10 +36,9 @@ from .errors import (
     SceneError,
     SingularB,
     SingularMetric,
-    SlotError,
     UnknownSymbol,
 )
-from .expr import Chart, Expr, chart, differentiate, evaluate, parse_expr, simplify
+from .expr import Chart, Expr, chart, differentiate, evaluate, parse_expr
 
 __all__ = [
     "Chart",
@@ -46,13 +47,11 @@ __all__ = [
     "differentiate",
     "evaluate",
     "parse_expr",
-    "simplify",
     "GencourantError",
     "ExprSyntaxError",
     "UnknownSymbol",
     "DomainError",
     "ChartMismatch",
-    "SlotError",
     "SingularMetric",
     "DegreeMismatch",
     "NotClosed",

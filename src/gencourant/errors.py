@@ -38,10 +38,6 @@ class ChartMismatch(GencourantError):
     """Operands live on different charts."""
 
 
-class SlotError(GencourantError):
-    """Bad tensor slot index or variance for the requested operation."""
-
-
 class SingularMetric(GencourantError):
     """Metric determinant below tolerance at some sample point."""
 

@@ -1,5 +1,5 @@
 """Scalar fields on a coordinate chart: expression trees with exact
-differentiation, numeric evaluation, light simplification and a parser.
+differentiation, numeric evaluation and a parser.
 
 The node vocabulary is fixed (constants, coordinates, n-ary sums and
 products, quotients, integer powers, sin/cos/exp/ln/sqrt) and is closed
@@ -23,16 +23,16 @@ The cost per node is what is left, so the kernels that run once per node
 (the smart constructors, ``_diff`` and the walk ``_fill``) dispatch on
 ``type(e)`` and skip the work a node does not need: ``_coerce`` runs only
 for operands that are not nodes, charts are compared by identity before
-equality, and leaves are differentiated without a cache.  Every walk
-(evaluation, simplification) is ``_fill``, a single-visit post-order that
-lists each node's children once; its fixed order decides which of several
-singular subexpressions a DomainError names.
+equality, and leaves are differentiated without a cache.  Every evaluation
+walk is ``_fill``, a single-visit post-order that lists each node's children
+once; its fixed order decides which of several singular subexpressions a
+DomainError names.
 
 Evaluation has two walks.  The scalar walk (``evaluate``,
 ``evaluate_many``) computes one IEEE double per node at one point, sums
 with ``math.fsum`` and raises DomainError at the first singular
 subexpression; it is the reference.  The point-vector walk
-(``evaluate_points``, used by ``max_abs_on_points``) visits each distinct
+(``evaluate_points``, used by ``tensors.values_at``) visits each distinct
 node once for all points, holding a numpy vector per node (constants stay
 floats) and summing in term order.  It is used only with two or more
 points; when a domain condition, an overflow or a non-finite root value
@@ -446,11 +446,6 @@ def add(*terms) -> Expr:
     return Add(tuple(flat), chart_)
 
 
-def esum(terms) -> Expr:
-    """Sum of an iterable of expressions (flat, single Add node)."""
-    return add(*terms)
-
-
 def neg(e) -> Expr:
     """-e: a constant negated, a product with its coefficient negated (the
     same factor tuple), anything else as a product with coefficient -1."""
@@ -838,36 +833,6 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
 
 
 # ---------------------------------------------------------------------------
-# simplification: rebuild through the smart constructors
-# ---------------------------------------------------------------------------
-
-
-def simplify(e: Expr) -> Expr:
-    """Constant folding, 0/1 identities and sum/product flattening.  The
-    result evaluates identically to the input at every in-domain point."""
-    memo: dict[int, Expr] = {}
-    root = _coerce(e)
-    _fill((root,), memo, lambda node: _rebuild(node, memo))
-    return memo[id(root)]
-
-
-def _rebuild(e: Expr, memo) -> Expr:
-    if isinstance(e, (Const, Coord)):
-        return e
-    if isinstance(e, Add):
-        return add(*(memo[id(t)] for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(e.coeff, *(memo[id(f)] for f in e.factors))
-    if isinstance(e, Div):
-        return div(memo[id(e.num)], memo[id(e.den)])
-    if isinstance(e, Pow):
-        return powi(memo[id(e.base)], e.exponent)
-    if isinstance(e, Func):
-        return _FUNCTIONS[e.name](memo[id(e.arg)])
-    raise TypeError(type(e).__name__)
-
-
-# ---------------------------------------------------------------------------
 # printing (parseable; grammar below)
 # ---------------------------------------------------------------------------
 
@@ -1149,24 +1114,13 @@ def worst_of(pairs):
     return worst, at
 
 
-def max_abs_on_points(exprs, points):
-    """Max absolute value over expressions x points; returns (value, point)
-    as ``worst_of`` picks it over the per-point maxima.  Accepts a single
-    Expr, an iterable, a numpy object array, or a float array of values
-    whose last axis runs over ``points``."""
+def max_abs_on_points(values, points):
+    """Max absolute value of a float array of values whose last axis runs
+    over ``points``; returns (value, point) as ``worst_of`` picks it over
+    the per-point maxima."""
     if not points:
         return 0.0, ()
-    if isinstance(exprs, np.ndarray) and exprs.dtype != object:
-        if exprs.shape[-1:] != (len(points),):
-            raise ValueError(f"values of shape {exprs.shape} do not end in {len(points)} points")
-        values = exprs.reshape(-1, len(points))
-    else:
-        if isinstance(exprs, Expr):
-            flat = [exprs]
-        elif isinstance(exprs, np.ndarray):
-            flat = list(exprs.reshape(-1))
-        else:
-            flat = list(exprs)
-        values = evaluate_points(flat, points)
-    per_point = np.abs(values).max(axis=0, initial=0.0)
+    if values.shape[-1:] != (len(points),):
+        raise ValueError(f"values of shape {values.shape} do not end in {len(points)} points")
+    per_point = np.abs(values.reshape(-1, len(points))).max(axis=0, initial=0.0)
     return worst_of(zip(per_point.tolist(), map(tuple, points)))

@@ -17,7 +17,10 @@ A scene is a JSON document describing a chart and a background:
 
 Metric entries are given on the upper triangle (i <= j), 2-forms on the
 strict upper triangle (i < j), 3-forms on strictly increasing triples; the
-symmetry completions are never read from the lower parts.  "domain" is
+symmetry completions are never read from the lower parts.  The loader
+fills an object array of Expr for each of g, B and H (``from_upper``), and
+takes H = dB0 of a potential by ``tensors.d_of_partials``, the exterior
+derivative that the numeric stages apply to jets.  "domain" is
 either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
 engine, over the declared coordinate names.  "dim", "points" and "seed"
@@ -30,6 +33,7 @@ error; the "policy" option of older scene files is accepted and ignored.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,7 +45,6 @@ from . import tensors as tn
 from .errors import GencourantError, SceneError
 from .expr import Chart, Expr, parse_expr
 from .streff import Background
-from .tensors import DOWN, TensorField
 
 SCHEMA_VERSION = 1
 
@@ -87,55 +90,41 @@ def _parse_entry(text, chart: Chart, location: str) -> Expr:
         raise SceneError(str(err), location) from err
 
 
-def _symmetric_from_triangle(entries: dict, chart: Chart, location: str) -> TensorField:
-    n = chart.dim
-    comps = np.empty((n, n), dtype=object)
-    comps[:] = ex.ZERO
-    for key, text in entries.items():
-        try:
-            i, j = (int(c) - 1 for c in key)
-        except (ValueError, TypeError):
-            raise SceneValidationError(f"bad index key '{key}'", location)
-        if not (0 <= i <= j < n):
-            raise SceneValidationError(
-                f"key '{key}' is not an upper-triangle index pair", location
-            )
-        e = _parse_entry(text, chart, f"{location}.{key}")
-        comps[i, j] = e
-        comps[j, i] = e
-    return TensorField(chart, (DOWN, DOWN), comps)
+# the index keys each field takes: (degree, skew) -> what a key must be
+_KEY_KINDS = {(2, False): "an upper-triangle index pair",
+              (2, True): "a strict upper-triangle index pair",
+              (3, True): "a strictly increasing index triple"}
 
 
-def _two_form_from_triangle(entries: dict, chart: Chart, location: str) -> TensorField:
-    coeffs = {}
-    n = chart.dim
-    for key, text in entries.items():
-        try:
-            i, j = (int(c) - 1 for c in key)
-        except (ValueError, TypeError):
-            raise SceneValidationError(f"bad index key '{key}'", location)
-        if not (0 <= i < j < n):
-            raise SceneValidationError(
-                f"key '{key}' is not a strict upper-triangle index pair", location
-            )
-        coeffs[(i, j)] = _parse_entry(text, chart, f"{location}.{key}")
-    return tn.form_from_wedge_coeffs(chart, 2, coeffs)
+def from_upper(dim: int, degree: int, entries: dict, skew: bool = True) -> np.ndarray:
+    """The object array of a form (``skew``) or of a symmetric tensor from
+    its entries on increasing index tuples, {(i, j, ...): e}: every
+    permutation of a tuple gets e, negated by ``expr.neg`` for an odd one of
+    a form.  Missing entries are zero."""
+    out = tn.zeros_array((dim,) * degree)
+    for idx, e in entries.items():
+        e = ex._coerce(e)
+        for perm in itertools.permutations(range(degree)):
+            odd = skew and sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            out[tuple(idx[k] for k in perm)] = ex.neg(e) if odd else e
+    return out
 
 
-def _three_form_from_triples(entries: dict, chart: Chart, location: str) -> TensorField:
-    coeffs = {}
-    n = chart.dim
+def _field(entries: dict, chart: Chart, location: str, degree: int, skew: bool) -> np.ndarray:
+    """The array of a field from the entries of its scene file: keys of
+    1-based indices, upper triangle (i <= j) for the metric, strictly
+    increasing for forms."""
+    parsed = {}
     for key, text in entries.items():
         try:
             idx = tuple(int(c) - 1 for c in key)
         except (ValueError, TypeError):
             raise SceneValidationError(f"bad index key '{key}'", location)
-        if len(idx) != 3 or not all(0 <= v < n for v in idx) or not idx[0] < idx[1] < idx[2]:
-            raise SceneValidationError(
-                f"key '{key}' is not a strictly increasing index triple", location
-            )
-        coeffs[idx] = _parse_entry(text, chart, f"{location}.{key}")
-    return tn.form_from_wedge_coeffs(chart, 3, coeffs)
+        if (len(idx) != degree or not all(0 <= i < chart.dim for i in idx)
+                or not all(a < b if skew else a <= b for a, b in zip(idx, idx[1:]))):
+            raise SceneValidationError(f"key '{key}' is not {_KEY_KINDS[degree, skew]}", location)
+        parsed[idx] = _parse_entry(text, chart, f"{location}.{key}")
+    return from_upper(chart.dim, degree, parsed, skew)
 
 
 def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> Scene:
@@ -176,16 +165,17 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
 
     bg_spec = doc.get("background", {})
     _reject_unknown_keys(bg_spec, BACKGROUND_KEYS, "background")
-    g = _symmetric_from_triangle(bg_spec.get("g", {}), chart, "background.g")
-    B = _two_form_from_triangle(bg_spec.get("B", {}), chart, "background.B")
+    g = _field(bg_spec.get("g", {}), chart, "background.g", 2, skew=False)
+    B = _field(bg_spec.get("B", {}), chart, "background.B", 2, skew=True)
     phi = _parse_entry(bg_spec.get("phi", "0"), chart, "background.phi")
     if "H" in bg_spec and "B0" in bg_spec:
         raise SceneValidationError("give either H or the potential B0, not both", "background")
     if "B0" in bg_spec:
-        B0 = _two_form_from_triangle(bg_spec["B0"], chart, "background.B0")
-        H = tn.exterior_derivative(B0)
+        B0 = _field(bg_spec["B0"], chart, "background.B0", 2, skew=True)
+        with np.errstate(all="ignore"):  # Background names a non-finite entry of H
+            H = tn.d_of_partials(tn.partials(B0, chart), 2)
     else:
-        H = _three_form_from_triples(bg_spec.get("H", {}), chart, "background.H")
+        H = _field(bg_spec.get("H", {}), chart, "background.H", 3, skew=True)
     try:
         background = Background(chart, g, B, phi, H)
     except GencourantError as err:

@@ -36,7 +36,7 @@ from . import riemann as rm
 from . import tensors as tn
 from .expr import Chart, Expr
 from .gtb import GeneralizedMetric, LieAlgebroidCotangent
-from .tensors import DOWN, Jet, TensorField
+from .tensors import DOWN, Jet
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +59,9 @@ class FieldJets:
 @dataclass
 class Background:
     """Chart background fields: Riemannian g, 2-form B, dilaton phi, and a
-    closed 3-form twist H (defaults to zero).  H may instead be supplied
-    through a potential 2-form, guaranteeing closedness by construction.
+    closed 3-form twist H (zero when not given), each an object array of
+    Expr with one axis per index (phi an Expr), as ``scene.scene_from_dict``
+    fills them.
 
     The fields are valued once, when the background is made: ``jets``
     holds their jets at the chart's sample points, checked finite, and g
@@ -68,25 +69,25 @@ class Background:
     are validated on those numbers."""
 
     chart: Chart
-    g: TensorField
-    B: TensorField
+    g: np.ndarray
+    B: np.ndarray
     phi: Expr
-    H: TensorField = None
+    H: np.ndarray = None
     jets: FieldJets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.H is None:
-            self.H = tn.zeros(self.chart, (DOWN,) * 3)
+            self.H = tn.zeros_array((self.chart.dim,) * 3)
         self.phi = ex._coerce(self.phi)
         chart, pts = self.chart, self.chart.sample_points()
 
         def checked(name, jets):
             return tuple(tn.finite(f"scene field {name}", j, pts) for j in jets)
 
-        self.jets = jets = FieldJets(checked("g", tn.field_jets(self.g.comps, chart)),
-                                     checked("B", tn.field_jets(self.B.comps, chart)),
+        self.jets = jets = FieldJets(checked("g", tn.field_jets(self.g, chart)),
+                                     checked("B", tn.field_jets(self.B, chart)),
                                      checked("phi", tn.field_jets(self.phi, chart)),
-                                     tn.finite("scene field H", tn.jets_at(self.H.comps, chart), pts))
+                                     tn.finite("scene field H", tn.jets_at(self.H, chart), pts))
         gtb.check_positive_definite(np.moveaxis(jets.g[0].value, -1, 0), pts)
         tn.check_antisymmetric(jets.B[0].value, pts)
         tn.check_antisymmetric(jets.H.value, pts)

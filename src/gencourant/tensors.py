@@ -1,27 +1,12 @@
-"""Dense tensor fields over a chart with variance-aware index algebra.
+"""Arrays of fields over a chart, and their jets at the sample points.
 
-Components are numpy object arrays of Expr, one axis per slot, row-major in
-slot order.  Variances are recorded per slot ('up' = contravariant,
-'down' = covariant).
-
-Index contractions are written as einsum specs, in the notation of numpy's
-``einsum``, and built by ``contract``: ``contract("cd,ca,db->ab", ric, F, F)``
-is out[a, b] = sum_c sum_d ric[c, d] F[c, a] F[d, b].  Each output entry is
-one n-ary ``esum`` over the assignments of the summed indices, in C order
-with the summed indices nested in order of first appearance in the spec (the
-first outermost), and each term is one n-ary ``mul`` of the operands'
-entries in operand order.  An index repeated within an operand reads its
-diagonal, so ``contract("aa->", m)`` is the trace; an empty output gives the
-Expr itself.
-
-A coordinate derivative is one more index: ``partials(comps, chart)`` is the
-array of first partials with the derivative along x^m as a trailing axis, so
-a first-order operator is a ``contract`` spec over it, e.g. the Lie bracket
-``contract("as,sca->c", np.stack([X, Y], 1), np.stack([dY, -dX]))``.  A sum
-of differently indexed terms is one ``contract("z...->...")`` over the term
-arrays stacked along z, so that each entry stays one n-ary sum; a term that
-enters with a minus sign is negated entry by entry, or carries a leading
-scalar operand -1.0 (``mul(-1.0, a, b)`` is the node ``neg(mul(a, b))``).
+A scene's fields are numpy object arrays of Expr, one axis per index
+(``scene.scene_from_dict`` fills them).  A coordinate derivative is one
+more index: ``partials(comps, chart)`` is the array of first partials with
+the derivative along x^m as a trailing axis, each entry the cached
+``expr.differentiate``.  ``d_of_partials`` is the exterior derivative of a
+form read off its partials; the same rule acts on numbers and on Expr
+arrays (the loader takes H = dB0 with it).
 
 The expressions stop at the scene: what is built from a background's
 fields is numbers at the chart's sample points.  A ``Jet`` holds the values
@@ -30,8 +15,10 @@ of a parsed field and ``field_jets`` its 2-jet (the jet of the field and
 the jet of its partials, so second partials are the partials of the
 second), each valuing the field with its symbolic ``partials`` in one
 ``values_at`` call; a background takes them once, when it is made
-(``streff.Background``).  Every later quantity is a jet combined by ``jet_contract``, the product rule applied
-to one einsum, or by a linear map of both halves (``Jet.map``).
+(``streff.Background``).  Every later quantity is a jet combined by
+``jet_contract``, the product rule applied to one einsum in numpy's
+notation (``"cd,ca,db->ab"`` is out[a, b] = sum_c sum_d ric[c, d] F[c, a]
+F[d, b]), or by a linear map of both halves (``Jet.map``).
 ``jet_inverse`` inverts a matrix field (one ``np.linalg.inv`` per point),
 and ``finite`` is the check at each numeric stage boundary.  Random fields
 are jets from the start: ``random_polynomial_jets`` gives the 2-jets of
@@ -41,14 +28,13 @@ seeded random polynomials from the 2-jet of their monomial basis.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from . import expr as ex
-from .errors import ChartMismatch, DomainError, NotAntisymmetric, SlotError
-from .expr import Chart, add, esum, evaluate_many, mul, neg
+from .errors import DomainError, NotAntisymmetric
+from .expr import Chart
 
 UP = "up"
 DOWN = "down"
@@ -61,140 +47,7 @@ def zeros_array(shape) -> np.ndarray:
     return np.full(shape, ex.ZERO, dtype=object)
 
 
-def identity(k: int) -> np.ndarray:
-    """The k x k identity as an object array of the constants ONE and ZERO."""
-    out = zeros_array((k, k))
-    np.fill_diagonal(out, ex.ONE)
-    return out
-
-
-class TensorField:
-    """Multi-index array of scalar fields with a declared variance per slot."""
-
-    def __init__(self, chart: Chart, variance, comps):
-        self.chart = chart
-        self.variance = tuple(variance)
-        for v in self.variance:
-            if v not in (UP, DOWN):
-                raise SlotError(f"variance must be '{UP}' or '{DOWN}', got {v!r}")
-        arr = np.asarray(comps, dtype=object)
-        expected = (chart.dim,) * len(self.variance)
-        if arr.shape != expected:
-            raise SlotError(f"component shape {arr.shape} != {expected}")
-        flat = arr.reshape(-1)
-        for i, c in enumerate(flat):
-            e = ex._coerce(c)
-            if e.chart is not None and e.chart != chart:
-                raise ChartMismatch("component expression lives on another chart")
-            flat[i] = e
-        self.comps = arr
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-    def __getitem__(self, idx):
-        return self.comps[idx]
-
-    def evaluate(self, point) -> np.ndarray:
-        vals = evaluate_many(list(self.comps.reshape(-1)), point)
-        return np.array(vals, dtype=float).reshape(self.comps.shape)
-
-    def evaluate_points(self, points):
-        """The component array at each point, in order.  When evaluation
-        fails at some point, the arrays of the points before it still come
-        first, so a caller that checks each in turn stops at the same first
-        point as a loop over ``evaluate``."""
-        try:
-            vals = ex.evaluate_points(self.comps.reshape(-1), points)
-        except DomainError:
-            yield from map(self.evaluate, points)
-            return
-        yield from vals.T.reshape((len(points),) + self.comps.shape)
-
-    def max_abs(self, points=None):
-        pts = points if points is not None else self.chart.sample_points()
-        return ex.max_abs_on_points(self.comps, pts)
-
-    def map(self, fn) -> "TensorField":
-        out = np.empty(self.comps.shape, dtype=object)
-        out.reshape(-1)[:] = [fn(c) for c in self.comps.reshape(-1)]
-        return TensorField(self.chart, self.variance, out)
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        if self.variance != other.variance:
-            raise SlotError("cannot add tensors of different variance")
-        return TensorField(self.chart, self.variance, self.comps + other.comps)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "TensorField":
-        return self.map(lambda c: mul(factor, c))
-
-    def __repr__(self):
-        return f"<TensorField {self.variance} on {self.chart.coord_names}>"
-
-
-def _same_chart(a: TensorField, b: TensorField):
-    if a.chart != b.chart:
-        raise ChartMismatch("tensor fields live on different charts")
-
-
-# ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
-
-def zeros(chart: Chart, variance) -> TensorField:
-    return TensorField(chart, variance, zeros_array((chart.dim,) * len(tuple(variance))))
-
-
-def scalar_field(chart: Chart, e) -> TensorField:
-    a = np.empty((), dtype=object)
-    a[()] = ex._coerce(e)
-    return TensorField(chart, (), a)
-
-
-def kronecker(chart: Chart) -> TensorField:
-    """Identity (1,1)-tensor."""
-    return TensorField(chart, (UP, DOWN), identity(chart.dim))
-
-
-def euclidean_metric(chart: Chart) -> TensorField:
-    return TensorField(chart, (DOWN, DOWN), identity(chart.dim))
-
-
-# ---------------------------------------------------------------------------
-# core index algebra
-# ---------------------------------------------------------------------------
-
-
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for specs built in code
-
-
-def contract(spec: str, *operands):
-    """Einsum-style contraction of object arrays of Expr (plain numbers are
-    accepted too), e.g. ``contract("ij,j->i", m, v)`` for m v.  See the
-    module docstring for the order of terms and factors.  A single
-    operand's entries are summed as they are, and with no summed index each
-    entry is the bare product of its factors."""
-    arrays = [np.asarray(op, dtype=object) for op in operands]
-    takes, out_shape, terms = _contraction_plan(spec, tuple(a.shape for a in arrays))
-    # one flat list per operand and one of products, so that no list or
-    # tuple is made per term or per entry
-    cols = [a.reshape(-1)[take].tolist() for a, take in zip(arrays, takes)]
-    products = cols[0] if len(cols) == 1 else list(map(mul, *cols))
-    if terms:
-        entries = [esum(products[i:i + terms]) for i in range(0, len(products), terms)]
-    else:
-        entries = products
-    if not out_shape:
-        return entries[0]
-    out = np.empty(len(entries), dtype=object)
-    out[:] = entries
-    return out.reshape(out_shape)
 
 
 def partials(comps, chart: Chart) -> np.ndarray:
@@ -294,7 +147,7 @@ def constant_jet(array, chart: Chart) -> Jet:
 
 
 def jet_contract(spec: str, *jets):
-    """The einsum ``spec`` (the notation of ``contract``) of jets, and its
+    """The einsum ``spec`` (numpy's notation) of jets, and its
     first partials by the product rule.  One plain ``np.einsum`` (no BLAS,
     no ``optimize``) for the values and one for each operand's partials,
     so the same inputs give the same bits.  Operands that are float arrays
@@ -396,61 +249,14 @@ def finite(stage: str, jet, points):
 
 def d_of_partials(dw: np.ndarray, degree: int) -> np.ndarray:
     """The exterior derivative of a p-form from its partials, an array
-    dw[i1..ip, m, ...] = d_m w_{i1..ip} with any trailing axes:
+    dw[i1..ip, m, ...] = d_m w_{i1..ip} with any trailing axes, of floats
+    or of Expr (``partials`` of an object array):
     (d w)_{i0..ip} = sum_k (-1)^k d_{i_k} w_{i0..^i_k..ip}."""
     out = 0.0
     for k in range(degree + 1):
         term = np.moveaxis(dw, degree, k)
         out = out + term if k % 2 == 0 else out - term
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _contraction_plan(spec: str, shapes: tuple):
-    """(per-operand flat positions, in the order outputs then terms, output
-    shape, terms per output entry or 0 when no index is summed) for
-    ``contract``."""
-    lhs, arrow, out = spec.replace(" ", "").partition("->")
-    subs = lhs.split(",")
-    if not arrow or len(subs) != len(shapes):
-        raise SlotError(f"spec {spec!r} does not name {len(shapes)} operands and an output")
-    sizes: dict = {}
-    for sub, shape in zip(subs, shapes):
-        if len(sub) != len(shape) or not (sub.isascii() and sub.isalpha() or not sub):
-            raise SlotError(f"subscripts {sub!r} do not fit an operand of shape {shape}")
-        for letter, size in zip(sub, shape):
-            if sizes.setdefault(letter, size) != size:
-                raise SlotError(f"index {letter!r} has sizes {sizes[letter]} and {size}")
-    if len(set(out)) != len(out) or not all(c in sizes for c in out):
-        raise SlotError(f"output {out!r} must name distinct indices of the operands")
-    summed = "".join(dict.fromkeys(c for sub in subs for c in sub if c not in out))
-    order = out + summed
-    full = [sizes[c] for c in order]
-    grid = np.indices(full, sparse=True)
-    takes = tuple(
-        np.broadcast_to(np.ravel_multi_index([grid[order.index(c)] for c in sub], shape), full)
-        .reshape(-1)
-        for sub, shape in zip(subs, shapes)
-    )
-    terms = math.prod(sizes[c] for c in summed) if summed else 0
-    return takes, tuple(sizes[c] for c in out), terms
-
-
-def _permutations_with_sign(k):
-    for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = [False] * k
-        for i in range(k):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        yield perm, sign
 
 
 # ---------------------------------------------------------------------------
@@ -466,31 +272,3 @@ def check_antisymmetric(comps: np.ndarray, points):
         worst, _ = ex.max_abs_on_points(diff, points)
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"antisymmetry residual {worst:.3e} in slots ({i},{i + 1})")
-
-
-def exterior_derivative(omega: TensorField) -> TensorField:
-    """d of a fully antisymmetric covariant p-form:
-    (d w)_{i0..ip} = sum_k (-1)^k d_{i_k} w_{i0..^i_k..ip}."""
-    if any(v != DOWN for v in omega.variance):
-        raise SlotError("exterior derivative needs a covariant form")
-    p = omega.rank
-    d = partials(omega.comps, omega.chart)
-    terms = [np.moveaxis(d, -1, k) for k in range(p + 1)]  # d_{i_k} w_{..^i_k..}
-    terms = [t if k % 2 == 0 else -t for k, t in enumerate(terms)]
-    idx = _LETTERS[:p + 1]
-    out = contract(f"z{idx}->{idx}", np.stack(terms))
-    return TensorField(omega.chart, (DOWN,) * (p + 1), out)
-
-
-def form_from_wedge_coeffs(chart: Chart, degree: int, coeffs: dict) -> TensorField:
-    """Antisymmetric covariant tensor from coefficients of the wedge basis,
-    e.g. {(0,1): b} for b dx^0 ^ dx^1 (component T_{01} = b, T_{10} = -b)."""
-    out = zeros_array((chart.dim,) * degree)
-    for idx, value in coeffs.items():
-        if len(set(idx)) != len(idx):
-            raise SlotError("wedge index with a repeat")
-        e = ex._coerce(value)
-        for perm, sign in _permutations_with_sign(degree):
-            tgt = tuple(idx[perm[i]] for i in range(degree))
-            out[tgt] = add(out[tgt], e if sign > 0 else neg(e))
-    return TensorField(chart, (DOWN,) * degree, out)

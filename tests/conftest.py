@@ -13,105 +13,102 @@ from functools import cached_property
 import numpy as np
 
 from gencourant import tensors as tn
-from gencourant.errors import SlotError
-from gencourant.expr import chart
+from gencourant.expr import Chart, chart
+from gencourant.scene import from_upper
 from gencourant.streff import Background
-from gencourant.tensors import DOWN, UP, TensorField
+from gencourant.tensors import DOWN, UP
 
 ex = tn.ex
 
 
 # ---------------------------------------------------------------------------
-# tensor fields, vector calculus and the Dorfman bracket, as expressions
+# fields as object arrays, vector calculus and the Dorfman bracket
 # ---------------------------------------------------------------------------
 
 
-def from_function(c, variance, fn):
-    """The TensorField with components fn(*idx)."""
-    variance = tuple(variance)
-    out = tn.zeros_array((c.dim,) * len(variance))
-    for idx in itertools.product(range(c.dim), repeat=len(variance)):
+def from_function(c, rank, fn):
+    """The object array of shape (n,) * rank with entries fn(*idx)."""
+    out = tn.zeros_array((c.dim,) * rank)
+    for idx in np.ndindex(out.shape):
         out[idx] = ex._coerce(fn(*idx))
-    return TensorField(c, variance, out)
+    return out
 
 
-def antisymmetrize(t, slot_set):
-    """The alternation of a TensorField over the given slots."""
-    slots = tuple(slot_set)
-    if len(set(slots)) != len(slots) or any(not 0 <= s < t.rank for s in slots):
-        raise SlotError("bad slot set")
-    if len({t.variance[s] for s in slots}) > 1:
-        raise SlotError("cannot antisymmetrize slots of mixed variance")
+def identity(n):
+    """The n x n identity as an object array of ONE and ZERO."""
+    return np.where(np.eye(n, dtype=bool), ex.ONE, ex.ZERO)
+
+
+def at(a, point):
+    """The float values of an object array of Expr at one point."""
+    return tn.values_at(a, [point])[..., 0]
+
+
+def max_abs_of(a, points):
+    """The largest |value| of an Expr or an object array of them at points."""
+    return ex.max_abs_on_points(tn.values_at(a, points), points)[0]
+
+
+def antisymmetrize(t, slots):
+    """The alternation of an object array over the given slots."""
     terms = []
-    for perm, sign in tn._permutations_with_sign(len(slots)):
+    for perm in itertools.permutations(range(len(slots))):
         # term[idx] = t[src] with src[slots[pos]] = idx[slots[perm[pos]]]
-        axes = list(range(t.rank))
+        axes = list(range(t.ndim))
         for pos, s in enumerate(slots):
             axes[slots[perm[pos]]] = s
-        term = t.comps.transpose(axes)
-        terms.append(term if sign > 0 else -term)
-    idx = "abcdefgh"[:t.rank]
-    out = TensorField(t.chart, t.variance, tn.contract(f"z{idx}->{idx}", np.stack(terms)))
-    return out.scale(1.0 / math.factorial(len(slots)))
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        terms.append(-t.transpose(axes) if odd else t.transpose(axes))
+    return (1.0 / math.factorial(len(slots))) * np.stack(terms).sum(axis=0)
 
 
-def lie_bracket(x, y):
+def lie_bracket(c, x, y):
     """Commutator of two vector fields: [X, Y]^c = X^a d_a Y^c - Y^a d_a X^c."""
-    dx, dy = tn.partials(x.comps, x.chart), tn.partials(y.comps, x.chart)
-    out = tn.contract("as,sca->c", np.stack([x.comps, y.comps], 1), np.stack([dy, -dx]))
-    return TensorField(x.chart, (UP,), out)
+    dx, dy = tn.partials(x, c), tn.partials(y, c)
+    return np.einsum("as,sca->c", np.stack([x, y], 1), np.stack([dy, -dx]))
 
 
-def lie_derivative_oneform(x, eta):
+def lie_derivative_oneform(c, x, eta):
     """(L_X eta)_m = X^a d_a eta_m + eta_a d_m X^a."""
-    dx, deta = tn.partials(x.comps, x.chart), tn.partials(eta.comps, x.chart)
-    out = tn.contract("as,sma->m", np.stack([x.comps, eta.comps], 1), np.stack([deta, dx.T]))
-    return TensorField(x.chart, (DOWN,), out)
+    dx, deta = tn.partials(x, c), tn.partials(eta, c)
+    return np.einsum("as,sma->m", np.stack([x, eta], 1), np.stack([deta, dx.T]))
 
 
 def interior_product(x, omega):
     """i_X omega: plug the vector into the first slot of a covariant form."""
-    rest = "bcdefgh"[:omega.rank - 1]
-    out = tn.contract(f"a,a{rest}->{rest}", x.comps, omega.comps)
-    return TensorField(x.chart, (DOWN,) * (omega.rank - 1), out)
-
-
-def d_scalar(c, f):
-    """Differential of a scalar field as a 1-form."""
-    return TensorField(c, (DOWN,), tn.partials(f, c))
+    rest = "bcdefgh"[:omega.ndim - 1]
+    return np.einsum(f"a,a{rest}->{rest}", x, omega)
 
 
 @dataclass
 class GenSection:
-    """Section (X, xi) of TM (+) T*M as expressions."""
+    """Section (X, xi) of TM (+) T*M as object arrays of Expr."""
 
-    vec: TensorField  # (1,0)
-    form: TensorField  # (0,1)
-
-    @property
-    def chart(self):
-        return self.vec.chart
+    chart: Chart
+    vec: np.ndarray
+    form: np.ndarray
 
     def components(self):
         """Length-2n object array over the frame (d_mu, 0), (0, dx^mu)."""
-        return np.concatenate([self.vec.comps, self.form.comps])
+        return np.concatenate([self.vec, self.form])
 
     @staticmethod
     def from_components(c, comps):
         comps = np.asarray(comps, dtype=object)
-        return GenSection(TensorField(c, (UP,), comps[:c.dim]), TensorField(c, (DOWN,), comps[c.dim:]))
+        return GenSection(c, comps[:c.dim], comps[c.dim:])
 
     def __add__(self, other):
-        return GenSection(self.vec + other.vec, self.form + other.form)
+        return GenSection(self.chart, self.vec + other.vec, self.form + other.form)
 
     def __sub__(self, other):
-        return GenSection(self.vec - other.vec, self.form - other.form)
+        return GenSection(self.chart, self.vec - other.vec, self.form - other.form)
 
     def scale(self, factor):
-        return GenSection(self.vec.scale(factor), self.form.scale(factor))
+        return GenSection(self.chart, np.multiply(factor, self.vec), np.multiply(factor, self.form))
 
     def max_abs(self, points=None):
-        return ex.max_abs_on_points(self.components(), points or self.chart.sample_points())
+        points = points or self.chart.sample_points()
+        return ex.max_abs_on_points(tn.values_at(self.components(), points), points)
 
 
 def random_section(c, gen):
@@ -123,24 +120,24 @@ def random_section(c, gen):
 
 def pairing(psi, phi):
     """<(X,xi),(Y,eta)> = eta(X) + xi(Y)."""
-    return ex.add(tn.contract("a,a->", phi.form.comps, psi.vec.comps),
-                  tn.contract("a,a->", psi.form.comps, phi.vec.comps))
+    return ex.add(np.einsum("a,a->", phi.form, psi.vec), np.einsum("a,a->", psi.form, phi.vec))
 
 
 def d_map(c, f):
     """f |-> (0, df)."""
-    return GenSection(tn.zeros(c, (UP,)), d_scalar(c, f))
+    return GenSection(c, tn.zeros_array(c.dim), tn.partials(f, c))
 
 
 def dorfman(psi, phi, H):
     """[(X,xi),(Y,eta)] = ([X,Y], L_X eta - i_Y d xi - H(X,Y,.)) for the
-    TensorField of a closed 3-form H."""
+    Expr array of a closed 3-form H."""
+    c = psi.chart
     X, xi = psi.vec, psi.form
     Y, eta = phi.vec, phi.form
-    lie = lie_derivative_oneform(X, eta)
-    iydxi = interior_product(Y, tn.exterior_derivative(xi))
-    hterm = tn.contract("abm,a,b->m", H.comps, X.comps, Y.comps)
-    return GenSection(lie_bracket(X, Y), lie - iydxi - TensorField(psi.chart, (DOWN,), hterm))
+    lie = lie_derivative_oneform(c, X, eta)
+    iydxi = interior_product(Y, tn.d_of_partials(tn.partials(xi, c), 1))
+    hterm = np.einsum("abm,a,b->m", H, X, Y)
+    return GenSection(c, lie_bracket(c, X, Y), lie - iydxi - hterm)
 
 
 def jacobiator(psi, phi, chi, H):
@@ -150,9 +147,8 @@ def jacobiator(psi, phi, chi, H):
 
 
 def b_twist(psi, B):
-    """e^B(X, xi) = (X, xi + B(X)) for the TensorField of a 2-form B."""
-    form = psi.form.comps + tn.contract("ma,a->m", B.comps, psi.vec.comps)
-    return GenSection(psi.vec, TensorField(psi.chart, (DOWN,), form))
+    """e^B(X, xi) = (X, xi + B(X)) for the Expr array of a 2-form B."""
+    return GenSection(psi.chart, psi.vec, psi.form + np.einsum("ma,a->m", B, psi.vec))
 
 
 def bumpy_metric(c, scale=0.2, salt=1):
@@ -160,18 +156,18 @@ def bumpy_metric(c, scale=0.2, salt=1):
     n = c.dim
     pert = [[tn.ex.random_polynomial(c, gen, 2, scale) for _ in range(n)] for _ in range(n)]
     return from_function(
-        c, (DOWN, DOWN),
-        lambda i, j: (tn.ex.ONE if i == j else tn.ex.ZERO) + pert[min(i, j)][max(i, j)],
+        c, 2, lambda i, j: (tn.ex.ONE if i == j else tn.ex.ZERO) + pert[min(i, j)][max(i, j)],
     )
 
 
-def well_conditioned(g, floor=0.05):
-    """Whether the eigenvalues of the metric TensorField g are at least
-    ``floor`` at every sample point.  A random ``bumpy_metric`` can be
-    indefinite or nearly singular there, which no scene may be; the 1e-12
-    comparisons with the oracles need a metric a scene could have, since a
+def well_conditioned(g, c, floor=0.05):
+    """Whether the eigenvalues of the metric g are at least ``floor`` at
+    every sample point.  A random ``bumpy_metric`` can be indefinite or
+    nearly singular there, which no scene may be; the 1e-12 comparisons
+    with the oracles need a metric a scene could have, since a
     near-singular one amplifies the roundoff of either side past them."""
-    return all(np.linalg.eigvalsh(g.evaluate(p)).min() >= floor for p in g.chart.sample_points())
+    values = np.moveaxis(tn.values_at(g, c.sample_points()), -1, 0)
+    return np.linalg.eigvalsh(values).min() >= floor
 
 
 def bumpy_b(c, salt=2, scale=0.2, offset=0.0):
@@ -185,7 +181,7 @@ def bumpy_b(c, salt=2, scale=0.2, offset=0.0):
             if offset and j == i + 1 and i % 2 == 0:
                 e = e + offset
             coeffs[(i, j)] = e
-    return tn.form_from_wedge_coeffs(c, 2, coeffs)
+    return from_upper(c.dim, 2, coeffs)
 
 
 def random_background(n, salt, with_b=True, with_h=True, invertible_b=False, seed=500,
@@ -197,13 +193,10 @@ def random_background(n, salt, with_b=True, with_h=True, invertible_b=False, see
     B = (
         bumpy_b(c, salt=salt + 1, offset=1.0 if invertible_b else 0.0)
         if with_b
-        else tn.zeros(c, (DOWN, DOWN))
+        else tn.zeros_array((n, n))
     )
     phi = tn.ex.random_polynomial(c, gen, 2, 0.3)
-    if with_h:
-        H = tn.exterior_derivative(bumpy_b(c, salt=salt + 2))
-    else:
-        H = tn.zeros(c, (DOWN,) * 3)
+    H = tn.d_of_partials(tn.partials(bumpy_b(c, salt=salt + 2), c), 2) if with_h else None
     return Background(c, g, B, phi, H)
 
 
@@ -224,7 +217,7 @@ def symbolic_covariant_derivative(frame, gamma, omega):
                 for c in range(r):
                     moved = idx[:s] + (c,) + idx[s + 1:]
                     terms.append(ex.neg(ex.mul(gamma[c, a, b], omega[moved])))
-            out[(a,) + idx] = ex.esum(terms)
+            out[(a,) + idx] = ex.add(*terms)
     return out
 
 
@@ -235,8 +228,8 @@ def symbolic_gualtieri_torsion(frame, gamma):
     out = np.empty((frame.rank,) * 3, dtype=object)
     for a, b, c in itertools.product(range(frame.rank), repeat=3):
         sc, sb = frame.swap(c), frame.swap(b)
-        out[a, b, c] = ex.esum([gamma[sc, a, b], ex.neg(gamma[sc, b, a]),
-                                ex.neg(frame.structure[sc, a, b]), gamma[sb, c, a]])
+        out[a, b, c] = ex.add(gamma[sc, a, b], ex.neg(gamma[sc, b, a]),
+                              ex.neg(frame.structure[sc, a, b]), gamma[sb, c, a])
     return out
 
 
@@ -266,7 +259,7 @@ def symbolic_param_tensor_frame(J, W, g, ginv):
             else:
                 factors.append(W[idx] if odd else J[idx])
                 terms.append(ex.mul(*factors))
-        K[A, B, C] = ex.esum(terms) if odd else ex.neg(ex.esum(terms))
+        K[A, B, C] = ex.add(*terms) if odd else ex.neg(ex.add(*terms))
     return K
 
 
@@ -279,16 +272,16 @@ def symbolic_with_params(frame, gamma, J, W, g, ginv):
     return out
 
 
-def param_jets(J, W):
-    """The jets at the sample points of a parameter pair of TensorFields,
+def param_jets(J, W, c):
+    """The jets at the sample points of a parameter pair of Expr arrays,
     as ``gconn.validate_params`` takes them."""
-    return tn.jets_at(J.comps, J.chart), tn.jets_at(W.comps, W.chart)
+    return tn.jets_at(J, c), tn.jets_at(W, c)
 
 
 def projected_params(J, W):
     """The Expr arrays of the parameter pair that ``gconn.validate_params``
     makes of (J, W): T - Alt(T)."""
-    return tuple((t - antisymmetrize(t, (0, 1, 2))).comps for t in (J, W))
+    return tuple(t - antisymmetrize(t, (0, 1, 2)) for t in (J, W))
 
 
 def symbolic_transport(frame, gamma, F, Finv):
@@ -306,21 +299,21 @@ def symbolic_transport(frame, gamma, F, Finv):
             for m, x in enumerate(coords):
                 terms.append(ex.mul(Finv[g_, e], F[c, a], frame.anchor[c, m],
                                     ex.differentiate(F[e, b], x)))
-        out[g_, a, b] = ex.esum(terms)
+        out[g_, a, b] = ex.add(*terms)
     return out
 
 
 def shear_matrix(B, sign):
     """Frame matrix of e^{sign*B} as expressions."""
     n = B.shape[0]
-    one, zero = tn.identity(n), tn.zeros_array((n, n))
+    one, zero = identity(n), tn.zeros_array((n, n))
     return np.block([[one, zero], [B if sign > 0 else -B, one]])
 
 
 def theta_twist_matrices(theta, B):
     """Frame matrices (F, F^{-1}) of the bivector shear as expressions."""
     n = theta.shape[0]
-    one, zero = tn.identity(n), tn.zeros_array((n, n))
+    one, zero = identity(n), tn.zeros_array((n, n))
     return np.block([[zero, theta], [-B, one]]), np.block([[one, -theta], [B, zero]])
 
 
@@ -340,7 +333,7 @@ def _det(m):
         minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
         term = ex.mul(m[0, j], _det(minor))
         terms.append(term if j % 2 == 0 else ex.neg(term))
-    return ex.esum(terms)
+    return ex.add(*terms)
 
 
 def matrix_inverse(m):
@@ -366,9 +359,9 @@ def christoffel(g, ginv, c):
     dg = np.moveaxis(tn.partials(g, c), -1, 0)  # dg[l, i, j] = d_l g_{ij}
     out = np.empty((n, n, n), dtype=object)
     for k, i, j in itertools.product(range(n), repeat=3):
-        out[k, i, j] = ex.mul(0.5, ex.esum(
+        out[k, i, j] = ex.mul(0.5, ex.add(*(
             ex.mul(ginv[k, l], ex.add(dg[i, l, j], dg[j, i, l], ex.neg(dg[l, i, j])))
-            for l in range(n)))
+            for l in range(n))))
     return out
 
 
@@ -378,7 +371,7 @@ def riemann_entry(G, c, k, l, i, j):
     for m in range(c.dim):
         terms.append(ex.mul(G[k, i, m], G[m, j, l]))
         terms.append(ex.neg(ex.mul(G[k, j, m], G[m, i, l])))
-    return ex.esum(terms)
+    return ex.add(*terms)
 
 
 def covariant_derivative(t, variance, G, c):
@@ -389,10 +382,10 @@ def covariant_derivative(t, variance, G, c):
     for slot, var in enumerate(variance):
         a, src = idx[slot], idx[:slot] + "b" + idx[slot + 1:]
         if var == UP:
-            terms.append(tn.contract(f"{a}mb,{src}->bm{idx}", G, t))
+            terms.append(np.einsum(f"{a}mb,{src}->bm{idx}", G, t))
         else:
-            terms.append(tn.contract(f",bm{a},{src}->bm{idx}", -1.0, G, t))
-    return tn.contract(f"zm{idx}->m{idx}", np.concatenate(terms))
+            terms.append(np.einsum(f",bm{a},{src}->bm{idx}", -1.0, G, t))
+    return np.einsum(f"zm{idx}->m{idx}", np.concatenate(terms))
 
 
 def form_inner(alpha, beta, ginv):
@@ -403,14 +396,14 @@ def form_inner(alpha, beta, ginv):
     slots = "abcdefgh"[:p]
     raised = beta
     for s in range(p):
-        raised = tn.contract(f"{slots[s]}z,{slots[:s]}z{slots[s + 1:]}->{slots}", ginv, raised)
-    return ex.mul(1.0 / math.factorial(p), tn.contract(f"{slots},{slots}->", alpha, raised))
+        raised = np.einsum(f"{slots[s]}z,{slots[:s]}z{slots[s + 1:]}->{slots}", ginv, raised)
+    return ex.mul(1.0 / math.factorial(p), np.einsum(f"{slots},{slots}->", alpha, raised))
 
 
 def codifferential(omega, G, ginv, c):
     rest = "bcdefgh"[:omega.ndim - 1]
     nab = covariant_derivative(omega, (DOWN,) * omega.ndim, G, c)
-    return -tn.contract(f"ka,ka{rest}->{rest}", ginv, nab)
+    return -np.einsum(f"ka,ka{rest}->{rest}", ginv, nab)
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +428,26 @@ class SymbolicFrame:
 
     def anchor_of(self, u):
         x = "x"[:u.ndim - 1]
-        return tn.contract(f"a{x},am->m{x}", u, self.anchor)
+        return np.einsum(f"a{x},am->m{x}", u, self.anchor)
 
     def connection_apply(self, gamma, u, v):
         """nab_u v = (u^a v^b Gamma^c_{ab} + a(u).v^c) E_c, on sections or
         batches u[a, x], v[b, y]."""
         x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
-        return (tn.contract(f"a{x},b{y},cab->c{x}{y}", u, v, gamma)
-                + tn.contract(f"m{x},c{y}m->c{x}{y}", self.anchor_of(u), tn.partials(v, self.chart)))
+        return (np.einsum(f"a{x},b{y},cab->c{x}{y}", u, v, gamma)
+                + np.einsum(f"m{x},c{y}m->c{x}{y}", self.anchor_of(u), tn.partials(v, self.chart)))
 
     def connection_apply_dual(self, gamma, x):
         """(nab_{E_a} x)_b = a(E_a).x_b - Gamma^c_{ab} x_c (batch x[b, y])."""
         y = "y"[:x.ndim - 1]
-        return (tn.contract(f"am,b{y}m->ab{y}", self.anchor, tn.partials(x, self.chart))
-                - tn.contract(f"cab,c{y}->ab{y}", gamma, x))
+        return (np.einsum(f"am,b{y}m->ab{y}", self.anchor, tn.partials(x, self.chart))
+                - np.einsum(f"cab,c{y}->ab{y}", gamma, x))
 
     def bracket(self, u, v):
         """The anchored bracket u^a v^b C^c_{ab} + a(u).v^c - a(v).u^c."""
         x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
         return (self.connection_apply(self.structure, u, v)
-                - tn.contract(f"m{y},c{x}m->c{x}{y}", self.anchor_of(v), tn.partials(u, self.chart)))
+                - np.einsum(f"m{y},c{x}m->c{x}{y}", self.anchor_of(v), tn.partials(u, self.chart)))
 
     def courant_bracket(self, u, v):
         """The bracket plus the left-Leibniz term <e_A, v> D(u^A) of a
@@ -462,31 +455,31 @@ class SymbolicFrame:
         x, y = "x"[:u.ndim - 1], "y"[:v.ndim - 1]
         n = self.chart.dim
         eta = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-        paired = tn.contract(f"b{y},ab->a{y}", v, eta)
+        paired = np.einsum(f"b{y},ab->a{y}", v, eta)
         dual_anchor = self.anchor[[self.swap(a) for a in range(self.rank)]]
-        products = tn.contract(f"cm,a{x}m->ca{x}m", dual_anchor, tn.partials(u, self.chart))
-        return self.bracket(u, v) + tn.contract(f"a{y},ca{x}m->c{x}{y}", paired, products)
+        products = np.einsum(f"cm,a{x}m->ca{x}m", dual_anchor, tn.partials(u, self.chart))
+        return self.bracket(u, v) + np.einsum(f"a{y},ca{x}m->c{x}{y}", paired, products)
 
     def differential(self, omega, degree):
         """Cartan's d on a degree-p frame form omega[i1..ip] (or a batch
         omega[i1..ip, x])."""
         idx = "abdefgh"[:degree + 1]
         x = "x"[:omega.ndim - degree]
-        along = tn.contract(f"{idx[0]}m,{idx[1:]}{x}m->{idx}{x}", self.anchor,
+        along = np.einsum(f"{idx[0]}m,{idx[1:]}{x}m->{idx}{x}", self.anchor,
                             tn.partials(omega, self.chart))
         terms = [np.moveaxis(along, 0, k)[None] for k in range(degree + 1)]
         terms = [t if k % 2 == 0 else -t for k, t in enumerate(terms)]
         for k, l in itertools.combinations(range(degree + 1), 2):
             spec = f"c{idx[k]}{idx[l]},c{idx[:k]}{idx[k + 1:l]}{idx[l + 1:]}{x}->c{idx}{x}"
-            terms.append(tn.contract(spec, self.structure, omega) if (k + l) % 2 == 0
-                         else tn.contract("," + spec, -1.0, self.structure, omega))
-        return tn.contract(f"z{idx}{x}->{idx}{x}", np.concatenate(terms))
+            terms.append(np.einsum(spec, self.structure, omega) if (k + l) % 2 == 0
+                         else np.einsum("," + spec, -1.0, self.structure, omega))
+        return np.einsum(f"z{idx}{x}->{idx}{x}", np.concatenate(terms))
 
     def lc_connection(self, g_A):
         """Levi-Civita coefficients of the fiber metric g_A as expressions."""
         lie = self.connection_apply_dual(self.structure, g_A)
         dga = self.differential(g_A, 1)
-        raised = tn.contract("cd,abd->cab", matrix_inverse(g_A),
+        raised = np.einsum("cd,abd->cab", matrix_inverse(g_A),
                              lie.transpose(0, 2, 1) + dga.transpose(2, 0, 1))
         return 0.5 * (self.structure + raised)
 
@@ -495,7 +488,7 @@ def standard_frame(c, H):
     """The twisted Dorfman bracket on the coordinate frame, for the Expr
     array of the twist."""
     n = c.dim
-    anchor = np.concatenate([tn.identity(n), tn.zeros_array((n, n))])
+    anchor = np.concatenate([identity(n), tn.zeros_array((n, n))])
     brackets = tn.zeros_array((2 * n,) * 3)
     brackets[n:, :n, :n] = np.moveaxis(-H, 2, 0)
     return SymbolicFrame(c, anchor, brackets)
@@ -504,29 +497,26 @@ def standard_frame(c, H):
 def conjugated_frame(c, F, Finv, source):
     """The bracket of ``source`` pulled back through F, as expressions."""
     anchor = source.anchor_of(F).T
-    return SymbolicFrame(c, anchor, tn.contract("cd,dab->cab", Finv, source.courant_bracket(F, F)))
+    return SymbolicFrame(c, anchor, np.einsum("cd,dab->cab", Finv, source.courant_bracket(F, F)))
 
 
-def koszul(xi, eta, theta, H):
-    """Twisted Koszul bracket on 1-forms (TensorFields):
+def koszul(c, xi, eta, theta, H):
+    """Twisted Koszul bracket on 1-forms (Expr arrays):
     [xi, eta] = L_{theta xi} eta - i_{theta eta} d xi + H(theta xi, theta eta, .)."""
-    c = xi.chart
-    thxi = TensorField(c, (UP,), tn.contract("ma,a->m", theta.comps, xi.comps))
-    theta_eta = TensorField(c, (UP,), tn.contract("ma,a->m", theta.comps, eta.comps))
-    lie = lie_derivative_oneform(thxi, eta)
-    idxi = interior_product(theta_eta, tn.exterior_derivative(xi))
-    hterm = tn.contract("abm,a,b->m", H.comps, thxi.comps, theta_eta.comps)
-    return lie - idxi + TensorField(c, (DOWN,), hterm)
+    thxi = np.einsum("ma,a->m", theta, xi)
+    theta_eta = np.einsum("ma,a->m", theta, eta)
+    lie = lie_derivative_oneform(c, thxi, eta)
+    idxi = interior_product(theta_eta, tn.d_of_partials(tn.partials(xi, c), 1))
+    return lie - idxi + np.einsum("abm,a,b->m", H, thxi, theta_eta)
 
 
-def cotangent_frame(theta, twist):
-    """The cotangent Lie algebroid of the bivector theta (a TensorField),
+def cotangent_frame(c, theta, twist):
+    """The cotangent Lie algebroid of the bivector theta (an Expr array),
     with the Koszul bracket twisted by the 3-form ``twist``."""
-    c = theta.chart
-    frame = [TensorField(c, (DOWN,), row) for row in tn.identity(c.dim)]
-    brackets = np.array([[koszul(fa, fb, theta, twist).comps for fb in frame] for fa in frame],
+    frame = identity(c.dim)
+    brackets = np.array([[koszul(c, fa, fb, theta, twist) for fb in frame] for fa in frame],
                         dtype=object)
-    return SymbolicFrame(c, theta.comps.T.copy(), np.moveaxis(brackets, -1, 0))
+    return SymbolicFrame(c, theta.T.copy(), np.moveaxis(brackets, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +541,27 @@ class Oracle:
 
     @cached_property
     def ginv(self):
-        return matrix_inverse(self.bg.g.comps)
+        return matrix_inverse(self.bg.g)
 
     @cached_property
     def gamma(self):
-        return christoffel(self.bg.g.comps, self.ginv, self.chart)
+        return christoffel(self.bg.g, self.ginv, self.chart)
+
+    @cached_property
+    def dB(self):
+        return tn.d_of_partials(tn.partials(self.bg.B, self.chart), 2)
 
     @cached_property
     def h_prime(self):
-        return (self.bg.H + tn.exterior_derivative(self.bg.B)).comps
+        return self.bg.H + self.dB
 
     @cached_property
     def curvature(self):
         n, c = self.chart.dim, self.chart
         ric = np.empty((n, n), dtype=object)
         for l, j in itertools.product(range(n), repeat=2):
-            ric[l, j] = ex.esum(riemann_entry(self.gamma, c, k, l, k, j) for k in range(n))
-        return ric, tn.contract("lj,lj->", self.ginv, ric)
+            ric[l, j] = ex.add(*(riemann_entry(self.gamma, c, k, l, k, j) for k in range(n)))
+        return ric, np.einsum("lj,lj->", self.ginv, ric)
 
     @cached_property
     def dphi(self):
@@ -579,11 +573,11 @@ class Oracle:
 
     @cached_property
     def grad(self):
-        return tn.contract("az,z->a", self.ginv, self.dphi)
+        return np.einsum("az,z->a", self.ginv, self.dphi)
 
     @cached_property
     def laplacian(self):
-        return tn.contract("kk->", covariant_derivative(self.grad, (UP,), self.gamma, self.chart))
+        return np.einsum("kk->", covariant_derivative(self.grad, (UP,), self.gamma, self.chart))
 
     @cached_property
     def delta_h(self):
@@ -596,13 +590,13 @@ class Oracle:
         ric, rscal = self.curvature
         inner = np.array([[form_inner(Hp[i], Hp[j], ginv) for j in range(n)] for i in range(n)],
                          dtype=object)
-        beta_g = tn.contract("zij->ij", np.stack([ric, tn.contract(",ij->ij", -0.5, inner),
+        beta_g = np.einsum("zij->ij", np.stack([ric, np.einsum(",ij->ij", -0.5, inner),
                                                   self.hessian, self.hessian.T]))
-        beta_B = (tn.contract(",ij->ij", 0.5, self.delta_h)
-                  + tn.contract("ija,a->ij", Hp, self.grad))
-        norm2 = tn.contract("a,a->", self.dphi, self.grad)
-        beta_phi = ex.esum([rscal, ex.mul(-0.5, form_inner(Hp, Hp, ginv)),
-                            ex.mul(4.0, self.laplacian), ex.mul(-4.0, norm2)])
+        beta_B = (np.einsum(",ij->ij", 0.5, self.delta_h)
+                  + np.einsum("ija,a->ij", Hp, self.grad))
+        norm2 = np.einsum("a,a->", self.dphi, self.grad)
+        beta_phi = ex.add(rscal, ex.mul(-0.5, form_inner(Hp, Hp, ginv)),
+                          ex.mul(4.0, self.laplacian), ex.mul(-4.0, norm2))
         return beta_g, beta_B, beta_phi
 
     @cached_property
@@ -624,42 +618,41 @@ class Oracle:
         vec, form = slice(0, n), slice(n, 2 * n)
         for block, c, term in (
                 ((form, vec, vec), -1.0 / 3.0, np.moveaxis(Hc, 2, 0)),
-                ((vec, vec, form), -1.0 / 3.0, tn.contract("la,vb,mba->lmv", ginv, ginv, Hc)),
-                ((vec, form, vec), 1.0 / 6.0, tn.contract("la,mb,bva->lmv", ginv, ginv, Hc)),
-                ((form, form, form), 1.0 / 6.0, tn.contract("ma,vb,abl->lmv", ginv, ginv, Hc))):
-            gamma[block] = gamma[block] + tn.contract(",lmv->lmv", c, term)
+                ((vec, vec, form), -1.0 / 3.0, np.einsum("la,vb,mba->lmv", ginv, ginv, Hc)),
+                ((vec, form, vec), 1.0 / 6.0, np.einsum("la,mb,bva->lmv", ginv, ginv, Hc)),
+                ((form, form, form), 1.0 / 6.0, np.einsum("ma,vb,abl->lmv", ginv, ginv, Hc))):
+            gamma[block] = gamma[block] + np.einsum(",lmv->lmv", c, term)
         return gamma
 
     @cached_property
     def dilaton_twisted(self):
         """The dilaton parameters added to the minimal coefficients."""
-        n, g = self.chart.dim, self.bg.g.comps
-        W = tn.contract(",zijk->ijk", 1.0 / (n - 1), np.stack(
-            [tn.contract("ij,k->ijk", g, self.dphi), tn.contract(",ik,j->ijk", -1.0, g, self.dphi)]))
+        n, g = self.chart.dim, self.bg.g
+        W = np.einsum(",zijk->ijk", 1.0 / (n - 1), np.stack(
+            [np.einsum("ij,k->ijk", g, self.dphi), np.einsum(",ik,j->ijk", -1.0, g, self.dphi)]))
         return symbolic_with_params(self.standard, self.minimal, tn.zeros_array((n,) * 3), W, g, self.ginv)
 
     @cached_property
     def untwisted_frame(self):
-        return standard_frame(self.chart, self.h_prime - tn.exterior_derivative(self.bg.B).comps)
+        return standard_frame(self.chart, self.h_prime - self.dB)
 
     @cached_property
     def dilaton(self):
-        B = self.bg.B.comps
+        B = self.bg.B
         return symbolic_transport(self.standard, self.dilaton_twisted, shear_matrix(B, -1),
                                   shear_matrix(B, +1))
 
     @cached_property
     def theta(self):
-        return matrix_inverse(self.bg.B.comps)
+        return matrix_inverse(self.bg.B)
 
     @cached_property
     def cotangent(self):
-        return cotangent_frame(TensorField(self.chart, (UP, UP), self.theta),
-                               tn.exterior_derivative(self.bg.B))
+        return cotangent_frame(self.chart, self.theta, self.dB)
 
     @cached_property
     def g_A(self):
-        return -tn.contract("am,mk,kb->ab", self.theta, self.bg.g.comps, self.theta)
+        return -np.einsum("am,mk,kb->ab", self.theta, self.bg.g, self.theta)
 
     @cached_property
     def lc_gamma(self):
@@ -667,7 +660,7 @@ class Oracle:
 
     @cached_property
     def theta_matrices(self):
-        return theta_twist_matrices(self.theta, self.bg.B.comps)
+        return theta_twist_matrices(self.theta, self.bg.B)
 
     @cached_property
     def theta_connection(self):
@@ -683,21 +676,20 @@ class Oracle:
 def partial_traces(g, J, W):
     """The Expr arrays of the partial traces J'^l = g_{ak} J^{kal} and
     W'_l = g^{ka} W_{kal} of a parameter pair."""
-    return tn.contract("ak,kal->l", g, J), tn.contract("ka,kal->l", matrix_inverse(g), W)
+    return np.einsum("ak,kal->l", g, J), np.einsum("ka,kal->l", matrix_inverse(g), W)
 
 
-def family_closed_forms(g, H, J, W):
+def family_closed_forms(c, g, H, J, W):
     """Closed forms, in the chart geometry of g (``riemann``), of what the
     connection minimal(g, H) + (J, W) gives, at the chart's sample points:
     (scalar_E [p], scalar_G [p], off-block Ricci [i, j, p], J' [l, p],
-    W' [l, p]), for the TensorFields g and H and the Expr arrays of a
-    projected parameter pair."""
+    W' [l, p]), for the Expr arrays of g, H and a projected parameter
+    pair."""
     from gencourant import riemann as rm
 
-    c = g.chart
-    lc = rm.christoffel(*tn.field_jets(g.comps, c), c)
-    Jp, Wp = (tn.jets_at(t, c) for t in partial_traces(g.comps, J, W))
-    Hj = tn.jets_at(H.comps, c)
+    lc = rm.christoffel(*tn.field_jets(g, c), c)
+    Jp, Wp = (tn.jets_at(t, c) for t in partial_traces(g, J, W))
+    Hj = tn.jets_at(H, c)
     gv, ginv, Hv, Jv, Wv = lc.g.value, lc.ginv.value, Hj.value, Jp.value, Wp.value
     ric, rg = rm.curvature_package(lc)
     want_e = -4.0 * rm.divergence(Jp, lc) + 8.0 * np.einsum("ap,ap->p", Jv, Wv)

@@ -14,7 +14,7 @@ import pytest
 
 from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
 from gencourant.expr import SplitMix64, chart, differentiate, evaluate
-from gencourant.tensors import DOWN, UP
+from gencourant.scene import from_upper
 
 import conftest
 from conftest import bumpy_b, bumpy_metric, family_closed_forms, projected_params, random_background
@@ -31,12 +31,17 @@ def max_abs(fields, points):
     return tn.ex.max_abs_on_points(fields, points)[0]
 
 
-def chart_connection(g):
-    return rm.christoffel(*tn.field_jets(g.comps, g.chart), g.chart)
+def chart_connection(g, c):
+    return rm.christoffel(*tn.field_jets(g, c), c)
 
 
-def minimal(g, H):
-    return gconn.minimal_connection(chart_connection(g), tn.jets_at(H.comps, g.chart))
+def minimal(g, H, c):
+    return gconn.minimal_connection(chart_connection(g, c), tn.jets_at(H, c))
+
+
+def dB(B, c):
+    """H = dB of the Expr array of a 2-form."""
+    return tn.d_of_partials(tn.partials(B, c), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +58,7 @@ def test_criterion_01_courant_axioms():
         gen = c.rng(base_salt)
         B0 = bumpy_b(c, salt=base_salt + 1)
         pts = c.sample_points()
-        H = tn.jets_at(tn.exterior_derivative(B0).comps, c)
+        H = tn.jets_at(dB(B0, c), c)
         br = lambda u, v: gtb.dorfman(u, v, H)  # noqa: E731
         for _ in range(10):
             a, b, d = gtb.random_sections(c, gen, 3)
@@ -80,14 +85,14 @@ def test_criterion_02_minimal_connection():
         names = "x y z"[: 2 * n - 1]
         c = chart(names, seed=salt, num_points=10)
         g = bumpy_metric(c, salt=salt)
-        H = tn.exterior_derivative(bumpy_b(c, salt=salt + 1))
-        conn = minimal(g, H)
+        H = dB(bumpy_b(c, salt=salt + 1), c)
+        conn = minimal(g, H, c)
         pts = c.sample_points()
         worst_torsion = max(worst_torsion, max_abs(gconn.gualtieri_torsion(conn), pts))
         worst_scalar_e = max(worst_scalar_e, max_abs(gconn.scalar_E(conn), pts))
-        lc = chart_connection(g)
+        lc = chart_connection(g, c)
         _, rscal = rm.curvature_package(lc)
-        Hv = tn.values_at(H.comps, pts)
+        Hv = tn.values_at(H, pts)
         closed_res = gconn.scalar_G(conn) - (rscal - 0.5 * rm.form_inner(Hv, Hv, lc.ginv.value))
         worst_closed = max(worst_closed, max_abs(closed_res, pts))
     report(2, "distinguished connection: torsion", worst_torsion, 1e-10)
@@ -101,8 +106,8 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
         names = "x y z"[: 2 * n - 1]
         c = chart(names, seed=salt, num_points=8)
         g = bumpy_metric(c, salt=salt)
-        H = tn.exterior_derivative(bumpy_b(c, salt=salt + 1))
-        conn = minimal(g, H)
+        H = dB(bumpy_b(c, salt=salt + 1), c)
+        conn = minimal(g, H, c)
         r = gconn.gen_riemann(conn)
         dim2 = 2 * n
         fields = []
@@ -114,19 +119,15 @@ def test_criterion_03_curvature_symmetries_and_bianchi():
             fields.append(r[d, cc, a, b] + r[d, a, b, cc] + r[d, b, cc, a])
         pts = c.sample_points()
         worst = max(worst, max_abs(np.array(fields), pts))
-        base = gconn.block_lc_connection(chart_connection(g), tn.jets_at(H.comps, c))
+        base = gconn.block_lc_connection(chart_connection(g, c), tn.jets_at(H, c))
         worst = max(worst, max_abs(gconn.bianchi_residual(base), pts))
     report(3, "curvature symmetries and both Bianchi identities", worst, 1e-9)
 
 
 def _random_pair(c, salt, scale=0.2):
     gen = c.rng(salt)
-    J = conftest.antisymmetrize(
-        conftest.from_function(c, (UP,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
-    )
-    W = conftest.antisymmetrize(
-        conftest.from_function(c, (DOWN,) * 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)
-    )
+    J, W = (conftest.antisymmetrize(conftest.from_function(
+        c, 3, lambda *i: tn.ex.random_polynomial(c, gen, 2, scale)), (1, 2)) for _ in range(2))
     return J, W
 
 
@@ -135,10 +136,10 @@ def _family_fixture(salt):
     forms of ``conftest.family_closed_forms`` in the chart geometry."""
     c = chart("x y", seed=330 + salt, num_points=10)
     g = bumpy_metric(c, salt=salt)
-    H = tn.exterior_derivative(bumpy_b(c, salt=salt + 50))
+    H = dB(bumpy_b(c, salt=salt + 50), c)
     J, W = _random_pair(c, salt + 100)
-    conn = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(J, W)))
-    return c, conn, family_closed_forms(g, H, *projected_params(J, W))
+    conn = gconn.with_params(minimal(g, H, c), gconn.validate_params(*conftest.param_jets(J, W, c)))
+    return c, conn, family_closed_forms(c, g, H, *projected_params(J, W))
 
 
 def test_criterion_04_scalar_closed_forms():
@@ -175,7 +176,7 @@ def test_criterion_07_central_identities():
     cases = [(2, s) for s in range(14)] + [(3, s) for s in range(14, 20)]
     for n, salt in cases:
         bg = random_background(n, salt=600 + salt, with_b=True, with_h=(salt % 2 == 0))
-        assert bg.B.max_abs()[0] > 0  # the shear path is exercised
+        assert conftest.max_abs_of(bg.B, bg.chart.sample_points()) > 0  # the shear path is exercised
         res = streff.central_residuals(streff.Derived(bg))
         for residual in (res.scalar_residual, res.ricci_residual):
             worst = max(worst, max_abs(residual, bg.chart.sample_points()))
@@ -216,9 +217,7 @@ def test_criterion_10_symplectic_equivalence():
     report(10, "Ricci transport through the bivector shear, 10 backgrounds", worst, 1e-9)
 
     c = chart("x y", seed=99, num_points=10)
-    flat = streff.Background(
-        c, tn.euclidean_metric(c), tn.form_from_wedge_coeffs(c, 2, {(0, 1): 1}), 0.0
-    )
+    flat = streff.Background(c, conftest.identity(2), from_upper(2, 2, {(0, 1): 1}), 0.0)
     rep = streff.equivalence_report(streff.Derived(flat))
     ok = rep.beta_on_shell and rep.symplectic_on_shell
     print(f"criterion 10 {'PASS' if ok else 'FAIL'}: flat background vanishes simultaneously "

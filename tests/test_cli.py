@@ -92,7 +92,8 @@ def test_scene_direct_h_entry():
         "H": {"123": "2"},
     }
     scene = scene_from_dict(doc)
-    assert scene.background.H.max_abs()[0] == 2.0
+    pts = scene.chart.sample_points()
+    assert ex.max_abs_on_points(tn.values_at(scene.background.H, pts), pts)[0] == 2.0
     # a non-closed H is rejected (needs dim 4: every 3-form on dim 3 is closed)
     doc4 = minimal_doc()
     doc4["chart"] = {"dim": 4, "coords": ["x", "y", "z", "w"], "seed": 1, "points": 8}
@@ -428,12 +429,38 @@ def test_main_bad_background_number_is_an_input_error(tmp_path, capsys, entry, v
     assert f"[{location}]" in err and "expected an expression or a finite number" in err
 
 
+@pytest.mark.parametrize("points", [1, None], ids=["1pt", "scene-points"])
+def test_a_twist_given_by_its_potential_reads_as_the_hand_derived_h(points):
+    # poly3d's B0 = z^2/6 dx^dy + x*y/6 dy^dz has dB0 = (y/6 + z/3) dx^dy^dz
+    doc = json.loads((SCENES / "poly3d.json").read_text())
+    by_h = json.loads(json.dumps(doc))
+    del by_h["background"]["B0"]
+    by_h["background"]["H"] = {"123": "y/6 + z/3"}
+    got, want = (run_command("all", scene_from_dict(d, points=points)).to_dict() for d in (doc, by_h))
+    assert (got["summary"], got["verdict"]) == (want["summary"], want["verdict"])
+    assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+    for a, b in zip(got["checks"], want["checks"]):
+        assert a["passed"] == b["passed"]
+        assert a["max_abs_residual"] == pytest.approx(b["max_abs_residual"], rel=0, abs=1e-12)
+
+
+def test_a_potential_whose_derivative_folds_to_nan_is_rejected_at_load():
+    # dB0 = -inf + inf at every point: no RuntimeWarning from the loader's
+    # d of the Expr array, and the non-finite H named
+    doc = minimal_doc()
+    doc["chart"] = {"dim": 3, "coords": ["x", "y", "z"], "points": 4}
+    doc["background"] = {"g": {"11": "1", "22": "1", "33": "1"},
+                         "B0": {"12": "1e999*z", "23": "-1e999*x"}}
+    with pytest.raises(SceneValidationError, match=r"non-finite scene field H nan at component \[0, 1, 2\]"):
+        scene_from_dict(doc)
+
+
 def test_background_numbers_load():
     doc = minimal_doc()
     doc["background"].update(phi=0.5, g={"11": 2, "22": 1.5})
     bg = scene_from_dict(doc).background
     assert ex.evaluate(bg.phi, (0.1, 0.2)) == 0.5
-    assert ex.evaluate(bg.g.comps[0, 0], (0.1, 0.2)) == 2.0
+    assert ex.evaluate(bg.g[0, 0], (0.1, 0.2)) == 2.0
 
 
 def test_good_tolerances_load():

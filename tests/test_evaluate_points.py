@@ -21,6 +21,7 @@ from gencourant.expr import (
     worst_of,
 )
 from gencourant.scene import Check
+from gencourant.tensors import values_at
 import conftest
 
 XY = chart("x y", seed=3, num_points=12)
@@ -139,7 +140,7 @@ def test_vector_walk_raises_like_scalar_walk(case):
 def test_max_abs_matches_per_point_reference(case):
     roots, points = case
     per_point = [max(abs(v) for v in evaluate_many(roots, p)) for p in points]
-    worst, at = max_abs_on_points(roots, points)
+    worst, at = max_abs_on_points(values_at(roots, points), points)
     assert worst == pytest.approx(max(per_point), rel=1e-12, abs=1e-12)
     assert at in points
     assert per_point[points.index(at)] == pytest.approx(worst, rel=1e-12, abs=1e-12)
@@ -201,14 +202,14 @@ def test_constant_roots_broadcast():
 
 @pytest.mark.parametrize("points", [PTS_1, PTS_12], ids=["1pt", "12pt"])
 def test_all_nan_field_fails(points):
-    worst, at = max_abs_on_points([Const(math.nan) * X], points)
+    worst, at = max_abs_on_points(values_at([Const(math.nan) * X], points), points)
     assert math.isnan(worst) and at == points[0]
     assert not Check("c", "i", worst, 1e-9, at).passed
 
 
 @pytest.mark.parametrize("points", [PTS_1, PTS_12], ids=["1pt", "12pt"])
 def test_nan_beside_a_finite_residual_fails(points):
-    worst, at = max_abs_on_points([Const(1e-3), Const(math.nan)], points)
+    worst, at = max_abs_on_points(values_at([Const(1e-3), Const(math.nan)], points), points)
     assert math.isnan(worst) and at == points[0]
     assert not Check("c", "i", worst, 1e-9, at).passed
 
@@ -225,7 +226,7 @@ def test_scalar_overflow_is_a_domain_error(text):
     with pytest.raises(DomainError, match="overflow"):
         evaluate(e, (1.0, 1.0))
     with pytest.raises(DomainError, match="overflow"):
-        max_abs_on_points([e], [(1.0, 1.0), (0.9, 0.9)])
+        values_at([e], [(1.0, 1.0), (0.9, 0.9)])
 
 
 @pytest.mark.parametrize("text, operands", [("1e200*1e200*x", "1e+200*1e+200"),
@@ -244,8 +245,9 @@ def test_constant_folding_keeps_given_infinities():
 
 
 def test_tensor_field_points_in_order():
-    g = conftest.from_function(XY, ("down", "down"), lambda i, j: X * Y if i == j else Const(0.5))
-    mats = list(g.evaluate_points(PTS_12))
-    assert len(mats) == len(PTS_12)
-    for p, m in zip(PTS_12, mats):
-        np.testing.assert_array_equal(m, g.evaluate(p))
+    # values_at ends in the point axis, in the order of the points
+    g = conftest.from_function(XY, 2, lambda i, j: X * Y if i == j else Const(0.5))
+    mats = values_at(g, PTS_12)
+    assert mats.shape == (2, 2, len(PTS_12))
+    for p, m in zip(PTS_12, np.moveaxis(mats, -1, 0)):
+        np.testing.assert_array_equal(m, conftest.at(g, p))

@@ -163,27 +163,6 @@ def _ref_diff_rules(e, coord, memo):
     raise TypeError(type(e).__name__)
 
 
-def ref_simplify(e, memo=None):
-    memo = {} if memo is None else memo
-    key = id(e)
-    if key not in memo:
-        kids = [ref_simplify(k, memo) for k in e.children()]
-        if isinstance(e, (Const, Coord)):
-            out = e
-        elif isinstance(e, Add):
-            out = ref_add(*kids)
-        elif isinstance(e, Mul):
-            out = ref_mul(e.coeff, *kids)
-        elif isinstance(e, Div):
-            out = ref_div(*kids)
-        elif isinstance(e, Pow):
-            out = ex.powi(kids[0], e.exponent)
-        else:
-            out = ex._FUNCTIONS[e.name](kids[0])
-        memo[key] = out
-    return memo[key]
-
-
 # ---------------------------------------------------------------------------
 # structure
 # ---------------------------------------------------------------------------
@@ -238,7 +217,7 @@ OPS = {
     "exp": (1, False, ex.exp, ex.exp),
     "ln": (1, False, ex.ln, ex.ln),
     "sqrt": (1, False, ex.sqrt, ex.sqrt),
-    # unflattened nodes, so that simplify has folding to do
+    # unflattened nodes, which no constructor builds
     "raw-add": (2, False, lambda a, b: Add((a, Const(1.5), b), XY), None),
     "raw-mul": (2, False, lambda a, b: Mul((Const(-1.0), a, b), XY), None),
     "raw-neg": (1, False, lambda a: Mul((a,), XY, -1.0), None),
@@ -287,24 +266,19 @@ def test_constructors_match_the_reference(pools):
         assert_same_structure(got, want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(recipes())
-def test_simplify_matches_the_reference(pools):
-    pool, _ = pools
-    for node in pool[3:]:
-        got, want = _outcome(ex.simplify, (node,)), _outcome(ref_simplify, (node,))
-        if isinstance(got, str) or isinstance(want, str):
-            assert got == want  # both raised, naming the same constants
-        else:
-            assert_same_structure(got, want)
-
-
-def test_simplify_that_folds_to_an_overflow_raises_as_the_reference_does():
-    # a raw product of constants under exp(1/...), which the constructors
-    # leave unfolded; simplify folds it to exp(2.58e29)
-    node = ex.exp(ex.div(1.0, Mul((Const(-1.0), Const(1e-15), Const(-3.876e-15)), XY)))
-    got, want = _outcome(ex.simplify, (node,)), _outcome(ref_simplify, (node,))
-    assert got == want == "overflow in subexpression 'exp(2.5799793601651183e+29)'"
+def test_constants_that_fold_to_an_overflow_raise_as_the_reference_does():
+    # the random recipes stay far inside the float range, so the folding
+    # overflows of ``add`` and ``mul`` (``_check_fold``) and of ``exp`` are
+    # pinned here: exp(1/(-1 * 1e-15 * -3.876e-15)) folds to exp(2.58e29)
+    cases = [
+        (ex.mul, ref_mul, (1e200, ex.mul(1e200, X)), "1e+200*1e+200"),
+        (ex.add, ref_add, (1e308, ex.add(1e308, X)), "1e+308 + 1e+308"),
+        (lambda *c: ex.exp(ex.div(1.0, ex.mul(*c))), lambda *c: ex.exp(ref_div(1.0, ref_mul(*c))),
+         (-1.0, 1e-15, -3.876e-15), "exp(2.5799793601651183e+29)"),
+    ]
+    for build, ref_build, args, operands in cases:
+        got, want = _outcome(build, args), _outcome(ref_build, args)
+        assert got == want == f"overflow in subexpression '{operands}'"
 
 
 @settings(max_examples=150, deadline=None)

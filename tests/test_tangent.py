@@ -19,6 +19,7 @@ from gencourant.expr import (
     evaluate_points,
     parse_expr,
 )
+from gencourant.scene import from_upper
 from gencourant.streff import Background
 
 XY = chart("x y", seed=3, num_points=12)
@@ -189,9 +190,9 @@ def test_one_point_values_go_through_evaluate_many(monkeypatch):
     monkeypatch.setattr(ex, "evaluate_many", lambda *a: calls.append(a) or many(*a))
     for count, want in ((1, 4), (12, 0)):
         c = chart("x y", seed=3, num_points=count)
-        g = tn.TensorField(c, (tn.DOWN, tn.DOWN), [[parse_expr("1 + x^2", c), ex.ZERO],
-                                                   [ex.ZERO, parse_expr("exp(x - y)", c)]])
-        B = tn.form_from_wedge_coeffs(c, 2, {(0, 1): parse_expr("x*y", c)})
+        g = np.array([[parse_expr("1 + x^2", c), ex.ZERO], [ex.ZERO, parse_expr("exp(x - y)", c)]],
+                     dtype=object)
+        B = from_upper(2, 2, {(0, 1): parse_expr("x*y", c)})
         calls.clear()
         Background(c, g, B, parse_expr("x*y*exp(x - y)", c))
         assert len(calls) == want

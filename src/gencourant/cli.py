@@ -269,18 +269,18 @@ def checks_symplectic(scene: Scene, derived: streff.Derived) -> tuple[list, dict
     tol = scene.tol("sym")
     pkg = derived.symplectic
     out = []
-    res_sch = gtb.schouten_check(pkg.cotangent.theta, pkg.cotangent.twist.value, pts)
+    res_sch = gtb.schouten_check(pkg.theta[0], pkg.twist.value, pts)
     out.append(_check("symplectic.twisted-jacobi",
                       "inverse bivector satisfies the twisted Jacobi identity",
                       res_sch, pts, tol))
-    alg = pkg.cotangent.algebroid
+    alg = pkg.algebroid
     gamma = pkg.gamma.value
     torsion = gtb.frame_torsion(gamma, alg.structure.value)
     out.append(_check("symplectic.algebroid-torsion-free",
                       "coframe connection is torsion-free", torsion, pts, tol))
     out.append(_check("symplectic.algebroid-compatibility",
                       "coframe connection preserves the fiber metric",
-                      alg.covariant_derivative_of(gamma, pkg.g_A), pts, tol))
+                      gtb.covariant_derivative(gamma, alg.anchor.value, *pkg.g_A), pts, tol))
     res1, _, _ = derived.dual_residuals
     out.append(_check("symplectic.scalar-two-paths",
                       "coframe scalar residual equals the sheared metric Ricci trace",
@@ -394,8 +394,12 @@ def main(argv=None) -> int:
         return 3
     text = report.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"error: cannot write the report: {err}", file=sys.stderr)
+            return 2
     else:
         print(text)
     for check in sorted(report.checks, key=lambda c: c.name):

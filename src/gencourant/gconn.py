@@ -3,34 +3,32 @@ curvature tensors, over the 2n-element generalized coordinate frame
 e_A in {(d_mu, 0)} u {(0, dx^mu)}.
 
 A connection is a coefficient array Gamma[C, A, B] with
-nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to a ``CourantFrame``: the
-anchored frame of ``gtb.AnchoredFrame`` (anchor and frame brackets of the
-ambient bracket) plus the constant pairing Gram matrix.  The frame calculus
-(covariant derivative of frame forms, the torsion of a frame and the
-curvature R0 below) is that of ``gtb.AnchoredFrame``; this module adds what
-is specific to Courant algebroids: the pairing, the left-Leibniz term of the
-bracket, the Gualtieri torsion, the symmetrised curvature R and its
-pairing-dual traces.
-Everything downstream is computed from those two ingredients, so the same
-code serves the standard twisted bracket, its shear by e^B, and the
-bivector-sheared bracket.
+nab_{e_A} e_B = Gamma^C_{AB} e_C, attached to the ``gtb.AnchoredFrame`` of
+its bracket (anchor and frame brackets); the pairing is the permutation
+``gtb.dual_index`` in every picture used here (all our isomorphisms are
+orthogonal).  The frame calculus (covariant derivative, torsion and the
+curvature R0 below) is that of ``gtb``; this module adds what is specific
+to Courant algebroids: the pairing, the left-Leibniz term of the bracket,
+the Gualtieri torsion, the symmetrised curvature R and its pairing-dual
+traces.  Everything downstream is computed from those two ingredients, so
+the same code serves the standard twisted bracket, its shear by e^B, and
+the bivector-sheared bracket.
 
-A connection is its coefficients at the chart's sample points: the values
-Gamma[C, A, B, p] and the first partials dGamma[C, A, B, m, p] (a jet).
-Everything it is built from is a jet too (``tensors.Jet``): the chart
-connection and H' for the minimal connection and the block transport, the
-metric and the parameters for the family (``with_params``), the 2-jets of
-B and theta for the transports (``untwist``, ``theta_transport``), the
-anchor and the brackets of each picture.  They are combined by
-``tensors.jet_contract``, the product rule applied to one einsum.
-Everything read from a connection is numbers at those points, each array
-ending in the point axis: the torsion (``torsion_map``), the compatibility
-residuals (``gtb.covariant_derivative``), R0
-(``gtb.AnchoredFrame.curvature``), from which R, the Ricci tensor and its
-traces follow by einsum, and the characteristic field and the V tensor.
-The random parameter pair of the curvature suite is the jet of random
-polynomials (``tensors.random_polynomial_jets``), checked by
-``validate_params``.
+A connection is its coefficients at the chart's sample points, the jet
+``gamma`` of Gamma[C, A, B].  Everything it is built from is a jet too
+(``tensors.Jet``): the chart connection and H' for the minimal connection
+and the block transport, the metric and the parameters for the family
+(``with_params``), the 2-jets of B and theta for the transports
+(``untwist``, ``theta_transport``), the anchor and the brackets of each
+picture.  They are combined by ``tensors.jet_contract``, the product rule
+applied to one einsum.  Everything read from a connection is numbers at
+those points, each array ending in the point axis: the torsion
+(``torsion_map``), the compatibility residuals
+(``gtb.covariant_derivative``), R0 (``gtb.frame_curvature``), from which
+R, the Ricci tensor and its traces follow by einsum, and the
+characteristic field and the V tensor.  The random parameter pair of the
+curvature suite is the jet of random polynomials
+(``tensors.random_polynomial_jets``), checked by ``validate_params``.
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -56,7 +54,7 @@ from . import riemann as rm
 from . import tensors as tn
 from .errors import InvalidLieAlgebra, NotAntisymmetric, SingularMetric
 from .expr import Chart
-from .gtb import GeneralizedMetric
+from .gtb import AnchoredFrame, GeneralizedMetric
 from .tensors import Jet
 
 
@@ -65,23 +63,7 @@ from .tensors import Jet
 # ---------------------------------------------------------------------------
 
 
-class CourantFrame(gtb.AnchoredFrame):
-    """The generalized coordinate frame of a Courant structure: an anchored
-    frame of rank 2n (anchor [A, mu], frame brackets [e_A, e_B] =
-    structure^C_{AB} e_C) with the pairing.  The Gram matrix of the pairing
-    is the constant block swap in every picture used here (all our
-    isomorphisms are orthogonal)."""
-
-    @property
-    def dim2(self) -> int:
-        return self.rank
-
-    def swap(self, a: int) -> int:
-        n = self.chart.dim
-        return a + n if a < n else a - n
-
-
-def standard_algebroid(chart: Chart, H: Jet) -> CourantFrame:
+def standard_algebroid(chart: Chart, H: Jet) -> AnchoredFrame:
     """The twisted Dorfman bracket on the coordinate frame, for the jet of
     the twist: anchor projects to the vector part; the only nonzero frame
     brackets are [(d_mu,0),(d_nu,0)] = (0, -H(d_mu, d_nu, .))."""
@@ -89,32 +71,32 @@ def standard_algebroid(chart: Chart, H: Jet) -> CourantFrame:
     anchor = tn.constant_jet(np.concatenate([np.eye(n), np.zeros((n, n))]), chart)
     brackets = tn.constant_jet(np.zeros((2 * n,) * 3), chart)
     brackets[n:, :n, :n] = -tn.jet_contract("mvl->lmv", H)  # [n + l, m, v] = -H[m, v, l]
-    return CourantFrame(chart, anchor, brackets)
+    return AnchoredFrame(chart, anchor, brackets)
 
 
 def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet,
-                         source: CourantFrame) -> CourantFrame:
+                         source: AnchoredFrame) -> AnchoredFrame:
     """Pull the bracket of ``source`` back through the frame isomorphism
     with 2-jet F: [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
     anchor = tn.jet_contract("ax,am->xm", F[0], source.anchor)
     brackets = tn.jet_contract("cd,dab->cab", Finv, _bracket_components(source, F, F))
-    return CourantFrame(chart, anchor, brackets)
+    return AnchoredFrame(chart, anchor, brackets)
 
 
-def _bracket_components(alg: CourantFrame, u: tuple[Jet, Jet], v: tuple[Jet, Jet]) -> Jet:
+def _bracket_components(alg: AnchoredFrame, u: tuple[Jet, Jet], v: tuple[Jet, Jet]) -> Jet:
     """The jet of [psi, phi] for two batches of sections given by their
     2-jets, u[A, x] and v[B, y] (with du[A, x, m] = d_m u^A), as [C, x, y]:
     the anchored-frame bracket
     u^A v^B [e_A,e_B] + (rho(u).v^C) e_C - (rho(v).u^C) e_C plus the
     left-Leibniz term of the Courant bracket, the D<u, e_B> contributions
     from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df,
-    with (Df)^C = rho(e_swap(C)).f."""
+    with (Df)^C = rho(e_swap(C)).f and <e_A, v> = v^swap(A)."""
     (u, du), (v, dv) = u, v
-    eta = tn.constant_jet(gtb.pairing_gram(alg.chart), alg.chart)
+    swap = _swap(alg)
     return (tn.jet_contract("ax,by,cab->cxy", u, v, alg.structure)
             + tn.jet_contract("ax,am,cym->cxy", u, alg.anchor, dv)
             - tn.jet_contract("by,bm,cxm->cxy", v, alg.anchor, du)
-            + tn.jet_contract("by,ab,cm,axm->cxy", v, eta, alg.anchor[_swap(alg)], du))
+            + tn.jet_contract("ay,cm,axm->cxy", v[swap], alg.anchor[swap], du))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +111,8 @@ class GenConnection:
     of its picture.  Its curvature and Ricci tensor are computed once, on
     first read (``gen_riemann``, ``ricci``)."""
 
-    algebroid: CourantFrame
-    gamma: np.ndarray  # [C, A, B, p]
-    dgamma: np.ndarray  # [C, A, B, m, p]: the partial along x^m
+    algebroid: AnchoredFrame
+    gamma: Jet  # [C, A, B]
     metric: GeneralizedMetric
     _riemann: np.ndarray | None = field(default=None, repr=False, compare=False)
     _ricci: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -141,32 +122,29 @@ class GenConnection:
         return self.algebroid.chart
 
 
-def _connection(stage: str, alg: CourantFrame, gamma: Jet,
+def _connection(stage: str, alg: AnchoredFrame, gamma: Jet,
                 metric: GeneralizedMetric) -> GenConnection:
     """The connection with coefficient jet gamma, after checking that it is
     finite (``tensors.finite``, which names ``stage``)."""
-    return GenConnection(alg, *tn.finite(stage, gamma, alg.chart.sample_points()), metric)
+    return GenConnection(alg, tn.finite(stage, gamma, alg.chart.sample_points()), metric)
 
 
 def pairing_compat_residual(conn: GenConnection) -> np.ndarray:
     """[A, B, C, p]: (nab_A <,>)(e_B, e_C) at the chart's sample points, the
-    covariant derivative of the constant pairing Gram matrix (its partials
-    are zero)."""
-    pts = conn.chart.sample_points()
-    alg = conn.algebroid
-    eta = np.broadcast_to(gtb.pairing_gram(conn.chart)[..., None], (alg.dim2,) * 2 + (len(pts),))
-    return gtb.covariant_derivative(conn.gamma, alg.anchor.value,
-                                    eta, np.zeros(eta.shape[:2] + (conn.chart.dim, len(pts))))
+    covariant derivative of the constant pairing Gram matrix."""
+    eta = tn.constant_jet(gtb.pairing_gram(conn.chart), conn.chart)
+    return gtb.covariant_derivative(conn.gamma.value, conn.algebroid.anchor.value, *eta)
 
 
 def metric_compat_residual(conn: GenConnection) -> np.ndarray:
     """[A, B, C, p]: (nab_A G)(e_B, e_C) = rho(e_A).G(e_B,e_C) - G(nab_A e_B, e_C)
     - G(e_B, nab_A e_C) at the chart's sample points, from the jet of the
     Gram matrix."""
-    return conn.algebroid.covariant_derivative_of(conn.gamma, conn.metric.gram())
+    return gtb.covariant_derivative(conn.gamma.value, conn.algebroid.anchor.value,
+                                    *conn.metric.gram())
 
 
-def torsion_map(alg: CourantFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndarray:
+def torsion_map(alg: AnchoredFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The Gualtieri torsion T[A, B, D, ...] of connection coefficients
     gamma[D, A, B, ...] on a frame with structure functions C[D, A, B, ...],
     over arrays with any trailing axes:
@@ -181,12 +159,12 @@ def torsion_map(alg: CourantFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndarr
 def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
     """Totally antisymmetric torsion 3-form T[A, B, C, p] on the frame at the
     chart's sample points (``torsion_map``)."""
-    return torsion_map(conn.algebroid, conn.gamma, conn.algebroid.structure.value)
+    return torsion_map(conn.algebroid, conn.gamma.value, conn.algebroid.structure.value)
 
 
-def _swap(alg: CourantFrame) -> list:
-    """The frame index permutation a -> swap(a): the pairing-dual frame."""
-    return [alg.swap(a) for a in range(alg.dim2)]
+def _swap(alg: AnchoredFrame) -> np.ndarray:
+    """The pairing-dual frame permutation of a rank-2n frame (``gtb.dual_index``)."""
+    return gtb.dual_index(alg.chart.dim)
 
 
 def gen_riemann(conn: GenConnection) -> np.ndarray:
@@ -199,8 +177,8 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
     if conn._riemann is None:
         alg = conn.algebroid
         swap = _swap(alg)
-        r0 = alg.curvature(Jet(conn.gamma, conn.dgamma))[swap]
-        low = conn.gamma[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
+        r0 = gtb.frame_curvature(*conn.gamma, alg.anchor.value, alg.structure.value)[swap]
+        low = conn.gamma.value[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
         third = np.einsum("blap,dlcp->dcabp", low, low[:, swap])
         conn._riemann = 0.5 * (r0 + np.einsum("bacdp->dcabp", r0) + third)
     return conn._riemann
@@ -228,7 +206,7 @@ def divergence_section(conn: GenConnection, psi: np.ndarray, dpsi: np.ndarray) -
     nab_{e_l} psi, at the chart's sample points, for sections given by
     their values psi[A, ..., p] and partials dpsi[A, ..., m, p] there."""
     anchor = conn.algebroid.anchor.value
-    return (np.einsum("llbp,b...p->...p", conn.gamma, psi)  # Gamma^l_{lb} psi^b
+    return (np.einsum("llbp,b...p->...p", conn.gamma.value, psi)  # Gamma^l_{lb} psi^b
             + np.einsum("lmp,l...mp->...p", anchor, dpsi))  # rho(e_l).psi^l
 
 
@@ -250,7 +228,7 @@ def v_tensor(conn: GenConnection) -> np.ndarray:
     alg = conn.algebroid
     R, dR = alg.anchor[_swap(alg)]  # R[C, i] = rho*(dx^i)^C
     anchor = alg.anchor.value
-    nab = (np.einsum("aip,bjp,cabp->cijp", R, R, conn.gamma)
+    nab = (np.einsum("aip,bjp,cabp->cijp", R, R, conn.gamma.value)
            + np.einsum("aip,axp,cjxp->cijp", R, anchor, dR))
     return np.einsum("cijp,ckp->ijkp", nab, anchor)
 
@@ -277,10 +255,9 @@ def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
     (``torsion_map`` of the jets of Gamma and C), and
     TT = T(e_Y, e_Z, e^F) T(e_X, e_F, e_D)."""
     alg = conn.algebroid
-    C, dC = alg.structure
-    T = torsion_map(alg, conn.gamma, C)
-    nabT = gtb.covariant_derivative(conn.gamma, alg.anchor.value, T,
-                                    torsion_map(alg, conn.dgamma, dC))
+    (C, dC), (gamma, dgamma) = alg.structure, conn.gamma
+    T = torsion_map(alg, gamma, C)
+    nabT = gtb.covariant_derivative(gamma, alg.anchor.value, T, torsion_map(alg, dgamma, dC))
     return nabT, np.einsum("yzfp,xfdp->xyzdp", T[:, :, _swap(alg)], T)
 
 
@@ -442,7 +419,7 @@ def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
     swap = _swap(base.algebroid)
     K = param_tensor_frame(params, base.metric)[:, :, swap]
     return _connection("parameter family jet", base.algebroid,
-                       Jet(base.gamma, base.dgamma) + tn.jet_contract("abc->cab", K), base.metric)
+                       base.gamma + tn.jet_contract("abc->cab", K), base.metric)
 
 
 def dilaton_params(g: Jet, dphi: Jet) -> ConnParams:
@@ -479,7 +456,7 @@ def dilaton_connection_twisted(minimal: GenConnection, dphi: Jet) -> GenConnecti
 
 
 def transport_connection(conn: GenConnection, F: tuple[Jet, Jet], Finv: Jet,
-                         algebroid: CourantFrame, metric: GeneralizedMetric) -> GenConnection:
+                         algebroid: AnchoredFrame, metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection back through a frame isomorphism F into a new
     bracket picture: nab'_psi psi' = F^{-1}( nab_{F psi} F(psi') ), so
         Gamma'^G_{AB} = F^{-1 G}_E ( F^C_A F^D_B Gamma^E_{CD}
@@ -489,7 +466,7 @@ def transport_connection(conn: GenConnection, F: tuple[Jet, Jet], Finv: Jet,
     (Fj, dF), src = F, conn.algebroid
     along = tn.jet_contract("cm,ebm->ceb", src.anchor, dF)  # rho(e_C).F^E_B
     # F^C_A F^D_B Gamma^E_{CD}, summed over C first
-    pulled = tn.jet_contract("ca,ecd->ead", Fj, Jet(conn.gamma, conn.dgamma))
+    pulled = tn.jet_contract("ca,ecd->ead", Fj, conn.gamma)
     pulled = tn.jet_contract("ead,db->eab", pulled, Fj)
     inner = pulled + tn.jet_contract("ca,ceb->eab", Fj, along)
     return _connection("transported connection jet", algebroid,
@@ -537,7 +514,7 @@ def lc_parameter_space_dim(n: int) -> int:
     flat block-diagonal metric (K(., ., tau .) pairing condition), and
     vanishing cyclic sum.  Equals (2/3) n (n^2 - 1)."""
     dim2 = 2 * n
-    swap = np.r_[n:dim2, :n]
+    swap = gtb.dual_index(n)
     at = np.arange(dim2 ** 3).reshape((dim2,) * 3)  # at[a, b, c]: the position of K[a, b, c]
     unit = np.eye(dim2 ** 3)
     # for each (a, b, c), the rows K[abc] + K[acb], K[ab swap(c)] + K[ac swap(b)]

@@ -1,15 +1,14 @@
 """The generalized tangent bundle TM (+) T*M over a chart.
 
 Sections are (vector field, 1-form) pairs.  This module provides the
-canonical pairing, the twisted Dorfman bracket and its differential, the
-generalized metric package built from a pair (g, B), the shear maps e^B and
-F_theta, the cotangent Lie algebroid of theta = B^{-1} with its twisted
-Koszul bracket, a Schouten-bracket residual check, and the calculus on an
-anchored frame (``AnchoredFrame``: covariant derivative of frame tensors,
-Levi-Civita connection of a fiber metric, and the curvature of a
-connection).  That calculus serves both the cotangent Lie algebroid and,
-through ``gconn.CourantFrame``, the generalized coordinate frame of
-TM (+) T*M.
+canonical pairing (one frame permutation, ``dual_index``), the twisted
+Dorfman bracket and its differential, the generalized metric package built
+from a pair (g, B), the shear maps e^B and F_theta, the cotangent Lie
+algebroid of theta = B^{-1} with its twisted Koszul bracket, a Schouten
+residual check, and the calculus on an ``AnchoredFrame`` (Levi-Civita
+connection of a fiber metric, covariant derivative, torsion, curvature).
+That calculus serves both the cotangent Lie algebroid and the generalized
+coordinate frame of TM (+) T*M (``gconn.standard_algebroid``).
 
 Everything here is numbers at the chart's sample points (``tensors.Jet``).
 A section is its frame components u[A] over (d_mu, 0), (0, dx^mu): its
@@ -63,10 +62,16 @@ def random_sections(chart: Chart, gen: ex.SplitMix64, count: int) -> list:
     return [(u[k], du[k]) for k in range(count)]
 
 
+def dual_index(n: int) -> np.ndarray:
+    """The frame index permutation A -> swap(A), (d_mu, 0) <-> (0, dx^mu),
+    of TM (+) T*M over an n-chart: e_swap(A) is the pairing-dual of e_A."""
+    return np.roll(np.arange(2 * n), n)
+
+
 def _swap(u):
     """The frame components of a section with its vector and form parts
     exchanged, so that <u, v> = u . swap(v)."""
-    return u[np.roll(np.arange(len(u)), len(u) // 2)]
+    return u[dual_index(len(u) // 2)]
 
 
 def pairing(u, v):
@@ -78,11 +83,7 @@ def pairing(u, v):
 def pairing_gram(chart: Chart) -> np.ndarray:
     """Constant Gram matrix of the pairing on the coordinate frame: the
     off-diagonal block swap.  It is its own inverse."""
-    n = chart.dim
-    eta = np.zeros((2 * n, 2 * n))
-    eta[:n, n:] = np.eye(n)
-    eta[n:, :n] = np.eye(n)
-    return eta
+    return np.eye(2 * chart.dim)[dual_index(chart.dim)]
 
 
 def d_map(df):
@@ -195,8 +196,9 @@ class GeneralizedMetric:
         return np.einsum("ikp,klp,jlp->ijp", M, core, M)
 
     def tau_matrix(self) -> np.ndarray:
-        """Values of the involution tau = eta^{-1} G on frame components."""
-        return np.einsum("ik,kjp->ijp", pairing_gram(self.chart), self.gram().value)
+        """Values of the involution tau = eta^{-1} G on frame components:
+        the rows of G in pairing-dual order."""
+        return self.gram().value[dual_index(self.chart.dim)]
 
     # -- graphs of (pm g + B) -------------------------------------------
 
@@ -321,50 +323,35 @@ def d_theta(df: Jet, theta: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class AnchoredFrame:
     """A bundle over a chart whose sections are spanned by a frame {E_a},
     with an anchor a(E_a)^m and structure functions [E_a, E_b] = C^c_{ab} E_c,
-    both held as jets at the chart's sample points.
+    both held as jets at the chart's sample points: the cotangent Lie
+    algebroid (rank n) and the generalized coordinate frame of a Courant
+    algebroid (rank 2n), which share the functions below."""
 
-    This is the calculus shared by the cotangent Lie algebroid of an
-    invertible 2-form (rank n) and the generalized coordinate frame of a
-    Courant algebroid (rank 2n, ``gconn.CourantFrame``): the covariant
-    derivative of frame tensors, the Levi-Civita connection of a fiber
-    metric and the curvature of a connection."""
+    chart: Chart
+    anchor: Jet  # [a, m]: vector field of E_a
+    structure: Jet  # [c, a, b]
 
-    def __init__(self, chart: Chart, anchor: Jet, structure: Jet):
-        self.chart = chart
-        self.rank = anchor.value.shape[0]
-        self.anchor = anchor  # [a, m]: vector field of E_a
-        self.structure = structure  # [c, a, b]
 
-    def lc_connection(self, g_A: Jet, dg_A: Jet) -> Jet:
-        """The jet of the torsion-free metric connection coefficients
-        Gamma^c_{ab} for the fiber metric with 2-jet (g_A, dg_A), from
-        nab_{E_a} E_b =
-          (1/2) { [E_a, E_b] + g^{-1}( L_{E_a}(g E_b) + i_{E_b} d(g E_a) ) }."""
-        points = self.chart.sample_points()
-        with np.errstate(all="ignore"):
-            along = tn.jet_contract("am,bym->aby", self.anchor, dg_A)  # a(E_a).g_{by}
-            Cg = tn.jet_contract("cab,cy->aby", self.structure, g_A)  # C^c_{ab} g_{cy}
-            # lie[a, d, b] = (L_{E_a}(g E_b))_d, dga[b, d, a] = d(g E_a)_{bd}
-            lie = along - Cg
-            dga = along - along.map(lambda t: t.swapaxes(0, 1)) - Cg
-            both = lie.map(lambda t: t.swapaxes(1, 2)) + dga.map(lambda t: np.moveaxis(t, 2, 0))
-            ginv = tn.finite("inverse fiber metric", tn.jet_inverse(g_A), points)
-            gamma = 0.5 * (self.structure + tn.jet_contract("cd,abd->cab", ginv, both))
-            return tn.finite("algebroid Levi-Civita connection jet", gamma, points)
-
-    def covariant_derivative_of(self, gamma: np.ndarray, omega: Jet) -> np.ndarray:
-        """nab[a, i1..ip, p]: ``covariant_derivative`` of a covariant frame
-        tensor with jet omega, for the values gamma[c, a, b, p] of
-        connection coefficients."""
-        return covariant_derivative(gamma, self.anchor.value, *omega)
-
-    def curvature(self, gamma: Jet) -> np.ndarray:
-        """R0[d, c, a, b, p] (``frame_curvature``) of connection coefficients
-        with jet gamma."""
-        return frame_curvature(*gamma, self.anchor.value, self.structure.value)
+def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet) -> Jet:
+    """The jet of the torsion-free metric connection coefficients
+    Gamma^c_{ab} on ``frame`` for the fiber metric with 2-jet (g_A, dg_A),
+    from nab_{E_a} E_b =
+      (1/2) { [E_a, E_b] + g^{-1}( L_{E_a}(g E_b) + i_{E_b} d(g E_a) ) }."""
+    points = frame.chart.sample_points()
+    with np.errstate(all="ignore"):
+        along = tn.jet_contract("am,bym->aby", frame.anchor, dg_A)  # a(E_a).g_{by}
+        Cg = tn.jet_contract("cab,cy->aby", frame.structure, g_A)  # C^c_{ab} g_{cy}
+        # lie[a, d, b] = (L_{E_a}(g E_b))_d, dga[b, d, a] = d(g E_a)_{bd}
+        lie = along - Cg
+        dga = along - along.map(lambda t: t.swapaxes(0, 1)) - Cg
+        both = lie.map(lambda t: t.swapaxes(1, 2)) + dga.map(lambda t: np.moveaxis(t, 2, 0))
+        ginv = tn.finite("inverse fiber metric", tn.jet_inverse(g_A), points)
+        gamma = 0.5 * (frame.structure + tn.jet_contract("cd,abd->cab", ginv, both))
+        return tn.finite("algebroid Levi-Civita connection jet", gamma, points)
 
 
 def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
@@ -408,26 +395,17 @@ def frame_torsion(gamma: np.ndarray, C: np.ndarray) -> np.ndarray:
     return gamma - gamma.swapaxes(1, 2) - C
 
 
-@dataclass
-class LieAlgebroidCotangent:
-    """T*M with anchor theta and the twisted Koszul bracket."""
-
-    chart: Chart
-    theta: Jet
-    twist: Jet  # 3-form twisting the Koszul bracket (dB in practice)
-    algebroid: AnchoredFrame
-
-    @staticmethod
-    def build(chart: Chart, theta: tuple[Jet, Jet], twist: Jet) -> "LieAlgebroidCotangent":
-        """The algebroid of the bivector with 2-jet theta, after checking that
-        its twisted Jacobi residual vanishes at the sample points.  The
-        Koszul bracket of the coordinate coframe,
-        [dx^a, dx^b] = L_{theta dx^a} dx^b + twist(theta dx^a, theta dx^b, .),
-        has the structure functions
-        C^c_{ab} = d_c theta^{ba} + twist_{ijc} theta^{ia} theta^{jb}."""
-        th, dth = theta
-        validate_twisted_poisson(th, twist.value, chart.sample_points())
-        anchor = th.map(lambda t: t.swapaxes(0, 1))  # [a, m] = theta(dx^a)^m
-        structure = (dth.map(lambda t: np.moveaxis(t, 2, 0).swapaxes(1, 2))
-                     + tn.jet_contract("ijc,ia,jb->cab", twist, th, th))
-        return LieAlgebroidCotangent(chart, th, twist, AnchoredFrame(chart, anchor, structure))
+def cotangent_algebroid(chart: Chart, theta: tuple[Jet, Jet], twist: Jet) -> AnchoredFrame:
+    """T*M with anchor theta and the twisted Koszul bracket, for the 2-jet
+    of the bivector theta and the jet of the twist 3-form (dB in practice),
+    after checking that its twisted Jacobi residual vanishes at the sample
+    points.  The Koszul bracket of the coordinate coframe,
+    [dx^a, dx^b] = L_{theta dx^a} dx^b + twist(theta dx^a, theta dx^b, .),
+    has the structure functions
+    C^c_{ab} = d_c theta^{ba} + twist_{ijc} theta^{ia} theta^{jb}."""
+    th, dth = theta
+    validate_twisted_poisson(th, twist.value, chart.sample_points())
+    anchor = th.map(lambda t: t.swapaxes(0, 1))  # [a, m] = theta(dx^a)^m
+    structure = (dth.map(lambda t: np.moveaxis(t, 2, 0).swapaxes(1, 2))
+                 + tn.jet_contract("ijc,ia,jb->cab", twist, th, th))
+    return AnchoredFrame(chart, anchor, structure)

@@ -97,18 +97,24 @@ def curvature_package(gamma: Christoffel):
     return ric, np.einsum("ljp,ljp->p", gamma.ginv.value, ric)
 
 
-def form_inner(alpha: np.ndarray, beta: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+def form_inner(alpha: np.ndarray, beta: np.ndarray, ginv: np.ndarray,
+               degree: int | None = None) -> np.ndarray:
     """(1/p!) alpha_{i1..ip} beta^{i1..ip} at each point, for the values of
     two p-forms and of the inverse metric, indices raised one slot at a
-    time; on a flat metric <dx^dy, dx^dy> = 1."""
-    if alpha.ndim != beta.ndim:
-        raise DegreeMismatch(f"degree {alpha.ndim - 1} vs {beta.ndim - 1}")
-    p = alpha.ndim - 1
-    slots = "abcdefgh"[:p]
+    time; on a flat metric <dx^dy, dx^dy> = 1.  When ``degree`` is p, the
+    slots of either operand before its last p are free indices of the
+    result, alpha's then beta's: alpha[x] and beta[y] paired give [x, y, q]."""
+    if degree is None:
+        if alpha.ndim != beta.ndim:
+            raise DegreeMismatch(f"degree {alpha.ndim - 1} vs {beta.ndim - 1}")
+        degree = alpha.ndim - 1
+    slots = "abcdefgh"[:degree]
+    x, y = "ijkl"[:alpha.ndim - 1 - degree], "mnor"[:beta.ndim - 1 - degree]
     raised = beta
-    for s in range(p):  # raised[.., a_s, ..] = g^{a_s z} raised[.., z, ..]
-        raised = np.einsum(f"{slots[s]}zq,{slots[:s]}z{slots[s + 1:]}q->{slots}q", ginv, raised)
-    return np.einsum(f"{slots}q,{slots}q->q", alpha, raised) / math.factorial(p)
+    for s in range(degree):  # raised[y.., a_s, ..] = g^{a_s z} raised[y.., z, ..]
+        raised = np.einsum(f"{slots[s]}zq,{y}{slots[:s]}z{slots[s + 1:]}q->{y}{slots}q",
+                           ginv, raised)
+    return np.einsum(f"{x}{slots}q,{y}{slots}q->{x}{y}q", alpha, raised) / math.factorial(degree)
 
 
 def codifferential(omega: Jet, gamma: Christoffel) -> np.ndarray:

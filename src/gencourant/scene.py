@@ -25,8 +25,9 @@ either one interval for all coordinates or one per coordinate.  Missing
 entries default to zero.  Expressions use the grammar of the expression
 engine, over the declared coordinate names.  "dim", "points" and "seed"
 (and the overrides of the last two) must be integers, "points" at least 1,
-"coords" a list of strings, each numeric entry of "background" a finite
-number (not a boolean), and each tolerance a finite positive number.
+"coords" a list of strings, each "domain" bound and each numeric entry of
+"background" a number (not a boolean; finite in "background"), and each
+tolerance a finite positive number.
 An unknown key in "background", "options" or "options.tolerances" is an
 error; the "policy" option of older scene files is accepted and ignored.
 """
@@ -157,9 +158,9 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(f"need at least one sample point, got {num_points}", where)
     where = "chart.seed" if seed is None else "seed override"
     seed = _integer(chart_spec.get("seed", 0) if seed is None else seed, where)
+    domain = _domain(chart_spec.get("domain") or [-1.0, 1.0])
     try:
-        chart = ex.chart(coords, domain=chart_spec.get("domain") or (-1.0, 1.0),
-                         seed=seed, num_points=num_points)
+        chart = ex.chart(coords, domain=domain, seed=seed, num_points=num_points)
     except (TypeError, ValueError) as err:
         raise SceneValidationError(str(err), "chart") from err
 
@@ -210,6 +211,16 @@ def _integer(value, location: str) -> int:
     return value
 
 
+def _domain(domain):
+    """``domain``, if each of its bounds is a number: ``float()`` would read
+    "1" and true as 1 without a message."""
+    for iv in domain if isinstance(domain, list) else [domain]:
+        for bound in iv if isinstance(iv, list) else [iv]:
+            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+                raise SceneValidationError(f"expected a number, got {bound!r}", "chart.domain")
+    return domain
+
+
 def _reject_unknown_keys(spec, known, location: str):
     """A misspelt key would otherwise leave its default silently in place."""
     if not isinstance(spec, dict):
@@ -223,10 +234,12 @@ def _reject_unknown_keys(spec, known, location: str):
 
 def load_scene(path, seed=None, points=None) -> Scene:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as err:
         raise SceneError(f"cannot read scene file: {err}")
+    except UnicodeDecodeError as err:
+        raise SceneError(f"scene file is not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise SceneError(f"scene file is not valid JSON: {err}", f"line {err.lineno}")
     return scene_from_dict(doc, name=str(path), seed=seed, points=points)

@@ -35,7 +35,7 @@ from . import gtb
 from . import riemann as rm
 from . import tensors as tn
 from .expr import Chart, Expr
-from .gtb import GeneralizedMetric, LieAlgebroidCotangent
+from .gtb import AnchoredFrame, GeneralizedMetric
 from .tensors import DOWN, Jet
 
 
@@ -221,9 +221,7 @@ def beta_all(derived: Derived) -> BetaResiduals:
     lap, grad, norm2 = rm.laplace_divergence(derived.jets.phi[1], gamma)
     deltaH = rm.codifferential(Hp, gamma)
     # <i_{d_i} H', i_{d_j} H'>_g, i_{d_i} H' the slice of the first slot
-    n = len(Hp.value)
-    inner = np.array([[rm.form_inner(Hp.value[i], Hp.value[j], ginv) for j in range(n)]
-                      for i in range(n)])
+    inner = rm.form_inner(Hp.value, Hp.value, ginv, 2)
     beta_g = ric - 0.5 * inner + hess + hess.swapaxes(0, 1)
     beta_B = 0.5 * deltaH + np.einsum("ijap,ap->ijp", Hp.value, grad.value)
     beta_phi = rscal - 0.5 * rm.form_inner(Hp.value, Hp.value, ginv) + 4.0 * lap - 4.0 * norm2
@@ -287,17 +285,18 @@ def central_residuals(derived: Derived) -> CentralResiduals:
 @dataclass
 class SymplecticPackage:
     """Everything attached to theta = B^{-1}, as jets at the chart's sample
-    points: the dual metric G = -B g^{-1} B, the cotangent Lie algebroid
-    with its Levi-Civita connection for G^{-1}, the transported twist, and
+    points: the dual metric G = -B g^{-1} B, the twist dB and the cotangent
+    Lie algebroid it twists (``gtb.cotangent_algebroid``) with its
+    Levi-Civita connection for G^{-1}, the transported twist, and
     the dilaton data in the dual variables.  The curvature of the
     connection is computed when the residuals are (``algebroid_curvature``)."""
 
-    chart: Chart
     theta: tuple[Jet, Jet]              # 2-jet of the bivector theta^{mn}
     G: Jet                              # Riemannian metric (0,2)
     metric: GeneralizedMetric           # BlockDiag(G, G^{-1}) on TM (+) T*M
     g_A: Jet                            # fiber metric on T*M: G^{-1} = -theta g theta
-    cotangent: LieAlgebroidCotangent
+    twist: Jet                          # 3-form dB twisting the Koszul bracket
+    algebroid: AnchoredFrame            # the cotangent Lie algebroid of theta
     gamma: Jet                          # connection coefficients [c, a, b]
     H_theta: Jet                        # frame 3-form H'(theta., theta., theta.)
     dphi_dual: Jet                      # d_theta phi as dual-frame components
@@ -317,34 +316,23 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
     dg_A = -(tn.jet_contract("amc,mk,kb->abc", dtheta, g, theta)
              + tn.jet_contract("am,mkc,kb->abc", theta, dg, theta)
              + tn.jet_contract("am,mk,kbc->abc", theta, g, dtheta))
-    cot = LieAlgebroidCotangent.build(chart, (theta, dtheta),
-                                      dB.map(lambda t: tn.d_of_partials(t, 2)))
-    gamma = cot.algebroid.lc_connection(g_A, dg_A)
+    twist = dB.map(lambda t: tn.d_of_partials(t, 2))
+    algebroid = gtb.cotangent_algebroid(chart, (theta, dtheta), twist)
+    gamma = gtb.lc_connection(algebroid, g_A, dg_A)
     H_theta = tn.jet_contract("ijk,ia,jb,kc->abc", derived.h_prime, theta, theta, theta)
     dphi_dual = gtb.d_theta(jets.phi[1], theta)
     metric = GeneralizedMetric(chart, G, None, g_A)
-    return SymplecticPackage(chart, (theta, dtheta), G, metric, g_A, cot, gamma, H_theta, dphi_dual)
+    return SymplecticPackage((theta, dtheta), G, metric, g_A, twist, algebroid, gamma, H_theta,
+                             dphi_dual)
 
 
-def algebroid_curvature(cot: LieAlgebroidCotangent, gamma: Jet, G: np.ndarray):
+def algebroid_curvature(frame: AnchoredFrame, gamma: Jet, G: np.ndarray):
     """(Ricci [a, b, p] over the coframe, G-trace scalar [p]) of an algebroid
-    connection with jet gamma, for the values G[a, b, p] of the metric:
-    Ric[c, b] = R0[a, c, a, b]."""
-    ric = np.einsum("acabp->cbp", cot.algebroid.curvature(gamma))
+    connection with jet gamma on ``frame``, for the values G[a, b, p] of the
+    metric: Ric[c, b] = R0[a, c, a, b]."""
+    r0 = gtb.frame_curvature(*gamma, frame.anchor.value, frame.structure.value)
+    ric = np.einsum("acabp->cbp", r0)
     return ric, np.einsum("abp,abp->p", G, ric)
-
-
-def _pform_inner_dual(P: np.ndarray, Q: np.ndarray, G: np.ndarray, degree: int):
-    """(1/p!) P(E^{i1}..) Q(G E_{i1} ..) at each point for the values of
-    frame p-forms on the cotangent algebroid (G lowers the algebroid frame
-    indices).  A slot of P or Q beyond the last ``degree`` ones is a free
-    index of the result, so P[x] and Q[y] paired over x and y give an
-    array [x, y, p]."""
-    i, j = "abc"[:degree], "def"[:degree]
-    x, y = "x"[: P.ndim - 1 - degree], "y"[: Q.ndim - 1 - degree]
-    spec = ",".join([x + i + "p", y + j + "p"] + [b + a + "p" for a, b in zip(i, j)])
-    norm = 1.0 / float(np.prod(range(1, degree + 1)))
-    return norm * np.einsum(spec + "->" + x + y + "p", P, Q, *[G] * degree)
 
 
 def symplectic_residuals(pkg: SymplecticPackage):
@@ -359,20 +347,20 @@ def symplectic_residuals(pkg: SymplecticPackage):
                 - (1/2) (nab_{E^k} H'_th)(G(E_k), xi, eta)
 
     The covariant derivatives of d_th phi and H'_th are those of their jets
-    (``gtb.AnchoredFrame.covariant_derivative_of``)."""
-    alg = pkg.cotangent.algebroid
+    (``gtb.covariant_derivative``)."""
+    anchor = pkg.algebroid.anchor.value
     G, gamma = pkg.G.value, pkg.gamma.value
     w, H = pkg.dphi_dual, pkg.H_theta.value
-    ric, scalar = algebroid_curvature(pkg.cotangent, pkg.gamma, G)
-    nab_w = alg.covariant_derivative_of(gamma, w)  # [k, a, p] = (nab_{E_k} w)_a
+    ric, scalar = algebroid_curvature(pkg.algebroid, pkg.gamma, G)
+    nab_w = gtb.covariant_derivative(gamma, anchor, *w)  # [k, a, p] = (nab_{E_k} w)_a
     lap = np.einsum("akp,kap->p", G, nab_w)  # G^{ak} (nab_{E_k} w)_a
     norm2 = np.einsum("abp,ap,bp->p", G, w.value, w.value)
     # <i_{E^x} H'_th, i_{E^y} H'_th>_G, with i_{E^x} the slice of the first slot
-    inner = _pform_inner_dual(H, H, G, 2)
+    inner = rm.form_inner(H, H, G, 2)
     u = np.einsum("amp,mp->ap", G, w.value)  # G(d_th phi) as a frame section of the algebroid
-    nabH = alg.covariant_derivative_of(gamma, pkg.H_theta)  # [k, a, b, c, p]
+    nabH = gtb.covariant_derivative(gamma, anchor, *pkg.H_theta)  # [k, a, b, c, p]
     return (
-        scalar + 4.0 * lap - 0.5 * _pform_inner_dual(H, H, G, 3) - 4.0 * norm2,
+        scalar + 4.0 * lap - 0.5 * rm.form_inner(H, H, G) - 4.0 * norm2,
         ric + nab_w + nab_w.swapaxes(0, 1) - 0.5 * inner,
         np.einsum("abcp,cp->abp", H, u) - 0.5 * np.einsum("mkp,kmabp->abp", G, nabH),
     )

@@ -123,6 +123,13 @@ def test_load_scene_bad_json(tmp_path):
         load_scene(p)
 
 
+def test_load_scene_not_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"schema_version": "\xe9"}')
+    with pytest.raises(SceneError):
+        load_scene(p)
+
+
 @pytest.mark.parametrize(
     "section, key",
     [("background", "Bo"), ("options", "tolerance"), ("options.tolerances", "symm")],
@@ -239,6 +246,12 @@ def test_main_input_error_exit_code(tmp_path):
     assert main(["central", str(bad)]) == 2
     assert main(["equivalence", str(SCENES / "poly3d.json")]) == 2
     assert main(["central", str(tmp_path / "missing.json")]) == 2
+
+
+def test_main_unwritable_out_is_an_input_error(tmp_path, capsys):
+    # exit 1 would read as a failed check
+    assert main(["central", str(SCENES / "flat2d.json"), "--out", str(tmp_path / "no" / "r.json")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_main_check_failure_exit_code(tmp_path):
@@ -562,17 +575,21 @@ def test_non_integer_overrides_rejected(key, value):
     assert f"[{key} override]" in str(err.value)
 
 
-@pytest.mark.parametrize("domain", [[[-1e308, 1e308], [-1, 1]], [[-math.inf, math.inf], [-1, 1]],
-                                    [[-1, 10**400], [-1, 1]]],
-                         ids=["infinite-width", "infinite-bounds", "beyond-float-range"])
-def test_main_unbounded_domain_is_an_input_error(tmp_path, capsys, domain):
-    # sample points at x = inf would let `beta` pass on flat2d
+@pytest.mark.parametrize("domain, location",
+                         [([[-1e308, 1e308], [-1, 1]], "chart"), ([[-math.inf, math.inf], [-1, 1]], "chart"),
+                          ([[-1, 10**400], [-1, 1]], "chart"), ([True, "1"], "chart.domain"),
+                          ([["-1", "1"], [-1, 1]], "chart.domain")],
+                         ids=["infinite-width", "infinite-bounds", "beyond-float-range",
+                              "boolean-bound", "string-bounds"])
+def test_main_unbounded_domain_is_an_input_error(tmp_path, capsys, domain, location):
+    # sample points at x = inf would let `beta` pass on flat2d; a boolean or
+    # string bound would be read through float()
     doc = json.loads((SCENES / "flat2d.json").read_text())
     doc["chart"]["domain"] = domain
     path = tmp_path / "domain.json"
     path.write_text(json.dumps(doc))
     assert main(["beta", str(path)]) == 2
-    assert "[chart]" in capsys.readouterr().err
+    assert f"[{location}]" in capsys.readouterr().err
 
 
 def four_d_scene(points, seed=1):
@@ -624,9 +641,9 @@ def test_all_on_a_4d_scene_with_a_twist_on_the_image_of_theta():
     # symplectic and equivalence suites read a twist; B is well conditioned
     # at these points, unlike on the seed-1 scene
     scene = four_d_scene(2, seed=3)
-    cot = streff.Derived(scene.background).symplectic.cotangent
-    th = cot.theta.value
-    twist = np.einsum("abcp,aip,bjp,ckp->ijkp", cot.twist.value, th, th, th)
+    pkg = streff.Derived(scene.background).symplectic
+    th = pkg.theta[0].value
+    twist = np.einsum("abcp,aip,bjp,ckp->ijkp", pkg.twist.value, th, th, th)
     assert ex.max_abs_on_points(twist, scene.chart.sample_points())[0] > 0.1
     report = run_command("all", scene)
     assert {c.name for c in report.checks} == ALL_CHECKS

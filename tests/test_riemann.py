@@ -359,24 +359,26 @@ def test_form_inner_degree_mismatch():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 3), st.integers(2, 4), st.integers(0, 2**16))
-def test_form_inner_equals_the_brute_force_sum(p, n, salt):
+@given(st.integers(0, 3), st.integers(2, 4), st.integers(0, 2**16), st.booleans())
+def test_form_inner_equals_the_brute_force_sum(p, n, salt, free):
+    # with ``free``, each operand has one leading free slot and the degree is given
     c = chart("x y z w"[: 2 * n - 1], seed=salt, num_points=2)
     gen = c.rng(salt)
     rand = lambda *idx: tn.ex.random_polynomial(c, gen, 2, 0.5)  # noqa: E731
-    alpha = conftest.from_function(c, p, rand)
-    beta = conftest.from_function(c, p, rand)
+    alpha = conftest.from_function(c, p + free, rand)
+    beta = conftest.from_function(c, p + free, rand)
     upper = {(i, j): rand() for i in range(n) for j in range(i, n)}
     ginv = conftest.from_function(c, 2, lambda i, j: upper[min(i, j), max(i, j)])
-    got = rm.form_inner(vals(alpha, c), vals(beta, c), vals(ginv, c))
+    got = rm.form_inner(vals(alpha, c), vals(beta, c), vals(ginv, c), *[p] * free)
     for q, pt in enumerate(c.sample_points()):
         a, b, gi = (conftest.at(t, pt) for t in (alpha, beta, ginv))
-        want = math.fsum(
-            a[idx] * b[jdx] * math.prod(gi[i, j] for i, j in zip(idx, jdx))
-            for idx in itertools.product(range(n), repeat=p)
-            for jdx in itertools.product(range(n), repeat=p)
-        ) / math.factorial(p)
-        assert got[q] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for x, y in itertools.product(range(n), repeat=2) if free else [((), ())]:
+            want = math.fsum(
+                a[x][idx] * b[y][jdx] * math.prod(gi[i, j] for i, j in zip(idx, jdx))
+                for idx in itertools.product(range(n), repeat=p)
+                for jdx in itertools.product(range(n), repeat=p)
+            ) / math.factorial(p)
+            assert got[(x, y, q) if free else q] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_codifferential_constant_flat_zero():

@@ -13,8 +13,7 @@ Layers, bottom to top:
 - ``gtb``      pairing, twisted Dorfman bracket, generalized metrics,
                bivector twists, Koszul bracket and Lie-algebroid calculus
 - ``gconn``    metric-compatible torsion-free connections on the double
-               bundle, their curvature tensors, and the exact quadratic
-               Lie-algebra case
+               bundle and their curvature tensors
 - ``streff``   string-background residuals (beta functions, flatness and
                block-diagonality identities, symplectic-gravity side)
 - ``scene``/``cli``  scene files (the loader fills the Expr arrays of g, B
@@ -28,7 +27,6 @@ from .errors import (
     DomainError,
     ExprSyntaxError,
     GencourantError,
-    InvalidLieAlgebra,
     NotAntisymmetric,
     NotClosed,
     NotPositiveDefinite,
@@ -59,7 +57,6 @@ __all__ = [
     "NotAntisymmetric",
     "SingularB",
     "NotTwistedPoisson",
-    "InvalidLieAlgebra",
     "SceneError",
     "CommandError",
 ]

@@ -12,6 +12,7 @@ failed, 2 input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -380,6 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out:  # checked before the run, which the report would otherwise wait for
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            print(f"error: cannot write the report: {folder} is not a writable directory",
+                  file=sys.stderr)
+            return 2
     try:
         scene = load_scene(args.scene, seed=args.seed, points=args.points)
         for kind, value in (("sym", args.tol_sym), ("fd", args.tol_fd)):

@@ -74,10 +74,6 @@ class NotTwistedPoisson(GencourantError):
         self.max_residual = max_residual
 
 
-class InvalidLieAlgebra(GencourantError):
-    """Quadratic Lie algebra input violates one of its axioms."""
-
-
 class SceneError(GencourantError):
     """Scene file could not be parsed or validated; carries a location hint."""
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,36 +96,27 @@ class SplitMix64:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * (self.next_u64() / 2.0**64)
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Integer in [lo, hi], by rejection-free modular draw (tiny bias is
-        irrelevant for test-data generation)."""
-        return lo + self.next_u64() % (hi - lo + 1)
 
-
-@dataclass(frozen=True)
+# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
 class Chart:
     """A single coordinate chart: names, per-coordinate domain box and the
     sampling configuration used whenever field equality is decided by
-    evaluation."""
+    evaluation.  Immutable, and equal to any chart with the same fields."""
 
-    dim: int
-    coord_names: tuple[str, ...]
-    domain: tuple[tuple[float, float], ...] = ()
-    seed: int = 0
-    num_points: int = 16
-
-    def __post_init__(self):
-        if self.dim <= 0:
+    def __init__(self, dim: int, coord_names: tuple[str, ...],
+                 domain: tuple[tuple[float, float], ...] = (), seed: int = 0,
+                 num_points: int = 16):
+        if dim <= 0:
             raise ValueError("chart dimension must be positive")
-        if len(self.coord_names) != self.dim:
+        if len(coord_names) != dim:
             raise ValueError("need one name per coordinate")
-        if len(set(self.coord_names)) != self.dim:
+        if len(set(coord_names)) != dim:
             raise ValueError("coordinate names must be pairwise distinct")
-        for name in self.coord_names:
+        for name in coord_names:
             if not _is_identifier(name):
                 raise ValueError(f"'{name}' is not a valid identifier")
-        dom = self.domain or tuple((-1.0, 1.0) for _ in range(self.dim))
-        if len(dom) != self.dim:
+        dom = domain or tuple((-1.0, 1.0) for _ in range(dim))
+        if len(dom) != dim:
             raise ValueError("need one interval per coordinate")
         try:
             dom = tuple((float(lo), float(hi)) for lo, hi in dom)
@@ -138,7 +128,23 @@ class Chart:
             # an infinite bound or width would draw sample points at +-inf
             if not math.isfinite(hi - lo):
                 raise ValueError(f"interval [{lo}, {hi}] needs finite bounds and a finite width")
-        object.__setattr__(self, "domain", dom)
+        # written past __setattr__, which refuses every assignment
+        vars(self).update(dim=dim, coord_names=coord_names, domain=dom, seed=seed,
+                          num_points=num_points, _fields=(dim, coord_names, dom, seed, num_points))
+
+    def __setattr__(self, name, *value):  # and, with no value, __delattr__
+        raise AttributeError(f"cannot set or delete '{name}': a Chart is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._fields == other._fields if type(other) is Chart else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        return f"Chart{self._fields!r}"
 
     def coord(self, i: int) -> "Coord":
         return Coord(self, i)

@@ -31,7 +31,7 @@ follows this rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,8 +323,8 @@ def d_theta(df: Jet, theta: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnchoredFrame:
+# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
+class AnchoredFrame(NamedTuple):
     """A bundle over a chart whose sections are spanned by a frame {E_a},
     with an anchor a(E_a)^m and structure functions [E_a, E_b] = C^c_{ab} E_c,
     both held as jets at the chart's sample points: the cotangent Lie

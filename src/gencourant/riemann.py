@@ -28,7 +28,7 @@ than summing the n^{2p} products a_I b_J g^{i1 j1}..g^{ip jp}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .expr import Chart
 from .tensors import DET_TOL, DOWN, UP, Jet
 
 
-@dataclass
-class Christoffel:
+# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
+class Christoffel(NamedTuple):
     """The Levi-Civita connection of a chart metric at the sample points:
     the jets of g, of its inverse and of the coefficients Gamma^k_{ij}, so
     the operators below take it in place of the metric and never invert g
@@ -134,11 +134,6 @@ def gradient_vector(dphi: Jet, ginv: Jet) -> Jet:
 def divergence(v: Jet, gamma: Christoffel) -> np.ndarray:
     """Trace of the Levi-Civita derivative of a vector field, at each point."""
     return np.einsum("kkq->q", covariant_derivative(v, (UP,), gamma))
-
-
-def divergence_oneform(w: Jet, gamma: Christoffel) -> np.ndarray:
-    """Div_g of a 1-form: metric trace g^{ka} (nab_k w)_a, at each point."""
-    return np.einsum("kaq,kaq->q", gamma.ginv.value, covariant_derivative(w, (DOWN,), gamma))
 
 
 def laplace_divergence(dphi: Jet, gamma: Christoffel):

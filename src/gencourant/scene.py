@@ -34,10 +34,11 @@ error; the "policy" option of older scene files is accepted and ignored.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +60,13 @@ class SceneValidationError(SceneError):
     """Scene parsed but violates a semantic requirement."""
 
 
-@dataclass
+# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
 class Scene:
-    chart: Chart
-    background: Background
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    name: str = "scene"
+    def __init__(self, chart: Chart, background: Background, tolerances: dict, name: str):
+        self.chart = chart
+        self.background = background
+        self.tolerances = tolerances  # the CLI's --tol-* options overwrite entries
+        self.name = name
 
     def tol(self, kind: str) -> float:
         return float(self.tolerances.get(kind, DEFAULT_TOLERANCES[kind]))
@@ -233,6 +235,10 @@ def _reject_unknown_keys(spec, known, location: str):
 
 
 def load_scene(path, seed=None, points=None) -> Scene:
+    """The scene of a scene file.  Loading a scene ends the set-up of a
+    run, so it freezes the objects alive then (``gc.freeze``): the cyclic
+    collector no longer scans them, and the run starts with an empty
+    youngest generation, so that no collection it makes is due to set-up."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -242,7 +248,9 @@ def load_scene(path, seed=None, points=None) -> Scene:
         raise SceneError(f"scene file is not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise SceneError(f"scene file is not valid JSON: {err}", f"line {err.lineno}")
-    return scene_from_dict(doc, name=str(path), seed=seed, points=points)
+    scene = scene_from_dict(doc, name=str(path), seed=seed, points=points)
+    gc.freeze()
+    return scene
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +258,7 @@ def load_scene(path, seed=None, points=None) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One residual check: the max-abs residual over the sample points, the
     tolerance it was held to, and the worst sample point."""
 
@@ -276,15 +283,16 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    scene: str
-    seed: int
-    num_points: int
-    checks: list
-    summary: dict
-    timing_seconds: float = 0.0
+    def __init__(self, command: str, scene: str, seed: int, num_points: int, checks: list,
+                 summary: dict, timing_seconds: float):
+        self.command = command
+        self.scene = scene
+        self.seed = seed
+        self.num_points = num_points
+        self.checks = checks
+        self.summary = summary
+        self.timing_seconds = timing_seconds
 
     @property
     def passed(self) -> bool:

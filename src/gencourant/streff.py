@@ -24,8 +24,8 @@ checks are numbers too (``tensors.random_polynomial_jets``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,8 @@ from .tensors import DOWN, Jet
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FieldJets:
+# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
+class FieldJets(NamedTuple):
     """The background's fields at the chart's sample points: the 2-jets of
     g, B and phi (each the jet of the field and the jet of its partials,
     ``tensors.field_jets``) and the jet of H."""
@@ -56,7 +56,6 @@ class FieldJets:
     H: Jet
 
 
-@dataclass
 class Background:
     """Chart background fields: Riemannian g, 2-form B, dilaton phi, and a
     closed 3-form twist H (zero when not given), each an object array of
@@ -68,18 +67,12 @@ class Background:
     (symmetric, positive definite), B and H (antisymmetric) and dH = 0
     are validated on those numbers."""
 
-    chart: Chart
-    g: np.ndarray
-    B: np.ndarray
-    phi: Expr
-    H: np.ndarray = None
-    jets: FieldJets = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.H is None:
-            self.H = tn.zeros_array((self.chart.dim,) * 3)
-        self.phi = ex._coerce(self.phi)
-        chart, pts = self.chart, self.chart.sample_points()
+    def __init__(self, chart: Chart, g: np.ndarray, B: np.ndarray, phi: Expr,
+                 H: np.ndarray | None = None):
+        self.chart, self.g, self.B = chart, g, B
+        self.H = tn.zeros_array((chart.dim,) * 3) if H is None else H
+        self.phi = ex._coerce(phi)
+        pts = chart.sample_points()
 
         def checked(name, jets):
             return tuple(tn.finite(f"scene field {name}", j, pts) for j in jets)
@@ -185,8 +178,7 @@ class Derived:
         return transport_identity_residual(self)
 
 
-@dataclass
-class BetaResiduals:
+class BetaResiduals(NamedTuple):
     """The residual tensors at the chart's sample points."""
 
     beta_g: np.ndarray         # [i, j, p], symmetric
@@ -258,8 +250,7 @@ def beta_g_index_form(derived: Derived) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CentralResiduals:
+class CentralResiduals(NamedTuple):
     """Identity residuals at the chart's sample points: both vanish for every
     background, on-shell or not."""
 
@@ -282,8 +273,7 @@ def central_residuals(derived: Derived) -> CentralResiduals:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SymplecticPackage:
+class SymplecticPackage(NamedTuple):
     """Everything attached to theta = B^{-1}, as jets at the chart's sample
     points: the dual metric G = -B g^{-1} B, the twist dB and the cotangent
     Lie algebroid it twists (``gtb.cotangent_algebroid``) with its
@@ -374,8 +364,7 @@ def symplectic_residuals(pkg: SymplecticPackage):
 VANISH_TOL = 1e-7
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Max-abs of each residual family over the sample points, with the
     point where it is reached."""
 

@@ -686,6 +686,7 @@ def family_closed_forms(c, g, H, J, W):
     W' [l, p]), for the Expr arrays of g, H and a projected parameter
     pair."""
     from gencourant import riemann as rm
+    from oracles import divergence_oneform
 
     lc = rm.christoffel(*tn.field_jets(g, c), c)
     Jp, Wp = (tn.jets_at(t, c) for t in partial_traces(g, J, W))
@@ -693,7 +694,7 @@ def family_closed_forms(c, g, H, J, W):
     gv, ginv, Hv, Jv, Wv = lc.g.value, lc.ginv.value, Hj.value, Jp.value, Wp.value
     ric, rg = rm.curvature_package(lc)
     want_e = -4.0 * rm.divergence(Jp, lc) + 8.0 * np.einsum("ap,ap->p", Jv, Wv)
-    want_g = (rg - 0.5 * rm.form_inner(Hv, Hv, ginv) + 4.0 * rm.divergence_oneform(Wp, lc)
+    want_g = (rg - 0.5 * rm.form_inner(Hv, Hv, ginv) + 4.0 * divergence_oneform(Wp, lc)
               - 4.0 * np.einsum("abp,ap,bp->p", ginv, Wv, Wv)
               - 4.0 * np.einsum("abp,ap,bp->p", gv, Jv, Jv))
     nabW = rm.covariant_derivative(Wp, (DOWN,), lc)

@@ -1,5 +1,6 @@
 """Scene loading, command dispatch, reports, exit codes."""
 
+import gc
 import json
 import math
 import subprocess
@@ -252,6 +253,39 @@ def test_main_unwritable_out_is_an_input_error(tmp_path, capsys):
     # exit 1 would read as a failed check
     assert main(["central", str(SCENES / "flat2d.json"), "--out", str(tmp_path / "no" / "r.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_checks_out_before_the_scene_is_loaded(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "load_scene", never)
+    monkeypatch.setattr(cli, "run_command", never)
+    assert main(["central", str(SCENES / "poly2d.json"), "--out", "/nonexistent/dir/r.json"]) == 2
+    assert "error: cannot write the report: /nonexistent/dir" in capsys.readouterr().err
+    monkeypatch.undo()
+    # a directory in the place of the file passes the early check; the
+    # failed write after the run is still an input error
+    assert main(["central", str(SCENES / "flat2d.json"), "--out", str(tmp_path)]) == 2
+    assert "error: cannot write the report:" in capsys.readouterr().err
+
+
+def test_a_run_after_load_scene_makes_no_collection():
+    # load_scene freezes what set-up built; `all` on poly2d then allocates
+    # too few objects to start the cyclic collector
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    sc = load_scene(SCENES / "poly2d.json")
+    gc.callbacks.append(record)
+    try:
+        run_command("all", sc)
+    finally:
+        gc.callbacks.remove(record)
+    assert started == []
 
 
 def test_main_check_failure_exit_code(tmp_path):

@@ -25,6 +25,7 @@ from gencourant.expr import (
     random_polynomial,
     to_string,
 )
+from oracles import randint
 
 XY = chart("x y", seed=7)
 X, Y = XY.coords()
@@ -135,8 +136,8 @@ def _random_safe_expr(chart_, gen, depth=3):
     if depth == 0 or gen.uniform() < 0.3:
         if gen.uniform() < 0.4:
             return gen.uniform(-2, 2) + 0 * chart_.coord(0)
-        return chart_.coord(gen.randint(0, chart_.dim - 1))
-    pick = gen.randint(0, 5)
+        return chart_.coord(randint(gen, 0, chart_.dim - 1))
+    pick = randint(gen, 0, 5)
     a = _random_safe_expr(chart_, gen, depth - 1)
     b = _random_safe_expr(chart_, gen, depth - 1)
     if pick == 0:
@@ -167,7 +168,7 @@ def test_finite_difference_order2_convergence():
         if checked >= 50:
             break
         e = _random_safe_expr(XY, gen)
-        i = gen.randint(0, 1)
+        i = randint(gen, 0, 1)
         point = (gen.uniform(-0.9, 0.9), gen.uniform(-0.9, 0.9))
         d = evaluate(differentiate(e, XY.coord(i)), point)
         err3 = abs(_central_difference(e, point, i, 1e-3) - d)
@@ -248,6 +249,24 @@ def test_chart_validation():
         Chart(2, ("x", "2y"))
     with pytest.raises(ValueError):
         Chart(1, ("x",), ((1.0, -1.0),))
+
+
+def test_chart_is_an_immutable_value():
+    a = chart("x y", domain=((0, 2), (-3, -1)), seed=42, num_points=10)
+    b = Chart(2, ("x", "y"), ((0.0, 2.0), (-3.0, -1.0)), seed=42, num_points=10)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != chart("x y", domain=((0, 2), (-3, -1)), seed=43, num_points=10)
+    assert a != chart("x z", domain=((0, 2), (-3, -1)), seed=42, num_points=10)
+    a.sample_points()
+    assert a == b  # drawing the points changes no field
+    for name in ("dim", "coord_names", "domain", "seed", "num_points", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.seed
+    assert (a.dim, a.coord_names, a.domain, a.seed, a.num_points) == (
+        2, ("x", "y"), ((0.0, 2.0), (-3.0, -1.0)), 42, 10)
 
 
 def test_sample_points_deterministic_and_in_domain():

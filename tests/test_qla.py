@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gencourant.errors import InvalidLieAlgebra
-from gencourant.gconn import (
+from oracles import (
+    InvalidLieAlgebra,
     QuadraticLieAlgebra,
     qla_compat_residual,
     qla_lc,

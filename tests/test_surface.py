@@ -14,6 +14,9 @@ class, and a name in use is never reported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,15 +24,7 @@ PACKAGE = ROOT / "src" / "gencourant"
 SCRIPTS = ROOT / "scripts"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-KEPT = {
-    "expr.SplitMix64.randint": "completes the generator's draws next to uniform",
-    "riemann.divergence_oneform": "classical oracle of the acceptance tests",
-    "gconn.v_trace": "partial-trace oracle of the acceptance tests",
-    "gconn.lc_parameter_space_dim": "dimension count checked by the acceptance tests",
-    "gconn.qla_lc": "exact-rational quadratic Lie algebra case, an independent oracle",
-    "gconn.qla_torsion": "exact-rational quadratic Lie algebra case, an independent oracle",
-    "gconn.qla_compat_residual": "exact-rational quadratic Lie algebra case, an independent oracle",
-}
+KEPT = {}
 
 
 def _public_definitions():
@@ -96,6 +91,22 @@ def unreached() -> list:
 def test_every_public_definition_is_reached_outside_the_tests():
     dead = [qual for qual in unreached() if qual not in KEPT]
     assert not dead, "reached only by tests, or by nothing: " + ", ".join(dead)
+
+
+def test_importing_the_verifier_loads_no_test_only_module():
+    """A process that runs the verifier (as ``perfbench/sample.py`` does:
+    numpy and the stdlib first, then ``gencourant.cli`` and ``scene``)
+    imports neither ``dataclasses`` nor the exact-rational stack, whose
+    import is a cost every process pays."""
+    code = ("import argparse, functools, hashlib, json, math, resource, sys, time\n"
+            "from pathlib import Path\n"
+            "import numpy\n"
+            "from gencourant import cli, scene\n"
+            "print(sorted({'dataclasses', 'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_kept_names_are_defined():

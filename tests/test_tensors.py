@@ -15,6 +15,7 @@ from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.scene import from_upper
 import conftest
+from oracles import randint
 
 
 C2 = chart("x y", seed=11)
@@ -102,11 +103,11 @@ def _random_operand(c, gen, shape, as_float):
     ``as_float`` a plain float array, zeros included."""
     size = int(np.prod(shape))
     if as_float:
-        return np.array([0.0 if gen.randint(0, 2) == 0 else gen.uniform(-2, 2)
+        return np.array([0.0 if randint(gen, 0, 2) == 0 else gen.uniform(-2, 2)
                          for _ in range(size)]).reshape(shape)
     entries = []
     for _ in range(size):
-        kind = gen.randint(0, 3)
+        kind = randint(gen, 0, 3)
         entries.append(tn.ex.ZERO if kind == 0 else
                        tn.ex.Const(gen.uniform(-2, 2)) if kind == 1 else
                        tn.ex.random_polynomial(c, gen, 2, 1.0))
@@ -122,7 +123,7 @@ def test_contract_matches_einsum(spec, seed, num_points, float_operand):
     c = chart("x y", seed=seed % 1000, num_points=num_points)
     gen = c.rng(seed)
     subs = spec.split("->")[0].split(",")
-    sizes = {letter: gen.randint(1, 3) for letter in sorted(set("".join(subs)))}
+    sizes = {letter: randint(gen, 1, 3) for letter in sorted(set("".join(subs)))}
     operands = [
         _random_operand(c, gen, tuple(sizes[x] for x in sub), float_operand and k == 0)
         for k, sub in enumerate(subs)
@@ -159,7 +160,7 @@ def test_jet_contract_matches_the_derivative_of_the_contraction(spec, seed, num_
     c = chart("x y", seed=seed % 1000, num_points=num_points)
     gen = c.rng(seed)
     subs = spec.split("->")[0].split(",")
-    sizes = {letter: gen.randint(1, 3) for letter in sorted(set("".join(subs)))}
+    sizes = {letter: randint(gen, 1, 3) for letter in sorted(set("".join(subs)))}
     operands = [_random_operand(c, gen, tuple(sizes[x] for x in sub), False) for sub in subs]
     pts = c.sample_points()
     got, dgot = tn.jet_contract(spec, *[tn.jets_at(op, c) for op in operands])

@@ -383,9 +383,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.out:  # checked before the run, which the report would otherwise wait for
         folder = os.path.dirname(os.path.abspath(args.out))
-        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            print(f"error: cannot write the report: {folder} is not a writable directory",
-                  file=sys.stderr)
+        problem = (f"{args.out} is a directory" if os.path.isdir(args.out)
+                   else None if os.path.isdir(folder) and os.access(folder, os.W_OK)
+                   else f"{folder} is not a writable directory")
+        if problem:
+            print(f"error: cannot write the report: {problem}", file=sys.stderr)
             return 2
     try:
         scene = load_scene(args.scene, seed=args.seed, points=args.points)

@@ -8,20 +8,22 @@ its bracket (anchor and frame brackets); the pairing is the permutation
 ``gtb.dual_index`` in every picture used here (all our isomorphisms are
 orthogonal).  The frame calculus (covariant derivative, torsion and the
 curvature R0 below) is that of ``gtb``; this module adds what is specific
-to Courant algebroids: the pairing, the left-Leibniz term of the bracket,
-the Gualtieri torsion, the symmetrised curvature R and its pairing-dual
-traces.  Everything downstream is computed from those two ingredients, so
-the same code serves the standard twisted bracket, its shear by e^B, and
-the bivector-sheared bracket.
+to Courant algebroids: the pairing, the Gualtieri torsion, the symmetrised
+curvature R and its pairing-dual traces.  Everything downstream is
+computed from those two ingredients, so the same code serves the standard
+twisted bracket, its shear by e^B, and the bivector-sheared bracket, whose
+structure functions are ``gtb.dorfman`` pulled back through F_theta
+(``conjugated_algebroid``).
 
 A connection is its coefficients at the chart's sample points, the jet
 ``gamma`` of Gamma[C, A, B].  Everything it is built from is a jet too
-(``tensors.Jet``): the chart connection and H' for the minimal connection
-and the block transport, the metric and the parameters for the family
-(``with_params``), the 2-jets of B and theta for the transports
-(``untwist``, ``theta_transport``), the anchor and the brackets of each
-picture.  They are combined by ``tensors.jet_contract``, the product rule
-applied to one einsum.  Everything read from a connection is numbers at
+(``tensors.Jet``): the chart connection and H' for the block transport,
+which the minimal connection makes torsion-free, the metric and the
+parameters for the family (``with_params``), the 2-jets of B and of
+F_theta for the transports (``untwist`` through ``gtb.shear``,
+``theta_transport``), the anchor and the brackets of each picture.  They
+are combined by ``tensors.jet_contract``, the product rule applied to one
+einsum.  Everything read from a connection is numbers at
 those points, each array ending in the point axis: the torsion
 (``torsion_map``), the compatibility residuals
 (``gtb.covariant_derivative``), R0 (``gtb.frame_curvature``), from which
@@ -73,29 +75,16 @@ def standard_algebroid(chart: Chart, H: Jet) -> AnchoredFrame:
     return AnchoredFrame(chart, anchor, brackets)
 
 
-def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet,
-                         source: AnchoredFrame) -> AnchoredFrame:
-    """Pull the bracket of ``source`` back through the frame isomorphism
-    with 2-jet F: [e_A, e_B]_new = F^{-1} [F e_A, F e_B]_source."""
-    anchor = tn.jet_contract("ax,am->xm", F[0], source.anchor)
-    brackets = tn.jet_contract("cd,dab->cab", Finv, _bracket_components(source, F, F))
-    return AnchoredFrame(chart, anchor, brackets)
-
-
-def _bracket_components(alg: AnchoredFrame, u: tuple[Jet, Jet], v: tuple[Jet, Jet]) -> Jet:
-    """The jet of [psi, phi] for two batches of sections given by their
-    2-jets, u[A, x] and v[B, y] (with du[A, x, m] = d_m u^A), as [C, x, y]:
-    the anchored-frame bracket
-    u^A v^B [e_A,e_B] + (rho(u).v^C) e_C - (rho(v).u^C) e_C plus the
-    left-Leibniz term of the Courant bracket, the D<u, e_B> contributions
-    from the left slot: [f e_A, .] = f [e_A, .] - (rho(.).f) e_A + <e_A, .> Df,
-    with (Df)^C = rho(e_swap(C)).f and <e_A, v> = v^swap(A)."""
-    (u, du), (v, dv) = u, v
-    swap = _swap(alg)
-    return (tn.jet_contract("ax,by,cab->cxy", u, v, alg.structure)
-            + tn.jet_contract("ax,am,cym->cxy", u, alg.anchor, dv)
-            - tn.jet_contract("by,bm,cxm->cxy", v, alg.anchor, du)
-            + tn.jet_contract("ay,cm,axm->cxy", v[swap], alg.anchor[swap], du))
+def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet, H: Jet) -> AnchoredFrame:
+    """Pull the H-twisted Dorfman bracket back through the frame
+    isomorphism with 2-jet F: [e_A, e_B]_new = F^{-1} [F e_A, F e_B]^H, the
+    brackets of all pairs of columns of F in one batched ``gtb.dorfman``;
+    the anchor of e_A is the vector part of F e_A."""
+    Fj, dF = F
+    cols = dF.map(lambda t: np.moveaxis(t, 2, 1))  # [C, m, A]: d_m of column A
+    brackets = gtb.dorfman((Fj[:, :, None], cols[:, :, :, None]), (Fj[:, None], cols[:, :, None]), H)
+    anchor = Fj[:chart.dim].map(lambda t: t.swapaxes(0, 1))
+    return AnchoredFrame(chart, anchor, tn.jet_contract("cd,dab->cab", Finv, brackets))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +244,9 @@ def bianchi_residual(conn: GenConnection) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# construction: minimal connection, parameter family, dilaton choice
+# construction: block transport, minimal connection, parameter family,
+# dilaton choice
 # ---------------------------------------------------------------------------
-
-
-def _block_metric(lc: rm.Christoffel) -> GeneralizedMetric:
-    """BlockDiag(g, g^{-1}) for the metric and inverse that lc carries."""
-    return GeneralizedMetric(lc.chart, lc.g, None, lc.ginv)
 
 
 def _block_transport(lc: rm.Christoffel) -> Jet:
@@ -274,24 +259,28 @@ def _block_transport(lc: rm.Christoffel) -> Jet:
     return gamma
 
 
-def minimal_connection(lc: rm.Christoffel, H_prime: Jet) -> GenConnection:
+def block_lc_connection(lc: rm.Christoffel, H_prime: Jet) -> GenConnection:
+    """The block-diagonal transport by the chart connection lc alone, for
+    BlockDiag(g, g^{-1}) of the metric and inverse that lc carries (metric
+    compatible but torsionful: its torsion 3-form is the anchor pullback of
+    H_prime)."""
+    return _connection("block transport jet", standard_algebroid(lc.chart, H_prime),
+                       _block_transport(lc), GeneralizedMetric(lc.chart, lc.g, None, lc.ginv))
+
+
+def minimal_connection(block: GenConnection) -> GenConnection:
     """The distinguished torsion-free metric connection for the block
-    diagonal metric of g (the metric of the chart connection lc) and the
-    bracket twisted by the closed 3-form with jet H_prime
-    (``_minimal_coefficients``)."""
-    return _connection("minimal connection jet", standard_algebroid(lc.chart, H_prime),
-                       _minimal_coefficients(lc, H_prime), _block_metric(lc))
-
-
-def _minimal_coefficients(lc: rm.Christoffel, H_prime: Jet) -> Jet:
-    """The jet of the coefficients of the minimal connection:
+    diagonal metric of g and the bracket twisted by the closed 3-form H':
+    the block transport ``block`` (``block_lc_connection``) made
+    torsion-free, on its bracket and metric, with H' read back from that
+    bracket and g^{-1} from that metric:
 
     nab^0_{(X,xi)} (Y,eta) =
       ( nabLC_X Y + (1/6) g^{-1} H'(g^{-1} xi, Y, .) - (1/3) g^{-1} H'(X, g^{-1} eta, .),
         nabLC_X eta - (1/3) H'(X, Y, .) + (1/6) H'(g^{-1} xi, g^{-1} eta, .) )."""
-    n = lc.chart.dim
-    ginv, Hc = lc.ginv, H_prime
-    gamma = _block_transport(lc)
+    n = block.chart.dim
+    ginv, Hc = block.metric.g_inv, _current_twist(block)
+    gamma = block.gamma.map(np.copy)
     # each H' term is indexed [l, m, v] (the output slot l, the legs m and v)
     # and adds c times itself to the block of Gamma[l, m, v] whose slots are
     # the vector (first n) or form (last n) frame indices it names
@@ -300,20 +289,12 @@ def _minimal_coefficients(lc: rm.Christoffel, H_prime: Jet) -> Jet:
     form_vec = tn.jet_contract("la,mb,bva->lmv", ginv, ginv, Hc)  # g^{-1} H'(g^{-1} xi, Y, .)
     form_form = tn.jet_contract("ma,vb,abl->lmv", ginv, ginv, Hc)  # H'(g^{-1} xi, g^{-1} eta, .)
     vec, form = slice(0, n), slice(n, 2 * n)
-    for block, c, term in (((form, vec, vec), -1.0 / 3.0, vec_vec),
+    for part, c, term in (((form, vec, vec), -1.0 / 3.0, vec_vec),
                            ((vec, vec, form), -1.0 / 3.0, vec_form),
                            ((vec, form, vec), 1.0 / 6.0, form_vec),
                            ((form, form, form), 1.0 / 6.0, form_form)):
-        gamma[block] = gamma[block] + c * term
-    return gamma
-
-
-def block_lc_connection(lc: rm.Christoffel, H_prime: Jet) -> GenConnection:
-    """The block-diagonal transport by the chart connection lc alone
-    (metric compatible but torsionful: its torsion 3-form is the anchor
-    pullback of H_prime)."""
-    return _connection("block transport jet", standard_algebroid(lc.chart, H_prime),
-                       _block_transport(lc), _block_metric(lc))
+        gamma[part] = gamma[part] + c * term
+    return _connection("minimal connection jet", block.algebroid, gamma, block.metric)
 
 
 class ConnParams(NamedTuple):
@@ -456,24 +437,25 @@ def untwist(conn: GenConnection, B: tuple[Jet, Jet]) -> GenConnection:
     twist H' - dB."""
     B, dB = B
     gm_new = GeneralizedMetric(conn.chart, conn.metric.g, B, conn.metric.g_inv)
-    F = (gm_new.shear_matrix(-1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
+    F = (gtb.shear(B, -1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
     H_new = _current_twist(conn) - dB.map(lambda t: tn.d_of_partials(t, 2))
     alg_new = standard_algebroid(conn.chart, H_new)
-    return transport_connection(conn, F, gm_new.shear_matrix(+1), alg_new, gm_new)
+    return transport_connection(conn, F, gtb.shear(B, +1), alg_new, gm_new)
 
 
 def _current_twist(conn: GenConnection) -> Jet:
-    """The jet of the twist 3-form, from the standard-frame brackets."""
+    """The jet of the twist 3-form, -C^{n+l}_{mv}, from the standard-frame brackets; in C order
+    (the einsum is a transposed view) like the H it was built from, so contractions sum alike."""
     n = conn.chart.dim
-    return -tn.jet_contract("lmv->mvl", conn.algebroid.structure[n:, :n, :n])  # -C^{n+l}_{mv}
+    return (-tn.jet_contract("lmv->mvl", conn.algebroid.structure[n:, :n, :n])).map(np.ascontiguousarray)
 
 
-def theta_transport(conn: GenConnection, theta: tuple[Jet, Jet], B: tuple[Jet, Jet],
+def theta_transport(conn: GenConnection, F: tuple[Jet, Jet], Finv: Jet,
                     metric: GeneralizedMetric) -> GenConnection:
     """Pull a connection on the standard twisted bracket back through the
-    bivector shear F_theta, for the 2-jets of theta and B; the result lives
-    on the sheared bracket and is compatible with ``metric``,
-    BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
-    F, Finv = gtb.theta_twist_matrices(theta, B)
-    alg_new = conjugated_algebroid(conn.chart, F, Finv, conn.algebroid)
+    bivector shear F_theta, for its 2-jet F and the jet of its inverse
+    (``gtb.theta_twist_matrices``); the result lives on the sheared bracket
+    and is compatible with ``metric``, BlockDiag(G, G^{-1}) for
+    G = -B g^{-1} B."""
+    alg_new = conjugated_algebroid(conn.chart, F, Finv, _current_twist(conn))
     return transport_connection(conn, F, Finv, alg_new, metric)

@@ -2,11 +2,13 @@
 
 Sections are (vector field, 1-form) pairs.  This module provides the
 canonical pairing (one frame permutation, ``dual_index``), the twisted
-Dorfman bracket and its differential, the generalized metric package built
-from a pair (g, B), the shear maps e^B and F_theta, the cotangent Lie
-algebroid of theta = B^{-1} with its twisted Koszul bracket, a Schouten
-residual check, and the calculus on an ``AnchoredFrame`` (Levi-Civita
-connection of a fiber metric, covariant derivative, torsion, curvature).
+Dorfman bracket (``dorfman``, the only Courant bracket) and its
+differential, the generalized metric package built from a pair (g, B), the
+frame matrices of the shears e^B (``shear``, the only e^B) and F_theta, the
+cotangent Lie algebroid of theta = B^{-1} with its twisted Koszul bracket,
+a Schouten residual check, and the calculus on an ``AnchoredFrame``
+(Levi-Civita connection of a fiber metric, covariant derivative, torsion,
+curvature).
 That calculus serves both the cotangent Lie algebroid and the generalized
 coordinate frame of TM (+) T*M (``gconn.standard_algebroid``).
 
@@ -110,13 +112,15 @@ def dorfman(psi, phi, H: Jet):
     (X and Y their vector parts) as
         X.dv - Y.du + (0, <v, d_m u> - H(X, Y, d_m)).
     On the 2-jets (u, du) of the sections (Jets) it gives the bracket's
-    jet; on their jets (values and first partials) it gives its values."""
+    jet; on their jets (values and first partials) it gives its values.
+    Batch axes after the frame index (u[A, ...], du[A, m, ...]) broadcast:
+    u[A, x, 1] against v[B, 1, y] gives the brackets [C, x, y] of all pairs."""
     (u, du), (v, dv) = psi, phi
     n = len(H)
     twist = H if isinstance(u, Jet) else H.value
-    out = tn.jet_contract("a,ca->c", u[:n], dv) - tn.jet_contract("a,ca->c", v[:n], du)
-    out[n:] = (out[n:] + tn.jet_contract("a,am->m", _swap(v), du)
-               - tn.jet_contract("abm,a,b->m", twist, u[:n], v[:n]))
+    out = tn.jet_contract("a...,ca...->c...", u[:n], dv) - tn.jet_contract("a...,ca...->c...", v[:n], du)
+    out[n:] = (out[n:] + tn.jet_contract("a...,am...->m...", _swap(v), du)
+               - tn.jet_contract("abm,a...,b...->m...", twist, u[:n], v[:n]))
     return out
 
 
@@ -169,18 +173,13 @@ class GeneralizedMetric:
 
     # -- frame matrices ------------------------------------------------
 
-    def shear_matrix(self, sign: int) -> Jet:
-        """Frame matrix of e^{sign*B}: block lower-triangular with B in the
-        (form, vector) corner."""
-        return tn.jet_block([[1, 0], [sign * self.B, 1]])
-
     def gram(self) -> Jet:
         """(2n)x(2n) Gram matrix G_ab = G(e_a, e_b) via the shear product
         form: G = (e^{-B})^T BlockDiag(g, g^{-1}) (e^{-B}); the entries
         below the diagonal are those above it."""
         if self._gram is None:
             n = self.chart.dim
-            M = self.shear_matrix(-1)
+            M = shear(self.B, -1)
             gram = (tn.jet_contract("ij,ia,jb->ab", self.g, M[:n], M[:n])
                     + tn.jet_contract("ij,ia,jb->ab", self.g_inv, M[n:], M[n:]))
             below = np.tril_indices(2 * n, -1)
@@ -191,7 +190,7 @@ class GeneralizedMetric:
     def gram_inverse(self) -> np.ndarray:
         """Values of the inverse Gram matrix through the shear factorization:
         G^{-1} = M BlockDiag(g^{-1}, g) M^T with M = e^{B}'s frame matrix."""
-        M = self.shear_matrix(+1).value
+        M = shear(self.B, +1).value
         core = tn.jet_block([[self.g_inv, 0], [0, self.g]]).value
         return np.einsum("ikp,klp,jlp->ijp", M, core, M)
 
@@ -231,10 +230,17 @@ class GeneralizedMetric:
 # ---------------------------------------------------------------------------
 
 
-def b_twist(u, B):
-    """e^B(X, xi) = (X, xi + B(X)), orthogonal for the pairing, of a section
-    and a 2-form given by their values or their jets."""
-    return u + d_map(tn.jet_contract("ma,a->m", B, u[:len(B)]))
+def shear(B: Jet, sign: int) -> Jet:
+    """The jet of the frame matrix of e^{sign*B}, (X, xi) |-> (X, xi + sign B(X)),
+    orthogonal for the pairing: B in the (form, vector) corner."""
+    return tn.jet_block([[1, 0], [sign * B, 1]])
+
+
+def b_twist(u, B: Jet):
+    """e^B(X, xi) = (X, xi + B(X)) of a section given by its values or its
+    jet, for the jet of a 2-form (the frame matrix ``shear(B, +1)``)."""
+    M = shear(B, +1)
+    return tn.jet_contract("ca,a->c", M if isinstance(u, Jet) else M.value, u)
 
 
 def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
@@ -247,7 +253,7 @@ def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
     pts = chart.sample_points()
 
     def residual(psi, phi):
-        lhs = b_twist(dorfman(psi, phi, h_prime), B.value)
+        lhs = b_twist(dorfman(psi, phi, h_prime), B)
         rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H)
         return ex.max_abs_on_points(lhs - rhs, pts)
 

@@ -20,14 +20,14 @@ strict upper triangle (i < j), 3-forms on strictly increasing triples; the
 symmetry completions are never read from the lower parts.  The loader
 fills an object array of Expr for each of g, B and H (``from_upper``), and
 takes H = dB0 of a potential by ``tensors.d_of_partials``, the exterior
-derivative that the numeric stages apply to jets.  "domain" is
-either one interval for all coordinates or one per coordinate.  Missing
-entries default to zero.  Expressions use the grammar of the expression
-engine, over the declared coordinate names.  "dim", "points" and "seed"
-(and the overrides of the last two) must be integers, "points" at least 1,
-"coords" a list of strings, each "domain" bound and each numeric entry of
-"background" a number (not a boolean; finite in "background"), and each
-tolerance a finite positive number.
+derivative that the numeric stages apply to jets.  "domain" is either one
+interval for all coordinates or one per coordinate (default, if missing:
+[-1, 1]).  Missing entries default to zero.  Expressions use the grammar
+of the expression engine, over the declared coordinate names.  "dim",
+"points" and "seed" (and the overrides of the last two) must be integers,
+"points" at least 1, "coords" a list of strings, each "domain" bound and
+each numeric entry of "background" a number (not a boolean; finite in
+"background"), and each tolerance a finite positive number.
 An unknown key in "background", "options" or "options.tolerances" is an
 error; the "policy" option of older scene files is accepted and ignored.
 """
@@ -160,7 +160,7 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(f"need at least one sample point, got {num_points}", where)
     where = "chart.seed" if seed is None else "seed override"
     seed = _integer(chart_spec.get("seed", 0) if seed is None else seed, where)
-    domain = _domain(chart_spec.get("domain") or [-1.0, 1.0])
+    domain = _domain(chart_spec.get("domain", [-1.0, 1.0]))
     try:
         chart = ex.chart(coords, domain=domain, seed=seed, num_points=num_points)
     except (TypeError, ValueError) as err:
@@ -214,9 +214,12 @@ def _integer(value, location: str) -> int:
 
 
 def _domain(domain):
-    """``domain``, if each of its bounds is a number: ``float()`` would read
-    "1" and true as 1 without a message."""
-    for iv in domain if isinstance(domain, list) else [domain]:
+    """``domain``, if it is a non-empty list and each of its bounds is a
+    number: an empty list would leave the default box without a message,
+    and ``float()`` would read "1" and true as 1."""
+    if not (isinstance(domain, list) and domain):
+        raise SceneValidationError(f"expected a list of bounds, got {domain!r}", "chart.domain")
+    for iv in domain:
         for bound in iv if isinstance(iv, list) else [iv]:
             if isinstance(bound, bool) or not isinstance(bound, (int, float)):
                 raise SceneValidationError(f"expected a number, got {bound!r}", "chart.domain")

@@ -12,7 +12,8 @@ evaluates
 - for invertible B, the bivector-gauge side: the cotangent Lie algebroid of
   theta = B^{-1}, its Levi-Civita connection for the fiber metric G^{-1}
   with G = -B g^{-1} B, and the three residuals of the dual gravity
-  equations, plus the transport identity connecting both Ricci tensors.
+  equations, plus the transport identity connecting both Ricci tensors
+  through the bivector shear F_theta, whose frame matrix is built once.
 
 The parsed fields of a ``Background`` are the last expressions: it takes
 their jets once, when it is made, at the chart's seeded sample points (the
@@ -99,12 +100,13 @@ class Derived:
     - ``curvature``: (Ricci, scalar) of g (``riemann.curvature_package``);
     - ``betas``: the residual tensors (``beta_all``);
     - ``metric``: the generalized metric of the pair (g, B);
-    - ``minimal``, ``block_lc``, ``dilaton``: the connections on TM (+) T*M
-      (``gconn.minimal_connection``, ``block_lc_connection``,
-      ``dilaton_connection``);
-    - ``symplectic``, ``dual_residuals``, ``theta_connection``, ``transport``:
-      the bivector side for invertible B (``build_symplectic``,
-      ``symplectic_residuals``, ``theta_transported_connection``,
+    - ``block_lc``, ``minimal``, ``dilaton``: the connections on TM (+) T*M:
+      the block transport (``gconn.block_lc_connection``), the same made
+      torsion-free (``minimal_connection``) and ``dilaton_connection``;
+    - ``symplectic``, ``dual_residuals``, ``f_theta``, ``theta_connection``,
+      ``transport``: the bivector side for invertible B (``build_symplectic``,
+      ``symplectic_residuals``, ``gtb.theta_twist_matrices``: the 2-jet of
+      F_theta and the jet of its inverse, ``theta_transported_connection``,
       ``transport_identity_residual``).
 
     ``jets`` is the background's ``FieldJets``: g, B, H and phi are valued
@@ -151,7 +153,7 @@ class Derived:
 
     @cached_property
     def minimal(self) -> gconn.GenConnection:
-        return gconn.minimal_connection(self.gamma, self.h_prime)
+        return gconn.minimal_connection(self.block_lc)
 
     @cached_property
     def block_lc(self) -> gconn.GenConnection:
@@ -168,6 +170,10 @@ class Derived:
     @cached_property
     def dual_residuals(self):
         return symplectic_residuals(self.symplectic)
+
+    @cached_property
+    def f_theta(self) -> tuple[tuple[Jet, Jet], Jet]:
+        return gtb.theta_twist_matrices(self.symplectic.theta, self.jets.B)
 
     @cached_property
     def theta_connection(self) -> gconn.GenConnection:
@@ -380,8 +386,7 @@ class EquivalenceReport(NamedTuple):
 def theta_transported_connection(derived: Derived) -> gconn.GenConnection:
     """The dilaton connection pulled back through the bivector shear; its
     metric is the block-diagonal package of G."""
-    pkg = derived.symplectic
-    return gconn.theta_transport(derived.dilaton, pkg.theta, derived.jets.B, pkg.metric)
+    return gconn.theta_transport(derived.dilaton, *derived.f_theta, derived.symplectic.metric)
 
 
 def dual_fields(derived: Derived) -> np.ndarray:
@@ -394,8 +399,7 @@ def dual_fields(derived: Derived) -> np.ndarray:
 def transport_identity_residual(derived: Derived) -> np.ndarray:
     """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame, at
     the chart's sample points: [a, b, p]."""
-    (F, _), _ = gtb.theta_twist_matrices(derived.symplectic.theta, derived.jets.B)
-    F = F.value
+    F = derived.f_theta[0][0].value
     return (gconn.ricci(derived.theta_connection)
             - np.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))
 

@@ -37,7 +37,7 @@ def chart_connection(g, c):
 
 
 def minimal(g, H, c):
-    return gconn.minimal_connection(chart_connection(g, c), tn.jets_at(H, c))
+    return gconn.minimal_connection(gconn.block_lc_connection(chart_connection(g, c), tn.jets_at(H, c)))
 
 
 def dB(B, c):

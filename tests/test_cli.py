@@ -263,11 +263,16 @@ def test_main_checks_out_before_the_scene_is_loaded(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "run_command", never)
     assert main(["central", str(SCENES / "poly2d.json"), "--out", "/nonexistent/dir/r.json"]) == 2
     assert "error: cannot write the report: /nonexistent/dir" in capsys.readouterr().err
-    monkeypatch.undo()
-    # a directory in the place of the file passes the early check; the
-    # failed write after the run is still an input error
-    assert main(["central", str(SCENES / "flat2d.json"), "--out", str(tmp_path)]) == 2
-    assert "error: cannot write the report:" in capsys.readouterr().err
+
+
+def test_main_rejects_a_directory_as_the_report_before_the_scene_is_loaded(tmp_path, capsys,
+                                                                          monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("loaded the scene of a run whose report cannot be written")
+
+    monkeypatch.setattr(cli, "load_scene", never)
+    assert main(["central", str(SCENES / "poly2d.json"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: cannot write the report: {tmp_path} is a directory"
 
 
 def test_a_run_after_load_scene_makes_no_collection():
@@ -414,20 +419,22 @@ def test_classical_oracle_catches_a_fault_in_the_shared_curvature(monkeypatch):
 def test_induced_form_check_catches_a_misplaced_shear(monkeypatch):
     # axioms.induced-form compares G(rho* xi, rho* eta), the form-form block
     # of the Gram matrix, with g^{-1}.  With B moved to the (vector, form)
-    # corner of the shear, that block gains B^T g B.
-    exact = gtb.GeneralizedMetric.shear_matrix
+    # corner of the shear, that block gains B^T g B.  The same e^B shears
+    # the sections of the intertwining check, which then fails too.
+    exact = gtb.shear
 
-    def misplaced(self, sign):
-        n = self.chart.dim
-        m = exact(self, sign)
+    def misplaced(B, sign):
+        n = len(B)
+        m = exact(B, sign)
         lower, upper = m[n:, :n].map(np.copy), m[:n, n:].map(np.copy)
         m[n:, :n], m[:n, n:] = upper, lower
         return m
 
-    monkeypatch.setattr(gtb.GeneralizedMetric, "shear_matrix", misplaced)
+    monkeypatch.setattr(gtb, "shear", misplaced)
     scene = load_scene(SCENES / "poly2d.json")
     checks = {c.name: c for c in run_command("axioms", scene).checks}
     assert not checks["axioms.induced-form"].passed
+    assert not checks["axioms.shear-intertwines-brackets"].passed
 
 
 @pytest.mark.parametrize("value", ["tight", True, float("nan"), float("inf"), 0, -1e-9, None, [1e-9]])
@@ -626,6 +633,20 @@ def test_main_unbounded_domain_is_an_input_error(tmp_path, capsys, domain, locat
     assert f"[{location}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", [0, False, [], {}, "", None],
+                         ids=["zero", "false", "empty-list", "empty-object", "empty-string", "null"])
+def test_main_falsy_domain_is_an_input_error(tmp_path, capsys, domain):
+    # only a missing "domain" gives the default box
+    doc = json.loads((SCENES / "flat2d.json").read_text())
+    doc["chart"]["domain"] = domain
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["beta", str(path)]) == 2
+    assert "[chart.domain]" in capsys.readouterr().err
+    del doc["chart"]["domain"]
+    assert scene_from_dict(doc).chart.domain == ((-1.0, 1.0),) * 2
+
+
 def four_d_scene(points, seed=1):
     """The scene of ``make_scene.py --dim 4 --seed <seed> --invertible-b``."""
     sys.path.insert(0, str(SCENES.parent / "scripts"))
@@ -700,12 +721,13 @@ def test_a_bracket_with_the_twist_sign_flipped_fails_the_shear_check(monkeypatch
 
 def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypatch):
     # [u, v] = X.dv - Y.du + ...: the mutant adds Y.du where it subtracts it
+    # (on batched sections too, as conjugated_algebroid passes them)
     scene = load_scene(SCENES / "poly2d.json")
     bracket = gtb.dorfman
 
     def mutant(psi, phi, H):
         (_, du), (v, _) = psi, phi
-        return bracket(psi, phi, H) + 2.0 * tn.jet_contract("a,ca->c", v[:len(H)], du)
+        return bracket(psi, phi, H) + 2.0 * tn.jet_contract("a...,ca...->c...", v[:len(H)], du)
 
     monkeypatch.setattr(gtb, "dorfman", mutant)
     assert "axioms.anchor-morphism" in failed_axioms(scene)
@@ -717,7 +739,8 @@ def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypa
 
 
 BUILDERS = ((rm, "christoffel"), (tn, "jet_inverse"), (tn, "check_antisymmetric"),
-            (streff, "beta_all"), (gconn, "dilaton_connection"))
+            (streff, "beta_all"), (gconn, "dilaton_connection"), (gconn, "standard_algebroid"),
+            (gtb, "theta_twist_matrices"))
 
 
 def builder_calls(monkeypatch, cmd, scene):
@@ -736,16 +759,20 @@ def test_all_builds_each_derived_quantity_once(monkeypatch):
     # g, B and the fiber metric G^{-1} of the cotangent algebroid are
     # inverted once each; H' is checked once, and theta twice (when the
     # cotangent algebroid is built, and by the symplectic.twisted-jacobi
-    # check)
+    # check).  The standard bracket is built once for H' (the block
+    # transport, which the minimal connection reuses) and once for H (the
+    # dilaton connection sheared back by e^B), and F_theta once.
     calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
     assert calls == {"christoffel": 1, "jet_inverse": 3, "check_antisymmetric": 3,
-                     "beta_all": 1, "dilaton_connection": 1}
+                     "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 2,
+                     "theta_twist_matrices": 1}
 
 
 def test_central_on_a_4d_scene_builds_each_derived_quantity_once(monkeypatch):
     calls = builder_calls(monkeypatch, "central", four_d_scene(1))
     assert calls == {"christoffel": 1, "jet_inverse": 1, "check_antisymmetric": 1,
-                     "beta_all": 1, "dilaton_connection": 1}
+                     "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 2,
+                     "theta_twist_matrices": 0}
 
 
 SUITE_FUNCTIONS = ("checks_axioms", "checks_torsion", "checks_curvature", "checks_beta",

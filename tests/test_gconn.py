@@ -87,12 +87,12 @@ def lc(g, c=C2):
     return rm.christoffel(*tn.field_jets(g, c), c)
 
 
-def minimal(g, H, c=C2):
-    return gconn.minimal_connection(lc(g, c), jets(H, c))
-
-
 def block_lc(g, H, c=C2):
     return gconn.block_lc_connection(lc(g, c), jets(H, c))
+
+
+def minimal(g, H, c=C2):
+    return gconn.minimal_connection(block_lc(g, H, c))
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +100,20 @@ def block_lc(g, H, c=C2):
 # ---------------------------------------------------------------------------
 
 
-def test_bracket_components_match_dorfman():
+def test_conjugated_algebroid_brackets_the_columns_with_dorfman():
+    # with F^{-1} the identity, the conjugated brackets are the batched
+    # gtb.dorfman of every pair of columns of F and the anchor is their
+    # vector parts: against the Expr bracket of the column sections
     H = closed_h(C2)
-    alg = gconn.standard_algebroid(C2, jets(H, C2))
     gen = C2.rng(7)
-    for _ in range(3):
-        psi, phi = conftest.random_section(C2, gen), conftest.random_section(C2, gen)
-        u, v = (tn.field_jets(s.components()[:, None], C2) for s in (psi, phi))
-        got = gconn._bracket_components(alg, u, v)[:, 0, 0]
-        want = jets(conftest.dorfman(psi, phi, H).components(), C2)
+    cols = [conftest.random_section(C2, gen) for _ in range(4)]
+    F = np.stack([col.components() for col in cols], axis=1)  # [A, x]: column x
+    alg = gconn.conjugated_algebroid(C2, tn.field_jets(F, C2), tn.constant_jet(np.eye(4), C2),
+                                     jets(H, C2))
+    cases = [(alg.anchor, jets(F[:2].T, C2))]
+    for x, y in itertools.product(range(4), repeat=2):
+        cases.append((alg.structure[:, x, y], jets(conftest.dorfman(cols[x], cols[y], H).components(), C2)))
+    for got, want in cases:
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
 
@@ -611,7 +616,7 @@ def test_connections_match_the_symbolic_ones(salt, count):
         (derived.block_lc, oracle.block_transport),
         (family_conn, family_gamma),
         (untwisted, untwisted_gamma),
-        (gconn.theta_transport(untwisted, pkg.theta, derived.jets.B, pkg.metric),
+        (gconn.theta_transport(untwisted, *derived.f_theta, pkg.metric),
          symbolic_transport(oracle.untwisted_frame, untwisted_gamma, *oracle.theta_matrices)),
         (derived.dilaton, oracle.dilaton),
         (derived.theta_connection, oracle.theta_connection),

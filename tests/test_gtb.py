@@ -222,6 +222,28 @@ def test_numeric_bracket_matches_the_expression_bracket(dim, count, seed):
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("count", [1, 5])
+def test_one_batched_bracket_is_the_bracket_of_each_pair(dim, count):
+    # u[A, x, 1] against v[B, 1, y]: one gtb.dorfman call gives [C, x, y],
+    # bit for bit the bracket of section x with section y
+    c = chart("x y z w".split()[:dim], seed=31, num_points=count)
+    Hj = tn.jets_at(closed_three_form(c), c)
+    sections = gtb.random_sections(c, c.rng(37), 5)
+    # the frame index first, then the batch: u[A, x] and du[A, m, x]
+    u, du = (Jet(*(np.stack([getattr(s[k], half) for s in sections], axis=1 + k)
+                   for half in ("value", "partial"))) for k in (0, 1))
+    batched = gtb.dorfman((u[:, :3, None], du[:, :, :3, None]), (u[:, None, 3:], du[:, :, None, 3:]), Hj)
+    assert batched.value.shape[:3] == (2 * dim, 3, 2)
+    for x, y in itertools.product(range(3), range(2)):
+        one = gtb.dorfman(sections[x], sections[3 + y], Hj)
+        assert np.array_equal(batched.value[:, x, y], one.value)
+        assert np.array_equal(batched.partial[:, x, y], one.partial)
+    values = gtb.dorfman((u.value[:, :3, None], du.value[:, :, :3, None]),
+                         (u.value[:, None, 3:], du.value[:, :, None, 3:]), Hj)
+    assert np.array_equal(values, batched.value)
+
+
 # ---------------------------------------------------------------------------
 # generalized metric
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gencourant import expr as ex
 from gencourant import streff
 from gencourant.scene import scene_from_dict
 from make_scene import build
@@ -45,11 +46,11 @@ def main():
         derived = streff.Derived(bg)
         res = streff.central_residuals(derived)
         beta_max = derived.betas.max_abs(pts)[0]
-        scalar = streff.ex.max_abs_on_points(res.scalar_residual, pts)[0]
-        offblock = streff.ex.max_abs_on_points(res.ricci_residual, pts)[0]
+        scalar = ex.max_abs_on_points(res.scalar_residual, pts)[0]
+        offblock = ex.max_abs_on_points(res.ricci_residual, pts)[0]
         row = [f"{seed:>20}", f"{beta_max:>20.3e}", f"{scalar:>20.3e}", f"{offblock:>20.3e}"]
         if args.invertible_b:
-            tmax = streff.ex.max_abs_on_points(derived.transport, pts)[0]
+            tmax = ex.max_abs_on_points(derived.transport, pts)[0]
             row.append(f"{tmax:>20.3e}")
         row.append(f"{time.perf_counter() - t0:>20.2f}")
         print("  ".join(row))

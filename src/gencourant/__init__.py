@@ -3,8 +3,8 @@ TM (+) T*M of a coordinate chart.
 
 Layers, bottom to top:
 
-- ``expr``     scalar fields as expression trees (parse, differentiate,
-               evaluate) plus chart sampling
+- ``expr``     scalar fields on one chart as expression trees (parse,
+               differentiate, evaluate) plus chart sampling
 - ``tensors``  partials and the exterior derivative of object arrays of
                fields, and jets (values and first partials at the sample
                points) combined by einsum specs
@@ -17,11 +17,11 @@ Layers, bottom to top:
 - ``streff``   string-background residuals (beta functions, flatness and
                block-diagonality identities, symplectic-gravity side)
 - ``scene``/``cli``  scene files (the loader fills the Expr arrays of g, B
-               and H), residual reports and the command line
+               and H or its potential B0), residual reports and the
+               command line
 """
 
 from .errors import (
-    ChartMismatch,
     CommandError,
     DegreeMismatch,
     DomainError,
@@ -30,7 +30,6 @@ from .errors import (
     NotAntisymmetric,
     NotClosed,
     NotPositiveDefinite,
-    NotTwistedPoisson,
     SceneError,
     SingularB,
     SingularMetric,
@@ -49,14 +48,12 @@ __all__ = [
     "ExprSyntaxError",
     "UnknownSymbol",
     "DomainError",
-    "ChartMismatch",
     "SingularMetric",
     "DegreeMismatch",
     "NotClosed",
     "NotPositiveDefinite",
     "NotAntisymmetric",
     "SingularB",
-    "NotTwistedPoisson",
     "SceneError",
     "CommandError",
 ]

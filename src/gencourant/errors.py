@@ -34,10 +34,6 @@ class DomainError(GencourantError):
         self.subexpr = subexpr
 
 
-class ChartMismatch(GencourantError):
-    """Operands live on different charts."""
-
-
 class SingularMetric(GencourantError):
     """Metric determinant below tolerance at some sample point."""
 
@@ -64,14 +60,6 @@ class NotAntisymmetric(GencourantError):
 
 class SingularB(GencourantError):
     """2-form is not invertible (always the case on odd-dimensional charts)."""
-
-
-class NotTwistedPoisson(GencourantError):
-    """Bivector fails the twisted Jacobi identity for the supplied twist."""
-
-    def __init__(self, max_residual):
-        super().__init__(f"twisted Jacobi residual {max_residual:.3e} above tolerance")
-        self.max_residual = max_residual
 
 
 class SceneError(GencourantError):

@@ -1,6 +1,12 @@
 """Scalar fields on a coordinate chart: expression trees with exact
 differentiation, numeric evaluation and a parser.
 
+Everything is on one chart: the parser reads a field against the chart's
+coordinate names, and a coordinate node keeps only its index (and name
+for printing), so a node carries no chart.  A field built from the
+coordinates of two charts would read each coordinate by its index; the
+loader parses every field of a scene against the one chart it builds.
+
 The node vocabulary is fixed (constants, coordinates, n-ary sums and
 products, quotients, integer powers, sin/cos/exp/ln/sqrt) and is closed
 under differentiation.  A
@@ -22,11 +28,10 @@ structurally equal subtrees built apart stay distinct objects.
 The cost per node is what is left, so the kernels that run once per node
 (the smart constructors, ``_diff`` and the walk ``_fill``) dispatch on
 ``type(e)`` and skip the work a node does not need: ``_coerce`` runs only
-for operands that are not nodes, charts are compared by identity before
-equality, and leaves are differentiated without a cache.  Every evaluation
-walk is ``_fill``, a single-visit post-order that lists each node's children
-once; its fixed order decides which of several singular subexpressions a
-DomainError names.
+for operands that are not nodes, and leaves are differentiated without a
+cache.  Every evaluation walk is ``_fill``, a single-visit post-order that
+lists each node's children once; its fixed order decides which of several
+singular subexpressions a DomainError names.
 
 Evaluation has two walks.  The scalar walk (``evaluate``,
 ``evaluate_many``) computes one IEEE double per node at one point, sums
@@ -54,7 +59,7 @@ import math
 
 import numpy as np
 
-from .errors import ChartMismatch, DomainError, ExprSyntaxError, UnknownSymbol
+from .errors import DomainError, ExprSyntaxError, UnknownSymbol
 
 _IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_REST = _IDENT_FIRST | set("0123456789")
@@ -188,12 +193,11 @@ def chart(names: str | tuple[str, ...], domain=None, seed: int = 0, num_points: 
 
 
 class Expr:
-    """Base node.  ``chart`` is the unique chart of the coordinates appearing
-    below this node (None for constant expressions); ``_deriv`` caches the
-    partial derivatives by coordinate index.  Each node class sets both in
-    its own ``__init__``, which is among the hottest code of the package."""
+    """Base node.  ``_deriv`` caches the partial derivatives by coordinate
+    index; each node class sets it in its own ``__init__``, which is among
+    the hottest code of the package."""
 
-    __slots__ = ("chart", "_deriv")
+    __slots__ = ("_deriv",)
 
     # operator sugar; scalars coerce to Const
     def __add__(self, other):
@@ -238,34 +242,28 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        self.chart = None
         self._deriv = None
         self.value = float(value)
 
 
 class Coord(Expr):
+    """Coordinate ``index`` of a chart; the node keeps its index and name,
+    not the chart."""
+
     __slots__ = ("index", "name")
 
     def __init__(self, chart_: Chart, index: int):
         if not 0 <= index < chart_.dim:
             raise ValueError("coordinate index out of range")
-        self.chart = chart_
         self._deriv = None
         self.index = index
         self.name = chart_.coord_names[index]
-
-    def __eq__(self, other):
-        return isinstance(other, Coord) and other.chart == self.chart and other.index == self.index
-
-    def __hash__(self):
-        return hash((self.chart, self.index))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[Expr, ...], chart_):
-        self.chart = chart_
+    def __init__(self, terms: tuple[Expr, ...]):
         self._deriv = None
         self.terms = terms
 
@@ -281,8 +279,7 @@ class Mul(Expr):
 
     __slots__ = ("factors", "coeff")
 
-    def __init__(self, factors: tuple[Expr, ...], chart_, coeff: float = 1.0):
-        self.chart = chart_
+    def __init__(self, factors: tuple[Expr, ...], coeff: float = 1.0):
         self._deriv = None
         self.factors = factors
         self.coeff = coeff
@@ -295,7 +292,6 @@ class Div(Expr):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Expr, den: Expr):
-        self.chart = _merge_charts(num.chart, den.chart)
         self._deriv = None
         self.num = num
         self.den = den
@@ -310,7 +306,6 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        self.chart = base.chart
         self._deriv = None
         self.base = base
         self.exponent = int(exponent)
@@ -324,7 +319,6 @@ class Func(Expr):
     name = "?"
 
     def __init__(self, arg: Expr):
-        self.chart = arg.chart
         self._deriv = None
         self.arg = arg
 
@@ -374,14 +368,6 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
-def _merge_charts(a, b):
-    if a is None or a is b:
-        return b
-    if b is None or a == b:
-        return a
-    raise ChartMismatch("expressions live on different charts")
-
-
 def is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
@@ -409,22 +395,18 @@ def _check_fold(node_type, operands):
         elif type(t) is Mul and node_type is Mul and t.coeff != 1.0:
             consts.append(t.coeff)
     if all(map(math.isfinite, consts)):
-        raise DomainError("overflow", node_type(tuple(map(Const, consts)), None))
+        raise DomainError("overflow", node_type(tuple(map(Const, consts))))
 
 
 def add(*terms) -> Expr:
     flat: list[Expr] = []
     const = 0.0
-    chart_ = None
     lone = None  # the only non-constant term, while it is a sum
     for t in terms:
         kind = type(t)
         if kind not in _NODE_TYPES:
             t = _coerce(t)
             kind = type(t)
-        c = t.chart
-        if c is not chart_ and c is not None:
-            chart_ = c if chart_ is None else _merge_charts(chart_, c)
         if kind is Const:
             const += t.value
         elif kind is Add:
@@ -449,7 +431,7 @@ def add(*terms) -> Expr:
         flat.append(Const(const))
     if len(flat) == 1:
         return flat[0]
-    return Add(tuple(flat), chart_)
+    return Add(tuple(flat))
 
 
 def neg(e) -> Expr:
@@ -465,22 +447,18 @@ def neg(e) -> Expr:
         factors = e.factors
         if e.coeff == -1.0 and len(factors) == 1:
             return factors[0]
-        return Mul(factors, e.chart, -e.coeff)
-    return Mul((e,), e.chart, -1.0)
+        return Mul(factors, -e.coeff)
+    return Mul((e,), -1.0)
 
 
 def mul(*factors) -> Expr:
     flat: list[Expr] = []
     const = 1.0
-    chart_ = None
     for f in factors:
         kind = type(f)
         if kind not in _NODE_TYPES:
             f = _coerce(f)
             kind = type(f)
-        c = f.chart
-        if c is not chart_ and c is not None:
-            chart_ = c if chart_ is None else _merge_charts(chart_, c)
         if kind is Const:
             const *= f.value
         elif kind is Mul:
@@ -496,7 +474,7 @@ def mul(*factors) -> Expr:
         return Const(const)
     if const == 1.0 and len(flat) == 1:
         return flat[0]
-    return Mul(tuple(flat), chart_, const)
+    return Mul(tuple(flat), const)
 
 
 def div(num, den) -> Expr:
@@ -563,7 +541,8 @@ _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
 
 
 def differentiate(e: Expr, coord: Coord) -> Expr:
-    """Exact partial derivative of ``e`` with respect to ``coord``.
+    """Exact partial derivative of ``e`` with respect to ``coord``, a
+    coordinate of the chart ``e`` was built on (only its index is read).
 
     Derivatives are cached on each node, so repeated differentiation of a
     shared subtree costs nothing extra.
@@ -571,8 +550,6 @@ def differentiate(e: Expr, coord: Coord) -> Expr:
     e = _coerce(e)
     if not isinstance(coord, Coord):
         raise TypeError("coord must be a chart coordinate")
-    if e.chart is not None and e.chart is not coord.chart and e.chart != coord.chart:
-        raise UnknownSymbol(coord.name)
     return _diff(e, coord)
 
 
@@ -875,7 +852,7 @@ def _print(e: Expr) -> tuple[str, int]:
         return "".join(parts), _PREC_ADD
     if isinstance(e, Mul):
         if e.coeff < 0.0:  # as the negation of the product with coefficient -coeff
-            return f"-{_print(Mul(e.factors, e.chart, -e.coeff))[0]}", _PREC_NEG
+            return f"-{_print(Mul(e.factors, -e.coeff))[0]}", _PREC_NEG
         parts = [] if e.coeff == 1.0 else [_const_str(e.coeff)]
         for f in e.factors:
             s, p = _print(f)

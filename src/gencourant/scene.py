@@ -18,16 +18,18 @@ A scene is a JSON document describing a chart and a background:
 Metric entries are given on the upper triangle (i <= j), 2-forms on the
 strict upper triangle (i < j), 3-forms on strictly increasing triples; the
 symmetry completions are never read from the lower parts.  The loader
-fills an object array of Expr for each of g, B and H (``from_upper``), and
-takes H = dB0 of a potential by ``tensors.d_of_partials``, the exterior
-derivative that the numeric stages apply to jets.  "domain" is either one
-interval for all coordinates or one per coordinate (default, if missing:
-[-1, 1]).  Missing entries default to zero.  Expressions use the grammar
-of the expression engine, over the declared coordinate names.  "dim",
-"points" and "seed" (and the overrides of the last two) must be integers,
-"points" at least 1, "coords" a list of strings, each "domain" bound and
-each numeric entry of "background" a number (not a boolean; finite in
-"background"), and each tolerance a finite positive number.
+parses every field against the one chart it builds and fills an object
+array of Expr for each of g, B and H or B0 (``from_upper``); a twist given
+by its potential B0 is passed on as B0, and ``streff.Background`` takes
+H = dB0 from B0's 2-jet at the sample points, as numbers.  "domain" is
+either two numbers, one interval for all coordinates, or one two-number
+interval per coordinate (default, if missing: [-1, 1]).  Missing entries
+default to zero.  Expressions use the grammar of the expression engine,
+over the declared coordinate names.  "dim", "points" and "seed" (and the
+overrides of the last two) must be integers, "points" at least 1,
+"coords" a list of strings, each "domain" bound and each numeric entry of
+"background" a number (not a boolean; finite in "background"), and each
+tolerance a finite positive number.
 An unknown key in "background", "options" or "options.tolerances" is an
 error; the "policy" option of older scene files is accepted and ignored.
 """
@@ -160,7 +162,7 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         raise SceneValidationError(f"need at least one sample point, got {num_points}", where)
     where = "chart.seed" if seed is None else "seed override"
     seed = _integer(chart_spec.get("seed", 0) if seed is None else seed, where)
-    domain = _domain(chart_spec.get("domain", [-1.0, 1.0]))
+    domain = _domain(chart_spec.get("domain", [-1.0, 1.0]), dim)
     try:
         chart = ex.chart(coords, domain=domain, seed=seed, num_points=num_points)
     except (TypeError, ValueError) as err:
@@ -173,14 +175,13 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
     phi = _parse_entry(bg_spec.get("phi", "0"), chart, "background.phi")
     if "H" in bg_spec and "B0" in bg_spec:
         raise SceneValidationError("give either H or the potential B0, not both", "background")
+    H = B0 = None
     if "B0" in bg_spec:
         B0 = _field(bg_spec["B0"], chart, "background.B0", 2, skew=True)
-        with np.errstate(all="ignore"):  # Background names a non-finite entry of H
-            H = tn.d_of_partials(tn.partials(B0, chart), 2)
     else:
         H = _field(bg_spec.get("H", {}), chart, "background.H", 3, skew=True)
     try:
-        background = Background(chart, g, B, phi, H)
+        background = Background(chart, g, B, phi, H, B0)
     except GencourantError as err:
         raise SceneValidationError(str(err), "background") from err
 
@@ -213,16 +214,23 @@ def _integer(value, location: str) -> int:
     return value
 
 
-def _domain(domain):
-    """``domain``, if it is a non-empty list and each of its bounds is a
-    number: an empty list would leave the default box without a message,
-    and ``float()`` would read "1" and true as 1."""
-    if not (isinstance(domain, list) and domain):
-        raise SceneValidationError(f"expected a list of bounds, got {domain!r}", "chart.domain")
-    for iv in domain:
-        for bound in iv if isinstance(iv, list) else [iv]:
-            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-                raise SceneValidationError(f"expected a number, got {bound!r}", "chart.domain")
+def _domain(domain, dim: int) -> list:
+    """One [lo, hi] list per coordinate, from ``domain``: two numbers (one
+    interval for every coordinate) or ``dim`` lists of two numbers.  An
+    empty list would leave the default box without a message, one bound
+    too few or too many would crash or be dropped, and ``float()`` would
+    read "1" and true as 1."""
+
+    def interval(iv):
+        return (isinstance(iv, list) and len(iv) == 2
+                and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in iv))
+
+    if interval(domain):
+        return [domain] * dim
+    if not (isinstance(domain, list) and len(domain) == dim and all(map(interval, domain))):
+        raise SceneValidationError(
+            f"expected two numbers or one [lo, hi] pair of numbers per coordinate, got {domain!r}",
+            "chart.domain")
     return domain
 
 

@@ -18,9 +18,11 @@ evaluates
 The parsed fields of a ``Background`` are the last expressions: it takes
 their jets once, when it is made, at the chart's seeded sample points (the
 2-jets of g, B and phi and the jet of H, ``Background.jets``, from their
-symbolic partials), and every quantity above is numbers computed from them (``riemann``, ``gtb``, ``gconn``), each array
-ending in the point axis.  The random sections and parameters of the
-checks are numbers too (``tensors.random_polynomial_jets``).
+symbolic partials; the jet of H from B0's 2-jet when the twist is given by
+its potential B0), and every quantity above is numbers computed from them
+(``riemann``, ``gtb``, ``gconn``), each array ending in the point axis.
+The random sections and parameters of the checks are numbers too
+(``tensors.random_polynomial_jets``).
 """
 
 from __future__ import annotations
@@ -59,29 +61,36 @@ class FieldJets(NamedTuple):
 
 class Background:
     """Chart background fields: Riemannian g, 2-form B, dilaton phi, and a
-    closed 3-form twist H (zero when not given), each an object array of
-    Expr with one axis per index (phi an Expr), as ``scene.scene_from_dict``
-    fills them.
+    closed 3-form twist, given as H or as its potential B0 (H = dB0; at
+    most one of them, and zero when neither is given), each an object
+    array of Expr with one axis per index (phi an Expr), as
+    ``scene.scene_from_dict`` fills them.
 
     The fields are valued once, when the background is made: ``jets``
-    holds their jets at the chart's sample points, checked finite, and g
-    (symmetric, positive definite), B and H (antisymmetric) and dH = 0
-    are validated on those numbers."""
+    holds their jets at the chart's sample points, checked finite.  The jet
+    of H is valued from H, or is the exterior derivative of the first and
+    second partials in B0's 2-jet (``tensors.d_of_partials``, as
+    ``Derived.h_prime`` takes dB).  g (symmetric, positive definite), B and
+    H (antisymmetric) and dH = 0 are validated on those numbers."""
 
     def __init__(self, chart: Chart, g: np.ndarray, B: np.ndarray, phi: Expr,
-                 H: np.ndarray | None = None):
-        self.chart, self.g, self.B = chart, g, B
-        self.H = tn.zeros_array((chart.dim,) * 3) if H is None else H
+                 H: np.ndarray | None = None, B0: np.ndarray | None = None):
+        self.chart, self.g, self.B, self.B0 = chart, g, B, B0
+        self.H = tn.zeros_array((chart.dim,) * 3) if H is None and B0 is None else H
         self.phi = ex._coerce(phi)
         pts = chart.sample_points()
 
         def checked(name, jets):
             return tuple(tn.finite(f"scene field {name}", j, pts) for j in jets)
 
-        self.jets = jets = FieldJets(checked("g", tn.field_jets(self.g, chart)),
-                                     checked("B", tn.field_jets(self.B, chart)),
-                                     checked("phi", tn.field_jets(self.phi, chart)),
-                                     tn.finite("scene field H", tn.jets_at(self.H, chart), pts))
+        fields = [checked(name, tn.field_jets(f, chart))
+                  for name, f in (("g", g), ("B", B), ("phi", self.phi))]
+        if B0 is None:
+            H = tn.jets_at(self.H, chart)
+        else:
+            with np.errstate(all="ignore"):
+                H = checked("B0", tn.field_jets(B0, chart))[1].map(lambda t: tn.d_of_partials(t, 2))
+        self.jets = jets = FieldJets(*fields, tn.finite("scene field H", H, pts))
         gtb.check_positive_definite(np.moveaxis(jets.g[0].value, -1, 0), pts)
         tn.check_antisymmetric(jets.B[0].value, pts)
         tn.check_antisymmetric(jets.H.value, pts)

@@ -1,12 +1,13 @@
 """Arrays of fields over a chart, and their jets at the sample points.
 
-A scene's fields are numpy object arrays of Expr, one axis per index
-(``scene.scene_from_dict`` fills them).  A coordinate derivative is one
-more index: ``partials(comps, chart)`` is the array of first partials with
-the derivative along x^m as a trailing axis, each entry the cached
-``expr.differentiate``.  ``d_of_partials`` is the exterior derivative of a
-form read off its partials; the same rule acts on numbers and on Expr
-arrays (the loader takes H = dB0 with it).
+A scene's fields are numpy object arrays of Expr, one axis per index, all
+parsed against the scene's one chart (``scene.scene_from_dict`` fills
+them).  A coordinate derivative is one more index: ``partials(comps,
+chart)`` is the array of first partials with the derivative along x^m as a
+trailing axis, each entry the cached ``expr.differentiate``.
+``d_of_partials`` is the exterior derivative of a form read off the
+numbers of its partials (a jet's partials: dB for H' = H + dB, and dB0
+for the H of a scene that gives its potential B0).
 
 The expressions stop at the scene: what is built from a background's
 fields is numbers at the chart's sample points.  A ``Jet`` holds the values
@@ -249,9 +250,9 @@ def finite(stage: str, jet, points):
 
 def d_of_partials(dw: np.ndarray, degree: int) -> np.ndarray:
     """The exterior derivative of a p-form from its partials, an array
-    dw[i1..ip, m, ...] = d_m w_{i1..ip} with any trailing axes, of floats
-    or of Expr (``partials`` of an object array):
-    (d w)_{i0..ip} = sum_k (-1)^k d_{i_k} w_{i0..^i_k..ip}."""
+    dw[i1..ip, m, ...] = d_m w_{i1..ip} of numbers with any trailing axes:
+    (d w)_{i0..ip} = sum_k (-1)^k d_{i_k} w_{i0..^i_k..ip}.  It is linear,
+    so ``Jet.map`` applies it to the jet of the partials."""
     out = 0.0
     for k in range(degree + 1):
         term = np.moveaxis(dw, degree, k)

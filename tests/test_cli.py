@@ -498,14 +498,39 @@ def test_a_twist_given_by_its_potential_reads_as_the_hand_derived_h(points):
         assert a["max_abs_residual"] == pytest.approx(b["max_abs_residual"], rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["poly3d", "seed-1", "seed-3"])
+def test_the_jet_of_a_twist_given_by_its_potential_is_the_jet_of_dB0(name):
+    # H = dB0 from B0's 2-jet, as numbers, against the jet of dB0 built as
+    # an Expr array (the partials of B0 combined symbolically)
+    scene = (load_scene(SCENES / "poly3d.json") if name == "poly3d"
+             else four_d_scene(12, seed=int(name[-1])))
+    bg = scene.background
+    want = tn.jets_at(tn.d_of_partials(tn.partials(bg.B0, bg.chart), 2), bg.chart)
+    assert np.abs(want.value).max() > 0.1
+    for got, expected in zip(bg.jets.H, want):
+        assert np.abs(got - expected).max() <= 1e-14
+
+
 def test_a_potential_whose_derivative_folds_to_nan_is_rejected_at_load():
-    # dB0 = -inf + inf at every point: no RuntimeWarning from the loader's
-    # d of the Expr array, and the non-finite H named
+    # dB0 = -inf + inf at every point, and B0 itself is infinite: B0's
+    # 2-jet is valued at load, so the non-finite B0 is named, without a
+    # RuntimeWarning
     doc = minimal_doc()
     doc["chart"] = {"dim": 3, "coords": ["x", "y", "z"], "points": 4}
     doc["background"] = {"g": {"11": "1", "22": "1", "33": "1"},
                          "B0": {"12": "1e999*z", "23": "-1e999*x"}}
-    with pytest.raises(SceneValidationError, match=r"non-finite scene field H nan at component \[0, 1, 2\]"):
+    with pytest.raises(SceneValidationError, match=r"non-finite scene field B0 -inf at component \[0, 1\]"):
+        scene_from_dict(doc)
+
+
+def test_a_potential_whose_exterior_derivative_overflows_is_rejected_at_load():
+    # B0's 2-jet is finite, but H_123 = d_x B0_23 + d_z B0_12 = 2 * 1.7e308
+    # overflows: the non-finite H is named, without a RuntimeWarning
+    doc = minimal_doc()
+    doc["chart"] = {"dim": 3, "coords": ["x", "y", "z"], "points": 4}
+    doc["background"] = {"g": {"11": "1", "22": "1", "33": "1"},
+                         "B0": {"12": "1.7e308*z", "23": "1.7e308*x"}}
+    with pytest.raises(SceneValidationError, match=r"non-finite scene field H inf at component \[0, 1, 2\]"):
         scene_from_dict(doc)
 
 
@@ -619,12 +644,14 @@ def test_non_integer_overrides_rejected(key, value):
 @pytest.mark.parametrize("domain, location",
                          [([[-1e308, 1e308], [-1, 1]], "chart"), ([[-math.inf, math.inf], [-1, 1]], "chart"),
                           ([[-1, 10**400], [-1, 1]], "chart"), ([True, "1"], "chart.domain"),
-                          ([["-1", "1"], [-1, 1]], "chart.domain")],
+                          ([["-1", "1"], [-1, 1]], "chart.domain"), ([-1], "chart.domain"),
+                          ([-1, 1, 5], "chart.domain")],
                          ids=["infinite-width", "infinite-bounds", "beyond-float-range",
-                              "boolean-bound", "string-bounds"])
+                              "boolean-bound", "string-bounds", "one-bound", "three-bounds"])
 def test_main_unbounded_domain_is_an_input_error(tmp_path, capsys, domain, location):
     # sample points at x = inf would let `beta` pass on flat2d; a boolean or
-    # string bound would be read through float()
+    # string bound would be read through float(); a lone bound would crash
+    # the chart, and a third bound would be dropped
     doc = json.loads((SCENES / "flat2d.json").read_text())
     doc["chart"]["domain"] = domain
     path = tmp_path / "domain.json"
@@ -647,15 +674,19 @@ def test_main_falsy_domain_is_an_input_error(tmp_path, capsys, domain):
     assert scene_from_dict(doc).chart.domain == ((-1.0, 1.0),) * 2
 
 
-def four_d_scene(points, seed=1):
-    """The scene of ``make_scene.py --dim 4 --seed <seed> --invertible-b``."""
+def four_d_doc(points, seed=1):
+    """The document of ``make_scene.py --dim 4 --seed <seed> --invertible-b``."""
     sys.path.insert(0, str(SCENES.parent / "scripts"))
     try:
         import make_scene
     finally:
         sys.path.pop(0)
-    return scene_from_dict(make_scene.build(dim=4, seed=seed, invertible_b=True, scale=0.25,
-                                            points=points))
+    return make_scene.build(dim=4, seed=seed, invertible_b=True, scale=0.25, points=points)
+
+
+def four_d_scene(points, seed=1):
+    """The scene of ``four_d_doc``."""
+    return scene_from_dict(four_d_doc(points, seed))
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -719,6 +750,29 @@ def test_a_bracket_with_the_twist_sign_flipped_fails_the_shear_check(monkeypatch
     assert "axioms.shear-intertwines-brackets" in failed_axioms(scene)
 
 
+def test_a_theta_that_is_not_twisted_poisson_fails_the_twisted_jacobi_check(tmp_path, monkeypatch):
+    # theta's first partials scaled by 1.01 (in the jet of theta and in the
+    # jet of its partials): the cotangent algebroid is built all the same,
+    # the twisted Jacobi check reports the Schouten residual, and `all`
+    # writes its report of every check and exits 1
+    exact = gtb.theta_from_b
+
+    def mutant(*args):
+        theta, dtheta = exact(*args)
+        return (tn.Jet(theta.value, 1.01 * theta.partial),
+                tn.Jet(1.01 * dtheta.value, dtheta.partial))
+
+    monkeypatch.setattr(gtb, "theta_from_b", mutant)
+    scene, out = tmp_path / "s4.json", tmp_path / "r4.json"
+    scene.write_text(json.dumps(four_d_doc(2, seed=3)))
+    assert main(["all", str(scene), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["verdict"] == "fail" and set(checks) == ALL_CHECKS
+    jacobi = checks["symplectic.twisted-jacobi"]
+    assert not jacobi["passed"] and jacobi["max_abs_residual"] == pytest.approx(1.033e-2, rel=1e-3)
+
+
 def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypatch):
     # [u, v] = X.dv - Y.du + ...: the mutant adds Y.du where it subtracts it
     # (on batched sections too, as conjugated_algebroid passes them)
@@ -757,13 +811,13 @@ def builder_calls(monkeypatch, cmd, scene):
 
 def test_all_builds_each_derived_quantity_once(monkeypatch):
     # g, B and the fiber metric G^{-1} of the cotangent algebroid are
-    # inverted once each; H' is checked once, and theta twice (when the
-    # cotangent algebroid is built, and by the symplectic.twisted-jacobi
-    # check).  The standard bracket is built once for H' (the block
-    # transport, which the minimal connection reuses) and once for H (the
-    # dilaton connection sheared back by e^B), and F_theta once.
+    # inverted once each; H' is checked antisymmetric once, and theta once,
+    # by the symplectic.twisted-jacobi check.  The standard bracket is
+    # built once for H' (the block transport, which the minimal connection
+    # reuses) and once for H (the dilaton connection sheared back by e^B),
+    # and F_theta once.
     calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
-    assert calls == {"christoffel": 1, "jet_inverse": 3, "check_antisymmetric": 3,
+    assert calls == {"christoffel": 1, "jet_inverse": 3, "check_antisymmetric": 2,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 2,
                      "theta_twist_matrices": 1}
 

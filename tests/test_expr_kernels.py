@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gencourant import expr as ex
-from gencourant.errors import ChartMismatch, DomainError
+from gencourant.errors import DomainError
 from gencourant.expr import (
     Add,
     Const,
@@ -40,19 +40,10 @@ X, Y = XY.coords()
 # ---------------------------------------------------------------------------
 
 
-def _ref_merge(a, b):
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    raise ChartMismatch("expressions live on different charts")
-
-
 def ref_add(*terms):
-    flat, const, chart_ = [], 0.0, None
+    flat, const = [], 0.0
     for t in terms:
         t = ex._coerce(t)
-        chart_ = _ref_merge(chart_, t.chart)
         if isinstance(t, Const):
             const += t.value
         elif isinstance(t, Add):
@@ -69,7 +60,7 @@ def ref_add(*terms):
         flat.append(Const(const))
     if len(flat) == 1:
         return flat[0]
-    return Add(tuple(flat), chart_)
+    return Add(tuple(flat))
 
 
 def ref_neg(e):
@@ -79,15 +70,14 @@ def ref_neg(e):
     if isinstance(e, Mul):
         if e.coeff == -1.0 and len(e.factors) == 1:
             return e.factors[0]
-        return Mul(e.factors, e.chart, -e.coeff)
-    return Mul((e,), e.chart, -1.0)
+        return Mul(e.factors, -e.coeff)
+    return Mul((e,), -1.0)
 
 
 def ref_mul(*factors):
-    flat, const, chart_ = [], 1.0, None
+    flat, const = [], 1.0
     for f in factors:
         f = ex._coerce(f)
-        chart_ = _ref_merge(chart_, f.chart)
         if isinstance(f, Const):
             const *= f.value
         elif isinstance(f, Mul):
@@ -103,7 +93,7 @@ def ref_mul(*factors):
         return Const(const)
     if const == 1.0 and len(flat) == 1:
         return flat[0]
-    return Mul(tuple(flat), chart_, const)
+    return Mul(tuple(flat), const)
 
 
 def ref_div(num, den):
@@ -170,8 +160,8 @@ def _ref_diff_rules(e, coord, memo):
 
 def structure(e, table, done=None):
     """An integer naming the structure of ``e``: node class, payload (exact
-    constant bits, coordinate index, exponent, exact coefficient bits),
-    chart, and the structures of the children in order.  Equal integers from
+    constant bits, coordinate index, exponent, exact coefficient bits) and
+    the structures of the children in order.  Equal integers from
     one ``table`` mean equal trees, however the nodes are shared."""
     done = {} if done is None else done
     if id(e) not in done:
@@ -180,7 +170,7 @@ def structure(e, table, done=None):
                    e.index if isinstance(e, Coord) else
                    e.exponent if isinstance(e, Pow) else
                    repr(e.coeff) if isinstance(e, Mul) else None)
-        key = (type(e), payload, None if e.chart is None else id(e.chart), kids)
+        key = (type(e), payload, kids)
         done[id(e)] = table.setdefault(key, len(table))
     return done[id(e)]
 
@@ -218,9 +208,9 @@ OPS = {
     "ln": (1, False, ex.ln, ex.ln),
     "sqrt": (1, False, ex.sqrt, ex.sqrt),
     # unflattened nodes, which no constructor builds
-    "raw-add": (2, False, lambda a, b: Add((a, Const(1.5), b), XY), None),
-    "raw-mul": (2, False, lambda a, b: Mul((Const(-1.0), a, b), XY), None),
-    "raw-neg": (1, False, lambda a: Mul((a,), XY, -1.0), None),
+    "raw-add": (2, False, lambda a, b: Add((a, Const(1.5), b)), None),
+    "raw-mul": (2, False, lambda a, b: Mul((Const(-1.0), a, b)), None),
+    "raw-neg": (1, False, lambda a: Mul((a,), -1.0), None),
 }
 
 
@@ -398,22 +388,17 @@ def test_domain_error_names_the_same_subexpression(text, points, named):
 
 
 def test_equal_but_distinct_charts_merge():
+    # a coordinate is its index: the coordinates of an equal chart built
+    # apart combine with and differentiate along those of the first
     twin = chart("x y", seed=3, num_points=12)
     assert twin is not XY and twin == XY
     u, v = twin.coords()
-    for node in (ex.add(X, v), ex.mul(v, X), ex.div(X, v), ex.add(ex.neg(u), Y, 2)):
-        assert node.chart == XY
-    assert ex.add(X, v).chart is XY  # the first chart met is kept
-    assert ex.differentiate(ex.mul(u, u), X) is not None
-
-
-def test_different_charts_raise():
-    other = chart("x y", seed=4)
-    u, _ = other.coords()
-    for build in (lambda: ex.add(X, u), lambda: ex.mul(X, u), lambda: ex.div(X, u),
-                  lambda: ex.add(ex.mul(2, X), ex.mul(3, u)), lambda: X + u):
-        with pytest.raises(ChartMismatch):
-            build()
+    for got, want in ((ex.add(X, v), "x + y"), (ex.mul(v, X), "y*x"), (ex.div(X, v), "x/y"),
+                      (ex.add(ex.neg(u), Y, 2), "-x + y + 2")):
+        assert to_string(got) == want
+        assert [evaluate(got, p) for p in XY.sample_points()] == [
+            evaluate(parse_expr(want, XY), p) for p in XY.sample_points()]
+    assert to_string(ex.differentiate(ex.mul(u, u), X)) == "x + x"
 
 
 @pytest.mark.parametrize("value, expected", [

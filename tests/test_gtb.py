@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from gencourant import gconn, gtb, streff
 from gencourant import tensors as tn
-from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, NotTwistedPoisson, SingularB
+from gencourant.errors import NotAntisymmetric, NotClosed, NotPositiveDefinite, SingularB
 from gencourant.expr import chart, evaluate, parse_expr, worst_of
 from gencourant.gtb import GeneralizedMetric
 from gencourant.scene import from_upper
@@ -591,14 +591,22 @@ def zero_twist(c):
     return tn.constant_jet(np.zeros((c.dim,) * 3), c)
 
 
-def test_not_twisted_poisson_raised():
+def test_a_bivector_that_is_not_twisted_poisson_reads_its_schouten_residual():
+    # theta = d_x^d_y + y d_y^d_z has (1/2)[theta, theta] = +-d_x^d_y^d_z:
+    # the cotangent algebroid is still built, and the residual that
+    # symplectic.twisted-jacobi reads is 1 on each permutation of (0, 1, 2)
     theta = conftest.from_function(
         C3, 2,
         lambda i, j: {(0, 1): poly("1", C3), (1, 0): poly("-1", C3),
                       (1, 2): poly("y", C3), (2, 1): poly("-y", C3)}.get((i, j), poly("0", C3)),
     )
-    with pytest.raises(NotTwistedPoisson):
-        gtb.cotangent_algebroid(C3, jets_of(theta, C3), zero_twist(C3))
+    jets = jets_of(theta, C3)
+    gtb.cotangent_algebroid(C3, jets, zero_twist(C3))
+    residual = gtb.schouten_check(jets[0], zero_twist(C3).value, C3.sample_points())
+    want = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        want[perm] = 1.0
+    assert (np.abs(residual) == want[..., None]).all()
 
 
 def test_d_theta_values():

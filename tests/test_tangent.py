@@ -49,9 +49,9 @@ SAFE_OPS = {
     # nodes the smart constructors would not make: unflattened, and an
     # exponent of 0 or 1 (over a coordinate, so that differentiate does not
     # fold the constant b^(k-1)); the sum is scaled back into [-1, 1]
-    "raw-add": (2, lambda c, a, b: ex.mul(0.4, ex.Add((a, Const(0.5), b), c))),
-    "raw-mul": (2, lambda c, a, b: ex.Mul((Const(-0.5), a, b), c)),
-    "raw-neg": (1, lambda c, a: ex.Mul((a,), c, -1.0)),
+    "raw-add": (2, lambda c, a, b: ex.mul(0.4, ex.Add((a, Const(0.5), b)))),
+    "raw-mul": (2, lambda c, a, b: ex.Mul((Const(-0.5), a, b))),
+    "raw-neg": (1, lambda c, a: ex.Mul((a,), -1.0)),
     "raw-pow": (1, lambda c, a: ex.Pow(ex.mul(0.5, ex.add(a, c.coord(1))), 1)),
     "raw-pow0": (1, lambda c, a: ex.Pow(ex.add(a, c.coord(0)), 0)),
 }

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant.errors import ChartMismatch, DomainError, SingularMetric
+from gencourant.errors import DomainError, SingularMetric
 from gencourant.expr import chart, evaluate, parse_expr
 from gencourant import riemann as rm
 from gencourant import tensors as tn
@@ -46,14 +46,6 @@ def test_tensor_product_zero_and_scale():
     assert conftest.max_abs_of(zg, C2.sample_points()) == 0.0
     two_g = np.einsum(",bc->bc", tn.ex.Const(2), g)
     assert evaluate(two_g[0, 0], (0, 0)) == 2.0
-
-
-def test_tensor_product_chart_mismatch():
-    uv = chart("u v")
-    x = conftest.from_function(C2, 1, C2.coord)
-    u = conftest.from_function(uv, 1, uv.coord)
-    with pytest.raises(ChartMismatch):
-        np.einsum("a,b->ab", x, u)
 
 
 def test_contract_identity_gives_dimension():

@@ -16,7 +16,6 @@ from gencourant.errors import (
     NotAntisymmetric,
     NotClosed,
     NotPositiveDefinite,
-    NotTwistedPoisson,
     SingularB,
 )
 from gencourant.expr import chart
@@ -65,7 +64,6 @@ def d_of(H):
 
 
 PTS2 = C2.sample_points()
-THETA = tn.field_jets(skew(ex.ONE), C2)[0]
 
 CASES = {
     "check-antisymmetric": (
@@ -85,10 +83,6 @@ CASES = {
     "theta-inverts-b": (
         lambda k: gtb.theta_from_b(*value_jets(skew(ex.add(1.0, on(C2, k)))), PTS2),
         SingularB,
-    ),
-    "twisted-poisson": (
-        lambda k: gtb.validate_twisted_poisson(THETA, values(full(C2, 3, on(C2, k))), PTS2),
-        NotTwistedPoisson,
     ),
     "numeric-stage": (lambda k: tn.finite("stage", values(metric(k)), PTS2), DomainError),
     "params-antisymmetry": (

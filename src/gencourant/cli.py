@@ -254,6 +254,13 @@ def checks_central(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     ], {}
 
 
+def _require_dilaton(derived: streff.Derived):
+    """A CommandError on a 1-D chart, where ``gconn.dilaton_params`` cannot
+    build the dilaton connection; checked before it is built."""
+    if derived.bg.chart.dim < 2:
+        raise CommandError("the dilaton trace condition needs a chart of dimension > 1")
+
+
 def _require_symplectic(derived: streff.Derived):
     """The symplectic package, or a CommandError when B is not invertible."""
     if derived.bg.chart.dim % 2 == 1:
@@ -319,7 +326,14 @@ SUITES = {
     "symplectic": checks_symplectic,
     "equivalence": checks_equivalence,
 }
-SYMPLECTIC_SUITES = ("symplectic", "equivalence")
+# The suites that read a quantity some backgrounds lack: the check that
+# raises CommandError when it cannot be built, which fails a single command,
+# and the summary key under which `all` records why it skips those suites.
+GATES = {
+    "central": (_require_dilaton, "central_skipped"),
+    "symplectic": (_require_symplectic, "symplectic_skipped"),
+    "equivalence": (_require_symplectic, "symplectic_skipped"),
+}
 
 
 def run_command(cmd: str, scene: Scene) -> Report:
@@ -327,31 +341,30 @@ def run_command(cmd: str, scene: Scene) -> Report:
         raise CommandError(f"unknown command '{cmd}' (choose from {', '.join(COMMANDS)})")
     start = time.perf_counter()
     names = list(SUITES) if cmd == "all" else [cmd]
-    # The first suite that reads the symplectic package decides once whether
-    # B is invertible; the symplectic suites come last, so `all` runs every
-    # other suite first and skips the rest when it is not.
-    gate = next((name for name in names if name in SYMPLECTIC_SUITES), None)
     checks = []
     summary = {}
     # Every suite reads the one context of the background, so each derived
     # quantity is built once.
     derived = streff.Derived(scene.background)
-    for name in names:
-        if name == gate:
-            try:
-                _require_symplectic(derived)
-            except CommandError as err:
-                if cmd != "all":
-                    raise
-                summary["symplectic_skipped"] = str(err)
-                break
-        # The numeric stages check their outputs finite where they are made
-        # (tensors.finite); an overflow after them shows as a non-finite
-        # residual, which fails its check, not as a numpy warning.
-        with np.errstate(all="ignore"):
+    # The numeric stages check their outputs finite where they are made
+    # (tensors.finite); an overflow after them shows as a non-finite
+    # residual, which fails its check, not as a numpy warning.
+    with np.errstate(all="ignore"):
+        for name in names:
+            if name in GATES:
+                require, key = GATES[name]
+                if key in summary:
+                    continue
+                try:
+                    require(derived)
+                except CommandError as err:
+                    if cmd != "all":
+                        raise
+                    summary[key] = str(err)
+                    continue
             suite_checks, suite_summary = SUITES[name](scene, derived)
-        checks.extend(suite_checks)
-        summary.update(suite_summary)
+            checks.extend(suite_checks)
+            summary.update(suite_summary)
     elapsed = time.perf_counter() - start
     return Report(
         command=cmd,

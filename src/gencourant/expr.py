@@ -8,8 +8,11 @@ coordinates of two charts would read each coordinate by its index; the
 loader parses every field of a scene against the one chart it builds.
 
 The node vocabulary is fixed (constants, coordinates, n-ary sums and
-products, quotients, integer powers, sin/cos/exp/ln/sqrt) and is closed
-under differentiation.  A
+products, quotients, integer powers, and one ``Func`` node for
+sin/cos/exp/ln/sqrt) and is closed under differentiation.  What tells one
+function from another (its float and numpy functions, its domain and its
+derivative rule) is one row of the table ``_FUNCS``, which the
+constructors, ``differentiate`` and both evaluation walks read.  A
 product carries its numeric coefficient on the node, as a power carries its
 exponent (GiNaC's ``mul`` and its ``overall_coeff``): ``2*x*y`` is one node
 with coefficient 2 and factors (x, y), not a product with a constant child,
@@ -315,40 +318,17 @@ class Pow(Expr):
 
 
 class Func(Expr):
-    __slots__ = ("arg",)
-    name = "?"
+    """``name(arg)`` for an elementary function ``name``, a key of ``_FUNCS``."""
 
-    def __init__(self, arg: Expr):
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Expr):
         self._deriv = None
+        self.name = name
         self.arg = arg
 
     def children(self):
         return (self.arg,)
-
-
-class Sin(Func):
-    __slots__ = ()
-    name = "sin"
-
-
-class Cos(Func):
-    __slots__ = ()
-    name = "cos"
-
-
-class Exp(Func):
-    __slots__ = ()
-    name = "exp"
-
-
-class Ln(Func):
-    __slots__ = ()
-    name = "ln"
-
-
-class Sqrt(Func):
-    __slots__ = ()
-    name = "sqrt"
 
 
 ZERO = Const(0.0)
@@ -357,7 +337,7 @@ ONE = Const(1.0)
 # The node classes.  The hot kernels dispatch on ``type(e)`` against these
 # rather than walking an ``isinstance`` chain; an operand of any other type
 # goes through ``_coerce``.
-_NODE_TYPES = frozenset((Const, Coord, Add, Mul, Div, Pow, Sin, Cos, Exp, Ln, Sqrt))
+_NODE_TYPES = frozenset((Const, Coord, Add, Mul, Div, Pow, Func))
 
 
 def _coerce(x) -> Expr:
@@ -503,33 +483,50 @@ def powi(base, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def sin(e) -> Expr:
+# name -> (float function, numpy function, domain, derivative rule).  The
+# domain is None (any float) or (outside, message): the scalar walk raises
+# DomainError(message) where outside(a), and a constant folds where it is
+# neither outside nor NaN, so a NaN argument is not folded and values to NaN.
+_FUNCS = {
+    "sin": (math.sin, np.sin, None, lambda e, d: mul(cos(e.arg), d)),
+    "cos": (math.cos, np.cos, None, lambda e, d: neg(mul(sin(e.arg), d))),
+    "exp": (math.exp, np.exp, None, lambda e, d: mul(e, d)),
+    "ln": (math.log, np.log, (lambda a: a <= 0.0, "ln of a non-positive value"),
+           lambda e, d: div(d, e.arg)),
+    "sqrt": (math.sqrt, np.sqrt, (lambda a: a < 0.0, "sqrt of a negative value"),
+             lambda e, d: div(d, mul(2.0, e))),
+}
+
+
+def _func(name: str, e) -> Expr:
+    """``name(e)``, a constant e in the domain folded through ``_checked``."""
     e = _coerce(e)
-    return Const(_checked(Sin(e), math.sin, e.value)) if isinstance(e, Const) else Sin(e)
+    if type(e) is Const:
+        fn, _, domain, _ = _FUNCS[name]
+        v = e.value
+        if domain is None or (v == v and not domain[0](v)):
+            return Const(_checked(Func(name, e), fn, v))
+    return Func(name, e)
+
+
+def sin(e) -> Expr:
+    return _func("sin", e)
 
 
 def cos(e) -> Expr:
-    e = _coerce(e)
-    return Const(_checked(Cos(e), math.cos, e.value)) if isinstance(e, Const) else Cos(e)
+    return _func("cos", e)
 
 
 def exp(e) -> Expr:
-    e = _coerce(e)
-    return Const(_checked(Exp(e), math.exp, e.value)) if isinstance(e, Const) else Exp(e)
+    return _func("exp", e)
 
 
 def ln(e) -> Expr:
-    e = _coerce(e)
-    if isinstance(e, Const) and e.value > 0.0:
-        return Const(math.log(e.value))
-    return Ln(e)
+    return _func("ln", e)
 
 
 def sqrt(e) -> Expr:
-    e = _coerce(e)
-    if isinstance(e, Const) and e.value >= 0.0:
-        return Const(math.sqrt(e.value))
-    return Sqrt(e)
+    return _func("sqrt", e)
 
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
@@ -591,16 +588,8 @@ def _diff_rules(e: Expr, coord: Coord) -> Expr:
         return div(add(mul(du, e.den), neg(mul(e.num, dv))), mul(e.den, e.den))
     if kind is Pow:
         return mul(e.exponent, powi(e.base, e.exponent - 1), _diff(e.base, coord))
-    if kind is Sin:
-        return mul(cos(e.arg), _diff(e.arg, coord))
-    if kind is Cos:
-        return neg(mul(sin(e.arg), _diff(e.arg, coord)))
-    if kind is Exp:
-        return mul(e, _diff(e.arg, coord))
-    if kind is Ln:
-        return div(_diff(e.arg, coord), e.arg)
-    if kind is Sqrt:
-        return div(_diff(e.arg, coord), mul(2.0, e))
+    if kind is Func:
+        return _FUNCS[e.name][3](e, _diff(e.arg, coord))
     raise TypeError(f"cannot differentiate {kind.__name__}")
 
 
@@ -689,22 +678,12 @@ def _eval_node(e: Expr, point: tuple, memo) -> float:
         if b == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power", e)
         return _checked(e, pow, b, e.exponent)
-    if kind is Sin:
-        return _checked(e, math.sin, memo[id(e.arg)])
-    if kind is Cos:
-        return _checked(e, math.cos, memo[id(e.arg)])
-    if kind is Exp:
-        return _checked(e, math.exp, memo[id(e.arg)])
-    if kind is Ln:
+    if kind is Func:
+        fn, _, domain, _ = _FUNCS[e.name]
         a = memo[id(e.arg)]
-        if a <= 0.0:
-            raise DomainError("ln of a non-positive value", e)
-        return math.log(a)
-    if kind is Sqrt:
-        a = memo[id(e.arg)]
-        if a < 0.0:
-            raise DomainError("sqrt of a negative value", e)
-        return math.sqrt(a)
+        if domain is not None and domain[0](a):
+            raise DomainError(domain[1], e)
+        return _checked(e, fn, a)
     raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
@@ -765,9 +744,9 @@ def _vector_pass(roots: list, cols: np.ndarray):
 def _vec_node(e: Expr, cols: np.ndarray, memo):
     """One node over all points: a float for constant subtrees, else a
     vector.  A domain violation makes a NaN or an infinity, which either
-    reaches a root or is hidden by one of the three operations that can map
-    it to a finite value (x/inf, inf^-k or inf^0, exp(-inf)); those give up
-    here, since the scalar walk may have raised on the way."""
+    reaches a root or is hidden by one of the operations that can map it
+    to a finite value (x/inf, inf^-k or inf^0, a function such as exp(-inf));
+    those give up here, since the scalar walk may have raised on the way."""
     kind = type(e)
     if kind is Mul:
         factors = iter(e.factors)
@@ -799,19 +778,11 @@ def _vec_node(e: Expr, cols: np.ndarray, memo):
         if e.exponent <= 0 and not np.isfinite(b).all():
             raise _Replay
         return np.float64(b) ** e.exponent if isinstance(b, float) else b**e.exponent
-    if kind is Sin:
-        return np.sin(memo[id(e.arg)])
-    if kind is Cos:
-        return np.cos(memo[id(e.arg)])
-    if kind is Exp:
+    if kind is Func:
         a = memo[id(e.arg)]
         if not np.isfinite(a).all():
             raise _Replay
-        return np.exp(a)
-    if kind is Ln:
-        return np.log(memo[id(e.arg)])
-    if kind is Sqrt:
-        return np.sqrt(memo[id(e.arg)])
+        return _FUNCS[e.name][1](a)
     raise TypeError(f"cannot evaluate {kind.__name__}")
 
 

@@ -259,10 +259,8 @@ def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:
     """The 2-jet of theta = B^{-1} as a bivector (theta^{m a} B_{a n} =
     delta) from the 2-jet (B, dB) of a validated 2-form: the jet of theta
     (one ``np.linalg.inv`` per point) and the jet of its partials,
-    d theta = -theta dB theta.  Raises SingularB on odd-dimensional charts
-    or where |det B| < DET_TOL."""
-    if B.value.shape[0] % 2 == 1:
-        raise SingularB("an antisymmetric 2-form on an odd-dimensional chart is singular")
+    d theta = -theta dB theta.  Raises SingularB where |det B| < DET_TOL,
+    as it is everywhere on an odd-dimensional chart."""
     for p, m in zip(points, np.moveaxis(B.value, -1, 0)):
         # written so that a NaN or an infinity fails the test, before det sees it
         if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
@@ -331,10 +329,10 @@ class AnchoredFrame(NamedTuple):
     structure: Jet  # [c, a, b]
 
 
-def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet) -> Jet:
+def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet, ginv: Jet) -> Jet:
     """The jet of the torsion-free metric connection coefficients
-    Gamma^c_{ab} on ``frame`` for the fiber metric with 2-jet (g_A, dg_A),
-    from nab_{E_a} E_b =
+    Gamma^c_{ab} on ``frame`` for the fiber metric with 2-jet (g_A, dg_A)
+    and the jet ``ginv`` of its inverse, from nab_{E_a} E_b =
       (1/2) { [E_a, E_b] + g^{-1}( L_{E_a}(g E_b) + i_{E_b} d(g E_a) ) }."""
     points = frame.chart.sample_points()
     with np.errstate(all="ignore"):
@@ -344,7 +342,6 @@ def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet) -> Jet:
         lie = along - Cg
         dga = along - along.map(lambda t: t.swapaxes(0, 1)) - Cg
         both = lie.map(lambda t: t.swapaxes(1, 2)) + dga.map(lambda t: np.moveaxis(t, 2, 0))
-        ginv = tn.finite("inverse fiber metric", tn.jet_inverse(g_A), points)
         gamma = 0.5 * (frame.structure + tn.jet_contract("cd,abd->cab", ginv, both))
         return tn.finite("algebroid Levi-Civita connection jet", gamma, points)
 

@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensors as tn
-from .errors import DegreeMismatch, SingularMetric
+from .errors import DegreeMismatch
 from .expr import Chart
-from .tensors import DET_TOL, DOWN, UP, Jet
+from .tensors import DOWN, UP, Jet
 
 
 # Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
@@ -54,14 +54,9 @@ class Christoffel(NamedTuple):
 def christoffel(g: Jet, dg: Jet, chart: Chart) -> Christoffel:
     """The Levi-Civita connection of a symmetric nondegenerate metric from
     its 2-jet at the chart's sample points: its jet g and the jet dg of its
-    partials, dg[i, j, m] = d_m g_{ij}.  Raises DomainError where an entry
-    is not finite and SingularMetric where |det g| is below DET_TOL."""
+    partials, dg[i, j, m] = d_m g_{ij}, finite and with |det g| >= DET_TOL
+    (``streff.Background`` checks both when the scene is loaded)."""
     points = chart.sample_points()
-    tn.finite("metric jet", g, points)
-    tn.finite("metric jet", dg, points)
-    for p, det in zip(points, np.linalg.det(np.moveaxis(g.value, -1, 0))):
-        if not abs(det) >= DET_TOL:
-            raise SingularMetric(f"|det| < {DET_TOL} at sample point {tuple(p)}")
     with np.errstate(all="ignore"):
         ginv = tn.finite("inverse metric", tn.jet_inverse(g), points)
         # [l, i, j] = d_i g_{lj} + d_j g_{il} - d_l g_{ij}

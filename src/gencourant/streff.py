@@ -37,6 +37,7 @@ from . import gconn
 from . import gtb
 from . import riemann as rm
 from . import tensors as tn
+from .errors import SingularMetric
 from .expr import Chart, Expr
 from .gtb import AnchoredFrame, GeneralizedMetric
 from .tensors import DOWN, Jet
@@ -70,8 +71,9 @@ class Background:
     holds their jets at the chart's sample points, checked finite.  The jet
     of H is valued from H, or is the exterior derivative of the first and
     second partials in B0's 2-jet (``tensors.d_of_partials``, as
-    ``Derived.h_prime`` takes dB).  g (symmetric, positive definite), B and
-    H (antisymmetric) and dH = 0 are validated on those numbers."""
+    ``Derived.h_prime`` takes dB).  g (symmetric, positive definite, with
+    |det g| >= DET_TOL), B and H (antisymmetric) and dH = 0 are validated on
+    those numbers, once: nothing after the load checks them again."""
 
     def __init__(self, chart: Chart, g: np.ndarray, B: np.ndarray, phi: Expr,
                  H: np.ndarray | None = None, B0: np.ndarray | None = None):
@@ -91,7 +93,11 @@ class Background:
             with np.errstate(all="ignore"):
                 H = checked("B0", tn.field_jets(B0, chart))[1].map(lambda t: tn.d_of_partials(t, 2))
         self.jets = jets = FieldJets(*fields, tn.finite("scene field H", H, pts))
-        gtb.check_positive_definite(np.moveaxis(jets.g[0].value, -1, 0), pts)
+        g_values = np.moveaxis(jets.g[0].value, -1, 0)
+        gtb.check_positive_definite(g_values, pts)
+        for p, det in zip(pts, np.linalg.det(g_values)):
+            if not abs(det) >= tn.DET_TOL:
+                raise SingularMetric(f"|det| < {tn.DET_TOL} at sample point {tuple(p)}")
         tn.check_antisymmetric(jets.B[0].value, pts)
         tn.check_antisymmetric(jets.H.value, pts)
         with np.errstate(all="ignore"):
@@ -315,15 +321,15 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
     theta, dtheta = gtb.theta_from_b(B, dB, pts)  # raises SingularB when not invertible
     G = -tn.jet_contract("ia,ab,bj->ij", B, derived.ginv, B)
     gtb.check_positive_definite(np.moveaxis(G.value, -1, 0), pts)
-    # g_A = G^{-1} = -theta g theta (the inverse without another inversion),
-    # and the jet of its partials by the product rule
+    # g_A = G^{-1} = -theta g theta and G = g_A^{-1}, each without an
+    # inversion; the jet of the partials of g_A by the product rule
     g_A = -tn.jet_contract("am,mk,kb->ab", theta, g, theta)
     dg_A = -(tn.jet_contract("amc,mk,kb->abc", dtheta, g, theta)
              + tn.jet_contract("am,mkc,kb->abc", theta, dg, theta)
              + tn.jet_contract("am,mk,kbc->abc", theta, g, dtheta))
     twist = dB.map(lambda t: tn.d_of_partials(t, 2))
     algebroid = gtb.cotangent_algebroid(chart, (theta, dtheta), twist)
-    gamma = gtb.lc_connection(algebroid, g_A, dg_A)
+    gamma = gtb.lc_connection(algebroid, g_A, dg_A, G)
     H_theta = tn.jet_contract("ijk,ia,jb,kc->abc", derived.h_prime, theta, theta, theta)
     dphi_dual = gtb.d_theta(jets.phi[1], theta)
     metric = GeneralizedMetric(chart, G, None, g_A)

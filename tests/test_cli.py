@@ -810,14 +810,15 @@ def builder_calls(monkeypatch, cmd, scene):
 
 
 def test_all_builds_each_derived_quantity_once(monkeypatch):
-    # g, B and the fiber metric G^{-1} of the cotangent algebroid are
-    # inverted once each; H' is checked antisymmetric once, and theta once,
-    # by the symplectic.twisted-jacobi check.  The standard bracket is
-    # built once for H' (the block transport, which the minimal connection
-    # reuses) and once for H (the dilaton connection sheared back by e^B),
-    # and F_theta once.
+    # g and B are inverted once each, and the fiber metric G^{-1} of the
+    # cotangent algebroid not at all: its inverse G is built directly; H' is
+    # checked antisymmetric once, and theta once, by the
+    # symplectic.twisted-jacobi check.  The standard bracket is built once
+    # for H' (the block transport, which the minimal connection reuses) and
+    # once for H (the dilaton connection sheared back by e^B), and F_theta
+    # once.
     calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
-    assert calls == {"christoffel": 1, "jet_inverse": 3, "check_antisymmetric": 2,
+    assert calls == {"christoffel": 1, "jet_inverse": 2, "check_antisymmetric": 2,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 2,
                      "theta_twist_matrices": 1}
 
@@ -862,12 +863,12 @@ def test_a_fresh_context_per_suite_leaves_the_report_unchanged(monkeypatch, scen
         ({"11": "1", "22": "-1"}, "error: metric not positive definite at sample point "
                                   "(0.7666216164272854, -0.13694400590297995) [background]"),
         ({"11": "1e-6", "22": "1e-6"}, "error: |det| < 1e-10 at sample point "
-                                       "(0.7666216164272854, -0.13694400590297995)"),
+                                       "(0.7666216164272854, -0.13694400590297995) [background]"),
     ],
     ids=["not-positive-definite", "singular"],
 )
 def test_main_invalid_metric_is_an_input_error(tmp_path, capsys, command, g, message):
-    # caught when the scene loads, or when the context first inverts g
+    # caught when the scene loads, before any command runs
     doc = minimal_doc()
     doc["background"].update(g=g, B={"12": "1"})
     path = tmp_path / "metric.json"
@@ -880,3 +881,48 @@ def test_all_on_an_odd_chart_reports_why_symplectic_is_skipped():
     report = run_command("all", load_scene(SCENES / "poly3d.json"))
     assert report.summary["symplectic_skipped"] == (
         "symplectic checks need an even-dimensional chart (B is singular)")
+
+
+def test_all_on_a_1d_chart_skips_central_and_symplectic(tmp_path, capsys):
+    # the dilaton trace condition needs a chart of dimension > 1, and B is
+    # singular on an odd chart: `all` runs the four other suites, records
+    # both reasons and exits 0, while a lone `central` is an input error
+    doc = minimal_doc(chart={"dim": 1, "coords": ["x"], "domain": [-1, 1], "seed": 0, "points": 3})
+    doc["background"] = {"g": {"11": "1 + x^2/4"}, "phi": "x/3"}
+    path, out = tmp_path / "d1.json", tmp_path / "r1.json"
+    path.write_text(json.dumps(doc))
+    assert main(["all", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert {c["name"] for c in report["checks"]} == {
+        name for name in ALL_CHECKS if name.split(".")[0] in ("axioms", "torsion", "curvature", "beta")}
+    assert report["summary"]["central_skipped"] == (
+        "the dilaton trace condition needs a chart of dimension > 1")
+    assert report["summary"]["symplectic_skipped"] == (
+        "symplectic checks need an even-dimensional chart (B is singular)")
+    capsys.readouterr()
+    assert main(["central", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: the dilaton trace condition needs a chart of dimension > 1")
+
+
+def test_all_on_a_scene_of_every_function(tmp_path):
+    # sin, cos, exp, ln and sqrt in g, B and phi: each is parsed,
+    # differentiated twice and valued at load, and every check passes
+    doc = minimal_doc(chart={"dim": 2, "coords": ["x", "y"], "domain": [-1, 1], "seed": 4, "points": 9})
+    doc["background"] = {"g": {"11": "1 + sin(x)^2/4", "12": "cos(x*y)/8", "22": "exp(y/5)"},
+                         "B": {"12": "1 + sqrt(2 + x)/4 - ln(3 + y)/8"},
+                         "phi": "exp(x/4)*cos(y) + ln(2 + x*y)"}
+    path, out = tmp_path / "functions.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    bg = load_scene(path).background
+    names, stack = set(), [bg.phi, *bg.g.ravel(), *bg.B.ravel()]
+    while stack:
+        e = stack.pop()
+        if type(e) is ex.Func:
+            names.add(e.name)
+        stack.extend(e.children())
+    assert names == {"sin", "cos", "exp", "ln", "sqrt"}
+    assert main(["all", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert {c["name"] for c in report["checks"]} == ALL_CHECKS
+    assert report["verdict"] == "pass"

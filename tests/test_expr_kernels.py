@@ -16,14 +16,10 @@ from gencourant.expr import (
     Add,
     Const,
     Coord,
-    Cos,
     Div,
-    Exp,
-    Ln,
+    Func,
     Mul,
     Pow,
-    Sin,
-    Sqrt,
     chart,
     evaluate,
     evaluate_points,
@@ -140,15 +136,15 @@ def _ref_diff_rules(e, coord, memo):
                        ref_mul(e.den, e.den))
     if isinstance(e, Pow):
         return ref_mul(e.exponent, ex.powi(e.base, e.exponent - 1), d(e.base))
-    if isinstance(e, Sin):
+    if isinstance(e, Func) and e.name == "sin":
         return ref_mul(ex.cos(e.arg), d(e.arg))
-    if isinstance(e, Cos):
+    if isinstance(e, Func) and e.name == "cos":
         return ref_neg(ref_mul(ex.sin(e.arg), d(e.arg)))
-    if isinstance(e, Exp):
+    if isinstance(e, Func) and e.name == "exp":
         return ref_mul(e, d(e.arg))
-    if isinstance(e, Ln):
+    if isinstance(e, Func) and e.name == "ln":
         return ref_div(d(e.arg), e.arg)
-    if isinstance(e, Sqrt):
+    if isinstance(e, Func) and e.name == "sqrt":
         return ref_div(d(e.arg), ref_mul(2.0, e))
     raise TypeError(type(e).__name__)
 
@@ -160,7 +156,8 @@ def _ref_diff_rules(e, coord, memo):
 
 def structure(e, table, done=None):
     """An integer naming the structure of ``e``: node class, payload (exact
-    constant bits, coordinate index, exponent, exact coefficient bits) and
+    constant bits, coordinate index, exponent, exact coefficient bits,
+    function name) and
     the structures of the children in order.  Equal integers from
     one ``table`` mean equal trees, however the nodes are shared."""
     done = {} if done is None else done
@@ -169,7 +166,8 @@ def structure(e, table, done=None):
         payload = (repr(e.value) if isinstance(e, Const) else
                    e.index if isinstance(e, Coord) else
                    e.exponent if isinstance(e, Pow) else
-                   repr(e.coeff) if isinstance(e, Mul) else None)
+                   repr(e.coeff) if isinstance(e, Mul) else
+                   e.name if isinstance(e, Func) else None)
         key = (type(e), payload, kids)
         done[id(e)] = table.setdefault(key, len(table))
     return done[id(e)]

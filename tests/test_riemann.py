@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gencourant import riemann as rm
 from gencourant import tensors as tn
-from gencourant.errors import DegreeMismatch, SingularMetric
+from gencourant.errors import DegreeMismatch
 from gencourant.expr import chart, evaluate, parse_expr
 from gencourant.scene import from_upper
 from gencourant.streff import Background
@@ -157,12 +157,6 @@ def test_christoffel_jet_matches_the_symbolic_one(n, salt, count):
         want = jets(want, c)
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
-
-
-def test_singular_metric_raises():
-    g = conftest.from_function(C2, 2, lambda i, j: parse_expr("1", C2))  # rank 1
-    with pytest.raises(SingularMetric):
-        lc(g)
 
 
 # --- covariant derivative ---------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
-from gencourant.errors import NotPositiveDefinite, SingularB
+from gencourant.errors import NotPositiveDefinite, SingularB, SingularMetric
 from gencourant.expr import chart, parse_expr
 from gencourant.scene import from_upper
 from gencourant.streff import Background, Derived, beta_all, central_residuals, equivalence_report
@@ -23,6 +23,15 @@ def flat_background(n=2, constant_b=False):
     c = chart("x y z"[: 2 * n - 1], seed=71, num_points=10)
     B = from_upper(n, 2, {(0, 1): 1} if constant_b else {})
     return Background(c, conftest.identity(n), B, 0.0)
+
+
+def test_background_rejects_a_singular_metric():
+    # positive definite, but |det g| = 1e-12 is below DET_TOL: the load
+    # rejects it
+    c = chart("x y", seed=13)
+    g = conftest.from_function(c, 2, lambda i, j: parse_expr("1e-6" if i == j else "0", c))
+    with pytest.raises(SingularMetric, match=r"^\|det\| < 1e-10 at sample point \("):
+        Background(c, g, from_upper(2, 2, {}), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +171,7 @@ def test_lie_algebroid_lc_constant_data_is_flat():
     zero3 = tn.constant_jet(np.zeros((2, 2, 2)), c)
     cot = gtb.cotangent_algebroid(c, theta, zero3)
     g_A = tn.field_jets(conftest.identity(2), c)
-    gamma = gtb.lc_connection(cot, *g_A)
+    gamma = gtb.lc_connection(cot, *g_A, tn.jet_inverse(g_A[0]))
     assert tn.ex.max_abs_on_points(gamma.value, pts)[0] == 0.0
     ric, scal = streff.algebroid_curvature(cot, gamma, g_A[0].value)
     assert tn.ex.max_abs_on_points(ric, pts)[0] == 0.0

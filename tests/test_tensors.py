@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant.errors import DomainError, SingularMetric
+from gencourant.errors import DomainError
 from gencourant.expr import chart, evaluate, parse_expr
-from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.scene import from_upper
 import conftest
@@ -227,12 +226,6 @@ def test_jet_inverse_partials_are_those_of_the_inverse():
             dn[m] -= h
             fd = (np.linalg.inv(conftest.at(g, up)) - np.linalg.inv(conftest.at(g, dn))) / (2 * h)
             assert np.abs(inv.partial[:, :, m, q] - fd).max() < 1e-8
-
-
-def test_singular_metric_detected():
-    g = conftest.from_function(C2, 2, lambda i, j: poly("1"))  # rank 1 matrix
-    with pytest.raises(SingularMetric):
-        rm.christoffel(*tn.field_jets(g, C2), C2)
 
 
 def test_finite_names_the_stage_the_component_and_the_point():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gencourant import riemann as rm
 from gencourant import tensors as tn
-from gencourant.errors import DegreeMismatch
+from gencourant.errors import DegreeMismatch, SingularMetric
 from gencourant.expr import chart, evaluate, parse_expr
 from gencourant.scene import from_upper
 from gencourant.streff import Background
@@ -157,6 +157,14 @@ def test_christoffel_jet_matches_the_symbolic_one(n, salt, count):
         want = jets(want, c)
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
+
+
+def test_singular_metric_raises():
+    # christoffel takes g as validated: a positive definite g with
+    # |det g| = 1e-12 < DET_TOL is rejected when the background is loaded
+    g = mk_metric(C2, [["1", "0"], ["0", "1e-12"]])
+    with pytest.raises(SingularMetric):
+        Background(C2, g, from_upper(2, 2, {}), 0.0)
 
 
 # --- covariant derivative ---------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant.errors import DomainError
+from gencourant.errors import DomainError, SingularMetric
 from gencourant.expr import chart, evaluate, parse_expr
 from gencourant import tensors as tn
 from gencourant.scene import from_upper
+from gencourant.streff import Background
 import conftest
 from oracles import randint
 
@@ -226,6 +227,15 @@ def test_jet_inverse_partials_are_those_of_the_inverse():
             dn[m] -= h
             fd = (np.linalg.inv(conftest.at(g, up)) - np.linalg.inv(conftest.at(g, dn))) / (2 * h)
             assert np.abs(inv.partial[:, :, m, q] - fd).max() < 1e-8
+
+
+def test_singular_metric_detected():
+    # |det g| = 1e-12 on a three-coordinate chart: positive definite, but
+    # too near singular to invert, so the load rejects it
+    c = chart("x y z", seed=11)
+    g = conftest.from_function(c, 2, lambda i, j: poly("1e-4" if i == j else "0", c))
+    with pytest.raises(SingularMetric, match=r"^\|det\| < 1e-10 at sample point"):
+        Background(c, g, from_upper(3, 2, {}), 0.0)
 
 
 def test_finite_names_the_stage_the_component_and_the_point():

@@ -42,6 +42,12 @@ def _check(name, identity, fields, points, tol) -> Check:
 # ---------------------------------------------------------------------------
 
 
+def _per_triple(residual: np.ndarray) -> np.ndarray:
+    """[3, ..., p]: a residual over the three section triples side by side
+    on the point axis, split back into one residual per triple."""
+    return np.stack(np.split(residual, 3, axis=-1))
+
+
 def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     chart = scene.chart
     n = chart.dim
@@ -50,49 +56,52 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     H = derived.h_prime
     gen = chart.rng(1009)
     sections = gtb.random_sections(chart, gen, 9)
-    triples = [sections[k:k + 3] for k in (0, 3, 6)]
     fg, dfg = tn.random_polynomial_jets(chart, gen, (2,))  # f and g2
     f, df, dg2 = fg[0], dfg[0], dfg[1]
     out = []
     br = lambda a, b: gtb.dorfman(a, b, H)  # values of the bracket of two section jets
     along = lambda X, w: np.einsum("mp,mp->p", X, w)  # X^m w_m
 
-    jac = np.stack([gtb.jacobiator(a, b, c, H) for a, b, c in triples])
+    # the triples (0, 1, 2), (3, 4, 5) and (6, 7, 8) side by side on the
+    # point axis, with H' and df repeated for each: every formula below is
+    # pointwise, so each bracket is one call for all three triples
+    psi, phi, chi = (tuple(tn.on_points(*half) for half in zip(*sections[k::3])) for k in range(3))
+    H3, df3 = tn.on_points(H, H, H), tn.on_points(df, df, df)
+    br3 = lambda a, b: gtb.dorfman(a, b, H3)
+    a, b, c = psi[0], phi[0], chi[0]
+
+    jac = gtb.jacobiator(psi, phi, chi, H3)
     out.append(_check("axioms.leibniz-identity",
-                      "in-bracket derivation rule (Jacobiator residual)", jac, pts, tol))
+                      "in-bracket derivation rule (Jacobiator residual)", _per_triple(jac), pts, tol))
 
-    inv = [along(a.value[:n], gtb.pairing(b, c).partial)
-           - gtb.pairing(br(a, b), c.value) - gtb.pairing(b.value, br(a, c))
-           for (a, _), (b, _), (c, _) in triples]
+    inv = (along(a.value[:n], gtb.pairing(b, c).partial)
+           - gtb.pairing(br3(a, b), c.value) - gtb.pairing(b.value, br3(a, c)))
     out.append(_check("axioms.pairing-invariance",
-                      "anchored derivative of the pairing splits over the bracket", np.stack(inv), pts, tol))
+                      "anchored derivative of the pairing splits over the bracket", _per_triple(inv), pts, tol))
 
-    sym = [br(a, b) + br(b, a) - gtb.d_map(gtb.pairing(a, b).partial) for (a, _), (b, _), _ in triples]
+    sym = br3(a, b) + br3(b, a) - gtb.d_map(gtb.pairing(a, b).partial)
     out.append(_check("axioms.symmetric-part",
-                      "symmetrized bracket is the differential of the pairing", np.stack(sym), pts, tol))
+                      "symmetrized bracket is the differential of the pairing", _per_triple(sym), pts, tol))
 
-    props = np.concatenate([br(gtb.d_map(df), triples[0][0][0]),
+    props = np.concatenate([br(gtb.d_map(df), sections[0][0]),
                             gtb.pairing(gtb.d_map(df.value), gtb.d_map(dg2.value))[None]])
     out.append(_check("axioms.differential-image",
                       "differential image is central and isotropic", props, pts, tol))
 
-    (a, _), (b, _), _ = triples[1]
-    ab = gtb.pairing(a.value, b.value)
-    left = (br(tn.jet_contract(",a->a", f, a), b) - f.value * br(a, b)
-            + along(b.value[:n], df.value) * a.value - ab * gtb.d_map(df.value))
+    u, v = sections[3][0], sections[4][0]
+    uv = gtb.pairing(u.value, v.value)
+    left = (br(tn.jet_contract(",a->a", f, u), v) - f.value * br(u, v)
+            + along(v.value[:n], df.value) * u.value - uv * gtb.d_map(df.value))
     out.append(_check("axioms.left-leibniz",
                       "left multiplication rule of the bracket", left, pts, tol))
 
     # the anchor of the bracket acting on f, against X(Y f) - Y(X f) from
     # the 2-jet of f
-    morph = []
-    for (a, _), (b, _), _ in triples:
-        X, Y = a[:n], b[:n]
-        Yf, Xf = (tn.jet_contract("m,m->", V, df) for V in (Y, X))
-        morph.append(along(br(a, b)[:n], df.value)
-                     - (along(X.value, Yf.partial) - along(Y.value, Xf.partial)))
+    X, Y = a[:n], b[:n]
+    Yf, Xf = (tn.jet_contract("m,m->", V, df3) for V in (Y, X))
+    morph = along(br3(a, b)[:n], df3.value) - (along(X.value, Yf.partial) - along(Y.value, Xf.partial))
     out.append(_check("axioms.anchor-morphism",
-                      "anchor sends the bracket to the vector-field commutator", np.stack(morph), pts, tol))
+                      "anchor sends the bracket to the vector-field commutator", _per_triple(morph), pts, tol))
 
     gm = derived.metric
     tau = gm.tau_matrix()
@@ -208,14 +217,14 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
     JW = tn.random_polynomial_jets(chart, gen, (2, n, n, n), 2, 0.2)[0]
     J, W = (JW[k].map(lambda t: 0.5 * (t - t.swapaxes(1, 2))) for k in (0, 1))  # skew in (1, 2)
     params = gconn.validate_params(J, W)
-    conn = gconn.with_params(minimal, params)
+    K = gconn.param_tensor_frame(params, minimal.metric)
+    conn = gconn.with_params(minimal, params, K)
     out.append(_check("curvature.family-torsion-free",
                       "parameter deformations stay torsion-free",
                       gconn.gualtieri_torsion(conn), pts, tol))
-    K, _ = gconn.param_tensor_frame(params, minimal.metric)
     out.append(_check("curvature.trace-identity",
                       "quadratic trace identity of the deformation tensor",
-                      gconn.trace_identity_residual(minimal, K), pts, scene.tol("strict")))
+                      gconn.trace_identity_residual(minimal, K.value), pts, scene.tol("strict")))
     return out, {}
 
 

@@ -45,7 +45,6 @@ Curvature conventions:
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -328,7 +327,7 @@ def validate_params(J: Jet, W: Jet) -> ConnParams:
     return ConnParams(J - J.map(_alt3), W - W.map(_alt3))
 
 
-def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):
+def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> Jet:
     """The jet (K[A,B,C,p], dK[A,B,C,m,p]) at the chart's sample points of
     the frame components of the deformation tensor built from (J, W):
 
@@ -337,25 +336,28 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric):
       - J(g X, eta, zeta) - J(xi, g Y, zeta) - J(xi, eta, g Z) - J(g X, g Y, g Z)
 
     with g = metric.g and g1 = g^{-1}.  Exactly one term survives for each
-    frame type combination; each is a ``tensors.jet_contract`` of the jets
-    of g or g1 and of J or W."""
-    chart = metric.chart
-    n = chart.dim
-    g, ginv, J, W = metric.g, metric.g_inv, params.J, params.W
-    K = tn.constant_jet(np.zeros((2 * n,) * 3), chart)
-    for forms in itertools.product((False, True), repeat=3):
-        # W survives on an odd number of form legs, with g^{-1} on them;
-        # -J on an even number, with g on the vector legs
-        odd = sum(forms) % 2 == 1
-        legs, slots = [], ""
-        for out, s, is_form in zip("ijk", "abc", forms):
-            if is_form == odd:
-                legs.append(f"{out}{s}" if odd else f"{s}{out}")
-            slots += s if is_form == odd else out
-        leg, t = (ginv, W) if odd else (g, J)
-        block = tn.jet_contract(",".join(legs + [slots]) + "->ijk", *[leg] * len(legs), t)
-        K[np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])] = block if odd else -block
+    frame type combination: W on an odd number of form legs, with g1 on
+    them, and -J on an even number, with g on the vector legs.  Each leg
+    is contracted on its own, a ``tensors.jet_contract`` of two jets, so
+    no einsum loops over all the indices of a three-leg term at once; the
+    three-leg term goes on from the one-leg term of its first slot."""
+    n = metric.chart.dim
+    K = tn.constant_jet(np.zeros((2 * n,) * 3), metric.chart)
+    vec, form = range(n), range(n, 2 * n)
+    for leg, t, legged, rest, sign in ((metric.g_inv, params.W, form, vec, 1.0),
+                                      (metric.g, params.J, vec, form, -1.0)):
+        ones = [_leg_into(leg, k, t) for k in range(3)]
+        for k, block in enumerate(ones):
+            K[np.ix_(*[legged if j == k else rest for j in range(3)])] = sign * block
+        K[np.ix_(legged, legged, legged)] = sign * _leg_into(leg, 2, _leg_into(leg, 1, ones[0], "ibc"), "ijc")
     return K
+
+
+def _leg_into(leg: Jet, k: int, block: Jet, slots: str = "abc") -> Jet:
+    """leg[i, a] summed into slot k of a three-slot block whose indices are
+    named ``slots``; the slot's new index is "ijk"[k]."""
+    free, summed = "ijk"[k], slots[k]
+    return tn.jet_contract(f"{free}{summed},{slots}->{slots[:k]}{free}{slots[k + 1:]}", leg, block)
 
 
 def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
@@ -369,14 +371,17 @@ def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
     return np.einsum("nmlp,nlmp->p", up, K - 2.0 * np.einsum("lnmp->nlmp", K))
 
 
-def with_params(base: GenConnection, params: ConnParams) -> GenConnection:
+def with_params(base: GenConnection, params: ConnParams, K: Jet | None = None) -> GenConnection:
     """base + g_E^{-1} K(., ., .): every torsion-free metric connection for
     the block-diagonal metric arises this way.  Gamma^C_{AB} gains
-    K[A, B, swap(C)], and its partials gain those of K."""
-    swap = _swap(base.algebroid)
-    K = param_tensor_frame(params, base.metric)[:, :, swap]
+    K[A, B, swap(C)], and its partials gain those of K, the jet
+    ``param_tensor_frame(params, base.metric)``; a caller that reads K
+    itself passes it, so it is built once."""
+    if K is None:
+        K = param_tensor_frame(params, base.metric)
     return _connection("parameter family jet", base.algebroid,
-                       base.gamma + tn.jet_contract("abc->cab", K), base.metric)
+                       base.gamma + tn.jet_contract("abc->cab", K[:, :, _swap(base.algebroid)]),
+                       base.metric)
 
 
 def dilaton_params(g: Jet, dphi: Jet) -> ConnParams:

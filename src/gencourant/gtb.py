@@ -33,6 +33,7 @@ follows this rule.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -59,10 +60,14 @@ def random_sections(chart: Chart, gen: ex.SplitMix64, count: int) -> list:
     return [(u[k], du[k]) for k in range(count)]
 
 
+@functools.lru_cache(maxsize=8)
 def dual_index(n: int) -> np.ndarray:
     """The frame index permutation A -> swap(A), (d_mu, 0) <-> (0, dx^mu),
-    of TM (+) T*M over an n-chart: e_swap(A) is the pairing-dual of e_A."""
-    return np.roll(np.arange(2 * n), n)
+    of TM (+) T*M over an n-chart: e_swap(A) is the pairing-dual of e_A.
+    Built once per n, so the array is read-only."""
+    swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    swap.flags.writeable = False
+    return swap
 
 
 def _swap(u):
@@ -231,28 +236,28 @@ def shear(B: Jet, sign: int) -> Jet:
     return tn.jet_block([[1, 0], [sign * B, 1]])
 
 
-def b_twist(u, B: Jet):
+def b_twist(u, M: Jet):
     """e^B(X, xi) = (X, xi + B(X)) of a section given by its values or its
-    jet, for the jet of a 2-form (the frame matrix ``shear(B, +1)``)."""
-    M = shear(B, +1)
+    jet, for the jet M of e^B's frame matrix (``shear(B, +1)``)."""
     return tn.jet_contract("ca,a->c", M if isinstance(u, Jet) else M.value, u)
 
 
 def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
     """(max residual, worst point) of e^B([psi,phi]^{H'}) - [e^B psi,
-    e^B phi]^H over three seeded section pairs, as ``ex.worst_of`` picks it,
-    from the jets of B, of H and of H' = H + dB; a zero residual means e^B
-    intertwines the two brackets.  B and H are taken to be validated: a
-    2-form and a closed 3-form."""
+    e^B phi]^H over three seeded section pairs, as ``ex.worst_of`` picks it
+    from the maximum of each pair, from the jets of B, of H and of
+    H' = H + dB; a zero residual means e^B intertwines the two brackets.
+    B and H are taken to be validated: a 2-form and a closed 3-form.  The
+    three pairs are bracketed in one call, side by side on the point axis
+    (``tensors.on_points``), with e^B's frame matrix built once."""
     sections = [u for u, _ in random_sections(chart, chart.rng(101), 6)]
     pts = chart.sample_points()
-
-    def residual(psi, phi):
-        lhs = b_twist(dorfman(psi, phi, h_prime), B)
-        rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H)
-        return ex.max_abs_on_points(lhs - rhs, pts)
-
-    return ex.worst_of(residual(*sections[k:k + 2]) for k in (0, 2, 4))
+    psi, phi = tn.on_points(*sections[0::2]), tn.on_points(*sections[1::2])
+    B, H, h_prime = (tn.on_points(t, t, t) for t in (B, H, h_prime))
+    M = shear(B, +1)
+    lhs = b_twist(dorfman(psi, phi, h_prime), M)
+    rhs = dorfman(b_twist(psi, M), b_twist(phi, M), H)
+    return ex.worst_of(ex.max_abs_on_points(r, pts) for r in np.split(lhs - rhs, 3, axis=-1))
 
 
 def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:

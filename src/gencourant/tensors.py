@@ -19,7 +19,9 @@ second), each valuing the field with its symbolic ``partials`` in one
 (``streff.Background``).  Every later quantity is a jet combined by
 ``jet_contract``, the product rule applied to one einsum in numpy's
 notation (``"cd,ca,db->ab"`` is out[a, b] = sum_c sum_d ric[c, d] F[c, a]
-F[d, b]), or by a linear map of both halves (``Jet.map``).
+F[d, b]), or by a linear map of both halves (``Jet.map``); ``on_points``
+puts jets of the same fields side by side on the point axis, so that one
+pointwise formula serves them all.
 ``jet_inverse`` inverts a matrix field (one ``np.linalg.inv`` per point),
 and ``finite`` is the check at each numeric stage boundary.  Random fields
 are jets from the start: ``random_polynomial_jets`` gives the 2-jets of
@@ -147,25 +149,46 @@ def constant_jet(array, chart: Chart) -> Jet:
                np.zeros(array.shape + (chart.dim, count)))
 
 
-def jet_contract(spec: str, *jets):
-    """The einsum ``spec`` (numpy's notation) of jets, and its
-    first partials by the product rule.  One plain ``np.einsum`` (no BLAS,
-    no ``optimize``) for the values and one for each operand's partials,
-    so the same inputs give the same bits.  Operands that are float arrays
-    of values [..., p], not Jets, give the values alone."""
+@functools.lru_cache(maxsize=128)
+def _jet_specs(spec: str) -> tuple[str, tuple[str, ...]]:
+    """The einsum specs of ``jet_contract``: the values' spec, with the point
+    axis p on every operand, and one spec per operand for the term of its
+    partials, which carry the derivative axis m before p."""
     lhs, _, out = spec.replace(" ", "").partition("->")
     subs = lhs.split(",")
     m, p = [c for c in _LETTERS if c not in spec][:2]
     value_spec = ",".join(s + p for s in subs) + f"->{out}{p}"
+    partial_specs = tuple(",".join(s + (m + p if j == i else p) for j, s in enumerate(subs))
+                          + f"->{out}{m}{p}" for i in range(len(subs)))
+    return value_spec, partial_specs
+
+
+def jet_contract(spec: str, *jets):
+    """The einsum ``spec`` (numpy's notation) of jets, and its
+    first partials by the product rule.  One plain ``np.einsum`` (no BLAS,
+    no ``optimize``) for the values and one for each operand's partials,
+    so the same inputs give the same bits; the specs are built once per
+    ``spec``.  An einsum of many operands runs as one nested loop over all
+    their indices, so callers contract a long product in pairs, one index
+    at a time (``gconn.param_tensor_frame``).  Operands that are float
+    arrays of values [..., p], not Jets, give the values alone."""
+    value_spec, partial_specs = _jet_specs(spec)
     if not isinstance(jets[0], Jet):
         return np.einsum(value_spec, *jets)
     values = [v for v, _ in jets]
     result = np.einsum(value_spec, *values)
     partials = 0.0
-    for i, (_, d) in enumerate(jets):
-        dspec = ",".join(s + (m + p if j == i else p) for j, s in enumerate(subs))
-        partials = partials + np.einsum(f"{dspec}->{out}{m}{p}", *values[:i], d, *values[i + 1:])
+    for i, ((_, d), dspec) in enumerate(zip(jets, partial_specs)):
+        partials = partials + np.einsum(dspec, *values[:i], d, *values[i + 1:])
     return Jet(result, partials)
+
+
+def on_points(*jets) -> Jet:
+    """Jets of the same fields side by side on the point axis, as one Jet
+    over all their points: every formula of jets is pointwise, so one call
+    on it does the work of one call per jet, and its result splits back
+    with ``np.split(..., len(jets), axis=-1)``."""
+    return Jet(*(np.concatenate(halves, axis=-1) for halves in zip(*jets)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from gencourant import gtb
+from gencourant import tensors as tn
 from gencourant.errors import GencourantError
 from gencourant.riemann import covariant_derivative
 from gencourant.tensors import DOWN
@@ -53,6 +54,30 @@ def v_trace(conn, h):
     at the chart's sample points."""
     hinv = np.moveaxis(np.linalg.inv(np.moveaxis(h, -1, 0)), 0, -1)
     return np.einsum("kabp,akp,blp->lp", v_tensor(conn), hinv, hinv)
+
+
+def param_tensor_frame_reference(params, metric):
+    """The jet of the frame components K[A, B, C] of the deformation tensor
+    of ``gconn.param_tensor_frame``, each three-leg term one
+    ``tensors.jet_contract`` of all its legs and J or W at once (four
+    operands), not a leg at a time."""
+    chart = metric.chart
+    n = chart.dim
+    g, ginv, J, W = metric.g, metric.g_inv, params.J, params.W
+    K = tn.constant_jet(np.zeros((2 * n,) * 3), chart)
+    for forms in itertools.product((False, True), repeat=3):
+        # W survives on an odd number of form legs, with g^{-1} on them;
+        # -J on an even number, with g on the vector legs
+        odd = sum(forms) % 2 == 1
+        legs, slots = [], ""
+        for out, s, is_form in zip("ijk", "abc", forms):
+            if is_form == odd:
+                legs.append(f"{out}{s}" if odd else f"{s}{out}")
+            slots += s if is_form == odd else out
+        leg, t = (ginv, W) if odd else (g, J)
+        block = tn.jet_contract(",".join(legs + [slots]) + "->ijk", *[leg] * len(legs), t)
+        K[np.ix_(*[range(n, 2 * n) if f else range(n) for f in forms])] = block if odd else -block
+    return K
 
 
 def lc_parameter_space_dim(n: int) -> int:

@@ -350,6 +350,10 @@ PROBES = {
     # conformal form of beta_B is not; central reads no e^(2 phi) and fails
     # its checks on terms near 1e262
     "phi": (("phi",), "exp(800*x*x)"),
+    # g11 = exp(700 x) is near 3e185 at the point; the dilaton connection's
+    # J = 0 meets g three times in K, contracted a leg at a time, so no
+    # product g g g overflows to meet that 0, and central fails its
+    # off-block check on a finite residual near 1e167
     "g11": (("g", "11"), "exp(700*x)"),
     "B12": (("B", "12"), "exp(700*x)*y"),
 }
@@ -357,7 +361,7 @@ PROBES = {
 
 @pytest.mark.parametrize("probe, command, code", [
     ("phi", "all", 2), ("phi", "central", 1),
-    ("g11", "all", 2), ("g11", "central", 2),
+    ("g11", "all", 2), ("g11", "central", 1),
     ("B12", "all", 2), ("B12", "central", 2),
 ])
 def test_a_scene_beyond_the_float_range_names_the_numeric_stage(tmp_path, capsys, probe, command, code):
@@ -376,6 +380,8 @@ def test_a_scene_beyond_the_float_range_names_the_numeric_stage(tmp_path, capsys
     err = capsys.readouterr().err
     if code == 2:
         assert "non-finite" in err and "sample point" in err
+    else:
+        assert "FAIL " in err and "non-finite" not in err
 
 
 def test_fd_check_reports_the_worst_point():
@@ -787,6 +793,55 @@ def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypa
     assert "axioms.anchor-morphism" in failed_axioms(scene)
 
 
+@pytest.mark.parametrize("name", ["poly2d", "poly3d"])
+def test_the_axioms_triples_on_the_point_axis_give_the_per_triple_residuals_bit_for_bit(monkeypatch, name):
+    # the suite brackets its three section triples (and the shear check its
+    # three pairs) side by side on the point axis; the same formulas on one
+    # triple at a time give the same bits at the scene's points
+    scene = load_scene(SCENES / f"{name}.json")
+    derived = streff.Derived(scene.background)
+    got = {}
+    check = cli._check
+
+    def record(name, identity, fields, points, tol):
+        got[name] = fields
+        return check(name, identity, fields, points, tol)
+
+    monkeypatch.setattr(cli, "_check", record)
+    checks = {c.name: c for c in cli.checks_axioms(scene, derived)[0]}
+
+    chart, H = scene.chart, derived.h_prime
+    n, pts = chart.dim, chart.sample_points()
+    gen = chart.rng(1009)
+    sections = gtb.random_sections(chart, gen, 9)
+    df = tn.random_polynomial_jets(chart, gen, (2,))[1][0]
+    br = lambda a, b: gtb.dorfman(a, b, H)
+    along = lambda X, w: np.einsum("mp,mp->p", X, w)
+    triples = [sections[k:k + 3] for k in (0, 3, 6)]
+    jac = [gtb.jacobiator(a, b, c, H) for a, b, c in triples]
+    inv = [along(a.value[:n], gtb.pairing(b, c).partial)
+           - gtb.pairing(br(a, b), c.value) - gtb.pairing(b.value, br(a, c))
+           for (a, _), (b, _), (c, _) in triples]
+    sym = [br(a, b) + br(b, a) - gtb.d_map(gtb.pairing(a, b).partial) for (a, _), (b, _), _ in triples]
+    morph = []
+    for (a, _), (b, _), _ in triples:
+        X, Y = a[:n], b[:n]
+        Yf, Xf = (tn.jet_contract("m,m->", V, df) for V in (Y, X))
+        morph.append(along(br(a, b)[:n], df.value) - (along(X.value, Yf.partial) - along(Y.value, Xf.partial)))
+    for check_name, each in (("leibniz-identity", jac), ("pairing-invariance", inv),
+                             ("symmetric-part", sym), ("anchor-morphism", morph)):
+        assert np.array_equal(got[f"axioms.{check_name}"], np.stack(each), equal_nan=True), check_name
+
+    B, Hj = derived.jets.B[0], derived.jets.H
+    M = gtb.shear(B, +1)
+    pairs = [u for u, _ in gtb.random_sections(chart, chart.rng(101), 6)]
+    shear = [ex.max_abs_on_points(gtb.b_twist(gtb.dorfman(psi, phi, H), M)
+                                  - gtb.dorfman(gtb.b_twist(psi, M), gtb.b_twist(phi, M), Hj), pts)
+             for psi, phi in zip(pairs[0::2], pairs[1::2])]
+    shear_check = checks["axioms.shear-intertwines-brackets"]
+    assert (shear_check.max_abs_residual, shear_check.worst_point) == ex.worst_of(shear)
+
+
 # ---------------------------------------------------------------------------
 # the derived-quantity context
 # ---------------------------------------------------------------------------
@@ -794,7 +849,7 @@ def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypa
 
 BUILDERS = ((rm, "christoffel"), (tn, "jet_inverse"), (tn, "check_antisymmetric"),
             (streff, "beta_all"), (gconn, "dilaton_connection"), (gconn, "standard_algebroid"),
-            (gtb, "theta_twist_matrices"))
+            (gtb, "theta_twist_matrices"), (gconn, "param_tensor_frame"))
 
 
 def builder_calls(monkeypatch, cmd, scene):
@@ -816,18 +871,20 @@ def test_all_builds_each_derived_quantity_once(monkeypatch):
     # symplectic.twisted-jacobi check.  The standard bracket is built once
     # for H' (the block transport, which the minimal connection reuses) and
     # once for H (the dilaton connection sheared back by e^B), and F_theta
-    # once.
+    # once.  The deformation tensor K is built once for the random
+    # parameter pair of the curvature suite (its family connection and its
+    # trace identity both read it) and once for the dilaton parameters.
     calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
     assert calls == {"christoffel": 1, "jet_inverse": 2, "check_antisymmetric": 2,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 2,
-                     "theta_twist_matrices": 1}
+                     "theta_twist_matrices": 1, "param_tensor_frame": 2}
 
 
 def test_central_on_a_4d_scene_builds_each_derived_quantity_once(monkeypatch):
     calls = builder_calls(monkeypatch, "central", four_d_scene(1))
     assert calls == {"christoffel": 1, "jet_inverse": 1, "check_antisymmetric": 1,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 2,
-                     "theta_twist_matrices": 0}
+                     "theta_twist_matrices": 0, "param_tensor_frame": 1}
 
 
 SUITE_FUNCTIONS = ("checks_axioms", "checks_torsion", "checks_curvature", "checks_beta",

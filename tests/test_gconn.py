@@ -488,6 +488,29 @@ def test_trace_identity_for_valid_params():
     assert max_abs(res, C2) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), count=st.sampled_from([1, 5]), seed=st.integers(0, 2**32 - 1))
+def test_param_tensor_frame_a_leg_at_a_time_matches_the_one_einsum_reference(dim, count, seed):
+    # random jets of a metric (A^T A + n, with its inverse) and of a
+    # parameter pair; K contracted a leg at a time against the reference
+    # that contracts each term's legs in one einsum
+    c = chart("x y z w".split()[:dim], num_points=count)
+    rng = np.random.default_rng(seed)
+
+    def jet(shape):
+        return tn.Jet(rng.uniform(-1, 1, shape + (count,)), rng.uniform(-1, 1, shape + (dim, count)))
+
+    a = jet((dim, dim))
+    g = tn.jet_contract("ki,kj->ij", a, a) + tn.constant_jet(dim * np.eye(dim), c)
+    metric = gtb.GeneralizedMetric(c, g, None, tn.jet_inverse(g))
+    skew = lambda t: 0.5 * (t - t.swapaxes(1, 2))
+    params = gconn.validate_params(*(jet((dim,) * 3).map(skew) for _ in range(2)))
+    got = gconn.param_tensor_frame(params, metric)
+    want = oracles.param_tensor_frame_reference(params, metric)
+    for half in ("value", "partial"):
+        np.testing.assert_allclose(getattr(got, half), getattr(want, half), rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # shears and transport
 # ---------------------------------------------------------------------------

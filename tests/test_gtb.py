@@ -213,7 +213,7 @@ def test_numeric_bracket_matches_the_expression_bracket(dim, count, seed):
     a, b, d = (random_section(c, gen) for _ in range(3))
     cases = [(gtb.dorfman(psi, phi, Hj), tn.jets_at(dorfman(a, b, H).components(), c)),
              (gtb.pairing(psi[0], phi[0]), tn.jets_at(pairing(a, b), c)),
-             (gtb.b_twist(psi[0], Bj), tn.jets_at(conftest.b_twist(a, B).components(), c))]
+             (gtb.b_twist(psi[0], gtb.shear(Bj, +1)), tn.jets_at(conftest.b_twist(a, B).components(), c))]
     for got, want in cases:
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)

@@ -1,16 +1,21 @@
-"""Node budgets: how many distinct expression nodes a command values.
+"""Node and contraction budgets: how many distinct expression nodes a
+command values, and how many einsums it calls.
 
 Building and evaluating the DAG costs about the same per node, so the count
 of distinct nodes under the roots that ``evaluate_points`` receives while a
 scene is loaded (its fields' jets are taken then) and a command runs on it
-tracks the time to a verdict.  A budget that fails means the same checks
-now build more nodes than they need.
+tracks the time to a verdict.  After the load every quantity is a small
+float array, and the time goes to the einsum calls, by their count and by
+how many operands each loops over at once.  A budget that fails means the
+same checks now build more nodes, or call more or larger einsums, than
+they need.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gencourant import cli
@@ -68,3 +73,32 @@ def test_all_on_poly3d_node_budget(monkeypatch):
     # 77 measured, plus ~4% headroom
     doc = json.loads((ROOT / "scenes" / "poly3d.json").read_text())
     assert evaluated_nodes(monkeypatch, "all", doc) <= 80
+
+
+def einsum_calls(monkeypatch, command, doc) -> list:
+    """The operand count of every ``np.einsum`` call while ``command`` runs
+    on the scene ``doc`` (loaded before the count starts)."""
+    scene = scene_from_dict(doc)
+    counts = []
+    einsum = np.einsum
+
+    def record(spec, *operands, **kwargs):
+        counts.append(len(operands))
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", record)
+    assert cli.run_command(command, scene).passed
+    return counts
+
+
+def test_central_on_the_4d_scene_contracts_at_most_three_operands_at_once(monkeypatch):
+    # the deformation tensor's three-leg terms are contracted a leg at a
+    # time: one einsum over g, g, g and J loops over all six indices at once
+    counts = einsum_calls(monkeypatch, "central", generated_scene(1, 1))
+    assert [c for c in counts if c > 3] == []
+
+
+def test_all_on_poly2d_einsum_budget(monkeypatch):
+    # 499 measured, plus ~4% headroom
+    doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
+    assert len(einsum_calls(monkeypatch, "all", doc)) <= 520

@@ -10,18 +10,23 @@ orthogonal).  The frame calculus (covariant derivative, torsion and the
 curvature R0 below) is that of ``gtb``; this module adds what is specific
 to Courant algebroids: the pairing, the Gualtieri torsion, the symmetrised
 curvature R and its pairing-dual traces.  Everything downstream is
-computed from those two ingredients, so the same code serves the standard
-twisted bracket, its shear by e^B, and the bivector-sheared bracket, whose
-structure functions are ``gtb.dorfman`` pulled back through F_theta
-(``conjugated_algebroid``).
+computed from those two ingredients, so the same code serves the block
+picture (the bracket twisted by H' = H + dB, the metric BlockDiag(g, g^{-1}))
+and the bivector-sheared bracket, whose structure functions are
+``gtb.dorfman`` pulled back through e^{-B} o F_theta
+(``conjugated_algebroid``).  No connection here is sheared by e^B: e^B
+carries the block picture to the H-twisted bracket with the metric of the
+pair (g, B), and torsion, curvature and their traces with it, so the
+shear would add work and roundoff (growing like |B|^4 eps for a constant
+B) but no content.
 
 A connection is its coefficients at the chart's sample points, the jet
 ``gamma`` of Gamma[C, A, B].  Everything it is built from is a jet too
 (``tensors.Jet``): the chart connection and H' for the block transport,
 which the minimal connection makes torsion-free, the metric and the
-parameters for the family (``with_params``), the 2-jets of B and of
-F_theta for the transports (``untwist`` through ``gtb.shear``,
-``theta_transport``), the anchor and the brackets of each picture.  They
+parameters for the family (``with_params``), the 2-jet of the bivector
+shear for its transport (``theta_transport``), the anchor and the
+brackets of each picture.  They
 are combined by ``tensors.jet_contract``, the product rule applied to one
 einsum.  Everything read from a connection is numbers at
 those points, each array ending in the point axis: the torsion
@@ -397,18 +402,12 @@ def dilaton_params(g: Jet, dphi: Jet) -> ConnParams:
     return ConnParams(0.0 * W, W)
 
 
-def dilaton_connection(minimal: GenConnection, B: tuple[Jet, Jet], dphi: Jet) -> GenConnection:
+def dilaton_connection(minimal: GenConnection, dphi: Jet) -> GenConnection:
     """The connection of the flatness/compatibility dictionary for the
-    background (g, B, phi), from the minimal connection of g with twist
-    H' = H + dB, the 2-jet of B and the jet of the partials of phi: the
-    dilaton parameters are added in that block-diagonal picture, and the
-    result is sheared back by e^B so that it lives on the H-twisted bracket
-    and is compatible with the metric of the pair (g, B)."""
-    return untwist(dilaton_connection_twisted(minimal, dphi), B)
-
-
-def dilaton_connection_twisted(minimal: GenConnection, dphi: Jet) -> GenConnection:
-    """Same connection, left in the block-diagonal picture."""
+    background (g, B, phi), in the block picture: the minimal connection of
+    g with twist H' = H + dB plus the dilaton parameters, for the jet of
+    the partials of phi.  It is torsion-free and compatible with
+    BlockDiag(g, g^{-1}) on the H'-twisted bracket."""
     return with_params(minimal, dilaton_params(minimal.metric.g, dphi))
 
 
@@ -435,19 +434,6 @@ def transport_connection(conn: GenConnection, F: tuple[Jet, Jet], Finv: Jet,
                        tn.jet_contract("ge,eab->gab", Finv, inner), metric)
 
 
-def untwist(conn: GenConnection, B: tuple[Jet, Jet]) -> GenConnection:
-    """Shear a connection by e^B, for the 2-jet (B, dB) of B: if the input
-    is torsion-free and metric for BlockDiag(g, g^{-1}) with bracket twist
-    H', the output is torsion-free and metric for the pair (g, B) with
-    twist H' - dB."""
-    B, dB = B
-    gm_new = GeneralizedMetric(conn.chart, conn.metric.g, B, conn.metric.g_inv)
-    F = (gtb.shear(B, -1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
-    H_new = _current_twist(conn) - dB.map(lambda t: tn.d_of_partials(t, 2))
-    alg_new = standard_algebroid(conn.chart, H_new)
-    return transport_connection(conn, F, gtb.shear(B, +1), alg_new, gm_new)
-
-
 def _current_twist(conn: GenConnection) -> Jet:
     """The jet of the twist 3-form, -C^{n+l}_{mv}, from the standard-frame brackets; in C order
     (the einsum is a transposed view) like the H it was built from, so contractions sum alike."""
@@ -457,10 +443,10 @@ def _current_twist(conn: GenConnection) -> Jet:
 
 def theta_transport(conn: GenConnection, F: tuple[Jet, Jet], Finv: Jet,
                     metric: GeneralizedMetric) -> GenConnection:
-    """Pull a connection on the standard twisted bracket back through the
-    bivector shear F_theta, for its 2-jet F and the jet of its inverse
-    (``gtb.theta_twist_matrices``); the result lives on the sheared bracket
-    and is compatible with ``metric``, BlockDiag(G, G^{-1}) for
-    G = -B g^{-1} B."""
+    """Pull a connection of the block picture (the bracket twisted by H')
+    back through the bivector shear e^{-B} o F_theta, for its 2-jet F and
+    the jet of its inverse (``gtb.theta_twist_matrices``); the result lives
+    on the sheared bracket and is compatible with ``metric``,
+    BlockDiag(G, G^{-1}) for G = -B g^{-1} B."""
     alg_new = conjugated_algebroid(conn.chart, F, Finv, _current_twist(conn))
     return transport_connection(conn, F, Finv, alg_new, metric)

@@ -4,7 +4,8 @@ Sections are (vector field, 1-form) pairs.  This module provides the
 canonical pairing (one frame permutation, ``dual_index``), the twisted
 Dorfman bracket (``dorfman``, the only Courant bracket) and its
 differential, the generalized metric package built from a pair (g, B), the
-frame matrices of the shears e^B (``shear``, the only e^B) and F_theta, the
+frame matrices of the shear e^B (``shear``, the only e^B) and of the
+bivector shear e^{-B} o F_theta (``theta_twist_matrices``), the
 cotangent Lie algebroid of theta = B^{-1} with its twisted Koszul bracket,
 a Schouten residual check, and the calculus on an ``AnchoredFrame``
 (Levi-Civita connection of a fiber metric, covariant derivative, torsion,
@@ -277,14 +278,17 @@ def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:
 
 
 def theta_twist_matrices(theta: tuple[Jet, Jet], B: tuple[Jet, Jet]):
-    """The 2-jet (F, dF) of the frame matrix of the bivector shear
-    F_theta(X, xi) = (theta(xi), xi - B(X)) for theta = B^{-1}, which is
-    orthogonal for the pairing, and the jet of its inverse
-    (X, xi) |-> (X - theta(xi), B(X)), from the 2-jets of theta and B."""
+    """The 2-jet (F, dF) of the frame matrix of the bivector shear read
+    from the block picture, e^{-B} o F_theta (X, xi) = (theta(xi), -B(X)),
+    with F_theta(X, xi) = (theta(xi), xi - B(X)) for theta = B^{-1}, and
+    the jet of its inverse (X, xi) |-> (-theta(xi), B(X)), from the 2-jets
+    of theta and B.  It is orthogonal for the pairing; since theta B = 1,
+    the form-form block xi - B theta xi is exactly zero, not a difference
+    of floats."""
     (th, dth), (b, db) = theta, B
-    F = tn.jet_block([[0, th], [-b, 1]])
+    F = tn.jet_block([[0, th], [-b, 0]])
     dF = tn.jet_block([[0, dth], [-db, 0]])
-    return (F, dF), tn.jet_block([[1, -th], [b, 0]])
+    return (F, dF), tn.jet_block([[0, -th], [b, 0]])
 
 
 # ---------------------------------------------------------------------------

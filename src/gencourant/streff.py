@@ -6,14 +6,16 @@ evaluates
 - the three one-loop residual tensors of the sigma-model Weyl anomaly
   (symmetric, antisymmetric, scalar) and their dependent scalar combination,
 - the two identities that tie them to the curvature of the dilaton
-  connection on TM (+) T*M: the metric trace of its Ricci tensor equals the
-  scalar residual, and its off-block Ricci components equal the difference
-  of the symmetric and antisymmetric residuals,
+  connection on TM (+) T*M, read in the block picture (bracket twisted by
+  H' = H + dB, metric BlockDiag(g, g^{-1})): the metric trace of its Ricci
+  tensor equals the scalar residual, and its off-block Ricci components
+  equal the difference of the symmetric and antisymmetric residuals,
 - for invertible B, the bivector-gauge side: the cotangent Lie algebroid of
   theta = B^{-1}, its Levi-Civita connection for the fiber metric G^{-1}
   with G = -B g^{-1} B, and the three residuals of the dual gravity
   equations, plus the transport identity connecting both Ricci tensors
-  through the bivector shear F_theta, whose frame matrix is built once.
+  through the bivector shear e^{-B} o F_theta, whose frame matrix is built
+  once.
 
 The parsed fields of a ``Background`` are the last expressions: it takes
 their jets once, when it is made, at the chart's seeded sample points (the
@@ -115,14 +117,17 @@ class Derived:
     - ``curvature``: (Ricci, scalar) of g (``riemann.curvature_package``);
     - ``betas``: the residual tensors (``beta_all``);
     - ``metric``: the generalized metric of the pair (g, B);
-    - ``block_lc``, ``minimal``, ``dilaton``: the connections on TM (+) T*M:
-      the block transport (``gconn.block_lc_connection``), the same made
-      torsion-free (``minimal_connection``) and ``dilaton_connection``;
+    - ``block_lc``, ``minimal``, ``dilaton``: the connections on TM (+) T*M,
+      all in the block picture (bracket twisted by H', metric
+      BlockDiag(g, g^{-1})): the block transport
+      (``gconn.block_lc_connection``), the same made torsion-free
+      (``minimal_connection``) and ``dilaton_connection``, which both the
+      central and the equivalence suite read;
     - ``symplectic``, ``dual_residuals``, ``f_theta``, ``theta_connection``,
       ``transport``: the bivector side for invertible B (``build_symplectic``,
       ``symplectic_residuals``, ``gtb.theta_twist_matrices``: the 2-jet of
-      F_theta and the jet of its inverse, ``theta_transported_connection``,
-      ``transport_identity_residual``).
+      e^{-B} o F_theta and the jet of its inverse,
+      ``theta_transported_connection``, ``transport_identity_residual``).
 
     ``jets`` is the background's ``FieldJets``: g, B, H and phi are valued
     and validated when the ``Background`` is made.  Nothing
@@ -176,7 +181,7 @@ class Derived:
 
     @cached_property
     def dilaton(self) -> gconn.GenConnection:
-        return gconn.dilaton_connection(self.minimal, self.jets.B, self.jets.phi[1])
+        return gconn.dilaton_connection(self.minimal, self.jets.phi[1])
 
     @cached_property
     def symplectic(self) -> "SymplecticPackage":
@@ -280,9 +285,13 @@ class CentralResiduals(NamedTuple):
 
 
 def central_residuals(derived: Derived) -> CentralResiduals:
-    """The two identity residuals of the dilaton connection for (g, B, phi)
-    on the H-twisted bracket (built through the shear, so B != 0 exercises
-    the conjugation path)."""
+    """The two identity residuals of the dilaton connection for (g, B, phi),
+    read in the block picture, where the graphs Psi_pm(X) are (X, pm g(X)).
+    The dictionary is e^B-covariant: e^B carries this picture to the
+    H-twisted bracket with the metric of the pair (g, B), and Ric, its
+    metric trace and the graphs with it.  So shearing first would change
+    no term of either identity; it would only add roundoff that grows like
+    |B|^4 eps, enough to fail a true identity at a constant B of 100."""
     betas = derived.betas
     conn = derived.dilaton
     return CentralResiduals(gconn.scalar_G(conn) - betas.beta_phi,
@@ -319,7 +328,9 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
     pts = chart.sample_points()
     (g, dg), (B, dB) = jets.g, jets.B
     theta, dtheta = gtb.theta_from_b(B, dB, pts)  # raises SingularB when not invertible
-    G = -tn.jet_contract("ia,ab,bj->ij", B, derived.ginv, B)
+    with np.errstate(all="ignore"):
+        G = -tn.jet_contract("ia,ab,bj->ij", B, derived.ginv, B)
+    tn.finite("dual metric G = -B g^-1 B", G, pts)
     gtb.check_positive_definite(np.moveaxis(G.value, -1, 0), pts)
     # g_A = G^{-1} = -theta g theta and G = g_A^{-1}, each without an
     # inversion; the jet of the partials of g_A by the product rule
@@ -399,8 +410,9 @@ class EquivalenceReport(NamedTuple):
 
 
 def theta_transported_connection(derived: Derived) -> gconn.GenConnection:
-    """The dilaton connection pulled back through the bivector shear; its
-    metric is the block-diagonal package of G."""
+    """The dilaton connection of the block picture pulled back through the
+    bivector shear e^{-B} o F_theta (``Derived.f_theta``); its metric is
+    the block-diagonal package of G."""
     return gconn.theta_transport(derived.dilaton, *derived.f_theta, derived.symplectic.metric)
 
 
@@ -412,8 +424,9 @@ def dual_fields(derived: Derived) -> np.ndarray:
 
 
 def transport_identity_residual(derived: Derived) -> np.ndarray:
-    """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') on the frame, at
-    the chart's sample points: [a, b, p]."""
+    """Ric_theta(psi, psi') - Ric(F psi, F psi') on the frame, at the
+    chart's sample points: [a, b, p], for F = e^{-B} o F_theta and Ric that
+    of the dilaton connection in the block picture."""
     F = derived.f_theta[0][0].value
     return (gconn.ricci(derived.theta_connection)
             - np.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))

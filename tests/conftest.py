@@ -625,22 +625,13 @@ class Oracle:
         return gamma
 
     @cached_property
-    def dilaton_twisted(self):
-        """The dilaton parameters added to the minimal coefficients."""
+    def dilaton(self):
+        """The dilaton parameters added to the minimal coefficients: the
+        dilaton connection of the block picture, on ``standard``."""
         n, g = self.chart.dim, self.bg.g
         W = np.einsum(",zijk->ijk", 1.0 / (n - 1), np.stack(
             [np.einsum("ij,k->ijk", g, self.dphi), np.einsum(",ik,j->ijk", -1.0, g, self.dphi)]))
         return symbolic_with_params(self.standard, self.minimal, tn.zeros_array((n,) * 3), W, g, self.ginv)
-
-    @cached_property
-    def untwisted_frame(self):
-        return standard_frame(self.chart, self.h_prime - self.dB)
-
-    @cached_property
-    def dilaton(self):
-        B = self.bg.B
-        return symbolic_transport(self.standard, self.dilaton_twisted, shear_matrix(B, -1),
-                                  shear_matrix(B, +1))
 
     @cached_property
     def theta(self):
@@ -660,12 +651,17 @@ class Oracle:
 
     @cached_property
     def theta_matrices(self):
-        return theta_twist_matrices(self.theta, self.bg.B)
+        """(F, F^{-1}) of the bivector shear read from the block picture:
+        e^{-B} composed with F_theta, and the inverse in reverse order."""
+        B = self.bg.B
+        F, Finv = theta_twist_matrices(self.theta, B)
+        return (np.einsum("ab,bc->ac", shear_matrix(B, -1), F),
+                np.einsum("ab,bc->ac", Finv, shear_matrix(B, +1)))
 
     @cached_property
     def theta_connection(self):
         F, Finv = self.theta_matrices
-        return symbolic_transport(self.untwisted_frame, self.dilaton, F, Finv)
+        return symbolic_transport(self.standard, self.dilaton, F, Finv)
 
 
 # ---------------------------------------------------------------------------

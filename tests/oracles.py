@@ -1,16 +1,19 @@
 """Oracles that only the tests read: quantities the verifier does not
-check, computed from its numeric stages, and the zero-anchor (quadratic Lie
+check, computed from its numeric stages, the sheared picture, which the
+verifier does not build (the dilaton connection sheared by e^B, then
+transported through F_theta alone), and the zero-anchor (quadratic Lie
 algebra) case in exact rational arithmetic, independent of the frame
 calculus it is compared with.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from gencourant import gtb
+from gencourant import gconn, gtb
 from gencourant import tensors as tn
 from gencourant.errors import GencourantError
 from gencourant.riemann import covariant_derivative
@@ -100,6 +103,64 @@ def lc_parameter_space_dim(n: int) -> int:
     ])
     rank = np.linalg.matrix_rank(rows)
     return dim2 ** 3 - rank
+
+
+# ---------------------------------------------------------------------------
+# the sheared picture: e^B, then F_theta
+# ---------------------------------------------------------------------------
+
+
+def untwist(conn, B):
+    """Shear a connection by e^B, for the 2-jet (B, dB) of B: if the input
+    is torsion-free and metric for BlockDiag(g, g^{-1}) with bracket twist
+    H', the output is torsion-free and metric for the pair (g, B) with
+    twist H' - dB."""
+    B, dB = B
+    gm_new = gtb.GeneralizedMetric(conn.chart, conn.metric.g, B, conn.metric.g_inv)
+    F = (gtb.shear(B, -1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
+    H_new = gconn._current_twist(conn) - dB.map(lambda t: tn.d_of_partials(t, 2))
+    alg_new = gconn.standard_algebroid(conn.chart, H_new)
+    return gconn.transport_connection(conn, F, gtb.shear(B, +1), alg_new, gm_new)
+
+
+def f_theta_matrices(theta, B):
+    """The 2-jet of the frame matrix of F_theta(X, xi) = (theta(xi),
+    xi - B(X)) alone and the jet of its inverse (X, xi) |-> (X - theta(xi),
+    B(X)), from the 2-jets of theta and B."""
+    (th, dth), (b, db) = theta, B
+    F = tn.jet_block([[0, th], [-b, 1]])
+    return (F, tn.jet_block([[0, dth], [-db, 0]])), tn.jet_block([[1, -th], [b, 0]])
+
+
+class ShearedPicture:
+    """The central and equivalence quantities of a ``streff.Derived`` read
+    through the shear: its dilaton connection sheared by e^B onto the
+    H-twisted bracket, and that connection transported through F_theta."""
+
+    def __init__(self, derived):
+        self.derived = derived
+        self.dilaton = untwist(derived.dilaton, derived.jets.B)
+
+    def central_residuals(self):
+        """(scalar, off-block) residuals of the sheared dilaton connection."""
+        betas, conn = self.derived.betas, self.dilaton
+        return (gconn.scalar_G(conn) - betas.beta_phi,
+                gconn.ricci_compat_residual(conn) - (betas.beta_g - betas.beta_B))
+
+    @functools.cached_property
+    def f_theta(self):
+        return f_theta_matrices(self.derived.symplectic.theta, self.derived.jets.B)
+
+    @functools.cached_property
+    def theta_connection(self):
+        return gconn.theta_transport(self.dilaton, *self.f_theta, self.derived.symplectic.metric)
+
+    def transport_residual(self):
+        """Ric_theta(psi, psi') - Ric(F_theta psi, F_theta psi') with Ric of
+        the sheared dilaton connection."""
+        F = self.f_theta[0][0].value
+        return (gconn.ricci(self.theta_connection)
+                - np.einsum("cdp,cap,dbp->abp", gconn.ricci(self.dilaton), F, F))
 
 
 # ---------------------------------------------------------------------------

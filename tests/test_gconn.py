@@ -533,7 +533,7 @@ def test_untwist_with_zero_b_is_identity():
     g = bumpy_metric(C2, salt=53)
     H = closed_h(C2, salt=54)
     conn = minimal(g, H)
-    same = gconn.untwist(conn, b_jets(tn.zeros_array((2, 2))))
+    same = oracles.untwist(conn, b_jets(tn.zeros_array((2, 2))))
     np.testing.assert_array_equal(same.gamma.value, conn.gamma.value)
     np.testing.assert_array_equal(same.gamma.partial, conn.gamma.partial)
 
@@ -543,7 +543,7 @@ def test_untwist_roundtrip():
     H = closed_h(C2, salt=56)
     B = bumpy_b(C2, salt=57)
     conn = minimal(g, H)
-    back = gconn.untwist(gconn.untwist(conn, b_jets(B)), b_jets(-1 * B))
+    back = oracles.untwist(oracles.untwist(conn, b_jets(B)), b_jets(-1 * B))
     assert max_abs(conn.gamma.value - back.gamma.value, C2) < 1e-10
     assert max_abs(conn.gamma.partial - back.gamma.partial, C2) < 1e-10
 
@@ -552,7 +552,7 @@ def test_untwisted_connection_is_levi_civita_for_pair_metric():
     g = bumpy_metric(C2, salt=58)
     H = closed_h(C2, salt=59)
     B = bumpy_b(C2, salt=60)
-    conn = gconn.untwist(minimal(g, H), b_jets(B))
+    conn = oracles.untwist(minimal(g, H), b_jets(B))
     assert max_abs(gconn.gualtieri_torsion(conn), C2) < 1e-9
     assert max_abs(gconn.pairing_compat_residual(conn), C2) < 1e-10
     assert max_abs(gconn.metric_compat_residual(conn), C2) < 1e-9
@@ -563,7 +563,7 @@ def test_scalars_invariant_under_untwist():
     H = closed_h(C2, salt=62)
     B = bumpy_b(C2, salt=63)
     hat = gconn.with_params(minimal(g, H), random_params(C2, g, salt=64))
-    conn = gconn.untwist(hat, b_jets(B))
+    conn = oracles.untwist(hat, b_jets(B))
     assert max_abs(gconn.scalar_E(hat) - gconn.scalar_E(conn), C2) < 1e-9
     assert max_abs(gconn.scalar_G(hat) - gconn.scalar_G(conn), C2) < 1e-9
 
@@ -575,7 +575,7 @@ def test_covariance_of_torsion_riemann_ricci_under_shear():
     H = closed_h(C2, salt=66)
     B = bumpy_b(C2, salt=67)
     hat = block_lc(g, H)  # torsionful: stresses T covariance
-    conn = gconn.untwist(hat, b_jets(B))
+    conn = oracles.untwist(hat, b_jets(B))
     Mv = values(shear_matrix(B, -1), C2)  # e^{-B}: hat = pullback of conn
     dim2 = 4
     That = gconn.gualtieri_torsion(hat)
@@ -611,17 +611,19 @@ def test_char_vf_invariant_under_untwist():
     B = bumpy_b(C2, salt=70)
     params = random_params(C2, g, salt=71)
     hat = gconn.with_params(minimal(g, H), params)
-    conn = gconn.untwist(hat, b_jets(B))
+    conn = oracles.untwist(hat, b_jets(B))
     assert max_abs(gconn.char_vf(hat) - gconn.char_vf(conn), C2) < 1e-10
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**16), st.sampled_from([1, 5]))
 def test_connections_match_the_symbolic_ones(salt, count):
-    # the jets of the minimal connection, the block transport, with_params,
-    # untwist and theta_transport against the jets of the same coefficients
-    # built as expressions, on rank 2n, with a random parameter pair and
-    # with the dilaton's
+    # the jets of the minimal connection, the block transport, with_params
+    # and theta_transport against the jets of the same coefficients built as
+    # expressions in the block picture, on rank 2n, with a random parameter
+    # pair and with the dilaton's; theta_transport goes through
+    # e^{-B} o F_theta, the symbolic product of the two frame matrices.  The
+    # shear by e^B of the tests' oracle against its symbolic transport too.
     bg = random_background(2, salt=salt % 1000, invertible_b=True, seed=salt, num_points=count)
     derived, oracle = streff.Derived(bg), Oracle(bg)
     minimal_conn, B = derived.minimal, bg.B
@@ -630,17 +632,15 @@ def test_connections_match_the_symbolic_ones(salt, count):
                                     gconn.validate_params(*conftest.param_jets(J, W, bg.chart)))
     family_gamma = symbolic_with_params(oracle.standard, oracle.minimal, *projected_params(J, W),
                                         bg.g, oracle.ginv)
-    untwisted = gconn.untwist(family_conn, derived.jets.B)
-    untwisted_gamma = symbolic_transport(oracle.standard, family_gamma, shear_matrix(B, -1),
-                                         shear_matrix(B, +1))
     pkg = derived.symplectic
     cases = [
         (minimal_conn, oracle.minimal),
         (derived.block_lc, oracle.block_transport),
         (family_conn, family_gamma),
-        (untwisted, untwisted_gamma),
-        (gconn.theta_transport(untwisted, *derived.f_theta, pkg.metric),
-         symbolic_transport(oracle.untwisted_frame, untwisted_gamma, *oracle.theta_matrices)),
+        (gconn.theta_transport(family_conn, *derived.f_theta, pkg.metric),
+         symbolic_transport(oracle.standard, family_gamma, *oracle.theta_matrices)),
+        (oracles.untwist(family_conn, derived.jets.B),
+         symbolic_transport(oracle.standard, family_gamma, shear_matrix(B, -1), shear_matrix(B, +1))),
         (derived.dilaton, oracle.dilaton),
         (derived.theta_connection, oracle.theta_connection),
     ]
@@ -660,21 +660,24 @@ def test_dilaton_constant_phi_reduces_to_minimal():
     g = bumpy_metric(C2, salt=72)
     H = closed_h(C2, salt=73)
     base = minimal(g, H)
-    conn = gconn.dilaton_connection_twisted(base, tn.field_jets(tn.ex.Const(3.0), C2)[1])
+    conn = gconn.dilaton_connection(base, tn.field_jets(tn.ex.Const(3.0), C2)[1])
     assert max_abs(conn.gamma.value - base.gamma.value, C2) < 1e-12
     assert max_abs(conn.gamma.partial - base.gamma.partial, C2) < 1e-12
 
 
 def test_dilaton_connection_traces():
+    # zero characteristic vector field and partial trace dphi, in the block
+    # picture and after the shear by e^B onto the H-twisted bracket
     g = bumpy_metric(C2, salt=74)
     H = closed_h(C2, salt=75)
     B = bumpy_b(C2, salt=76)
     phi = tn.ex.parse_expr("x*y/2 + x^2/4", C2)
     H_prime = H + tn.d_of_partials(tn.partials(B, C2), 2)
-    conn = gconn.dilaton_connection(minimal(g, H_prime), b_jets(B), tn.field_jets(phi, C2)[1])
-    assert max_abs(gconn.char_vf(conn), C2) < 1e-10
-    tr = oracles.v_trace(conn, conn.metric.h_form())
-    assert max_abs(tr - values(tn.partials(phi, C2), C2), C2) < 1e-10
+    block = gconn.dilaton_connection(minimal(g, H_prime), tn.field_jets(phi, C2)[1])
+    for conn in (block, oracles.untwist(block, b_jets(B))):
+        assert max_abs(gconn.char_vf(conn), C2) < 1e-10
+        tr = oracles.v_trace(conn, conn.metric.h_form())
+        assert max_abs(tr - values(tn.partials(phi, C2), C2), C2) < 1e-10
 
 
 def test_parameter_space_dimension():

@@ -449,14 +449,17 @@ def test_theta_twist_inverse_and_pairing():
     eta = gtb.pairing_gram(C2)
     for f, finv in zip(per_point(F.value), per_point(Finv.value)):
         assert np.allclose(f @ finv, np.eye(4), atol=1e-10)
-        # F^T eta F = eta: F_theta is orthogonal for the pairing
+        # F^T eta F = eta: e^{-B} o F_theta is orthogonal for the pairing
         assert np.allclose(f.T @ eta @ f, eta, atol=1e-10)
     # the jet of the partials of F continues the jet of F
     np.testing.assert_array_equal(F.partial, dF.value)
-    # and both are the jets of the symbolic shear
+    # and F, dF and F^{-1} are the jets of the symbolic shear read from the
+    # block picture, e^{-B} o F_theta, and of its inverse F_theta^{-1} o e^B
     theta = conftest.matrix_inverse(B)
-    want, _ = conftest.theta_twist_matrices(theta, B)
-    for got, want in zip((F, dF), tn.field_jets(want, C2)):
+    F_theta, F_theta_inv = conftest.theta_twist_matrices(theta, B)
+    want = np.einsum("ab,bc->ac", conftest.shear_matrix(B, -1), F_theta)
+    want_inv = np.einsum("ab,bc->ac", F_theta_inv, conftest.shear_matrix(B, +1))
+    for got, want in zip((F, dF, Finv), tn.field_jets(want, C2) + (tn.jets_at(want_inv, C2),)):
         np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.partial, want.partial, rtol=1e-12, atol=1e-12)
 
@@ -469,10 +472,12 @@ def test_theta_twist_2d_matrix_oracle():
         Bv = conftest.at(B, p)
         assert np.allclose(theta.value[..., q], np.linalg.inv(Bv))
         assert np.allclose(theta.value[..., q], -Bv)
-    # spot values through the shear: F(0, dx) = (theta(dx), dx)
+    # spot values through the shear: e^{-B} o F_theta (0, dx) = (theta(dx), 0),
+    # the form block exactly zero
     (F, _), _ = gtb.theta_twist_matrices(*theta_jets(B))
     assert F.value[1, 2, 0] == pytest.approx(1.0)
     assert F.value[0, 2, 0] == 0.0
+    assert (F.value[2:, 2:] == 0.0).all()
 
 
 def test_theta_twist_odd_dimension_fails():
@@ -659,7 +664,7 @@ def test_symplectic_jets_match_the_symbolic_ones(salt, count):
     pkg = derived.symplectic
     alg = pkg.algebroid
     sheared = derived.theta_connection.algebroid
-    want_sheared = conftest.conjugated_frame(bg.chart, *oracle.theta_matrices, oracle.untwisted_frame)
+    want_sheared = conftest.conjugated_frame(bg.chart, *oracle.theta_matrices, oracle.standard)
     cases = [(pkg.theta[0], oracle.theta), (pkg.g_A, oracle.g_A),
              (alg.anchor, oracle.cotangent.anchor), (alg.structure, oracle.cotangent.structure),
              (pkg.gamma, oracle.lc_gamma),
@@ -742,15 +747,14 @@ def assert_frame_curvature_matches(numeric, symbolic, gamma, points, jet):
 def frames_of(derived):
     """(numeric frame, symbolic frame, Gamma as expressions, the jet of
     Gamma at the chart's sample points) on rank n (the cotangent algebroid
-    of theta, whose anchor is theta) and rank 2n (the dilaton connection,
-    constant anchor, and its pullback through the bivector shear, anchor
-    built from theta)."""
+    of theta, whose anchor is theta) and rank 2n (the dilaton connection of
+    the block picture, constant anchor, and its pullback through the
+    bivector shear e^{-B} o F_theta, anchor built from theta)."""
     oracle = Oracle(derived.bg)
     pkg = derived.symplectic
-    sheared = conftest.conjugated_frame(derived.bg.chart, *oracle.theta_matrices, oracle.untwisted_frame)
+    sheared = conftest.conjugated_frame(derived.bg.chart, *oracle.theta_matrices, oracle.standard)
     return [(pkg.algebroid, oracle.cotangent, oracle.lc_gamma, pkg.gamma),
-            (derived.dilaton.algebroid, oracle.untwisted_frame, oracle.dilaton,
-             derived.dilaton.gamma),
+            (derived.dilaton.algebroid, oracle.standard, oracle.dilaton, derived.dilaton.gamma),
             (derived.theta_connection.algebroid, sheared, oracle.theta_connection,
              derived.theta_connection.gamma)]
 

@@ -90,6 +90,9 @@ class SplitMix64:
     """
 
     _MASK = (1 << 64) - 1
+    # the same constants as numpy uint64 scalars, for ``uniforms``
+    _STEP, _LAST = np.uint64(0x9E3779B97F4A7C15), np.uint64(31)
+    _MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
@@ -103,6 +106,21 @@ class SplitMix64:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * (self.next_u64() / 2.0**64)
+
+    def uniforms(self, lo: float, hi: float, count: int) -> np.ndarray:
+        """``count`` draws of ``uniform(lo, hi)`` as one float array, the
+        same bits and the same final state as ``count`` calls: the states
+        step by a constant, so numpy's wrapping uint64 arithmetic mixes
+        them all at once."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= self._STEP
+        z += np.uint64(self.state)
+        for shift, factor in self._MIX:
+            z ^= z >> shift
+            z *= factor
+        z ^= z >> self._LAST
+        self.state = (self.state + count * 0x9E3779B97F4A7C15) & self._MASK
+        return lo + (hi - lo) * (z / 2.0**64)
 
 
 # Records are NamedTuples or plain classes: a dataclass execs generated code in every process.

@@ -281,17 +281,27 @@ def minimal_connection(block: GenConnection) -> GenConnection:
 
     nab^0_{(X,xi)} (Y,eta) =
       ( nabLC_X Y + (1/6) g^{-1} H'(g^{-1} xi, Y, .) - (1/3) g^{-1} H'(X, g^{-1} eta, .),
-        nabLC_X eta - (1/3) H'(X, Y, .) + (1/6) H'(g^{-1} xi, g^{-1} eta, .) )."""
+        nabLC_X eta - (1/3) H'(X, Y, .) + (1/6) H'(g^{-1} xi, g^{-1} eta, .) ).
+
+    The three terms with g^{-1} are one tensor: H' with its last two legs
+    raised, R[m, v, l] = g^{-1}[v, b] g^{-1}[l, a] H'[m, b, a], contracted a
+    leg at a time (``_leg_into``).  On the frame, g^{-1} H'(X, g^{-1} eta, .)
+    is R[m, v, l] (X = d_m, eta = dx^v, output l); H'(g^{-1} xi, g^{-1} eta,
+    .) is R[l, m, v], since H' is invariant under cyclic shifts; and
+    g^{-1} H'(g^{-1} xi, Y, .) is -R[v, m, l], since H' changes sign under
+    a swap of its first two slots.  Both hold because H' is totally
+    antisymmetric (``streff.Derived.h_prime`` checks it)."""
     n = block.chart.dim
     ginv, Hc = block.metric.g_inv, _current_twist(block)
     gamma = block.gamma.map(np.copy)
+    R = _leg_into(ginv, 2, _leg_into(ginv, 1, Hc), "ajc")  # R[m, v, l]
     # each H' term is indexed [l, m, v] (the output slot l, the legs m and v)
     # and adds c times itself to the block of Gamma[l, m, v] whose slots are
     # the vector (first n) or form (last n) frame indices it names
-    vec_vec = tn.jet_contract("mvl->lmv", Hc)  # H'(X, Y, .)
-    vec_form = tn.jet_contract("la,vb,mba->lmv", ginv, ginv, Hc)  # g^{-1} H'(X, g^{-1} eta, .)
-    form_vec = tn.jet_contract("la,mb,bva->lmv", ginv, ginv, Hc)  # g^{-1} H'(g^{-1} xi, Y, .)
-    form_form = tn.jet_contract("ma,vb,abl->lmv", ginv, ginv, Hc)  # H'(g^{-1} xi, g^{-1} eta, .)
+    vec_vec = Hc.map(lambda t: np.moveaxis(t, 2, 0))  # H'[m, v, l]: H'(X, Y, .)
+    vec_form = R.map(lambda t: np.moveaxis(t, 2, 0))  # R[m, v, l]: g^{-1} H'(X, g^{-1} eta, .)
+    form_vec = -R.map(lambda t: t.swapaxes(0, 2))  # -R[v, m, l]: g^{-1} H'(g^{-1} xi, Y, .)
+    form_form = R  # R[l, m, v]: H'(g^{-1} xi, g^{-1} eta, .)
     vec, form = slice(0, n), slice(n, 2 * n)
     for part, c, term in (((form, vec, vec), -1.0 / 3.0, vec_vec),
                            ((vec, vec, form), -1.0 / 3.0, vec_form),
@@ -345,12 +355,16 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> Jet:
     them, and -J on an even number, with g on the vector legs.  Each leg
     is contracted on its own, a ``tensors.jet_contract`` of two jets, so
     no einsum loops over all the indices of a three-leg term at once; the
-    three-leg term goes on from the one-leg term of its first slot."""
+    three-leg term goes on from the one-leg term of its first slot.  A
+    parameter whose jet is zero, such as the dilaton's J, adds no terms:
+    its blocks of K stay zero."""
     n = metric.chart.dim
     K = tn.constant_jet(np.zeros((2 * n,) * 3), metric.chart)
     vec, form = range(n), range(n, 2 * n)
     for leg, t, legged, rest, sign in ((metric.g_inv, params.W, form, vec, 1.0),
                                       (metric.g, params.J, vec, form, -1.0)):
+        if not (t.value.any() or t.partial.any()):  # a NaN is nonzero, so it reaches K
+            continue
         ones = [_leg_into(leg, k, t) for k in range(3)]
         for k, block in enumerate(ones):
             K[np.ix_(*[legged if j == k else rest for j in range(3)])] = sign * block

@@ -304,13 +304,23 @@ def schouten_check(theta: Jet, twist: np.ndarray, points) -> np.ndarray:
     the given twist 3-form.  Raises NotAntisymmetric unless theta is."""
     tn.check_antisymmetric(theta.value, points)
     th, dth = theta  # dth[k, j, a] = d_a theta^{kj}
-    tw = np.einsum("abcp,aip,bjp,ckp->ijkp", twist, th, th, th)
+    tw = theta_pullback(twist, th)
     # (1/2)[theta,theta](dx^i, dx^j, dx^k), from the bracket identity
     # [theta xi, theta eta] - theta(L_{theta xi} eta - i_{theta eta} d xi):
     # theta^{ai} d_a theta^{kj} - theta^{aj} d_a theta^{ki} - theta^{kb} d_b theta^{ji}
     half = (np.einsum("aip,kjap->ijkp", th, dth) - np.einsum("ajp,kiap->ijkp", th, dth)
             - np.einsum("kbp,jibp->ijkp", th, dth))
     return half + tw
+
+
+def theta_pullback(form, theta):
+    """form(theta ., theta ., theta .)[i, j, k] = form[a, b, c] theta[a, i]
+    theta[b, j] theta[c, k] of a 3-form, for jets, or for their values
+    alone: contracted a leg at a time, so no einsum loops over all six
+    indices at once."""
+    for spec in ("abc,ai->ibc", "ibc,bj->ijc", "ijc,ck->ijk"):
+        form = tn.jet_contract(spec, form, theta)
+    return form
 
 
 def d_theta(df: Jet, theta: Jet) -> Jet:

@@ -267,7 +267,9 @@ def beta_g_index_form(derived: Derived) -> np.ndarray:
     Hp, ginv = derived.h_prime.value, derived.ginv.value
     ric, _ = derived.curvature
     hess = _hessian(derived)
-    quad = np.einsum("mabp,vcdp,acp,bdp->mvp", Hp, Hp, ginv, ginv)
+    # H'_{m a b} g^{ac} g^{bd} H'_{v c d}, raised a leg at a time
+    raised = np.einsum("bdp,mcbp->mcdp", ginv, np.einsum("acp,mabp->mcbp", ginv, Hp))
+    quad = np.einsum("mcdp,vcdp->mvp", raised, Hp)
     return ric - 0.25 * quad + hess + hess.swapaxes(0, 1)
 
 
@@ -341,7 +343,7 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
     twist = dB.map(lambda t: tn.d_of_partials(t, 2))
     algebroid = gtb.cotangent_algebroid(chart, (theta, dtheta), twist)
     gamma = gtb.lc_connection(algebroid, g_A, dg_A, G)
-    H_theta = tn.jet_contract("ijk,ia,jb,kc->abc", derived.h_prime, theta, theta, theta)
+    H_theta = gtb.theta_pullback(derived.h_prime, theta)
     dphi_dual = gtb.d_theta(jets.phi[1], theta)
     metric = GeneralizedMetric(chart, G, None, g_A)
     return SymplecticPackage((theta, dtheta), G, metric, g_A, twist, algebroid, gamma, H_theta,

@@ -195,21 +195,29 @@ def on_points(*jets) -> Jet:
 def _monomial_jets(chart: Chart, degree: int) -> np.ndarray:
     """basis[M, k, p]: at each sample point p, the value (k = 0), the first
     partials (k = 1 + m) and the second partials (k = 1 + n + n m + l) of
-    each of the M monomials of ``expr.monomials``."""
+    each of the M monomials of ``expr.monomials`` in the chart's unit
+    coordinates u = (x - c) / h, with c the centre and h the half-width of
+    each interval of the domain (h = 1 for a zero-width interval).  So the
+    monomials stay of order one on any domain, and d/dx = (1/h) d/du; on
+    [-1, 1], u is x."""
     n = chart.dim
-    x = np.array(chart.sample_points()).T[None]  # [1, n, p]
+    lo, hi = np.array(chart.domain).T
+    half = (hi - lo) / 2
+    centre = lo + half  # not (lo + hi) / 2, which can overflow
+    half[half == 0] = 1.0
+    u = ((np.array(chart.sample_points()) - centre) / half).T[None]  # [1, n, p]
     powers = np.array([np.bincount(np.array(mono, dtype=int), minlength=n)
                        for mono in ex.monomials(n, degree)])  # [M, n]
     eye = np.eye(n, dtype=int)
 
     def term(*axes):
-        # d_{axes} x^powers: the falling factorials of the exponents times
-        # the lowered power (an exponent that would turn negative has a zero
-        # factor and is clipped)
+        # d_{axes} u^powers: the falling factorials of the exponents over
+        # the half-widths times the lowered power (an exponent that would
+        # turn negative has a zero factor and is clipped)
         factor, e = np.ones(len(powers)), powers
         for k in axes:
-            factor, e = factor * e[:, k], e - eye[k]
-        return factor[:, None] * np.prod(x ** np.maximum(e, 0)[..., None], axis=1)
+            factor, e = factor * e[:, k] / half[k], e - eye[k]
+        return factor[:, None] * np.prod(u ** np.maximum(e, 0)[..., None], axis=1)
 
     rows = [term()] + [term(m) for m in range(n)] + [term(m, l) for m in range(n) for l in range(n)]
     return np.stack(rows, axis=1)
@@ -218,13 +226,16 @@ def _monomial_jets(chart: Chart, degree: int) -> np.ndarray:
 def random_polynomial_jets(chart: Chart, gen: ex.SplitMix64, shape: tuple, degree: int = 2,
                            scale: float = 0.25) -> tuple[Jet, Jet]:
     """The 2-jet at the chart's sample points (as ``field_jets`` gives it) of
-    an array of the given shape of random polynomials, drawn in C order as
-    that many calls of ``expr.random_polynomial`` would draw them: a row of
-    coefficients over ``expr.monomials`` per polynomial, contracted in one
-    einsum with the 2-jet of that monomial basis."""
+    an array of the given shape of random polynomials in the chart's unit
+    coordinates (``_monomial_jets``), drawn in C order as that many calls
+    of ``expr.random_polynomial`` would draw them: a row of coefficients
+    over ``expr.monomials`` per polynomial, all drawn at once
+    (``SplitMix64.uniforms``), contracted in one einsum with the 2-jet of
+    that monomial basis.  On [-1, 1] they are the jets of those calls'
+    polynomials."""
     n, count = chart.dim, len(chart.sample_points())
     size = math.prod(shape) * len(ex.monomials(n, degree))
-    coeffs = np.array([gen.uniform(-scale, scale) for _ in range(size)]).reshape(math.prod(shape), -1)
+    coeffs = gen.uniforms(-scale, scale, size).reshape(math.prod(shape), -1)
     jets = np.einsum("ab,bkp->akp", coeffs, _monomial_jets(chart, degree)).reshape(shape + (-1, count))
     first = jets[..., 1:n + 1, :]
     return (Jet(jets[..., 0, :], first),
@@ -262,12 +273,14 @@ def finite(stage: str, jet, points):
     its point.  The arithmetic that made it runs under
     ``np.errstate(all="ignore")``, so this check is what reports it."""
     for half, array in zip(("value", "partial"), jet if isinstance(jet, Jet) else (jet,)):
-        bad = np.argwhere(~np.isfinite(array))
-        if len(bad):
-            *index, p = bad[0].tolist()
-            what = "" if half == "value" else f" partial along x^{index.pop() + 1}"
-            raise DomainError(f"non-finite {stage}{what} {array[tuple(bad[0])]} at component "
-                              f"{index} and sample point {tuple(points[p])}")
+        ok = np.isfinite(array)
+        if ok.all():
+            continue
+        bad = np.argwhere(~ok)[0]
+        *index, p = bad.tolist()
+        what = "" if half == "value" else f" partial along x^{index.pop() + 1}"
+        raise DomainError(f"non-finite {stage}{what} {array[tuple(bad)]} at component "
+                          f"{index} and sample point {tuple(points[p])}")
     return jet
 
 

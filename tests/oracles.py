@@ -1,5 +1,6 @@
 """Oracles that only the tests read: quantities the verifier does not
-check, computed from its numeric stages, the sheared picture, which the
+check, computed from its numeric stages, the one-einsum references of
+the contractions it takes a leg at a time, the sheared picture, which the
 verifier does not build (the dilaton connection sheared by e^B, then
 transported through F_theta alone), and the zero-anchor (quadratic Lie
 algebra) case in exact rational arithmetic, independent of the frame
@@ -57,6 +58,26 @@ def v_trace(conn, h):
     at the chart's sample points."""
     hinv = np.moveaxis(np.linalg.inv(np.moveaxis(h, -1, 0)), 0, -1)
     return np.einsum("kabp,akp,blp->lp", v_tensor(conn), hinv, hinv)
+
+
+def minimal_connection_reference(block):
+    """``gconn.minimal_connection`` with each of its three raised H' terms
+    one ``tensors.jet_contract`` of g^{-1}, g^{-1} and H' (three operands),
+    read off the formula as written, not off one raised tensor."""
+    n = block.chart.dim
+    ginv, Hc = block.metric.g_inv, gconn._current_twist(block)
+    gamma = block.gamma.map(np.copy)
+    vec_vec = tn.jet_contract("mvl->lmv", Hc)  # H'(X, Y, .)
+    vec_form = tn.jet_contract("la,vb,mba->lmv", ginv, ginv, Hc)  # g^{-1} H'(X, g^{-1} eta, .)
+    form_vec = tn.jet_contract("la,mb,bva->lmv", ginv, ginv, Hc)  # g^{-1} H'(g^{-1} xi, Y, .)
+    form_form = tn.jet_contract("ma,vb,abl->lmv", ginv, ginv, Hc)  # H'(g^{-1} xi, g^{-1} eta, .)
+    vec, form = slice(0, n), slice(n, 2 * n)
+    for part, c, term in (((form, vec, vec), -1.0 / 3.0, vec_vec),
+                           ((vec, vec, form), -1.0 / 3.0, vec_form),
+                           ((vec, form, vec), 1.0 / 6.0, form_vec),
+                           ((form, form, form), 1.0 / 6.0, form_form)):
+        gamma[part] = gamma[part] + c * term
+    return gconn.GenConnection(block.algebroid, gamma, block.metric)
 
 
 def param_tensor_frame_reference(params, metric):

@@ -759,6 +759,18 @@ def test_all_passes_with_a_large_constant_b():
     assert max(checks["central.scalar-identity"], checks["central.off-block-identity"]) <= 1e-12
 
 
+@pytest.mark.parametrize("domain", [[-1000, 1000], [999, 1001]])
+def test_a_large_or_offset_domain_passes_axioms_and_curvature(domain):
+    # g = delta, B12 = 1, phi = 0: every identity holds exactly and every
+    # field is constant, so a large term could only come from the checks'
+    # own random fields, which are drawn in the chart's unit coordinates
+    doc = minimal_doc(chart={"dim": 2, "coords": ["x", "y"], "domain": domain, "seed": 0, "points": 12},
+                      background={"g": {"11": "1", "22": "1"}, "B": {"12": "1"}, "phi": "0"})
+    for command in ("axioms", "curvature"):
+        report = run_command(command, scene_from_dict(doc))
+        assert report.passed, [(c.name, c.max_abs_residual) for c in report.checks if not c.passed]
+
+
 ALL_CHECKS = {
     "axioms.anchor-morphism", "axioms.derivative-fd-consistency", "axioms.differential-image",
     "axioms.eigenbundle-graphs", "axioms.induced-form", "axioms.involution",

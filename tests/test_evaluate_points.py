@@ -220,6 +220,18 @@ def test_worst_of_picks_last_tie_and_first_non_finite():
     assert worst_of([]) == (0.0, None)
 
 
+@pytest.mark.parametrize("rows, value, point", [
+    ([[1.0, -2.0, 2.0, 0.5]], 2.0, 2),  # a tie: the last maximum
+    ([[0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.0]], 0.0, 3),  # all zero: the last point
+    ([[1.0, 5.0, math.nan, 7.0]], math.nan, 2),  # a NaN at a middle point
+    ([[1.0, math.inf, 3.0, -math.inf]], math.inf, 1),  # the first non-finite point
+])
+def test_max_abs_on_points_picks_the_point_worst_of_picks(rows, value, point):
+    worst, at = max_abs_on_points(np.array(rows), PTS_12[:4])
+    assert type(worst) is float and at == PTS_12[point]
+    assert worst == value or math.isnan(value) and math.isnan(worst)
+
+
 @pytest.mark.parametrize("text", ["exp(800*x + 800)", "(1e200*x)^2", "1e308*x + 1e308*y"])
 def test_scalar_overflow_is_a_domain_error(text):
     e = parse_expr(text, XY)

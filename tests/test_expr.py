@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,6 +304,19 @@ def test_splitmix64_reference_values():
     gen = SplitMix64(0)
     assert gen.next_u64() == 0xE220A8397B1DCDAF
     assert gen.next_u64() == 0x6E789E6AA1B965F4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789])
+@pytest.mark.parametrize("count", [0, 1, 5, 1000])
+def test_splitmix64_uniforms_are_that_many_uniform_draws(seed, count):
+    # the batched draw wraps mod 2^64 in numpy's uint64, as the scalar one
+    # masks Python integers; the same bits and the same state after it
+    batch, one = SplitMix64(seed), SplitMix64(seed)
+    got = batch.uniforms(-0.25, 0.25, count)
+    want = np.array([one.uniform(-0.25, 0.25) for _ in range(count)], dtype=float)
+    assert np.array_equal(got, want)
+    assert batch.state == one.state
+    assert batch.next_u64() == one.next_u64()
 
 
 def test_evaluate_many_shares_work():

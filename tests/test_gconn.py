@@ -488,27 +488,82 @@ def test_trace_identity_for_valid_params():
     assert max_abs(res, C2) < 1e-10
 
 
+def uniform_jet(rng, c, shape, draw=lambda rng, shape: rng.uniform(-1, 1, shape)):
+    """A jet of the given field shape at the chart's sample points, values
+    and partials drawn by ``draw``."""
+    return tn.Jet(draw(rng, shape + (c.num_points,)), draw(rng, shape + (c.dim, c.num_points)))
+
+
+def random_block_metric(rng, c):
+    """The generalized metric for the random jet of g = A^T A + n and its
+    inverse."""
+    a = uniform_jet(rng, c, (c.dim, c.dim))
+    g = tn.jet_contract("ki,kj->ij", a, a) + tn.constant_jet(c.dim * np.eye(c.dim), c)
+    return gtb.GeneralizedMetric(c, g, None, tn.jet_inverse(g))
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(2, 4), count=st.sampled_from([1, 5]), seed=st.integers(0, 2**32 - 1))
 def test_param_tensor_frame_a_leg_at_a_time_matches_the_one_einsum_reference(dim, count, seed):
-    # random jets of a metric (A^T A + n, with its inverse) and of a
-    # parameter pair; K contracted a leg at a time against the reference
-    # that contracts each term's legs in one einsum
+    # random jets of a metric and of a parameter pair; K contracted a leg
+    # at a time against the reference that contracts each term's legs in
+    # one einsum
     c = chart("x y z w".split()[:dim], num_points=count)
     rng = np.random.default_rng(seed)
-
-    def jet(shape):
-        return tn.Jet(rng.uniform(-1, 1, shape + (count,)), rng.uniform(-1, 1, shape + (dim, count)))
-
-    a = jet((dim, dim))
-    g = tn.jet_contract("ki,kj->ij", a, a) + tn.constant_jet(dim * np.eye(dim), c)
-    metric = gtb.GeneralizedMetric(c, g, None, tn.jet_inverse(g))
+    metric = random_block_metric(rng, c)
     skew = lambda t: 0.5 * (t - t.swapaxes(1, 2))
-    params = gconn.validate_params(*(jet((dim,) * 3).map(skew) for _ in range(2)))
+    params = gconn.validate_params(*(uniform_jet(rng, c, (dim,) * 3).map(skew) for _ in range(2)))
     got = gconn.param_tensor_frame(params, metric)
     want = oracles.param_tensor_frame_reference(params, metric)
     for half in ("value", "partial"):
         np.testing.assert_allclose(getattr(got, half), getattr(want, half), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("J", ["zero", "zero values", "a NaN"])
+def test_param_tensor_frame_with_a_zero_j_equals_the_reference(dim, count, J):
+    # the dilaton's J = 0 * W adds no legs to K, where the reference
+    # contracts it; a J that is zero only in its values, or has a NaN, is
+    # contracted.  On jets of small integers every product and sum is
+    # exact, so any difference would be a fault, not roundoff
+    c = chart("x y z w".split()[:dim], num_points=count)
+    rng = np.random.default_rng(10 * dim + count)
+    ints = lambda rng, shape: rng.integers(-3, 4, shape).astype(float)
+    g, ginv = (uniform_jet(rng, c, (dim, dim), ints).map(lambda t: t + t.swapaxes(0, 1)) for _ in range(2))
+    metric = gtb.GeneralizedMetric(c, g, None, ginv)
+    skew = lambda t: t - t.swapaxes(1, 2)
+    W = uniform_jet(rng, c, (dim,) * 3, ints).map(skew)
+    zero = 0.0 * W
+    if J == "zero values":
+        zero.partial = skew(ints(rng, zero.partial.shape))
+    elif J == "a NaN":
+        zero.value[0, 0, 1, 0] = np.nan
+    params = gconn.ConnParams(zero, W)
+    got = gconn.param_tensor_frame(params, metric)
+    want = oracles.param_tensor_frame_reference(params, metric)
+    for half in ("value", "partial"):
+        assert np.array_equal(getattr(got, half), getattr(want, half), equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), count=st.sampled_from([1, 5]), seed=st.integers(0, 2**32 - 1))
+def test_minimal_connection_from_one_raised_twist_matches_the_three_term_reference(dim, count, seed):
+    # random jets of a metric, of a totally antisymmetric H' and of the
+    # block coefficients: H' raised once and read three ways against the
+    # reference that contracts each raised term on its own, to 1e-12 of
+    # the largest term
+    c = chart("x y z w".split()[:dim], num_points=count)
+    rng = np.random.default_rng(seed)
+    metric = random_block_metric(rng, c)
+    H = uniform_jet(rng, c, (dim,) * 3).map(gconn._alt3)
+    block = gconn.GenConnection(gconn.standard_algebroid(c, H), uniform_jet(rng, c, (2 * dim,) * 3), metric)
+    got = gconn.minimal_connection(block).gamma
+    want = oracles.minimal_connection_reference(block).gamma
+    for half in ("value", "partial"):
+        base, expect = getattr(block.gamma, half), getattr(want, half)
+        scale = max(np.abs(base).max(), np.abs(expect - base).max())
+        np.testing.assert_allclose(getattr(got, half), expect, rtol=1e-12, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

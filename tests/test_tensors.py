@@ -339,15 +339,45 @@ def test_interior_product_antisymmetry(seed):
     assert conftest.max_abs_of(got, c3.sample_points()) < 1e-9
 
 
+def unit_polynomial(c, gen, degree, scale):
+    """``expr.random_polynomial`` with each coordinate x replaced by
+    u = (x - centre) / half-width of its interval (half-width 1 for a
+    zero-width interval)."""
+    us = []
+    for x, (lo, hi) in zip(c.coords(), c.domain):
+        half = (hi - lo) / 2 or 1.0
+        us.append(tn.ex.mul(1.0 / half, tn.ex.add(x, -(lo + (hi - lo) / 2))))
+    return tn.ex.add(*(tn.ex.mul(gen.uniform(-scale, scale), *(us[i] for i in mono))
+                       for mono in tn.ex.monomials(c.dim, degree)))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("count", [1, 5])
 @settings(max_examples=4, deadline=None)
 @given(st.integers(0, 2**16), st.integers(0, 3), st.sampled_from([0.25, 0.2]))
 def test_polynomial_jets_are_the_jets_of_the_random_polynomials(dim, count, seed, degree, scale):
     c = chart("x y z w".split()[:dim], seed=seed, num_points=count)
+    assert_jets_of_polynomials(c, seed, degree, scale, tn.ex.random_polynomial)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("domain", [[(999.0, 1001.0)], [(-1000.0, 1000.0), (2.0, 2.0), (-3.0, 5.0)]],
+                         ids=["offset", "wide-and-zero-width"])
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 5]), st.integers(0, 3))
+def test_polynomial_jets_on_other_domains_are_in_unit_coordinates(dim, domain, seed, count, degree):
+    # the same polynomials in u = (x - centre) / half-width of each interval
+    box = [domain[i % len(domain)] for i in range(dim)]
+    c = chart("x y z w".split()[:dim], domain=box, seed=seed, num_points=count)
+    assert_jets_of_polynomials(c, seed, degree, 0.25, unit_polynomial)
+
+
+def assert_jets_of_polynomials(c, seed, degree, scale, poly):
+    """``random_polynomial_jets`` of a 2 x 3 array against the field jets
+    of the Expr polynomials that ``poly`` draws from the same generator."""
     got = tn.random_polynomial_jets(c, c.rng(seed), (2, 3), degree, scale)
     gen = c.rng(seed)
-    polys = [[tn.ex.random_polynomial(c, gen, degree, scale) for _ in range(3)] for _ in range(2)]
+    polys = [[poly(c, gen, degree, scale) for _ in range(3)] for _ in range(2)]
     for jet, want in zip(got, tn.field_jets(np.array(polys, dtype=object), c)):
         np.testing.assert_allclose(jet.value, want.value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(jet.partial, want.partial, rtol=1e-12, atol=1e-12)

@@ -123,7 +123,7 @@ class SplitMix64:
         return lo + (hi - lo) * (z / 2.0**64)
 
 
-# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
+# Records are plain classes: a NamedTuple or a dataclass builds methods from generated code at import.
 class Chart:
     """A single coordinate chart: names, per-coordinate domain box and the
     sampling configuration used whenever field equality is decided by
@@ -619,15 +619,21 @@ def _diff_rules(e: Expr, coord: Coord) -> Expr:
 def evaluate(e: Expr, point) -> float:
     """IEEE-double value of ``e`` at ``point`` (length = chart dimension)."""
     memo: dict[int, float] = {}
-    return _eval_into(e, tuple(point), memo)
+    pt = tuple(point)
+    _fill((e,), memo, lambda node: _eval_node(node, pt, memo))
+    return memo[id(e)]
 
 
 def evaluate_many(exprs, point) -> list[float]:
-    """Evaluate several expressions at one point with a shared memo, so
-    common subtrees are computed once."""
+    """Evaluate several expressions at one point in one walk with a shared
+    memo, so common subtrees are computed once.  The roots are pushed last
+    first, so the first root is walked first, and each value, and the node
+    a DomainError names, is the one a walk root by root gives."""
+    exprs = list(exprs)
     memo: dict[int, float] = {}
     pt = tuple(point)
-    return [_eval_into(e, pt, memo) for e in exprs]
+    _fill(exprs[::-1], memo, lambda e: _eval_node(e, pt, memo))
+    return [memo[id(e)] for e in exprs]
 
 
 def _fill(roots, memo: dict, value) -> None:
@@ -652,11 +658,6 @@ def _fill(roots, memo: dict, value) -> None:
             for k in e.children():
                 if id(k) not in memo:
                     push((k, False))
-
-
-def _eval_into(root: Expr, point: tuple, memo: dict[int, float]) -> float:
-    _fill((root,), memo, lambda e: _eval_node(e, point, memo))
-    return memo[id(root)]
 
 
 def _checked(node: Expr, fn, *args) -> float:

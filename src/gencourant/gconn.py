@@ -50,8 +50,6 @@ Curvature conventions:
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import gtb
@@ -96,7 +94,7 @@ def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet, H: Jet) ->
 # ---------------------------------------------------------------------------
 
 
-# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
+# Records are plain classes: a NamedTuple or a dataclass builds methods from generated code at import.
 class GenConnection:
     """Connection coefficients over the generalized frame at the chart's
     sample points, together with the bracket data and the generalized metric
@@ -311,14 +309,17 @@ def minimal_connection(block: GenConnection) -> GenConnection:
     return _connection("minimal connection jet", block.algebroid, gamma, block.metric)
 
 
-class ConnParams(NamedTuple):
+class ConnParams:
     """Validated parameter pair for the affine family of torsion-free
     metric connections, as jets at the chart's sample points: J fully
     contravariant, W fully covariant, both antisymmetric in their last two
     slots with vanishing cyclic sum."""
 
-    J: Jet
-    W: Jet
+    __slots__ = ("J", "W")
+
+    def __init__(self, J: Jet, W: Jet):
+        self.J = J
+        self.W = W
 
 
 def _alt3(t: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ follows this rule.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -335,17 +334,20 @@ def d_theta(df: Jet, theta: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
-class AnchoredFrame(NamedTuple):
+# Records are plain classes: a NamedTuple or a dataclass builds methods from generated code at import.
+class AnchoredFrame:
     """A bundle over a chart whose sections are spanned by a frame {E_a},
     with an anchor a(E_a)^m and structure functions [E_a, E_b] = C^c_{ab} E_c,
     both held as jets at the chart's sample points: the cotangent Lie
     algebroid (rank n) and the generalized coordinate frame of a Courant
     algebroid (rank 2n), which share the functions below."""
 
-    chart: Chart
-    anchor: Jet  # [a, m]: vector field of E_a
-    structure: Jet  # [c, a, b]
+    __slots__ = ("chart", "anchor", "structure")
+
+    def __init__(self, chart: Chart, anchor: Jet, structure: Jet):
+        self.chart = chart
+        self.anchor = anchor  # [a, m]: vector field of E_a
+        self.structure = structure  # [c, a, b]
 
 
 def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet, ginv: Jet) -> Jet:

@@ -28,7 +28,6 @@ than summing the n^{2p} products a_I b_J g^{i1 j1}..g^{ip jp}.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,17 +37,20 @@ from .expr import Chart
 from .tensors import DOWN, UP, Jet
 
 
-# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
-class Christoffel(NamedTuple):
+# Records are plain classes: a NamedTuple or a dataclass builds methods from generated code at import.
+class Christoffel:
     """The Levi-Civita connection of a chart metric at the sample points:
     the jets of g, of its inverse and of the coefficients Gamma^k_{ij}, so
     the operators below take it in place of the metric and never invert g
     again."""
 
-    chart: Chart
-    g: Jet  # [i, j, p]
-    ginv: Jet  # [i, j, p]
-    coeffs: Jet  # [k, i, j, p]
+    __slots__ = ("chart", "g", "ginv", "coeffs")
+
+    def __init__(self, chart: Chart, g: Jet, ginv: Jet, coeffs: Jet):
+        self.chart = chart
+        self.g = g  # [i, j, p]
+        self.ginv = ginv  # [i, j, p]
+        self.coeffs = coeffs  # [k, i, j, p]
 
 
 def christoffel(g: Jet, dg: Jet, chart: Chart) -> Christoffel:

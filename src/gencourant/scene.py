@@ -36,14 +36,13 @@ error; the "policy" option of older scene files is accepted and ignored.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import math
-from typing import NamedTuple
 
 import numpy as np
 
+from . import BuildPhase
 from . import expr as ex
 from . import tensors as tn
 from .errors import GencourantError, SceneError
@@ -62,7 +61,7 @@ class SceneValidationError(SceneError):
     """Scene parsed but violates a semantic requirement."""
 
 
-# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
+# Records are plain classes: a NamedTuple or a dataclass builds methods from generated code at import.
 class Scene:
     def __init__(self, chart: Chart, background: Background, tolerances: dict, name: str):
         self.chart = chart
@@ -246,22 +245,25 @@ def _reject_unknown_keys(spec, known, location: str):
 
 
 def load_scene(path, seed=None, points=None) -> Scene:
-    """The scene of a scene file.  Loading a scene ends the set-up of a
-    run, so it freezes the objects alive then (``gc.freeze``): the cyclic
-    collector no longer scans them, and the run starts with an empty
-    youngest generation, so that no collection it makes is due to set-up."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise SceneError(f"cannot read scene file: {err}")
-    except UnicodeDecodeError as err:
-        raise SceneError(f"scene file is not UTF-8 text: {err}")
-    except json.JSONDecodeError as err:
-        raise SceneError(f"scene file is not valid JSON: {err}", f"line {err.lineno}")
-    scene = scene_from_dict(doc, name=str(path), seed=seed, points=points)
-    gc.freeze()
-    return scene
+    """The scene of a scene file.  The load builds what the run keeps (the
+    expression DAGs and the jets), so it runs with the cyclic collector off
+    (``BuildPhase``): no collection scans what it builds.  A load that
+    returns ends the set-up and freezes the objects alive then
+    (``gc.freeze``), so the run starts with an empty youngest generation
+    and no collection it makes is due to set-up.  A load that raises
+    freezes nothing.  Either way the collector is left enabled or disabled
+    as it was."""
+    with BuildPhase():
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as err:
+            raise SceneError(f"cannot read scene file: {err}")
+        except UnicodeDecodeError as err:
+            raise SceneError(f"scene file is not UTF-8 text: {err}")
+        except json.JSONDecodeError as err:
+            raise SceneError(f"scene file is not valid JSON: {err}", f"line {err.lineno}")
+        return scene_from_dict(doc, name=str(path), seed=seed, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +271,19 @@ def load_scene(path, seed=None, points=None) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-class Check(NamedTuple):
+class Check:
     """One residual check: the max-abs residual over the sample points, the
     tolerance it was held to, and the worst sample point."""
 
-    name: str
-    identity: str
-    max_abs_residual: float
-    tolerance: float
-    worst_point: tuple
+    __slots__ = ("name", "identity", "max_abs_residual", "tolerance", "worst_point")
+
+    def __init__(self, name: str, identity: str, max_abs_residual: float, tolerance: float,
+                 worst_point: tuple):
+        self.name = name
+        self.identity = identity
+        self.max_abs_residual = max_abs_residual
+        self.tolerance = tolerance
+        self.worst_point = worst_point
 
     @property
     def passed(self) -> bool:

@@ -30,7 +30,6 @@ The random sections and parameters of the checks are numbers too
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +49,19 @@ from .tensors import DOWN, Jet
 # ---------------------------------------------------------------------------
 
 
-# Records are NamedTuples or plain classes: a dataclass execs generated code in every process.
-class FieldJets(NamedTuple):
+# Records are plain classes: a NamedTuple or a dataclass builds methods from generated code at import.
+class FieldJets:
     """The background's fields at the chart's sample points: the 2-jets of
     g, B and phi (each the jet of the field and the jet of its partials,
     ``tensors.field_jets``) and the jet of H."""
 
-    g: tuple[Jet, Jet]
-    B: tuple[Jet, Jet]
-    phi: tuple[Jet, Jet]
-    H: Jet
+    __slots__ = ("g", "B", "phi", "H")
+
+    def __init__(self, g: tuple[Jet, Jet], B: tuple[Jet, Jet], phi: tuple[Jet, Jet], H: Jet):
+        self.g = g
+        self.B = B
+        self.phi = phi
+        self.H = H
 
 
 class Background:
@@ -204,13 +206,17 @@ class Derived:
         return transport_identity_residual(self)
 
 
-class BetaResiduals(NamedTuple):
+class BetaResiduals:
     """The residual tensors at the chart's sample points."""
 
-    beta_g: np.ndarray         # [i, j, p], symmetric
-    beta_B: np.ndarray         # [i, j, p], antisymmetric
-    beta_phi: np.ndarray       # [p]
-    beta_phi_prime: np.ndarray  # [p]
+    __slots__ = ("beta_g", "beta_B", "beta_phi", "beta_phi_prime")
+
+    def __init__(self, beta_g: np.ndarray, beta_B: np.ndarray, beta_phi: np.ndarray,
+                 beta_phi_prime: np.ndarray):
+        self.beta_g = beta_g  # [i, j, p], symmetric
+        self.beta_B = beta_B  # [i, j, p], antisymmetric
+        self.beta_phi = beta_phi  # [p]
+        self.beta_phi_prime = beta_phi_prime  # [p]
 
     def max_abs(self, points):
         count = len(points)
@@ -278,12 +284,18 @@ def beta_g_index_form(derived: Derived) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class CentralResiduals(NamedTuple):
+class CentralResiduals:
     """Identity residuals at the chart's sample points: both vanish for every
     background, on-shell or not."""
 
-    scalar_residual: np.ndarray        # [p]: metric Ricci trace minus beta_phi
-    ricci_residual: np.ndarray         # [i, j, p]: off-block Ricci minus (beta_g - beta_B)
+    __slots__ = ("scalar_residual", "ricci_residual")
+
+    def __init__(self, scalar_residual: np.ndarray, ricci_residual: np.ndarray):
+        self.scalar_residual = scalar_residual  # [p]: metric Ricci trace minus beta_phi
+        self.ricci_residual = ricci_residual  # [i, j, p]: off-block Ricci minus (beta_g - beta_B)
+
+    def __iter__(self):
+        return iter((self.scalar_residual, self.ricci_residual))
 
 
 def central_residuals(derived: Derived) -> CentralResiduals:
@@ -305,7 +317,7 @@ def central_residuals(derived: Derived) -> CentralResiduals:
 # ---------------------------------------------------------------------------
 
 
-class SymplecticPackage(NamedTuple):
+class SymplecticPackage:
     """Everything attached to theta = B^{-1}, as jets at the chart's sample
     points: the dual metric G = -B g^{-1} B, the twist dB and the cotangent
     Lie algebroid it twists (``gtb.cotangent_algebroid``) with its
@@ -313,15 +325,20 @@ class SymplecticPackage(NamedTuple):
     the dilaton data in the dual variables.  The curvature of the
     connection is computed when the residuals are (``algebroid_curvature``)."""
 
-    theta: tuple[Jet, Jet]              # 2-jet of the bivector theta^{mn}
-    G: Jet                              # Riemannian metric (0,2)
-    metric: GeneralizedMetric           # BlockDiag(G, G^{-1}) on TM (+) T*M
-    g_A: Jet                            # fiber metric on T*M: G^{-1} = -theta g theta
-    twist: Jet                          # 3-form dB twisting the Koszul bracket
-    algebroid: AnchoredFrame            # the cotangent Lie algebroid of theta
-    gamma: Jet                          # connection coefficients [c, a, b]
-    H_theta: Jet                        # frame 3-form H'(theta., theta., theta.)
-    dphi_dual: Jet                      # d_theta phi as dual-frame components
+    __slots__ = ("theta", "G", "metric", "g_A", "twist", "algebroid", "gamma", "H_theta",
+                 "dphi_dual")
+
+    def __init__(self, theta: tuple[Jet, Jet], G: Jet, metric: GeneralizedMetric, g_A: Jet,
+                 twist: Jet, algebroid: AnchoredFrame, gamma: Jet, H_theta: Jet, dphi_dual: Jet):
+        self.theta = theta  # 2-jet of the bivector theta^{mn}
+        self.G = G  # Riemannian metric (0,2)
+        self.metric = metric  # BlockDiag(G, G^{-1}) on TM (+) T*M
+        self.g_A = g_A  # fiber metric on T*M: G^{-1} = -theta g theta
+        self.twist = twist  # 3-form dB twisting the Koszul bracket
+        self.algebroid = algebroid  # the cotangent Lie algebroid of theta
+        self.gamma = gamma  # connection coefficients [c, a, b]
+        self.H_theta = H_theta  # frame 3-form H'(theta., theta., theta.)
+        self.dphi_dual = dphi_dual  # d_theta phi as dual-frame components
 
 
 def build_symplectic(derived: Derived) -> SymplecticPackage:
@@ -398,17 +415,23 @@ def symplectic_residuals(pkg: SymplecticPackage):
 VANISH_TOL = 1e-7
 
 
-class EquivalenceReport(NamedTuple):
+class EquivalenceReport:
     """Max-abs of each residual family over the sample points, with the
     point where it is reached."""
 
-    beta_max: float
-    beta_point: tuple
-    symplectic_max: float
-    symplectic_point: tuple
-    beta_on_shell: bool
-    symplectic_on_shell: bool
-    verdict: str
+    __slots__ = ("beta_max", "beta_point", "symplectic_max", "symplectic_point", "beta_on_shell",
+                 "symplectic_on_shell", "verdict")
+
+    def __init__(self, beta_max: float, beta_point: tuple, symplectic_max: float,
+                 symplectic_point: tuple, beta_on_shell: bool, symplectic_on_shell: bool,
+                 verdict: str):
+        self.beta_max = beta_max
+        self.beta_point = beta_point
+        self.symplectic_max = symplectic_max
+        self.symplectic_point = symplectic_point
+        self.beta_on_shell = beta_on_shell
+        self.symplectic_on_shell = symplectic_on_shell
+        self.verdict = verdict
 
 
 def theta_transported_connection(derived: Derived) -> gconn.GenConnection:

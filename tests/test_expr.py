@@ -193,6 +193,19 @@ def test_domain_error_names_subexpression():
     assert "x" in str(err.value.subexpr)
 
 
+def test_evaluate_many_names_the_first_roots_singular_node():
+    # one walk over both roots names the node the first root's walk meets,
+    # as evaluating the roots one by one does
+    first, second = parse_expr("1/x", XY), parse_expr("ln(y)", XY)
+    for roots in ([first, second], [second, first]):
+        with pytest.raises(DomainError) as err:
+            evaluate_many(roots, (0.0, -1.0))
+        assert err.value.subexpr is roots[0]
+        with pytest.raises(DomainError) as err:
+            evaluate(roots[0], (0.0, -1.0))
+        assert err.value.subexpr is roots[0]
+
+
 @pytest.mark.parametrize("name", ["ln", "sqrt"])
 def test_ln_and_sqrt_of_nan_value_to_nan(name):
     # inf*0 makes a NaN constant and a NaN coefficient: outside no domain

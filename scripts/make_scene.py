@@ -29,7 +29,7 @@ def poly_text(c, gen, scale):
 
 
 def build(dim, seed, invertible_b, scale, points):
-    names = ("x", "y", "z", "w")[:dim]
+    names = ("x", "y", "z", "w", "u", "v")[:dim]
     c = chart(names, seed=seed, num_points=points)
     gen = SplitMix64(seed * 7919 + dim)
     g = {}
@@ -66,7 +66,7 @@ def build(dim, seed, invertible_b, scale, points):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dim", type=int, default=2, choices=(2, 3, 4))
+    parser.add_argument("--dim", type=int, default=2, choices=(2, 3, 4, 5, 6))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--points", type=int, default=12)

@@ -31,11 +31,12 @@ are combined by ``tensors.jet_contract``, the product rule applied to one
 einsum.  Everything read from a connection is numbers at
 those points, each array ending in the point axis: the torsion
 (``torsion_map``), the compatibility residuals
-(``gtb.covariant_derivative``), R0 (``gtb.frame_curvature``), from which
-R, the Ricci tensor and its traces follow by einsum, and the
-characteristic field.  The random parameter pair of the
-curvature suite is the jet of random polynomials
-(``tensors.random_polynomial_jets``), checked by ``validate_params``.
+(``gtb.covariant_derivative``), R0 and its traces
+(``gtb.frame_curvature``), from which R, and without R the Ricci tensor
+and its traces, follow by einsum, and the characteristic field.  The
+random parameter pair of the curvature suite is the jet of random
+polynomials (``tensors.random_polynomial_jets``), checked by
+``validate_params``.
 
 Curvature conventions:
     R0(psi,psi')phi = nab_psi nab_psi' phi - nab_psi' nab_psi phi
@@ -98,8 +99,10 @@ def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet, H: Jet) ->
 class GenConnection:
     """Connection coefficients over the generalized frame at the chart's
     sample points, together with the bracket data and the generalized metric
-    of its picture.  Its curvature and Ricci tensor are computed once, on
-    first read (``gen_riemann``, ``ricci``)."""
+    of its picture.  Its Ricci tensor (``ricci``) is contracted term by term
+    with its trace, so it needs no curvature tensor; the curvature tensor
+    (``gen_riemann``) is built only for the checks that read it.  Each is
+    computed once, on first read."""
 
     def __init__(self, algebroid: AnchoredFrame, gamma: Jet, metric: GeneralizedMetric):
         self.algebroid = algebroid
@@ -175,9 +178,29 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
 
 
 def ricci(conn: GenConnection) -> np.ndarray:
-    """Ric[C, B, p] = R(e^l, e_C, e_l, e_B), symmetric; computed once."""
+    """Ric[C, B, p] = R(e^l, e_C, e_l, e_B), symmetric; computed once.  The
+    formula of ``gen_riemann`` traced over (swap(l), l) term by term, with
+    Gamma[d, b, c] = Gamma^d_{bc}:
+        Ric[c, b] = (1/2) sum_l { R0[l, c, l, b] + R0[swap(b), l, c, swap(l)]
+                                  + sum_k Gamma[swap(b), k, l] Gamma[l, swap(k), c] },
+    since r0[swap(l), c, l, b] = R0[l, c, l, b], r0[b, l, c, swap(l)] =
+    R0[swap(b), l, c, swap(l)], and the third term's entry at
+    (swap(l), c, l, b) is the last sum.  ``gtb.frame_curvature`` takes both
+    traces of R0 itself.  The second it takes on the coefficients and their
+    partials with the axes of the slots d and c permuted by swap, whose
+    curvature is R0[swap(d), swap(c), a, b]; labelled "bkck->cb", that is
+    sum_k R0[swap(b), swap(k), c, k], the sum over l = swap(k).  So no
+    (2n)^4 array is built, and no einsum loops over more than (2n)^4 index
+    combinations per point."""
     if conn._ricci is None:
-        conn._ricci = np.einsum("lclbp->cbp", gen_riemann(conn)[_swap(conn.algebroid)])
+        alg = conn.algebroid
+        swap = _swap(alg)
+        (gamma, dgamma), anchor, C = conn.gamma, alg.anchor.value, alg.structure.value
+        low = gamma[swap]  # low[d, b, c] = Gamma[swap(d), b, c]
+        dual = (low[:, :, swap], dgamma[swap][:, :, swap], anchor, C)
+        third = np.einsum("bklp,lkcp->cbp", low, gamma[:, swap])
+        conn._ricci = 0.5 * (gtb.frame_curvature(gamma, dgamma, anchor, C, "lclb->cb")
+                             + gtb.frame_curvature(*dual, "bkck->cb") + third)
     return conn._ricci
 
 

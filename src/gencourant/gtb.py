@@ -367,21 +367,59 @@ def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet, ginv: Jet) -> Jet:
         return tn.finite("algebroid Levi-Civita connection jet", gamma, points)
 
 
+# The five terms of R0[d, c, a, b] = a(E_a).Gamma^d_{bc} - a(E_b).Gamma^d_{ac}
+# + Gamma^d_{ae} Gamma^e_{bc} - Gamma^d_{be} Gamma^e_{ac} - C^e_{ab} Gamma^d_{ec},
+# each the einsum of two operands (anchor and dgamma, gamma and gamma, C and
+# gamma) in the slot names d, c, a, b, the summed frame index e, the
+# derivative axis m and the point axis p.
+_R0_SPECS = ("amp,dbcmp", "bmp,dacmp", "ebcp,daep", "eacp,dbep", "eabp,decp")
+# Summed over a pair of slots that the last two terms share, those terms
+# fold into one over gamma and gamma + C with two slots of C swapped: over
+# (d, a) it is sum_{e,x} Gamma^e_{xc} (Gamma^x_{be} + C^x_{eb}), over (c, b)
+# sum_{e,x} Gamma^d_{xe} (Gamma^e_{ax} + C^x_{ae}).  Per pair of slot
+# positions: the folded term's spec and the slots of C swapped.
+_R0_FOLDS = {(0, 2): ("eacp,dbep", (1, 2)), (1, 3): ("dbep,eacp", (0, 2))}
+
+
+@functools.lru_cache(maxsize=16)
+def _r0_specs(slots: str) -> tuple:
+    """The einsum specs of the terms of R0 for the labelling ``slots`` of
+    ``frame_curvature``, and the slots of C swapped when the last two fold
+    (None when they do not)."""
+    lhs, out = slots.split("->")
+    specs, swapped = _R0_SPECS, None
+    for (i, j), (spec, axes) in _R0_FOLDS.items():
+        if lhs[i] == lhs[j]:
+            specs, swapped = _R0_SPECS[:3] + (spec,), axes
+            break
+    table = str.maketrans("dcab", lhs)
+    return tuple(f"{spec.translate(table)}->{out}p" for spec in specs), swapped
+
+
 def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
-                    C: np.ndarray) -> np.ndarray:
+                    C: np.ndarray, slots: str = "dcab->dcab") -> np.ndarray:
     """The curvature R0[d, c, a, b, p] (the E_d component of R(E_a,E_b)E_c at
     point p) of connection coefficients on an anchored frame, with
         R(E_a,E_b)E_c = nab_a nab_b E_c - nab_b nab_a E_c - nab_{[E_a,E_b]} E_c,
     from float arrays that end in the point axis: gamma[d, b, c, p] =
     Gamma^d_{bc}, dgamma[d, b, c, m, p] its partial along x^m, anchor[a, m, p]
     and C[e, a, b, p].  The frame derivative a(E_a).Gamma^d_{bc} is
-    anchor[a, m] dgamma[d, b, c, m].  Plain ``np.einsum`` (no BLAS), so the
-    same inputs give the same bits."""
-    along = np.einsum("amp,dbcmp->dcabp", anchor, dgamma)  # a(E_a).Gamma^d_{bc}
-    return (along - along.swapaxes(2, 3)
-            + np.einsum("ebcp,daep->dcabp", gamma, gamma)
-            - np.einsum("eacp,dbep->dcabp", gamma, gamma)
-            - np.einsum("eabp,decp->dcabp", C, gamma))
+    anchor[a, m] dgamma[d, b, c, m].
+
+    ``slots`` labels the four slots d, c, a, b and the result in einsum's
+    notation, in letters other than e, m and p: a letter repeated on the
+    left is summed, so each term is contracted with the trace in one einsum
+    and no rank-4 array is built for it.  "acab->cb" is the Ricci trace
+    sum_a R0[a, c, a, b]; a trace over d and a, or over c and b, folds the
+    last two terms into one.  A trace through a frame permutation is taken
+    on operands whose axes are permuted (``gconn.ricci``).  Plain
+    ``np.einsum`` (no BLAS), so the same inputs give the same bits."""
+    specs, swapped = _r0_specs(slots)
+    r0 = (np.einsum(specs[0], anchor, dgamma) - np.einsum(specs[1], anchor, dgamma)
+          + np.einsum(specs[2], gamma, gamma))
+    if swapped is not None:
+        return r0 - np.einsum(specs[3], gamma, gamma + C.swapaxes(*swapped))
+    return r0 - np.einsum(specs[3], gamma, gamma) - np.einsum(specs[4], C, gamma)
 
 
 def covariant_derivative(gamma: np.ndarray, anchor: np.ndarray, omega: np.ndarray,

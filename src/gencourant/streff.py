@@ -124,7 +124,10 @@ class Derived:
       BlockDiag(g, g^{-1})): the block transport
       (``gconn.block_lc_connection``), the same made torsion-free
       (``minimal_connection``) and ``dilaton_connection``, which both the
-      central and the equivalence suite read;
+      central and the equivalence suite read.  Those suites read Ricci
+      tensors (``gconn.ricci``, traced term by term), so only the curvature
+      suite builds a full curvature tensor (``gconn.gen_riemann``), of
+      ``minimal`` and ``block_lc``;
     - ``symplectic``, ``dual_residuals``, ``f_theta``, ``theta_connection``,
       ``transport``: the bivector side for invertible B (``build_symplectic``,
       ``symplectic_residuals``, ``gtb.theta_twist_matrices``: the 2-jet of
@@ -370,9 +373,9 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
 def algebroid_curvature(frame: AnchoredFrame, gamma: Jet, G: np.ndarray):
     """(Ricci [a, b, p] over the coframe, G-trace scalar [p]) of an algebroid
     connection with jet gamma on ``frame``, for the values G[a, b, p] of the
-    metric: Ric[c, b] = R0[a, c, a, b]."""
-    r0 = gtb.frame_curvature(*gamma, frame.anchor.value, frame.structure.value)
-    ric = np.einsum("acabp->cbp", r0)
+    metric: Ric[c, b] = R0[a, c, a, b], the trace that ``gtb.frame_curvature``
+    takes term by term."""
+    ric = gtb.frame_curvature(*gamma, frame.anchor.value, frame.structure.value, "acab->cb")
     return ric, np.einsum("abp,abp->p", G, ric)
 
 

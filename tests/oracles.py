@@ -1,6 +1,7 @@
 """Oracles that only the tests read: quantities the verifier does not
 check, computed from its numeric stages, the one-einsum references of
-the contractions it takes a leg at a time, the sheared picture, which the
+the contractions it takes a leg at a time, the Ricci tensor as the trace
+of the full curvature tensor, the sheared picture, which the
 verifier does not build (the dilaton connection sheared by e^B, then
 transported through F_theta alone), and the zero-anchor (quadratic Lie
 algebra) case in exact rational arithmetic, independent of the frame
@@ -78,6 +79,13 @@ def minimal_connection_reference(block):
                            ((form, form, form), 1.0 / 6.0, form_form)):
         gamma[part] = gamma[part] + c * term
     return gconn.GenConnection(block.algebroid, gamma, block.metric)
+
+
+def ricci_reference(conn):
+    """Ric[C, B, p] = R(e^l, e_C, e_l, e_B) as the trace of the full curvature
+    tensor ``gconn.gen_riemann``, not contracted term by term with the
+    trace as ``gconn.ricci`` contracts it."""
+    return np.einsum("lclbp->cbp", gconn.gen_riemann(conn)[gtb.dual_index(conn.chart.dim)])
 
 
 def param_tensor_frame_reference(params, metric):

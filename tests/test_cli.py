@@ -688,14 +688,14 @@ def test_main_falsy_domain_is_an_input_error(tmp_path, capsys, domain):
     assert scene_from_dict(doc).chart.domain == ((-1.0, 1.0),) * 2
 
 
-def four_d_doc(points, seed=1):
-    """The document of ``make_scene.py --dim 4 --seed <seed> --invertible-b``."""
+def four_d_doc(points, seed=1, dim=4):
+    """The document of ``make_scene.py --dim <dim> --seed <seed> --invertible-b``."""
     sys.path.insert(0, str(SCENES.parent / "scripts"))
     try:
         import make_scene
     finally:
         sys.path.pop(0)
-    return make_scene.build(dim=4, seed=seed, invertible_b=True, scale=0.25, points=points)
+    return make_scene.build(dim=dim, seed=seed, invertible_b=True, scale=0.25, points=points)
 
 
 def four_d_scene(points, seed=1):
@@ -712,6 +712,13 @@ def test_central_on_a_4d_scene(points):
     assert {c.name for c in report.checks} == {"central.off-block-identity",
                                                "central.scalar-identity"}
     assert all(c.max_abs_residual <= 1e-9 for c in report.checks)
+
+
+def test_all_passes_on_a_6d_scene():
+    # a 12-element generalized frame, coordinates x y z w u v; at 6-D the
+    # random metric of seeds 1, 2, 4 and 5 is not positive definite
+    report = run_command("all", scene_from_dict(four_d_doc(1, seed=3, dim=6)))
+    assert report.passed and {c.name for c in report.checks} == ALL_CHECKS
 
 
 def with_constant_b(doc, c):
@@ -914,7 +921,7 @@ def test_the_axioms_triples_on_the_point_axis_give_the_per_triple_residuals_bit_
 
 BUILDERS = ((rm, "christoffel"), (tn, "jet_inverse"), (tn, "check_antisymmetric"),
             (streff, "beta_all"), (gconn, "dilaton_connection"), (gconn, "standard_algebroid"),
-            (gtb, "theta_twist_matrices"), (gconn, "param_tensor_frame"))
+            (gtb, "theta_twist_matrices"), (gconn, "param_tensor_frame"), (gconn, "gen_riemann"))
 
 
 def builder_calls(monkeypatch, cmd, scene):
@@ -939,18 +946,22 @@ def test_all_builds_each_derived_quantity_once(monkeypatch):
     # picture, with no shear by e^B), and e^{-B} o F_theta once.  The
     # deformation tensor K is built once for the random parameter pair of
     # the curvature suite (its family connection and its trace identity
-    # both read it) and once for the dilaton parameters.
+    # both read it) and once for the dilaton parameters.  The full
+    # curvature tensor is built twice, for the curvature suite's symmetries
+    # of the minimal connection and its torsionful Bianchi check of the
+    # block transport: every Ricci tensor is traced term by term.
     calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
     assert calls == {"christoffel": 1, "jet_inverse": 2, "check_antisymmetric": 2,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 1,
-                     "theta_twist_matrices": 1, "param_tensor_frame": 2}
+                     "theta_twist_matrices": 1, "param_tensor_frame": 2, "gen_riemann": 2}
 
 
 def test_central_on_a_4d_scene_builds_each_derived_quantity_once(monkeypatch):
+    # central reads the dilaton connection's Ricci tensor, not its curvature
     calls = builder_calls(monkeypatch, "central", four_d_scene(1))
     assert calls == {"christoffel": 1, "jet_inverse": 1, "check_antisymmetric": 1,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 1,
-                     "theta_twist_matrices": 0, "param_tensor_frame": 1}
+                     "theta_twist_matrices": 0, "param_tensor_frame": 1, "gen_riemann": 0}
 
 
 SUITE_FUNCTIONS = ("checks_axioms", "checks_torsion", "checks_curvature", "checks_beta",

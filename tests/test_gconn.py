@@ -21,7 +21,7 @@ from conftest import (
     symbolic_transport,
     symbolic_with_params,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gencourant import gconn
@@ -264,6 +264,28 @@ def test_ricci_is_the_trace_of_the_kept_riemann_tensor(ricci_first):
     for c, b in itertools.product(range(4), repeat=2):
         trace = sum(r[swap[lam], c, lam, b] for lam in range(4))
         np.testing.assert_allclose(ric[c, b], trace, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), count=st.sampled_from([1, 5]), salt=st.integers(0, 2**16))
+def test_ricci_traced_term_by_term_matches_the_trace_of_the_curvature_tensor(dim, count, salt):
+    # a random metric, closed H and B (invertible on even charts): the Ricci
+    # tensor of the minimal connection, of the same with a random parameter
+    # pair and of the theta-transported dilaton connection against the
+    # trace of the full curvature tensor, to 1e-12 of its largest entry
+    c = chart("x y z w".split()[:dim], seed=salt, num_points=count)
+    g = bumpy_metric(c, salt=salt)
+    assume(conftest.well_conditioned(g, c))
+    B = conftest.bumpy_b(c, salt=salt + 1, offset=1.0 if dim % 2 == 0 else 0.0)
+    phi = tn.ex.random_polynomial(c, c.rng(salt + 2), 2, 0.3)
+    derived = streff.Derived(streff.Background(c, g, B, phi, closed_h(c, salt=salt + 3)))
+    conns = [derived.minimal, gconn.with_params(derived.minimal, random_params(c, g, salt + 4))]
+    if dim % 2 == 0:
+        conns.append(derived.theta_connection)
+    for conn in conns:
+        want = oracles.ricci_reference(conn)
+        scale = np.abs(gconn.gen_riemann(conn)).max()
+        np.testing.assert_allclose(gconn.ricci(conn), want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_bianchi_torsion_free():

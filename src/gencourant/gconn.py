@@ -81,11 +81,17 @@ def standard_algebroid(chart: Chart, H: Jet) -> AnchoredFrame:
 def conjugated_algebroid(chart: Chart, F: tuple[Jet, Jet], Finv: Jet, H: Jet) -> AnchoredFrame:
     """Pull the H-twisted Dorfman bracket back through the frame
     isomorphism with 2-jet F: [e_A, e_B]_new = F^{-1} [F e_A, F e_B]^H, the
-    brackets of all pairs of columns of F in one batched ``gtb.dorfman``;
-    the anchor of e_A is the vector part of F e_A."""
+    brackets of all pairs of columns of F in one ``gtb.dorfman`` call, the
+    pairs side by side on the point axis (``tensors.on_points``); the
+    anchor of e_A is the vector part of F e_A."""
     Fj, dF = F
-    cols = dF.map(lambda t: np.moveaxis(t, 2, 1))  # [C, m, A]: d_m of column A
-    brackets = gtb.dorfman((Fj[:, :, None], cols[:, :, :, None]), (Fj[:, None], cols[:, :, None]), H)
+    rank, count = len(Fj), Fj.value.shape[-1]
+    cols = [(Fj[:, A], dF[:, A]) for A in range(rank)]  # the 2-jet of column A
+    psi = [tn.on_points(*[cols[A][k] for A in range(rank) for _ in range(rank)]) for k in (0, 1)]
+    phi = [tn.on_points(*[cols[B][k] for _ in range(rank) for B in range(rank)]) for k in (0, 1)]
+    out = gtb.dorfman(psi, phi, tn.on_points(*[H] * rank ** 2))  # [C, (A, B, p)]
+    brackets = Jet(out.value.reshape((rank,) * 3 + (count,)),
+                   out.partial.reshape(rank, chart.dim, rank, rank, count).transpose(0, 2, 3, 1, 4))
     anchor = Fj[:chart.dim].map(lambda t: t.swapaxes(0, 1))
     return AnchoredFrame(chart, anchor, tn.jet_contract("cd,dab->cab", Finv, brackets))
 
@@ -319,8 +325,8 @@ def minimal_connection(block: GenConnection) -> GenConnection:
     # each H' term is indexed [l, m, v] (the output slot l, the legs m and v)
     # and adds c times itself to the block of Gamma[l, m, v] whose slots are
     # the vector (first n) or form (last n) frame indices it names
-    vec_vec = Hc.map(lambda t: np.moveaxis(t, 2, 0))  # H'[m, v, l]: H'(X, Y, .)
-    vec_form = R.map(lambda t: np.moveaxis(t, 2, 0))  # R[m, v, l]: g^{-1} H'(X, g^{-1} eta, .)
+    vec_vec = Hc.map(lambda t: t.swapaxes(0, 2).swapaxes(1, 2))  # H'[m, v, l]: H'(X, Y, .)
+    vec_form = R.map(lambda t: t.swapaxes(0, 2).swapaxes(1, 2))  # R[m, v, l]: g^{-1} H'(X, g^{-1} eta, .)
     form_vec = -R.map(lambda t: t.swapaxes(0, 2))  # -R[v, m, l]: g^{-1} H'(g^{-1} xi, Y, .)
     form_form = R  # R[l, m, v]: H'(g^{-1} xi, g^{-1} eta, .)
     vec, form = slice(0, n), slice(n, 2 * n)

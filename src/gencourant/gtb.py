@@ -4,8 +4,8 @@ Sections are (vector field, 1-form) pairs.  This module provides the
 canonical pairing (one frame permutation, ``dual_index``), the twisted
 Dorfman bracket (``dorfman``, the only Courant bracket) and its
 differential, the generalized metric package built from a pair (g, B), the
-frame matrices of the shear e^B (``shear``, the only e^B) and of the
-bivector shear e^{-B} o F_theta (``theta_twist_matrices``), the
+shear e^B of a section (``b_twist``, the only e^B), the frame matrices of
+the bivector shear e^{-B} o F_theta (``theta_twist_matrices``), the
 cotangent Lie algebroid of theta = B^{-1} with its twisted Koszul bracket,
 a Schouten residual check, and the calculus on an ``AnchoredFrame``
 (Levi-Civita connection of a fiber metric, covariant derivative, torsion,
@@ -20,7 +20,7 @@ and of its partials du[A, m]); the random sections of the axioms suite
 are polynomial 2-jets.  The pairing, the differential, the e^B shear and
 the bracket are one formula each, ``tensors.jet_contract`` on jets and
 ``np.einsum`` on values, so the bracket of two 2-jets is the jet of the
-bracket.  The generalized metric, theta and the shear matrices, the anchor
+bracket.  The generalized metric, theta and F_theta's matrices, the anchor
 and the structure functions of a frame and its Levi-Civita connection are
 jets too, and ``frame_curvature``, ``covariant_derivative`` and
 ``frame_torsion`` are einsum stages over float arrays with a trailing
@@ -113,14 +113,14 @@ def dorfman(psi, phi, H: Jet):
         X.dv - Y.du + (0, <v, d_m u> - H(X, Y, d_m)).
     On the 2-jets (u, du) of the sections (Jets) it gives the bracket's
     jet; on their jets (values and first partials) it gives its values.
-    Batch axes after the frame index (u[A, ...], du[A, m, ...]) broadcast:
-    u[A, x, 1] against v[B, 1, y] gives the brackets [C, x, y] of all pairs."""
+    Many pairs are bracketed in one call side by side on the point axis
+    (``tensors.on_points``, ``gconn.conjugated_algebroid``)."""
     (u, du), (v, dv) = psi, phi
     n = len(H)
     twist = H if isinstance(u, Jet) else H.value
-    out = tn.jet_contract("a...,ca...->c...", u[:n], dv) - tn.jet_contract("a...,ca...->c...", v[:n], du)
-    out[n:] = (out[n:] + tn.jet_contract("a...,am...->m...", _swap(v), du)
-               - tn.jet_contract("abm,a...,b...->m...", twist, u[:n], v[:n]))
+    out = tn.jet_contract("a,ca->c", u[:n], dv) - tn.jet_contract("a,ca->c", v[:n], du)
+    out[n:] = (out[n:] + tn.jet_contract("a,am->m", _swap(v), du)
+               - tn.jet_contract("abm,a,b->m", twist, u[:n], v[:n]))
     return out
 
 
@@ -155,7 +155,9 @@ class GeneralizedMetric:
     """The (g, B) package at the chart's sample points: fiber metric on
     TM (+) T*M, involution, graph embeddings and projectors, and the
     induced form on T*M.  It is built from the jets of a validated metric g,
-    of its inverse g_inv and of a validated 2-form B (None for B = 0).
+    of its inverse g_inv and of a validated 2-form B (None for B = 0: no
+    B terms).  G = (e^{-B})^T BlockDiag(g, g^{-1}) e^{-B} and its inverse
+    are n x n block products of g, g^{-1} and B (``gram``, ``gram_inverse``).
 
     Block identities that define it (verified by the test suite):
         G(psi, phi)   = g(X, Y) + g^{-1}(xi - B(X), eta - B(Y))
@@ -167,32 +169,37 @@ class GeneralizedMetric:
     def __init__(self, chart: Chart, g: Jet, B: Jet | None, g_inv: Jet):
         self.chart = chart
         self.g = g
-        self.B = B if B is not None else 0.0 * g
+        self.B = B
         self.g_inv = g_inv
         self._gram = None
 
     # -- frame matrices ------------------------------------------------
 
     def gram(self) -> Jet:
-        """(2n)x(2n) Gram matrix G_ab = G(e_a, e_b) via the shear product
-        form: G = (e^{-B})^T BlockDiag(g, g^{-1}) (e^{-B}); the entries
-        below the diagonal are those above it."""
+        """The jet of the (2n)x(2n) Gram matrix G_ab = G(e_a, e_b),
+            G = [[g - B g^{-1} B, B g^{-1}], [-g^{-1} B, g^{-1}]];
+        the entries below the diagonal are those above it (-g^{-1} B is
+        the transpose of B g^{-1}, as B is skew and g^{-1} symmetric)."""
         if self._gram is None:
-            n = self.chart.dim
-            M = shear(self.B, -1)
-            gram = (tn.jet_contract("ij,ia,jb->ab", self.g, M[:n], M[:n])
-                    + tn.jet_contract("ij,ia,jb->ab", self.g_inv, M[n:], M[n:]))
-            below = np.tril_indices(2 * n, -1)
+            g, g_inv, B = self.g, self.g_inv, self.B
+            Bg = None if B is None else tn.jet_contract("ia,ab->ib", B, g_inv)  # B g^{-1}
+            gram = tn.jet_block([[g, 0], [0, g_inv]] if B is None else
+                                [[g - tn.jet_contract("ia,ab->ib", Bg, B), Bg], [0, g_inv]])
+            below = np.tril_indices(2 * self.chart.dim, -1)
             gram[below] = gram.map(lambda t: t.swapaxes(0, 1))[below]
             self._gram = gram
         return self._gram
 
     def gram_inverse(self) -> np.ndarray:
-        """Values of the inverse Gram matrix through the shear factorization:
-        G^{-1} = M BlockDiag(g^{-1}, g) M^T with M = e^{B}'s frame matrix."""
-        M = shear(self.B, +1).value
-        core = tn.jet_block([[self.g_inv, 0], [0, self.g]]).value
-        return np.einsum("ikp,klp,jlp->ijp", M, core, M)
+        """Values of the inverse Gram matrix,
+            G^{-1} = [[g^{-1}, -g^{-1} B], [B g^{-1}, g - B g^{-1} B]]."""
+        g, g_inv, B = self.g.value, self.g_inv.value, self.B
+        if B is None:
+            blocks = [[g_inv, np.zeros_like(g)], [np.zeros_like(g), g]]
+        else:
+            Bg = np.einsum("iap,abp->ibp", B.value, g_inv)  # B g^{-1}
+            blocks = [[g_inv, Bg.swapaxes(0, 1)], [Bg, g - np.einsum("iap,abp->ibp", Bg, B.value)]]
+        return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
 
     def tau_matrix(self) -> np.ndarray:
         """Values of the involution tau = eta^{-1} G on frame components:
@@ -206,7 +213,8 @@ class GeneralizedMetric:
         (X, (pm g + B)(X)) on vector components."""
         n, count = self.chart.dim, self.g.value.shape[-1]
         vec = np.broadcast_to(np.eye(n)[..., None], (n, n, count))
-        return np.concatenate([vec, sign * self.g.value + self.B.value])
+        form = sign * self.g.value
+        return np.concatenate([vec, form if self.B is None else form + self.B.value])
 
     def projector_matrix(self, sign: int) -> np.ndarray:
         """Values of P_pm = (1 pm tau)/2 on frame components."""
@@ -230,16 +238,13 @@ class GeneralizedMetric:
 # ---------------------------------------------------------------------------
 
 
-def shear(B: Jet, sign: int) -> Jet:
-    """The jet of the frame matrix of e^{sign*B}, (X, xi) |-> (X, xi + sign B(X)),
-    orthogonal for the pairing: B in the (form, vector) corner."""
-    return tn.jet_block([[1, 0], [sign * B, 1]])
-
-
-def b_twist(u, M: Jet):
+def b_twist(u, B: Jet):
     """e^B(X, xi) = (X, xi + B(X)) of a section given by its values or its
-    jet, for the jet M of e^B's frame matrix (``shear(B, +1)``)."""
-    return tn.jet_contract("ca,a->c", M if isinstance(u, Jet) else M.value, u)
+    jet, for the jet of B."""
+    n = len(B)
+    out = u.map(np.copy) if isinstance(u, Jet) else u.copy()
+    out[n:] = out[n:] + tn.jet_contract("ab,b->a", B if isinstance(u, Jet) else B.value, u[:n])
+    return out
 
 
 def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
@@ -249,14 +254,13 @@ def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
     H' = H + dB; a zero residual means e^B intertwines the two brackets.
     B and H are taken to be validated: a 2-form and a closed 3-form.  The
     three pairs are bracketed in one call, side by side on the point axis
-    (``tensors.on_points``), with e^B's frame matrix built once."""
+    (``tensors.on_points``)."""
     sections = [u for u, _ in random_sections(chart, chart.rng(101), 6)]
     pts = chart.sample_points()
     psi, phi = tn.on_points(*sections[0::2]), tn.on_points(*sections[1::2])
     B, H, h_prime = (tn.on_points(t, t, t) for t in (B, H, h_prime))
-    M = shear(B, +1)
-    lhs = b_twist(dorfman(psi, phi, h_prime), M)
-    rhs = dorfman(b_twist(psi, M), b_twist(phi, M), H)
+    lhs = b_twist(dorfman(psi, phi, h_prime), B)
+    rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H)
     return ex.worst_of(ex.max_abs_on_points(r, pts) for r in np.split(lhs - rhs, 3, axis=-1))
 
 
@@ -266,7 +270,7 @@ def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:
     (one ``np.linalg.inv`` per point) and the jet of its partials,
     d theta = -theta dB theta.  Raises SingularB where |det B| < DET_TOL,
     as it is everywhere on an odd-dimensional chart."""
-    for p, m in zip(points, np.moveaxis(B.value, -1, 0)):
+    for p, m in zip(points, B.value.transpose(2, 0, 1)):
         # written so that a NaN or an infinity fails the test, before det sees it
         if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
             raise SingularB(f"B degenerate at sample point {tuple(p)}")
@@ -362,7 +366,7 @@ def lc_connection(frame: AnchoredFrame, g_A: Jet, dg_A: Jet, ginv: Jet) -> Jet:
         # lie[a, d, b] = (L_{E_a}(g E_b))_d, dga[b, d, a] = d(g E_a)_{bd}
         lie = along - Cg
         dga = along - along.map(lambda t: t.swapaxes(0, 1)) - Cg
-        both = lie.map(lambda t: t.swapaxes(1, 2)) + dga.map(lambda t: np.moveaxis(t, 2, 0))
+        both = lie.map(lambda t: t.swapaxes(1, 2)) + dga.map(lambda t: t.swapaxes(0, 2).swapaxes(1, 2))
         gamma = 0.5 * (frame.structure + tn.jet_contract("cd,abd->cab", ginv, both))
         return tn.finite("algebroid Levi-Civita connection jet", gamma, points)
 
@@ -458,6 +462,6 @@ def cotangent_algebroid(chart: Chart, theta: tuple[Jet, Jet], twist: Jet) -> Anc
     C^c_{ab} = d_c theta^{ba} + twist_{ijc} theta^{ia} theta^{jb}."""
     th, dth = theta
     anchor = th.map(lambda t: t.swapaxes(0, 1))  # [a, m] = theta(dx^a)^m
-    structure = (dth.map(lambda t: np.moveaxis(t, 2, 0).swapaxes(1, 2))
+    structure = (dth.map(lambda t: t.swapaxes(0, 2))
                  + tn.jet_contract("ijc,ia,jb->cab", twist, th, th))
     return AnchoredFrame(chart, anchor, structure)

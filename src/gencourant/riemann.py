@@ -75,7 +75,7 @@ def covariant_derivative(t: Jet, variance, gamma: Christoffel) -> np.ndarray:
     the partial, +Gamma on up slots and -Gamma on down slots."""
     G = gamma.coeffs.value
     idx = "acdefgh"[:len(variance)]
-    out = np.moveaxis(t.partial, -2, 0).copy()  # [mu, idx, p]
+    out = t.partial.transpose([-2, *range(t.partial.ndim - 2), -1]).copy()  # [mu, idx, p]
     for slot, var in enumerate(variance):
         a, src = idx[slot], idx[:slot] + "b" + idx[slot + 1:]
         if var == UP:  # Gamma^a_{mu b} t[.. b ..]

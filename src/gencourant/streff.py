@@ -97,7 +97,7 @@ class Background:
             with np.errstate(all="ignore"):
                 H = checked("B0", tn.field_jets(B0, chart))[1].map(lambda t: tn.d_of_partials(t, 2))
         self.jets = jets = FieldJets(*fields, tn.finite("scene field H", H, pts))
-        g_values = np.moveaxis(jets.g[0].value, -1, 0)
+        g_values = jets.g[0].value.transpose(2, 0, 1)
         gtb.check_positive_definite(g_values, pts)
         for p, det in zip(pts, np.linalg.det(g_values)):
             if not abs(det) >= tn.DET_TOL:
@@ -353,7 +353,7 @@ def build_symplectic(derived: Derived) -> SymplecticPackage:
     with np.errstate(all="ignore"):
         G = -tn.jet_contract("ia,ab,bj->ij", B, derived.ginv, B)
     tn.finite("dual metric G = -B g^-1 B", G, pts)
-    gtb.check_positive_definite(np.moveaxis(G.value, -1, 0), pts)
+    gtb.check_positive_definite(G.value.transpose(2, 0, 1), pts)
     # g_A = G^{-1} = -theta g theta and G = g_A^{-1}, each without an
     # inversion; the jet of the partials of g_A by the product rule
     g_A = -tn.jet_contract("am,mk,kb->ab", theta, g, theta)

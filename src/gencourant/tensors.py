@@ -19,9 +19,9 @@ second), each valuing the field with its symbolic ``partials`` in one
 (``streff.Background``).  Every later quantity is a jet combined by
 ``jet_contract``, the product rule applied to one einsum in numpy's
 notation (``"cd,ca,db->ab"`` is out[a, b] = sum_c sum_d ric[c, d] F[c, a]
-F[d, b]), or by a linear map of both halves (``Jet.map``); ``on_points``
-puts jets of the same fields side by side on the point axis, so that one
-pointwise formula serves them all.
+F[d, b]; one spec for every term), or by a linear map of both halves
+(``Jet.map``); ``on_points`` puts jets of the same fields side by side on
+the point axis, so that one pointwise formula serves them all.
 ``jet_inverse`` inverts a matrix field (one ``np.linalg.inv`` per point),
 and ``finite`` is the check at each numeric stage boundary.  Random fields
 are jets from the start: ``random_polynomial_jets`` gives the 2-jets of
@@ -48,9 +48,6 @@ DET_TOL = 1e-10
 def zeros_array(shape) -> np.ndarray:
     """An object array of the constant ZERO."""
     return np.full(shape, ex.ZERO, dtype=object)
-
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for specs built in code
 
 
 def partials(comps, chart: Chart) -> np.ndarray:
@@ -149,37 +146,25 @@ def constant_jet(array, chart: Chart) -> Jet:
                np.zeros(array.shape + (chart.dim, count)))
 
 
-@functools.lru_cache(maxsize=128)
-def _jet_specs(spec: str) -> tuple[str, tuple[str, ...]]:
-    """The einsum specs of ``jet_contract``: the values' spec, with the point
-    axis p on every operand, and one spec per operand for the term of its
-    partials, which carry the derivative axis m before p."""
-    lhs, _, out = spec.replace(" ", "").partition("->")
-    subs = lhs.split(",")
-    m, p = [c for c in _LETTERS if c not in spec][:2]
-    value_spec = ",".join(s + p for s in subs) + f"->{out}{p}"
-    partial_specs = tuple(",".join(s + (m + p if j == i else p) for j, s in enumerate(subs))
-                          + f"->{out}{m}{p}" for i in range(len(subs)))
-    return value_spec, partial_specs
-
-
 def jet_contract(spec: str, *jets):
-    """The einsum ``spec`` (numpy's notation) of jets, and its
-    first partials by the product rule.  One plain ``np.einsum`` (no BLAS,
-    no ``optimize``) for the values and one for each operand's partials,
-    so the same inputs give the same bits; the specs are built once per
-    ``spec``.  An einsum of many operands runs as one nested loop over all
-    their indices, so callers contract a long product in pairs, one index
-    at a time (``gconn.param_tensor_frame``).  Operands that are float
-    arrays of values [..., p], not Jets, give the values alone."""
-    value_spec, partial_specs = _jet_specs(spec)
+    """The einsum ``spec`` (numpy's notation) of jets, and its first
+    partials by the product rule: one plain ``np.einsum`` (no BLAS, no
+    ``optimize``) for the values and one per operand's partials, so the
+    same inputs give the same bits.  ``...`` after every operand and the
+    output broadcasts the trailing axes, (p) of values and (m, p) of
+    partials, so the one spec serves every term and none is cached.  An
+    einsum of many operands runs as one nested loop over all their
+    indices, so callers contract a long product in pairs, one index at a
+    time (``gconn.param_tensor_frame``).  Operands that are float arrays
+    of values [..., p], not Jets, give the values alone."""
+    spec = spec.replace(",", "...,").replace("->", "...->") + "..."
     if not isinstance(jets[0], Jet):
-        return np.einsum(value_spec, *jets)
+        return np.einsum(spec, *jets)
     values = [v for v, _ in jets]
-    result = np.einsum(value_spec, *values)
+    result = np.einsum(spec, *values)
     partials = 0.0
-    for i, ((_, d), dspec) in enumerate(zip(jets, partial_specs)):
-        partials = partials + np.einsum(dspec, *values[:i], d, *values[i + 1:])
+    for i, (_, d) in enumerate(jets):
+        partials = partials + np.einsum(spec, *values[:i], d, *values[i + 1:])
     return Jet(result, partials)
 
 
@@ -262,7 +247,7 @@ def jet_block(blocks) -> Jet:
 def jet_inverse(m: Jet) -> Jet:
     """The inverse of a square matrix field: one ``np.linalg.inv`` per
     point for the values, and d(M^{-1}) = -M^{-1} dM M^{-1}."""
-    inv = np.moveaxis(np.linalg.inv(np.moveaxis(m.value, -1, 0)), 0, -1)
+    inv = np.linalg.inv(m.value.transpose(2, 0, 1)).transpose(1, 2, 0)
     return Jet(inv, -np.einsum("iap,abmp,bjp->ijmp", inv, m.partial, inv))
 
 
@@ -291,7 +276,7 @@ def d_of_partials(dw: np.ndarray, degree: int) -> np.ndarray:
     so ``Jet.map`` applies it to the jet of the partials."""
     out = 0.0
     for k in range(degree + 1):
-        term = np.moveaxis(dw, degree, k)
+        term = dw.transpose([*range(k), degree, *range(k, degree), *range(degree + 1, dw.ndim)])
         out = out + term if k % 2 == 0 else out - term
     return out
 

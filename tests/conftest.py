@@ -3,14 +3,23 @@ formulas that the numeric stages are checked against: each is the
 expression version of a quantity that ``streff.Derived`` computes as jets
 from the scene's fields (``Oracle``), or that ``gtb`` computes from the
 jets of random sections (``GenSection``, ``dorfman``, ...), built with
-exact differentiation and valued at the same points."""
+exact differentiation and valued at the same points.
+
+Hypothesis runs under the profile named by ``HYPOTHESIS_PROFILE``.  The
+default, ``tier1``, is derandomized and keeps no example database, so
+every run draws the same examples.  ``explore`` draws fresh random
+examples, ten times as many as each test's own ``max_examples``:
+    HYPOTHESIS_PROFILE=explore python -m pytest tests/test_gtb.py
+A failure it finds is pinned with ``@example`` on its test."""
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from hypothesis import settings
 
 from gencourant import tensors as tn
 from gencourant.expr import Chart, chart
@@ -19,6 +28,29 @@ from gencourant.streff import Background
 from gencourant.tensors import DOWN, UP
 
 ex = tn.ex
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None)
+# loaded before the test modules are imported, so each test's own
+# @settings inherits the profile
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(items):
+    """Under ``explore``, each hypothesis test runs ten times its own
+    ``max_examples`` (once per test function, which its parametrized items
+    share)."""
+    if PROFILE != "explore":
+        return
+    seen = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is None or id(test) in seen:
+            continue
+        seen.add(id(test))
+        test._hypothesis_internal_use_settings = settings(own, max_examples=10 * own.max_examples)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +181,12 @@ def jacobiator(psi, phi, chi, H):
 def b_twist(psi, B):
     """e^B(X, xi) = (X, xi + B(X)) for the Expr array of a 2-form B."""
     return GenSection(psi.chart, psi.vec, psi.form + np.einsum("ma,a->m", B, psi.vec))
+
+
+def uniform_jet(rng, c, shape, draw=lambda rng, shape: rng.uniform(-1, 1, shape)):
+    """A jet of the given field shape at the chart's sample points, values
+    and partials drawn by ``draw``."""
+    return tn.Jet(draw(rng, shape + (c.num_points,)), draw(rng, shape + (c.dim, c.num_points)))
 
 
 def bumpy_metric(c, scale=0.2, salt=1):

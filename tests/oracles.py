@@ -1,7 +1,9 @@
 """Oracles that only the tests read: quantities the verifier does not
 check, computed from its numeric stages, the one-einsum references of
-the contractions it takes a leg at a time, the Ricci tensor as the trace
-of the full curvature tensor, the sheared picture, which the
+the contractions it takes a leg at a time, ``jet_contract`` with one spec
+per operand's partials term, the Ricci tensor as the trace of the full
+curvature tensor, the dense e^{+-B} frame matrices that the Gram pair and
+the e^B shear are written without, the sheared picture, which the
 verifier does not build (the dilaton connection sheared by e^B, then
 transported through F_theta alone), and the zero-anchor (quadratic Lie
 algebra) case in exact rational arithmetic, independent of the frame
@@ -59,6 +61,25 @@ def v_trace(conn, h):
     at the chart's sample points."""
     hinv = np.moveaxis(np.linalg.inv(np.moveaxis(h, -1, 0)), 0, -1)
     return np.einsum("kabp,akp,blp->lp", v_tensor(conn), hinv, hinv)
+
+
+def jet_contract_reference(spec, *jets):
+    """``tensors.jet_contract`` with the point axis p and the derivative
+    axis m named in the specs: the values' spec, with p on every operand,
+    and one spec per operand for the term of its partials, which carry m
+    before p; not one spec whose trailing axes broadcast under ``...``."""
+    lhs, _, out = spec.partition("->")
+    subs = lhs.split(",")
+    m, p = [c for c in "abcdefghijklmnopqrstuvwxyz" if c not in spec][:2]
+    value_spec = ",".join(s + p for s in subs) + f"->{out}{p}"
+    if not isinstance(jets[0], tn.Jet):
+        return np.einsum(value_spec, *jets)
+    values = [v for v, _ in jets]
+    partials = 0.0
+    for i, (_, d) in enumerate(jets):
+        dspec = ",".join(s + (m + p if j == i else p) for j, s in enumerate(subs)) + f"->{out}{m}{p}"
+        partials = partials + np.einsum(dspec, *values[:i], d, *values[i + 1:])
+    return tn.Jet(np.einsum(value_spec, *values), partials)
 
 
 def minimal_connection_reference(block):
@@ -135,6 +156,47 @@ def lc_parameter_space_dim(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the dense e^{+-B}: the Gram pair and the shear of a section
+# ---------------------------------------------------------------------------
+
+
+def shear(B, sign):
+    """The jet of the frame matrix of e^{sign*B}, (X, xi) |-> (X, xi +
+    sign B(X)), orthogonal for the pairing: B in the (form, vector)
+    corner."""
+    return tn.jet_block([[1, 0], [sign * B, 1]])
+
+
+def _b_or_zero(metric):
+    return 0.0 * metric.g if metric.B is None else metric.B
+
+
+def gram_reference(metric):
+    """The jet of G = (e^{-B})^T BlockDiag(g, g^{-1}) e^{-B} of a
+    ``gtb.GeneralizedMetric``, as dense (2n)x(2n) products, not from its
+    n x n blocks."""
+    n = metric.chart.dim
+    M = shear(_b_or_zero(metric), -1)
+    return (tn.jet_contract("ij,ia,jb->ab", metric.g, M[:n], M[:n])
+            + tn.jet_contract("ij,ia,jb->ab", metric.g_inv, M[n:], M[n:]))
+
+
+def gram_inverse_reference(metric):
+    """Values of G^{-1} = e^{B} BlockDiag(g^{-1}, g) (e^{B})^T, one einsum
+    over the dense (2n)x(2n) matrices."""
+    M = shear(_b_or_zero(metric), +1).value
+    core = tn.jet_block([[metric.g_inv, 0], [0, metric.g]]).value
+    return np.einsum("ikp,klp,jlp->ijp", M, core, M)
+
+
+def b_twist_reference(u, B):
+    """e^B(X, xi) of a section given by its values or its jet, as the
+    product with e^B's dense frame matrix."""
+    M = shear(B, +1)
+    return tn.jet_contract("ca,a->c", M if isinstance(u, tn.Jet) else M.value, u)
+
+
+# ---------------------------------------------------------------------------
 # the sheared picture: e^B, then F_theta
 # ---------------------------------------------------------------------------
 
@@ -146,10 +208,10 @@ def untwist(conn, B):
     twist H' - dB."""
     B, dB = B
     gm_new = gtb.GeneralizedMetric(conn.chart, conn.metric.g, B, conn.metric.g_inv)
-    F = (gtb.shear(B, -1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
+    F = (shear(B, -1), tn.jet_block([[0, 0], [-dB, 0]]))  # e^{-B} and its partials
     H_new = gconn._current_twist(conn) - dB.map(lambda t: tn.d_of_partials(t, 2))
     alg_new = gconn.standard_algebroid(conn.chart, H_new)
-    return gconn.transport_connection(conn, F, gtb.shear(B, +1), alg_new, gm_new)
+    return gconn.transport_connection(conn, F, shear(B, +1), alg_new, gm_new)
 
 
 def f_theta_matrices(theta, B):

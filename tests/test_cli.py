@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from gencourant import cli, gconn, streff
@@ -432,10 +433,11 @@ def test_classical_oracle_catches_a_fault_in_the_shared_curvature(monkeypatch):
 
 def test_induced_form_check_catches_a_misplaced_shear(monkeypatch):
     # axioms.induced-form compares G(rho* xi, rho* eta), the form-form block
-    # of the Gram matrix, with g^{-1}.  With B moved to the (vector, form)
-    # corner of the shear, that block gains B^T g B.  The same e^B shears
-    # the sections of the intertwining check, which then fails too.
-    exact = gtb.shear
+    # of the Gram matrix, with g^{-1}.  A Gram matrix sheared with B moved
+    # to the (vector, form) corner of e^{-B} gains B^T g B in that block.
+    # The same misplaced e^B shears the sections of the intertwining check,
+    # which then fails too.
+    exact = oracles.shear
 
     def misplaced(B, sign):
         n = len(B)
@@ -444,7 +446,9 @@ def test_induced_form_check_catches_a_misplaced_shear(monkeypatch):
         m[n:, :n], m[:n, n:] = upper, lower
         return m
 
-    monkeypatch.setattr(gtb, "shear", misplaced)
+    monkeypatch.setattr(oracles, "shear", misplaced)
+    monkeypatch.setattr(gtb.GeneralizedMetric, "gram", oracles.gram_reference)
+    monkeypatch.setattr(gtb, "b_twist", oracles.b_twist_reference)
     scene = load_scene(SCENES / "poly2d.json")
     checks = {c.name: c for c in run_command("axioms", scene).checks}
     assert not checks["axioms.induced-form"].passed
@@ -853,13 +857,12 @@ def test_a_theta_that_is_not_twisted_poisson_fails_the_twisted_jacobi_check(tmp_
 
 def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypatch):
     # [u, v] = X.dv - Y.du + ...: the mutant adds Y.du where it subtracts it
-    # (on batched sections too, as conjugated_algebroid passes them)
     scene = load_scene(SCENES / "poly2d.json")
     bracket = gtb.dorfman
 
     def mutant(psi, phi, H):
         (_, du), (v, _) = psi, phi
-        return bracket(psi, phi, H) + 2.0 * tn.jet_contract("a...,ca...->c...", v[:len(H)], du)
+        return bracket(psi, phi, H) + 2.0 * tn.jet_contract("a,ca->c", v[:len(H)], du)
 
     monkeypatch.setattr(gtb, "dorfman", mutant)
     assert "axioms.anchor-morphism" in failed_axioms(scene)
@@ -905,10 +908,9 @@ def test_the_axioms_triples_on_the_point_axis_give_the_per_triple_residuals_bit_
         assert np.array_equal(got[f"axioms.{check_name}"], np.stack(each), equal_nan=True), check_name
 
     B, Hj = derived.jets.B[0], derived.jets.H
-    M = gtb.shear(B, +1)
     pairs = [u for u, _ in gtb.random_sections(chart, chart.rng(101), 6)]
-    shear = [ex.max_abs_on_points(gtb.b_twist(gtb.dorfman(psi, phi, H), M)
-                                  - gtb.dorfman(gtb.b_twist(psi, M), gtb.b_twist(phi, M), Hj), pts)
+    shear = [ex.max_abs_on_points(gtb.b_twist(gtb.dorfman(psi, phi, H), B)
+                                  - gtb.dorfman(gtb.b_twist(psi, B), gtb.b_twist(phi, B), Hj), pts)
              for psi, phi in zip(pairs[0::2], pairs[1::2])]
     shear_check = checks["axioms.shear-intertwines-brackets"]
     assert (shear_check.max_abs_residual, shear_check.worst_point) == ex.worst_of(shear)

@@ -20,6 +20,7 @@ from conftest import (
     symbolic_param_tensor_frame,
     symbolic_transport,
     symbolic_with_params,
+    uniform_jet,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -101,8 +102,8 @@ def minimal(g, H, c=C2):
 
 
 def test_conjugated_algebroid_brackets_the_columns_with_dorfman():
-    # with F^{-1} the identity, the conjugated brackets are the batched
-    # gtb.dorfman of every pair of columns of F and the anchor is their
+    # with F^{-1} the identity, the conjugated brackets are the one
+    # gtb.dorfman call over every pair of columns of F and the anchor is their
     # vector parts: against the Expr bracket of the column sections
     H = closed_h(C2)
     gen = C2.rng(7)
@@ -508,12 +509,6 @@ def test_trace_identity_for_valid_params():
     K, _ = gconn.param_tensor_frame(params, conn.metric)
     res = gconn.trace_identity_residual(conn, K)
     assert max_abs(res, C2) < 1e-10
-
-
-def uniform_jet(rng, c, shape, draw=lambda rng, shape: rng.uniform(-1, 1, shape)):
-    """A jet of the given field shape at the chart's sample points, values
-    and partials drawn by ``draw``."""
-    return tn.Jet(draw(rng, shape + (c.num_points,)), draw(rng, shape + (c.dim, c.num_points)))
 
 
 def random_block_metric(rng, c):

@@ -133,12 +133,14 @@ def test_central_on_the_4d_scene_loops_over_at_most_2n_to_the_fourth_indices(mon
 
 
 def test_central_on_the_4d_scene_einsum_budget(monkeypatch):
-    # 80 measured, plus ~5% headroom: H' is raised once for the minimal
-    # connection, and the dilaton's zero J adds no legs to K
+    # 81 measured, plus ~4% headroom: H' is raised once for the minimal
+    # connection, the dilaton's zero J adds no legs to K, and the block
+    # picture's B = None adds no B terms to the Gram pair
     assert len(einsum_calls(monkeypatch, "central", generated_scene(1, 1))) <= 84
 
 
 def test_all_on_poly2d_einsum_budget(monkeypatch):
-    # 465 measured, plus ~5% headroom
+    # 465 measured, plus ~5% headroom; the Gram pair is built from n x n
+    # blocks, not from dense e^{+-B} products
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
     assert len(einsum_calls(monkeypatch, "all", doc)) <= 488

@@ -15,6 +15,7 @@ from gencourant import tensors as tn
 from gencourant.scene import from_upper
 from gencourant.streff import Background
 import conftest
+import oracles
 from oracles import randint
 
 
@@ -162,6 +163,30 @@ def test_jet_contract_matches_the_derivative_of_the_contraction(spec, seed, num_
     np.testing.assert_allclose(got, tn.values_at(symbolic, pts), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(dgot, tn.values_at(partials.reshape(symbolic.shape + (2,)), pts),
                                rtol=1e-12, atol=1e-12)
+
+
+# the specs above and some the verifier contracts: a scalar operand, a
+# full contraction, a twist term and legs on a 3-tensor
+REFERENCE_SPECS = JET_SPECS + [",a->a", "a,a->", "abm,a,b->m", "ia,abm,bj->ijm", "ijc,ia,jb->cab",
+                               "mvl->lmv", "am,bym->aby"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_SPECS), st.integers(2, 6), st.sampled_from([1, 5]),
+       st.integers(0, 2 ** 32 - 1))
+def test_jet_contract_is_the_per_operand_spec_reference_bit_for_bit(spec, dim, count, seed):
+    # one spec whose trailing axes broadcast under "..." against the
+    # reference that names the derivative and point axes in one spec per
+    # term, on random jets: the same bits, of jets and of values alone
+    rng = np.random.default_rng(seed)
+    subs = spec.split("->")[0].split(",")
+    sizes = {letter: int(rng.integers(1, 5)) for letter in sorted(set("".join(subs)))}
+    jets = [tn.Jet(rng.uniform(-2, 2, shape + (count,)), rng.uniform(-2, 2, shape + (dim, count)))
+            for shape in (tuple(sizes[x] for x in sub) for sub in subs)]
+    got, want = tn.jet_contract(spec, *jets), oracles.jet_contract_reference(spec, *jets)
+    assert np.array_equal(got.value, want.value) and np.array_equal(got.partial, want.partial)
+    values = [j.value for j in jets]
+    assert np.array_equal(tn.jet_contract(spec, *values), oracles.jet_contract_reference(spec, *values))
 
 
 def test_contract_builds_the_hand_loops_expressions():

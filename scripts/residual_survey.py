@@ -44,10 +44,10 @@ def main():
         bg = scene_from_dict(doc, name=f"seed {seed}").background
         pts = bg.chart.sample_points()
         derived = streff.Derived(bg)
-        res = streff.central_residuals(derived)
-        beta_max = derived.betas.max_abs(pts)[0]
-        scalar = ex.max_abs_on_points(res.scalar_residual, pts)[0]
-        offblock = ex.max_abs_on_points(res.ricci_residual, pts)[0]
+        scalar_residual, ricci_residual = streff.central_residuals(derived)
+        beta_max = derived.beta_max[0]
+        scalar = ex.max_abs_on_points(scalar_residual, pts)[0]
+        offblock = ex.max_abs_on_points(ricci_residual, pts)[0]
         row = [f"{seed:>20}", f"{beta_max:>20.3e}", f"{scalar:>20.3e}", f"{offblock:>20.3e}"]
         if args.invertible_b:
             tmax = ex.max_abs_on_points(derived.transport, pts)[0]

@@ -56,7 +56,7 @@ import numpy as np
 from . import gtb
 from . import riemann as rm
 from . import tensors as tn
-from .errors import NotAntisymmetric, SingularMetric
+from .errors import NotAntisymmetric
 from .expr import Chart
 from .gtb import AnchoredFrame, GeneralizedMetric
 from .tensors import Jet
@@ -438,10 +438,8 @@ def dilaton_params(g: Jet, dphi: Jet) -> ConnParams:
     from the jets of g and of the partials of phi: the choice with
     vanishing characteristic vector field and partial trace exactly dphi.
     The g-trace of the brace is (n-1) dphi, which fixes the normalization;
-    needs n > 1."""
+    needs n > 1, which the central suite checks before it builds anything."""
     n = g.value.shape[0]
-    if n < 2:
-        raise SingularMetric("the dilaton trace condition needs a chart of dimension > 1")
     W = (1.0 / (n - 1)) * (tn.jet_contract("ij,k->ijk", g, dphi) - tn.jet_contract("ik,j->ijk", g, dphi))
     return ConnParams(0.0 * W, W)
 

@@ -15,7 +15,10 @@ evaluates
   with G = -B g^{-1} B, and the three residuals of the dual gravity
   equations, plus the transport identity connecting both Ricci tensors
   through the bivector shear e^{-B} o F_theta, whose frame matrix is built
-  once.
+  once,
+- the max-abs of each residual family, the beta and the dual residuals
+  (``Derived.beta_max``, ``Derived.symplectic_max``), from which the
+  equivalence suite reads whether the two vanish together.
 
 The parsed fields of a ``Background`` are the last expressions: it takes
 their jets once, when it is made, at the chart's seeded sample points (the
@@ -132,7 +135,12 @@ class Derived:
       ``transport``: the bivector side for invertible B (``build_symplectic``,
       ``symplectic_residuals``, ``gtb.theta_twist_matrices``: the 2-jet of
       e^{-B} o F_theta and the jet of its inverse,
-      ``theta_transported_connection``, ``transport_identity_residual``).
+      ``theta_transported_connection``, ``transport_identity_residual``);
+    - ``beta_max``, ``symplectic_max``: the max-abs of each residual family
+      over the sample points and the point where it is reached, as
+      ``expr.max_abs_on_points`` picks it: the beta residuals and the three
+      dual residuals (``dual_fields``).  The beta, symplectic and
+      equivalence suites all read them.
 
     ``jets`` is the background's ``FieldJets``: g, B, H and phi are valued
     and validated when the ``Background`` is made.  Nothing
@@ -208,6 +216,17 @@ class Derived:
     def transport(self) -> np.ndarray:
         return transport_identity_residual(self)
 
+    @cached_property
+    def beta_max(self) -> tuple[float, tuple]:
+        b = self.betas
+        count = len(b.beta_phi)
+        fields = [b.beta_g.reshape(-1, count), b.beta_B.reshape(-1, count), b.beta_phi[None]]
+        return ex.max_abs_on_points(np.concatenate(fields), self.bg.chart.sample_points())
+
+    @cached_property
+    def symplectic_max(self) -> tuple[float, tuple]:
+        return ex.max_abs_on_points(dual_fields(self), self.bg.chart.sample_points())
+
 
 class BetaResiduals:
     """The residual tensors at the chart's sample points."""
@@ -220,11 +239,6 @@ class BetaResiduals:
         self.beta_B = beta_B  # [i, j, p], antisymmetric
         self.beta_phi = beta_phi  # [p]
         self.beta_phi_prime = beta_phi_prime  # [p]
-
-    def max_abs(self, points):
-        count = len(points)
-        fields = [self.beta_g.reshape(-1, count), self.beta_B.reshape(-1, count), self.beta_phi[None]]
-        return ex.max_abs_on_points(np.concatenate(fields), points)
 
 
 def _hessian(derived: Derived) -> np.ndarray:
@@ -287,23 +301,13 @@ def beta_g_index_form(derived: Derived) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class CentralResiduals:
-    """Identity residuals at the chart's sample points: both vanish for every
-    background, on-shell or not."""
-
-    __slots__ = ("scalar_residual", "ricci_residual")
-
-    def __init__(self, scalar_residual: np.ndarray, ricci_residual: np.ndarray):
-        self.scalar_residual = scalar_residual  # [p]: metric Ricci trace minus beta_phi
-        self.ricci_residual = ricci_residual  # [i, j, p]: off-block Ricci minus (beta_g - beta_B)
-
-    def __iter__(self):
-        return iter((self.scalar_residual, self.ricci_residual))
-
-
-def central_residuals(derived: Derived) -> CentralResiduals:
-    """The two identity residuals of the dilaton connection for (g, B, phi),
-    read in the block picture, where the graphs Psi_pm(X) are (X, pm g(X)).
+def central_residuals(derived: Derived) -> tuple[np.ndarray, np.ndarray]:
+    """The two identity residuals of the dilaton connection for (g, B, phi)
+    at the chart's sample points, (scalar [p], off-block [i, j, p]): the
+    metric Ricci trace minus beta_phi, and the off-block Ricci minus
+    (beta_g - beta_B).  Both vanish for every background, on-shell or not.
+    They are read in the block picture, where the graphs Psi_pm(X) are
+    (X, pm g(X)).
     The dictionary is e^B-covariant: e^B carries this picture to the
     H-twisted bracket with the metric of the pair (g, B), and Ric, its
     metric trace and the graphs with it.  So shearing first would change
@@ -311,8 +315,8 @@ def central_residuals(derived: Derived) -> CentralResiduals:
     |B|^4 eps, enough to fail a true identity at a constant B of 100."""
     betas = derived.betas
     conn = derived.dilaton
-    return CentralResiduals(gconn.scalar_G(conn) - betas.beta_phi,
-                            gconn.ricci_compat_residual(conn) - (betas.beta_g - betas.beta_B))
+    return (gconn.scalar_G(conn) - betas.beta_phi,
+            gconn.ricci_compat_residual(conn) - (betas.beta_g - betas.beta_B))
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +422,6 @@ def symplectic_residuals(pkg: SymplecticPackage):
 VANISH_TOL = 1e-7
 
 
-class EquivalenceReport:
-    """Max-abs of each residual family over the sample points, with the
-    point where it is reached."""
-
-    __slots__ = ("beta_max", "beta_point", "symplectic_max", "symplectic_point", "beta_on_shell",
-                 "symplectic_on_shell", "verdict")
-
-    def __init__(self, beta_max: float, beta_point: tuple, symplectic_max: float,
-                 symplectic_point: tuple, beta_on_shell: bool, symplectic_on_shell: bool,
-                 verdict: str):
-        self.beta_max = beta_max
-        self.beta_point = beta_point
-        self.symplectic_max = symplectic_max
-        self.symplectic_point = symplectic_point
-        self.beta_on_shell = beta_on_shell
-        self.symplectic_on_shell = symplectic_on_shell
-        self.verdict = verdict
-
-
 def theta_transported_connection(derived: Derived) -> gconn.GenConnection:
     """The dilaton connection of the block picture pulled back through the
     bivector shear e^{-B} o F_theta (``Derived.f_theta``); its metric is
@@ -459,18 +444,3 @@ def transport_identity_residual(derived: Derived) -> np.ndarray:
     return (gconn.ricci(derived.theta_connection)
             - np.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))
 
-
-def equivalence_report(derived: Derived) -> EquivalenceReport:
-    """Both residual families on the sample points."""
-    points = derived.bg.chart.sample_points()
-    beta_max, beta_point = derived.betas.max_abs(points)
-    sym_max, sym_point = ex.max_abs_on_points(dual_fields(derived), points)
-    beta_on = beta_max < VANISH_TOL
-    sym_on = sym_max < VANISH_TOL
-    if beta_on and sym_on:
-        verdict = "equivalent: both on-shell"
-    elif not beta_on and not sym_on:
-        verdict = "equivalent: both off-shell"
-    else:
-        verdict = "inconsistent: one family vanishes without the other"
-    return EquivalenceReport(beta_max, beta_point, sym_max, sym_point, beta_on, sym_on, verdict)

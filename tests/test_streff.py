@@ -9,10 +9,11 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from gencourant import gconn, gtb, riemann as rm, streff, tensors as tn
+from gencourant.cli import run_command
 from gencourant.errors import NotPositiveDefinite, SingularB, SingularMetric
 from gencourant.expr import chart, parse_expr
-from gencourant.scene import from_upper
-from gencourant.streff import Background, Derived, beta_all, central_residuals, equivalence_report
+from gencourant.scene import Scene, from_upper
+from gencourant.streff import Background, Derived, beta_all, central_residuals
 from gencourant.tensors import DOWN
 
 import conftest
@@ -42,8 +43,9 @@ def test_background_rejects_a_singular_metric():
 
 def test_flat_background_all_residuals_vanish():
     bg = flat_background(constant_b=True)
-    betas = beta_all(Derived(bg))
-    assert betas.max_abs(bg.chart.sample_points())[0] == 0.0
+    derived = Derived(bg)
+    betas = derived.betas
+    assert derived.beta_max[0] == 0.0
     assert (betas.beta_phi_prime == 0.0).all()
 
 
@@ -120,10 +122,8 @@ def test_classical_stage_matches_the_symbolic_one(n, salt, count):
 
 def central_max_abs(bg):
     """The largest |residual| of both central identities of bg."""
-    res = central_residuals(Derived(bg))
     pts = bg.chart.sample_points()
-    residuals = (res.scalar_residual, res.ricci_residual)
-    return max(tn.ex.max_abs_on_points(r, pts)[0] for r in residuals)
+    return max(tn.ex.max_abs_on_points(r, pts)[0] for r in central_residuals(Derived(bg)))
 
 
 def test_central_identities_flat_exact():
@@ -158,7 +158,7 @@ def test_metric_trace_equals_scalar_residual_closed_form():
 
 def test_off_shell_backgrounds_have_nonzero_betas():
     bg = random_background(2, salt=19)
-    assert beta_all(Derived(bg)).max_abs(bg.chart.sample_points())[0] > 1e-3
+    assert Derived(bg).beta_max[0] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +310,31 @@ def test_transport_identity_off_shell():
     assert tn.ex.max_abs_on_points(residual, bg.chart.sample_points())[0] < 1e-9
 
 
+def equivalence_summary(bg):
+    """The summary of the equivalence command on bg."""
+    return run_command("equivalence", Scene(bg.chart, bg, {}, "background")).summary
+
+
 def test_equivalence_report_flat():
     bg = flat_background(constant_b=True)
     derived = Derived(bg)
-    rep = equivalence_report(derived)
-    assert rep.beta_on_shell and rep.symplectic_on_shell
-    assert rep.verdict == "equivalent: both on-shell"
+    rep = equivalence_summary(bg)
+    assert rep["beta_on_shell"] and rep["symplectic_on_shell"]
+    assert rep["verdict_text"] == "equivalent: both on-shell"
     assert tn.ex.max_abs_on_points(derived.transport, bg.chart.sample_points())[0] < 1e-9
 
 
 def test_equivalence_report_off_shell_and_scaling():
     bg = symplectic_background(salt=37)
     derived = Derived(bg)
-    rep = equivalence_report(derived)
+    rep = equivalence_summary(bg)
     pts = bg.chart.sample_points()
-    assert not rep.beta_on_shell and not rep.symplectic_on_shell
-    assert rep.verdict == "equivalent: both off-shell"
+    assert not rep["beta_on_shell"] and not rep["symplectic_on_shell"]
+    assert rep["verdict_text"] == "equivalent: both off-shell"
     assert tn.ex.max_abs_on_points(derived.transport, pts)[0] < 1e-9
     # rescaling g keeps the verdict structure
     bg2 = Background(bg.chart, 2.0 * bg.g, bg.B, bg.phi, bg.H)
     derived2 = Derived(bg2)
-    rep2 = equivalence_report(derived2)
-    assert rep2.verdict == rep.verdict
+    rep2 = equivalence_summary(bg2)
+    assert rep2["verdict_text"] == rep["verdict_text"]
     assert tn.ex.max_abs_on_points(derived2.transport, pts)[0] < 1e-9

@@ -56,7 +56,7 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     fg, dfg = tn.random_polynomial_jets(chart, gen, (2,))  # f and g2
     f, df, dg2 = fg[0], dfg[0], dfg[1]
     br = lambda a, b: gtb.dorfman(a, b, H)  # values of the bracket of two section jets
-    along = lambda X, w: np.einsum("mp,mp->p", X, w)  # X^m w_m
+    along = lambda X, w: tn.einsum("mp,mp->p", X, w)  # X^m w_m
 
     # the triples (0, 1, 2), (3, 4, 5) and (6, 7, 8) side by side on the
     # point axis, with H' and df repeated for each: every formula below is
@@ -65,11 +65,12 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     H3, df3 = tn.on_points(H, H, H), tn.on_points(df, df, df)
     br3 = lambda a, b: gtb.dorfman(a, b, H3)
     a, b, c = psi[0], phi[0], chi[0]
+    ab = br3(a, b)  # read by the invariance, symmetric-part and anchor checks
 
     jac = gtb.jacobiator(psi, phi, chi, H3)
     inv = (along(a.value[:n], gtb.pairing(b, c).partial)
-           - gtb.pairing(br3(a, b), c.value) - gtb.pairing(b.value, br3(a, c)))
-    sym = br3(a, b) + br3(b, a) - gtb.d_map(gtb.pairing(a, b).partial)
+           - gtb.pairing(ab, c.value) - gtb.pairing(b.value, br3(a, c)))
+    sym = ab + br3(b, a) - gtb.d_map(gtb.pairing(a, b).partial)
     props = np.concatenate([br(gtb.d_map(df), sections[0][0]),
                             gtb.pairing(gtb.d_map(df.value), gtb.d_map(dg2.value))[None]])
     u, v = sections[3][0], sections[4][0]
@@ -81,15 +82,15 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     # the 2-jet of f
     X, Y = a[:n], b[:n]
     Yf, Xf = (tn.jet_contract("m,m->", V, df3) for V in (Y, X))
-    morph = along(br3(a, b)[:n], df3.value) - (along(X.value, Yf.partial) - along(Y.value, Xf.partial))
+    morph = along(ab[:n], df3.value) - (along(X.value, Yf.partial) - along(Y.value, Xf.partial))
 
     gm = derived.metric
     tau = gm.tau_matrix()
-    tau2 = np.einsum("ikp,kjp->ijp", tau, tau) - np.eye(2 * chart.dim)[..., None]
+    tau2 = tn.einsum("ikp,kjp->ijp", tau, tau) - np.eye(2 * chart.dim)[..., None]
     proj = []
     X = tn.random_polynomial_jets(chart, chart.rng(1013), (n,))[0].value
     for sign in (+1, -1):
-        psi = np.einsum("aip,ip->ap", gm.graph(sign), X)
+        psi = tn.einsum("aip,ip->ap", gm.graph(sign), X)
         proj += [gm.project(psi, sign) - psi, gm.project(psi, -sign)]
 
     # finite-difference consistency of the expression engine on phi
@@ -167,15 +168,15 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
     conn = gconn.with_params(minimal, params, K)
     return [
         ("curvature.skew-last-pair", "curvature tensor is skew in the bracket slots", "sym",
-         r + np.einsum("dcbap->dcabp", r)),
+         r + tn.einsum("dcbap->dcabp", r)),
         ("curvature.skew-first-pair", "curvature tensor is skew in the value slots", "sym",
-         r + np.einsum("cdabp->dcabp", r)),
+         r + tn.einsum("cdabp->dcabp", r)),
         ("curvature.pair-swap", "curvature tensor is symmetric under swapping the two pairs", "sym",
-         r - np.einsum("bacdp->dcabp", r)),
+         r - tn.einsum("bacdp->dcabp", r)),
         ("curvature.interchange", "interchange symmetry of the curvature tensor", "sym",
-         r - np.einsum("abdcp->dcabp", r)),
+         r - tn.einsum("abdcp->dcabp", r)),
         ("curvature.bianchi-torsion-free", "algebraic Bianchi identity, torsion-free case", "sym",
-         r + np.einsum("dabcp->dcabp", r) + np.einsum("dbcap->dcabp", r)),
+         r + tn.einsum("dabcp->dcabp", r) + tn.einsum("dbcap->dcabp", r)),
         ("curvature.bianchi-torsionful", "algebraic Bianchi identity with torsion terms", "sym",
          gconn.bianchi_residual(derived.block_lc)),
         ("curvature.pairing-scalar-vanishes", "pairing trace of the distinguished connection vanishes",

@@ -151,8 +151,8 @@ def torsion_map(alg: AnchoredFrame, gamma: np.ndarray, C: np.ndarray) -> np.ndar
     It is linear, so applied to the values it gives T and applied to the
     partials it gives the partials of T."""
     swap = _swap(alg)
-    return (np.einsum("cab...->abc...", gtb.frame_torsion(gamma, C)[swap])
-            + np.einsum("bca...->abc...", gamma[swap]))
+    return (tn.einsum("cab...->abc...", gtb.frame_torsion(gamma, C)[swap])
+            + tn.einsum("bca...->abc...", gamma[swap]))
 
 
 def gualtieri_torsion(conn: GenConnection) -> np.ndarray:
@@ -178,8 +178,8 @@ def gen_riemann(conn: GenConnection) -> np.ndarray:
         swap = _swap(alg)
         r0 = gtb.frame_curvature(*conn.gamma, alg.anchor.value, alg.structure.value)[swap]
         low = conn.gamma.value[swap]  # low[C, A, B] = <nab_{e_A} e_B, e_C>
-        third = np.einsum("blap,dlcp->dcabp", low, low[:, swap])
-        conn._riemann = 0.5 * (r0 + np.einsum("bacdp->dcabp", r0) + third)
+        third = tn.einsum("blap,dlcp->dcabp", low, low[:, swap])
+        conn._riemann = 0.5 * (r0 + tn.einsum("bacdp->dcabp", r0) + third)
     return conn._riemann
 
 
@@ -204,7 +204,7 @@ def ricci(conn: GenConnection) -> np.ndarray:
         (gamma, dgamma), anchor, C = conn.gamma, alg.anchor.value, alg.structure.value
         low = gamma[swap]  # low[d, b, c] = Gamma[swap(d), b, c]
         dual = (low[:, :, swap], dgamma[swap][:, :, swap], anchor, C)
-        third = np.einsum("bklp,lkcp->cbp", low, gamma[:, swap])
+        third = tn.einsum("bklp,lkcp->cbp", low, gamma[:, swap])
         conn._ricci = 0.5 * (gtb.frame_curvature(gamma, dgamma, anchor, C, "lclb->cb")
                              + gtb.frame_curvature(*dual, "bkck->cb") + third)
     return conn._ricci
@@ -212,12 +212,12 @@ def ricci(conn: GenConnection) -> np.ndarray:
 
 def scalar_E(conn: GenConnection) -> np.ndarray:
     """Pairing trace of the Ricci tensor, at each sample point."""
-    return np.einsum("llp->p", ricci(conn)[_swap(conn.algebroid)])
+    return tn.einsum("llp->p", ricci(conn)[_swap(conn.algebroid)])
 
 
 def scalar_G(conn: GenConnection) -> np.ndarray:
     """Generalized-metric trace of the Ricci tensor, at each sample point."""
-    return np.einsum("lmp,mlp->p", conn.metric.gram_inverse(), ricci(conn))
+    return tn.einsum("lmp,mlp->p", conn.metric.gram_inverse(), ricci(conn))
 
 
 def divergence_section(conn: GenConnection, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -225,8 +225,8 @@ def divergence_section(conn: GenConnection, psi: np.ndarray, dpsi: np.ndarray) -
     nab_{e_l} psi, at the chart's sample points, for sections given by
     their values psi[A, ..., p] and partials dpsi[A, ..., m, p] there."""
     anchor = conn.algebroid.anchor.value
-    return (np.einsum("llbp,b...p->...p", conn.gamma.value, psi)  # Gamma^l_{lb} psi^b
-            + np.einsum("lmp,l...mp->...p", anchor, dpsi))  # rho(e_l).psi^l
+    return (tn.einsum("llbp,b...p->...p", conn.gamma.value, psi)  # Gamma^l_{lb} psi^b
+            + tn.einsum("lmp,l...mp->...p", anchor, dpsi))  # rho(e_l).psi^l
 
 
 def char_vf(conn: GenConnection) -> np.ndarray:
@@ -243,7 +243,7 @@ def ricci_compat_residual(conn: GenConnection) -> np.ndarray:
     the off-block part of the Ricci tensor with respect to the eigenbundle
     splitting of the metric."""
     gm = conn.metric
-    return np.einsum("abp,aip,bjp->ijp", ricci(conn), gm.graph(+1), gm.graph(-1))
+    return tn.einsum("abp,aip,bjp->ijp", ricci(conn), gm.graph(+1), gm.graph(-1))
 
 
 def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +255,7 @@ def torsion_terms(conn: GenConnection) -> tuple[np.ndarray, np.ndarray]:
     (C, dC), (gamma, dgamma) = alg.structure, conn.gamma
     T = torsion_map(alg, gamma, C)
     nabT = gtb.covariant_derivative(gamma, alg.anchor.value, T, torsion_map(alg, dgamma, dC))
-    return nabT, np.einsum("yzfp,xfdp->xyzdp", T[:, :, _swap(alg)], T)
+    return nabT, tn.einsum("yzfp,xfdp->xyzdp", T[:, :, _swap(alg)], T)
 
 
 def bianchi_residual(conn: GenConnection) -> np.ndarray:
@@ -267,10 +267,10 @@ def bianchi_residual(conn: GenConnection) -> np.ndarray:
     with the torsion terms of ``torsion_terms``."""
     nabT, TT = torsion_terms(conn)
     S = nabT - TT
-    torsion = (np.einsum("abcdp->dabcp", S) + np.einsum("bcadp->dabcp", S)
-               + np.einsum("cabdp->dabcp", S) - nabT)
+    torsion = (tn.einsum("abcdp->dabcp", S) + tn.einsum("bcadp->dabcp", S)
+               + tn.einsum("cabdp->dabcp", S) - nabT)
     r = gen_riemann(conn)
-    cyclic = np.einsum("dcabp->dabcp", r) + r + np.einsum("dbcap->dabcp", r)
+    cyclic = tn.einsum("dcabp->dabcp", r) + r + tn.einsum("dbcap->dabcp", r)
     return cyclic - 0.5 * torsion
 
 
@@ -417,7 +417,7 @@ def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
     K(e^n, e^m, e^l) { K(e_n, e_l, e_m) - 2 K(e_l, e_n, e_m) }."""
     swap = _swap(conn.algebroid)
     up = K[np.ix_(swap, swap, swap)]
-    return np.einsum("nmlp,nlmp->p", up, K - 2.0 * np.einsum("lnmp->nlmp", K))
+    return tn.einsum("nmlp,nlmp->p", up, K - 2.0 * tn.einsum("lnmp->nlmp", K))
 
 
 def with_params(base: GenConnection, params: ConnParams, K: Jet | None = None) -> GenConnection:

@@ -19,7 +19,7 @@ values, its jet (values and first partials) or its 2-jet (the jets of u
 and of its partials du[A, m]); the random sections of the axioms suite
 are polynomial 2-jets.  The pairing, the differential, the e^B shear and
 the bracket are one formula each, ``tensors.jet_contract`` on jets and
-``np.einsum`` on values, so the bracket of two 2-jets is the jet of the
+``tensors.einsum`` on values, so the bracket of two 2-jets is the jet of the
 bracket.  The generalized metric, theta and F_theta's matrices, the anchor
 and the structure functions of a frame and its Levi-Civita connection are
 jets too, and ``frame_curvature``, ``covariant_derivative`` and
@@ -140,7 +140,17 @@ def jacobiator(psi, phi, chi, H: Jet) -> np.ndarray:
 def check_positive_definite(matrices, points):
     """Raise NotPositiveDefinite at the first of ``points`` where the matrix
     of ``matrices`` (one per point, in order) is not finite, symmetric and
-    positive definite."""
+    positive definite.  All points are tested at once, with one stacked
+    ``np.linalg.cholesky``; only a failure walks the points one by one, to
+    name the first bad one."""
+    matrices = np.asarray(matrices)
+    if (np.isfinite(matrices).all()
+            and np.max(np.abs(matrices - matrices.swapaxes(-1, -2))) <= 1e-10):
+        try:
+            np.linalg.cholesky(matrices)
+            return
+        except np.linalg.LinAlgError:
+            pass
     for p, m in zip(points, matrices):
         # written so that a NaN or an infinity fails the test, before m - m.T sees it
         if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= 1e-10):
@@ -197,8 +207,8 @@ class GeneralizedMetric:
         if B is None:
             blocks = [[g_inv, np.zeros_like(g)], [np.zeros_like(g), g]]
         else:
-            Bg = np.einsum("iap,abp->ibp", B.value, g_inv)  # B g^{-1}
-            blocks = [[g_inv, Bg.swapaxes(0, 1)], [Bg, g - np.einsum("iap,abp->ibp", Bg, B.value)]]
+            Bg = tn.einsum("iap,abp->ibp", B.value, g_inv)  # B g^{-1}
+            blocks = [[g_inv, Bg.swapaxes(0, 1)], [Bg, g - tn.einsum("iap,abp->ibp", Bg, B.value)]]
         return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
 
     def tau_matrix(self) -> np.ndarray:
@@ -223,7 +233,7 @@ class GeneralizedMetric:
 
     def project(self, psi: np.ndarray, sign: int) -> np.ndarray:
         """P_pm psi for the values psi[A, p] of a section."""
-        return np.einsum("ijp,jp->ip", self.projector_matrix(sign), psi)
+        return tn.einsum("ijp,jp->ip", self.projector_matrix(sign), psi)
 
     def h_form(self) -> np.ndarray:
         """Values of the induced symmetric form on T*M, h(xi, eta) =
@@ -269,11 +279,15 @@ def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:
     delta) from the 2-jet (B, dB) of a validated 2-form: the jet of theta
     (one ``np.linalg.inv`` per point) and the jet of its partials,
     d theta = -theta dB theta.  Raises SingularB where |det B| < DET_TOL,
-    as it is everywhere on an odd-dimensional chart."""
-    for p, m in zip(points, B.value.transpose(2, 0, 1)):
-        # written so that a NaN or an infinity fails the test, before det sees it
-        if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
-            raise SingularB(f"B degenerate at sample point {tuple(p)}")
+    as it is everywhere on an odd-dimensional chart.  All points are
+    tested with one stacked ``np.linalg.det``; only a failure walks them
+    one by one, to name the first bad one."""
+    matrices = B.value.transpose(2, 0, 1)
+    if not (np.isfinite(matrices).all() and (np.abs(np.linalg.det(matrices)) >= tn.DET_TOL).all()):
+        for p, m in zip(points, matrices):
+            # written so that a NaN or an infinity fails the test, before det sees it
+            if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
+                raise SingularB(f"B degenerate at sample point {tuple(p)}")
     with np.errstate(all="ignore"):
         theta = tn.finite("theta", tn.jet_inverse(B), points)
         dtheta = tn.finite("theta", -tn.jet_contract("ia,abm,bj->ijm", theta, dB, theta), points)
@@ -311,8 +325,8 @@ def schouten_check(theta: Jet, twist: np.ndarray, points) -> np.ndarray:
     # (1/2)[theta,theta](dx^i, dx^j, dx^k), from the bracket identity
     # [theta xi, theta eta] - theta(L_{theta xi} eta - i_{theta eta} d xi):
     # theta^{ai} d_a theta^{kj} - theta^{aj} d_a theta^{ki} - theta^{kb} d_b theta^{ji}
-    half = (np.einsum("aip,kjap->ijkp", th, dth) - np.einsum("ajp,kiap->ijkp", th, dth)
-            - np.einsum("kbp,jibp->ijkp", th, dth))
+    half = (tn.einsum("aip,kjap->ijkp", th, dth) - tn.einsum("ajp,kiap->ijkp", th, dth)
+            - tn.einsum("kbp,jibp->ijkp", th, dth))
     return half + tw
 
 
@@ -417,13 +431,13 @@ def frame_curvature(gamma: np.ndarray, dgamma: np.ndarray, anchor: np.ndarray,
     sum_a R0[a, c, a, b]; a trace over d and a, or over c and b, folds the
     last two terms into one.  A trace through a frame permutation is taken
     on operands whose axes are permuted (``gconn.ricci``).  Plain
-    ``np.einsum`` (no BLAS), so the same inputs give the same bits."""
+    ``tn.einsum`` (no BLAS), so the same inputs give the same bits."""
     specs, swapped = _r0_specs(slots)
-    r0 = (np.einsum(specs[0], anchor, dgamma) - np.einsum(specs[1], anchor, dgamma)
-          + np.einsum(specs[2], gamma, gamma))
+    r0 = (tn.einsum(specs[0], anchor, dgamma) - tn.einsum(specs[1], anchor, dgamma)
+          + tn.einsum(specs[2], gamma, gamma))
     if swapped is not None:
-        return r0 - np.einsum(specs[3], gamma, gamma + C.swapaxes(*swapped))
-    return r0 - np.einsum(specs[3], gamma, gamma) - np.einsum(specs[4], C, gamma)
+        return r0 - tn.einsum(specs[3], gamma, gamma + C.swapaxes(*swapped))
+    return r0 - tn.einsum(specs[3], gamma, gamma) - tn.einsum(specs[4], C, gamma)
 
 
 def covariant_derivative(gamma: np.ndarray, anchor: np.ndarray, omega: np.ndarray,
@@ -433,12 +447,12 @@ def covariant_derivative(gamma: np.ndarray, anchor: np.ndarray, omega: np.ndarra
         a(E_a).omega_{i1..ip} - sum_s Gamma^c_{a i_s} omega_{i1..c..ip},
     from float arrays that end in the point axis: gamma[c, a, b, p],
     anchor[a, m, p], omega[i1..ip, p] and domega[i1..ip, m, p], its partial
-    along x^m.  Plain ``np.einsum``, as in ``frame_curvature``."""
+    along x^m.  Plain ``tn.einsum``, as in ``frame_curvature``."""
     slots = "bdefgh"[:omega.ndim - 1]
-    out = np.einsum(f"amp,{slots}mp->a{slots}p", anchor, domega)
+    out = tn.einsum(f"amp,{slots}mp->a{slots}p", anchor, domega)
     for s, b in enumerate(slots):
         moved = slots[:s] + "c" + slots[s + 1:]
-        out -= np.einsum(f"ca{b}p,{moved}p->a{slots}p", gamma, omega)
+        out -= tn.einsum(f"ca{b}p,{moved}p->a{slots}p", gamma, omega)
     return out
 
 

@@ -7,7 +7,7 @@ last), or a float array of values when no partial of it is read.  The
 connection is built from the 2-jet of g (``tensors.field_jets``): g^{-1}
 is one ``np.linalg.inv`` per point, d g^{-1} = -g^{-1} dg g^{-1}, and the
 partials of Gamma come from the second partials of g by
-``tensors.jet_contract``.  Everything else is ``np.einsum`` over them.
+``tensors.jet_contract``.  Everything else is ``tensors.einsum`` over them.
 
 Conventions (locked by the unit-sphere and flat-metric tests):
 
@@ -79,9 +79,9 @@ def covariant_derivative(t: Jet, variance, gamma: Christoffel) -> np.ndarray:
     for slot, var in enumerate(variance):
         a, src = idx[slot], idx[:slot] + "b" + idx[slot + 1:]
         if var == UP:  # Gamma^a_{mu b} t[.. b ..]
-            out += np.einsum(f"{a}mbq,{src}q->m{idx}q", G, t.value)
+            out += tn.einsum(f"{a}mbq,{src}q->m{idx}q", G, t.value)
         else:  # -Gamma^b_{mu a} t[.. b ..]
-            out -= np.einsum(f"bm{a}q,{src}q->m{idx}q", G, t.value)
+            out -= tn.einsum(f"bm{a}q,{src}q->m{idx}q", G, t.value)
     return out
 
 
@@ -89,9 +89,9 @@ def curvature_package(gamma: Christoffel):
     """(Ricci [l, j, p], scalar [p]) of the metric of gamma, from the n^3
     traced entries R^k_{lkj}."""
     G, dG = gamma.coeffs  # dG[k, i, j, m] = d_m Gamma^k_{ij}
-    ric = (np.einsum("kjlkp->ljp", dG) - np.einsum("kkljp->ljp", dG)
-           + np.einsum("kkmp,mjlp->ljp", G, G) - np.einsum("kjmp,mklp->ljp", G, G))
-    return ric, np.einsum("ljp,ljp->p", gamma.ginv.value, ric)
+    ric = (tn.einsum("kjlkp->ljp", dG) - tn.einsum("kkljp->ljp", dG)
+           + tn.einsum("kkmp,mjlp->ljp", G, G) - tn.einsum("kjmp,mklp->ljp", G, G))
+    return ric, tn.einsum("ljp,ljp->p", gamma.ginv.value, ric)
 
 
 def form_inner(alpha: np.ndarray, beta: np.ndarray, ginv: np.ndarray,
@@ -109,9 +109,9 @@ def form_inner(alpha: np.ndarray, beta: np.ndarray, ginv: np.ndarray,
     x, y = "ijkl"[:alpha.ndim - 1 - degree], "mnor"[:beta.ndim - 1 - degree]
     raised = beta
     for s in range(degree):  # raised[y.., a_s, ..] = g^{a_s z} raised[y.., z, ..]
-        raised = np.einsum(f"{slots[s]}zq,{y}{slots[:s]}z{slots[s + 1:]}q->{y}{slots}q",
+        raised = tn.einsum(f"{slots[s]}zq,{y}{slots[:s]}z{slots[s + 1:]}q->{y}{slots}q",
                            ginv, raised)
-    return np.einsum(f"{x}{slots}q,{y}{slots}q->{x}{y}q", alpha, raised) / math.factorial(degree)
+    return tn.einsum(f"{x}{slots}q,{y}{slots}q->{x}{y}q", alpha, raised) / math.factorial(degree)
 
 
 def codifferential(omega: Jet, gamma: Christoffel) -> np.ndarray:
@@ -120,7 +120,7 @@ def codifferential(omega: Jet, gamma: Christoffel) -> np.ndarray:
     rank = omega.value.ndim - 1
     nab = covariant_derivative(omega, (DOWN,) * rank, gamma)  # [k, a, rest..]
     rest = "bcdefgh"[:rank - 1]
-    return -np.einsum(f"kaq,ka{rest}q->{rest}q", gamma.ginv.value, nab)
+    return -tn.einsum(f"kaq,ka{rest}q->{rest}q", gamma.ginv.value, nab)
 
 
 def gradient_vector(dphi: Jet, ginv: Jet) -> Jet:
@@ -130,7 +130,7 @@ def gradient_vector(dphi: Jet, ginv: Jet) -> Jet:
 
 def divergence(v: Jet, gamma: Christoffel) -> np.ndarray:
     """Trace of the Levi-Civita derivative of a vector field, at each point."""
-    return np.einsum("kkq->q", covariant_derivative(v, (UP,), gamma))
+    return tn.einsum("kkq->q", covariant_derivative(v, (UP,), gamma))
 
 
 def laplace_divergence(dphi: Jet, gamma: Christoffel):
@@ -138,4 +138,4 @@ def laplace_divergence(dphi: Jet, gamma: Christoffel):
     of the partials of phi."""
     grad = gradient_vector(dphi, gamma.ginv)
     return (divergence(grad, gamma), grad,
-            np.einsum("aq,aq->q", dphi.value, grad.value))
+            tn.einsum("aq,aq->q", dphi.value, grad.value))

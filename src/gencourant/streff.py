@@ -264,9 +264,9 @@ def beta_all(derived: Derived) -> BetaResiduals:
     # <i_{d_i} H', i_{d_j} H'>_g, i_{d_i} H' the slice of the first slot
     inner = rm.form_inner(Hp.value, Hp.value, ginv, 2)
     beta_g = ric - 0.5 * inner + hess + hess.swapaxes(0, 1)
-    beta_B = 0.5 * deltaH + np.einsum("ijap,ap->ijp", Hp.value, grad.value)
+    beta_B = 0.5 * deltaH + tn.einsum("ijap,ap->ijp", Hp.value, grad.value)
     beta_phi = rscal - 0.5 * rm.form_inner(Hp.value, Hp.value, ginv) + 4.0 * lap - 4.0 * norm2
-    trace = np.einsum("ijp,ijp->p", ginv, beta_g)
+    trace = tn.einsum("ijp,ijp->p", ginv, beta_g)
     return BetaResiduals(beta_g, beta_B, beta_phi, -0.25 * (beta_phi - trace))
 
 
@@ -291,8 +291,8 @@ def beta_g_index_form(derived: Derived) -> np.ndarray:
     ric, _ = derived.curvature
     hess = _hessian(derived)
     # H'_{m a b} g^{ac} g^{bd} H'_{v c d}, raised a leg at a time
-    raised = np.einsum("bdp,mcbp->mcdp", ginv, np.einsum("acp,mabp->mcbp", ginv, Hp))
-    quad = np.einsum("mcdp,vcdp->mvp", raised, Hp)
+    raised = tn.einsum("bdp,mcbp->mcdp", ginv, tn.einsum("acp,mabp->mcbp", ginv, Hp))
+    quad = tn.einsum("mcdp,vcdp->mvp", raised, Hp)
     return ric - 0.25 * quad + hess + hess.swapaxes(0, 1)
 
 
@@ -380,7 +380,7 @@ def algebroid_curvature(frame: AnchoredFrame, gamma: Jet, G: np.ndarray):
     metric: Ric[c, b] = R0[a, c, a, b], the trace that ``gtb.frame_curvature``
     takes term by term."""
     ric = gtb.frame_curvature(*gamma, frame.anchor.value, frame.structure.value, "acab->cb")
-    return ric, np.einsum("abp,abp->p", G, ric)
+    return ric, tn.einsum("abp,abp->p", G, ric)
 
 
 def symplectic_residuals(pkg: SymplecticPackage):
@@ -401,16 +401,16 @@ def symplectic_residuals(pkg: SymplecticPackage):
     w, H = pkg.dphi_dual, pkg.H_theta.value
     ric, scalar = algebroid_curvature(pkg.algebroid, pkg.gamma, G)
     nab_w = gtb.covariant_derivative(gamma, anchor, *w)  # [k, a, p] = (nab_{E_k} w)_a
-    lap = np.einsum("akp,kap->p", G, nab_w)  # G^{ak} (nab_{E_k} w)_a
-    norm2 = np.einsum("abp,ap,bp->p", G, w.value, w.value)
+    lap = tn.einsum("akp,kap->p", G, nab_w)  # G^{ak} (nab_{E_k} w)_a
+    norm2 = tn.einsum("abp,ap,bp->p", G, w.value, w.value)
     # <i_{E^x} H'_th, i_{E^y} H'_th>_G, with i_{E^x} the slice of the first slot
     inner = rm.form_inner(H, H, G, 2)
-    u = np.einsum("amp,mp->ap", G, w.value)  # G(d_th phi) as a frame section of the algebroid
+    u = tn.einsum("amp,mp->ap", G, w.value)  # G(d_th phi) as a frame section of the algebroid
     nabH = gtb.covariant_derivative(gamma, anchor, *pkg.H_theta)  # [k, a, b, c, p]
     return (
         scalar + 4.0 * lap - 0.5 * rm.form_inner(H, H, G) - 4.0 * norm2,
         ric + nab_w + nab_w.swapaxes(0, 1) - 0.5 * inner,
-        np.einsum("abcp,cp->abp", H, u) - 0.5 * np.einsum("mkp,kmabp->abp", G, nabH),
+        tn.einsum("abcp,cp->abp", H, u) - 0.5 * tn.einsum("mkp,kmabp->abp", G, nabH),
     )
 
 
@@ -442,5 +442,5 @@ def transport_identity_residual(derived: Derived) -> np.ndarray:
     of the dilaton connection in the block picture."""
     F = derived.f_theta[0][0].value
     return (gconn.ricci(derived.theta_connection)
-            - np.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))
+            - tn.einsum("cdp,cap,dbp->abp", gconn.ricci(derived.dilaton), F, F))
 

@@ -26,11 +26,20 @@ the point axis, so that one pointwise formula serves them all.
 and ``finite`` is the check at each numeric stage boundary.  Random fields
 are jets from the start: ``random_polynomial_jets`` gives the 2-jets of
 seeded random polynomials from the 2-jet of their monomial basis.
+
+Every contraction of the package calls ``einsum``: numpy's own
+implementation of ``np.einsum``, the same C kernel without ``optimize``,
+but without the ``__array_function__`` dispatch (NEP 18) that
+``np.einsum`` runs first on every call.  The operands here are plain
+ndarrays, so the dispatch finds nothing, yet it costs about a third of a
+small contraction.  Callers read it as ``tn.einsum``, so one module
+attribute sees every contraction.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -43,6 +52,10 @@ UP = "up"
 DOWN = "down"
 
 DET_TOL = 1e-10
+
+# np.einsum without its dispatcher (see the module docstring); an alias, not
+# a def, so that it stays numpy's function and no tracer wraps it
+einsum = inspect.unwrap(np.einsum)
 
 
 def zeros_array(shape) -> np.ndarray:
@@ -148,24 +161,23 @@ def constant_jet(array, chart: Chart) -> Jet:
 
 def jet_contract(spec: str, *jets):
     """The einsum ``spec`` (numpy's notation) of jets, and its first
-    partials by the product rule: one plain ``np.einsum`` (no BLAS, no
-    ``optimize``) for the values and one per operand's partials, so the
-    same inputs give the same bits.  ``...`` after every operand and the
-    output broadcasts the trailing axes, (p) of values and (m, p) of
-    partials, so the one spec serves every term and none is cached.  An
-    einsum of many operands runs as one nested loop over all their
-    indices, so callers contract a long product in pairs, one index at a
-    time (``gconn.param_tensor_frame``).  Operands that are float arrays
-    of values [..., p], not Jets, give the values alone."""
+    partials by the product rule: one plain ``einsum`` (the undispatched
+    ``np.einsum``: no BLAS, no ``optimize``) for the values and one per
+    operand's partials, so the same inputs give the same bits.  ``...``
+    after every operand and the output broadcasts the trailing axes, (p)
+    of values and (m, p) of partials, so the one spec serves every term and
+    none is cached.  An einsum of many operands runs as one nested loop
+    over all their indices, so callers contract a long product in pairs,
+    one index at a time (``gconn.param_tensor_frame``).  Operands that are
+    float arrays of values [..., p], not Jets, give the values alone."""
     spec = spec.replace(",", "...,").replace("->", "...->") + "..."
     if not isinstance(jets[0], Jet):
-        return np.einsum(spec, *jets)
-    values = [v for v, _ in jets]
-    result = np.einsum(spec, *values)
-    partials = 0.0
-    for i, (_, d) in enumerate(jets):
-        partials = partials + np.einsum(spec, *values[:i], d, *values[i + 1:])
-    return Jet(result, partials)
+        return einsum(spec, *jets)
+    values = [jet.value for jet in jets]
+    partials = einsum(spec, jets[0].partial, *values[1:])
+    for i in range(1, len(jets)):
+        partials = partials + einsum(spec, *values[:i], jets[i].partial, *values[i + 1:])
+    return Jet(einsum(spec, *values), partials)
 
 
 def on_points(*jets) -> Jet:
@@ -221,7 +233,7 @@ def random_polynomial_jets(chart: Chart, gen: ex.SplitMix64, shape: tuple, degre
     n, count = chart.dim, len(chart.sample_points())
     size = math.prod(shape) * len(ex.monomials(n, degree))
     coeffs = gen.uniforms(-scale, scale, size).reshape(math.prod(shape), -1)
-    jets = np.einsum("ab,bkp->akp", coeffs, _monomial_jets(chart, degree)).reshape(shape + (-1, count))
+    jets = einsum("ab,bkp->akp", coeffs, _monomial_jets(chart, degree)).reshape(shape + (-1, count))
     first = jets[..., 1:n + 1, :]
     return (Jet(jets[..., 0, :], first),
             Jet(first, jets[..., n + 1:, :].reshape(shape + (n, n, count))))
@@ -248,7 +260,7 @@ def jet_inverse(m: Jet) -> Jet:
     """The inverse of a square matrix field: one ``np.linalg.inv`` per
     point for the values, and d(M^{-1}) = -M^{-1} dM M^{-1}."""
     inv = np.linalg.inv(m.value.transpose(2, 0, 1)).transpose(1, 2, 0)
-    return Jet(inv, -np.einsum("iap,abmp,bjp->ijmp", inv, m.partial, inv))
+    return Jet(inv, -einsum("iap,abmp,bjp->ijmp", inv, m.partial, inv))
 
 
 def finite(stage: str, jet, points):

@@ -616,9 +616,29 @@ def test_simultaneous_vanishing_fails_on_a_nan_family(monkeypatch):
     monkeypatch.setattr(streff.Derived, "symplectic_max", property(lambda self: (math.nan, pts[5])))
     report = run_command("equivalence", scene)
     assert report.summary["beta_on_shell"] and not report.summary["symplectic_on_shell"]
+    assert report.summary["verdict_text"] == "inconsistent: one family vanishes without the other"
     vanishing = {c.name: c for c in report.checks}["equivalence.simultaneous-vanishing"]
     assert not vanishing.passed
     assert vanishing.worst_point == pts[5]
+
+
+@pytest.mark.parametrize("beta, symplectic", [(1e-12, 1e-3), (1e-3, 1e-12)])
+def test_simultaneous_vanishing_fails_when_one_finite_family_is_off_shell(monkeypatch, beta,
+                                                                          symplectic):
+    # one family on-shell and the other off-shell, either way round: the
+    # verdict is inconsistent and the check fails with the off-shell
+    # family's residual at its point
+    scene = load_scene(SCENES / "poly2d.json")
+    pts = scene.chart.sample_points()
+    monkeypatch.setattr(streff.Derived, "beta_max", property(lambda self: (beta, pts[2])))
+    monkeypatch.setattr(streff.Derived, "symplectic_max", property(lambda self: (symplectic, pts[5])))
+    report = run_command("equivalence", scene)
+    assert report.summary["verdict_text"] == "inconsistent: one family vanishes without the other"
+    assert report.summary["beta_on_shell"] == (beta < symplectic)
+    vanishing = {c.name: c for c in report.checks}["equivalence.simultaneous-vanishing"]
+    assert not vanishing.passed
+    assert vanishing.max_abs_residual == 1e-3
+    assert vanishing.worst_point == (pts[5] if beta < symplectic else pts[2])
 
 
 @pytest.mark.parametrize("option", ["--tol-sym", "--tol-fd"])

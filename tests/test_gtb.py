@@ -538,6 +538,60 @@ def test_theta_twist_odd_dimension_fails():
         theta_jets(B3, C3)
 
 
+# Six points at which only a later one (or two) is bad: the stacked test of
+# all points fails, and the walk after it names the first bad point, with
+# the message the point-by-point test gave.
+POINTS6 = [(k / 4, 1 - k / 2) for k in range(6)]
+
+
+def metric_stack(bad):
+    """Six positive definite 2x2 matrices, one per point of POINTS6, with
+    the (point, matrix) pairs of ``bad`` in their place."""
+    out = np.stack([np.array([[2.0, 0.5], [0.5, 1.0 + k]]) for k in range(6)])
+    for p, m in bad:
+        out[p] = m
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, message", [
+    ([(4, [[2.0, 0.5], [0.5, np.nan]])], "metric not finite and symmetric at (1.0, -1.0)"),
+    ([(3, [[2.0, 0.5], [0.25, 1.0]])], "metric not finite and symmetric at (0.75, -0.5)"),
+    ([(2, [[1.0, 0.0], [0.0, -1.0]]), (4, [[np.inf, 0.0], [0.0, 1.0]])],
+     "metric not positive definite at sample point (0.5, 0.0)"),
+])
+def test_check_positive_definite_names_the_first_bad_point(bad, message):
+    gtb.check_positive_definite(metric_stack([]), POINTS6)
+    with pytest.raises(NotPositiveDefinite) as err:
+        gtb.check_positive_definite(metric_stack(bad), POINTS6)
+    assert str(err.value) == message
+
+
+def b_jets(bad):
+    """The 2-jet of B = [[0, 1 + k], [-1 - k, 0]] at the k-th point of
+    POINTS6, constant in x, with the (point, matrix) pairs of ``bad`` in the
+    values."""
+    value = np.zeros((2, 2, 6))
+    value[0, 1], value[1, 0] = 1.0 + np.arange(6), -1.0 - np.arange(6)
+    for p, m in bad:
+        value[..., p] = m
+    return Jet(value, np.zeros((2, 2, 2, 6))), Jet(np.zeros((2, 2, 2, 6)), np.zeros((2, 2, 2, 2, 6)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, point", [
+    ([(3, [[0.0, 1e-6], [-1e-6, 0.0]])], (0.75, -0.5)),  # |det B| = 1e-12 < DET_TOL
+    ([(5, [[0.0, np.nan], [-1.0, 0.0]])], (1.25, -1.5)),
+    ([(1, [[0.0, 0.0], [0.0, 0.0]]), (4, [[0.0, np.nan], [np.nan, 0.0]])], (0.25, 0.5)),
+])
+def test_theta_from_b_names_the_first_degenerate_point(bad, point):
+    theta, _ = gtb.theta_from_b(*b_jets([]), POINTS6)
+    np.testing.assert_allclose(theta.value[0, 1], -1.0 / (1.0 + np.arange(6)), rtol=1e-15)
+    with pytest.raises(SingularB) as err:
+        gtb.theta_from_b(*b_jets(bad), POINTS6)
+    assert str(err.value) == f"B degenerate at sample point {point}"
+
+
 # ---------------------------------------------------------------------------
 # Schouten residual and Koszul bracket
 # ---------------------------------------------------------------------------

@@ -140,17 +140,7 @@ def jacobiator(psi, phi, chi, H: Jet) -> np.ndarray:
 def check_positive_definite(matrices, points):
     """Raise NotPositiveDefinite at the first of ``points`` where the matrix
     of ``matrices`` (one per point, in order) is not finite, symmetric and
-    positive definite.  All points are tested at once, with one stacked
-    ``np.linalg.cholesky``; only a failure walks the points one by one, to
-    name the first bad one."""
-    matrices = np.asarray(matrices)
-    if (np.isfinite(matrices).all()
-            and np.max(np.abs(matrices - matrices.swapaxes(-1, -2))) <= 1e-10):
-        try:
-            np.linalg.cholesky(matrices)
-            return
-        except np.linalg.LinAlgError:
-            pass
+    positive definite."""
     for p, m in zip(points, matrices):
         # written so that a NaN or an infinity fails the test, before m - m.T sees it
         if not (np.isfinite(m).all() and np.max(np.abs(m - m.T)) <= 1e-10):
@@ -279,15 +269,11 @@ def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:
     delta) from the 2-jet (B, dB) of a validated 2-form: the jet of theta
     (one ``np.linalg.inv`` per point) and the jet of its partials,
     d theta = -theta dB theta.  Raises SingularB where |det B| < DET_TOL,
-    as it is everywhere on an odd-dimensional chart.  All points are
-    tested with one stacked ``np.linalg.det``; only a failure walks them
-    one by one, to name the first bad one."""
-    matrices = B.value.transpose(2, 0, 1)
-    if not (np.isfinite(matrices).all() and (np.abs(np.linalg.det(matrices)) >= tn.DET_TOL).all()):
-        for p, m in zip(points, matrices):
-            # written so that a NaN or an infinity fails the test, before det sees it
-            if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
-                raise SingularB(f"B degenerate at sample point {tuple(p)}")
+    as it is everywhere on an odd-dimensional chart."""
+    for p, m in zip(points, B.value.transpose(2, 0, 1)):
+        # written so that a NaN or an infinity fails the test, before det sees it
+        if not (np.isfinite(m).all() and abs(np.linalg.det(m)) >= tn.DET_TOL):
+            raise SingularB(f"B degenerate at sample point {tuple(p)}")
     with np.errstate(all="ignore"):
         theta = tn.finite("theta", tn.jet_inverse(B), points)
         dtheta = tn.finite("theta", -tn.jet_contract("ia,abm,bj->ijm", theta, dB, theta), points)

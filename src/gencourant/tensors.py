@@ -169,7 +169,10 @@ def jet_contract(spec: str, *jets):
     none is cached.  An einsum of many operands runs as one nested loop
     over all their indices, so callers contract a long product in pairs,
     one index at a time (``gconn.param_tensor_frame``).  Operands that are
-    float arrays of values [..., p], not Jets, give the values alone."""
+    float arrays of values [..., p], not Jets, give the values alone.  A
+    spec of one operand only permutes its axes, and einsum then returns a
+    view: either half of the result may share memory with an operand, so
+    callers never write into it in place."""
     spec = spec.replace(",", "...,").replace("->", "...->") + "..."
     if not isinstance(jets[0], Jet):
         return einsum(spec, *jets)

@@ -538,9 +538,8 @@ def test_theta_twist_odd_dimension_fails():
         theta_jets(B3, C3)
 
 
-# Six points at which only a later one (or two) is bad: the stacked test of
-# all points fails, and the walk after it names the first bad point, with
-# the message the point-by-point test gave.
+# Six points at which only a later one (or two) is bad: the test names the
+# first bad point, with its message.
 POINTS6 = [(k / 4, 1 - k / 2) for k in range(6)]
 
 

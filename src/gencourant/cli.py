@@ -42,8 +42,9 @@ COMMANDS = ("axioms", "torsion", "curvature", "beta", "central", "symplectic", "
 
 def _per_triple(residual: np.ndarray) -> np.ndarray:
     """[3, ..., p]: a residual over the three section triples side by side
-    on the point axis, split back into one residual per triple."""
-    return np.stack(np.split(residual, 3, axis=-1))
+    on the point axis, split back into one residual per triple (a view)."""
+    r = residual.reshape(residual.shape[:-1] + (3, -1))
+    return r.transpose((r.ndim - 2,) + tuple(range(r.ndim - 2)) + (r.ndim - 1,))
 
 
 def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
@@ -119,7 +120,7 @@ def checks_axioms(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
          _per_triple(morph)),
         ("axioms.involution", "squared metric involution is the identity", "sym", tau2),
         ("axioms.eigenbundle-graphs", "graph embeddings land in the projector eigenbundles", "sym",
-         np.stack(proj)),
+         np.array(proj)),
         ("axioms.induced-form", "induced cotangent form equals the inverse metric", "sym",
          gm.h_form() - gm.g_inv.value),
         ("axioms.shear-intertwines-brackets",
@@ -134,7 +135,7 @@ def checks_torsion(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
     minimal = derived.minimal
     T = gconn.gualtieri_torsion(derived.block_lc)
     n = scene.chart.dim
-    want = np.zeros_like(T)
+    want = np.zeros(T.shape)
     want[:n, :n, :n] = derived.h_prime.value
     return [
         ("torsion.minimal-vanishes", "distinguished connection is torsion-free", "strict",
@@ -142,7 +143,7 @@ def checks_torsion(scene: Scene, derived: streff.Derived) -> tuple[list, dict]:
         ("torsion.block-transport-pullback", "block transport torsion is the anchor pullback of the twist",
          "sym", T - want),
         ("torsion.total-antisymmetry", "torsion 3-form is totally antisymmetric", "sym",
-         np.stack([T + np.swapaxes(T, i, j) for i, j in ((0, 1), (1, 2))])),
+         np.array([T + T.swapaxes(i, j) for i, j in ((0, 1), (1, 2))])),
         ("torsion.pairing-compatibility", "connection coefficients are skew in the pairing", "strict",
          gconn.pairing_compat_residual(minimal)),
         ("torsion.metric-compatibility", "block metric is parallel", "sym",

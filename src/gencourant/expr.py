@@ -229,9 +229,6 @@ class Expr:
     def __sub__(self, other):
         return add(self, neg(_coerce(other)))
 
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
@@ -239,9 +236,6 @@ class Expr:
 
     def __truediv__(self, other):
         return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
 
     def __neg__(self):
         return neg(self)

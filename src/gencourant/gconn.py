@@ -390,15 +390,15 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> Jet:
     its blocks of K stay zero."""
     n = metric.chart.dim
     K = tn.constant_jet(np.zeros((2 * n,) * 3), metric.chart)
-    vec, form = range(n), range(n, 2 * n)
+    vec, form = slice(0, n), slice(n, 2 * n)
     for leg, t, legged, rest, sign in ((metric.g_inv, params.W, form, vec, 1.0),
                                       (metric.g, params.J, vec, form, -1.0)):
         if not (t.value.any() or t.partial.any()):  # a NaN is nonzero, so it reaches K
             continue
         ones = [_leg_into(leg, k, t) for k in range(3)]
         for k, block in enumerate(ones):
-            K[np.ix_(*[legged if j == k else rest for j in range(3)])] = sign * block
-        K[np.ix_(legged, legged, legged)] = sign * _leg_into(leg, 2, _leg_into(leg, 1, ones[0], "ibc"), "ijc")
+            K[tuple(legged if j == k else rest for j in range(3))] = sign * block
+        K[legged, legged, legged] = sign * _leg_into(leg, 2, _leg_into(leg, 1, ones[0], "ibc"), "ijc")
     return K
 
 
@@ -416,7 +416,9 @@ def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
     equivalent full contraction
     K(e^n, e^m, e^l) { K(e_n, e_l, e_m) - 2 K(e_l, e_n, e_m) }."""
     swap = _swap(conn.algebroid)
-    up = K[np.ix_(swap, swap, swap)]
+    # the open mesh of np.ix_ gives a C-ordered copy; chained indexing would
+    # not, and einsum would sum the contraction in another order
+    up = K[swap[:, None, None], swap[:, None], swap]
     return tn.einsum("nmlp,nlmp->p", up, K - 2.0 * tn.einsum("lnmp->nlmp", K))
 
 

@@ -91,7 +91,7 @@ def pairing_gram(chart: Chart) -> np.ndarray:
 def d_map(df):
     """The bracket-side differential f |-> (0, df), from the values or the
     jet of the partials df[m] of f; any 1-form embeds the same way."""
-    embed = lambda t: np.concatenate([np.zeros_like(t), t])
+    embed = lambda t: np.concatenate([np.zeros(t.shape), t])
     return df.map(embed) if isinstance(df, Jet) else embed(df)
 
 
@@ -185,8 +185,11 @@ class GeneralizedMetric:
             Bg = None if B is None else tn.jet_contract("ia,ab->ib", B, g_inv)  # B g^{-1}
             gram = tn.jet_block([[g, 0], [0, g_inv]] if B is None else
                                 [[g - tn.jet_contract("ia,ab->ib", Bg, B), Bg], [0, g_inv]])
-            below = np.tril_indices(2 * self.chart.dim, -1)
-            gram[below] = gram.map(lambda t: t.swapaxes(0, 1))[below]
+            # the pairs below the diagonal, listed in Python: a boolean mask or
+            # nonzero would page in numpy code that no other step runs
+            m = 2 * self.chart.dim
+            rows, cols = np.array([(i, j) for i in range(m) for j in range(i)]).T
+            gram[rows, cols] = gram.map(lambda t: t.swapaxes(0, 1))[rows, cols]
             self._gram = gram
         return self._gram
 
@@ -195,7 +198,8 @@ class GeneralizedMetric:
             G^{-1} = [[g^{-1}, -g^{-1} B], [B g^{-1}, g - B g^{-1} B]]."""
         g, g_inv, B = self.g.value, self.g_inv.value, self.B
         if B is None:
-            blocks = [[g_inv, np.zeros_like(g)], [np.zeros_like(g), g]]
+            zero = np.zeros(g.shape)
+            blocks = [[g_inv, zero], [zero, g]]
         else:
             Bg = tn.einsum("iap,abp->ibp", B.value, g_inv)  # B g^{-1}
             blocks = [[g_inv, Bg.swapaxes(0, 1)], [Bg, g - tn.einsum("iap,abp->ibp", Bg, B.value)]]
@@ -212,9 +216,11 @@ class GeneralizedMetric:
         """Values of the frame matrix [A, i, p] of X -> Psi_pm(X) =
         (X, (pm g + B)(X)) on vector components."""
         n, count = self.chart.dim, self.g.value.shape[-1]
-        vec = np.broadcast_to(np.eye(n)[..., None], (n, n, count))
+        out = np.zeros((2 * n, n, count))
+        out[:n].reshape(n * n, count)[::n + 1] = 1.0  # the identity on the vector rows
         form = sign * self.g.value
-        return np.concatenate([vec, form if self.B is None else form + self.B.value])
+        out[n:] = form if self.B is None else form + self.B.value
+        return out
 
     def projector_matrix(self, sign: int) -> np.ndarray:
         """Values of P_pm = (1 pm tau)/2 on frame components."""
@@ -261,7 +267,8 @@ def twisted_bracket_check(chart: Chart, B: Jet, H: Jet, h_prime: Jet):
     B, H, h_prime = (tn.on_points(t, t, t) for t in (B, H, h_prime))
     lhs = b_twist(dorfman(psi, phi, h_prime), B)
     rhs = dorfman(b_twist(psi, B), b_twist(phi, B), H)
-    return ex.worst_of(ex.max_abs_on_points(r, pts) for r in np.split(lhs - rhs, 3, axis=-1))
+    res = (lhs - rhs).reshape(lhs.shape[:-1] + (3, -1))
+    return ex.worst_of(ex.max_abs_on_points(res[..., k, :], pts) for k in range(3))
 
 
 def theta_from_b(B: Jet, dB: Jet, points) -> tuple[Jet, Jet]:

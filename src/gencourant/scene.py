@@ -329,4 +329,19 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The report as strict JSON: a non-finite float, such as an
+        overflowed residual, is written as the string "NaN", "Infinity" or
+        "-Infinity", which every JSON parser reads, not as a bare token."""
+        return json.dumps(_strict_json(self.to_dict()), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _strict_json(value):
+    """``value`` with each non-finite float in its dicts and lists replaced
+    by the string that names it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value

@@ -187,7 +187,8 @@ def on_points(*jets) -> Jet:
     """Jets of the same fields side by side on the point axis, as one Jet
     over all their points: every formula of jets is pointwise, so one call
     on it does the work of one call per jet, and its result splits back
-    with ``np.split(..., len(jets), axis=-1)``."""
+    into one block of points per jet by a reshape of the point axis to
+    (len(jets), P) (``cli._per_triple``)."""
     return Jet(*(np.concatenate(halves, axis=-1) for halves in zip(*jets)))
 
 
@@ -220,7 +221,7 @@ def _monomial_jets(chart: Chart, degree: int) -> np.ndarray:
         return factor[:, None] * np.prod(u ** np.maximum(e, 0)[..., None], axis=1)
 
     rows = [term()] + [term(m) for m in range(n)] + [term(m, l) for m in range(n) for l in range(n)]
-    return np.stack(rows, axis=1)
+    return np.array(rows).swapaxes(0, 1).copy()  # C-ordered, so einsum sums over it in one order
 
 
 def random_polynomial_jets(chart: Chart, gen: ex.SplitMix64, shape: tuple, degree: int = 2,
@@ -252,7 +253,7 @@ def jet_block(blocks) -> Jet:
         if isinstance(b, Jet):
             return b
         eye = np.eye(like.value.shape[0]).reshape(like.value.shape[:2] + (1,) * (like.value.ndim - 2))
-        return Jet(b * eye + np.zeros_like(like.value), np.zeros_like(like.partial))
+        return Jet(b * eye + np.zeros(like.value.shape), np.zeros(like.partial.shape))
 
     rows = [[full(b) for b in row] for row in blocks]
     return Jet(*(np.concatenate([np.concatenate([getattr(b, half) for b in row], axis=1) for row in rows])

@@ -5,9 +5,11 @@ per operand's partials term, the Ricci tensor as the trace of the full
 curvature tensor, the dense e^{+-B} frame matrices that the Gram pair and
 the e^B shear are written without, the sheared picture, which the
 verifier does not build (the dilaton connection sheared by e^B, then
-transported through F_theta alone), and the zero-anchor (quadratic Lie
-algebra) case in exact rational arithmetic, independent of the frame
-calculus it is compared with.
+transported through F_theta alone), numpy's helper forms (np.ix_,
+np.tril_indices, np.broadcast_to, np.stack and np.split) of the index,
+block and split code that the package writes without them, and the
+zero-anchor (quadratic Lie algebra) case in exact rational arithmetic,
+independent of the frame calculus it is compared with.
 """
 
 import functools
@@ -194,6 +196,66 @@ def b_twist_reference(u, B):
     product with e^B's dense frame matrix."""
     M = shear(B, +1)
     return tn.jet_contract("ca,a->c", M if isinstance(u, tn.Jet) else M.value, u)
+
+
+# ---------------------------------------------------------------------------
+# numpy's helper forms (np.ix_, np.tril_indices, np.broadcast_to, np.stack
+# and np.split) of the package's index, block and split code, which must
+# give the same bits
+# ---------------------------------------------------------------------------
+
+
+def per_triple_reference(residual):
+    """``cli._per_triple``: the point axis split in three and the parts
+    stacked on a new leading axis."""
+    return np.stack(np.split(residual, 3, axis=-1))
+
+
+def gram_reference_tril(metric):
+    """``gtb.GeneralizedMetric.gram`` with the entries below the diagonal
+    indexed by ``np.tril_indices``."""
+    g, g_inv, B = metric.g, metric.g_inv, metric.B
+    Bg = None if B is None else tn.jet_contract("ia,ab->ib", B, g_inv)
+    gram = tn.jet_block([[g, 0], [0, g_inv]] if B is None else
+                        [[g - tn.jet_contract("ia,ab->ib", Bg, B), Bg], [0, g_inv]])
+    below = np.tril_indices(2 * metric.chart.dim, -1)
+    gram[below] = gram.map(lambda t: t.swapaxes(0, 1))[below]
+    return gram
+
+
+def graph_reference(metric, sign):
+    """``gtb.GeneralizedMetric.graph``: a broadcast identity concatenated
+    with the form block."""
+    n, count = metric.chart.dim, metric.g.value.shape[-1]
+    vec = np.broadcast_to(np.eye(n)[..., None], (n, n, count))
+    form = sign * metric.g.value
+    return np.concatenate([vec, form if metric.B is None else form + metric.B.value])
+
+
+def param_tensor_frame_ix(params, metric):
+    """``gconn.param_tensor_frame`` with each block of K indexed by
+    ``np.ix_`` over index ranges, not by slices."""
+    n = metric.chart.dim
+    K = tn.constant_jet(np.zeros((2 * n,) * 3), metric.chart)
+    vec, form = range(n), range(n, 2 * n)
+    for leg, t, legged, rest, sign in ((metric.g_inv, params.W, form, vec, 1.0),
+                                      (metric.g, params.J, vec, form, -1.0)):
+        if not (t.value.any() or t.partial.any()):
+            continue
+        ones = [gconn._leg_into(leg, k, t) for k in range(3)]
+        for k, block in enumerate(ones):
+            K[np.ix_(*[legged if j == k else rest for j in range(3)])] = sign * block
+        inner = gconn._leg_into(leg, 1, ones[0], "ibc")
+        K[np.ix_(legged, legged, legged)] = sign * gconn._leg_into(leg, 2, inner, "ijc")
+    return K
+
+
+def trace_identity_residual_ix(conn, K):
+    """``gconn.trace_identity_residual`` with K's legs permuted by
+    ``np.ix_``."""
+    swap = gtb.dual_index(conn.chart.dim)
+    up = K[np.ix_(swap, swap, swap)]
+    return tn.einsum("nmlp,nlmp->p", up, K - 2.0 * tn.einsum("lnmp->nlmp", K))
 
 
 # ---------------------------------------------------------------------------

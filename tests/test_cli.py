@@ -18,7 +18,7 @@ from gencourant import riemann as rm
 from gencourant import tensors as tn
 from gencourant.cli import main, run_command
 from gencourant.errors import CommandError, SceneError
-from gencourant.scene import SceneValidationError, load_scene, scene_from_dict
+from gencourant.scene import Check, Report, SceneValidationError, load_scene, scene_from_dict
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -622,6 +622,40 @@ def test_simultaneous_vanishing_fails_on_a_nan_family(monkeypatch):
     assert vanishing.worst_point == pts[5]
 
 
+def _strict_loads(text):
+    """json.loads that rejects the bare tokens NaN, Infinity and -Infinity,
+    as a strict JSON parser does."""
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("value, text", [(math.nan, "NaN"), (math.inf, "Infinity")])
+def test_a_report_with_a_non_finite_residual_is_strict_json(monkeypatch, value, text):
+    # the scenario above: the NaN (or an overflow's infinity) is written as
+    # a string, in the check and in the summary, not as a bare token
+    scene = load_scene(SCENES / "poly2d.json")
+    pts = scene.chart.sample_points()
+    monkeypatch.setattr(streff.Derived, "beta_max", property(lambda self: (1e-12, pts[2])))
+    monkeypatch.setattr(streff.Derived, "symplectic_max", property(lambda self: (value, pts[5])))
+    doc = _strict_loads(run_command("equivalence", scene).to_json())
+    vanishing = {c["name"]: c for c in doc["checks"]}["equivalence.simultaneous-vanishing"]
+    assert vanishing["max_abs_residual"] == text and not vanishing["passed"]
+    assert doc["summary"]["symplectic_max_abs"] == text and doc["verdict"] == "fail"
+
+
+def test_a_negative_infinity_is_written_as_a_string():
+    report = Report("beta", "s", 0, 1, [Check("c", "i", -math.inf, 1e-9, (0.5,))], {"x": [-math.inf]}, 0.0)
+    doc = _strict_loads(report.to_json())
+    assert doc["checks"][0]["max_abs_residual"] == "-Infinity" and doc["summary"]["x"] == ["-Infinity"]
+
+
+def test_a_finite_report_is_written_as_before():
+    # strict JSON changes nothing in a report whose numbers are all finite
+    report = run_command("all", load_scene(SCENES / "poly2d.json"))
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("beta, symplectic", [(1e-12, 1e-3), (1e-3, 1e-12)])
 def test_simultaneous_vanishing_fails_when_one_finite_family_is_off_shell(monkeypatch, beta,
                                                                           symplectic):
@@ -870,6 +904,17 @@ def test_a_bracket_with_the_y_dx_sign_flipped_fails_the_anchor_morphism(monkeypa
 
     monkeypatch.setattr(gtb, "dorfman", mutant)
     assert "axioms.anchor-morphism" in failed_axioms(scene)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("count", [1, 5])
+def test_per_triple_is_np_stack_of_np_split_bit_for_bit(dim, count):
+    # the reshape and transpose against the stack of the three parts of the
+    # point axis, for residuals of zero, one and two frame axes
+    rng = np.random.default_rng(10 * dim + count)
+    for shape in ((), (2 * dim,), (2 * dim, 2 * dim)):
+        residual = rng.uniform(-1, 1, shape + (3 * count,))
+        np.testing.assert_array_equal(cli._per_triple(residual), oracles.per_triple_reference(residual))
 
 
 @pytest.mark.parametrize("name", ["poly2d", "poly3d"])

@@ -39,6 +39,13 @@ X, Y = XY.coords()
 # ---------------------------------------------------------------------------
 
 
+def test_expr_and_chart_repr():
+    c = chart("x y", domain=(-1, 1), seed=3, num_points=4)
+    assert repr(parse_expr("x^2/4 - 3*y + sin(x)", c)) == "<Expr 0.25*x^2 - 3*y + sin(x)>"
+    assert repr(c.coord(0)) == "<Expr x>"
+    assert repr(c) == "Chart(2, ('x', 'y'), ((-1.0, 1.0), (-1.0, 1.0)), 3, 4)"
+
+
 def test_parse_constant_zero():
     e = parse_expr("0", XY)
     assert evaluate(e, (0.3, -0.2)) == 0.0

@@ -2,6 +2,7 @@
 parameter family, shears, and the closed-form trace identities."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -561,6 +562,24 @@ def test_param_tensor_frame_with_a_zero_j_equals_the_reference(dim, count, J):
     want = oracles.param_tensor_frame_reference(params, metric)
     for half in ("value", "partial"):
         assert np.array_equal(getattr(got, half), getattr(want, half), equal_nan=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("count", [1, 5])
+def test_param_tensor_frame_and_trace_identity_index_like_np_ix_bit_for_bit(dim, count):
+    # K's blocks written through slices, and its legs permuted by open-mesh
+    # index arrays in the trace identity, give the bits of the np.ix_ forms
+    c = chart("x y z w u v".split()[:dim], num_points=count)
+    rng = np.random.default_rng(10 * dim + count)
+    metric = random_block_metric(rng, c)
+    skew = lambda t: t - t.swapaxes(1, 2)
+    params = gconn.ConnParams(*(uniform_jet(rng, c, (dim,) * 3).map(skew) for _ in range(2)))
+    got, want = gconn.param_tensor_frame(params, metric), oracles.param_tensor_frame_ix(params, metric)
+    for half in ("value", "partial"):
+        np.testing.assert_array_equal(getattr(got, half), getattr(want, half))
+    conn = SimpleNamespace(algebroid=SimpleNamespace(chart=c), chart=c)
+    np.testing.assert_array_equal(gconn.trace_identity_residual(conn, got.value),
+                                  oracles.trace_identity_residual_ix(conn, got.value))
 
 
 @settings(max_examples=40, deadline=None)

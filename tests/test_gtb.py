@@ -395,6 +395,25 @@ def test_gram_pair_and_b_twist_from_blocks_match_the_dense_shear_products(dim, c
                                        rtol=1e-12, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("with_B", [False, True])
+def test_gram_and_graph_are_their_numpy_helper_forms_bit_for_bit(dim, count, with_B):
+    # the Gram matrix's lower triangle filled through a mask, and the graph
+    # written into one zero array, against np.tril_indices and
+    # np.broadcast_to with np.concatenate
+    c = chart("x y z w u v".split()[:dim], num_points=count)
+    rng = np.random.default_rng(10 * dim + count)
+    g, ginv = (uniform_jet(rng, c, (dim, dim)).map(lambda t: t + t.swapaxes(0, 1)) for _ in range(2))
+    B = uniform_jet(rng, c, (dim, dim)).map(lambda t: t - t.swapaxes(0, 1)) if with_B else None
+    metric = GeneralizedMetric(c, g, B, ginv)
+    got, want = metric.gram(), oracles.gram_reference_tril(metric)
+    for half in ("value", "partial"):
+        np.testing.assert_array_equal(getattr(got, half), getattr(want, half))
+    for sign in (+1, -1):
+        np.testing.assert_array_equal(metric.graph(sign), oracles.graph_reference(metric, sign))
+
+
 def test_graph_embeddings_and_projectors():
     gm = with_b(bumpy_g(C2), bumpy_B(C2))
     gen = C2.rng(67)

@@ -124,6 +124,16 @@ def test_no_module_calls_np_einsum():
             if re.search(r"\bnp\.einsum\(", path.read_text())] == []
 
 
+def test_no_module_calls_numpys_python_index_helpers():
+    # each of these is Python code in numpy (argument checks, dispatch),
+    # run cold in every fresh process; slices, index arrays, reshapes and
+    # np.zeros/np.array give the same arrays without it
+    src = ROOT / "src" / "gencourant"
+    helpers = r"\bnp\.(ix_|stack|split|zeros_like|tril_indices|broadcast_to)\("
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if re.search(helpers, path.read_text())] == []
+
+
 def test_einsum_is_numpys_undispatched_function():
     # a numpy that stops exposing the implementation under __wrapped__ fails
     # here, instead of paying for the dispatch again without a sign

@@ -166,7 +166,7 @@ def checks_curvature(scene: Scene, derived: streff.Derived) -> tuple[list, dict]
     J, W = (JW[k].map(lambda t: 0.5 * (t - t.swapaxes(1, 2))) for k in (0, 1))  # skew in (1, 2)
     params = gconn.validate_params(J, W)
     K = gconn.param_tensor_frame(params, minimal.metric)
-    conn = gconn.with_params(minimal, params, K)
+    conn = gconn.with_params(minimal, K)
     return [
         ("curvature.skew-last-pair", "curvature tensor is skew in the bracket slots", "sym",
          r + tn.einsum("dcbap->dcabp", r)),

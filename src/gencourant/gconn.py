@@ -23,18 +23,19 @@ B) but no content.
 A connection is its coefficients at the chart's sample points, the jet
 ``gamma`` of Gamma[C, A, B].  Everything it is built from is a jet too
 (``tensors.Jet``): the chart connection and H' for the block transport,
-which the minimal connection makes torsion-free, the metric and the
-parameters for the family (``with_params``), the 2-jet of the bivector
-shear for its transport (``theta_transport``), the anchor and the
-brackets of each picture.  They
-are combined by ``tensors.jet_contract``, the product rule applied to one
-einsum.  Everything read from a connection is numbers at
-those points, each array ending in the point axis: the torsion
-(``torsion_map``), the compatibility residuals
-(``gtb.covariant_derivative``), R0 and its traces
-(``gtb.frame_curvature``), from which R, and without R the Ricci tensor
-and its traces, follow by einsum, and the characteristic field.  The
-random parameter pair of the curvature suite is the jet of random
+which the minimal connection makes torsion-free, the deformation tensor
+K of the family (``with_params``; ``param_tensor_frame`` contracts it
+from a parameter pair and the metric, ``dilaton_connection`` writes the
+dilaton's in closed form), the 2-jet of the bivector shear for its
+transport (``theta_transport``), the anchor and the brackets of each
+picture.  They are combined by ``tensors.jet_contract``, the product
+rule applied to one einsum, or by broadcasting where no index is
+summed.  Everything read from a connection is numbers at those points,
+each array ending in the point axis: the torsion (``torsion_map``), the
+compatibility residuals (``gtb.covariant_derivative``), R0 and its
+traces (``gtb.frame_curvature``), from which R, and without R the Ricci
+tensor and its traces, follow by einsum, and the characteristic field.
+The random parameter pair of the curvature suite is the jet of random
 polynomials (``tensors.random_polynomial_jets``), checked by
 ``validate_params``.
 
@@ -385,16 +386,12 @@ def param_tensor_frame(params: ConnParams, metric: GeneralizedMetric) -> Jet:
     them, and -J on an even number, with g on the vector legs.  Each leg
     is contracted on its own, a ``tensors.jet_contract`` of two jets, so
     no einsum loops over all the indices of a three-leg term at once; the
-    three-leg term goes on from the one-leg term of its first slot.  A
-    parameter whose jet is zero, such as the dilaton's J, adds no terms:
-    its blocks of K stay zero."""
+    three-leg term goes on from the one-leg term of its first slot."""
     n = metric.chart.dim
     K = tn.constant_jet(np.zeros((2 * n,) * 3), metric.chart)
     vec, form = slice(0, n), slice(n, 2 * n)
     for leg, t, legged, rest, sign in ((metric.g_inv, params.W, form, vec, 1.0),
                                       (metric.g, params.J, vec, form, -1.0)):
-        if not (t.value.any() or t.partial.any()):  # a NaN is nonzero, so it reaches K
-            continue
         ones = [_leg_into(leg, k, t) for k in range(3)]
         for k, block in enumerate(ones):
             K[tuple(legged if j == k else rest for j in range(3))] = sign * block
@@ -422,37 +419,56 @@ def trace_identity_residual(conn: GenConnection, K: np.ndarray) -> np.ndarray:
     return tn.einsum("nmlp,nlmp->p", up, K - 2.0 * tn.einsum("lnmp->nlmp", K))
 
 
-def with_params(base: GenConnection, params: ConnParams, K: Jet | None = None) -> GenConnection:
+def with_params(base: GenConnection, K: Jet) -> GenConnection:
     """base + g_E^{-1} K(., ., .): every torsion-free metric connection for
-    the block-diagonal metric arises this way.  Gamma^C_{AB} gains
-    K[A, B, swap(C)], and its partials gain those of K, the jet
-    ``param_tensor_frame(params, base.metric)``; a caller that reads K
-    itself passes it, so it is built once."""
-    if K is None:
-        K = param_tensor_frame(params, base.metric)
+    the block-diagonal metric arises this way, for the jet of the frame
+    components K[A, B, C] of a deformation tensor (``param_tensor_frame``
+    of a parameter pair, or the dilaton's closed form).  Gamma^C_{AB}
+    gains K[A, B, swap(C)], and its partials gain those of K."""
     return _connection("parameter family jet", base.algebroid,
                        base.gamma + tn.jet_contract("abc->cab", K[:, :, _swap(base.algebroid)]),
                        base.metric)
 
 
-def dilaton_params(g: Jet, dphi: Jet) -> ConnParams:
-    """J = 0 and W(X,Y,Z) = (1/(n-1)){ g(X,Y) <dphi, Z> - g(X,Z) <dphi, Y> },
-    from the jets of g and of the partials of phi: the choice with
-    vanishing characteristic vector field and partial trace exactly dphi.
-    The g-trace of the brace is (n-1) dphi, which fixes the normalization;
-    needs n > 1, which the central suite checks before it builds anything."""
-    n = g.value.shape[0]
-    W = (1.0 / (n - 1)) * (tn.jet_contract("ij,k->ijk", g, dphi) - tn.jet_contract("ik,j->ijk", g, dphi))
-    return ConnParams(0.0 * W, W)
-
-
 def dilaton_connection(minimal: GenConnection, dphi: Jet) -> GenConnection:
     """The connection of the flatness/compatibility dictionary for the
     background (g, B, phi), in the block picture: the minimal connection of
-    g with twist H' = H + dB plus the dilaton parameters, for the jet of
-    the partials of phi.  It is torsion-free and compatible with
-    BlockDiag(g, g^{-1}) on the H'-twisted bracket."""
-    return with_params(minimal, dilaton_params(minimal.metric.g, dphi))
+    g with twist H' = H + dB plus the dilaton parameters J = 0 and
+    W(X,Y,Z) = c{ g(X,Y) <dphi, Z> - g(X,Z) <dphi, Y> }, c = 1/(n-1), for
+    the jet of the partials of phi: the choice with vanishing characteristic
+    vector field and partial trace exactly dphi.  The g-trace of the brace
+    is (n-1) dphi, which fixes c; needs n > 1, which the central suite
+    checks before it builds anything.  It is torsion-free and compatible
+    with BlockDiag(g, g^{-1}) on the H'-twisted bracket.
+
+    Its deformation tensor K (``param_tensor_frame`` of these parameters)
+    is written in closed form, g^{-1} g = 1 cancelled by hand: with
+    f = c dphi and psi = g^{-1} f, the only summed contraction,
+        K[n+i, b, k]     = delta_ib f_k - delta_ik f_b
+        K[a, n+j, k]     = delta_aj f_k - g_ak psi_j
+        K[a, b, n+k]     = g_ab psi_k - delta_ak f_b
+        K[n+i, n+j, n+k] = g^{-1}_ij psi_k - g^{-1}_ik psi_j,
+    each block a difference of the outer products D = delta f, G = g psi
+    and Gi = g^{-1} psi and of their transposes in the last two slots; its
+    other blocks are zero.  D is a broadcast product (delta is constant),
+    G and Gi one ``tensors.jet_contract`` each: broadcast products of the
+    strided views g, g^{-1} and psi read a higher peak RSS in the
+    benchmark's fresh processes."""
+    metric = minimal.metric
+    n = metric.chart.dim
+    f = (1.0 / (n - 1)) * dphi
+    psi = tn.jet_contract("ij,j->i", metric.g_inv, f)
+    eye = np.eye(n)
+    D = Jet(eye[:, :, None, None] * f.value, eye[:, :, None, None, None] * f.partial)
+    G, Gi = (tn.jet_contract("xy,z->xyz", M, psi) for M in (metric.g, metric.g_inv))
+    D_t, G_t, Gi_t = (t.map(lambda a: a.swapaxes(1, 2)) for t in (D, G, Gi))
+    K = tn.constant_jet(np.zeros((2 * n,) * 3), metric.chart)
+    vec, form = slice(0, n), slice(n, 2 * n)
+    K[form, vec, vec] = D - D_t
+    K[vec, form, vec] = D - G_t
+    K[vec, vec, form] = G - D_t
+    K[form, form, form] = Gi - Gi_t
+    return with_params(minimal, K)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def constant_jet(array, chart: Chart) -> Jet:
     """The jet of a constant float array at the chart's sample points."""
     array = np.asarray(array, dtype=float)
     count = len(chart.sample_points())
-    return Jet(np.repeat(array[..., None], count, axis=-1),
+    return Jet(array[..., None].repeat(count, axis=-1),
                np.zeros(array.shape + (chart.dim, count)))
 
 
@@ -306,7 +306,7 @@ def check_antisymmetric(comps: np.ndarray, points):
     """All-pairs antisymmetry of a covariant or contravariant form, from the
     float array of its values [..., p] at ``points``."""
     for i in range(comps.ndim - 2):
-        diff = comps + np.swapaxes(comps, i, i + 1)
+        diff = comps + comps.swapaxes(i, i + 1)
         worst, _ = ex.max_abs_on_points(diff, points)
         if not worst <= 1e-10:
             raise NotAntisymmetric(f"antisymmetry residual {worst:.3e} in slots ({i},{i + 1})")

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 from hypothesis import settings
 
+from gencourant import gconn
 from gencourant import tensors as tn
 from gencourant.expr import Chart, chart
 from gencourant.scene import from_upper
@@ -314,6 +315,12 @@ def param_jets(J, W, c):
     """The jets at the sample points of a parameter pair of Expr arrays,
     as ``gconn.validate_params`` takes them."""
     return tn.jets_at(J, c), tn.jets_at(W, c)
+
+
+def with_pair(base, params):
+    """``gconn.with_params`` of base and the deformation tensor of the
+    parameter pair ``params`` (``gconn.param_tensor_frame``)."""
+    return gconn.with_params(base, gconn.param_tensor_frame(params, base.metric))
 
 
 def projected_params(J, W):

@@ -7,9 +7,10 @@ the e^B shear are written without, the sheared picture, which the
 verifier does not build (the dilaton connection sheared by e^B, then
 transported through F_theta alone), numpy's helper forms (np.ix_,
 np.tril_indices, np.broadcast_to, np.stack and np.split) of the index,
-block and split code that the package writes without them, and the
-zero-anchor (quadratic Lie algebra) case in exact rational arithmetic,
-independent of the frame calculus it is compared with.
+block and split code that the package writes without them, the dilaton
+parameter pair whose deformation tensor the verifier writes in closed
+form, and the zero-anchor (quadratic Lie algebra) case in exact rational
+arithmetic, independent of the frame calculus it is compared with.
 """
 
 import functools
@@ -135,6 +136,17 @@ def param_tensor_frame_reference(params, metric):
     return K
 
 
+def dilaton_params(g, dphi):
+    """The dilaton parameters J = 0 and
+    W(X,Y,Z) = (1/(n-1)){ g(X,Y) <dphi, Z> - g(X,Z) <dphi, Y> } from the
+    jets of g and of the partials of phi, whose ``param_tensor_frame``
+    contracts g^{-1} into W a leg at a time, where
+    ``gconn.dilaton_connection`` writes the resulting K in closed form."""
+    n = g.value.shape[0]
+    W = (1.0 / (n - 1)) * (tn.jet_contract("ij,k->ijk", g, dphi) - tn.jet_contract("ik,j->ijk", g, dphi))
+    return gconn.ConnParams(0.0 * W, W)
+
+
 def lc_parameter_space_dim(n: int) -> int:
     """Dimension of the null space of the pointwise linear constraints on a
     frame 3-tensor K: skew in the last two slots, compatibility with the
@@ -240,8 +252,6 @@ def param_tensor_frame_ix(params, metric):
     vec, form = range(n), range(n, 2 * n)
     for leg, t, legged, rest, sign in ((metric.g_inv, params.W, form, vec, 1.0),
                                       (metric.g, params.J, vec, form, -1.0)):
-        if not (t.value.any() or t.partial.any()):
-            continue
         ones = [gconn._leg_into(leg, k, t) for k in range(3)]
         for k, block in enumerate(ones):
             K[np.ix_(*[legged if j == k else rest for j in range(3)])] = sign * block

@@ -139,7 +139,7 @@ def _family_fixture(salt):
     g = bumpy_metric(c, salt=salt)
     H = dB(bumpy_b(c, salt=salt + 50), c)
     J, W = _random_pair(c, salt + 100)
-    conn = gconn.with_params(minimal(g, H, c), gconn.validate_params(*conftest.param_jets(J, W, c)))
+    conn = conftest.with_pair(minimal(g, H, c), gconn.validate_params(*conftest.param_jets(J, W, c)))
     return c, conn, family_closed_forms(c, g, H, *projected_params(J, W))
 
 

@@ -986,24 +986,26 @@ def test_all_builds_each_derived_quantity_once(monkeypatch):
     # for H' (the block transport, which the minimal and the dilaton
     # connection reuse: central and equivalence read them in that block
     # picture, with no shear by e^B), and e^{-B} o F_theta once.  The
-    # deformation tensor K is built once for the random parameter pair of
-    # the curvature suite (its family connection and its trace identity
-    # both read it) and once for the dilaton parameters.  The full
+    # deformation tensor K of a parameter pair is built once, for the random
+    # pair of the curvature suite (its family connection and its trace
+    # identity both read it); the dilaton connection writes its own K in
+    # closed form.  The full
     # curvature tensor is built twice, for the curvature suite's symmetries
     # of the minimal connection and its torsionful Bianchi check of the
     # block transport: every Ricci tensor is traced term by term.
     calls = builder_calls(monkeypatch, "all", load_scene(SCENES / "poly2d.json"))
     assert calls == {"christoffel": 1, "jet_inverse": 2, "check_antisymmetric": 2,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 1,
-                     "theta_twist_matrices": 1, "param_tensor_frame": 2, "gen_riemann": 2}
+                     "theta_twist_matrices": 1, "param_tensor_frame": 1, "gen_riemann": 2}
 
 
 def test_central_on_a_4d_scene_builds_each_derived_quantity_once(monkeypatch):
-    # central reads the dilaton connection's Ricci tensor, not its curvature
+    # central reads the dilaton connection's Ricci tensor, not its
+    # curvature, and builds no K from a parameter pair
     calls = builder_calls(monkeypatch, "central", four_d_scene(1))
     assert calls == {"christoffel": 1, "jet_inverse": 1, "check_antisymmetric": 1,
                      "beta_all": 1, "dilaton_connection": 1, "standard_algebroid": 1,
-                     "theta_twist_matrices": 0, "param_tensor_frame": 1, "gen_riemann": 0}
+                     "theta_twist_matrices": 0, "param_tensor_frame": 0, "gen_riemann": 0}
 
 
 SUITE_FUNCTIONS = ("checks_axioms", "checks_torsion", "checks_curvature", "checks_beta",

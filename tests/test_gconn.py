@@ -252,7 +252,7 @@ def test_ricci_symmetric():
 @pytest.mark.parametrize("ricci_first", [True, False], ids=["ricci-first", "riemann-first"])
 def test_ricci_is_the_trace_of_the_kept_riemann_tensor(ricci_first):
     g = bumpy_metric(C2, salt=17)
-    conn = gconn.with_params(minimal(g, closed_h(C2, salt=18)), random_params(C2, g))
+    conn = conftest.with_pair(minimal(g, closed_h(C2, salt=18)), random_params(C2, g))
     if ricci_first:
         ric = gconn.ricci(conn)
         r = gconn.gen_riemann(conn)
@@ -281,7 +281,7 @@ def test_ricci_traced_term_by_term_matches_the_trace_of_the_curvature_tensor(dim
     B = conftest.bumpy_b(c, salt=salt + 1, offset=1.0 if dim % 2 == 0 else 0.0)
     phi = tn.ex.random_polynomial(c, c.rng(salt + 2), 2, 0.3)
     derived = streff.Derived(streff.Background(c, g, B, phi, closed_h(c, salt=salt + 3)))
-    conns = [derived.minimal, gconn.with_params(derived.minimal, random_params(c, g, salt + 4))]
+    conns = [derived.minimal, conftest.with_pair(derived.minimal, random_params(c, g, salt + 4))]
     if dim % 2 == 0:
         conns.append(derived.theta_connection)
     for conn in conns:
@@ -361,7 +361,7 @@ def test_validate_params_cases():
     phi = tn.ex.parse_expr("x*y", C2)
     dphi = tn.partials(phi, C2)
     W = np.einsum("ij,k->ijk", g, dphi) - np.einsum("ik,j->ijk", g, dphi)
-    dil = gconn.dilaton_params(tn.field_jets(g, C2)[0], tn.field_jets(phi, C2)[1])
+    dil = oracles.dilaton_params(tn.field_jets(g, C2)[0], tn.field_jets(phi, C2)[1])
     kept = gconn.validate_params(*conftest.param_jets(zero, W, C2))
     assert max_abs(kept.W.value - dil.W.value, C2) < 1e-12
     assert max_abs(kept.W.partial - dil.W.partial, C2) < 1e-12
@@ -377,7 +377,7 @@ def test_with_params_zero_is_identity():
     H = closed_h(C2, salt=24)
     conn = minimal(g, H)
     zero = tn.constant_jet(np.zeros((2, 2, 2)), C2)
-    same = gconn.with_params(conn, gconn.ConnParams(zero, zero))
+    same = conftest.with_pair(conn, gconn.ConnParams(zero, zero))
     np.testing.assert_array_equal(same.gamma.value, conn.gamma.value)
     np.testing.assert_array_equal(same.gamma.partial, conn.gamma.partial)
 
@@ -385,7 +385,7 @@ def test_with_params_zero_is_identity():
 def test_with_params_stays_levi_civita():
     g = bumpy_metric(C2, salt=25)
     H = closed_h(C2, salt=26)
-    conn = gconn.with_params(minimal(g, H), random_params(C2, g, salt=27))
+    conn = conftest.with_pair(minimal(g, H), random_params(C2, g, salt=27))
     assert max_abs(gconn.gualtieri_torsion(conn), C2) < 1e-9
     assert max_abs(gconn.pairing_compat_residual(conn), C2) < 1e-10
     assert max_abs(gconn.metric_compat_residual(conn), C2) < 1e-9
@@ -395,7 +395,7 @@ def family(salt):
     g = bumpy_metric(C2, salt=salt)
     H = closed_h(C2, salt=salt + 1)
     J, W = random_pair(C2, salt=salt + 2)
-    conn = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(J, W, C2)))
+    conn = conftest.with_pair(minimal(g, H), gconn.validate_params(*conftest.param_jets(J, W, C2)))
     return conn, family_closed_forms(C2, g, H, *projected_params(J, W))
 
 
@@ -421,7 +421,7 @@ def test_char_vf_and_v_tensor_with_params():
     assert max_abs(gconn.char_vf(base), C2) < 1e-10
     assert max_abs(oracles.v_tensor(base), C2) < 1e-10
 
-    conn = gconn.with_params(base, gconn.validate_params(*conftest.param_jets(J, W, C2)))
+    conn = conftest.with_pair(base, gconn.validate_params(*conftest.param_jets(J, W, C2)))
     Jx, Wx = projected_params(J, W)
     *_, Jp, Wp = family_closed_forms(C2, g, H, Jx, Wx)
     assert max_abs(gconn.char_vf(conn) - Jp * 2.0, C2) < 1e-10
@@ -441,8 +441,8 @@ def test_affine_family_scalar_relations():
     g = bumpy_metric(C2, salt=41)
     H = closed_h(C2, salt=42)
     pair1, pair2 = random_pair(C2, salt=43), random_pair(C2, salt=44)
-    base = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(*pair1, C2)))
-    other = gconn.with_params(minimal(g, H), gconn.validate_params(*conftest.param_jets(*pair2, C2)))
+    base = conftest.with_pair(minimal(g, H), gconn.validate_params(*conftest.param_jets(*pair1, C2)))
+    other = conftest.with_pair(minimal(g, H), gconn.validate_params(*conftest.param_jets(*pair2, C2)))
     (J1, W1), (J2, W2) = projected_params(*pair1), projected_params(*pair2)
     # the identities are checked on the symbolic coefficients of base
     ginv = matrix_inverse(g)
@@ -541,9 +541,9 @@ def test_param_tensor_frame_a_leg_at_a_time_matches_the_one_einsum_reference(dim
 @pytest.mark.parametrize("count", [1, 5])
 @pytest.mark.parametrize("J", ["zero", "zero values", "a NaN"])
 def test_param_tensor_frame_with_a_zero_j_equals_the_reference(dim, count, J):
-    # the dilaton's J = 0 * W adds no legs to K, where the reference
-    # contracts it; a J that is zero only in its values, or has a NaN, is
-    # contracted.  On jets of small integers every product and sum is
+    # a J that is zero, zero only in its values, or has a NaN is contracted
+    # a leg at a time like any other, where the reference contracts all its
+    # legs at once.  On jets of small integers every product and sum is
     # exact, so any difference would be a fault, not roundoff
     c = chart("x y z w".split()[:dim], num_points=count)
     rng = np.random.default_rng(10 * dim + count)
@@ -653,7 +653,7 @@ def test_scalars_invariant_under_untwist():
     g = bumpy_metric(C2, salt=61)
     H = closed_h(C2, salt=62)
     B = bumpy_b(C2, salt=63)
-    hat = gconn.with_params(minimal(g, H), random_params(C2, g, salt=64))
+    hat = conftest.with_pair(minimal(g, H), random_params(C2, g, salt=64))
     conn = oracles.untwist(hat, b_jets(B))
     assert max_abs(gconn.scalar_E(hat) - gconn.scalar_E(conn), C2) < 1e-9
     assert max_abs(gconn.scalar_G(hat) - gconn.scalar_G(conn), C2) < 1e-9
@@ -701,7 +701,7 @@ def test_char_vf_invariant_under_untwist():
     H = closed_h(C2, salt=69)
     B = bumpy_b(C2, salt=70)
     params = random_params(C2, g, salt=71)
-    hat = gconn.with_params(minimal(g, H), params)
+    hat = conftest.with_pair(minimal(g, H), params)
     conn = oracles.untwist(hat, b_jets(B))
     assert max_abs(gconn.char_vf(hat) - gconn.char_vf(conn), C2) < 1e-10
 
@@ -719,8 +719,8 @@ def test_connections_match_the_symbolic_ones(salt, count):
     derived, oracle = streff.Derived(bg), Oracle(bg)
     minimal_conn, B = derived.minimal, bg.B
     J, W = random_pair(bg.chart, salt=salt)
-    family_conn = gconn.with_params(minimal_conn,
-                                    gconn.validate_params(*conftest.param_jets(J, W, bg.chart)))
+    family_conn = conftest.with_pair(minimal_conn,
+                                     gconn.validate_params(*conftest.param_jets(J, W, bg.chart)))
     family_gamma = symbolic_with_params(oracle.standard, oracle.minimal, *projected_params(J, W),
                                         bg.g, oracle.ginv)
     pkg = derived.symplectic
@@ -754,6 +754,27 @@ def test_dilaton_constant_phi_reduces_to_minimal():
     conn = gconn.dilaton_connection(base, tn.field_jets(tn.ex.Const(3.0), C2)[1])
     assert max_abs(conn.gamma.value - base.gamma.value, C2) < 1e-12
     assert max_abs(conn.gamma.partial - base.gamma.partial, C2) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 6), count=st.sampled_from([1, 5]), seed=st.integers(0, 2**32 - 1))
+def test_dilaton_connection_in_closed_form_matches_the_contracted_parameters(dim, count, seed):
+    # random jets of a metric, of dphi and of the base coefficients: the
+    # closed-form deformation tensor against param_tensor_frame of the
+    # dilaton parameters, which contracts g^{-1} into W a leg at a time, to
+    # 1e-12 of the largest entry of K in each half
+    c = chart("x y z w u v".split()[:dim], num_points=count)
+    rng = np.random.default_rng(seed)
+    metric = random_block_metric(rng, c)
+    base = gconn.GenConnection(gconn.standard_algebroid(c, uniform_jet(rng, c, (dim,) * 3).map(gconn._alt3)),
+                               uniform_jet(rng, c, (2 * dim,) * 3), metric)
+    dphi = uniform_jet(rng, c, (dim,))
+    got = gconn.dilaton_connection(base, dphi).gamma
+    K = gconn.param_tensor_frame(oracles.dilaton_params(metric.g, dphi), metric)
+    want = gconn.with_params(base, K).gamma
+    for half in ("value", "partial"):
+        scale = np.abs(getattr(K, half)).max()
+        np.testing.assert_allclose(getattr(got, half), getattr(want, half), rtol=0, atol=1e-12 * scale)
 
 
 def test_dilaton_connection_traces():

@@ -126,10 +126,11 @@ def test_no_module_calls_np_einsum():
 
 def test_no_module_calls_numpys_python_index_helpers():
     # each of these is Python code in numpy (argument checks, dispatch),
-    # run cold in every fresh process; slices, index arrays, reshapes and
-    # np.zeros/np.array give the same arrays without it
+    # run cold in every fresh process; slices, index arrays, reshapes,
+    # np.zeros/np.array and the ndarray methods .repeat/.swapaxes give the
+    # same arrays without it
     src = ROOT / "src" / "gencourant"
-    helpers = r"\bnp\.(ix_|stack|split|zeros_like|tril_indices|broadcast_to)\("
+    helpers = r"\bnp\.(ix_|stack|split|zeros_like|tril_indices|broadcast_to|repeat|swapaxes)\("
     assert [path.name for path in sorted(src.glob("*.py"))
             if re.search(helpers, path.read_text())] == []
 
@@ -164,15 +165,16 @@ def test_central_on_the_4d_scene_loops_over_at_most_2n_to_the_fourth_indices(mon
 
 
 def test_central_on_the_4d_scene_einsum_budget(monkeypatch):
-    # 81 measured, plus ~4% headroom: H' is raised once for the minimal
-    # connection, the dilaton's zero J adds no legs to K, and the block
-    # picture's B = None adds no B terms to the Gram pair
-    assert len(einsum_calls(monkeypatch, "central", generated_scene(1, 1))) <= 84
+    # 69 measured, plus 3: H' is raised once for the minimal connection,
+    # the dilaton's K is written in closed form (g^{-1} dphi and two outer
+    # products), and the block picture's B = None adds no B terms to the
+    # Gram pair
+    assert len(einsum_calls(monkeypatch, "central", generated_scene(1, 1))) <= 72
 
 
 def test_all_on_poly2d_einsum_budget(monkeypatch):
-    # 457 measured, plus ~7% headroom; the Gram pair is built from n x n
-    # blocks, not from dense e^{+-B} products, and the axioms suite brackets
-    # each pair once
+    # 445 measured, plus 31; the Gram pair is built from n x n blocks, not
+    # from dense e^{+-B} products, the axioms suite brackets each pair once,
+    # and the dilaton's K is written in closed form
     doc = json.loads((ROOT / "scenes" / "poly2d.json").read_text())
-    assert len(einsum_calls(monkeypatch, "all", doc)) <= 488
+    assert len(einsum_calls(monkeypatch, "all", doc)) <= 476

@@ -53,24 +53,25 @@ after that shares a value with them.
 ``differentiate`` is the one derivative rule: the partials of a field that
 the numeric stages read, second partials included, are its symbolic
 derivatives, valued in the same call as the field.
+
+The parser reads its tokens with one compiled pattern (a number as
+``float()`` reads it, an ASCII name, an operator, or any other non-blank
+character, which is an error at its offset), and ``Chart`` holds its
+coordinate names to the same name rule.  A recursive descent reads the
+grammar of the parser section; a run of unary signs folds by its parity in
+a loop, and text nested past the interpreter's recursion limit is a syntax
+error.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownSymbol
-
-_IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_REST = _IDENT_FIRST | set("0123456789")
-
-
-def _is_identifier(name: str) -> bool:
-    return bool(name) and name[0] in _IDENT_FIRST and all(c in _IDENT_REST for c in name)
-
 
 # ---------------------------------------------------------------------------
 # charts and sampling
@@ -139,7 +140,8 @@ class Chart:
         if len(set(coord_names)) != dim:
             raise ValueError("coordinate names must be pairwise distinct")
         for name in coord_names:
-            if not _is_identifier(name):
+            token = _TOKEN.fullmatch(name)  # the parser's name rule
+            if token is None or token.lastgroup != "name":
                 raise ValueError(f"'{name}' is not a valid identifier")
         dom = domain or tuple((-1.0, 1.0) for _ in range(dim))
         if len(dom) != dim:
@@ -873,64 +875,38 @@ def _print(e: Expr) -> tuple[str, int]:
 # power   := atom ('^' exponent)?      exponent := ['-'] integer | '(' ['-'] integer ')'
 # atom    := number | name '(' expr ')' | name | '(' expr ')'
 #
-# Numbers are nonnegative decimal literals with optional fraction and
-# exponent part; leading '-' is parsed as negation.
+# A number is nonnegative: a leading '-' is parsed as negation.  An
+# operator token's kind is its own character.
 
-_TOK_NUM, _TOK_NAME, _TOK_OP, _TOK_END = "num", "name", "op", "end"
+_TOKEN = re.compile(r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
+    """(kind, text, offset) per token, then ("end", "", len(text))."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^(),":
-            tokens.append((_TOK_OP, c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append((_TOK_NUM, text[i:j], i))
-            i = j
-            continue
-        if c in _IDENT_FIRST:
-            j = i
-            while j < n and text[j] in _IDENT_REST:
-                j += 1
-            tokens.append((_TOK_NAME, text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character '{c}'", i)
-    tokens.append((_TOK_END, "", n))
+    for m in _TOKEN.finditer(text):
+        kind, val = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character '{val}'", m.start())
+        tokens.append((val if kind == "op" else kind, val, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, chart_: Chart):
-        self.text = text
         self.chart = chart_
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def accept(self, ops: str):
+        """The next token's kind, consumed, if it is one of the operators ``ops``."""
+        kind = self.tokens[self.pos][0]
+        if kind in ops:
+            self.pos += 1
+            return kind
+        return None
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -938,66 +914,45 @@ class _Parser:
         return tok
 
     def expect_op(self, op: str):
-        kind, val, at = self.next()
-        if kind != _TOK_OP or val != op:
+        kind, _, at = self.next()
+        if kind != op:
             raise ExprSyntaxError(f"expected '{op}'", at)
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, val, at = self.peek()
-        if kind != _TOK_END:
+        kind, val, at = self.tokens[self.pos]
+        if kind != "end":
             raise ExprSyntaxError(f"unexpected '{val}'", at)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = add(e, rhs) if val == "+" else add(e, neg(rhs))
-            else:
-                return e
+        while op := self.accept("+-"):
+            rhs = self.term()
+            e = add(e, rhs) if op == "+" else add(e, neg(rhs))
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "*/":
-                self.next()
-                rhs = self.factor()
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
-            else:
-                return e
+        while op := self.accept("*/"):
+            rhs = self.factor()
+            e = mul(e, rhs) if op == "*" else div(e, rhs)
+        return e
 
     def factor(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val in "+-":
-            self.next()
-            inner = self.factor()
-            return neg(inner) if val == "-" else inner
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.next()
-            return powi(base, self.exponent())
-        return base
+        negate = False
+        while op := self.accept("+-"):
+            negate ^= op == "-"
+        e = self.atom()
+        if self.accept("^"):
+            e = powi(e, self.exponent())
+        return neg(e) if negate else e
 
     def exponent(self) -> int:
+        parens = self.accept("(")
+        sign = -1 if self.accept("-") else 1
         kind, val, at = self.next()
-        sign = 1
-        parens = False
-        if kind == _TOK_OP and val == "(":
-            parens = True
-            kind, val, at = self.next()
-        if kind == _TOK_OP and val == "-":
-            sign = -1
-            kind, val, at = self.next()
-        if kind != _TOK_NUM or any(c in val for c in ".eE"):
+        if kind != "num" or not val.isdecimal():
             raise ExprSyntaxError("power exponent must be an integer literal", at)
         if parens:
             self.expect_op(")")
@@ -1005,22 +960,19 @@ class _Parser:
 
     def atom(self) -> Expr:
         kind, val, at = self.next()
-        if kind == _TOK_NUM:
+        if kind == "num":
             return Const(float(val))
-        if kind == _TOK_OP and val == "(":
+        if kind == "(":
             e = self.expr()
             self.expect_op(")")
             return e
-        if kind == _TOK_NAME:
-            nkind, nval, _ = self.peek()
-            if nkind == _TOK_OP and nval == "(":
-                fn = _FUNCTIONS.get(val)
-                if fn is None:
+        if kind == "name":
+            if self.accept("("):
+                if val not in _FUNCTIONS:
                     raise UnknownSymbol(val, at)
-                self.next()
                 arg = self.expr()
                 self.expect_op(")")
-                return fn(arg)
+                return _FUNCTIONS[val](arg)
             if val in self.chart.coord_names:
                 return Coord(self.chart, self.chart.coord_names.index(val))
             raise UnknownSymbol(val, at)
@@ -1029,10 +981,15 @@ class _Parser:
 
 def parse_expr(text: str, chart_: Chart) -> Expr:
     """Parse ``text`` against ``chart_``.  Usual infix precedence, ``^`` for
-    integer powers, function-call syntax for sin/cos/exp/ln/sqrt."""
+    integer powers, function-call syntax for sin/cos/exp/ln/sqrt.  Text
+    nested deeper than the interpreter's recursion limit allows is a
+    syntax error."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, chart_).parse()
+    try:
+        return _Parser(text, chart_).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

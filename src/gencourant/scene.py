@@ -183,6 +183,9 @@ def scene_from_dict(doc: dict, name: str = "scene", seed=None, points=None) -> S
         background = Background(chart, g, B, phi, H, B0)
     except GencourantError as err:
         raise SceneValidationError(str(err), "background") from err
+    except RecursionError:  # a field's partials recurse as deep as it is nested
+        raise SceneValidationError("a field is nested too deeply to differentiate",
+                                   "background") from None
 
     options = doc.get("options", {})
     _reject_unknown_keys(options, OPTION_KEYS, "options")

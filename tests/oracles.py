@@ -9,7 +9,8 @@ transported through F_theta alone), numpy's helper forms (np.ix_,
 np.tril_indices, np.broadcast_to, np.stack and np.split) of the index,
 block and split code that the package writes without them, the dilaton
 parameter pair whose deformation tensor the verifier writes in closed
-form, and the zero-anchor (quadratic Lie algebra) case in exact rational
+form, the expression front end as a per-character tokenizer and recursive
+parser, and the zero-anchor (quadratic Lie algebra) case in exact rational
 arithmetic, independent of the frame calculus it is compared with.
 """
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from gencourant import gconn, gtb
 from gencourant import tensors as tn
-from gencourant.errors import GencourantError
+from gencourant.errors import ExprSyntaxError, GencourantError, UnknownSymbol
+from gencourant.expr import _FUNCTIONS, Chart, Const, Coord, Expr, add, div, mul, neg, powi
 from gencourant.riemann import covariant_derivative
 from gencourant.tensors import DOWN
 
@@ -545,3 +547,171 @@ def qla_compat_residual(qla: QuadraticLieAlgebra, gamma):
         [[low(a, b, e) + low(a, e, b) for e in range(d)] for b in range(d)]
         for a in range(d)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the expression front end as a per-character tokenizer and a recursive
+# descent parser: the reference the pattern tokenizer is compared with
+# ---------------------------------------------------------------------------
+
+_IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_REST = _IDENT_FIRST | set("0123456789")
+
+_TOK_NUM, _TOK_NAME, _TOK_OP, _TOK_END = "num", "name", "op", "end"
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^(),":
+            tokens.append((_TOK_OP, c, i))
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            tokens.append((_TOK_NUM, text[i:j], i))
+            i = j
+            continue
+        if c in _IDENT_FIRST:
+            j = i
+            while j < n and text[j] in _IDENT_REST:
+                j += 1
+            tokens.append((_TOK_NAME, text[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character '{c}'", i)
+    tokens.append((_TOK_END, "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, chart_: Chart):
+        self.text = text
+        self.chart = chart_
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val, at = self.next()
+        if kind != _TOK_OP or val != op:
+            raise ExprSyntaxError(f"expected '{op}'", at)
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        kind, val, at = self.peek()
+        if kind != _TOK_END:
+            raise ExprSyntaxError(f"unexpected '{val}'", at)
+        return e
+
+    def expr(self) -> Expr:
+        e = self.term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == _TOK_OP and val in "+-":
+                self.next()
+                rhs = self.term()
+                e = add(e, rhs) if val == "+" else add(e, neg(rhs))
+            else:
+                return e
+
+    def term(self) -> Expr:
+        e = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == _TOK_OP and val in "*/":
+                self.next()
+                rhs = self.factor()
+                e = mul(e, rhs) if val == "*" else div(e, rhs)
+            else:
+                return e
+
+    def factor(self) -> Expr:
+        kind, val, _ = self.peek()
+        if kind == _TOK_OP and val in "+-":
+            self.next()
+            inner = self.factor()
+            return neg(inner) if val == "-" else inner
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        kind, val, _ = self.peek()
+        if kind == _TOK_OP and val == "^":
+            self.next()
+            return powi(base, self.exponent())
+        return base
+
+    def exponent(self) -> int:
+        kind, val, at = self.next()
+        sign = 1
+        parens = False
+        if kind == _TOK_OP and val == "(":
+            parens = True
+            kind, val, at = self.next()
+        if kind == _TOK_OP and val == "-":
+            sign = -1
+            kind, val, at = self.next()
+        if kind != _TOK_NUM or any(c in val for c in ".eE"):
+            raise ExprSyntaxError("power exponent must be an integer literal", at)
+        if parens:
+            self.expect_op(")")
+        return sign * int(val)
+
+    def atom(self) -> Expr:
+        kind, val, at = self.next()
+        if kind == _TOK_NUM:
+            return Const(float(val))
+        if kind == _TOK_OP and val == "(":
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        if kind == _TOK_NAME:
+            nkind, nval, _ = self.peek()
+            if nkind == _TOK_OP and nval == "(":
+                fn = _FUNCTIONS.get(val)
+                if fn is None:
+                    raise UnknownSymbol(val, at)
+                self.next()
+                arg = self.expr()
+                self.expect_op(")")
+                return fn(arg)
+            if val in self.chart.coord_names:
+                return Coord(self.chart, self.chart.coord_names.index(val))
+            raise UnknownSymbol(val, at)
+        raise ExprSyntaxError(f"unexpected '{val}'" if val else "unexpected end of input", at)
+
+
+def parse_reference(text: str, chart_):
+    """``expr.parse_expr`` as the reference front end parses ``text``: the
+    same grammar, errors and nodes, with one recursion per unary sign and
+    ``str.isdigit`` for digits."""
+    if not text or not text.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    return _Parser(text, chart_).parse()

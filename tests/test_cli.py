@@ -330,6 +330,59 @@ def test_main_overflow_is_an_input_error(tmp_path, capsys, phi, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "phi, code, message",
+    [
+        # str.isdigit reads a superscript two as a digit, which int() refuses
+        ("1 + x^\u00b2", 2, "unexpected character '\u00b2' (at offset 6) [background.phi]"),
+        ("(" * 250 + "x" + ")" * 250, 2, "expression nested too deeply (at offset 0) [background.phi]"),
+        # the partials of a field recurse once per level of its nesting
+        ("2" + "/(1+x*x)" * 200, 2, "a field is nested too deeply to differentiate [background]"),
+        ("-" * 1000 + "x", 0, None),
+        ("(" * 100 + "x" + ")" * 100, 0, None),
+    ],
+    ids=["superscript-digit", "deep-parentheses", "division-chain", "sign-run", "nested-100"],
+)
+def test_text_nested_deep_or_with_a_non_decimal_digit_is_no_internal_error(tmp_path, capsys, phi,
+                                                                           code, message):
+    doc = minimal_doc()
+    doc["background"]["phi"] = phi
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    assert main(["central", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    if message is None:
+        assert "error:" not in err
+    else:
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (minimal_doc(background={"phi": "sin(x"}), "expected ')' (at offset 5) [background.phi]"),
+        (minimal_doc(background={"phi": "x)"}), "unexpected ')' (at offset 1) [background.phi]"),
+        (minimal_doc(background={"g": {"1x": "1"}}), "bad index key '1x' [background.g]"),
+        ([], "scene document must be a JSON object"),
+        (minimal_doc(chart={"coords": ["x", "y"]}), "bad chart spec: 'dim' [chart]"),
+        (minimal_doc(chart={"dim": 3, "coords": ["x", "y"]}),
+         "dim = 3 but 2 coordinate names given [chart]"),
+        (minimal_doc(background="g"), "expected a JSON object [background]"),
+    ],
+    ids=["unclosed-call", "trailing-token", "index-key", "document", "chart-dim", "dim-count",
+         "background"],
+)
+def test_a_malformed_scene_names_what_is_wrong_and_where(tmp_path, capsys, doc, message):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    with pytest.raises(SceneError) as err:
+        load_scene(scene)
+    assert str(err.value) == message
+    assert main(["central", str(scene)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_derivative_singular_at_every_point_is_rejected_at_load(tmp_path, capsys):
     # phi is finite at every sample point of the line x = 0, but its
     # partial along x divides by zero there; the fields' jets are taken

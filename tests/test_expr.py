@@ -1,22 +1,26 @@
 """Expression engine: parser, exact derivatives, evaluation, printing."""
 
 import math
+import string
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencourant.errors import DomainError, ExprSyntaxError, UnknownSymbol
+from gencourant.errors import DomainError, ExprSyntaxError, GencourantError, UnknownSymbol
 from gencourant.expr import (
     ZERO,
     Add,
     Chart,
     Const,
     Coord,
+    Expr,
     Func,
+    Mul,
     Pow,
     SplitMix64,
+    _FUNCTIONS,
     add,
     chart,
     differentiate,
@@ -28,7 +32,7 @@ from gencourant.expr import (
     to_string,
 )
 from gencourant.scene import SceneValidationError, scene_from_dict
-from oracles import randint
+from oracles import parse_reference, randint
 
 XY = chart("x y", seed=7)
 X, Y = XY.coords()
@@ -96,6 +100,80 @@ def test_parse_empty():
 )
 def test_parse_evaluate(text, point, value):
     assert evaluate(parse_expr(text, XY), point) == pytest.approx(value, abs=1e-12)
+
+
+def _structure(e):
+    """The node structure of ``e``: its class, its own fields (each by its
+    repr, so -0.0, NaN and an int exponent compare as written) and its
+    children's structures."""
+    fields = {Const: ("value",), Coord: ("index",), Mul: ("coeff",), Pow: ("exponent",),
+              Func: ("name",)}.get(type(e), ())
+    return type(e).__name__, [repr(getattr(e, f)) for f in fields], list(map(_structure, e.children()))
+
+
+def _outcome(parse, text):
+    try:
+        return _structure(parse(text, XY))
+    except GencourantError as err:
+        return type(err), str(err)
+
+
+# Texts over the grammar's alphabet: expressions the grammar derives, with
+# up to three characters of the alphabet dropped in anywhere.  Numbers take
+# every form of the literal, decimal digits of other scripts included
+# (float() and int() read them), and whitespace includes the tab and the
+# no-break space.
+_ALPHABET = string.digits + string.ascii_letters + "_.eE+-*/^()," + " \t\xa0\u0663\u096d\uff10"
+_NUMBERS = ["2", "0.5", "3.", ".25", "1e3", "2E-1", "07", "0", "\u0663", "\u0663.\u096d", "\uff10"]
+_EXPONENTS = ["2", "-1", "(-2)", "0", "\u0663", "2.0", "1e1", "x"]
+_derived = st.recursive(
+    st.one_of(st.sampled_from(_NUMBERS), st.sampled_from(["x", "y"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", "/"]), inner).map("".join),
+        st.tuples(st.sampled_from(["-", "+", "--", "-+-"]), inner).map("".join),
+        st.tuples(st.sampled_from(sorted(_FUNCTIONS) + ["tan"]), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(inner, st.sampled_from(_EXPONENTS)).map("({0[0]})^{0[1]}".format),
+    ),
+    max_leaves=8,
+)
+
+
+def _with_noise(text, noise):
+    for at, c in noise:
+        text = text[:at] + c + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(_with_noise, _derived,
+                 st.lists(st.tuples(st.integers(0, 60), st.sampled_from(_ALPHABET)), max_size=3)))
+def test_parse_matches_the_reference_front_end(text):
+    assert _outcome(parse_expr, text) == _outcome(parse_reference, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_any_text_parses_or_is_an_input_error(text):
+    try:
+        e = parse_expr(text, XY)
+    except GencourantError:
+        return
+    assert isinstance(e, Expr)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^2.0", "power exponent must be an integer literal (at offset 2)"),
+    ("x^(-3", "expected ')' (at offset 5)"),
+])
+def test_parse_errors_name_the_offset(text, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, XY)
+    assert str(err.value) == message
+
+
+def test_unary_signs_fold_by_parity():
+    assert _structure(parse_expr("-" * 1000 + "x", XY)) == _structure(X)
+    assert _structure(parse_expr("-+-" * 333 + "-x^2", XY)) == _structure(-(X ** 2))
 
 
 # ---------------------------------------------------------------------------
